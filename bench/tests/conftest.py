@@ -1,0 +1,10 @@
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+import run  # noqa: E402
+
+problem = run.bootstrap()
+if problem is not None:
+    raise RuntimeError(problem)
