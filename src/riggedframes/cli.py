@@ -16,11 +16,13 @@ import sys
 
 
 def _build_parser():
+    from .reporting import COMMANDS
+
     parser = argparse.ArgumentParser(
         prog="riggedframes",
         description="Distribution-frame diagnostics over truncated Hermite models.",
     )
-    parser.add_argument("command", choices=sorted(_COMMANDS))
+    parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", help="JSON run configuration")
     parser.add_argument("--output", help="report destination (defaults to stdout)")
     parser.add_argument("--format", choices=("json", "csv"), dest="output_format")
@@ -30,9 +32,6 @@ def _build_parser():
         help="comma-separated truncations overriding the ladder, e.g. 8,16,32",
     )
     return parser
-
-
-_COMMANDS = ("classify", "bounds", "dual", "reconstruct", "moment-solve", "sweep", "demo")
 
 
 def main(argv=None):

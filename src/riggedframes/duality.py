@@ -23,6 +23,7 @@ from .hermite import as_test_function, inner_product, random_test_function
 from .kernels import KernelMatrix, sample_kernel
 from .operators import (
     ClassifyThresholds,
+    StageFactorization,
     analysis,
     classify,
     coarse_synthesis_grid,
@@ -33,7 +34,7 @@ from .operators import (
     synthesis,
     weighted_analysis_matrix,
 )
-from .quadrature import l2x_inner, l2x_norm, stage_grid
+from .quadrature import default_ladder, l2x_inner, l2x_norm, stage_grid
 
 __all__ = [
     "INVERSION_CUTOFF",
@@ -240,19 +241,12 @@ def riesz_check(kernel, ladder=None, thresholds=ClassifyThresholds()):
     if ladder is None:
         ladder = _ladder_up_to(kernel.truncation)
     report = classify(kernel.map_spec, ladder, thresholds)
-    lower, upper = frame_bounds(frame_operator(kernel))
+    factor = StageFactorization(weighted_analysis_matrix(kernel))
     flag = report.has("frame") and report.has("mu_independent")
-    return RieszResult(
-        riesz=bool(flag),
-        sigma_min=float(np.sqrt(max(lower, 0.0))),
-        sigma_max=float(np.sqrt(max(upper, 0.0))),
-        report=report,
-    )
+    return RieszResult(bool(flag), factor.sigma_min, factor.sigma_max, report)
 
 
 def _ladder_up_to(truncation):
-    from .quadrature import default_ladder
-
     n_max = 8
     while n_max * 2 <= max(truncation, 8):
         n_max *= 2
@@ -288,16 +282,11 @@ def dual_semiframe_check(pair, ladder=None, thresholds=ClassifyThresholds()):
             f"map is not an upper semi-frame: upper trend {report.upper_trend!r}, "
             f"total={report.has('total')}"
         )
+    # the upper bound of each stage is already in the report
     margins = []
-    holds = True
-    for stage in ladder.stages:
+    for stage, diag in zip(ladder.stages, report.stages):
         stage_kernel = sample_kernel(kernel.map_spec, stage_grid(stage), stage.truncation)
-        upper_o = frame_bounds(frame_operator(stage_kernel))[1]
-        stage_pair = canonical_dual(stage_kernel)
-        lower_t = frame_bounds(frame_operator(stage_pair.theta))[0]
-        tol = 1e-8 / upper_o
-        margin = lower_t - 1.0 / upper_o
-        margins.append(margin)
-        if margin < -tol:
-            holds = False
+        theta = canonical_dual(stage_kernel).theta
+        margins.append(frame_bounds(frame_operator(theta))[0] - 1.0 / diag.upper)
+    holds = all(m >= -1e-8 / d.upper for m, d in zip(margins, report.stages))
     return DualSemiframeResult(holds, tuple(margins))

@@ -80,11 +80,9 @@ def hermite_derivative_table(truncation, x):
     h_n' = sqrt(n/2) h_{n-1} - sqrt((n+1)/2) h_{n+1}."""
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     table = hermite_table(truncation + 1, xa)
-    out = np.empty((xa.size, truncation))
-    for n in range(truncation):
-        out[:, n] = -np.sqrt((n + 1) / 2.0) * table[:, n + 1]
-        if n >= 1:
-            out[:, n] += np.sqrt(n / 2.0) * table[:, n - 1]
+    n = np.arange(truncation)
+    out = -np.sqrt((n + 1) / 2.0) * table[:, 1:]
+    out[:, 1:] += np.sqrt(n[1:] / 2.0) * table[:, :-2]
     return out
 
 

@@ -164,21 +164,27 @@ def sample_kernel(spec, grid, truncation):
         raise InvalidConfigError(f"truncation must be >= 1, got {truncation}")
     if spec.kind == "custom":
         return load_custom_kernel(spec.custom_kernel, grid, truncation)
-    table = hermite_table(truncation, grid.nodes)
-    if spec.kind == "dirac":
-        entries = table.astype(complex)
-    elif spec.kind == "fourier":
-        entries = table * ((-1j) ** np.arange(truncation))[None, :]
-    elif spec.kind == "dirac_derivative":
-        entries = (-hermite_derivative_table(truncation, grid.nodes)).astype(complex)
-    elif spec.kind == "weighted_dirac":
-        # real weights throughout; complex weights go through custom kernels
-        values = eval_weight(spec.weight, grid.nodes)
-        entries = (values[:, None] * table).astype(complex)
-    else:
-        a, b = spec.bump_support
-        entries = (bump_profile(a, b, grid.nodes)[:, None] * table).astype(complex)
+    entries = _real_rows(spec, grid.nodes, truncation).astype(complex)
+    if spec.kind == "fourier":
+        entries *= ((-1j) ** np.arange(truncation))[None, :]
     return KernelMatrix(entries, grid, spec)
+
+
+def _real_rows(spec, nodes, truncation):
+    """Real kernel rows of a built-in kind: the Hermite (or derivative) table
+    times the row weight.  fourier shares the dirac rows: its unitary (-i)^n
+    column phase, applied by sample_kernel, commutes with every column
+    scaling and so leaves all spectral diagnostics unchanged."""
+    if spec.kind == "dirac_derivative":
+        return -hermite_derivative_table(truncation, nodes)
+    table = hermite_table(truncation, nodes)
+    if spec.kind == "weighted_dirac":
+        # real weights throughout; complex weights go through custom kernels
+        table *= eval_weight(spec.weight, nodes)[:, None]
+    elif spec.kind == "bump_dirac":
+        a, b = spec.bump_support
+        table *= bump_profile(a, b, nodes)[:, None]
+    return table
 
 
 def save_kernel_csv(kernel, path):

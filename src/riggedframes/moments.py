@@ -25,7 +25,9 @@ from .errors import InvalidConfigError
 from .hermite import TestFunction
 from .kernels import sample_kernel
 from .operators import (
-    bessel_seminorm_constant,
+    ClassifyThresholds,
+    StageFactorization,
+    _series_trend,
     coarse_synthesis_grid,
     weighted_analysis_matrix,
 )
@@ -89,25 +91,27 @@ def solve_moment(kernel, h):
         raise InvalidConfigError(
             f"target has shape {h.shape}, expected ({kernel.node_count},)"
         )
-    weighted = weighted_analysis_matrix(kernel)
-    scaled_target = np.sqrt(kernel.grid.weights) * h
-    u, svals, vh = np.linalg.svd(weighted, full_matrices=False)
-    cutoff = NULL_SPACE_CUTOFF * (svals[0] if svals.size else 0.0)
-    keep = svals > cutoff
-    rank = int(np.count_nonzero(keep))
-    coeffs = np.zeros(kernel.truncation, dtype=complex)
-    if rank:
-        projected = u[:, keep].conj().T @ scaled_target
-        coeffs = vh[keep].conj().T @ (projected / svals[keep])
-    residual_abs = float(np.linalg.norm(weighted @ coeffs - scaled_target))
-    target_norm = l2x_norm(h, kernel.grid)
-    residual = residual_abs / target_norm if target_norm > 0 else residual_abs
+    coeffs, residuals, rank = _least_norm(kernel, h[:, None])
     return MomentSolution(
-        f=TestFunction(coeffs),
-        residual=residual,
+        f=TestFunction(coeffs[:, 0]),
+        residual=float(residuals[0]),
         least_norm=True,
         null_dim=kernel.truncation - rank,
     )
+
+
+def _least_norm(kernel, targets):
+    """Least-norm solutions for every target column from one SVD: returns
+    (coefficient columns, residuals as in MomentSolution, rank)."""
+    weighted = weighted_analysis_matrix(kernel)
+    scaled = np.sqrt(kernel.grid.weights)[:, None] * targets
+    u, svals, vh = np.linalg.svd(weighted, full_matrices=False)
+    keep = svals > NULL_SPACE_CUTOFF * (svals[0] if svals.size else 0.0)
+    coeffs = vh[keep].conj().T @ ((u[:, keep].conj().T @ scaled) / svals[keep][:, None])
+    residuals = np.linalg.norm(weighted @ coeffs - scaled, axis=0)
+    norms = np.array([l2x_norm(column, kernel.grid) for column in targets.T])
+    residuals = np.divide(residuals, norms, out=residuals, where=norms > 0)
+    return coeffs, residuals, int(np.count_nonzero(keep))
 
 
 def rf_diagnostic(kernel, probes):
@@ -123,14 +127,13 @@ def rf_diagnostic(kernel, probes):
     panel_count = grid.panels
     used = min(probes, panel_count)
     picks = sorted(set(np.linspace(0, panel_count - 1, used).round().astype(int)))
-    residuals = []
-    for panel in picks:
-        target = np.zeros(grid.node_count)
-        target[panel * grid.order : (panel + 1) * grid.order] = 1.0
-        target = target / l2x_norm(target, grid)
-        residuals.append(solve_moment(kernel, target).residual)
-    score = sum(1 for r in residuals if r <= 1e-6) / len(residuals)
-    return float(score), float(max(residuals))
+    targets = np.zeros((grid.node_count, len(picks)))
+    for column, panel in enumerate(picks):
+        targets[panel * grid.order : (panel + 1) * grid.order, column] = 1.0
+        targets[:, column] /= l2x_norm(targets[:, column], grid)
+    residuals = _least_norm(kernel, targets)[1]
+    score = np.count_nonzero(residuals <= 1e-6) / residuals.size
+    return float(score), float(residuals.max())
 
 
 def continuity_constant(kernel, k):
@@ -227,11 +230,12 @@ def dual_bessel_check(pair, ladder=None, k_max=6, stability=0.05):
     constants = {k: [] for k in range(k_max + 1)}
     for stage in ladder.stages:
         stage_kernel = sample_kernel(kernel.map_spec, stage_grid(stage), stage.truncation)
-        stage_pair = canonical_dual(stage_kernel)
+        theta = canonical_dual(stage_kernel).theta
+        factor = StageFactorization(weighted_analysis_matrix(theta))
         for k in constants:
-            constants[k].append(bessel_seminorm_constant(stage_pair.theta, k))
+            constants[k].append(factor.bessel_constant(k))
+    thresholds = ClassifyThresholds(stability=stability)
     for k in sorted(constants):
-        series = constants[k]
-        if len(series) == 1 or abs(series[-1] - series[-2]) <= stability * abs(series[-2]):
-            return DualBesselResult(True, k, float(series[-1]))
+        if _series_trend(constants[k], thresholds, 0.0) == "bounded":
+            return DualBesselResult(True, k, float(constants[k][-1]))
     return DualBesselResult(False, -1, math.inf)

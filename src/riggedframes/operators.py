@@ -9,8 +9,12 @@ weights) and Omega the kernel matrix:
 
 Frame bounds at truncation N are the extreme eigenvalues of S, equivalently
 the squared extreme singular values of the weighted kernel sqrt(W) Omega.
-Continuum statements (bounded versus growing bounds, totality) are read off
-trends along a refinement ladder; a single stage can never decide them.
+A classify stage samples once, factors once (a thin QR of the ~15N x N
+weighted kernel to its N x N factor R; Chan, ACM TOMS 8, 1982) and reads
+every diagnostic off R: bounds and totality from its singular values, the
+p_k Bessel constant from those of R D_k.  Continuum statements (bounded
+versus growing bounds, totality) are read off trends along a refinement
+ladder; a single stage can never decide them.
 """
 
 from __future__ import annotations
@@ -22,11 +26,12 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidConfigError, NumericError
 from .hermite import DistributionSample, TestFunction
-from .kernels import sample_kernel
+from .kernels import _real_rows, sample_kernel  # noqa: F401 (bench/ patches this name)
 from .quadrature import build_grid, bulk_half_width, stage_grid
 
 __all__ = [
     "FrameOperatorMatrix",
+    "StageFactorization",
     "TotalityResult",
     "MuIndependenceResult",
     "ClassifyThresholds",
@@ -129,6 +134,32 @@ def frame_bounds(op):
     return float(values[0]), float(values[-1])
 
 
+class StageFactorization:
+    """Triangular factor R of a weighted kernel sqrt(W) Omega, from one thin QR.
+
+    R D has the singular values of sqrt(W) Omega D for every column scaling
+    D; the Gram route would square the condition number at the rank cutoff.
+    """
+
+    def __init__(self, weighted):
+        self.r = np.linalg.qr(weighted, mode="r")
+        svals = np.linalg.svd(self.r, compute_uv=False)
+        self.sigma_max = float(svals[0])
+        # fewer rows than columns leave a null space whatever R's spectrum
+        self.sigma_min = float(svals[-1]) if weighted.shape[0] >= weighted.shape[1] else 0.0
+
+    def bessel_constant(self, k):
+        """Top singular value of the kernel damped by (1+n)^(-k/2)."""
+        if k == 0:
+            return self.sigma_max
+        damping = (1.0 + np.arange(self.r.shape[1])) ** (-k / 2.0)
+        return float(np.linalg.svd(self.r * damping[None, :], compute_uv=False)[0])
+
+
+def _full_rank(sigma_min, sigma_max, threshold):
+    return bool(sigma_max > 0.0 and sigma_min > threshold * sigma_max)
+
+
 @dataclass(frozen=True)
 class TotalityResult:
     total: bool
@@ -149,24 +180,16 @@ def totality_test(kernel, threshold=1e-6):
     """
     if threshold <= 0:
         raise InvalidConfigError(f"threshold must be positive, got {threshold}")
-    weighted = weighted_analysis_matrix(kernel)
-    _, svals, vh = np.linalg.svd(weighted, full_matrices=False)
-    sigma_max = float(svals[0])
-    sigma_min = float(svals[-1]) if kernel.node_count >= kernel.truncation else 0.0
+    factor = StageFactorization(weighted_analysis_matrix(kernel))
+    sigma_min, sigma_max = factor.sigma_min, factor.sigma_max
     if sigma_max == 0.0:
         return TotalityResult(False, 0.0, 0.0, TestFunction.basis(0, kernel.truncation))
-    if sigma_min > threshold * sigma_max:
+    if _full_rank(sigma_min, sigma_max, threshold):
         return TotalityResult(True, sigma_min, sigma_max)
-    witness = TestFunction(vh[-1].conj()) if kernel.node_count >= kernel.truncation else (
-        TestFunction(_null_direction(weighted))
-    )
-    return TotalityResult(False, sigma_min, sigma_max, witness)
-
-
-def _null_direction(weighted):
-    # underdetermined case: any unit vector in the null space of sqrt(W) Omega
-    _, _, vh = np.linalg.svd(weighted, full_matrices=True)
-    return vh[-1].conj()
+    # right singular vectors of R are those of sqrt(W) Omega; the full set
+    # also spans the null space when there are fewer rows than columns
+    _, _, vh = np.linalg.svd(factor.r)
+    return TotalityResult(False, sigma_min, sigma_max, TestFunction(vh[-1].conj()))
 
 
 @dataclass(frozen=True)
@@ -201,29 +224,31 @@ def mu_independence_test(kernel, threshold=1e-6):
     """
     if threshold <= 0:
         raise InvalidConfigError(f"threshold must be positive, got {threshold}")
-    if kernel.node_count > kernel.truncation:
-        raise InvalidConfigError(
-            f"mu-independence test needs node count <= truncation, got "
-            f"{kernel.node_count} nodes > {kernel.truncation}; sample the map "
-            f"on coarse_synthesis_grid(truncation) instead"
-        )
+    _check_coarse(kernel.node_count, kernel.truncation)
     weighted = weighted_analysis_matrix(kernel)
     u, svals, _ = np.linalg.svd(weighted, full_matrices=False)
     sigma_max = float(svals[0])
     sigma_min = float(svals[-1])
-    if sigma_max > 0.0 and sigma_min > threshold * sigma_max:
+    if _full_rank(sigma_min, sigma_max, threshold):
         return MuIndependenceResult(True, sigma_min, sigma_max)
     scaled = u[:, -1] / np.sqrt(kernel.grid.weights)
     return MuIndependenceResult(False, sigma_min, sigma_max, scaled)
+
+
+def _check_coarse(node_count, truncation):
+    if node_count > truncation:
+        raise InvalidConfigError(
+            f"mu-independence test needs node count <= truncation, got "
+            f"{node_count} nodes > {truncation}; sample the map "
+            f"on coarse_synthesis_grid(truncation) instead"
+        )
 
 
 def bessel_seminorm_constant(kernel, k):
     """Smallest C with l2x_norm(analysis(f)) <= C * p_k(f) at this truncation."""
     if k < 0:
         raise ValueError(f"seminorm index must be nonnegative, got {k}")
-    damping = (1.0 + np.arange(kernel.truncation)) ** (-k / 2.0)
-    svals = np.linalg.svd(weighted_analysis_matrix(kernel) * damping[None, :], compute_uv=False)
-    return float(svals[0])
+    return StageFactorization(weighted_analysis_matrix(kernel)).bessel_constant(k)
 
 
 @dataclass(frozen=True)
@@ -298,16 +323,12 @@ def _series_trend(values, thresholds, vanish_floor):
     "growing" needs every consecutive ratio at or above the growth factor;
     "bounded" needs the last step to move by at most the stability
     tolerance; "vanishing" is a decreasing series that has dropped below the
-    floor; anything else is still "drifting" at this ladder depth.
+    floor; anything else is still "drifting" at this ladder depth.  A
+    single value has no trend: it is "undetermined".
     """
     if len(values) < 2:
-        return "bounded"
-    ratios = []
-    for prev, curr in zip(values, values[1:]):
-        if prev == 0.0:
-            ratios.append(1.0 if curr == 0.0 else math.inf)
-        else:
-            ratios.append(curr / prev)
+        return "undetermined"
+    ratios = _consecutive_ratios(values)
     if all(r >= thresholds.growth for r in ratios):
         return "growing"
     prev, last = values[-2], values[-1]
@@ -320,13 +341,10 @@ def _series_trend(values, thresholds, vanish_floor):
 
 
 def _consecutive_ratios(values):
-    out = []
-    for prev, curr in zip(values, values[1:]):
-        if prev == 0.0:
-            out.append(1.0 if curr == 0.0 else math.inf)
-        else:
-            out.append(curr / prev)
-    return tuple(out)
+    return tuple(
+        (1.0 if curr == 0.0 else math.inf) if prev == 0.0 else curr / prev
+        for prev, curr in zip(values, values[1:])
+    )
 
 
 def classify(map_spec, ladder, thresholds=ClassifyThresholds()):
@@ -343,33 +361,30 @@ def classify(map_spec, ladder, thresholds=ClassifyThresholds()):
     stages = []
     bessel_series = {k: [] for k in range(thresholds.bessel_k_max + 1)}
     for stage in ladder.stages:
-        kernel = sample_kernel(map_spec, stage_grid(stage), stage.truncation)
-        weighted = weighted_analysis_matrix(kernel)
-        svals = np.linalg.svd(weighted, compute_uv=False)
-        sigma_max = float(svals[0])
-        sigma_min = float(svals[-1]) if kernel.node_count >= kernel.truncation else 0.0
-        total = bool(sigma_max > 0.0 and sigma_min > thresholds.rank * sigma_max)
-        coarse = sample_kernel(
-            map_spec, coarse_synthesis_grid(stage.truncation), stage.truncation
-        )
-        mu = bool(mu_independence_test(coarse, thresholds.rank))
+        coarse = coarse_synthesis_grid(stage.truncation)
+        _check_coarse(coarse.node_count, stage.truncation)
+        grid = stage_grid(stage)
+        rows = _real_rows(map_spec, grid.nodes, stage.truncation)
+        rows *= np.sqrt(grid.weights)[:, None]
+        factor = StageFactorization(rows)
+        coarse_rows = _real_rows(map_spec, coarse.nodes, stage.truncation)
+        coarse_rows *= np.sqrt(coarse.weights)[:, None]
+        coarse_svals = np.linalg.svd(coarse_rows, compute_uv=False)
         stages.append(
             StageDiagnostics(
                 truncation=stage.truncation,
                 half_width=stage.half_width,
-                node_count=kernel.node_count,
-                lower=sigma_min**2,
-                upper=sigma_max**2,
-                sigma_min=sigma_min,
-                sigma_max=sigma_max,
-                total=total,
-                mu_independent=mu,
+                node_count=grid.node_count,
+                lower=factor.sigma_min**2,
+                upper=factor.sigma_max**2,
+                sigma_min=factor.sigma_min,
+                sigma_max=factor.sigma_max,
+                total=_full_rank(factor.sigma_min, factor.sigma_max, thresholds.rank),
+                mu_independent=_full_rank(coarse_svals[-1], coarse_svals[0], thresholds.rank),
             )
         )
-        damping_base = 1.0 + np.arange(stage.truncation)
         for k in bessel_series:
-            damped = weighted * (damping_base ** (-k / 2.0))[None, :]
-            bessel_series[k].append(float(np.linalg.svd(damped, compute_uv=False)[0]))
+            bessel_series[k].append(factor.bessel_constant(k))
 
     lowers = [s.lower for s in stages]
     uppers = [s.upper for s in stages]
@@ -377,13 +392,9 @@ def classify(map_spec, ladder, thresholds=ClassifyThresholds()):
     lower_trend = _series_trend(lowers, thresholds, vanish_floor)
     upper_trend = _series_trend(uppers, thresholds, vanish_floor)
 
-    bessel_index = None
-    bessel_constant = None
-    for k in sorted(bessel_series):
-        if _series_trend(bessel_series[k], thresholds, 0.0) == "bounded":
-            bessel_index = k
-            bessel_constant = bessel_series[k][-1]
-            break
+    bounded = [k for k, v in bessel_series.items() if _series_trend(v, thresholds, 0.0) == "bounded"]
+    bessel_index = bounded[0] if bounded else None
+    bessel_constant = bessel_series[bessel_index][-1] if bounded else None
 
     final = stages[-1]
     bounded_upper = upper_trend == "bounded"

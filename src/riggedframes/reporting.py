@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import acceptance
-from .duality import canonical_dual, dual_bounds, reconstruct, verify_duality
+from .duality import DEFAULT_SEED, canonical_dual, dual_bounds, reconstruct
 from .errors import InvalidConfigError, WeightSyntaxError
 from .hermite import random_test_function
 from .kernels import MapSpec, sample_kernel
@@ -44,7 +44,6 @@ __all__ = [
 ]
 
 COMMANDS = ("classify", "bounds", "dual", "reconstruct", "moment-solve", "sweep", "demo")
-DEFAULT_SEED = 20240409
 THRESHOLD_FIELDS = ("stability", "growth", "rank", "tight", "parseval", "bessel_k_max")
 
 

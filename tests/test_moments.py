@@ -6,6 +6,7 @@ import pytest
 from riggedframes import (
     InvalidConfigError,
     KernelMatrix,
+    RefinementLadder,
     TestFunction,
     analysis,
     bump_dirac_map,
@@ -146,6 +147,23 @@ class TestRfDiagnostic:
         with pytest.raises(InvalidConfigError):
             rf_diagnostic(coarse_kernel(dirac_map(), 16), probes=0)
 
+    @pytest.mark.parametrize("spec", [dirac_map(), bump_dirac_map(-1.0, 1.0)], ids=["dirac", "bump"])
+    def test_block_solve_matches_per_probe_solves(self, spec):
+        from riggedframes.moments import _least_norm
+
+        kernel = coarse_kernel(spec, 32)
+        grid = kernel.grid
+        targets = np.zeros((grid.node_count, grid.panels))
+        for panel in range(grid.panels):
+            targets[panel * grid.order : (panel + 1) * grid.order, panel] = 1.0
+            targets[:, panel] /= l2x_norm(targets[:, panel], grid)
+        single = np.array([solve_moment(kernel, t).residual for t in targets.T])
+        block = _least_norm(kernel, targets)[1]
+        assert np.abs(block - single).max() <= 1e-12
+        score, worst = rf_diagnostic(kernel, probes=grid.panels)
+        assert worst == pytest.approx(single.max(), abs=1e-12)
+        assert score == np.mean(single <= 1e-6)
+
 
 class TestContinuityConstant:
     def test_dirac_isometry(self):
@@ -261,6 +279,12 @@ class TestDualBessel:
         assert result.seminorm_index == 0
         # dual analysis is bounded by the reciprocal lower weight
         assert result.constant <= 1.0 + 1e-8
+
+    def test_single_stage_certifies_nothing(self):
+        pair = canonical_dual(make_kernel(dirac_map(), 16))
+        result = dual_bessel_check(pair, ladder=RefinementLadder((default_stage(16),)))
+        assert not result.bessel
+        assert result.seminorm_index == -1
 
     def test_bump_precondition_rejected(self):
         kernel = make_kernel(bump_dirac_map(-1.0, 1.0), 16)

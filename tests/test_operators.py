@@ -4,6 +4,7 @@ import pytest
 from riggedframes import (
     ClassifyThresholds,
     InvalidConfigError,
+    RefinementLadder,
     KernelMatrix,
     NumericError,
     TestFunction,
@@ -17,6 +18,7 @@ from riggedframes import (
     dirac_derivative_map,
     dirac_map,
     embed,
+    fourier_map,
     frame_bounds,
     frame_operator,
     hermite_eval,
@@ -31,10 +33,20 @@ from riggedframes import (
     stage_grid,
     synthesis,
     totality_test,
+    weighted_analysis_matrix,
     weighted_dirac_map,
 )
 
 RNG_SEED = 1234
+
+BUILTIN_FAMILIES = {
+    "dirac": dirac_map(),
+    "fourier": fourier_map(),
+    "dirac_derivative": dirac_derivative_map(),
+    "2+sin(x)": weighted_dirac_map("2+sin(x)"),
+    "1+x^2": weighted_dirac_map("1+x^2"),
+    "bump[-1,1]": bump_dirac_map(-1.0, 1.0),
+}
 
 
 def make_kernel(spec, truncation):
@@ -337,3 +349,71 @@ class TestClassify:
 
         with pytest.raises(InvalidConfigError):
             classify(custom_map("nope.csv"), default_ladder(8))
+
+    def test_single_stage_certifies_no_trend_label(self):
+        single = RefinementLadder((default_stage(32),))
+        for spec in (dirac_derivative_map(), weighted_dirac_map("1+x^2"), dirac_map()):
+            report = classify(spec, single)
+            assert report.lower_trend == report.upper_trend == "undetermined"
+            assert set(report.labels) <= {"total", "mu_independent"}
+
+
+class TestStageFactorization:
+    """Classify's R-factor diagnostics against direct SVDs of the complex
+    weighted kernel, and a guard on what classify factors."""
+
+    @pytest.mark.parametrize("n_max", [64, 128])
+    @pytest.mark.parametrize("family", list(BUILTIN_FAMILIES))
+    def test_matches_direct_complex_svd(self, family, n_max):
+        spec = BUILTIN_FAMILIES[family]
+        ladder = default_ladder(n_max)
+        report = classify(spec, ladder)
+        for i, (stage, diag) in enumerate(zip(ladder.stages, report.stages)):
+            weighted = weighted_analysis_matrix(
+                sample_kernel(spec, stage_grid(stage), stage.truncation)
+            )
+            svals = np.linalg.svd(weighted, compute_uv=False)
+            sigma_max, sigma_min = svals[0], svals[-1]
+            upper = sigma_max**2
+            assert abs(diag.upper - upper) <= 1e-12 * upper
+            assert abs(diag.lower - sigma_min**2) <= 1e-12 * upper
+            assert abs(diag.sigma_max - sigma_max) <= 1e-12 * sigma_max
+            assert abs(diag.sigma_min - sigma_min) <= 1e-12 * sigma_max
+            damping_base = 1.0 + np.arange(stage.truncation)
+            for k, series in report.bessel_constants.items():
+                damped = weighted * (damping_base ** (-k / 2.0))[None, :]
+                direct = np.linalg.svd(damped, compute_uv=False)[0]
+                assert abs(series[i] - direct) <= 1e-12 * sigma_max
+
+    def test_fourier_equals_dirac_with_identity_frame_operator(self):
+        ladder = default_ladder(128)
+        dirac = classify(dirac_map(), ladder)
+        fourier = classify(fourier_map(), ladder)
+        assert fourier.stages == dirac.stages
+        assert fourier.bessel_constants == dirac.bessel_constants
+        for s in dirac.stages:
+            assert abs(s.lower - 1.0) <= 1e-12 and abs(s.upper - 1.0) <= 1e-12
+
+    def test_classify_factors_only_small_matrices(self, monkeypatch):
+        svd_shapes, qr_shapes = [], []
+        svd, qr = np.linalg.svd, np.linalg.qr
+
+        def recording_svd(a, *args, **kwargs):
+            svd_shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        def recording_qr(a, *args, **kwargs):
+            qr_shapes.append(np.shape(a))
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        monkeypatch.setattr(np.linalg, "qr", recording_qr)
+        ladder = default_ladder(64)
+        truncations = [s.truncation for s in ladder.stages]
+        classify(weighted_dirac_map("2+sin(x)"), ladder)
+        # every factored matrix has the stage truncation as its column count
+        assert [cols for _, cols in qr_shapes] == truncations
+        for rows, cols in svd_shapes:
+            assert cols in truncations and rows <= cols
+        for n in truncations:
+            assert sum(cols == n for _, cols in svd_shapes) <= 8
