@@ -118,10 +118,8 @@ def check_dual_reconstruction():
     kernel = _stage_kernel(spec, 16)
     pair = canonical_dual(kernel)
     rng = np.random.default_rng(DEFAULT_SEED)
-    worst = 0.0
-    for _ in range(20):
-        f = random_test_function(16, rng)
-        worst = max(worst, reconstruct(pair, f)[1], reconstruct(pair, f, swap_roles=True)[1])
+    functions = [random_test_function(16, rng) for _ in range(20)]
+    worst = max(err for swap in (False, True) for _, err in reconstruct(pair, functions, swap))
     return _result(
         "dual_reconstruction",
         worst <= 1e-8,

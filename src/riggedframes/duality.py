@@ -10,6 +10,11 @@ orders
 recover f up to conditioning.  Inversion goes through the
 eigendecomposition with a relative cutoff so that near-singular frame
 operators surface as NotAFrameError instead of amplified noise.
+
+The dual keeps the kernel's dtype: a real kernel (see KernelMatrix) gets a
+real S, a real eigendecomposition and a real Theta.  Randomized checks draw
+all their trial functions first, in the order a per-trial loop would, and
+apply them as one block of columns: one pass over each kernel per direction.
 """
 
 from __future__ import annotations
@@ -19,22 +24,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigError, NotAFrameError, NumericError
-from .hermite import as_test_function, inner_product, random_test_function
+from .hermite import TestFunction, random_test_function
 from .kernels import KernelMatrix, sample_kernel
 from .operators import (
     ClassifyThresholds,
     StageFactorization,
-    analysis,
+    _apply,
+    _synthesize,
     classify,
     coarse_synthesis_grid,
     frame_bounds,
     frame_operator,
     hermitian_eigenpairs,
     mu_independence_test,
-    synthesis,
     weighted_analysis_matrix,
 )
-from .quadrature import default_ladder, l2x_inner, l2x_norm, stage_grid
+from .quadrature import default_ladder, stage_grid
 
 __all__ = [
     "INVERSION_CUTOFF",
@@ -82,27 +87,32 @@ def canonical_dual(kernel, trials=20, seed=DEFAULT_SEED):
             lam_min,
         )
     inverse = (vectors / values[None, :]) @ vectors.conj().T
-    theta = KernelMatrix(kernel.entries @ inverse, kernel.grid, None)
-    pair = DualPair(kernel, theta, 0.0)
+    theta = kernel.entries @ inverse
+    theta.setflags(write=False)
+    pair = DualPair(kernel, KernelMatrix(theta, kernel.grid, None), 0.0)
     defect = verify_duality(pair, trials, seed)
-    return DualPair(kernel, theta, defect)
+    return DualPair(kernel, pair.theta, defect)
 
 
 def verify_duality(pair, trials, seed=DEFAULT_SEED):
     """Worst normalized defect of <f, g> = int <f, theta_x><omega_x, g> dmu
-    over seeded random pairs."""
+    over seeded random pairs.
+
+    The pairs are drawn in turn (f, g, f, g, ...) and applied as one block,
+    one pass over each kernel.
+    """
     if trials < 1:
         raise InvalidConfigError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
-    grid = pair.omega.grid
-    worst = 0.0
-    for _ in range(trials):
-        f = random_test_function(pair.omega.truncation, rng)
-        g = random_test_function(pair.omega.truncation, rng)
-        direct = inner_product(f, g)
-        through = l2x_inner(analysis(pair.theta, f), analysis(pair.omega, g), grid)
-        worst = max(worst, abs(direct - through) / (f.norm() * g.norm()))
-    return float(worst)
+    n = pair.omega.truncation
+    draws = np.stack([random_test_function(n, rng).coeffs for _ in range(2 * trials)], axis=1)
+    f, g = draws[:, 0::2], draws[:, 1::2]
+    direct = np.sum(f * g.conj(), axis=0)
+    through = pair.omega.grid.weights @ (
+        _apply(pair.theta.entries, f) * _apply(pair.omega.entries, g).conj()
+    )
+    scale = np.linalg.norm(f, axis=0) * np.linalg.norm(g, axis=0)
+    return float(np.max(np.abs(direct - through) / scale))
 
 
 def dual_bounds(pair):
@@ -125,15 +135,20 @@ def reconstruct(pair, f, swap_roles=False):
 
     ``swap_roles`` uses the other displayed order (analyze through theta,
     synthesize through omega).  Returns (reconstruction, relative error).
+    ``f`` may also be a sequence of test functions, which round-trip as one
+    block (one pass over each kernel per direction); the result is then a
+    list of such pairs.
     """
-    if swap_roles:
-        sample = synthesis(pair.omega, analysis(pair.theta, f))
-    else:
-        sample = synthesis(pair.theta, analysis(pair.omega, f))
-    rebuilt = as_test_function(sample)
-    scale = f.norm()
-    err = float(np.linalg.norm(rebuilt.coeffs - f.coeffs))
-    return rebuilt, err / scale if scale > 0 else err
+    single = isinstance(f, TestFunction)
+    functions = [f] if single else list(f)
+    coeffs = np.stack([g.coeffs for g in functions], axis=1)
+    first, second = (pair.theta, pair.omega) if swap_roles else (pair.omega, pair.theta)
+    rebuilt = _synthesize(second, _apply(first.entries, coeffs))
+    scale = np.linalg.norm(coeffs, axis=0)
+    err = np.linalg.norm(rebuilt - coeffs, axis=0)
+    rel = err / np.where(scale > 0, scale, 1.0)
+    results = [(TestFunction(rebuilt[:, k]), float(rel[k])) for k in range(len(functions))]
+    return results[0] if single else results
 
 
 def parseval_check(kernel, trials=20, seed=DEFAULT_SEED, tolerance=1e-6):
@@ -147,14 +162,8 @@ def parseval_check(kernel, trials=20, seed=DEFAULT_SEED, tolerance=1e-6):
     n = op.truncation
     defect = float(np.abs(op.matrix - np.eye(n)).max())
     flag = defect <= tolerance
-    rng = np.random.default_rng(seed)
-    worst_pair = 0.0
-    for _ in range(trials):
-        f = random_test_function(n, rng)
-        g = random_test_function(n, rng)
-        direct = inner_product(f, g)
-        through = l2x_inner(analysis(kernel, f), analysis(kernel, g), kernel.grid)
-        worst_pair = max(worst_pair, abs(direct - through) / (f.norm() * g.norm()))
+    # the random-pair identity is the duality defect of (omega, omega)
+    worst_pair = verify_duality(DualPair(kernel, kernel, 0.0), trials, seed)
     # worst_pair <= n * defect always holds; a gross mismatch between the two
     # routes signals a wiring bug (e.g. mismatched grids), not a borderline map
     inconsistent = (flag and worst_pair > n * tolerance) or (

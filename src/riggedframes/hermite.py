@@ -61,18 +61,19 @@ def hermite_eval(n, x):
 
 
 def hermite_table(truncation, x):
-    """Table of h_n(x_j) for n < truncation; shape (len(x), truncation)."""
+    """Table of h_n(x_j) for n < truncation; shape (len(x), truncation).
+
+    The recurrence fills one contiguous row per degree, so the table comes
+    back Fortran-ordered (the transpose of that buffer).
+    """
     xa = np.atleast_1d(np.asarray(x, dtype=float))
-    table = np.empty((xa.size, truncation))
-    table[:, 0] = np.pi ** -0.25 * np.exp(-0.5 * xa**2)
+    rows = np.empty((truncation, xa.size))
+    rows[0] = np.pi ** -0.25 * np.exp(-0.5 * xa**2)
     if truncation > 1:
-        table[:, 1] = np.sqrt(2.0) * xa * table[:, 0]
+        rows[1] = np.sqrt(2.0) * xa * rows[0]
     for n in range(1, truncation - 1):
-        table[:, n + 1] = (
-            xa * np.sqrt(2.0 / (n + 1)) * table[:, n]
-            - np.sqrt(n / (n + 1.0)) * table[:, n - 1]
-        )
-    return table
+        rows[n + 1] = xa * np.sqrt(2.0 / (n + 1)) * rows[n] - np.sqrt(n / (n + 1.0)) * rows[n - 1]
+    return rows.T
 
 
 def hermite_derivative_table(truncation, x):

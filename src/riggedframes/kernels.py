@@ -124,21 +124,38 @@ def bump_profile(a, b, x):
 
 @dataclass(frozen=True)
 class KernelMatrix:
-    """Sampled kernel Omega[j][n] = <h_n, omega_{x_j}>, rows over grid nodes."""
+    """Sampled kernel Omega[j][n] = <h_n, omega_{x_j}>, rows over grid nodes.
+
+    Entries are read-only, float64 when every imaginary part is exactly zero
+    and complex otherwise.
+    """
 
     entries: np.ndarray
     grid: QuadratureGrid
     map_spec: MapSpec = None
 
     def __post_init__(self):
-        arr = np.array(self.entries, dtype=complex, copy=True)
+        arr = np.asarray(self.entries)
         if arr.ndim != 2:
             raise InvalidConfigError(f"kernel entries must be 2-d, got shape {arr.shape}")
         if arr.shape[0] != self.grid.node_count:
             raise InvalidConfigError(
                 f"kernel has {arr.shape[0]} rows but the grid has {self.grid.node_count} nodes"
             )
-        arr.setflags(write=False)
+        # The dtype rule: real entries stay float64, and complex entries whose
+        # imaginary parts are all exactly zero are stored real, so that every
+        # operator on the kernel runs in real arithmetic.  Only fourier and
+        # truly complex custom kernels stay complex.
+        if np.iscomplexobj(arr) and not arr.imag.any():
+            arr = arr.real
+        dtype = complex if np.iscomplexobj(arr) else float
+        # A read-only array is adopted as it is (sample_kernel,
+        # load_custom_kernel and canonical_dual hand over arrays they just
+        # made); anything a caller can still write to is copied.
+        contiguous = arr.flags.c_contiguous or arr.flags.f_contiguous
+        if arr.flags.writeable or arr.dtype != dtype or not contiguous:
+            arr = np.array(arr, dtype=dtype)
+            arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
     @property
@@ -164,9 +181,10 @@ def sample_kernel(spec, grid, truncation):
         raise InvalidConfigError(f"truncation must be >= 1, got {truncation}")
     if spec.kind == "custom":
         return load_custom_kernel(spec.custom_kernel, grid, truncation)
-    entries = _real_rows(spec, grid.nodes, truncation).astype(complex)
+    entries = _real_rows(spec, grid.nodes, truncation)
     if spec.kind == "fourier":
-        entries *= ((-1j) ** np.arange(truncation))[None, :]
+        entries = entries * ((-1j) ** np.arange(truncation))[None, :]
+    entries.setflags(write=False)
     return KernelMatrix(entries, grid, spec)
 
 
@@ -189,51 +207,68 @@ def _real_rows(spec, nodes, truncation):
 
 def save_kernel_csv(kernel, path):
     """Write kernel entries in the interchange schema: header re0,im0,...,
-    one row per grid node."""
+    one row per grid node, 17 significant digits, CRLF line ends as csv writes."""
     entries = kernel.entries if isinstance(kernel, KernelMatrix) else np.asarray(kernel)
+    cells = np.empty((entries.shape[0], 2 * entries.shape[1]))
+    cells[:, 0::2] = entries.real
+    cells[:, 1::2] = entries.imag
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"{part}{n}" for n in range(entries.shape[1]) for part in ("re", "im")])
-        for row in entries:
-            writer.writerow(
-                [f"{v:.17g}" for pair in zip(row.real, row.imag) for v in pair]
-            )
+        np.savetxt(
+            fh, cells, fmt="%.17g", delimiter=",", newline="\r\n", comments="",
+            header=",".join(_csv_header(entries.shape[1])),
+        )
+
+
+def _csv_header(truncation):
+    return [f"{part}{n}" for n in range(truncation) for part in ("re", "im")]
 
 
 def load_custom_kernel(path, grid, truncation):
     """Load an M x N complex kernel from CSV and validate it against the grid."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InvalidConfigError(f"{path}: empty kernel file") from None
-        expected = [f"{part}{n}" for n in range(truncation) for part in ("re", "im")]
-        if [h.strip() for h in header] != expected:
+        first = fh.readline()
+        if not first:
+            raise InvalidConfigError(f"{path}: empty kernel file")
+        header = next(csv.reader([first]), [])
+        if [h.strip() for h in header] != _csv_header(truncation):
             raise InvalidConfigError(
                 f"{path}: header does not match {truncation} re/im column pairs"
             )
-        rows = []
-        for i, row in enumerate(reader):
-            if len(row) != 2 * truncation:
-                raise InvalidConfigError(
-                    f"{path}: row {i + 1} has {len(row)} cells, expected {2 * truncation}"
-                )
-            try:
-                values = [float(cell) for cell in row]
-            except ValueError:
-                bad = next(j for j, cell in enumerate(row) if not _is_float(cell))
-                raise InvalidConfigError(
-                    f"{path}: non-numeric cell at row {i + 1}, column {bad + 1}"
-                ) from None
-            rows.append(values)
-    if len(rows) != grid.node_count:
+        lines = fh.read().splitlines()
+    cells = None
+    if lines:
+        try:
+            cells = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if cells is None or cells.shape != (len(lines), 2 * truncation):
+        # the fast parse failed or skipped lines: rescan cell by cell, which
+        # names the first offending row and column
+        cells = _scan_cells(path, lines, truncation)
+    if cells.shape[0] != grid.node_count:
         raise InvalidConfigError(
-            f"{path}: {len(rows)} data rows but the grid has {grid.node_count} nodes"
+            f"{path}: {cells.shape[0]} data rows but the grid has {grid.node_count} nodes"
         )
-    flat = np.asarray(rows)
-    entries = flat[:, 0::2] + 1j * flat[:, 1::2]
+    entries = cells.view(complex)
+    entries.setflags(write=False)
     return KernelMatrix(entries, grid, custom_map(path))
+
+
+def _scan_cells(path, lines, truncation):
+    rows = []
+    for i, row in enumerate(csv.reader(lines)):
+        if len(row) != 2 * truncation:
+            raise InvalidConfigError(
+                f"{path}: row {i + 1} has {len(row)} cells, expected {2 * truncation}"
+            )
+        try:
+            rows.append([float(cell) for cell in row])
+        except ValueError:
+            bad = next(j for j, cell in enumerate(row) if not _is_float(cell))
+            raise InvalidConfigError(
+                f"{path}: non-numeric cell at row {i + 1}, column {bad + 1}"
+            ) from None
+    return np.array(rows, dtype=float).reshape(len(rows), 2 * truncation)
 
 
 def _is_float(cell):

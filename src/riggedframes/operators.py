@@ -15,6 +15,14 @@ every diagnostic off R: bounds and totality from its singular values, the
 p_k Bessel constant from those of R D_k.  Continuum statements (bounded
 versus growing bounds, totality) are read off trends along a refinement
 ladder; a single stage can never decide them.
+
+Every operator works in the kernel's own dtype.  A kernel is stored real
+whenever its entries are (every built-in kind except fourier; see
+KernelMatrix), and then analysis and synthesis apply complex coefficient
+vectors or blocks through their float view, S is the real Gram A^T A of
+A = sqrt(W) Omega formed over row blocks, and nothing kernel-sized is
+promoted or copied to complex.  A complex kernel's S is read off the real
+Gram of its stacked real and imaginary parts.
 """
 
 from __future__ import annotations
@@ -58,7 +66,7 @@ def analysis(kernel, f):
         raise DimensionMismatchError(
             f"function truncation {f.truncation} != kernel truncation {kernel.truncation}"
         )
-    return kernel.entries @ f.coeffs
+    return _apply(kernel.entries, f.coeffs)
 
 
 def synthesis(kernel, xi):
@@ -72,7 +80,26 @@ def synthesis(kernel, xi):
         raise DimensionMismatchError(
             f"grid function has shape {xi.shape}, expected ({kernel.node_count},)"
         )
-    return DistributionSample(kernel.entries.conj().T @ (kernel.grid.weights * xi))
+    return DistributionSample(_synthesize(kernel, xi))
+
+
+def _apply(matrix, block):
+    """matrix @ block for a vector or a block of columns.  A complex block
+    meets a real matrix through its float view, so the matrix is never
+    promoted or copied to complex."""
+    if np.iscomplexobj(matrix) or not np.iscomplexobj(block):
+        return matrix @ block
+    columns = np.ascontiguousarray(block, dtype=complex).reshape(block.shape[0], -1)
+    out = (matrix @ columns.view(float)).view(complex)
+    return out.reshape(matrix.shape[:1] + block.shape[1:])
+
+
+def _synthesize(kernel, xi):
+    """Omega^H (W xi) for a grid function or a block of them (one column
+    each), as conj(Omega^T conj(W xi)): no conjugate copy of the kernel."""
+    weights = kernel.grid.weights
+    weighted = (weights if xi.ndim == 1 else weights[:, None]) * xi
+    return _apply(kernel.entries.T, weighted.conj()).conj()
 
 
 def weighted_analysis_matrix(kernel):
@@ -82,13 +109,14 @@ def weighted_analysis_matrix(kernel):
 
 @dataclass(frozen=True)
 class FrameOperatorMatrix:
-    """S[m][n] = sum_j w_j conj(Omega[j][m]) Omega[j][n]; Hermitian PSD."""
+    """S[m][n] = sum_j w_j conj(Omega[j][m]) Omega[j][n]; Hermitian PSD, real
+    whenever the kernel is."""
 
     matrix: np.ndarray
     provenance: str
 
     def __post_init__(self):
-        arr = np.array(self.matrix, dtype=complex, copy=True)
+        arr = np.array(self.matrix, dtype=complex if np.iscomplexobj(self.matrix) else float)
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
 
@@ -97,10 +125,33 @@ class FrameOperatorMatrix:
         return self.matrix.shape[0]
 
 
+# frame_operator forms S from this many row blocks of the weighted kernel, so
+# its working memory is a fraction of the kernel's.
+_ROW_BLOCKS = 8
+
+
 def frame_operator(kernel):
-    weights = kernel.grid.weights
-    s = kernel.entries.conj().T @ (weights[:, None] * kernel.entries)
-    return FrameOperatorMatrix(s, kernel.fingerprint)
+    """S as the Gram A^T A of the real weighted rows A = sqrt(W) Omega, summed
+    over row blocks.  A complex kernel stacks its real and imaginary parts,
+    [Re A, Im A], and S is read off that real Gram: the diagonal blocks sum
+    to Re S and the off-diagonal block gives Im S.  Either way S comes out
+    exactly Hermitian."""
+    entries = kernel.entries
+    parts = (entries.real, entries.imag) if np.iscomplexobj(entries) else (entries,)
+    rows, n = entries.shape
+    step = max(1, -(-rows // _ROW_BLOCKS))
+    sqrt_w = np.sqrt(kernel.grid.weights)[:, None]
+    block = np.empty((min(step, rows), len(parts) * n))
+    gram = np.zeros((len(parts) * n,) * 2)
+    for start in range(0, rows, step):
+        a = block[: min(step, rows - start)]
+        for i, part in enumerate(parts):
+            out = a[:, i * n : (i + 1) * n]
+            np.multiply(sqrt_w[start : start + step], part[start : start + step], out=out)
+        gram += a.T @ a
+    if len(parts) == 2:
+        gram = gram[:n, :n] + gram[n:, n:] + 1j * (gram[:n, n:] - gram[n:, :n])
+    return FrameOperatorMatrix(gram, kernel.fingerprint)
 
 
 def hermitian_eigenpairs(op):

@@ -279,10 +279,8 @@ def _reconstruct_section(config):
     pair = canonical_dual(kernel, trials=20, seed=config.seed)
     lower, upper = dual_bounds(pair)
     rng = np.random.default_rng(config.seed)
-    worst = 0.0
-    for _ in range(20):
-        f = random_test_function(kernel.truncation, rng)
-        worst = max(worst, reconstruct(pair, f)[1], reconstruct(pair, f, swap_roles=True)[1])
+    functions = [random_test_function(kernel.truncation, rng) for _ in range(20)]
+    worst = max(err for swap in (False, True) for _, err in reconstruct(pair, functions, swap))
     return {"A_theta": lower, "B_theta": upper, "defect": worst}
 
 

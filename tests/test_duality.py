@@ -29,6 +29,7 @@ from riggedframes import (
     verify_duality,
     weighted_dirac_map,
 )
+from riggedframes.duality import INVERSION_CUTOFF
 
 SEED = 20240409
 
@@ -227,3 +228,82 @@ class TestDualSemiframe:
         pair = canonical_dual(make_kernel(dirac_derivative_map(), 16))
         with pytest.raises(InvalidConfigError):
             dual_semiframe_check(pair)
+
+
+ORACLE_FAMILIES = {
+    "dirac": dirac_map(),
+    "fourier": fourier_map(),
+    "dirac_derivative": dirac_derivative_map(),
+    "2+sin(x)": weighted_dirac_map("2+sin(x)"),
+    "1+x^2": weighted_dirac_map("1+x^2"),
+    "bump[-1,1]": bump_dirac_map(-1.0, 1.0),
+}
+
+
+def _complex_dual_reference(kernel, trials, seed):
+    """The dual path in complex arithmetic with per-trial matvecs, from the
+    entries cast to complex: theta, dual bounds, duality defect, and the
+    reconstruction errors of both orders for each draw."""
+    omega = kernel.entries.astype(complex)
+    w = kernel.grid.weights
+    values, vectors = np.linalg.eigh(omega.conj().T @ (w[:, None] * omega))
+    if values[-1] <= 0.0 or values[0] <= INVERSION_CUTOFF * values[-1]:
+        raise NotAFrameError("reference frame operator singular", values[0])
+    theta = omega @ ((vectors / values[None, :]) @ vectors.conj().T)
+    dual = np.linalg.eigvalsh(theta.conj().T @ (w[:, None] * theta))
+    rng = np.random.default_rng(seed)
+    defect = 0.0
+    for _ in range(trials):
+        f = random_test_function(kernel.truncation, rng).coeffs
+        g = random_test_function(kernel.truncation, rng).coeffs
+        through = np.sum(w * (theta @ f) * np.conj(omega @ g))
+        defect = max(defect, abs(np.vdot(g, f) - through) / (np.linalg.norm(f) * np.linalg.norm(g)))
+    rng = np.random.default_rng(seed)
+    errors = []
+    for _ in range(trials):
+        f = random_test_function(kernel.truncation, rng).coeffs
+        for first, second in ((omega, theta), (theta, omega)):
+            rebuilt = second.conj().T @ (w * (first @ f))
+            errors.append(np.linalg.norm(rebuilt - f) / np.linalg.norm(f))
+    cond = values[-1] / values[0]
+    return theta, (dual[0], dual[-1]), defect, np.array(errors), cond
+
+
+class TestRealDualPathOracle:
+    """The dual path in the kernel's own dtype against a complex reference.
+
+    Two roundings of S differ by a few ulps, which inverting S amplifies by
+    its condition number, so the 1e-12 relative tolerance is widened by
+    1e-15 * cond(S): that matters only for the ill-conditioned 1+x^2 and
+    dirac_derivative frames (cond up to ~6e4 at N=128).
+    """
+
+    @pytest.mark.parametrize("truncation", [64, 128])
+    @pytest.mark.parametrize("family", list(ORACLE_FAMILIES))
+    def test_matches_complex_reference(self, family, truncation):
+        kernel = make_kernel(ORACLE_FAMILIES[family], truncation)
+        if family == "bump[-1,1]":
+            with pytest.raises(NotAFrameError):
+                _complex_dual_reference(kernel, 20, SEED)
+            with pytest.raises(NotAFrameError):
+                canonical_dual(kernel, 20, SEED)
+            return
+        theta, (lower, upper), defect, errors, cond = _complex_dual_reference(kernel, 20, SEED)
+        tol = 1e-12 + 1e-15 * cond
+        pair = canonical_dual(kernel, 20, SEED)
+        assert pair.theta.entries.dtype == kernel.entries.dtype
+        assert np.abs(pair.theta.entries - theta).max() <= tol * np.abs(theta).max()
+        dual_lower, dual_upper = dual_bounds(pair)
+        assert abs(dual_lower - lower) <= tol * upper
+        assert abs(dual_upper - upper) <= tol * upper
+        # defects and round-trip errors are already relative
+        assert abs(pair.duality_defect - defect) <= tol
+        assert abs(verify_duality(pair, 20, SEED) - pair.duality_defect) == 0.0
+        rng = np.random.default_rng(SEED)
+        functions = [random_test_function(truncation, rng) for _ in range(20)]
+        forward = [err for _, err in reconstruct(pair, functions)]
+        backward = [err for _, err in reconstruct(pair, functions, swap_roles=True)]
+        mine = np.array([e for both in zip(forward, backward) for e in both])
+        assert np.abs(mine - errors).max() <= tol
+        single = reconstruct(pair, functions[3], swap_roles=True)
+        assert isinstance(single[0], TestFunction) and abs(single[1] - backward[3]) <= tol

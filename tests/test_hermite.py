@@ -60,6 +60,16 @@ def test_table_agrees_with_scalar_eval():
         assert table[:, n] == pytest.approx(hermite_eval(n, x), abs=1e-15)
 
 
+def test_table_columns_equal_scalar_recurrence_bitwise():
+    from riggedframes import default_stage, stage_grid
+
+    x = stage_grid(default_stage(40)).nodes
+    table = hermite_table(40, x)
+    assert table.shape == (x.size, 40)
+    for n in range(40):
+        assert np.array_equal(table[:, n], hermite_eval(n, x))
+
+
 def test_orthonormality_under_default_grid():
     from riggedframes import default_stage, stage_grid
 

@@ -3,6 +3,7 @@ import pytest
 
 from riggedframes import (
     InvalidConfigError,
+    KernelMatrix,
     MapSpec,
     TestFunction,
     analysis,
@@ -143,3 +144,69 @@ class TestCustomKernelCsv:
         path.write_text("re0,im0\n1.0,0.0\n")
         with pytest.raises(InvalidConfigError, match="header"):
             load_custom_kernel(path, grid, 3)
+
+    def test_save_matches_csv_writer_bytes(self, tmp_path, grid):
+        import csv
+
+        rng = np.random.default_rng(3)
+        entries = np.array(sample_kernel(fourier_map(), grid, 4).entries)
+        entries[:, 3] = rng.standard_normal(grid.node_count) * 10.0 ** rng.integers(
+            -300, 300, grid.node_count
+        ) + 1j * rng.standard_normal(grid.node_count)
+        entries[0, 0] = complex(-0.0, -0.0)
+        entries[1, 1] = complex(2.0**60, 1e-320)
+        path = tmp_path / "kernel.csv"
+        save_kernel_csv(entries, path)
+        reference = tmp_path / "reference.csv"
+        with open(reference, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([f"{part}{n}" for n in range(4) for part in ("re", "im")])
+            for row in entries:
+                writer.writerow([f"{v:.17g}" for pair in zip(row.real, row.imag) for v in pair])
+        assert path.read_bytes() == reference.read_bytes()
+        loaded = load_custom_kernel(path, grid, 4)
+        assert loaded.entries.dtype == complex
+        assert np.array_equal(loaded.entries, entries)
+
+    def test_wrong_cell_count_reports_row(self, tmp_path, grid):
+        kernel = sample_kernel(dirac_map(), grid, 3)
+        path = tmp_path / "kernel.csv"
+        save_kernel_csv(kernel, path)
+        lines = path.read_text().splitlines()
+        lines[4] += ",0"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidConfigError, match=r"row 4 has 7 cells, expected 6"):
+            load_custom_kernel(path, grid, 3)
+        # every row one pair too wide parses cleanly and is still refused
+        wide = tmp_path / "wide.csv"
+        save_kernel_csv(sample_kernel(dirac_map(), grid, 4).entries, wide)
+        text = wide.read_text().splitlines()
+        wide.write_text("\n".join([lines[0]] + text[1:]) + "\n")
+        with pytest.raises(InvalidConfigError, match=r"row 1 has 8 cells, expected 6"):
+            load_custom_kernel(wide, grid, 3)
+
+
+class TestKernelStorage:
+    def test_real_whenever_the_entries_are(self, tmp_path, grid):
+        for spec in (dirac_map(), dirac_derivative_map(), weighted_dirac_map("2+sin(x)"),
+                     bump_dirac_map(-1.0, 1.0)):
+            assert sample_kernel(spec, grid, 6).entries.dtype == np.float64
+        assert sample_kernel(fourier_map(), grid, 6).entries.dtype == complex
+        real = sample_kernel(dirac_map(), grid, 6)
+        assert KernelMatrix(real.entries.astype(complex), grid).entries.dtype == np.float64
+        assert KernelMatrix(1j * real.entries, grid).entries.dtype == complex
+        path = tmp_path / "kernel.csv"
+        save_kernel_csv(real, path)
+        assert load_custom_kernel(path, grid, 6).entries.dtype == np.float64
+
+    def test_entries_read_only_and_independent_of_caller_array(self, grid):
+        own = np.array(sample_kernel(dirac_map(), grid, 4).entries)
+        kernel = KernelMatrix(own, grid)
+        assert not kernel.entries.flags.writeable
+        with pytest.raises(ValueError):
+            kernel.entries[0, 0] = 1.0
+        before = kernel.entries.copy()
+        own[:] = 7.0
+        assert np.array_equal(kernel.entries, before)
+        shared = KernelMatrix(kernel.entries, grid)
+        assert np.shares_memory(shared.entries, kernel.entries)

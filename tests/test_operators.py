@@ -417,3 +417,24 @@ class TestStageFactorization:
             assert cols in truncations and rows <= cols
         for n in truncations:
             assert sum(cols == n for _, cols in svd_shapes) <= 8
+
+
+def test_real_kernel_operators_allocate_less_than_the_kernel():
+    """analysis, synthesis and frame_operator never promote or copy a real
+    kernel to complex."""
+    import tracemalloc
+
+    kernel = make_kernel(weighted_dirac_map("2+sin(x)"), 256)
+    assert kernel.entries.dtype == np.float64
+    f = random_test_function(256, np.random.default_rng(RNG_SEED))
+    xi = analysis(kernel, f)
+    for call in (lambda: analysis(kernel, f), lambda: synthesis(kernel, xi),
+                 lambda: frame_operator(kernel)):
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < kernel.entries.nbytes
+    assert frame_operator(kernel).matrix.dtype == np.float64
