@@ -145,12 +145,12 @@ def check_derivative_deltas_unbounded():
     oracle_defect = 0.0
     for truncation in (8, 16, 32, 64):
         kernel = _stage_kernel(spec, truncation)
-        matrix = frame_operator(kernel).matrix
+        op = frame_operator(kernel)
         oracle_defect = max(
             oracle_defect,
-            float(np.abs(matrix - _derivative_penta_oracle(truncation)).max()),
+            float(np.abs(op.matrix - _derivative_penta_oracle(truncation)).max()),
         )
-        uppers.append(frame_bounds(frame_operator(kernel))[1])
+        uppers.append(frame_bounds(op)[1])
     ratios = [b / a for a, b in zip(uppers, uppers[1:])]
     growth_ok = all(b > a for a, b in zip(uppers, uppers[1:])) and all(
         r >= 1.5 for r in ratios

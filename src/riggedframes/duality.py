@@ -11,6 +11,10 @@ recover f up to conditioning.  Inversion goes through the
 eigendecomposition with a relative cutoff so that near-singular frame
 operators surface as NotAFrameError instead of amplified noise.
 
+That eigendecomposition is the only one of S_omega: the pair keeps its
+extreme eigenvalues (A, B) for dual_bounds, which still forms theta's own S,
+because theta's bounds inside [1/B, 1/A] are the postcondition on the inverse.
+
 The dual keeps the kernel's dtype: a real kernel (see KernelMatrix) gets a
 real S, a real eigendecomposition and a real Theta.  Randomized checks draw
 all their trial functions first, in the order a per-trial loop would, and
@@ -64,11 +68,13 @@ DEFAULT_SEED = 20240409
 
 @dataclass(frozen=True)
 class DualPair:
-    """A map and its candidate dual on the same grid and truncation."""
+    """A map and its candidate dual on the same grid and truncation, with
+    omega's (A, B) when canonical_dual built it (the S it inverted)."""
 
     omega: KernelMatrix
     theta: KernelMatrix
     duality_defect: float
+    omega_bounds: tuple = None
 
 
 def canonical_dual(kernel, trials=20, seed=DEFAULT_SEED):
@@ -91,7 +97,7 @@ def canonical_dual(kernel, trials=20, seed=DEFAULT_SEED):
     theta.setflags(write=False)
     pair = DualPair(kernel, KernelMatrix(theta, kernel.grid, None), 0.0)
     defect = verify_duality(pair, trials, seed)
-    return DualPair(kernel, pair.theta, defect)
+    return DualPair(kernel, pair.theta, defect, (lam_min, lam_max))
 
 
 def verify_duality(pair, trials, seed=DEFAULT_SEED):
@@ -116,17 +122,20 @@ def verify_duality(pair, trials, seed=DEFAULT_SEED):
 
 
 def dual_bounds(pair):
-    """Frame bounds of the dual map; for the canonical dual they sit inside
-    [1/B, 1/A] of the original, which is checked here as a postcondition."""
-    lower_o, upper_o = frame_bounds(frame_operator(pair.omega))
+    """Frame bounds of a canonical dual, measured from theta's own S; they
+    sit inside [1/B, 1/A] of omega's bounds from the pair, which is checked
+    here as a postcondition.  Other pairs carry no omega bounds: rejected."""
+    if pair.omega_bounds is None:
+        raise InvalidConfigError("dual_bounds needs a pair built by canonical_dual")
+    # canonical_dual guarantees 0 < A <= B
+    lower_o, upper_o = pair.omega_bounds
     lower_t, upper_t = frame_bounds(frame_operator(pair.theta))
-    if lower_o > 0 and upper_o > 0:
-        tol = 1e-8 / lower_o
-        if lower_t < 1.0 / upper_o - tol or upper_t > 1.0 / lower_o + tol:
-            raise NumericError(
-                f"dual bounds ({lower_t:.6e}, {upper_t:.6e}) escaped "
-                f"[1/B, 1/A] = ({1.0 / upper_o:.6e}, {1.0 / lower_o:.6e})"
-            )
+    tol = 1e-8 / lower_o
+    if lower_t < 1.0 / upper_o - tol or upper_t > 1.0 / lower_o + tol:
+        raise NumericError(
+            f"dual bounds ({lower_t:.6e}, {upper_t:.6e}) escaped "
+            f"[1/B, 1/A] = ({1.0 / upper_o:.6e}, {1.0 / lower_o:.6e})"
+        )
     return lower_t, upper_t
 
 
@@ -295,7 +304,6 @@ def dual_semiframe_check(pair, ladder=None, thresholds=ClassifyThresholds()):
     margins = []
     for stage, diag in zip(ladder.stages, report.stages):
         stage_kernel = sample_kernel(kernel.map_spec, stage_grid(stage), stage.truncation)
-        theta = canonical_dual(stage_kernel).theta
-        margins.append(frame_bounds(frame_operator(theta))[0] - 1.0 / diag.upper)
+        margins.append(dual_bounds(canonical_dual(stage_kernel))[0] - 1.0 / diag.upper)
     holds = all(m >= -1e-8 / d.upper for m, d in zip(margins, report.stages))
     return DualSemiframeResult(holds, tuple(margins))

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .duality import _coarse_resample, _ladder_up_to, canonical_dual
 from .errors import InvalidConfigError
 from .hermite import TestFunction
 from .kernels import sample_kernel
@@ -28,7 +29,6 @@ from .operators import (
     ClassifyThresholds,
     StageFactorization,
     _series_trend,
-    coarse_synthesis_grid,
     weighted_analysis_matrix,
 )
 from .quadrature import l2x_norm, stage_grid
@@ -140,21 +140,24 @@ def continuity_constant(kernel, k):
     """Smallest C with p_k(least-norm solution) <= C * |h| over all targets.
 
     Computed as the top singular value of the seminorm-weighted coefficient
-    map composed with the pseudo-inverse of the weighted analysis matrix.
-    For total maps this realizes the solution bound p_k(f) <= C |<f, omega>|;
-    in general it bounds the least-norm coset representative.  A zero kernel
-    has no finite constant and returns inf.
+    map composed with the pseudo-inverse of the weighted analysis matrix,
+    read off the triangular factor R of a thin QR of sqrt(W) Omega, which has
+    the same singular values and right singular vectors.  For total maps this
+    realizes the solution bound p_k(f) <= C |<f, omega>|; in general it
+    bounds the least-norm coset representative.  A zero kernel has no finite
+    constant and returns inf.
     """
     if k < 0:
         raise ValueError(f"seminorm index must be nonnegative, got {k}")
-    weighted = weighted_analysis_matrix(kernel)
-    u, svals, vh = np.linalg.svd(weighted, full_matrices=False)
+    r = np.linalg.qr(weighted_analysis_matrix(kernel), mode="r")
+    _, svals, vh = np.linalg.svd(r, full_matrices=False)
     if svals.size == 0 or svals[0] == 0.0:
         return math.inf
     keep = svals > NULL_SPACE_CUTOFF * svals[0]
     growth = (1.0 + np.arange(kernel.truncation)) ** (k / 2.0)
-    # P_k @ pinv(A_w) = (growth * V_r) diag(1/s_r) U_r^H, same top singular value
-    scaled = (growth[:, None] * vh[keep].conj().T) / svals[keep][None, :]
+    # P_k @ pinv(A_w) = (growth * V_r) diag(1/s_r) U_r^H has the top singular
+    # value of the wide r x N adjoint factor diag(1/s_r) V_r^H P_k
+    scaled = (vh[keep] * growth[None, :]) / svals[keep][:, None]
     return float(np.linalg.svd(scaled, compute_uv=False)[0])
 
 
@@ -172,25 +175,24 @@ def envelope(kernel, k):
 def envelope_condition_check(kernel, h, k):
     """Necessary solvability condition: |h_j| <= r * e_k(x_j) for finite r.
 
-    Returns (satisfied, r) with r = max_j |h_j| / e_k(x_j), infinite when h
-    is nonzero where the envelope vanishes.  Whenever a moment problem is
-    solved to negligible residual by some f, the condition holds with
-    r <= p_k(f) up to roundoff.
+    Returns (satisfied, r) with r = max |h_j| / e_k(x_j) over e_k(x_j) > 0,
+    infinite when h is nonzero where the envelope vanishes; a non-finite h is
+    a config error.  If some f solves the moment problem to negligible
+    residual, the condition holds with r <= p_k(f) up to roundoff.
     """
     h = np.asarray(h)
     if h.shape != (kernel.node_count,):
         raise InvalidConfigError(
             f"target has shape {h.shape}, expected ({kernel.node_count},)"
         )
+    if not np.all(np.isfinite(h)):
+        raise InvalidConfigError("target has non-finite entries")
+    h = np.abs(h)
     profile = envelope(kernel, k)
-    ratio = 0.0
-    for hj, ej in zip(np.abs(h), profile):
-        if ej == 0.0:
-            if hj != 0.0:
-                return False, math.inf
-        else:
-            ratio = max(ratio, hj / ej)
-    return True, float(ratio)
+    if np.any(h[profile == 0.0] != 0.0):
+        return False, math.inf
+    reached = profile > 0.0
+    return True, float(np.max(h[reached] / profile[reached], initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -203,22 +205,19 @@ class DualBesselResult:
         return self.bessel
 
 
-def dual_bessel_check(pair, ladder=None, k_max=6, stability=0.05):
+def dual_bessel_check(pair, ladder=None):
     """A dual of a moment-solvable map is itself norm-bounded by a seminorm.
 
     Precondition (config error if unmet): the original map solves every
     coarse-grid panel probe, rf score 1.  The check then walks the ladder,
     builds canonical duals per stage, and certifies the smallest seminorm
-    index whose analysis constant stabilizes.
+    index up to the classifier's default ``bessel_k_max`` whose analysis
+    constant is bounded by the classifier's default trend rule.
     """
-    from .duality import canonical_dual, _ladder_up_to
-
     kernel = pair.omega
     if kernel.map_spec is None or kernel.map_spec.kind == "custom":
         raise InvalidConfigError("dual_bessel_check needs a resamplable map spec")
-    coarse = sample_kernel(
-        kernel.map_spec, coarse_synthesis_grid(kernel.truncation), kernel.truncation
-    )
+    coarse = _coarse_resample(kernel)
     score, worst = rf_diagnostic(coarse, coarse.grid.panels)
     if score < 1.0:
         raise InvalidConfigError(
@@ -227,14 +226,14 @@ def dual_bessel_check(pair, ladder=None, k_max=6, stability=0.05):
         )
     if ladder is None:
         ladder = _ladder_up_to(kernel.truncation)
-    constants = {k: [] for k in range(k_max + 1)}
+    thresholds = ClassifyThresholds()
+    constants = {k: [] for k in range(thresholds.bessel_k_max + 1)}
     for stage in ladder.stages:
         stage_kernel = sample_kernel(kernel.map_spec, stage_grid(stage), stage.truncation)
         theta = canonical_dual(stage_kernel).theta
         factor = StageFactorization(weighted_analysis_matrix(theta))
         for k in constants:
             constants[k].append(factor.bessel_constant(k))
-    thresholds = ClassifyThresholds(stability=stability)
     for k in sorted(constants):
         if _series_trend(constants[k], thresholds, 0.0) == "bounded":
             return DualBesselResult(True, k, float(constants[k][-1]))

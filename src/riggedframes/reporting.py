@@ -11,18 +11,19 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import acceptance
 from .duality import DEFAULT_SEED, canonical_dual, dual_bounds, reconstruct
-from .errors import InvalidConfigError, WeightSyntaxError
+from .errors import InvalidConfigError, NotAFrameError, WeightSyntaxError
 from .hermite import random_test_function
 from .kernels import MapSpec, sample_kernel
 from .moments import rf_diagnostic
-from .operators import ClassifyThresholds, classify, coarse_synthesis_grid, frame_bounds, frame_operator
+from .operators import ClassifyThresholds, classify, coarse_synthesis_grid
 from .quadrature import (
+    LadderStage,
     RefinementLadder,
     default_ladder,
     default_stage,
@@ -44,7 +45,7 @@ __all__ = [
 ]
 
 COMMANDS = ("classify", "bounds", "dual", "reconstruct", "moment-solve", "sweep", "demo")
-THRESHOLD_FIELDS = ("stability", "growth", "rank", "tight", "parseval", "bessel_k_max")
+THRESHOLD_FIELDS = tuple(f.name for f in fields(ClassifyThresholds))
 
 
 @dataclass(frozen=True)
@@ -136,8 +137,6 @@ def _parse_ladder(data):
             n = item["N"]
             _require(isinstance(n, int) and n >= 1, f"ladder.stages[{i}].N", "must be a positive integer")
             base = default_stage(n)
-            from .quadrature import LadderStage
-
             try:
                 stages.append(
                     LadderStage(
@@ -267,21 +266,18 @@ def _final_kernel(config):
     return sample_kernel(config.map_spec, stage_grid(stage), stage.truncation)
 
 
-def _dual_section(config):
+def _dual_section(config, round_trip=False):
+    """Dual bounds with the duality defect, or with the worst round-trip
+    error over both reconstruction orders when ``round_trip`` is set."""
     kernel = _final_kernel(config)
     pair = canonical_dual(kernel, trials=20, seed=config.seed)
     lower, upper = dual_bounds(pair)
-    return {"A_theta": lower, "B_theta": upper, "defect": pair.duality_defect}
-
-
-def _reconstruct_section(config):
-    kernel = _final_kernel(config)
-    pair = canonical_dual(kernel, trials=20, seed=config.seed)
-    lower, upper = dual_bounds(pair)
-    rng = np.random.default_rng(config.seed)
-    functions = [random_test_function(kernel.truncation, rng) for _ in range(20)]
-    worst = max(err for swap in (False, True) for _, err in reconstruct(pair, functions, swap))
-    return {"A_theta": lower, "B_theta": upper, "defect": worst}
+    defect = pair.duality_defect
+    if round_trip:
+        rng = np.random.default_rng(config.seed)
+        functions = [random_test_function(kernel.truncation, rng) for _ in range(20)]
+        defect = max(err for swap in (False, True) for _, err in reconstruct(pair, functions, swap))
+    return {"A_theta": lower, "B_theta": upper, "defect": defect}
 
 
 def _moment_section(config):
@@ -315,15 +311,11 @@ def run(command, config):
         stages = _stage_rows(report)
         if command in ("classify", "sweep"):
             labels = tuple(report.labels)
-    if command == "dual":
-        dual = _dual_section(config)
-    if command == "reconstruct":
-        dual = _reconstruct_section(config)
+    if command in ("dual", "reconstruct"):
+        dual = _dual_section(config, round_trip=command == "reconstruct")
     if command in ("moment-solve", "sweep"):
         moment = _moment_section(config)
     if command == "sweep":
-        from .errors import NotAFrameError
-
         try:
             dual = _dual_section(config)
         except NotAFrameError:

@@ -228,3 +228,31 @@ class TestDemoExitContract:
 
         monkeypatch.setattr(acceptance, "run_all", fake_run_all)
         assert cli.main(["demo"]) == 0
+
+
+@pytest.mark.parametrize("command", ["dual", "reconstruct"])
+def test_dual_requests_form_two_frame_operators(monkeypatch, tmp_path, command):
+    """One S and one eigendecomposition for omega (canonical_dual), one of each
+    for theta (the dual_bounds postcondition): omega's bounds are not re-formed."""
+    import numpy as np
+
+    from riggedframes import operators
+
+    counts = {"frame_operator": 0, "eigh": 0}
+    frame_operator, eigh = operators.frame_operator, np.linalg.eigh
+
+    def counting_frame_operator(kernel):
+        counts["frame_operator"] += 1
+        return frame_operator(kernel)
+
+    def counting_eigh(matrix, *args, **kwargs):
+        counts["eigh"] += 1
+        return eigh(matrix, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("riggedframes") and getattr(module, "frame_operator", None) is frame_operator:
+            monkeypatch.setattr(module, "frame_operator", counting_frame_operator)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    data = dict(DIRAC_CONFIG, map={"kind": "weighted_dirac", "weight": "2+sin(x)"})
+    run(command, load_config(write_config(tmp_path, data)))
+    assert counts == {"frame_operator": 2, "eigh": 2}

@@ -307,3 +307,15 @@ class TestRealDualPathOracle:
         assert np.abs(mine - errors).max() <= tol
         single = reconstruct(pair, functions[3], swap_roles=True)
         assert isinstance(single[0], TestFunction) and abs(single[1] - backward[3]) <= tol
+
+
+class TestOmegaBoundsReuse:
+    def test_canonical_dual_keeps_the_bounds_it_inverted(self):
+        kernel = make_kernel(weighted_dirac_map("2+sin(x)"), 32)
+        # same Gram code and the same eigh call: equal to the bit
+        assert canonical_dual(kernel).omega_bounds == frame_bounds(frame_operator(kernel))
+
+    def test_dual_bounds_rejects_a_pair_canonical_dual_did_not_build(self):
+        pair = canonical_dual(make_kernel(dirac_map(), 8))
+        with pytest.raises(InvalidConfigError):
+            dual_bounds(DualPair(pair.omega, pair.theta, 0.0))

@@ -20,6 +20,7 @@ from riggedframes import (
     dual_bessel_check,
     envelope,
     envelope_condition_check,
+    fourier_map,
     l2x_norm,
     random_test_function,
     rf_diagnostic,
@@ -291,3 +292,77 @@ class TestDualBessel:
         pair_like = type("P", (), {"omega": kernel})()
         with pytest.raises(InvalidConfigError):
             dual_bessel_check(pair_like)
+
+
+CONTINUITY_FAMILIES = {
+    "dirac": dirac_map(),
+    "fourier": fourier_map(),
+    "dirac_derivative": dirac_derivative_map(),
+    "2+sin(x)": weighted_dirac_map("2+sin(x)"),
+    "1+x^2": weighted_dirac_map("1+x^2"),
+    "bump[-1,1]": bump_dirac_map(-1.0, 1.0),
+}
+
+
+def _tall_svd_continuity(kernel, k):
+    """Reference continuity constant from a direct SVD of sqrt(W) Omega."""
+    _, svals, vh = np.linalg.svd(weighted_analysis_matrix(kernel), full_matrices=False)
+    keep = svals > 1e-10 * svals[0]
+    growth = (1.0 + np.arange(kernel.truncation)) ** (k / 2.0)
+    scaled = (growth[:, None] * vh[keep].conj().T) / svals[keep][None, :]
+    return float(np.linalg.svd(scaled, compute_uv=False)[0])
+
+
+@pytest.mark.parametrize("truncation", [16, 64])
+@pytest.mark.parametrize("family", list(CONTINUITY_FAMILIES))
+def test_continuity_constant_from_r_matches_tall_svd(monkeypatch, family, truncation):
+    spec = CONTINUITY_FAMILIES[family]
+    kernels = (make_kernel(spec, truncation), coarse_kernel(spec, truncation))
+    expected = [[_tall_svd_continuity(kernel, k) for k in range(3)] for kernel in kernels]
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    for kernel, reference in zip(kernels, expected):
+        for k in range(3):
+            assert continuity_constant(kernel, k) == pytest.approx(reference[k], rel=1e-12)
+    assert shapes and all(rows <= cols for rows, cols in shapes)
+
+
+def _looped_envelope_condition(kernel, h, k):
+    """Reference per-node loop for envelope_condition_check."""
+    ratio = 0.0
+    for hj, ej in zip(np.abs(h), envelope(kernel, k)):
+        if ej == 0.0:
+            if hj != 0.0:
+                return False, math.inf
+        else:
+            ratio = max(ratio, hj / ej)
+    return True, float(ratio)
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_envelope_condition_check_matches_per_node_loop(k):
+    kernel = coarse_kernel(bump_dirac_map(-1.0, 1.0), 32)
+    profile = envelope(kernel, k)
+    rng = np.random.default_rng(SEED)
+    inside = np.where(profile > 0.0, rng.standard_normal(kernel.node_count), 0.0)
+    outside = inside + np.where(profile == 0.0, 1e-300, 0.0)
+    assert np.any(profile == 0.0)
+    for target in (inside, 1j * inside, outside, np.zeros(kernel.node_count)):
+        assert envelope_condition_check(kernel, target, k) == _looped_envelope_condition(
+            kernel, target, k
+        )
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_envelope_condition_check_rejects_non_finite_target(bad):
+    kernel = make_kernel(dirac_map(), 8)
+    target = np.ones(kernel.node_count)
+    target[3] = bad
+    with pytest.raises(InvalidConfigError):
+        envelope_condition_check(kernel, target, 0)
