@@ -15,10 +15,13 @@ That eigendecomposition is the only one of S_omega: the pair keeps its
 extreme eigenvalues (A, B) for dual_bounds, which still forms theta's own S,
 because theta's bounds inside [1/B, 1/A] are the postcondition on the inverse.
 
-The dual keeps the kernel's dtype: a real kernel (see KernelMatrix) gets a
-real S, a real eigendecomposition and a real Theta.  Randomized checks draw
-all their trial functions first, in the order a per-trial loop would, and
-apply them as one block of columns: one pass over each kernel per direction.
+Everything runs on the kernel's rows in their own dtype.  A kernel with a
+column phase P (fourier; see KernelMatrix) has S = P^H S_rows P, so
+S^{-1} = P^H S_rows^{-1} P and Theta = rows S_rows^{-1} P: the dual is built
+from the real Gram, a real eigendecomposition and a real inverse, and keeps
+omega's phase.  Randomized checks draw all their trial functions first, in
+the order a per-trial loop would, and apply them as one block of columns:
+one pass over each kernel per direction.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .kernels import KernelMatrix, sample_kernel
 from .operators import (
     ClassifyThresholds,
     StageFactorization,
-    _apply,
+    _analyze,
     _synthesize,
     classify,
     coarse_synthesis_grid,
@@ -84,7 +87,7 @@ def canonical_dual(kernel, trials=20, seed=DEFAULT_SEED):
     relative cutoff, carrying the offending smallest eigenvalue.
     """
     op = frame_operator(kernel)
-    values, vectors = hermitian_eigenpairs(op)
+    values, vectors = hermitian_eigenpairs(op.gram)
     lam_min, lam_max = float(values[0]), float(values[-1])
     if lam_max <= 0.0 or lam_min <= INVERSION_CUTOFF * lam_max:
         raise NotAFrameError(
@@ -93,9 +96,9 @@ def canonical_dual(kernel, trials=20, seed=DEFAULT_SEED):
             lam_min,
         )
     inverse = (vectors / values[None, :]) @ vectors.conj().T
-    theta = kernel.entries @ inverse
+    theta = kernel.rows @ inverse
     theta.setflags(write=False)
-    pair = DualPair(kernel, KernelMatrix(theta, kernel.grid, None), 0.0)
+    pair = DualPair(kernel, KernelMatrix(theta, kernel.grid, None, phase=kernel.phase), 0.0)
     defect = verify_duality(pair, trials, seed)
     return DualPair(kernel, pair.theta, defect, (lam_min, lam_max))
 
@@ -115,16 +118,17 @@ def verify_duality(pair, trials, seed=DEFAULT_SEED):
     f, g = draws[:, 0::2], draws[:, 1::2]
     direct = np.sum(f * g.conj(), axis=0)
     through = pair.omega.grid.weights @ (
-        _apply(pair.theta.entries, f) * _apply(pair.omega.entries, g).conj()
+        _analyze(pair.theta, f) * _analyze(pair.omega, g).conj()
     )
     scale = np.linalg.norm(f, axis=0) * np.linalg.norm(g, axis=0)
     return float(np.max(np.abs(direct - through) / scale))
 
 
 def dual_bounds(pair):
-    """Frame bounds of a canonical dual, measured from theta's own S; they
-    sit inside [1/B, 1/A] of omega's bounds from the pair, which is checked
-    here as a postcondition.  Other pairs carry no omega bounds: rejected."""
+    """Frame bounds of a canonical dual, measured from theta's own S (the
+    Gram of its rows: a column phase changes no eigenvalue); they sit inside
+    [1/B, 1/A] of omega's bounds from the pair, which is checked here as a
+    postcondition.  Other pairs carry no omega bounds: rejected."""
     if pair.omega_bounds is None:
         raise InvalidConfigError("dual_bounds needs a pair built by canonical_dual")
     # canonical_dual guarantees 0 < A <= B
@@ -152,7 +156,7 @@ def reconstruct(pair, f, swap_roles=False):
     functions = [f] if single else list(f)
     coeffs = np.stack([g.coeffs for g in functions], axis=1)
     first, second = (pair.theta, pair.omega) if swap_roles else (pair.omega, pair.theta)
-    rebuilt = _synthesize(second, _apply(first.entries, coeffs))
+    rebuilt = _synthesize(second, _analyze(first, coeffs))
     scale = np.linalg.norm(coeffs, axis=0)
     err = np.linalg.norm(rebuilt - coeffs, axis=0)
     rel = err / np.where(scale > 0, scale, 1.0)

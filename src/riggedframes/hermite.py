@@ -13,6 +13,7 @@ p_k(f) = (sum_n (1+n)^k |c_n|^2)^(1/2); p_0 is the plain L2 norm.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,17 +47,16 @@ def hermite_eval(n, x):
 
     seeded with h_0(x) = pi^(-1/4) exp(-x^2/2).  Unlike the classical
     polynomial formula, the normalized recurrence stays in range for large
-    n.  Accepts a scalar or an array of evaluation points.
+    n, and where the seed underflows it runs on a scaled mantissa (see
+    _hermite_recurrence).  Accepts a scalar or an array of evaluation
+    points; the values equal hermite_table's column n bit for bit.
     """
     if n < 0:
         raise ValueError(f"Hermite index must be nonnegative, got {n}")
     xa = np.asarray(x, dtype=float)
-    h_prev = np.pi ** -0.25 * np.exp(-0.5 * xa**2)
-    if n == 0:
-        return float(h_prev) if h_prev.ndim == 0 else h_prev
-    h = np.sqrt(2.0) * xa * h_prev
-    for m in range(1, n):
-        h, h_prev = xa * np.sqrt(2.0 / (m + 1)) * h - np.sqrt(m / (m + 1.0)) * h_prev, h
+    rows = np.empty((min(n + 1, 3), xa.size))
+    _hermite_recurrence(n + 1, xa.reshape(-1), rows)
+    h = rows[n % len(rows)].reshape(xa.shape)
     return float(h) if h.ndim == 0 else h
 
 
@@ -68,12 +68,60 @@ def hermite_table(truncation, x):
     """
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     rows = np.empty((truncation, xa.size))
+    _hermite_recurrence(truncation, xa, rows)
+    return rows.T
+
+
+# A scaled mantissa past this is brought back below 1 by a power of two.
+_RESCALE = 2.0**500
+
+
+def _hermite_recurrence(truncation, xa, rows):
+    """Write h_n(xa) into rows[n % len(rows)] for every n < truncation: a
+    buffer of ``truncation`` rows keeps the whole table, one of 3 rows the
+    last values.
+
+    Where the seed pi^(-1/4) exp(-x^2/2) is not a normal float (|x| > ~37.6)
+    the recurrence runs on the mantissa m_n = h_n exp(x^2/2) 2^(-e) with a
+    per-node binary exponent e instead (Bunck, BIT 49, 2009): m_0 =
+    pi^(-1/4), e = 0, and once the two live mantissas pass 2^500 both are
+    divided by a power of two (exactly) and e grows to match.  No step grows
+    a mantissa by more than sqrt(2)|x| + 1, so checking every
+    500 / log2(sqrt(2)|x| + 2) steps cannot overflow.  The rows are turned
+    into h_n = m_n 2^e exp(-x^2/2) at the end, one run of rows with the same
+    exponents at a time.  Every other node takes the plain recurrence, bit
+    for bit.
+    """
+    size = len(rows)
     rows[0] = np.pi ** -0.25 * np.exp(-0.5 * xa**2)
+    scaled = np.flatnonzero(rows[0] < np.finfo(float).tiny)
+    if scaled.size:
+        rows[0, scaled] = np.pi ** -0.25
+        exponent = np.zeros(scaled.size, dtype=int)
+        runs = [(0, exponent.copy())]  # (first row, exponents) of each run of rows
+        every = max(1, int(500 // math.log2(math.sqrt(2.0) * np.abs(xa[scaled]).max() + 2.0)))
     if truncation > 1:
         rows[1] = np.sqrt(2.0) * xa * rows[0]
     for n in range(1, truncation - 1):
-        rows[n + 1] = xa * np.sqrt(2.0 / (n + 1)) * rows[n] - np.sqrt(n / (n + 1.0)) * rows[n - 1]
-    return rows.T
+        rows[(n + 1) % size] = (
+            xa * np.sqrt(2.0 / (n + 1)) * rows[n % size] - np.sqrt(n / (n + 1.0)) * rows[(n - 1) % size]
+        )
+        if scaled.size and n % every == 0:
+            live = rows[[[n % size], [(n + 1) % size]], scaled]
+            peak = np.abs(live).max(axis=0)
+            big = peak > _RESCALE
+            if big.any():
+                shift = np.frexp(peak[big])[1]
+                rows[[[n % size], [(n + 1) % size]], scaled[big]] = np.ldexp(live[:, big], -shift)
+                exponent[big] += shift
+                runs.append((n, exponent.copy()))
+    if scaled.size:
+        half_square = 0.5 * xa[scaled] ** 2
+        factor = np.ones(xa.size)  # times 1.0 leaves the other nodes exact
+        for (start, e), (stop, _) in zip(runs, runs[1:] + [(truncation, None)]):
+            factor[scaled] = np.exp(e * math.log(2.0) - half_square)
+            for n in range(max(start, truncation - size), stop):  # rows still in the buffer
+                rows[n % size] *= factor
 
 
 def hermite_derivative_table(truncation, x):

@@ -8,7 +8,8 @@ Built-in kinds:
 
   dirac             point evaluations, Omega[j][n] = h_n(x_j)
   fourier           analysis returns Fourier-transform samples,
-                    Omega[j][n] = (-i)^n h_n(x_j)
+                    Omega[j][n] = (-i)^n h_n(x_j): the real dirac rows
+                    times a unit-modulus column phase, stored apart
   dirac_derivative  <f, delta'_x> = -f'(x), Omega[j][n] = -h_n'(x_j)
   weighted_dirac    w(x) delta_x for a real weight expression
   bump_dirac        eta(x) delta_x with a smooth compactly supported bump,
@@ -19,7 +20,7 @@ Built-in kinds:
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -126,26 +127,32 @@ def bump_profile(a, b, x):
 class KernelMatrix:
     """Sampled kernel Omega[j][n] = <h_n, omega_{x_j}>, rows over grid nodes.
 
-    Entries are read-only, float64 when every imaginary part is exactly zero
-    and complex otherwise.
+    Omega is stored as ``rows`` times an optional unit-modulus column phase,
+    Omega = rows @ diag(phase).  ``rows`` are read-only, float64 when every
+    imaginary part is exactly zero and complex otherwise.  Only sample_kernel
+    (for fourier) and canonical_dual (for its dual) set a phase; operators
+    apply it to N-vectors and N x N matrices, never to the kernel, so a
+    fourier kernel is worked on in real arithmetic.  ``entries`` is Omega
+    itself, formed when read (read-only, not cached) for a phased kernel.
     """
 
-    entries: np.ndarray
+    rows: np.ndarray
     grid: QuadratureGrid
     map_spec: MapSpec = None
+    phase: np.ndarray = field(default=None, kw_only=True)
 
     def __post_init__(self):
-        arr = np.asarray(self.entries)
+        arr = np.asarray(self.rows)
         if arr.ndim != 2:
             raise InvalidConfigError(f"kernel entries must be 2-d, got shape {arr.shape}")
         if arr.shape[0] != self.grid.node_count:
             raise InvalidConfigError(
                 f"kernel has {arr.shape[0]} rows but the grid has {self.grid.node_count} nodes"
             )
-        # The dtype rule: real entries stay float64, and complex entries whose
+        # The dtype rule: real rows stay float64, and complex rows whose
         # imaginary parts are all exactly zero are stored real, so that every
-        # operator on the kernel runs in real arithmetic.  Only fourier and
-        # truly complex custom kernels stay complex.
+        # operator on the kernel runs in real arithmetic.  Only truly complex
+        # custom kernels stay complex.
         if np.iscomplexobj(arr) and not arr.imag.any():
             arr = arr.real
         dtype = complex if np.iscomplexobj(arr) else float
@@ -156,15 +163,32 @@ class KernelMatrix:
         if arr.flags.writeable or arr.dtype != dtype or not contiguous:
             arr = np.array(arr, dtype=dtype)
             arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
+        object.__setattr__(self, "rows", arr)
+        if self.phase is not None:
+            phase = np.array(self.phase, dtype=complex)
+            if phase.shape != (arr.shape[1],) or np.abs(np.abs(phase) - 1.0).max() > 1e-12:
+                raise InvalidConfigError(
+                    f"kernel phase must be {arr.shape[1]} unit-modulus values, got shape {phase.shape}"
+                )
+            phase.setflags(write=False)
+            object.__setattr__(self, "phase", phase)
+
+    @property
+    def entries(self):
+        """Omega = rows @ diag(phase), read-only."""
+        if self.phase is None:
+            return self.rows
+        entries = self.rows * self.phase
+        entries.setflags(write=False)
+        return entries
 
     @property
     def node_count(self):
-        return self.entries.shape[0]
+        return self.rows.shape[0]
 
     @property
     def truncation(self):
-        return self.entries.shape[1]
+        return self.rows.shape[1]
 
     @property
     def fingerprint(self):
@@ -181,17 +205,16 @@ def sample_kernel(spec, grid, truncation):
         raise InvalidConfigError(f"truncation must be >= 1, got {truncation}")
     if spec.kind == "custom":
         return load_custom_kernel(spec.custom_kernel, grid, truncation)
-    entries = _real_rows(spec, grid.nodes, truncation)
-    if spec.kind == "fourier":
-        entries = entries * ((-1j) ** np.arange(truncation))[None, :]
-    entries.setflags(write=False)
-    return KernelMatrix(entries, grid, spec)
+    rows = _real_rows(spec, grid.nodes, truncation)
+    rows.setflags(write=False)
+    phase = (-1j) ** np.arange(truncation) if spec.kind == "fourier" else None
+    return KernelMatrix(rows, grid, spec, phase=phase)
 
 
 def _real_rows(spec, nodes, truncation):
     """Real kernel rows of a built-in kind: the Hermite (or derivative) table
     times the row weight.  fourier shares the dirac rows: its unitary (-i)^n
-    column phase, applied by sample_kernel, commutes with every column
+    column phase, kept apart by sample_kernel, commutes with every column
     scaling and so leaves all spectral diagnostics unchanged."""
     if spec.kind == "dirac_derivative":
         return -hermite_derivative_table(truncation, nodes)

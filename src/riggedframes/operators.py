@@ -16,13 +16,16 @@ p_k Bessel constant from those of R D_k.  Continuum statements (bounded
 versus growing bounds, totality) are read off trends along a refinement
 ladder; a single stage can never decide them.
 
-Every operator works in the kernel's own dtype.  A kernel is stored real
-whenever its entries are (every built-in kind except fourier; see
-KernelMatrix), and then analysis and synthesis apply complex coefficient
-vectors or blocks through their float view, S is the real Gram A^T A of
-A = sqrt(W) Omega formed over row blocks, and nothing kernel-sized is
-promoted or copied to complex.  A complex kernel's S is read off the real
-Gram of its stacked real and imaginary parts.
+Every operator works on the kernel's rows in their own dtype.  Every
+built-in kind has real rows; fourier's (-i)^n column phase P is kept apart
+(see KernelMatrix), so Omega = rows P and S = P^H S_rows P.  Analysis and
+synthesis apply P to the N-vector or N x k block on the coefficient side and
+meet real rows through the complex block's float view, S_rows is the real
+Gram A^T A of A = sqrt(W) rows formed over row blocks, and nothing
+kernel-sized is promoted or copied to complex.  A diagonal unitary changes
+no eigenvalue, so frame_bounds reads a phased S off S_rows.  Only a complex
+custom kernel has complex rows; its S_rows is read off the real Gram of
+their stacked real and imaginary parts.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ def analysis(kernel, f):
         raise DimensionMismatchError(
             f"function truncation {f.truncation} != kernel truncation {kernel.truncation}"
         )
-    return _apply(kernel.entries, f.coeffs)
+    return _analyze(kernel, f.coeffs)
 
 
 def synthesis(kernel, xi):
@@ -94,12 +97,25 @@ def _apply(matrix, block):
     return out.reshape(matrix.shape[:1] + block.shape[1:])
 
 
+def _scale_rows(scale, block):
+    """diag(scale) @ block for a vector or a block of columns."""
+    return (scale if block.ndim == 1 else scale[:, None]) * block
+
+
+def _analyze(kernel, block):
+    """Omega @ block = rows @ (P block) for a coefficient vector or a block of
+    columns: the phase P touches only the block."""
+    if kernel.phase is not None:
+        block = _scale_rows(kernel.phase, block)
+    return _apply(kernel.rows, block)
+
+
 def _synthesize(kernel, xi):
-    """Omega^H (W xi) for a grid function or a block of them (one column
-    each), as conj(Omega^T conj(W xi)): no conjugate copy of the kernel."""
-    weights = kernel.grid.weights
-    weighted = (weights if xi.ndim == 1 else weights[:, None]) * xi
-    return _apply(kernel.entries.T, weighted.conj()).conj()
+    """Omega^H (W xi) = P^H conj(rows^T conj(W xi)) for a grid function or a
+    block of them (one column each): no conjugate copy of the kernel."""
+    weighted = _scale_rows(kernel.grid.weights, xi)
+    out = _apply(kernel.rows.T, weighted.conj()).conj()
+    return out if kernel.phase is None else _scale_rows(kernel.phase.conj(), out)
 
 
 def weighted_analysis_matrix(kernel):
@@ -109,20 +125,34 @@ def weighted_analysis_matrix(kernel):
 
 @dataclass(frozen=True)
 class FrameOperatorMatrix:
-    """S[m][n] = sum_j w_j conj(Omega[j][m]) Omega[j][n]; Hermitian PSD, real
-    whenever the kernel is."""
+    """S[m][n] = sum_j w_j conj(Omega[j][m]) Omega[j][n]; Hermitian PSD.
 
-    matrix: np.ndarray
+    Stored as ``gram``, the S of the kernel's rows (real whenever they are),
+    and the kernel's column phase P if it has one: S = P^H gram P, which
+    ``matrix`` forms when read (read-only, not cached).  Both have the same
+    eigenvalues.
+    """
+
+    gram: np.ndarray
     provenance: str
+    phase: np.ndarray = field(default=None, kw_only=True)
 
     def __post_init__(self):
-        arr = np.array(self.matrix, dtype=complex if np.iscomplexobj(self.matrix) else float)
+        arr = np.array(self.gram, dtype=complex if np.iscomplexobj(self.gram) else float)
         arr.setflags(write=False)
-        object.__setattr__(self, "matrix", arr)
+        object.__setattr__(self, "gram", arr)
+
+    @property
+    def matrix(self):
+        if self.phase is None:
+            return self.gram
+        matrix = self.phase.conj()[:, None] * self.gram * self.phase[None, :]
+        matrix.setflags(write=False)
+        return matrix
 
     @property
     def truncation(self):
-        return self.matrix.shape[0]
+        return self.gram.shape[0]
 
 
 # frame_operator forms S from this many row blocks of the weighted kernel, so
@@ -131,27 +161,29 @@ _ROW_BLOCKS = 8
 
 
 def frame_operator(kernel):
-    """S as the Gram A^T A of the real weighted rows A = sqrt(W) Omega, summed
-    over row blocks.  A complex kernel stacks its real and imaginary parts,
-    [Re A, Im A], and S is read off that real Gram: the diagonal blocks sum
-    to Re S and the off-diagonal block gives Im S.  Either way S comes out
+    """S = P^H S_rows P, with S_rows the Gram A^T A of the weighted rows
+    A = sqrt(W) rows summed over row blocks and P the kernel's column phase
+    (kept apart: S.matrix forms P^H S_rows P when read).  Complex rows (a
+    custom kernel) stack their real and imaginary parts, [Re A, Im A], and
+    S_rows is read off that real Gram: the diagonal blocks sum to Re S_rows
+    and the off-diagonal block gives Im S_rows.  Either way S comes out
     exactly Hermitian."""
-    entries = kernel.entries
-    parts = (entries.real, entries.imag) if np.iscomplexobj(entries) else (entries,)
-    rows, n = entries.shape
-    step = max(1, -(-rows // _ROW_BLOCKS))
+    rows = kernel.rows
+    parts = (rows.real, rows.imag) if np.iscomplexobj(rows) else (rows,)
+    m, n = rows.shape
+    step = max(1, -(-m // _ROW_BLOCKS))
     sqrt_w = np.sqrt(kernel.grid.weights)[:, None]
-    block = np.empty((min(step, rows), len(parts) * n))
+    block = np.empty((min(step, m), len(parts) * n))
     gram = np.zeros((len(parts) * n,) * 2)
-    for start in range(0, rows, step):
-        a = block[: min(step, rows - start)]
+    for start in range(0, m, step):
+        a = block[: min(step, m - start)]
         for i, part in enumerate(parts):
             out = a[:, i * n : (i + 1) * n]
             np.multiply(sqrt_w[start : start + step], part[start : start + step], out=out)
         gram += a.T @ a
     if len(parts) == 2:
         gram = gram[:n, :n] + gram[n:, n:] + 1j * (gram[:n, n:] - gram[n:, :n])
-    return FrameOperatorMatrix(gram, kernel.fingerprint)
+    return FrameOperatorMatrix(gram, kernel.fingerprint, phase=kernel.phase)
 
 
 def hermitian_eigenpairs(op):
@@ -176,12 +208,14 @@ def hermitian_eigenpairs(op):
 
 
 def frame_bounds(op):
-    """(lower, upper) = extreme eigenvalues of the frame operator.
+    """(lower, upper) = extreme eigenvalues of the frame operator; a
+    FrameOperatorMatrix gives them from its unphased ``gram``, since a
+    diagonal unitary changes no eigenvalue.
 
     Inner approximations: the lower bound is nonincreasing and the upper
     nondecreasing as the truncation grows over a fixed map.
     """
-    values, _ = hermitian_eigenpairs(op)
+    values, _ = hermitian_eigenpairs(op.gram if isinstance(op, FrameOperatorMatrix) else op)
     return float(values[0]), float(values[-1])
 
 

@@ -256,3 +256,25 @@ def test_dual_requests_form_two_frame_operators(monkeypatch, tmp_path, command):
     data = dict(DIRAC_CONFIG, map={"kind": "weighted_dirac", "weight": "2+sin(x)"})
     run(command, load_config(write_config(tmp_path, data)))
     assert counts == {"frame_operator": 2, "eigh": 2}
+
+
+def test_fourier_dual_runs_no_complex_eigendecomposition(monkeypatch, tmp_path):
+    """fourier's S is its real rows' Gram under a unitary phase, so the dual
+    path decomposes only real matrices."""
+    import numpy as np
+
+    seen = []
+    originals = {name: getattr(np.linalg, name) for name in ("eigh", "eigvalsh")}
+
+    def recording(name):
+        def decompose(matrix, *args, **kwargs):
+            seen.append((name, np.asarray(matrix).dtype))
+            return originals[name](matrix, *args, **kwargs)
+        return decompose
+
+    for name in originals:
+        monkeypatch.setattr(np.linalg, name, recording(name))
+    data = dict(DIRAC_CONFIG, map={"kind": "fourier"})
+    report = run("dual", load_config(write_config(tmp_path, data)))
+    assert seen and all(dtype == np.float64 for _, dtype in seen)
+    assert abs(report.dual["A_theta"] - 1.0) <= 1e-8 and abs(report.dual["B_theta"] - 1.0) <= 1e-8

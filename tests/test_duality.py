@@ -319,3 +319,18 @@ class TestOmegaBoundsReuse:
         pair = canonical_dual(make_kernel(dirac_map(), 8))
         with pytest.raises(InvalidConfigError):
             dual_bounds(DualPair(pair.omega, pair.theta, 0.0))
+
+
+class TestFourierDual:
+    """fourier is dirac times the unitary column phase P = diag((-i)^n), so
+    its canonical dual is dirac's times P and has dirac's bounds."""
+
+    @pytest.mark.parametrize("truncation", [64, 128])
+    def test_dual_is_the_dirac_dual_times_the_phase(self, truncation):
+        fourier = canonical_dual(make_kernel(fourier_map(), truncation))
+        dirac = canonical_dual(make_kernel(dirac_map(), truncation))
+        expected = dirac.theta.entries * (-1j) ** np.arange(truncation)
+        assert np.abs(fourier.theta.entries - expected).max() <= 1e-12
+        assert dual_bounds(fourier) == dual_bounds(dirac)
+        assert fourier.theta.rows.dtype == np.float64
+        assert fourier.duality_defect <= 1e-12

@@ -212,3 +212,47 @@ def test_coefficients_are_read_only():
     f = TestFunction.basis(0, 4)
     with pytest.raises(ValueError):
         f.coeffs[0] = 2.0
+
+
+# Past |x| ~ 37.6 the Gaussian seed of the recurrence underflows; from there
+# on the recurrence runs on a scaled mantissa.  Points cover the bulk past
+# 37.6, the turning point sqrt(2n+1) and the tails beyond it (down to 1e-35).
+@pytest.mark.parametrize(
+    "n, x",
+    [(1000, 38.0), (1023, 40.0), (1000, -39.5), (1000, 44.7), (1000, 46.0), (1000, 50.0),
+     (1500, 50.0), (2047, 60.0), (2047, 66.0), (2047, -70.0)],
+)
+def test_hermite_eval_matches_mpmath_past_the_gaussian_underflow(n, x):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        xm = mp.mpf(x)
+        norm = mp.sqrt(mp.mpf(2) ** n * mp.factorial(n) * mp.sqrt(mp.pi))
+        ref = mp.hermite(n, xm) * mp.exp(-xm * xm / 2) / norm
+    mine = hermite_eval(n, x)
+    assert ref != 0 and mine != 0.0
+    # x^2 / 2 ~ 1e3 carries an absolute rounding of ~1e-13 into exp(-x^2/2)
+    assert abs(mine - ref) <= 1e-12 * abs(ref)
+    assert np.array_equal(hermite_table(n + 1, [x])[0, n], mine)
+
+
+@pytest.mark.parametrize("truncation", [1024, 2048])
+def test_top_columns_stay_normalized_on_large_default_grids(truncation):
+    """max |sum_j w_j h_n(x_j)^2 - 1| over the top 4 columns: the default grid
+    reaches past the underflow point once N > ~700."""
+    from riggedframes import default_stage, stage_grid
+
+    grid = stage_grid(default_stage(truncation))
+    assert np.abs(grid.nodes).max() > 40.0
+    defect = max(
+        abs(np.sum(grid.weights * hermite_eval(n, grid.nodes) ** 2) - 1.0)
+        for n in range(truncation - 4, truncation)
+    )
+    assert defect <= 1e-12
+
+
+def test_scaled_tail_leaves_the_other_nodes_bit_for_bit():
+    x = np.array([-45.0, -3.0, 0.5, 12.0, 36.0, 41.0])
+    inner = hermite_table(600, x[1:5])
+    table = hermite_table(600, x)
+    assert np.array_equal(table[1:5], inner)
+    assert np.all(np.isfinite(table)) and table[0, 599] != 0.0 and table[-1, 599] != 0.0

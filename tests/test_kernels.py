@@ -210,3 +210,41 @@ class TestKernelStorage:
         assert np.array_equal(kernel.entries, before)
         shared = KernelMatrix(kernel.entries, grid)
         assert np.shares_memory(shared.entries, kernel.entries)
+
+
+class TestFourierPhase:
+    """fourier keeps the real dirac rows and its (-i)^n column phase apart;
+    entries is still the complex matrix Omega."""
+
+    def test_rows_are_the_dirac_rows_and_entries_apply_the_phase(self, grid):
+        fourier = sample_kernel(fourier_map(), grid, 6)
+        dirac = sample_kernel(dirac_map(), grid, 6)
+        assert fourier.rows.dtype == np.float64
+        assert np.array_equal(fourier.rows, dirac.rows)
+        phase = (-1j) ** np.arange(6)
+        assert np.array_equal(fourier.phase, phase)
+        assert np.array_equal(fourier.entries, dirac.entries * phase[None, :])
+        assert not fourier.entries.flags.writeable and not fourier.phase.flags.writeable
+
+    def test_phase_must_be_unit_modulus_of_the_truncation_length(self, grid):
+        rows = sample_kernel(dirac_map(), grid, 4).rows
+        with pytest.raises(InvalidConfigError, match="phase"):
+            KernelMatrix(rows, grid, phase=np.ones(3))
+        with pytest.raises(InvalidConfigError, match="phase"):
+            KernelMatrix(rows, grid, phase=np.full(4, 2.0))
+
+    def test_save_fourier_matches_csv_writer_bytes(self, tmp_path):
+        import csv
+
+        truncation = 16
+        kernel = sample_kernel(fourier_map(), stage_grid(default_stage(truncation)), truncation)
+        path = tmp_path / "fourier.csv"
+        save_kernel_csv(kernel, path)
+        reference = tmp_path / "reference.csv"
+        omega = kernel.rows * (-1j) ** np.arange(truncation)
+        with open(reference, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([f"{part}{n}" for n in range(truncation) for part in ("re", "im")])
+            for row in omega:
+                writer.writerow([f"{v:.17g}" for pair in zip(row.real, row.imag) for v in pair])
+        assert path.read_bytes() == reference.read_bytes()

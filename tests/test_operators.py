@@ -438,3 +438,32 @@ def test_real_kernel_operators_allocate_less_than_the_kernel():
             tracemalloc.stop()
         assert peak < kernel.entries.nbytes
     assert frame_operator(kernel).matrix.dtype == np.float64
+
+
+def test_fourier_operators_allocate_less_than_the_real_rows():
+    """fourier's column phase is applied to N-vectors and N x N matrices only:
+    analysis, synthesis and frame_operator never form its complex kernel."""
+    import tracemalloc
+
+    kernel = make_kernel(fourier_map(), 256)
+    assert kernel.rows.dtype == np.float64
+    f = random_test_function(256, np.random.default_rng(RNG_SEED))
+    xi = analysis(kernel, f)
+    for call in (lambda: analysis(kernel, f), lambda: synthesis(kernel, xi),
+                 lambda: frame_operator(kernel)):
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < kernel.rows.nbytes
+    op = frame_operator(kernel)
+    assert op.gram.dtype == np.float64
+    omega = kernel.entries
+    assert np.allclose(analysis(kernel, f), omega @ f.coeffs, rtol=0, atol=1e-12)
+    weighted = kernel.grid.weights * xi
+    assert np.allclose(synthesis(kernel, xi).pairings, omega.conj().T @ weighted, rtol=0, atol=1e-12)
+    assert np.allclose(op.matrix, omega.conj().T @ (kernel.grid.weights[:, None] * omega),
+                       rtol=0, atol=1e-12)
+    assert frame_bounds(op) == frame_bounds(frame_operator(make_kernel(dirac_map(), 256)))
