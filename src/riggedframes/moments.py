@@ -28,7 +28,7 @@ from .kernels import sample_kernel
 from .operators import (
     ClassifyThresholds,
     StageFactorization,
-    _series_trend,
+    _bessel_search,
     weighted_analysis_matrix,
 )
 from .quadrature import l2x_norm, stage_grid
@@ -226,15 +226,12 @@ def dual_bessel_check(pair, ladder=None):
         )
     if ladder is None:
         ladder = _ladder_up_to(kernel.truncation)
-    thresholds = ClassifyThresholds()
-    constants = {k: [] for k in range(thresholds.bessel_k_max + 1)}
+    factors = []
     for stage in ladder.stages:
         stage_kernel = sample_kernel(kernel.map_spec, stage_grid(stage), stage.truncation)
         theta = canonical_dual(stage_kernel).theta
-        factor = StageFactorization(weighted_analysis_matrix(theta))
-        for k in constants:
-            constants[k].append(factor.bessel_constant(k))
-    for k in sorted(constants):
-        if _series_trend(constants[k], thresholds, 0.0) == "bounded":
-            return DualBesselResult(True, k, float(constants[k][-1]))
-    return DualBesselResult(False, -1, math.inf)
+        factors.append(StageFactorization(weighted_analysis_matrix(theta)))
+    index, constant, _ = _bessel_search(factors, ClassifyThresholds())
+    if index is None:
+        return DualBesselResult(False, -1, math.inf)
+    return DualBesselResult(True, index, float(constant))

@@ -12,9 +12,10 @@ the squared extreme singular values of the weighted kernel sqrt(W) Omega.
 A classify stage samples once, factors once (a thin QR of the ~15N x N
 weighted kernel to its N x N factor R; Chan, ACM TOMS 8, 1982) and reads
 every diagnostic off R: bounds and totality from its singular values, the
-p_k Bessel constant from those of R D_k.  Continuum statements (bounded
-versus growing bounds, totality) are read off trends along a refinement
-ladder; a single stage can never decide them.
+p_k Bessel constant from those of R D_k, formed after the walk only up to
+the first k whose series is bounded (k = 0 is sigma_max: no damped SVD).
+Continuum statements (bounded versus growing bounds, totality) are read off
+trends along a refinement ladder; a single stage can never decide them.
 
 Every operator works on the kernel's rows in their own dtype.  Every
 built-in kind has real rows; fourier's (-i)^n column phase P is kept apart
@@ -386,7 +387,11 @@ LABEL_ORDER = (
 
 @dataclass(frozen=True)
 class FrameReport:
-    """Per-stage spectra, ladder trends, and the final taxonomy labels."""
+    """Per-stage spectra, ladder trends, and the final taxonomy labels.
+
+    ``bessel_constants`` holds the per-stage series of each seminorm index
+    examined: k = 0..bessel_index, or 0..bessel_k_max when none is bounded.
+    """
 
     stages: tuple
     lower_trend: str
@@ -432,6 +437,18 @@ def _consecutive_ratios(values):
     )
 
 
+def _bessel_search(factors, thresholds):
+    """First k <= bessel_k_max whose Bessel series over the stage factors is
+    bounded: (k, its last constant, {k: series examined}), or (None, None,
+    every series); the series for k is formed only when no smaller k was."""
+    series = {}
+    for k in range(thresholds.bessel_k_max + 1):
+        series[k] = tuple(factor.bessel_constant(k) for factor in factors)
+        if _series_trend(series[k], thresholds, 0.0) == "bounded":
+            return k, series[k][-1], series
+    return None, None, series
+
+
 def classify(map_spec, ladder, thresholds=ClassifyThresholds()):
     """Run the full diagnostic ladder and assemble taxonomy labels.
 
@@ -443,8 +460,7 @@ def classify(map_spec, ladder, thresholds=ClassifyThresholds()):
             "classification needs per-stage resampling; custom kernels support "
             "the stage-level diagnostics directly"
         )
-    stages = []
-    bessel_series = {k: [] for k in range(thresholds.bessel_k_max + 1)}
+    stages, factors = [], []
     for stage in ladder.stages:
         coarse = coarse_synthesis_grid(stage.truncation)
         _check_coarse(coarse.node_count, stage.truncation)
@@ -468,8 +484,7 @@ def classify(map_spec, ladder, thresholds=ClassifyThresholds()):
                 mu_independent=_full_rank(coarse_svals[-1], coarse_svals[0], thresholds.rank),
             )
         )
-        for k in bessel_series:
-            bessel_series[k].append(factor.bessel_constant(k))
+        factors.append(factor)
 
     lowers = [s.lower for s in stages]
     uppers = [s.upper for s in stages]
@@ -477,9 +492,7 @@ def classify(map_spec, ladder, thresholds=ClassifyThresholds()):
     lower_trend = _series_trend(lowers, thresholds, vanish_floor)
     upper_trend = _series_trend(uppers, thresholds, vanish_floor)
 
-    bounded = [k for k, v in bessel_series.items() if _series_trend(v, thresholds, 0.0) == "bounded"]
-    bessel_index = bounded[0] if bounded else None
-    bessel_constant = bessel_series[bessel_index][-1] if bounded else None
+    bessel_index, bessel_constant, bessel_series = _bessel_search(factors, thresholds)
 
     final = stages[-1]
     bounded_upper = upper_trend == "bounded"
@@ -519,5 +532,5 @@ def classify(map_spec, ladder, thresholds=ClassifyThresholds()):
         labels=tuple(label for label in LABEL_ORDER if label in labels),
         bessel_index=bessel_index,
         bessel_constant=bessel_constant,
-        bessel_constants={k: tuple(v) for k, v in bessel_series.items()},
+        bessel_constants=bessel_series,
     )

@@ -83,6 +83,16 @@ def _require(condition, path, message):
         raise InvalidConfigError(f"{path}: {message}")
 
 
+def _is_int(value):
+    """An integer that is not a boolean (json's true is a Python int)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    """A finite number that is not a boolean (json accepts Infinity and NaN)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def _parse_map(data):
     _require(isinstance(data, dict), "map", "must be an object")
     kind = data.get("kind")
@@ -98,9 +108,9 @@ def _parse_map(data):
     if data.get("bump_support") is not None:
         raw = data["bump_support"]
         _require(
-            isinstance(raw, (list, tuple)) and len(raw) == 2,
+            isinstance(raw, (list, tuple)) and len(raw) == 2 and all(map(_is_number, raw)),
             "map.bump_support",
-            "must be a pair [a, b]",
+            "must be a pair [a, b] of finite numbers",
         )
         support = (float(raw[0]), float(raw[1]))
     custom = data.get("custom_kernel")
@@ -116,7 +126,7 @@ def _parse_ladder(data):
     _require(isinstance(data, dict), "ladder", "must be an object")
     if "n_max" in data:
         _require(
-            isinstance(data["n_max"], int) and data["n_max"] >= 8,
+            _is_int(data["n_max"]) and data["n_max"] >= 8,
             "ladder.n_max",
             "must be an integer >= 8",
         )
@@ -129,25 +139,28 @@ def _parse_ladder(data):
         _require(isinstance(raw, list) and raw, "ladder.stages", "must be a nonempty list")
         stages = []
         for i, item in enumerate(raw):
-            if isinstance(item, int):
-                stages.append(default_stage(item))
-                continue
-            _require(isinstance(item, dict), f"ladder.stages[{i}]", "must be an int or object")
-            _require("N" in item, f"ladder.stages[{i}].N", "is required")
+            path = f"ladder.stages[{i}]"
+            if _is_int(item):
+                item = {"N": item}
+            _require(isinstance(item, dict), path, "must be an int or object")
+            _require("N" in item, f"{path}.N", "is required")
             n = item["N"]
-            _require(isinstance(n, int) and n >= 1, f"ladder.stages[{i}].N", "must be a positive integer")
+            _require(_is_int(n) and n >= 1, f"{path}.N", "must be a positive integer")
             base = default_stage(n)
+            half_width = item.get("L", base.half_width)
+            _require(_is_number(half_width), f"{path}.L", "must be a finite number")
+            panels = item.get("panels", base.panels)
+            _require(_is_int(panels) and panels >= 1, f"{path}.panels", "must be a positive integer")
+            order = item.get("order", base.order)
+            _require(_is_int(order) and order >= 2, f"{path}.order", "must be an integer >= 2")
             try:
                 stages.append(
                     LadderStage(
-                        truncation=n,
-                        half_width=float(item.get("L", base.half_width)),
-                        panels=int(item.get("panels", base.panels)),
-                        order=int(item.get("order", base.order)),
+                        truncation=n, half_width=float(half_width), panels=panels, order=order
                     )
                 )
             except InvalidConfigError as exc:
-                raise InvalidConfigError(f"ladder.stages[{i}]: {exc}") from exc
+                raise InvalidConfigError(f"{path}: {exc}") from exc
         try:
             return RefinementLadder(tuple(stages))
         except InvalidConfigError as exc:
@@ -164,13 +177,13 @@ def _parse_thresholds(data):
     kwargs = {}
     for key, value in data.items():
         if key == "bessel_k_max":
-            _require(isinstance(value, int) and value >= 0, f"thresholds.{key}", "must be a nonnegative integer")
+            _require(_is_int(value) and value >= 0, f"thresholds.{key}", "must be a nonnegative integer")
             kwargs[key] = value
         else:
             _require(
-                isinstance(value, (int, float)) and value > 0,
+                _is_number(value) and value > 0,
                 f"thresholds.{key}",
-                "must be a positive number",
+                "must be a finite positive number",
             )
             kwargs[key] = float(value)
     return ClassifyThresholds(**kwargs)
@@ -183,7 +196,7 @@ def config_from_dict(data):
     ladder = _parse_ladder(data.get("ladder"))
     thresholds = _parse_thresholds(data.get("thresholds"))
     seed = data.get("seed", DEFAULT_SEED)
-    _require(isinstance(seed, int) and seed >= 0, "seed", "must be a nonnegative integer")
+    _require(_is_int(seed) and seed >= 0, "seed", "must be a nonnegative integer")
     output_path = None
     output_format = "json"
     if data.get("output") is not None:

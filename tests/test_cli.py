@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -53,6 +54,28 @@ class TestConfig:
         )
         assert [s.truncation for s in config.ladder.stages] == [8, 16, 24]
         assert config.ladder.stages[2].order == 8
+
+    @pytest.mark.parametrize(
+        "override, path",
+        [
+            ({"map": {"kind": "bump_dirac", "bump_support": ["a", 1]}}, "map.bump_support"),
+            ({"map": {"kind": "bump_dirac", "bump_support": [None, 1]}}, "map.bump_support"),
+            ({"ladder": {"stages": [{"N": 8, "panels": "x"}]}}, "ladder.stages[0].panels"),
+            ({"ladder": {"stages": [{"N": 8, "L": "12"}]}}, "ladder.stages[0].L"),
+            ({"ladder": {"stages": [8, {"N": 16, "panels": 40.7}]}}, "ladder.stages[1].panels"),
+            ({"ladder": {"stages": [{"N": 8, "order": 1}]}}, "ladder.stages[0].order"),
+            ({"seed": True}, "seed"),
+            ({"thresholds": {"bessel_k_max": True}}, "thresholds.bessel_k_max"),
+            ({"ladder": {"stages": [True]}}, "ladder.stages[0]"),
+            ({"thresholds": {"rank": float("inf")}}, "thresholds.rank"),
+        ],
+    )
+    def test_non_numbers_rejected_with_their_path(self, tmp_path, override, path):
+        """Strings, booleans, fractions and json's Infinity are not the
+        integers or finite numbers a field asks for."""
+        data = dict({"map": {"kind": "dirac"}}, **override)
+        with pytest.raises(InvalidConfigError, match=re.escape(f"{path}:")):
+            load_config(write_config(tmp_path, data))
 
     def test_overrides(self):
         config = config_with_overrides(default_config(), seed=1, stages=[8, 16])

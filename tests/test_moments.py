@@ -32,6 +32,7 @@ from riggedframes import (
     weighted_dirac_map,
     weighted_least_squares,
 )
+from riggedframes.operators import ClassifyThresholds, StageFactorization, _series_trend
 
 SEED = 20240409
 
@@ -280,6 +281,22 @@ class TestDualBessel:
         assert result.seminorm_index == 0
         # dual analysis is bounded by the reciprocal lower weight
         assert result.constant <= 1.0 + 1e-8
+
+    @pytest.mark.parametrize("spec", [dirac_map(), weighted_dirac_map("2+sin(x)")])
+    def test_matches_eager_reference(self, spec):
+        """Same (index, constant) as forming every seminorm index's series of
+        dual constants and picking the first bounded one."""
+        ladder = default_ladder(32)
+        thresholds = ClassifyThresholds()
+        series = {k: [] for k in range(thresholds.bessel_k_max + 1)}
+        for stage in ladder.stages:
+            theta = canonical_dual(sample_kernel(spec, stage_grid(stage), stage.truncation)).theta
+            factor = StageFactorization(weighted_analysis_matrix(theta))
+            for k in series:
+                series[k].append(factor.bessel_constant(k))
+        bounded = [k for k, v in series.items() if _series_trend(v, thresholds, 0.0) == "bounded"]
+        result = dual_bessel_check(canonical_dual(make_kernel(spec, 32)), ladder)
+        assert (result.seminorm_index, result.constant) == (bounded[0], series[bounded[0]][-1])
 
     def test_single_stage_certifies_nothing(self):
         pair = canonical_dual(make_kernel(dirac_map(), 16))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from riggedframes import operators
 from riggedframes import (
     ClassifyThresholds,
     InvalidConfigError,
@@ -268,6 +269,17 @@ class TestBesselConstant:
                 lhs = l2x_norm(analysis(kernel, f), kernel.grid)
                 assert lhs <= constant * seminorm(f, k) * (1 + 1e-12)
 
+    @pytest.mark.parametrize("family", list(BUILTIN_FAMILIES))
+    def test_every_index_matches_direct_svd_of_damped_kernel(self, family):
+        kernel = make_kernel(BUILTIN_FAMILIES[family], 64)
+        weighted = weighted_analysis_matrix(kernel)
+        sigma_max = np.linalg.svd(weighted, compute_uv=False)[0]
+        damping_base = 1.0 + np.arange(64)
+        for k in range(ClassifyThresholds().bessel_k_max + 1):
+            damped = weighted * (damping_base ** (-k / 2.0))[None, :]
+            direct = np.linalg.svd(damped, compute_uv=False)[0]
+            assert abs(bessel_seminorm_constant(kernel, k) - direct) <= 1e-12 * sigma_max
+
 
 class TestClassify:
     def test_dirac_label_set(self):
@@ -417,6 +429,64 @@ class TestStageFactorization:
             assert cols in truncations and rows <= cols
         for n in truncations:
             assert sum(cols == n for _, cols in svd_shapes) <= 8
+
+
+def _eager_bessel_search(factors, thresholds):
+    """Reference: form every seminorm index's series, then pick the first
+    bounded one."""
+    series = {
+        k: tuple(factor.bessel_constant(k) for factor in factors)
+        for k in range(thresholds.bessel_k_max + 1)
+    }
+    bounded = [k for k, v in series.items() if operators._series_trend(v, thresholds, 0.0) == "bounded"]
+    index = bounded[0] if bounded else None
+    return index, series[index][-1] if bounded else None, series
+
+
+class TestBesselSearch:
+    """classify forms the damped Bessel series only up to the first bounded
+    seminorm index, and picks what forming every series would pick."""
+
+    @pytest.mark.parametrize("family, per_stage", [("dirac", 2), ("dirac_derivative", 3)])
+    def test_values_only_svds_per_stage(self, monkeypatch, family, per_stage):
+        computes_uv = []
+        svd = np.linalg.svd
+
+        def recording_svd(a, *args, **kwargs):
+            computes_uv.append(kwargs.get("compute_uv", True))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        ladder = default_ladder(64)
+        classify(BUILTIN_FAMILIES[family], ladder)
+        assert len(computes_uv) == per_stage * len(ladder.stages)
+        assert not any(computes_uv)
+
+    @pytest.mark.parametrize("family", list(BUILTIN_FAMILIES))
+    def test_examines_indices_up_to_the_bounded_one(self, family):
+        report = classify(BUILTIN_FAMILIES[family], default_ladder(64))
+        assert report.bessel_index is not None
+        assert set(report.bessel_constants) == set(range(report.bessel_index + 1))
+
+    def test_no_bounded_index_examines_every_index(self):
+        thresholds = ClassifyThresholds(bessel_k_max=0)
+        report = classify(dirac_derivative_map(), default_ladder(64), thresholds)
+        assert report.bessel_index is None and report.bessel_constant is None
+        assert set(report.bessel_constants) == {0}
+        assert not report.has("bessel")
+
+    @pytest.mark.parametrize("n_max", [64, 128])
+    @pytest.mark.parametrize("family", list(BUILTIN_FAMILIES))
+    def test_matches_eager_reference(self, monkeypatch, family, n_max):
+        ladder = default_ladder(n_max)
+        lazy = classify(BUILTIN_FAMILIES[family], ladder)
+        monkeypatch.setattr(operators, "_bessel_search", _eager_bessel_search)
+        eager = classify(BUILTIN_FAMILIES[family], ladder)
+        assert lazy.labels == eager.labels
+        assert lazy.bessel_index == eager.bessel_index
+        assert lazy.bessel_constant == eager.bessel_constant
+        for k, series in lazy.bessel_constants.items():
+            assert series == eager.bessel_constants[k]
 
 
 def test_real_kernel_operators_allocate_less_than_the_kernel():
