@@ -12,8 +12,12 @@ eigendecomposition with a relative cutoff so that near-singular frame
 operators surface as NotAFrameError instead of amplified noise.
 
 That eigendecomposition is the only one of S_omega: the pair keeps its
-extreme eigenvalues (A, B) for dual_bounds, which still forms theta's own S,
-because theta's bounds inside [1/B, 1/A] are the postcondition on the inverse.
+extreme eigenvalues (A, B) for dual_bounds.  Theta's own frame operator is
+formed in N x N arithmetic, with no tall Gram of theta: with X the computed
+inverse and S = L L^H (Cholesky), S_theta = X^H S X = G^H G for G = L^H X,
+exactly Hermitian, and the pair keeps it.  Its eigenvalues measure X against
+S, so dual_bounds checks them against [1/B, 1/A] as the postcondition on
+the inverse; they are never read off 1/lambda, which would be a tautology.
 
 Everything runs on the kernel's rows in their own dtype.  A kernel with a
 column phase P (fourier; see KernelMatrix) has S = P^H S_rows P, so
@@ -35,8 +39,10 @@ from .hermite import TestFunction, random_test_function
 from .kernels import KernelMatrix, sample_kernel
 from .operators import (
     ClassifyThresholds,
+    FrameOperatorMatrix,
     StageFactorization,
     _analyze,
+    _hermitian_gram,
     _synthesize,
     classify,
     coarse_synthesis_grid,
@@ -71,20 +77,27 @@ DEFAULT_SEED = 20240409
 
 @dataclass(frozen=True)
 class DualPair:
-    """A map and its candidate dual on the same grid and truncation, with
-    omega's (A, B) when canonical_dual built it (the S it inverted)."""
+    """A map and its candidate dual on the same grid and truncation.
+
+    When canonical_dual built the pair it also carries omega's (A, B), the
+    extremes of the S it inverted, and ``theta_operator``, theta's frame
+    operator X^H S X formed in N x N arithmetic from that S and the
+    computed inverse X (theta's column phase kept apart as for any kernel).
+    """
 
     omega: KernelMatrix
     theta: KernelMatrix
     duality_defect: float
     omega_bounds: tuple = None
+    theta_operator: FrameOperatorMatrix = None
 
 
 def canonical_dual(kernel, trials=20, seed=DEFAULT_SEED):
     """Canonical dual pair (omega, Omega S^{-1}) with its measured defect.
 
     Raises NotAFrameError when the frame operator is singular at the
-    relative cutoff, carrying the offending smallest eigenvalue.
+    relative cutoff, carrying the offending smallest eigenvalue, and
+    NumericError when S has no Cholesky factor.
     """
     op = frame_operator(kernel)
     values, vectors = hermitian_eigenpairs(op.gram)
@@ -96,11 +109,18 @@ def canonical_dual(kernel, trials=20, seed=DEFAULT_SEED):
             lam_min,
         )
     inverse = (vectors / values[None, :]) @ vectors.conj().T
+    try:
+        factor = np.linalg.cholesky(op.gram)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"frame operator has no Cholesky factor: {exc}") from exc
+    theta_operator = FrameOperatorMatrix(
+        _hermitian_gram(factor.conj().T @ inverse), f"dual of {op.provenance}", phase=kernel.phase
+    )
     theta = kernel.rows @ inverse
     theta.setflags(write=False)
     pair = DualPair(kernel, KernelMatrix(theta, kernel.grid, None, phase=kernel.phase), 0.0)
     defect = verify_duality(pair, trials, seed)
-    return DualPair(kernel, pair.theta, defect, (lam_min, lam_max))
+    return DualPair(kernel, pair.theta, defect, (lam_min, lam_max), theta_operator)
 
 
 def verify_duality(pair, trials, seed=DEFAULT_SEED):
@@ -125,15 +145,16 @@ def verify_duality(pair, trials, seed=DEFAULT_SEED):
 
 
 def dual_bounds(pair):
-    """Frame bounds of a canonical dual, measured from theta's own S (the
-    Gram of its rows: a column phase changes no eigenvalue); they sit inside
-    [1/B, 1/A] of omega's bounds from the pair, which is checked here as a
-    postcondition.  Other pairs carry no omega bounds: rejected."""
-    if pair.omega_bounds is None:
+    """Frame bounds of a canonical dual, the extreme eigenvalues of the pair's
+    theta_operator (X^H S X for the computed inverse X; a column phase changes
+    no eigenvalue).  They must sit inside [1/B, 1/A] of omega's bounds, which
+    is checked here as the postcondition on the inverse: NumericError when
+    they escape.  Pairs canonical_dual did not build carry neither: rejected."""
+    if pair.omega_bounds is None or pair.theta_operator is None:
         raise InvalidConfigError("dual_bounds needs a pair built by canonical_dual")
     # canonical_dual guarantees 0 < A <= B
     lower_o, upper_o = pair.omega_bounds
-    lower_t, upper_t = frame_bounds(frame_operator(pair.theta))
+    lower_t, upper_t = frame_bounds(pair.theta_operator)
     tol = 1e-8 / lower_o
     if lower_t < 1.0 / upper_o - tol or upper_t > 1.0 / lower_o + tol:
         raise NumericError(

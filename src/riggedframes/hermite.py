@@ -102,10 +102,14 @@ def _hermite_recurrence(truncation, xa, rows):
         every = max(1, int(500 // math.log2(math.sqrt(2.0) * np.abs(xa[scaled]).max() + 2.0)))
     if truncation > 1:
         rows[1] = np.sqrt(2.0) * xa * rows[0]
+    older = np.empty(xa.size)
     for n in range(1, truncation - 1):
-        rows[(n + 1) % size] = (
-            xa * np.sqrt(2.0 / (n + 1)) * rows[n % size] - np.sqrt(n / (n + 1.0)) * rows[(n - 1) % size]
-        )
+        # (x sqrt(2/(n+1))) h_n - sqrt(n/(n+1)) h_{n-1}, written in place:
+        # the same roundings as the expression, with no temporaries
+        new = rows[(n + 1) % size]
+        np.multiply(xa, np.sqrt(2.0 / (n + 1)), out=new)
+        new *= rows[n % size]
+        new -= np.multiply(np.sqrt(n / (n + 1.0)), rows[(n - 1) % size], out=older)
         if scaled.size and n % every == 0:
             live = rows[[[n % size], [(n + 1) % size]], scaled]
             peak = np.abs(live).max(axis=0)

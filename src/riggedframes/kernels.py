@@ -15,6 +15,15 @@ Built-in kinds:
   bump_dirac        eta(x) delta_x with a smooth compactly supported bump,
                     normalized to peak value 1 at the midpoint
   custom            an arbitrary kernel matrix loaded from CSV
+
+Built-in rows carry no negligible entries: every entry below NEGLIGIBLE
+(2^-500) times the largest |entry| is set to exactly 0 where the rows are
+made.  The default grids reach far past the Hermite bulk, where the tails
+fall to 1e-200 and below, and products of two such entries inside a Gram or
+a QR are subnormal, which the CPU handles on a slow path.  An entry below
+the floor adds less than 2^-1000 max|entry|^2 to any Gram entry, so dropping
+it moves a spectrum by rounding at most.  The floor is relative, so a map
+scaled by a constant gives scaled rows.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ from .weights import eval_weight, expr_to_string, parse_weight
 
 __all__ = [
     "MAP_KINDS",
+    "NEGLIGIBLE",
     "MapSpec",
     "KernelMatrix",
     "dirac_map",
@@ -213,19 +223,45 @@ def sample_kernel(spec, grid, truncation):
 
 def _real_rows(spec, nodes, truncation):
     """Real kernel rows of a built-in kind: the Hermite (or derivative) table
-    times the row weight.  fourier shares the dirac rows: its unitary (-i)^n
-    column phase, kept apart by sample_kernel, commutes with every column
-    scaling and so leaves all spectral diagnostics unchanged."""
+    times the row weight, with negligible entries floored to 0.  fourier
+    shares the dirac rows: its unitary (-i)^n column phase, kept apart by
+    sample_kernel, commutes with every column scaling and so leaves all
+    spectral diagnostics unchanged."""
     if spec.kind == "dirac_derivative":
-        return -hermite_derivative_table(truncation, nodes)
-    table = hermite_table(truncation, nodes)
+        table = -hermite_derivative_table(truncation, nodes)
+    else:
+        table = hermite_table(truncation, nodes)
     if spec.kind == "weighted_dirac":
         # real weights throughout; complex weights go through custom kernels
         table *= eval_weight(spec.weight, nodes)[:, None]
     elif spec.kind == "bump_dirac":
         a, b = spec.bump_support
         table *= bump_profile(a, b, nodes)[:, None]
+    _floor_negligible(table)
     return table
+
+
+# Entries below this fraction of the largest |entry| are set to exactly 0.
+NEGLIGIBLE = 2.0**-500
+# _floor_negligible works through this many entries at a time.
+_FLOOR_BLOCK = 2**15
+
+
+def _floor_negligible(table):
+    """Set every entry of a real table below NEGLIGIBLE * max|table| to 0, in
+    place, a block of its contiguous lines at a time: the only temporaries
+    are two boolean masks of one block.  Entries keep their sign bit
+    (x * 0.0), so an exact -0.0 stays as it was and leaves LAPACK's
+    reflector signs alone."""
+    floor = NEGLIGIBLE * max(table.max(), -table.min())
+    lines = table.T if table.flags.f_contiguous else table
+    step = max(1, _FLOOR_BLOCK // lines.shape[1])
+    for start in range(0, lines.shape[0], step):
+        block = lines[start : start + step]
+        small = block < floor
+        small &= block > -floor
+        if small.any():
+            np.multiply(block, 0.0, out=block, where=small)
 
 
 def save_kernel_csv(kernel, path):

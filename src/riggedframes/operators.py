@@ -22,11 +22,12 @@ built-in kind has real rows; fourier's (-i)^n column phase P is kept apart
 (see KernelMatrix), so Omega = rows P and S = P^H S_rows P.  Analysis and
 synthesis apply P to the N-vector or N x k block on the coefficient side and
 meet real rows through the complex block's float view, S_rows is the real
-Gram A^T A of A = sqrt(W) rows formed over row blocks, and nothing
-kernel-sized is promoted or copied to complex.  A diagonal unitary changes
-no eigenvalue, so frame_bounds reads a phased S off S_rows.  Only a complex
-custom kernel has complex rows; its S_rows is read off the real Gram of
-their stacked real and imaginary parts.
+Gram A^T A of A = sqrt(W) rows formed over row blocks (copied in the rows'
+own memory order), and nothing kernel-sized is promoted or copied to
+complex.  A diagonal unitary changes no eigenvalue, so frame_bounds reads a
+phased S off S_rows, values only.  Only a complex custom kernel has complex
+rows; its S_rows is read off the real Gram of their stacked real and
+imaginary parts.
 """
 
 from __future__ import annotations
@@ -164,17 +165,17 @@ _ROW_BLOCKS = 8
 def frame_operator(kernel):
     """S = P^H S_rows P, with S_rows the Gram A^T A of the weighted rows
     A = sqrt(W) rows summed over row blocks and P the kernel's column phase
-    (kept apart: S.matrix forms P^H S_rows P when read).  Complex rows (a
-    custom kernel) stack their real and imaginary parts, [Re A, Im A], and
-    S_rows is read off that real Gram: the diagonal blocks sum to Re S_rows
-    and the off-diagonal block gives Im S_rows.  Either way S comes out
-    exactly Hermitian."""
+    (kept apart: S.matrix forms P^H S_rows P when read).  The block buffer
+    has the rows' own memory order, so filling it is a contiguous copy.
+    Complex rows (a custom kernel) stack their real and imaginary parts,
+    [Re A, Im A], and S_rows is read off that real Gram (see
+    _hermitian_from_stacked).  Either way S comes out exactly Hermitian."""
     rows = kernel.rows
     parts = (rows.real, rows.imag) if np.iscomplexobj(rows) else (rows,)
     m, n = rows.shape
     step = max(1, -(-m // _ROW_BLOCKS))
     sqrt_w = np.sqrt(kernel.grid.weights)[:, None]
-    block = np.empty((min(step, m), len(parts) * n))
+    block = np.empty((min(step, m), len(parts) * n), order="F" if rows.flags.f_contiguous else "C")
     gram = np.zeros((len(parts) * n,) * 2)
     for start in range(0, m, step):
         a = block[: min(step, m - start)]
@@ -183,8 +184,42 @@ def frame_operator(kernel):
             np.multiply(sqrt_w[start : start + step], part[start : start + step], out=out)
         gram += a.T @ a
     if len(parts) == 2:
-        gram = gram[:n, :n] + gram[n:, n:] + 1j * (gram[:n, n:] - gram[n:, :n])
+        gram = _hermitian_from_stacked(gram)
     return FrameOperatorMatrix(gram, kernel.fingerprint, phase=kernel.phase)
+
+
+def _hermitian_from_stacked(gram):
+    """G^H G from the real Gram of the stacked [Re G, Im G]: the diagonal
+    blocks sum to the real part and the off-diagonal ones give the imaginary
+    part, so a symmetric input gives an exactly Hermitian result."""
+    n = gram.shape[0] // 2
+    return gram[:n, :n] + gram[n:, n:] + 1j * (gram[:n, n:] - gram[n:, :n])
+
+
+def _hermitian_gram(matrix):
+    """G^H G of a matrix, exactly Hermitian: the real Gram of G itself, or of
+    [Re G, Im G] for a complex G."""
+    if not np.iscomplexobj(matrix):
+        return matrix.T @ matrix
+    stacked = np.concatenate([matrix.real, matrix.imag], axis=1)
+    return _hermitian_from_stacked(stacked.T @ stacked)
+
+
+def _decompose_hermitian(decompose, op):
+    """decompose(matrix) for the matrix of a Hermitian operator.  Visibly
+    non-Hermitian input is rejected rather than silently symmetrized, and
+    failure to converge surfaces as NumericError."""
+    matrix = op.matrix if isinstance(op, FrameOperatorMatrix) else np.asarray(op)
+    scale = np.abs(matrix).max()
+    if scale > 0 and np.abs(matrix - matrix.conj().T).max() > 1e-12 * scale:
+        raise NumericError(
+            f"matrix is not Hermitian: deviation {np.abs(matrix - matrix.conj().T).max():.3e} "
+            f"against scale {scale:.3e}"
+        )
+    try:
+        return decompose(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigendecomposition failed: {exc}") from exc
 
 
 def hermitian_eigenpairs(op):
@@ -194,29 +229,20 @@ def hermitian_eigenpairs(op):
     Rejects visibly non-Hermitian input rather than silently symmetrizing;
     failure to converge surfaces as NumericError.
     """
-    matrix = op.matrix if isinstance(op, FrameOperatorMatrix) else np.asarray(op)
-    scale = np.abs(matrix).max()
-    if scale > 0 and np.abs(matrix - matrix.conj().T).max() > 1e-12 * scale:
-        raise NumericError(
-            f"matrix is not Hermitian: deviation {np.abs(matrix - matrix.conj().T).max():.3e} "
-            f"against scale {scale:.3e}"
-        )
-    try:
-        values, vectors = np.linalg.eigh(matrix)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigendecomposition failed: {exc}") from exc
-    return values, vectors
+    return _decompose_hermitian(np.linalg.eigh, op)
 
 
 def frame_bounds(op):
-    """(lower, upper) = extreme eigenvalues of the frame operator; a
-    FrameOperatorMatrix gives them from its unphased ``gram``, since a
-    diagonal unitary changes no eigenvalue.
+    """(lower, upper) = extreme eigenvalues of the frame operator, from a
+    values-only eigendecomposition; a FrameOperatorMatrix gives them from its
+    unphased ``gram``, since a diagonal unitary changes no eigenvalue.
+    Input is checked as by hermitian_eigenpairs.
 
     Inner approximations: the lower bound is nonincreasing and the upper
     nondecreasing as the truncation grows over a fixed map.
     """
-    values, _ = hermitian_eigenpairs(op.gram if isinstance(op, FrameOperatorMatrix) else op)
+    gram = op.gram if isinstance(op, FrameOperatorMatrix) else op
+    values = _decompose_hermitian(np.linalg.eigvalsh, gram)
     return float(values[0]), float(values[-1])
 
 

@@ -203,6 +203,7 @@ def config_from_dict(data):
         raw = data["output"]
         _require(isinstance(raw, dict), "output", "must be an object")
         output_path = raw.get("path")
+        _require(output_path is None or isinstance(output_path, str), "output.path", "must be a string")
         output_format = raw.get("format", "json")
         _require(output_format in ("json", "csv"), "output.format", "must be json or csv")
     return RunConfig(map_spec, ladder, thresholds, seed, output_path, output_format)
@@ -214,6 +215,8 @@ def default_config():
 
 
 def config_with_overrides(config, seed=None, stages=None, output_path=None, output_format=None):
+    if seed is not None:
+        _require(_is_int(seed) and seed >= 0, "seed", "must be a nonnegative integer")
     ladder = config.ladder
     if stages is not None:
         try:

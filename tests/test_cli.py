@@ -82,6 +82,27 @@ class TestConfig:
         assert config.seed == 1
         assert [s.truncation for s in config.ladder.stages] == [8, 16]
 
+    @pytest.mark.parametrize("seed", [-5, True])
+    def test_seed_override_checked_like_the_config_field(self, seed):
+        with pytest.raises(InvalidConfigError, match="seed:"):
+            config_with_overrides(default_config(), seed=seed)
+
+    def test_negative_seed_flag_is_a_config_error(self, tmp_path, capsys):
+        from riggedframes import cli
+
+        config = write_config(tmp_path, dict(DIRAC_CONFIG, ladder={"n_max": 8}))
+        assert cli.main(["dual", "--config", str(config), "--seed", "-5"]) == 2
+        assert "error: seed:" in capsys.readouterr().err
+
+    def test_non_string_output_path_is_a_config_error(self, tmp_path, monkeypatch, capsys):
+        from riggedframes import cli
+
+        config = write_config(tmp_path, dict(DIRAC_CONFIG, output={"path": 5}))
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["bounds", "--config", str(config)]) == 2
+        assert "error: output.path:" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [config.name]
+
 
 class TestRun:
     def test_classify_dirac_labels(self, tmp_path):
@@ -254,31 +275,40 @@ class TestDemoExitContract:
 
 
 @pytest.mark.parametrize("command", ["dual", "reconstruct"])
-def test_dual_requests_form_two_frame_operators(monkeypatch, tmp_path, command):
-    """One S and one eigendecomposition for omega (canonical_dual), one of each
-    for theta (the dual_bounds postcondition): omega's bounds are not re-formed."""
+def test_dual_requests_form_one_tall_frame_operator(monkeypatch, tmp_path, command):
+    """One tall S and one eigendecomposition for omega (canonical_dual), one
+    values-only eigendecomposition of theta's N x N operator (the dual_bounds
+    postcondition): neither omega's bounds nor theta's S are re-formed from
+    a kernel."""
     import numpy as np
 
     from riggedframes import operators
 
-    counts = {"frame_operator": 0, "eigh": 0}
-    frame_operator, eigh = operators.frame_operator, np.linalg.eigh
+    counts = {"frame_operator": 0, "decompositions": 0}
+    truncation = DIRAC_CONFIG["ladder"]["n_max"]
+    frame_operator = operators.frame_operator
+    decompositions = {name: getattr(np.linalg, name) for name in ("eigh", "eigvalsh")}
 
     def counting_frame_operator(kernel):
         counts["frame_operator"] += 1
         return frame_operator(kernel)
 
-    def counting_eigh(matrix, *args, **kwargs):
-        counts["eigh"] += 1
-        return eigh(matrix, *args, **kwargs)
+    def counting(name):
+        def decompose(matrix, *args, **kwargs):
+            # N x N operators only: leggauss takes the eigenvalues of its
+            # small Jacobi matrix when the grid is built
+            counts["decompositions"] += np.shape(matrix) == (truncation, truncation)
+            return decompositions[name](matrix, *args, **kwargs)
+        return decompose
 
     for name, module in list(sys.modules.items()):
         if name.startswith("riggedframes") and getattr(module, "frame_operator", None) is frame_operator:
             monkeypatch.setattr(module, "frame_operator", counting_frame_operator)
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    for name in decompositions:
+        monkeypatch.setattr(np.linalg, name, counting(name))
     data = dict(DIRAC_CONFIG, map={"kind": "weighted_dirac", "weight": "2+sin(x)"})
     run(command, load_config(write_config(tmp_path, data)))
-    assert counts == {"frame_operator": 2, "eigh": 2}
+    assert counts == {"frame_operator": 1, "decompositions": 2}
 
 
 def test_fourier_dual_runs_no_complex_eigendecomposition(monkeypatch, tmp_path):

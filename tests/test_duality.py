@@ -312,8 +312,12 @@ class TestRealDualPathOracle:
 class TestOmegaBoundsReuse:
     def test_canonical_dual_keeps_the_bounds_it_inverted(self):
         kernel = make_kernel(weighted_dirac_map("2+sin(x)"), 32)
-        # same Gram code and the same eigh call: equal to the bit
-        assert canonical_dual(kernel).omega_bounds == frame_bounds(frame_operator(kernel))
+        # Same Gram code, but eigh (dstedc) and the values-only eigvalsh
+        # (dsterf) round differently.  Both are backward stable in |S| = B, so
+        # compare in ulps of B: they differ by 1.25 and 2 here.
+        kept = canonical_dual(kernel).omega_bounds
+        gap = np.abs(np.subtract(kept, frame_bounds(frame_operator(kernel))))
+        assert np.all(gap <= 4 * np.spacing(kept[1]))
 
     def test_dual_bounds_rejects_a_pair_canonical_dual_did_not_build(self):
         pair = canonical_dual(make_kernel(dirac_map(), 8))
@@ -334,3 +338,50 @@ class TestFourierDual:
         assert dual_bounds(fourier) == dual_bounds(dirac)
         assert fourier.theta.rows.dtype == np.float64
         assert fourier.duality_defect <= 1e-12
+
+
+class TestThetaOperator:
+    """canonical_dual forms theta's S = X^H S X in N x N arithmetic (X the
+    computed inverse); dual_bounds reads theta's bounds off it."""
+
+    def _modulated(self, truncation):
+        """A complex kernel: the 2+sin(x) rows times a unimodular row factor."""
+        kernel = make_kernel(weighted_dirac_map("2+sin(x)"), truncation)
+        rows = kernel.rows * np.exp(1j * kernel.grid.nodes)[:, None]
+        rows.setflags(write=False)
+        return KernelMatrix(rows, kernel.grid)
+
+    @pytest.mark.parametrize("family", ["2+sin(x)", "fourier", "complex"])
+    def test_is_the_gram_of_theta_and_exactly_hermitian(self, family):
+        if family == "complex":
+            kernel = self._modulated(64)
+            assert np.iscomplexobj(kernel.rows)
+        else:
+            kernel = make_kernel(ORACLE_FAMILIES[family], 64)
+        pair = canonical_dual(kernel)
+        mine = pair.theta_operator.matrix
+        assert np.array_equal(mine, mine.conj().T)
+        tall = frame_operator(pair.theta).matrix
+        lower, upper = pair.omega_bounds
+        assert np.abs(mine - tall).max() <= (1e-12 + 1e-15 * upper / lower) / lower
+
+    def test_postcondition_rejects_a_scaled_theta_operator(self):
+        from dataclasses import replace
+
+        from riggedframes import FrameOperatorMatrix, NumericError
+
+        pair = canonical_dual(make_kernel(weighted_dirac_map("2+sin(x)"), 64))
+        dual_bounds(pair)
+        doubled = FrameOperatorMatrix(2.0 * pair.theta_operator.gram, "doubled")
+        with pytest.raises(NumericError, match="escaped"):
+            dual_bounds(replace(pair, theta_operator=doubled))
+
+    def test_cholesky_failure_is_a_numeric_error(self, monkeypatch):
+        from riggedframes import NumericError
+
+        def failing(matrix):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing)
+        with pytest.raises(NumericError, match="Cholesky"):
+            canonical_dual(make_kernel(dirac_map(), 16))

@@ -248,3 +248,74 @@ class TestFourierPhase:
             for row in omega:
                 writer.writerow([f"{v:.17g}" for pair in zip(row.real, row.imag) for v in pair])
         assert path.read_bytes() == reference.read_bytes()
+
+
+BUILTIN_FAMILIES = {
+    "dirac": dirac_map(),
+    "fourier": fourier_map(),
+    "dirac_derivative": dirac_derivative_map(),
+    "2+sin(x)": weighted_dirac_map("2+sin(x)"),
+    "1+x^2": weighted_dirac_map("1+x^2"),
+    "bump[-1,1]": bump_dirac_map(-1.0, 1.0),
+}
+
+
+def _negligible_count(rows):
+    """Entries with 0 < |x| < NEGLIGIBLE * max|x|, a block of columns at a time."""
+    from riggedframes.kernels import NEGLIGIBLE
+
+    floor = NEGLIGIBLE * max(rows.max(), -rows.min())
+    count = 0
+    for start in range(0, rows.shape[1], 64):
+        block = np.abs(rows[:, start : start + 64])
+        count += int(np.count_nonzero((block > 0) & (block < floor)))
+    return count
+
+
+class TestNegligibleFloor:
+    """Built-in rows carry no entry below NEGLIGIBLE times their largest."""
+
+    @pytest.mark.parametrize("truncation", [512, 1024])
+    def test_no_builtin_family_keeps_a_negligible_entry(self, truncation):
+        grid = stage_grid(default_stage(truncation))
+        for name, spec in BUILTIN_FAMILIES.items():
+            rows = sample_kernel(spec, grid, truncation).rows
+            assert _negligible_count(rows) == 0, name
+
+    @pytest.mark.parametrize("family", ["dirac", "2+sin(x)", "dirac_derivative"])
+    def test_zeroes_exactly_the_negligible_entries(self, family):
+        from riggedframes.hermite import hermite_derivative_table, hermite_table
+        from riggedframes.kernels import NEGLIGIBLE
+        from riggedframes.weights import eval_weight
+
+        truncation = 256
+        grid = stage_grid(default_stage(truncation))
+        spec = BUILTIN_FAMILIES[family]
+        if family == "dirac_derivative":
+            reference = -hermite_derivative_table(truncation, grid.nodes)
+        else:
+            reference = hermite_table(truncation, grid.nodes)
+        if family == "2+sin(x)":
+            reference *= eval_weight(spec.weight, grid.nodes)[:, None]
+        negligible = np.abs(reference) < NEGLIGIBLE * np.abs(reference).max()
+        assert np.count_nonzero(negligible & (reference != 0)) > 0
+        rows = sample_kernel(spec, grid, truncation).rows
+        expected = np.where(negligible, 0.0 * reference, reference)
+        # equal to the bit: the kept entries, and the sign of every zero
+        assert np.array_equal(rows.view(np.int64), expected.view(np.int64))
+
+    def test_floors_in_place_with_block_sized_temporaries(self):
+        import tracemalloc
+
+        from riggedframes.hermite import hermite_table
+        from riggedframes.kernels import _floor_negligible
+
+        table = hermite_table(256, stage_grid(default_stage(256)).nodes)
+        tracemalloc.start()
+        try:
+            _floor_negligible(table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < table.nbytes / 8
+        assert _negligible_count(table) == 0

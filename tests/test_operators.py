@@ -537,3 +537,51 @@ def test_fourier_operators_allocate_less_than_the_real_rows():
     assert np.allclose(op.matrix, omega.conj().T @ (kernel.grid.weights[:, None] * omega),
                        rtol=0, atol=1e-12)
     assert frame_bounds(op) == frame_bounds(frame_operator(make_kernel(dirac_map(), 256)))
+
+
+def test_classify_scales_with_the_map():
+    """The negligible-entry floor is relative: a map scaled by e^-330 gives the
+    same labels, bounds scaled by e^-660 and singular values by e^-330."""
+    ladder = default_ladder(512)
+    plain = classify(weighted_dirac_map("2+sin(x)"), ladder)
+    scaled = classify(weighted_dirac_map("exp(-330)*(2+sin(x))"), ladder)
+    assert scaled.labels == plain.labels
+    for mine, ref in zip(scaled.stages, plain.stages):
+        for name, power in (("lower", 2), ("upper", 2), ("sigma_min", 1), ("sigma_max", 1)):
+            expected = getattr(ref, name) * np.exp(-330.0 * power)
+            assert getattr(mine, name) == pytest.approx(expected, rel=1e-12, abs=0.0), name
+
+
+def test_frame_operator_is_the_same_for_either_row_order():
+    """The row-block buffer follows the rows' memory order; a C-ordered copy
+    of the rows gives the same S to rounding."""
+    from riggedframes import KernelMatrix
+
+    kernel = make_kernel(weighted_dirac_map("2+sin(x)"), 64)
+    assert kernel.rows.flags.f_contiguous
+    rows = np.ascontiguousarray(kernel.rows)
+    rows.setflags(write=False)
+    other = frame_operator(KernelMatrix(rows, kernel.grid, kernel.map_spec))
+    gram = frame_operator(kernel).gram
+    assert np.array_equal(gram, gram.T) and np.array_equal(other.gram, other.gram.T)
+    assert np.abs(gram - other.gram).max() <= 1e-14 * np.abs(gram).max()
+
+
+def test_frame_bounds_takes_eigenvalues_only(monkeypatch):
+    """frame_bounds runs a values-only eigendecomposition and still rejects a
+    visibly non-Hermitian matrix."""
+    kernel = make_kernel(weighted_dirac_map("2+sin(x)"), 32)
+    op = frame_operator(kernel)
+    expected = hermitian_eigenpairs(op)[0]
+
+    def no_vectors(*args, **kwargs):
+        raise AssertionError("frame_bounds computed eigenvectors")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_vectors)
+    lower, upper = frame_bounds(op)
+    assert lower == pytest.approx(expected[0], rel=0, abs=4 * np.spacing(expected[-1]))
+    assert upper == pytest.approx(expected[-1], rel=0, abs=4 * np.spacing(expected[-1]))
+    skewed = np.array(op.gram)
+    skewed[0, 1] += 1e-6 * np.abs(skewed).max()
+    with pytest.raises(NumericError):
+        frame_bounds(skewed)
