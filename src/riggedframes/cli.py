@@ -78,7 +78,11 @@ def main(argv=None):
         return 1
 
     if config.output_path:
-        write_report(report, config.output_path, config.output_format)
+        try:
+            write_report(report, config.output_path, config.output_format)
+        except OSError as exc:
+            print(f"error: output: {exc}", file=sys.stderr)
+            return 2
     elif args.command != "demo":
         sys.stdout.write(emit(report, config.output_format).decode())
     if args.command == "demo" and any(not c["passed"] for c in report.checks):

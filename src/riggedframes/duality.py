@@ -21,16 +21,23 @@ the inverse; they are never read off 1/lambda, which would be a tautology.
 
 Everything runs on the kernel's rows in their own dtype.  A kernel with a
 column phase P (fourier; see KernelMatrix) has S = P^H S_rows P, so
-S^{-1} = P^H S_rows^{-1} P and Theta = rows S_rows^{-1} P: the dual is built
-from the real Gram, a real eigendecomposition and a real inverse, and keeps
-omega's phase.  Randomized checks draw all their trial functions first, in
-the order a per-trial loop would, and apply them as one block of columns:
-one pass over each kernel per direction.
+S^{-1} = P^H S_rows^{-1} P and Theta = rows X P with X = S_rows^{-1}: the
+dual is built from the real Gram, a real eigendecomposition and a real
+inverse, and keeps omega's phase.
+
+Theta is never formed as a second kernel.  The pair keeps X, and analysis
+through theta is rows @ (X @ (P block)), synthesis P^H X^H (rows^H W xi):
+N x N work on blocks of at most a few dozen columns besides the passes over
+omega's rows.  X^H, not X: the computed inverse is not exactly Hermitian.
+``pair.theta`` forms rows @ X when read (not cached).  Randomized checks
+draw all their trial functions first, in the order a per-trial loop would,
+and apply them as one block of columns: one pass over each kernel per
+direction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -79,17 +86,44 @@ DEFAULT_SEED = 20240409
 class DualPair:
     """A map and its candidate dual on the same grid and truncation.
 
-    When canonical_dual built the pair it also carries omega's (A, B), the
+    A hand-built pair, DualPair(omega, theta, defect), holds its theta
+    explicitly.  canonical_dual holds none: it keeps the computed inverse X
+    of omega's row Gram, so that theta = omega.rows @ X with omega's column
+    phase, applied as rows @ (X @ block) and formed only when ``theta`` is
+    read (read-only, not cached).  It also carries omega's (A, B), the
     extremes of the S it inverted, and ``theta_operator``, theta's frame
-    operator X^H S X formed in N x N arithmetic from that S and the
-    computed inverse X (theta's column phase kept apart as for any kernel).
+    operator X^H S X formed in N x N arithmetic from that S and X (theta's
+    column phase kept apart as for any kernel).
     """
 
     omega: KernelMatrix
-    theta: KernelMatrix
+    explicit_theta: KernelMatrix
     duality_defect: float
     omega_bounds: tuple = None
     theta_operator: FrameOperatorMatrix = None
+    inverse: np.ndarray = field(default=None, kw_only=True)
+
+    def __post_init__(self):
+        if (self.explicit_theta is None) == (self.inverse is None):
+            raise InvalidConfigError("a dual pair needs exactly one of an explicit theta and an inverse")
+
+    @property
+    def theta(self):
+        """The dual kernel: the explicit theta, or omega.rows @ X formed now."""
+        if self.inverse is None:
+            return self.explicit_theta
+        rows = self.omega.rows @ self.inverse
+        rows.setflags(write=False)
+        return KernelMatrix(rows, self.omega.grid, None, phase=self.omega.phase)
+
+
+def _theta_side(pair):
+    """(kernel, inner) with theta = kernel.rows @ inner @ P, for _analyze
+    and _synthesize: (omega, X) for a canonical pair, (theta, None) for an
+    explicit one."""
+    if pair.inverse is None:
+        return pair.explicit_theta, None
+    return pair.omega, pair.inverse
 
 
 def canonical_dual(kernel, trials=20, seed=DEFAULT_SEED):
@@ -116,11 +150,10 @@ def canonical_dual(kernel, trials=20, seed=DEFAULT_SEED):
     theta_operator = FrameOperatorMatrix(
         _hermitian_gram(factor.conj().T @ inverse), f"dual of {op.provenance}", phase=kernel.phase
     )
-    theta = kernel.rows @ inverse
-    theta.setflags(write=False)
-    pair = DualPair(kernel, KernelMatrix(theta, kernel.grid, None, phase=kernel.phase), 0.0)
+    inverse.setflags(write=False)
+    pair = DualPair(kernel, None, 0.0, inverse=inverse)
     defect = verify_duality(pair, trials, seed)
-    return DualPair(kernel, pair.theta, defect, (lam_min, lam_max), theta_operator)
+    return DualPair(kernel, None, defect, (lam_min, lam_max), theta_operator, inverse=inverse)
 
 
 def verify_duality(pair, trials, seed=DEFAULT_SEED):
@@ -137,8 +170,9 @@ def verify_duality(pair, trials, seed=DEFAULT_SEED):
     draws = np.stack([random_test_function(n, rng).coeffs for _ in range(2 * trials)], axis=1)
     f, g = draws[:, 0::2], draws[:, 1::2]
     direct = np.sum(f * g.conj(), axis=0)
+    theta, inner = _theta_side(pair)
     through = pair.omega.grid.weights @ (
-        _analyze(pair.theta, f) * _analyze(pair.omega, g).conj()
+        _analyze(theta, f, inner) * _analyze(pair.omega, g).conj()
     )
     scale = np.linalg.norm(f, axis=0) * np.linalg.norm(g, axis=0)
     return float(np.max(np.abs(direct - through) / scale))
@@ -176,8 +210,11 @@ def reconstruct(pair, f, swap_roles=False):
     single = isinstance(f, TestFunction)
     functions = [f] if single else list(f)
     coeffs = np.stack([g.coeffs for g in functions], axis=1)
-    first, second = (pair.theta, pair.omega) if swap_roles else (pair.omega, pair.theta)
-    rebuilt = _synthesize(second, _analyze(first, coeffs))
+    theta, inner = _theta_side(pair)
+    if swap_roles:
+        rebuilt = _synthesize(pair.omega, _analyze(theta, coeffs, inner))
+    else:
+        rebuilt = _synthesize(theta, _analyze(pair.omega, coeffs), inner)
     scale = np.linalg.norm(coeffs, axis=0)
     err = np.linalg.norm(rebuilt - coeffs, axis=0)
     rel = err / np.where(scale > 0, scale, 1.0)

@@ -229,8 +229,11 @@ def dual_bessel_check(pair, ladder=None):
     factors = []
     for stage in ladder.stages:
         stage_kernel = sample_kernel(kernel.map_spec, stage_grid(stage), stage.truncation)
+        # theta's rows without its column phase: the unit-modulus phase
+        # commutes with every column scaling and leaves the singular values
+        # alone, so fourier factors the real rows dirac does
         theta = canonical_dual(stage_kernel).theta
-        factors.append(StageFactorization(weighted_analysis_matrix(theta)))
+        factors.append(StageFactorization(np.sqrt(theta.grid.weights)[:, None] * theta.rows))
     index, constant, _ = _bessel_search(factors, ClassifyThresholds())
     if index is None:
         return DualBesselResult(False, -1, math.inf)

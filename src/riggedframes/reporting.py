@@ -7,6 +7,7 @@ output (timing aside) and golden-file comparison is exact.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -411,9 +412,15 @@ def emit(report, output_format="json"):
 
 
 def write_report(report, path, output_format="json"):
-    """Atomic write: serialize to a sibling temp file, then rename over."""
+    """Atomic write: serialize to a sibling temp file, then rename over.
+    On an OSError the temp file is removed and the error re-raised."""
     payload = emit(report, output_format)
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise

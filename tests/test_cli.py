@@ -103,6 +103,26 @@ class TestConfig:
         assert "error: output.path:" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == [config.name]
 
+    def test_output_naming_a_directory_is_an_output_error(self, tmp_path, capsys):
+        from riggedframes import cli
+
+        config = write_config(tmp_path, dict(DIRAC_CONFIG, ladder={"n_max": 8}))
+        outdir = tmp_path / "outdir"
+        outdir.mkdir()
+        assert cli.main(["bounds", "--config", str(config), "--output", str(outdir)]) == 2
+        assert "error: output:" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([config.name, "outdir"])
+        assert list(outdir.iterdir()) == []
+
+    def test_output_in_a_missing_directory_is_an_output_error(self, tmp_path, capsys):
+        from riggedframes import cli
+
+        config = write_config(tmp_path, dict(DIRAC_CONFIG, ladder={"n_max": 8}))
+        target = tmp_path / "missing" / "report.json"
+        assert cli.main(["bounds", "--config", str(config), "--output", str(target)]) == 2
+        assert "error: output:" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [config.name]
+
 
 class TestRun:
     def test_classify_dirac_labels(self, tmp_path):

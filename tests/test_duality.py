@@ -103,6 +103,13 @@ class TestVerifyDuality:
         with pytest.raises(InvalidConfigError):
             verify_duality(pair, trials=0)
 
+    def test_pair_holds_an_explicit_theta_or_an_inverse(self):
+        pair = canonical_dual(make_kernel(dirac_map(), 8))
+        with pytest.raises(InvalidConfigError):
+            DualPair(pair.omega, None, 0.0)
+        with pytest.raises(InvalidConfigError):
+            DualPair(pair.omega, pair.theta, 0.0, inverse=pair.inverse)
+
 
 class TestDualBounds:
     def test_dirac(self):
@@ -385,3 +392,27 @@ class TestThetaOperator:
         monkeypatch.setattr(np.linalg, "cholesky", failing)
         with pytest.raises(NumericError, match="Cholesky"):
             canonical_dual(make_kernel(dirac_map(), 16))
+
+
+@pytest.mark.parametrize("spec", [weighted_dirac_map("2+sin(x)"), fourier_map()])
+def test_dual_requests_allocate_less_than_the_kernel(spec):
+    """canonical_dual keeps the inverse X and theta is applied as
+    rows @ (X @ block): neither building the pair nor verifying it nor either
+    reconstruction order forms a second kernel-sized matrix."""
+    import tracemalloc
+
+    kernel = make_kernel(spec, 256)
+    assert kernel.rows.dtype == np.float64
+    pair = canonical_dual(kernel)
+    rng = np.random.default_rng(SEED)
+    functions = [random_test_function(256, rng) for _ in range(20)]
+    for call in (lambda: canonical_dual(kernel), lambda: verify_duality(pair, 20, SEED),
+                 lambda: reconstruct(pair, functions),
+                 lambda: reconstruct(pair, functions, swap_roles=True)):
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < kernel.rows.nbytes

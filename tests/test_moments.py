@@ -298,6 +298,13 @@ class TestDualBessel:
         result = dual_bessel_check(canonical_dual(make_kernel(spec, 32)), ladder)
         assert (result.seminorm_index, result.constant) == (bounded[0], series[bounded[0]][-1])
 
+    def test_fourier_equals_dirac_to_the_bit(self):
+        """fourier's dual rows are dirac's; its column phase leaves every
+        singular value alone and is not factored."""
+        fourier = dual_bessel_check(canonical_dual(make_kernel(fourier_map(), 128)))
+        dirac = dual_bessel_check(canonical_dual(make_kernel(dirac_map(), 128)))
+        assert fourier == dirac
+
     def test_single_stage_certifies_nothing(self):
         pair = canonical_dual(make_kernel(dirac_map(), 16))
         result = dual_bessel_check(pair, ladder=RefinementLadder((default_stage(16),)))
