@@ -136,12 +136,7 @@ def canonical_dual(kernel, trials=20, seed=DEFAULT_SEED):
     op = frame_operator(kernel)
     values, vectors = hermitian_eigenpairs(op.gram)
     lam_min, lam_max = float(values[0]), float(values[-1])
-    if lam_max <= 0.0 or lam_min <= INVERSION_CUTOFF * lam_max:
-        raise NotAFrameError(
-            f"frame operator singular at cutoff {INVERSION_CUTOFF:g}: "
-            f"lambda_min={lam_min:.3e}, lambda_max={lam_max:.3e}",
-            lam_min,
-        )
+    _require_frame(lam_min, lam_max)
     inverse = (vectors / values[None, :]) @ vectors.conj().T
     try:
         factor = np.linalg.cholesky(op.gram)
@@ -154,6 +149,16 @@ def canonical_dual(kernel, trials=20, seed=DEFAULT_SEED):
     pair = DualPair(kernel, None, 0.0, inverse=inverse)
     defect = verify_duality(pair, trials, seed)
     return DualPair(kernel, None, defect, (lam_min, lam_max), theta_operator, inverse=inverse)
+
+
+def _require_frame(lam_min, lam_max):
+    """NotAFrameError unless lambda_min > INVERSION_CUTOFF * lambda_max > 0."""
+    if lam_max <= 0.0 or lam_min <= INVERSION_CUTOFF * lam_max:
+        raise NotAFrameError(
+            f"frame operator singular at cutoff {INVERSION_CUTOFF:g}: "
+            f"lambda_min={lam_min:.3e}, lambda_max={lam_max:.3e}",
+            lam_min,
+        )
 
 
 def verify_duality(pair, trials, seed=DEFAULT_SEED):
@@ -314,23 +319,20 @@ def riesz_check(kernel, ladder=None, thresholds=ClassifyThresholds()):
     The singular-value interval of the weighted kernel certifies the
     synthesis map as bounded with bounded inverse at the truncated level.
     """
-    if kernel.map_spec is None or kernel.map_spec.kind == "custom":
-        raise InvalidConfigError(
-            "riesz_check classifies along a ladder and needs a resamplable map spec"
-        )
-    if ladder is None:
-        ladder = _ladder_up_to(kernel.truncation)
+    ladder = _walkable_ladder(kernel, ladder, "riesz_check")
     report = classify(kernel.map_spec, ladder, thresholds)
-    factor = StageFactorization(weighted_analysis_matrix(kernel))
+    # real rows: fourier's column phase changes no singular value
+    factor = StageFactorization(np.sqrt(kernel.grid.weights)[:, None] * kernel.rows)
     flag = report.has("frame") and report.has("mu_independent")
     return RieszResult(bool(flag), factor.sigma_min, factor.sigma_max, report)
 
 
-def _ladder_up_to(truncation):
-    n_max = 8
-    while n_max * 2 <= max(truncation, 8):
-        n_max *= 2
-    return default_ladder(n_max)
+def _walkable_ladder(kernel, ladder, check):
+    """``ladder``, or the doubling one to 8 * 2^j <= N; needs a resamplable spec."""
+    if kernel.map_spec is None or kernel.map_spec.kind == "custom":
+        raise InvalidConfigError(f"{check} walks a ladder and needs a resamplable map spec")
+    n_max = 8 << ((max(kernel.truncation, 8) // 8).bit_length() - 1)
+    return default_ladder(n_max) if ladder is None else ladder
 
 
 @dataclass(frozen=True)
@@ -350,12 +352,7 @@ def dual_semiframe_check(pair, ladder=None, thresholds=ClassifyThresholds()):
     at every ladder stage.
     """
     kernel = pair.omega
-    if kernel.map_spec is None or kernel.map_spec.kind == "custom":
-        raise InvalidConfigError(
-            "dual_semiframe_check needs a resamplable map spec to walk the ladder"
-        )
-    if ladder is None:
-        ladder = _ladder_up_to(kernel.truncation)
+    ladder = _walkable_ladder(kernel, ladder, "dual_semiframe_check")
     report = classify(kernel.map_spec, ladder, thresholds)
     if report.upper_trend != "bounded" or not report.has("total"):
         raise InvalidConfigError(

@@ -283,7 +283,12 @@ def _csv_header(truncation):
 
 
 def load_custom_kernel(path, grid, truncation):
-    """Load an M x N complex kernel from CSV and validate it against the grid."""
+    """Load an M x N complex kernel from CSV and validate it against the grid.
+
+    The data rows are parsed straight from the file opened binary, with no
+    copy of its text.  np.loadtxt skips blank lines, so the lines are counted
+    first in a streaming pass and a count that differs from the rows parsed
+    sends the file to the rescan, which names the offending row."""
     with open(path, newline="") as fh:
         first = fh.readline()
         if not first:
@@ -293,17 +298,22 @@ def load_custom_kernel(path, grid, truncation):
             raise InvalidConfigError(
                 f"{path}: header does not match {truncation} re/im column pairs"
             )
-        lines = fh.read().splitlines()
-    cells = None
-    if lines:
-        try:
-            cells = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            pass
-    if cells is None or cells.shape != (len(lines), 2 * truncation):
+        # the header is read as text, whose line ends include a lone \r
+        start = len(first.encode(fh.encoding))
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        count = sum(1 for _ in fh)
+        fh.seek(start)
+        cells = None
+        if count:
+            try:
+                cells = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            except ValueError:
+                pass
+    if cells is None or cells.shape != (count, 2 * truncation):
         # the fast parse failed or skipped lines: rescan cell by cell, which
         # names the first offending row and column
-        cells = _scan_cells(path, lines, truncation)
+        cells = _scan_cells(path, truncation)
     if cells.shape[0] != grid.node_count:
         raise InvalidConfigError(
             f"{path}: {cells.shape[0]} data rows but the grid has {grid.node_count} nodes"
@@ -313,7 +323,10 @@ def load_custom_kernel(path, grid, truncation):
     return KernelMatrix(entries, grid, custom_map(path))
 
 
-def _scan_cells(path, lines, truncation):
+def _scan_cells(path, truncation):
+    with open(path, newline="") as fh:
+        fh.readline()
+        lines = fh.read().splitlines()
     rows = []
     for i, row in enumerate(csv.reader(lines)):
         if len(row) != 2 * truncation:

@@ -21,17 +21,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duality import _coarse_resample, _ladder_up_to, canonical_dual
+from .duality import _coarse_resample, _require_frame, _walkable_ladder
 from .errors import InvalidConfigError
 from .hermite import TestFunction
-from .kernels import sample_kernel
 from .operators import (
     ClassifyThresholds,
     StageFactorization,
     _bessel_search,
+    _ladder_walk,
     weighted_analysis_matrix,
 )
-from .quadrature import l2x_norm, stage_grid
+from .quadrature import l2x_norm
 
 __all__ = [
     "MomentSolution",
@@ -209,14 +209,14 @@ def dual_bessel_check(pair, ladder=None):
     """A dual of a moment-solvable map is itself norm-bounded by a seminorm.
 
     Precondition (config error if unmet): the original map solves every
-    coarse-grid panel probe, rf score 1.  The check then walks the ladder,
-    builds canonical duals per stage, and certifies the smallest seminorm
-    index up to the classifier's default ``bessel_k_max`` whose analysis
-    constant is bounded by the classifier's default trend rule.
+    coarse-grid panel probe, rf score 1.  It walks the ladder as classify does
+    and reads each stage's canonical dual off omega's R (S = R^T R, so sqrt(W)
+    Theta = Q R^-T; NotAFrameError for a singular S), certifying the smallest
+    seminorm index up to the classifier's default ``bessel_k_max`` whose
+    constant, the top singular value of R^-T D_k, is bounded by its trend rule.
     """
     kernel = pair.omega
-    if kernel.map_spec is None or kernel.map_spec.kind == "custom":
-        raise InvalidConfigError("dual_bessel_check needs a resamplable map spec")
+    ladder = _walkable_ladder(kernel, ladder, "dual_bessel_check")
     coarse = _coarse_resample(kernel)
     score, worst = rf_diagnostic(coarse, coarse.grid.panels)
     if score < 1.0:
@@ -224,16 +224,12 @@ def dual_bessel_check(pair, ladder=None):
             f"moment-solvability precondition unmet: rf score {score:.3f}, "
             f"worst residual {worst:.3e}"
         )
-    if ladder is None:
-        ladder = _ladder_up_to(kernel.truncation)
     factors = []
-    for stage in ladder.stages:
-        stage_kernel = sample_kernel(kernel.map_spec, stage_grid(stage), stage.truncation)
-        # theta's rows without its column phase: the unit-modulus phase
-        # commutes with every column scaling and leaves the singular values
-        # alone, so fourier factors the real rows dirac does
-        theta = canonical_dual(stage_kernel).theta
-        factors.append(StageFactorization(np.sqrt(theta.grid.weights)[:, None] * theta.rows))
+    for _, factor in _ladder_walk(kernel.map_spec, ladder):
+        _require_frame(factor.sigma_min**2, factor.sigma_max**2)
+        # the N x N QR of R^-T is theta's factor; fourier's column phase
+        # commutes with every D_k, so fourier reads the real R dirac does
+        factors.append(StageFactorization(np.linalg.inv(factor.r).T))
     index, constant, _ = _bessel_search(factors, ClassifyThresholds())
     if index is None:
         return DualBesselResult(False, -1, math.inf)

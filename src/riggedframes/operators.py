@@ -9,11 +9,11 @@ weights) and Omega the kernel matrix:
 
 Frame bounds at truncation N are the extreme eigenvalues of S, equivalently
 the squared extreme singular values of the weighted kernel sqrt(W) Omega.
-A classify stage samples once, factors once (a thin QR of the ~15N x N
-weighted kernel to its N x N factor R; Chan, ACM TOMS 8, 1982) and reads
-every diagnostic off R: bounds and totality from its singular values, the
-p_k Bessel constant from those of R D_k, formed after the walk only up to
-the first k whose series is bounded (k = 0 is sigma_max: no damped SVD).
+One ladder walk, shared by classify and dual_bessel_check, samples and
+factors each stage once (a thin QR of the ~15N x N weighted real rows to R;
+Chan, ACM TOMS 8, 1982).  Bounds and totality are R's singular values; the
+p_k Bessel constant is the top one of R D_k (R^-T D_k for the dual), formed
+after the walk up to the first bounded k (k = 0 is sigma_max: no damped SVD).
 Continuum statements (bounded versus growing bounds, totality) are read off
 trends along a refinement ladder; a single stage can never decide them.
 
@@ -369,7 +369,7 @@ def bessel_seminorm_constant(kernel, k):
     """Smallest C with l2x_norm(analysis(f)) <= C * p_k(f) at this truncation."""
     if k < 0:
         raise ValueError(f"seminorm index must be nonnegative, got {k}")
-    return StageFactorization(weighted_analysis_matrix(kernel)).bessel_constant(k)
+    return StageFactorization(np.sqrt(kernel.grid.weights)[:, None] * kernel.rows).bessel_constant(k)
 
 
 @dataclass(frozen=True)
@@ -484,6 +484,17 @@ def _bessel_search(factors, thresholds):
     return None, None, series
 
 
+def _ladder_walk(map_spec, ladder):
+    """Yield (stage, StageFactorization of its weighted real rows) per stage.  A
+    generator frees a stage's rows as a plain loop does, after the next stage's
+    are sampled: freeing them earlier, on a helper's return, raised peak RSS."""
+    for stage in ladder.stages:
+        grid = stage_grid(stage)
+        rows = _real_rows(map_spec, grid.nodes, stage.truncation)
+        rows *= np.sqrt(grid.weights)[:, None]
+        yield stage, StageFactorization(rows)
+
+
 def classify(map_spec, ladder, thresholds=ClassifyThresholds()):
     """Run the full diagnostic ladder and assemble taxonomy labels.
 
@@ -496,13 +507,9 @@ def classify(map_spec, ladder, thresholds=ClassifyThresholds()):
             "the stage-level diagnostics directly"
         )
     stages, factors = [], []
-    for stage in ladder.stages:
+    for stage, factor in _ladder_walk(map_spec, ladder):
         coarse = coarse_synthesis_grid(stage.truncation)
         _check_coarse(coarse.node_count, stage.truncation)
-        grid = stage_grid(stage)
-        rows = _real_rows(map_spec, grid.nodes, stage.truncation)
-        rows *= np.sqrt(grid.weights)[:, None]
-        factor = StageFactorization(rows)
         coarse_rows = _real_rows(map_spec, coarse.nodes, stage.truncation)
         coarse_rows *= np.sqrt(coarse.weights)[:, None]
         coarse_svals = np.linalg.svd(coarse_rows, compute_uv=False)
@@ -510,7 +517,7 @@ def classify(map_spec, ladder, thresholds=ClassifyThresholds()):
             StageDiagnostics(
                 truncation=stage.truncation,
                 half_width=stage.half_width,
-                node_count=grid.node_count,
+                node_count=stage.node_count,
                 lower=factor.sigma_min**2,
                 upper=factor.sigma_max**2,
                 sigma_min=factor.sigma_min,

@@ -216,6 +216,14 @@ class TestRiesz:
         assert not result.riesz
         assert not result.report.has("frame")
 
+    @pytest.mark.parametrize("truncation", [32, 64])
+    def test_fourier_sigma_equals_dirac_to_the_bit(self, truncation):
+        """fourier factors the real rows dirac does: its unit-modulus column
+        phase moves no singular value and is not factored."""
+        fourier = riesz_check(make_kernel(fourier_map(), truncation))
+        dirac = riesz_check(make_kernel(dirac_map(), truncation))
+        assert (fourier.sigma_min, fourier.sigma_max) == (dirac.sigma_min, dirac.sigma_max)
+
 
 class TestDualSemiframe:
     def test_dirac(self):

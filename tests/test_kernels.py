@@ -185,6 +185,43 @@ class TestCustomKernelCsv:
         with pytest.raises(InvalidConfigError, match=r"row 1 has 8 cells, expected 6"):
             load_custom_kernel(wide, grid, 3)
 
+    def test_interior_blank_line_reports_row(self, tmp_path, grid):
+        kernel = sample_kernel(dirac_map(), grid, 3)
+        path = tmp_path / "kernel.csv"
+        save_kernel_csv(kernel, path)
+        lines = path.read_text().splitlines()
+        lines.insert(3, "")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidConfigError, match=r"row 3 has 0 cells, expected 6"):
+            load_custom_kernel(path, grid, 3)
+
+    def test_header_only_file_is_refused_without_a_warning(self, tmp_path, grid):
+        import warnings
+
+        path = tmp_path / "kernel.csv"
+        path.write_text(",".join(f"{p}{n}" for n in range(3) for p in ("re", "im")) + "\r\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidConfigError, match="0 data rows"):
+                load_custom_kernel(path, grid, 3)
+
+    def test_load_keeps_no_copy_of_the_file_text(self, tmp_path):
+        """The load peaks below twice the parsed cells' bytes; reading the text
+        into memory and parsing that took three times."""
+        import tracemalloc
+
+        grid = stage_grid(default_stage(64))
+        path = tmp_path / "kernel.csv"
+        save_kernel_csv(sample_kernel(weighted_dirac_map("2+sin(x)"), grid, 64), path)
+        cells_bytes = grid.node_count * 2 * 64 * 8
+        tracemalloc.start()
+        try:
+            load_custom_kernel(path, grid, 64)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * cells_bytes
+
 
 class TestKernelStorage:
     def test_real_whenever_the_entries_are(self, tmp_path, grid):

@@ -282,21 +282,59 @@ class TestDualBessel:
         # dual analysis is bounded by the reciprocal lower weight
         assert result.constant <= 1.0 + 1e-8
 
-    @pytest.mark.parametrize("spec", [dirac_map(), weighted_dirac_map("2+sin(x)")])
+    @pytest.mark.parametrize(
+        "spec",
+        [dirac_map(), weighted_dirac_map("2+sin(x)"), fourier_map(), weighted_dirac_map("1+x^2"),
+         dirac_derivative_map()],
+    )
     def test_matches_eager_reference(self, spec):
-        """Same (index, constant) as forming every seminorm index's series of
-        dual constants and picking the first bounded one."""
-        ladder = default_ladder(32)
+        """Same index as forming every seminorm index's series of constants of
+        a per-stage canonical dual and picking the first bounded one, and the
+        same constant to 1e-14 + 1e-15 cond(S) relative, cond(S) of the last
+        stage's frame operator."""
         thresholds = ClassifyThresholds()
-        series = {k: [] for k in range(thresholds.bessel_k_max + 1)}
-        for stage in ladder.stages:
-            theta = canonical_dual(sample_kernel(spec, stage_grid(stage), stage.truncation)).theta
-            factor = StageFactorization(weighted_analysis_matrix(theta))
-            for k in series:
-                series[k].append(factor.bessel_constant(k))
-        bounded = [k for k, v in series.items() if _series_trend(v, thresholds, 0.0) == "bounded"]
-        result = dual_bessel_check(canonical_dual(make_kernel(spec, 32)), ladder)
-        assert (result.seminorm_index, result.constant) == (bounded[0], series[bounded[0]][-1])
+        for n_max in (32, 128):
+            ladder = default_ladder(n_max)
+            series = {k: [] for k in range(thresholds.bessel_k_max + 1)}
+            for stage in ladder.stages:
+                pair = canonical_dual(sample_kernel(spec, stage_grid(stage), stage.truncation))
+                factor = StageFactorization(weighted_analysis_matrix(pair.theta))
+                for k in series:
+                    series[k].append(factor.bessel_constant(k))
+            lower, upper = pair.omega_bounds
+            bounded = [k for k, v in series.items() if _series_trend(v, thresholds, 0.0) == "bounded"]
+            result = dual_bessel_check(canonical_dual(make_kernel(spec, n_max)), ladder)
+            # dirac_derivative's dual series are bounded for no k <= bessel_k_max
+            assert result.seminorm_index == (bounded[0] if bounded else -1)
+            if bounded:
+                expected = series[bounded[0]][-1]
+                tol = 1e-14 + 1e-15 * upper / lower
+                assert abs(result.constant - expected) <= tol * expected
+
+    def test_reads_the_dual_off_the_walk_factor(self, monkeypatch):
+        """No eigh and no Cholesky, and one QR with more rows than columns per
+        stage: the dual is read off R, not built as a canonical dual.  (The
+        grids' Gauss-Legendre nodes come from eigvalsh, which is allowed.)"""
+        pair = canonical_dual(make_kernel(weighted_dirac_map("2+sin(x)"), 64))
+        ladder = default_ladder(64)
+        shapes = []
+        qr = np.linalg.qr
+
+        def recording_qr(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return qr(a, *args, **kwargs)
+
+        def refused(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"dual_bessel_check called {name}")
+
+            return call
+
+        monkeypatch.setattr(np.linalg, "qr", recording_qr)
+        for name in ("eigh", "cholesky"):
+            monkeypatch.setattr(np.linalg, name, refused(name))
+        assert dual_bessel_check(pair, ladder).bessel
+        assert len([s for s in shapes if s[0] > s[1]]) == len(ladder.stages)
 
     def test_fourier_equals_dirac_to_the_bit(self):
         """fourier's dual rows are dirac's; its column phase leaves every
