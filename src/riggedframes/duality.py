@@ -49,10 +49,10 @@ from .operators import (
     FrameOperatorMatrix,
     StageFactorization,
     _analyze,
+    _coarse_kernel,
     _hermitian_gram,
     _synthesize,
     classify,
-    coarse_synthesis_grid,
     frame_bounds,
     frame_operator,
     hermitian_eigenpairs,
@@ -142,9 +142,7 @@ def canonical_dual(kernel, trials=20, seed=DEFAULT_SEED):
         factor = np.linalg.cholesky(op.gram)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"frame operator has no Cholesky factor: {exc}") from exc
-    theta_operator = FrameOperatorMatrix(
-        _hermitian_gram(factor.conj().T @ inverse), f"dual of {op.provenance}", phase=kernel.phase
-    )
+    theta_operator = FrameOperatorMatrix(_hermitian_gram(factor.conj().T @ inverse), phase=kernel.phase)
     inverse.setflags(write=False)
     pair = DualPair(kernel, None, 0.0, inverse=inverse)
     defect = verify_duality(pair, trials, seed)
@@ -265,20 +263,6 @@ class GelfandResult:
         return self.gelfand
 
 
-def _coarse_resample(kernel):
-    """Kernel on the coarse bulk grid (node count <= truncation)."""
-    if kernel.map_spec is not None and kernel.map_spec.kind != "custom":
-        return sample_kernel(
-            kernel.map_spec, coarse_synthesis_grid(kernel.truncation), kernel.truncation
-        )
-    if kernel.node_count <= kernel.truncation:
-        return kernel
-    raise InvalidConfigError(
-        "kernel has more nodes than coefficients and no resamplable map spec; "
-        "supply a coarse kernel for the synthesis-side diagnostics"
-    )
-
-
 def gelfand_check(kernel, threshold=1e-6):
     """Gel'fand basis test: Parseval and mu-independent.
 
@@ -288,7 +272,7 @@ def gelfand_check(kernel, threshold=1e-6):
     products of distribution rows, not the continuum isometry itself.
     """
     parseval, parseval_defect = parseval_check(kernel)
-    coarse = _coarse_resample(kernel)
+    coarse = _coarse_kernel(kernel.map_spec, kernel.truncation, kernel)
     mu = mu_independence_test(coarse, threshold)
     weighted = weighted_analysis_matrix(coarse)
     gram = weighted @ weighted.conj().T

@@ -200,14 +200,6 @@ class KernelMatrix:
     def truncation(self):
         return self.rows.shape[1]
 
-    @property
-    def fingerprint(self):
-        label = self.map_spec.describe() if self.map_spec is not None else "unspecified"
-        return (
-            f"{label}|N={self.truncation}|L={self.grid.half_width:.12g}"
-            f"|panels={self.grid.panels}|order={self.grid.order}"
-        )
-
 
 def sample_kernel(spec, grid, truncation):
     """Sample a built-in map on a grid at the given truncation."""
@@ -286,9 +278,10 @@ def load_custom_kernel(path, grid, truncation):
     """Load an M x N complex kernel from CSV and validate it against the grid.
 
     The data rows are parsed straight from the file opened binary, with no
-    copy of its text.  np.loadtxt skips blank lines, so the lines are counted
-    first in a streaming pass and a count that differs from the rows parsed
-    sends the file to the rescan, which names the offending row."""
+    copy of its text.  np.loadtxt skips blank lines (and warns on a file of
+    nothing else), so the lines are counted first in a streaming pass: a
+    blank line, or a count that differs from the rows parsed, sends the file
+    to the rescan, which names the offending row."""
     with open(path, newline="") as fh:
         first = fh.readline()
         if not first:
@@ -302,15 +295,15 @@ def load_custom_kernel(path, grid, truncation):
         start = len(first.encode(fh.encoding))
     with open(path, "rb") as fh:
         fh.seek(start)
-        count = sum(1 for _ in fh)
+        blank = [line.isspace() for line in fh]
         fh.seek(start)
         cells = None
-        if count:
+        if blank and not any(blank):
             try:
                 cells = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
             except ValueError:
                 pass
-    if cells is None or cells.shape != (count, 2 * truncation):
+    if cells is None or cells.shape != (len(blank), 2 * truncation):
         # the fast parse failed or skipped lines: rescan cell by cell, which
         # names the first offending row and column
         cells = _scan_cells(path, truncation)

@@ -21,13 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duality import _coarse_resample, _require_frame, _walkable_ladder
+from .duality import _require_frame, _walkable_ladder
 from .errors import InvalidConfigError
 from .hermite import TestFunction
 from .operators import (
     ClassifyThresholds,
     StageFactorization,
     _bessel_search,
+    _coarse_kernel,
     _ladder_walk,
     weighted_analysis_matrix,
 )
@@ -216,8 +217,8 @@ def dual_bessel_check(pair, ladder=None):
     constant, the top singular value of R^-T D_k, is bounded by its trend rule.
     """
     kernel = pair.omega
+    coarse = _coarse_kernel(kernel.map_spec, kernel.truncation, kernel)
     ladder = _walkable_ladder(kernel, ladder, "dual_bessel_check")
-    coarse = _coarse_resample(kernel)
     score, worst = rf_diagnostic(coarse, coarse.grid.panels)
     if score < 1.0:
         raise InvalidConfigError(

@@ -14,6 +14,11 @@ factors each stage once (a thin QR of the ~15N x N weighted real rows to R;
 Chan, ACM TOMS 8, 1982).  Bounds and totality are R's singular values; the
 p_k Bessel constant is the top one of R D_k (R^-T D_k for the dual), formed
 after the walk up to the first bounded k (k = 0 is sigma_max: no damped SVD).
+The synthesis side (mu-independence, moment solves, the Gel'fand isometry
+defect) reads one coarse kernel per call, from _coarse_kernel: a built-in map
+sampled on the bulk grid coarse_synthesis_grid(N), or a given kernel, with
+node count <= N either way.  mu_independence_test is the one mu rule, on the
+weighted real rows; classify calls it per stage.
 Continuum statements (bounded versus growing bounds, totality) are read off
 trends along a refinement ladder; a single stage can never decide them.
 
@@ -39,7 +44,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidConfigError, NumericError
 from .hermite import DistributionSample, TestFunction
-from .kernels import _real_rows, sample_kernel  # noqa: F401 (bench/ patches this name)
+from .kernels import _real_rows, sample_kernel
 from .quadrature import build_grid, bulk_half_width, stage_grid
 
 __all__ = [
@@ -145,7 +150,6 @@ class FrameOperatorMatrix:
     """
 
     gram: np.ndarray
-    provenance: str
     phase: np.ndarray = field(default=None, kw_only=True)
 
     def __post_init__(self):
@@ -194,7 +198,7 @@ def frame_operator(kernel):
         gram += a.T @ a
     if len(parts) == 2:
         gram = _hermitian_from_stacked(gram)
-    return FrameOperatorMatrix(gram, kernel.fingerprint, phase=kernel.phase)
+    return FrameOperatorMatrix(gram, phase=kernel.phase)
 
 
 def _hermitian_from_stacked(gram):
@@ -342,16 +346,21 @@ def mu_independence_test(kernel, threshold=1e-6):
     discretized synthesis map always has a null space, which is an artifact
     of discretization rather than a property of the map.  The witness, when
     dependence is found, is a near-null grid function of unit L2(X) norm.
+
+    The weighted real rows are factored (a column phase changes neither the
+    singular values nor the left singular vectors), values only, and again
+    with U only when the map is dependent, as totality_test does.
     """
     if threshold <= 0:
         raise InvalidConfigError(f"threshold must be positive, got {threshold}")
     _check_coarse(kernel.node_count, kernel.truncation)
-    weighted = weighted_analysis_matrix(kernel)
-    u, svals, _ = np.linalg.svd(weighted, full_matrices=False)
+    weighted = np.sqrt(kernel.grid.weights)[:, None] * kernel.rows
+    svals = np.linalg.svd(weighted, compute_uv=False)
     sigma_max = float(svals[0])
     sigma_min = float(svals[-1])
     if _full_rank(sigma_min, sigma_max, threshold):
         return MuIndependenceResult(True, sigma_min, sigma_max)
+    u = np.linalg.svd(weighted, full_matrices=False)[0]
     scaled = u[:, -1] / np.sqrt(kernel.grid.weights)
     return MuIndependenceResult(False, sigma_min, sigma_max, scaled)
 
@@ -359,10 +368,20 @@ def mu_independence_test(kernel, threshold=1e-6):
 def _check_coarse(node_count, truncation):
     if node_count > truncation:
         raise InvalidConfigError(
-            f"mu-independence test needs node count <= truncation, got "
-            f"{node_count} nodes > {truncation}; sample the map "
-            f"on coarse_synthesis_grid(truncation) instead"
+            f"synthesis-side diagnostics need node count <= truncation, got "
+            f"{node_count} nodes > {truncation}: with more nodes than coefficients "
+            f"the discretized synthesis map always has a null space"
         )
+
+
+def _coarse_kernel(map_spec, truncation, kernel=None):
+    """The kernel every synthesis-side diagnostic reads: a built-in map
+    sampled on coarse_synthesis_grid(truncation), or else ``kernel`` as it
+    is.  Either must have node count <= truncation (InvalidConfigError)."""
+    if map_spec is not None and map_spec.kind != "custom":
+        kernel = sample_kernel(map_spec, coarse_synthesis_grid(truncation), truncation)
+    _check_coarse(kernel.node_count, truncation)
+    return kernel
 
 
 def bessel_seminorm_constant(kernel, k):
@@ -508,11 +527,7 @@ def classify(map_spec, ladder, thresholds=ClassifyThresholds()):
         )
     stages, factors = [], []
     for stage, factor in _ladder_walk(map_spec, ladder):
-        coarse = coarse_synthesis_grid(stage.truncation)
-        _check_coarse(coarse.node_count, stage.truncation)
-        coarse_rows = _real_rows(map_spec, coarse.nodes, stage.truncation)
-        coarse_rows *= np.sqrt(coarse.weights)[:, None]
-        coarse_svals = np.linalg.svd(coarse_rows, compute_uv=False)
+        coarse = _coarse_kernel(map_spec, stage.truncation)
         stages.append(
             StageDiagnostics(
                 truncation=stage.truncation,
@@ -523,7 +538,7 @@ def classify(map_spec, ladder, thresholds=ClassifyThresholds()):
                 sigma_min=factor.sigma_min,
                 sigma_max=factor.sigma_max,
                 total=_full_rank(factor.sigma_min, factor.sigma_max, thresholds.rank),
-                mu_independent=_full_rank(coarse_svals[-1], coarse_svals[0], thresholds.rank),
+                mu_independent=mu_independence_test(coarse, thresholds.rank).mu_independent,
             )
         )
         factors.append(factor)

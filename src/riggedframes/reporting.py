@@ -22,7 +22,7 @@ from .errors import InvalidConfigError, NotAFrameError, WeightSyntaxError
 from .hermite import random_test_function
 from .kernels import MapSpec, sample_kernel
 from .moments import rf_diagnostic
-from .operators import ClassifyThresholds, classify, coarse_synthesis_grid
+from .operators import ClassifyThresholds, _coarse_kernel, classify
 from .quadrature import (
     LadderStage,
     RefinementLadder,
@@ -298,17 +298,9 @@ def _dual_section(config, round_trip=False):
 
 
 def _moment_section(config):
-    stage = config.ladder.final_stage
-    if config.map_spec.kind == "custom":
-        kernel = _final_kernel(config)
-        if kernel.node_count > kernel.truncation:
-            raise InvalidConfigError(
-                "moment-solve on a custom kernel needs node count <= truncation"
-            )
-    else:
-        kernel = sample_kernel(
-            config.map_spec, coarse_synthesis_grid(stage.truncation), stage.truncation
-        )
+    spec = config.map_spec
+    custom = _final_kernel(config) if spec.kind == "custom" else None
+    kernel = _coarse_kernel(spec, config.ladder.final_stage.truncation, custom)
     score, worst = rf_diagnostic(kernel, kernel.grid.panels)
     return {"score": score, "worst_residual": worst}
 

@@ -7,6 +7,7 @@ import pytest
 
 from riggedframes import InvalidConfigError
 from riggedframes.reporting import (
+    COMMANDS,
     ReportDocument,
     config_from_dict,
     config_with_overrides,
@@ -168,10 +169,25 @@ class TestRun:
         report = run("sweep", config)
         assert report.dual is None
 
-    def test_determinism_modulo_timing(self, tmp_path):
+    def test_moment_solve_refuses_more_coarse_nodes_than_coefficients(self, tmp_path, capsys):
+        """At N = 2 the coarse grid has 4 nodes: classify refuses that stage,
+        and so does moment-solve, with the same message."""
+        from riggedframes import cli
+
+        path = write_config(tmp_path, DIRAC_CONFIG)
+        config = config_with_overrides(load_config(path), stages=[2])
+        with pytest.raises(InvalidConfigError, match="4 nodes > 2"):
+            run("moment-solve", config)
+        with pytest.raises(InvalidConfigError, match="4 nodes > 2"):
+            run("classify", config)
+        assert cli.main(["moment-solve", "--config", str(path), "--stages", "2"]) == 2
+        assert "4 nodes > 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [c for c in COMMANDS if c != "demo"])
+    def test_determinism_modulo_timing(self, tmp_path, command):
         config = load_config(write_config(tmp_path, DIRAC_CONFIG))
-        a = json.loads(emit(run("classify", config)).decode())
-        b = json.loads(emit(run("classify", config)).decode())
+        a = json.loads(emit(run(command, config)).decode())
+        b = json.loads(emit(run(command, config)).decode())
         a.pop("timing"), b.pop("timing")
         assert a == b
 
@@ -351,3 +367,29 @@ def test_fourier_dual_runs_no_complex_eigendecomposition(monkeypatch, tmp_path):
     report = run("dual", load_config(write_config(tmp_path, data)))
     assert seen and all(dtype == np.float64 for _, dtype in seen)
     assert abs(report.dual["A_theta"] - 1.0) <= 1e-8 and abs(report.dual["B_theta"] - 1.0) <= 1e-8
+
+
+def test_report_bodies_tool(tmp_path):
+    """tools/report_bodies.py writes every report body without timing or
+    temporary paths, the same bytes on every run."""
+    import importlib.util
+    import tempfile
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "tools" / "report_bodies.py"
+    spec = importlib.util.spec_from_file_location("report_bodies", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    outs = [tmp_path / "a.json", tmp_path / "b.json"]
+    for out in outs:
+        assert tool.main([str(out), "16"]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    bodies = json.loads(outs[0].read_text())
+    assert len(bodies) == (len(tool.BUILTIN_MAPS) + len(tool.CUSTOM_KERNELS)) * len(
+        tool.REPORT_COMMANDS
+    )
+    assert tempfile.gettempdir() not in outs[0].read_text()
+    assert bodies["custom-real/N=32/dual"]["config"]["map"]["custom_kernel"].startswith("<tmp>")
+    assert bodies["custom-real/N=32/classify"].startswith("InvalidConfigError: ")
+    assert bodies["bump[-1,1]/n_max=16/dual"].startswith("NotAFrameError: ")
+    assert all("timing" not in body for body in bodies.values() if isinstance(body, dict))

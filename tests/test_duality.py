@@ -200,6 +200,11 @@ class TestGelfand:
         assert not result.gelfand
         assert result.mu_independent and not result.parseval
 
+    def test_spec_less_kernel_with_more_nodes_than_coefficients_rejected(self):
+        kernel = make_kernel(dirac_map(), 8)
+        with pytest.raises(InvalidConfigError, match=r"node count <= truncation, got \d+ nodes > 8"):
+            gelfand_check(KernelMatrix(kernel.rows, kernel.grid))
+
 
 class TestRiesz:
     def test_weighted_with_certificate_interval(self):
@@ -387,7 +392,7 @@ class TestThetaOperator:
 
         pair = canonical_dual(make_kernel(weighted_dirac_map("2+sin(x)"), 64))
         dual_bounds(pair)
-        doubled = FrameOperatorMatrix(2.0 * pair.theta_operator.gram, "doubled")
+        doubled = FrameOperatorMatrix(2.0 * pair.theta_operator.gram)
         with pytest.raises(NumericError, match="escaped"):
             dual_bounds(replace(pair, theta_operator=doubled))
 

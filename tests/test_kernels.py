@@ -205,6 +205,16 @@ class TestCustomKernelCsv:
             with pytest.raises(InvalidConfigError, match="0 data rows"):
                 load_custom_kernel(path, grid, 3)
 
+    def test_all_blank_data_lines_are_refused_without_a_warning(self, tmp_path, grid):
+        import warnings
+
+        path = tmp_path / "kernel.csv"
+        path.write_bytes(b"re0,im0,re1,im1\r\n\r\n\r\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidConfigError, match=r"row 1 has 0 cells, expected 4"):
+                load_custom_kernel(path, grid, 2)
+
     def test_load_keeps_no_copy_of_the_file_text(self, tmp_path):
         """The load peaks below twice the parsed cells' bytes; reading the text
         into memory and parsing that took three times."""

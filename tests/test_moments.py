@@ -349,6 +349,12 @@ class TestDualBessel:
         assert not result.bessel
         assert result.seminorm_index == -1
 
+    def test_spec_less_kernel_with_more_nodes_than_coefficients_rejected(self):
+        kernel = make_kernel(dirac_map(), 8)
+        pair = canonical_dual(KernelMatrix(kernel.rows, kernel.grid))
+        with pytest.raises(InvalidConfigError, match=r"node count <= truncation, got \d+ nodes > 8"):
+            dual_bessel_check(pair)
+
     def test_bump_precondition_rejected(self):
         kernel = make_kernel(bump_dirac_map(-1.0, 1.0), 16)
         pair_like = type("P", (), {"omega": kernel})()

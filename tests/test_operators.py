@@ -168,7 +168,7 @@ class TestEigenpairs:
     def test_identity(self):
         from riggedframes.operators import FrameOperatorMatrix
 
-        op = FrameOperatorMatrix(np.eye(6), "identity")
+        op = FrameOperatorMatrix(np.eye(6))
         values, vectors = hermitian_eigenpairs(op)
         assert values == pytest.approx(np.ones(6))
         assert np.abs(vectors.conj().T @ vectors - np.eye(6)).max() <= 1e-12
@@ -176,7 +176,7 @@ class TestEigenpairs:
     def test_diagonal(self):
         from riggedframes.operators import FrameOperatorMatrix
 
-        op = FrameOperatorMatrix(np.diag(np.arange(1.0, 9.0)), "diag")
+        op = FrameOperatorMatrix(np.diag(np.arange(1.0, 9.0)))
         values, _ = hermitian_eigenpairs(op)
         assert values == pytest.approx(np.arange(1.0, 9.0))
 
@@ -250,6 +250,29 @@ class TestMuIndependence:
         kernel = make_kernel(dirac_map(), 8)
         with pytest.raises(InvalidConfigError):
             mu_independence_test(kernel)
+
+    @pytest.mark.parametrize("truncation", [32, 64])
+    def test_fourier_equals_dirac_to_the_bit(self, truncation):
+        """The real rows are factored; fourier's column phase is not."""
+        grid = coarse_synthesis_grid(truncation)
+        fourier = mu_independence_test(sample_kernel(fourier_map(), grid, truncation))
+        dirac = mu_independence_test(sample_kernel(dirac_map(), grid, truncation))
+        assert fourier == dirac
+
+    @pytest.mark.parametrize("family, with_u", [("dirac", [False]), ("bump[-1,1]", [False, True])])
+    def test_vectors_only_when_dependent(self, monkeypatch, family, with_u):
+        kernel = sample_kernel(BUILTIN_FAMILIES[family], coarse_synthesis_grid(32), 32)
+        computes_uv = []
+        svd = np.linalg.svd
+
+        def recording_svd(a, *args, **kwargs):
+            computes_uv.append(kwargs.get("compute_uv", True))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        result = mu_independence_test(kernel)
+        assert computes_uv == with_u
+        assert result.mu_independent == (len(with_u) == 1)
 
 
 class TestBesselConstant:
@@ -355,6 +378,12 @@ class TestClassify:
         # |c| = 1 rescale realized by a unimodular weight sign flip
         flipped = classify(weighted_dirac_map("-(2+sin(x))"), default_ladder(16), thresholds)
         assert base.labels == flipped.labels
+
+    def test_rank_threshold_must_be_positive(self):
+        """classify reads mu-independence through the public test, which
+        refuses a nonpositive cutoff."""
+        with pytest.raises(InvalidConfigError, match="threshold must be positive"):
+            classify(dirac_map(), default_ladder(16), ClassifyThresholds(rank=0.0))
 
     def test_custom_kind_rejected(self):
         from riggedframes import custom_map

@@ -1,0 +1,89 @@
+"""Write the deterministic bodies of every report command to one JSON file.
+
+    PYTHONPATH=src python tools/report_bodies.py OUT [N_MAX ...]
+
+Runs classify, bounds, dual, reconstruct, moment-solve and sweep on the six
+built-in families at each N_MAX (default 64) on the default ladder, and on a
+real and a complex custom CSV kernel at N = 32 (2+sin(x) and fourier sampled
+on the default stage grid).  Each body is the report as the CLI emits it,
+with ``timing`` and the temporary CSV path dropped; a refused command is
+recorded as ``"ErrorType: message"``.  OUT is written with sorted keys, so
+two checkouts give byte-identical files exactly when their reports agree
+apart from timing:
+
+    cmp before.json after.json
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from riggedframes.errors import InvalidConfigError, NotAFrameError, NumericError
+from riggedframes.kernels import fourier_map, sample_kernel, save_kernel_csv, weighted_dirac_map
+from riggedframes.quadrature import default_stage, stage_grid
+from riggedframes.reporting import COMMANDS, config_from_dict, emit, run
+
+REPORT_COMMANDS = tuple(c for c in COMMANDS if c != "demo")
+BUILTIN_MAPS = {
+    "dirac": {"kind": "dirac"},
+    "fourier": {"kind": "fourier"},
+    "dirac_derivative": {"kind": "dirac_derivative"},
+    "2+sin(x)": {"kind": "weighted_dirac", "weight": "2+sin(x)"},
+    "1+x^2": {"kind": "weighted_dirac", "weight": "1+x^2"},
+    "bump[-1,1]": {"kind": "bump_dirac", "bump_support": [-1, 1]},
+}
+CUSTOM_N = 32
+CUSTOM_KERNELS = {"custom-real": weighted_dirac_map("2+sin(x)"), "custom-complex": fourier_map()}
+TMP = "<tmp>"
+
+
+def _body(command, data, tmpdir):
+    """The emitted report without ``timing``, or the refusal as text."""
+    try:
+        report = run(command, config_from_dict(data))
+    except (InvalidConfigError, NotAFrameError, NumericError) as exc:
+        return f"{type(exc).__name__}: {exc}".replace(tmpdir, TMP)
+    body = json.loads(emit(report).decode().replace(tmpdir, TMP))
+    body.pop("timing")
+    return body
+
+
+def report_bodies(n_maxes):
+    bodies = {}
+    with tempfile.TemporaryDirectory() as tmpdir:
+        configs = {
+            f"{name}/n_max={n}": {"map": spec, "ladder": {"n_max": n}}
+            for n in n_maxes
+            for name, spec in BUILTIN_MAPS.items()
+        }
+        stage = default_stage(CUSTOM_N)
+        for name, spec in CUSTOM_KERNELS.items():
+            path = str(Path(tmpdir) / f"{name}.csv")
+            save_kernel_csv(sample_kernel(spec, stage_grid(stage), CUSTOM_N), path)
+            configs[f"{name}/N={CUSTOM_N}"] = {
+                "map": {"kind": "custom", "custom_kernel": path},
+                "ladder": {"stages": [CUSTOM_N]},
+            }
+        for key, data in configs.items():
+            for command in REPORT_COMMANDS:
+                bodies[f"{key}/{command}"] = _body(command, data, tmpdir)
+    return bodies
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if not argv:
+        print("usage: report_bodies.py OUT [N_MAX ...]", file=sys.stderr)
+        return 2
+    out, n_maxes = argv[0], [int(n) for n in argv[1:]] or [64]
+    with open(out, "w") as fh:
+        json.dump(report_bodies(n_maxes), fh, sort_keys=True, indent=1)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
