@@ -52,10 +52,10 @@ for k in (0, 1, 2):
 # ---------------------------------------------------------------------------
 # Panel-probe solvability scores: 1.0 for point masses, < 1 for the bump
 # (its off-support probes are unreachable).
-score, worst = rf_diagnostic(kernel, probes=kernel.grid.panels)
+score, worst = rf_diagnostic(kernel)
 print(f"\ndirac probe score: {score:.2f} (worst residual {worst:.1e})")
 bump = sample_kernel(bump_dirac_map(-1.0, 1.0), coarse_synthesis_grid(N), N)
-score, worst = rf_diagnostic(bump, probes=bump.grid.panels)
+score, worst = rf_diagnostic(bump)
 print(f"bump  probe score: {score:.2f} (worst residual {worst:.1e})")
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,9 @@ orders
 recover f up to conditioning.  Inversion goes through the
 eigendecomposition with a relative cutoff so that near-singular frame
 operators surface as NotAFrameError instead of amplified noise.
+canonical_dual builds the pair and measures nothing: the duality identity
+<f, g> = int <f, theta_x><omega_x, g> dmu is measured by verify_duality, on
+whatever pair a caller hands it.
 
 That eigendecomposition is the only one of S_omega: the pair keeps its
 extreme eigenvalues (A, B) for dual_bounds.  Theta's own frame operator is
@@ -37,7 +40,7 @@ direction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
@@ -86,22 +89,23 @@ DEFAULT_SEED = 20240409
 class DualPair:
     """A map and its candidate dual on the same grid and truncation.
 
-    A hand-built pair, DualPair(omega, theta, defect), holds its theta
-    explicitly.  canonical_dual holds none: it keeps the computed inverse X
-    of omega's row Gram, so that theta = omega.rows @ X with omega's column
+    A hand-built pair, DualPair(omega, theta), holds its theta explicitly.
+    canonical_dual holds none: it keeps the computed inverse X of omega's
+    row Gram, so that theta = omega.rows @ X with omega's column
     phase, applied as rows @ (X @ block) and formed only when ``theta`` is
     read (read-only, not cached).  It also carries omega's (A, B), the
     extremes of the S it inverted, and ``theta_operator``, theta's frame
     operator X^H S X formed in N x N arithmetic from that S and X (theta's
-    column phase kept apart as for any kernel).
+    column phase kept apart as for any kernel).  A pair carries no
+    measurement: verify_duality measures it.
     """
 
     omega: KernelMatrix
     explicit_theta: KernelMatrix
-    duality_defect: float
+    _: KW_ONLY
     omega_bounds: tuple = None
     theta_operator: FrameOperatorMatrix = None
-    inverse: np.ndarray = field(default=None, kw_only=True)
+    inverse: np.ndarray = None
 
     def __post_init__(self):
         if (self.explicit_theta is None) == (self.inverse is None):
@@ -126,8 +130,9 @@ def _theta_side(pair):
     return pair.omega, pair.inverse
 
 
-def canonical_dual(kernel, trials=20, seed=DEFAULT_SEED):
-    """Canonical dual pair (omega, Omega S^{-1}) with its measured defect.
+def canonical_dual(kernel):
+    """Canonical dual pair (omega, Omega S^{-1}), unmeasured (see
+    verify_duality).
 
     Raises NotAFrameError when the frame operator is singular at the
     relative cutoff, carrying the offending smallest eigenvalue, and
@@ -144,9 +149,9 @@ def canonical_dual(kernel, trials=20, seed=DEFAULT_SEED):
         raise NumericError(f"frame operator has no Cholesky factor: {exc}") from exc
     theta_operator = FrameOperatorMatrix(_hermitian_gram(factor.conj().T @ inverse), phase=kernel.phase)
     inverse.setflags(write=False)
-    pair = DualPair(kernel, None, 0.0, inverse=inverse)
-    defect = verify_duality(pair, trials, seed)
-    return DualPair(kernel, None, defect, (lam_min, lam_max), theta_operator, inverse=inverse)
+    return DualPair(
+        kernel, None, omega_bounds=(lam_min, lam_max), theta_operator=theta_operator, inverse=inverse
+    )
 
 
 def _require_frame(lam_min, lam_max):
@@ -225,19 +230,20 @@ def reconstruct(pair, f, swap_roles=False):
     return results[0] if single else results
 
 
-def parseval_check(kernel, trials=20, seed=DEFAULT_SEED, tolerance=1e-6):
-    """(flag, defect) with defect = max |S - I|.
+def parseval_check(kernel):
+    """(flag, defect) with defect = max |S - I| and flag = defect <= 1e-6.
 
     Cross-checks the equivalent random-pair identity
-    <f, g> = sum_j w_j xi_f conj(xi_g); a disagreement between the two
-    routes is a numerical fault and raises.
+    <f, g> = sum_j w_j xi_f conj(xi_g) over 20 seeded pairs; a disagreement
+    between the two routes is a numerical fault and raises.
     """
+    tolerance = 1e-6
     op = frame_operator(kernel)
     n = op.truncation
     defect = float(np.abs(op.matrix - np.eye(n)).max())
     flag = defect <= tolerance
     # the random-pair identity is the duality defect of (omega, omega)
-    worst_pair = verify_duality(DualPair(kernel, kernel, 0.0), trials, seed)
+    worst_pair = verify_duality(DualPair(kernel, kernel), 20)
     # worst_pair <= n * defect always holds; a gross mismatch between the two
     # routes signals a wiring bug (e.g. mismatched grids), not a borderline map
     inconsistent = (flag and worst_pair > n * tolerance) or (
@@ -298,7 +304,7 @@ class RieszResult:
 
 
 def riesz_check(kernel, ladder=None, thresholds=ClassifyThresholds()):
-    """Riesz basis test: frame classification plus mu-independence.
+    """Riesz basis test: classify's riesz_basis label (a mu-independent frame).
 
     The singular-value interval of the weighted kernel certifies the
     synthesis map as bounded with bounded inverse at the truncated level.
@@ -307,8 +313,7 @@ def riesz_check(kernel, ladder=None, thresholds=ClassifyThresholds()):
     report = classify(kernel.map_spec, ladder, thresholds)
     # real rows: fourier's column phase changes no singular value
     factor = StageFactorization(np.sqrt(kernel.grid.weights)[:, None] * kernel.rows)
-    flag = report.has("frame") and report.has("mu_independent")
-    return RieszResult(bool(flag), factor.sigma_min, factor.sigma_max, report)
+    return RieszResult(report.has("riesz_basis"), factor.sigma_min, factor.sigma_max, report)
 
 
 def _walkable_ladder(kernel, ladder, check):

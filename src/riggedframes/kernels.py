@@ -36,7 +36,7 @@ import numpy as np
 from .errors import InvalidConfigError
 from .hermite import hermite_derivative_table, hermite_table
 from .quadrature import QuadratureGrid
-from .weights import eval_weight, expr_to_string, parse_weight
+from .weights import eval_weight, parse_weight
 
 __all__ = [
     "MAP_KINDS",
@@ -81,16 +81,6 @@ class MapSpec:
             object.__setattr__(self, "bump_support", (float(a), float(b)))
         if self.kind == "custom" and self.custom_kernel is None:
             raise InvalidConfigError("custom maps require a kernel file path")
-
-    def describe(self):
-        if self.kind == "weighted_dirac":
-            return f"weighted_dirac[{expr_to_string(self.weight)}]"
-        if self.kind == "bump_dirac":
-            a, b = self.bump_support
-            return f"bump_dirac[{a:g},{b:g}]"
-        if self.kind == "custom":
-            return f"custom[{self.custom_kernel}]"
-        return self.kind
 
 
 def dirac_map():

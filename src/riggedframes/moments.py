@@ -115,23 +115,18 @@ def _least_norm(kernel, targets):
     return coeffs, residuals, int(np.count_nonzero(keep))
 
 
-def rf_diagnostic(kernel, probes):
+def rf_diagnostic(kernel):
     """Moment-solvability score over panel-indicator probes.
 
-    The probes are normalized indicators of distinct quadrature panels
+    The probes are the normalized indicators of every quadrature panel
     (orthonormal by disjoint support); the score is the fraction solved to
     residual <= 1e-6 and the worst residual is reported alongside.
     """
-    if probes < 1:
-        raise InvalidConfigError(f"probes must be >= 1, got {probes}")
     grid = kernel.grid
-    panel_count = grid.panels
-    used = min(probes, panel_count)
-    picks = sorted(set(np.linspace(0, panel_count - 1, used).round().astype(int)))
-    targets = np.zeros((grid.node_count, len(picks)))
-    for column, panel in enumerate(picks):
-        targets[panel * grid.order : (panel + 1) * grid.order, column] = 1.0
-        targets[:, column] /= l2x_norm(targets[:, column], grid)
+    targets = np.zeros((grid.node_count, grid.panels))
+    for panel in range(grid.panels):
+        targets[panel * grid.order : (panel + 1) * grid.order, panel] = 1.0
+        targets[:, panel] /= l2x_norm(targets[:, panel], grid)
     residuals = _least_norm(kernel, targets)[1]
     score = np.count_nonzero(residuals <= 1e-6) / residuals.size
     return float(score), float(residuals.max())
@@ -219,7 +214,7 @@ def dual_bessel_check(pair, ladder=None):
     kernel = pair.omega
     coarse = _coarse_kernel(kernel.map_spec, kernel.truncation, kernel)
     ladder = _walkable_ladder(kernel, ladder, "dual_bessel_check")
-    score, worst = rf_diagnostic(coarse, coarse.grid.panels)
+    score, worst = rf_diagnostic(coarse)
     if score < 1.0:
         raise InvalidConfigError(
             f"moment-solvability precondition unmet: rf score {score:.3f}, "

@@ -328,13 +328,14 @@ class MuIndependenceResult:
         return self.mu_independent
 
 
-def coarse_synthesis_grid(truncation, order=4):
+def coarse_synthesis_grid(truncation):
     """Grid with ~N/2 nodes covering only the Hermite bulk [-sqrt(2N+1), ...].
 
     Nodes past the turning point pair to numerically zero with every basis
     function, which would fake a synthesis kernel; restricting the test grid
     to the bulk removes that discretization artifact.
     """
+    order = 4
     panels = max(1, truncation // (2 * order))
     return build_grid(bulk_half_width(truncation), panels, order)
 

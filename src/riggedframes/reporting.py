@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import acceptance
-from .duality import DEFAULT_SEED, canonical_dual, dual_bounds, reconstruct
+from .duality import DEFAULT_SEED, canonical_dual, dual_bounds, reconstruct, verify_duality
 from .errors import InvalidConfigError, NotAFrameError, WeightSyntaxError
 from .hermite import random_test_function
 from .kernels import MapSpec, sample_kernel
@@ -287,13 +287,14 @@ def _dual_section(config, round_trip=False):
     """Dual bounds with the duality defect, or with the worst round-trip
     error over both reconstruction orders when ``round_trip`` is set."""
     kernel = _final_kernel(config)
-    pair = canonical_dual(kernel, trials=20, seed=config.seed)
+    pair = canonical_dual(kernel)
     lower, upper = dual_bounds(pair)
-    defect = pair.duality_defect
     if round_trip:
         rng = np.random.default_rng(config.seed)
         functions = [random_test_function(kernel.truncation, rng) for _ in range(20)]
         defect = max(err for swap in (False, True) for _, err in reconstruct(pair, functions, swap))
+    else:
+        defect = verify_duality(pair, 20, config.seed)
     return {"A_theta": lower, "B_theta": upper, "defect": defect}
 
 
@@ -301,7 +302,7 @@ def _moment_section(config):
     spec = config.map_spec
     custom = _final_kernel(config) if spec.kind == "custom" else None
     kernel = _coarse_kernel(spec, config.ladder.final_stage.truncation, custom)
-    score, worst = rf_diagnostic(kernel, kernel.grid.panels)
+    score, worst = rf_diagnostic(kernel)
     return {"score": score, "worst_residual": worst}
 
 
@@ -384,21 +385,7 @@ def emit(report, output_format="json"):
         header = "N,L,nodes,A,B,sigma_min,sigma_max,total,mu_independent"
         lines = [header]
         for row in report.stages:
-            lines.append(
-                ",".join(
-                    [
-                        str(row["N"]),
-                        f"{row['L']:.17g}",
-                        str(row["nodes"]),
-                        f"{row['A']:.17g}",
-                        f"{row['B']:.17g}",
-                        f"{row['sigma_min']:.17g}",
-                        f"{row['sigma_max']:.17g}",
-                        "true" if row["total"] else "false",
-                        "true" if row["mu_independent"] else "false",
-                    ]
-                )
-            )
+            lines.append(",".join(_json_value(v) for v in row.values()))
         return ("\n".join(lines) + "\n").encode()
     raise InvalidConfigError(f"unknown output format {output_format!r}")
 

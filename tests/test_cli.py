@@ -222,6 +222,34 @@ class TestEmit:
         assert len(lines) == len(config.ladder.stages) + 1
         assert lines[0] == "N,L,nodes,A,B,sigma_min,sigma_max,total,mu_independent"
 
+    @pytest.mark.parametrize(
+        "map_data",
+        [
+            {"kind": "dirac"},
+            {"kind": "fourier"},
+            {"kind": "dirac_derivative"},
+            {"kind": "weighted_dirac", "weight": "2+sin(x)"},
+            {"kind": "weighted_dirac", "weight": "1+x^2"},
+            {"kind": "bump_dirac", "bump_support": [-1, 1]},
+        ],
+        ids=lambda data: data.get("weight", data["kind"]),
+    )
+    def test_csv_cells_parse_back_to_the_json_stage_values(self, map_data):
+        report = run("bounds", config_from_dict({"map": map_data, "ladder": {"n_max": 16}}))
+        stages = json.loads(emit(report).decode())["stages"]
+        header, *lines = emit(report, "csv").decode().splitlines()
+        assert len(lines) == len(stages)
+        for line, stage in zip(lines, stages):
+            cells = dict(zip(header.split(","), line.split(",")))
+            assert list(cells) == list(stage)
+            for key, value in stage.items():
+                if isinstance(value, bool):
+                    assert cells[key] == ("true" if value else "false")
+                elif isinstance(value, int):
+                    assert int(cells[key]) == value
+                else:
+                    assert float(cells[key]) == value
+
     def test_write_report_atomic(self, tmp_path):
         report = ReportDocument(config={})
         target = tmp_path / "out.json"
@@ -347,6 +375,44 @@ def test_dual_requests_form_one_tall_frame_operator(monkeypatch, tmp_path, comma
     assert counts == {"frame_operator": 1, "decompositions": 2}
 
 
+def test_only_the_dual_report_measures_the_duality_defect(monkeypatch):
+    """canonical_dual only builds the pair: run("dual") verifies it once, with
+    20 trials at the config's seed, and neither canonical_dual nor
+    run("reconstruct") verifies it at all."""
+    from riggedframes import DualPair, canonical_dual, duality, reporting, sample_kernel, stage_grid
+
+    calls = []
+    verify_duality = duality.verify_duality
+
+    def spy(pair, trials, seed=duality.DEFAULT_SEED):
+        calls.append((pair, trials, seed))
+        return verify_duality(pair, trials, seed)
+
+    monkeypatch.setattr(reporting, "verify_duality", spy, raising=False)
+    monkeypatch.setattr(duality, "verify_duality", spy)
+    config = config_from_dict(DIRAC_CONFIG)
+    stage = config.ladder.final_stage
+    canonical_dual(sample_kernel(config.map_spec, stage_grid(stage), stage.truncation))
+    run("reconstruct", config)
+    assert calls == []
+    run("dual", config)
+    assert len(calls) == 1
+    pair, trials, seed = calls[0]
+    assert isinstance(pair, DualPair) and pair.inverse is not None
+    assert (trials, seed) == (20, config.seed)
+
+
+@pytest.mark.parametrize("map_data", [{"kind": "weighted_dirac", "weight": "2+sin(x)"}, {"kind": "fourier"}])
+def test_dual_defect_is_verify_duality_of_the_canonical_dual(map_data):
+    from riggedframes import canonical_dual, sample_kernel, stage_grid, verify_duality
+
+    config = config_from_dict(dict(DIRAC_CONFIG, map=map_data))
+    stage = config.ladder.final_stage
+    kernel = sample_kernel(config.map_spec, stage_grid(stage), stage.truncation)
+    expected = verify_duality(canonical_dual(kernel), 20, config.seed)
+    assert run("dual", config).dual["defect"] == expected
+
+
 def test_fourier_dual_runs_no_complex_eigendecomposition(monkeypatch, tmp_path):
     """fourier's S is its real rows' Gram under a unitary phase, so the dual
     path decomposes only real matrices."""
@@ -385,9 +451,11 @@ def test_report_bodies_tool(tmp_path):
         assert tool.main([str(out), "16"]) == 0
     assert outs[0].read_bytes() == outs[1].read_bytes()
     bodies = json.loads(outs[0].read_text())
-    assert len(bodies) == (len(tool.BUILTIN_MAPS) + len(tool.CUSTOM_KERNELS)) * len(
-        tool.REPORT_COMMANDS
+    # every report command, plus the bounds report in CSV
+    assert len(bodies) == (len(tool.BUILTIN_MAPS) + len(tool.CUSTOM_KERNELS)) * (
+        len(tool.REPORT_COMMANDS) + 1
     )
+    assert bodies["dirac/n_max=16/bounds/csv"].startswith("N,L,nodes,A,B,")
     assert tempfile.gettempdir() not in outs[0].read_text()
     assert bodies["custom-real/N=32/dual"]["config"]["map"]["custom_kernel"].startswith("<tmp>")
     assert bodies["custom-real/N=32/classify"].startswith("InvalidConfigError: ")

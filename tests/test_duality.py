@@ -9,6 +9,7 @@ from riggedframes import (
     TestFunction,
     bump_dirac_map,
     canonical_dual,
+    classify,
     default_ladder,
     default_stage,
     dirac_derivative_map,
@@ -43,11 +44,11 @@ class TestCanonicalDual:
         kernel = make_kernel(dirac_map(), 16)
         pair = canonical_dual(kernel)
         assert np.abs(pair.theta.entries - pair.omega.entries).max() <= 1e-10
-        assert pair.duality_defect <= 1e-10
+        assert verify_duality(pair, 20) <= 1e-10
 
     def test_weighted_defect_small(self):
         pair = canonical_dual(make_kernel(weighted_dirac_map("2+sin(x)"), 16))
-        assert pair.duality_defect <= 1e-8
+        assert verify_duality(pair, 20) <= 1e-8
 
     def test_weighted_dual_approaches_inverse_weight_kernel(self):
         # the canonical dual converges to the 1/(2+sin x) weighted kernel in
@@ -92,7 +93,6 @@ class TestVerifyDuality:
         doctored = DualPair(
             pair.omega,
             KernelMatrix(2.0 * pair.theta.entries, pair.theta.grid, None),
-            0.0,
         )
         defect = verify_duality(doctored, trials=100, seed=SEED)
         assert defect > 0.1
@@ -106,9 +106,18 @@ class TestVerifyDuality:
     def test_pair_holds_an_explicit_theta_or_an_inverse(self):
         pair = canonical_dual(make_kernel(dirac_map(), 8))
         with pytest.raises(InvalidConfigError):
-            DualPair(pair.omega, None, 0.0)
+            DualPair(pair.omega, None)
         with pytest.raises(InvalidConfigError):
-            DualPair(pair.omega, pair.theta, 0.0, inverse=pair.inverse)
+            DualPair(pair.omega, pair.theta, inverse=pair.inverse)
+
+    def test_pair_carries_no_measurement(self):
+        """The fields after theta are keyword-only, so a stale positional
+        defect, DualPair(omega, theta, 0.0), is refused instead of landing in
+        omega_bounds."""
+        pair = canonical_dual(make_kernel(dirac_map(), 8))
+        assert not hasattr(pair, "duality_defect")
+        with pytest.raises(TypeError):
+            DualPair(pair.omega, pair.theta, 0.0)
 
 
 class TestDualBounds:
@@ -260,6 +269,14 @@ ORACLE_FAMILIES = {
 }
 
 
+@pytest.mark.parametrize("family", list(ORACLE_FAMILIES))
+def test_riesz_check_reads_the_classify_label(family):
+    """riesz_check's flag is classify's riesz_basis label on the same ladder."""
+    spec = ORACLE_FAMILIES[family]
+    expected = classify(spec, default_ladder(32)).has("riesz_basis")
+    assert riesz_check(make_kernel(spec, 32)).riesz == expected
+
+
 def _complex_dual_reference(kernel, trials, seed):
     """The dual path in complex arithmetic with per-trial matvecs, from the
     entries cast to complex: theta, dual bounds, duality defect, and the
@@ -306,19 +323,18 @@ class TestRealDualPathOracle:
             with pytest.raises(NotAFrameError):
                 _complex_dual_reference(kernel, 20, SEED)
             with pytest.raises(NotAFrameError):
-                canonical_dual(kernel, 20, SEED)
+                canonical_dual(kernel)
             return
         theta, (lower, upper), defect, errors, cond = _complex_dual_reference(kernel, 20, SEED)
         tol = 1e-12 + 1e-15 * cond
-        pair = canonical_dual(kernel, 20, SEED)
+        pair = canonical_dual(kernel)
         assert pair.theta.entries.dtype == kernel.entries.dtype
         assert np.abs(pair.theta.entries - theta).max() <= tol * np.abs(theta).max()
         dual_lower, dual_upper = dual_bounds(pair)
         assert abs(dual_lower - lower) <= tol * upper
         assert abs(dual_upper - upper) <= tol * upper
         # defects and round-trip errors are already relative
-        assert abs(pair.duality_defect - defect) <= tol
-        assert abs(verify_duality(pair, 20, SEED) - pair.duality_defect) == 0.0
+        assert abs(verify_duality(pair, 20, SEED) - defect) <= tol
         rng = np.random.default_rng(SEED)
         functions = [random_test_function(truncation, rng) for _ in range(20)]
         forward = [err for _, err in reconstruct(pair, functions)]
@@ -342,7 +358,7 @@ class TestOmegaBoundsReuse:
     def test_dual_bounds_rejects_a_pair_canonical_dual_did_not_build(self):
         pair = canonical_dual(make_kernel(dirac_map(), 8))
         with pytest.raises(InvalidConfigError):
-            dual_bounds(DualPair(pair.omega, pair.theta, 0.0))
+            dual_bounds(DualPair(pair.omega, pair.theta))
 
 
 class TestFourierDual:
@@ -357,7 +373,7 @@ class TestFourierDual:
         assert np.abs(fourier.theta.entries - expected).max() <= 1e-12
         assert dual_bounds(fourier) == dual_bounds(dirac)
         assert fourier.theta.rows.dtype == np.float64
-        assert fourier.duality_defect <= 1e-12
+        assert verify_duality(fourier, 20) <= 1e-12
 
 
 class TestThetaOperator:

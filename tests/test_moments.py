@@ -128,26 +128,22 @@ class TestSolveMoment:
 class TestRfDiagnostic:
     def test_dirac_coarse_score_one(self):
         kernel = coarse_kernel(dirac_map(), 32)
-        score, worst = rf_diagnostic(kernel, probes=kernel.grid.panels)
+        score, worst = rf_diagnostic(kernel)
         assert score == 1.0
         assert worst <= 1e-6
 
     def test_bump_misses_offsupport_probes(self):
         kernel = coarse_kernel(bump_dirac_map(-1.0, 1.0), 32)
-        score, worst = rf_diagnostic(kernel, probes=kernel.grid.panels)
+        score, worst = rf_diagnostic(kernel)
         assert score < 1.0
         assert worst == pytest.approx(1.0, abs=1e-8)
 
     def test_zero_kernel_scores_zero(self):
         base = coarse_kernel(dirac_map(), 32)
         zero = KernelMatrix(np.zeros_like(base.entries), base.grid, None)
-        score, worst = rf_diagnostic(zero, probes=4)
+        score, worst = rf_diagnostic(zero)
         assert score == 0.0
         assert worst == pytest.approx(1.0, abs=1e-12)
-
-    def test_probes_validated(self):
-        with pytest.raises(InvalidConfigError):
-            rf_diagnostic(coarse_kernel(dirac_map(), 16), probes=0)
 
     @pytest.mark.parametrize("spec", [dirac_map(), bump_dirac_map(-1.0, 1.0)], ids=["dirac", "bump"])
     def test_block_solve_matches_per_probe_solves(self, spec):
@@ -162,7 +158,7 @@ class TestRfDiagnostic:
         single = np.array([solve_moment(kernel, t).residual for t in targets.T])
         block = _least_norm(kernel, targets)[1]
         assert np.abs(block - single).max() <= 1e-12
-        score, worst = rf_diagnostic(kernel, probes=grid.panels)
+        score, worst = rf_diagnostic(kernel)
         assert worst == pytest.approx(single.max(), abs=1e-12)
         assert score == np.mean(single <= 1e-6)
 

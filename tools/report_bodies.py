@@ -6,8 +6,9 @@ Runs classify, bounds, dual, reconstruct, moment-solve and sweep on the six
 built-in families at each N_MAX (default 64) on the default ladder, and on a
 real and a complex custom CSV kernel at N = 32 (2+sin(x) and fourier sampled
 on the default stage grid).  Each body is the report as the CLI emits it,
-with ``timing`` and the temporary CSV path dropped; a refused command is
-recorded as ``"ErrorType: message"``.  OUT is written with sorted keys, so
+with ``timing`` and the temporary CSV path dropped; the bounds report is
+also recorded in CSV, as ``.../bounds/csv``; a refused command is recorded as
+``"ErrorType: message"``.  OUT is written with sorted keys, so
 two checkouts give byte-identical files exactly when their reports agree
 apart from timing:
 
@@ -40,13 +41,22 @@ CUSTOM_KERNELS = {"custom-real": weighted_dirac_map("2+sin(x)"), "custom-complex
 TMP = "<tmp>"
 
 
-def _body(command, data, tmpdir):
-    """The emitted report without ``timing``, or the refusal as text."""
+def _report(command, data, tmpdir):
+    """The report, or the refusal as text."""
     try:
-        report = run(command, config_from_dict(data))
+        return run(command, config_from_dict(data))
     except (InvalidConfigError, NotAFrameError, NumericError) as exc:
         return f"{type(exc).__name__}: {exc}".replace(tmpdir, TMP)
-    body = json.loads(emit(report).decode().replace(tmpdir, TMP))
+
+
+def _body(report, tmpdir, output_format="json"):
+    """The emitted report without ``timing`` (CSV has none), or the refusal."""
+    if isinstance(report, str):
+        return report
+    text = emit(report, output_format).decode().replace(tmpdir, TMP)
+    if output_format == "csv":
+        return text
+    body = json.loads(text)
     body.pop("timing")
     return body
 
@@ -69,7 +79,10 @@ def report_bodies(n_maxes):
             }
         for key, data in configs.items():
             for command in REPORT_COMMANDS:
-                bodies[f"{key}/{command}"] = _body(command, data, tmpdir)
+                report = _report(command, data, tmpdir)
+                bodies[f"{key}/{command}"] = _body(report, tmpdir)
+                if command == "bounds":
+                    bodies[f"{key}/bounds/csv"] = _body(report, tmpdir, "csv")
     return bodies
 
 
