@@ -52,15 +52,17 @@ from .operators import (
     FrameOperatorMatrix,
     StageFactorization,
     _analyze,
+    _apply,
     _coarse_kernel,
     _hermitian_gram,
+    _scale_rows,
     _synthesize,
+    _weighted_rows,
     classify,
     frame_bounds,
     frame_operator,
     hermitian_eigenpairs,
     mu_independence_test,
-    weighted_analysis_matrix,
 )
 from .quadrature import default_ladder, stage_grid
 
@@ -169,19 +171,27 @@ def verify_duality(pair, trials, seed=DEFAULT_SEED):
     over seeded random pairs.
 
     The pairs are drawn in turn (f, g, f, g, ...) and applied as one block,
-    one pass over each kernel.
+    one pass over each kernel.  A canonical pair's theta shares omega's rows,
+    so both sides take a single pass over them, on the stacked block
+    [X P f | P g].
     """
     if trials < 1:
         raise InvalidConfigError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
-    n = pair.omega.truncation
+    omega = pair.omega
+    n = omega.truncation
     draws = np.stack([random_test_function(n, rng).coeffs for _ in range(2 * trials)], axis=1)
     f, g = draws[:, 0::2], draws[:, 1::2]
     direct = np.sum(f * g.conj(), axis=0)
-    theta, inner = _theta_side(pair)
-    through = pair.omega.grid.weights @ (
-        _analyze(theta, f, inner) * _analyze(pair.omega, g).conj()
-    )
+    if pair.inverse is None:
+        analyzed_f, analyzed_g = _analyze(pair.explicit_theta, f), _analyze(omega, g)
+    else:
+        block = np.concatenate([f, g], axis=1)
+        if omega.phase is not None:
+            block = _scale_rows(omega.phase, block)
+        block[:, :trials] = _apply(pair.inverse, block[:, :trials])
+        analyzed_f, analyzed_g = np.hsplit(_apply(omega.rows, block), 2)
+    through = omega.grid.weights @ (analyzed_f * analyzed_g.conj())
     scale = np.linalg.norm(f, axis=0) * np.linalg.norm(g, axis=0)
     return float(np.max(np.abs(direct - through) / scale))
 
@@ -280,7 +290,8 @@ def gelfand_check(kernel, threshold=1e-6):
     parseval, parseval_defect = parseval_check(kernel)
     coarse = _coarse_kernel(kernel.map_spec, kernel.truncation, kernel)
     mu = mu_independence_test(coarse, threshold)
-    weighted = weighted_analysis_matrix(coarse)
+    # Omega = rows P with P unitary diagonal: Omega Omega^H = rows rows^H
+    weighted = _weighted_rows(coarse)
     gram = weighted @ weighted.conj().T
     isometry_defect = float(np.abs(gram - np.eye(coarse.node_count)).max())
     return GelfandResult(
@@ -312,7 +323,7 @@ def riesz_check(kernel, ladder=None, thresholds=ClassifyThresholds()):
     ladder = _walkable_ladder(kernel, ladder, "riesz_check")
     report = classify(kernel.map_spec, ladder, thresholds)
     # real rows: fourier's column phase changes no singular value
-    factor = StageFactorization(np.sqrt(kernel.grid.weights)[:, None] * kernel.rows)
+    factor = StageFactorization(_weighted_rows(kernel))
     return RieszResult(report.has("riesz_basis"), factor.sigma_min, factor.sigma_max, report)
 
 

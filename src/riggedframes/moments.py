@@ -4,7 +4,15 @@ The discrete moment problem asks for coefficients matching prescribed
 analysis values on the grid.  Solutions form a coset f + null(analysis);
 the least-norm representative is the canonical computable element, and all
 residuals are measured in the weighted grid norm, relative to |h| when h is
-nonzero.
+nonzero.  Every solver works on the weighted rows sqrt(W) rows; a column
+phase P (fourier) touches the solution only, as P^H c.
+
+At one truncation, omega is Riesz-Fischer (every target has a solution)
+exactly when the weighted coarse kernel has full row rank.  rf_diagnostic
+reads that off the coarse rank rule's singular values; only a
+rank-deficient kernel has its panel probes measured against its numerical
+range, and its ``worst_residual`` is the largest distance from a unit probe
+to that range (exactly 0 at full row rank).
 
 The solvability envelope realizes the necessary condition for the
 continuum problem: a target h reachable from the p_k unit ball must satisfy
@@ -27,10 +35,13 @@ from .hermite import TestFunction
 from .operators import (
     ClassifyThresholds,
     StageFactorization,
+    _apply,
     _bessel_search,
     _coarse_kernel,
+    _coarse_svd,
     _ladder_walk,
-    weighted_analysis_matrix,
+    _unphase,
+    _weighted_rows,
 )
 from .quadrature import l2x_norm
 
@@ -102,32 +113,52 @@ def solve_moment(kernel, h):
 
 
 def _least_norm(kernel, targets):
-    """Least-norm solutions for every target column from one SVD: returns
-    (coefficient columns, residuals as in MomentSolution, rank)."""
-    weighted = weighted_analysis_matrix(kernel)
+    """Least-norm solutions for every target column from one SVD of the
+    weighted rows: returns (coefficient columns, residuals as in
+    MomentSolution, rank).  A column phase P is applied to the solutions
+    only (Omega = rows P, so pinv(Omega) = P^H pinv(rows)), and real rows
+    meet complex targets through their float view, never as a complex copy."""
+    weighted = _weighted_rows(kernel)
     scaled = np.sqrt(kernel.grid.weights)[:, None] * targets
     u, svals, vh = np.linalg.svd(weighted, full_matrices=False)
     keep = svals > NULL_SPACE_CUTOFF * (svals[0] if svals.size else 0.0)
-    coeffs = vh[keep].conj().T @ ((u[:, keep].conj().T @ scaled) / svals[keep][:, None])
-    residuals = np.linalg.norm(weighted @ coeffs - scaled, axis=0)
+    projected = _apply(u[:, keep].conj().T, scaled) / svals[keep][:, None]
+    coeffs = _apply(vh[keep].conj().T, projected)
+    residuals = np.linalg.norm(_apply(weighted, coeffs) - scaled, axis=0)
     norms = np.array([l2x_norm(column, kernel.grid) for column in targets.T])
     residuals = np.divide(residuals, norms, out=residuals, where=norms > 0)
-    return coeffs, residuals, int(np.count_nonzero(keep))
+    return _unphase(kernel, coeffs), residuals, int(np.count_nonzero(keep))
 
 
 def rf_diagnostic(kernel):
-    """Moment-solvability score over panel-indicator probes.
+    """Moment-solvability score over panel-indicator probes of a coarse kernel.
 
     The probes are the normalized indicators of every quadrature panel
-    (orthonormal by disjoint support); the score is the fraction solved to
-    residual <= 1e-6 and the worst residual is reported alongside.
+    (orthonormal by disjoint support).  A probe's residual is its distance
+    to the kernel's numerical range, the span of the left singular vectors
+    of sqrt(W) Omega with sigma > NULL_SPACE_CUTOFF * sigma_max: the relative
+    residual of its least-norm moment solution.  The score is the fraction of
+    probes with residual <= 1e-6, and ``worst_residual``, the largest
+    distance, is reported alongside.
+
+    The rank is read off _coarse_svd, the coarse rank rule: a kernel of full
+    row rank reaches every grid function, so it scores (1.0, 0.0) with no
+    singular vectors and no solve.  A kernel with more nodes than
+    coefficients is refused (InvalidConfigError), as by mu_independence_test.
     """
+    svals, u = _coarse_svd(kernel, NULL_SPACE_CUTOFF)
+    if u is None:
+        return 1.0, 0.0
     grid = kernel.grid
-    targets = np.zeros((grid.node_count, grid.panels))
-    for panel in range(grid.panels):
-        targets[panel * grid.order : (panel + 1) * grid.order, panel] = 1.0
-        targets[:, panel] /= l2x_norm(targets[:, panel], grid)
-    residuals = _least_norm(kernel, targets)[1]
+    sqrt_w = np.sqrt(grid.weights).reshape(grid.panels, grid.order)
+    # column j, b_j, is the indicator of panel j scaled by sqrt(W), unit in l2
+    probes = np.zeros((grid.node_count, grid.panels))
+    panel_of_node = np.repeat(np.arange(grid.panels), grid.order)
+    probes[np.arange(grid.node_count), panel_of_node] = (
+        sqrt_w / np.linalg.norm(sqrt_w, axis=1, keepdims=True)
+    ).ravel()
+    basis = u[:, svals > NULL_SPACE_CUTOFF * svals[0]]
+    residuals = np.linalg.norm(probes - basis @ (basis.conj().T @ probes), axis=0)
     score = np.count_nonzero(residuals <= 1e-6) / residuals.size
     return float(score), float(residuals.max())
 
@@ -137,15 +168,17 @@ def continuity_constant(kernel, k):
 
     Computed as the top singular value of the seminorm-weighted coefficient
     map composed with the pseudo-inverse of the weighted analysis matrix,
-    read off the triangular factor R of a thin QR of sqrt(W) Omega, which has
-    the same singular values and right singular vectors.  For total maps this
+    read off the triangular factor R of a thin QR of the weighted rows, which
+    has their singular values and right singular vectors.  A column phase P
+    commutes with the seminorm weights, so pinv(sqrt(W) Omega) = P^H
+    pinv(sqrt(W) rows) gives the same constant.  For total maps this
     realizes the solution bound p_k(f) <= C |<f, omega>|; in general it
     bounds the least-norm coset representative.  A zero kernel has no finite
     constant and returns inf.
     """
     if k < 0:
         raise ValueError(f"seminorm index must be nonnegative, got {k}")
-    r = np.linalg.qr(weighted_analysis_matrix(kernel), mode="r")
+    r = np.linalg.qr(_weighted_rows(kernel), mode="r")
     _, svals, vh = np.linalg.svd(r, full_matrices=False)
     if svals.size == 0 or svals[0] == 0.0:
         return math.inf
@@ -160,12 +193,13 @@ def continuity_constant(kernel, k):
 def envelope(kernel, k):
     """Reachability profile e_k(x_j) = sup { |<f, omega_{x_j}>| : p_k(f) <= 1 }.
 
-    Closed form: the (1+n)^(-k)-weighted Euclidean norm of each kernel row.
+    Closed form: the (1+n)^(-k)-weighted Euclidean norm of each kernel row,
+    read off |rows| (a unit-modulus column phase leaves it alone).
     """
     if k < 0:
         raise ValueError(f"seminorm index must be nonnegative, got {k}")
     damping = (1.0 + np.arange(kernel.truncation)) ** (-float(k))
-    return np.sqrt(np.abs(kernel.entries) ** 2 @ damping)
+    return np.sqrt(np.abs(kernel.rows) ** 2 @ damping)
 
 
 def envelope_condition_check(kernel, h, k):

@@ -17,8 +17,10 @@ after the walk up to the first bounded k (k = 0 is sigma_max: no damped SVD).
 The synthesis side (mu-independence, moment solves, the Gel'fand isometry
 defect) reads one coarse kernel per call, from _coarse_kernel: a built-in map
 sampled on the bulk grid coarse_synthesis_grid(N), or a given kernel, with
-node count <= N either way.  mu_independence_test is the one mu rule, on the
-weighted real rows; classify calls it per stage.
+node count <= N either way.  Its one rank rule, _coarse_svd, takes the
+values-only SVD of the weighted real rows and forms U only for rank-deficient
+rows; mu_independence_test (classify calls it per stage) and the moment
+probes of rf_diagnostic read it.
 Continuum statements (bounded versus growing bounds, totality) are read off
 trends along a refinement ladder; a single stage can never decide them.
 
@@ -30,9 +32,10 @@ meet real rows through the complex block's float view, S_rows is the real
 Gram A^T A of A = sqrt(W) rows formed over row blocks (copied in the rows'
 own memory order), and nothing kernel-sized is promoted or copied to
 complex.  A diagonal unitary changes no eigenvalue, so frame_bounds reads a
-phased S off S_rows, values only.  Only a complex custom kernel has complex
-rows; its S_rows is read off the real Gram of their stacked real and
-imaginary parts.
+phased S off S_rows, values only; totality_test and the moment solvers
+factor A itself and apply P to their N-side results (_unphase).  Only a
+complex custom kernel has complex rows; its S_rows is read off the real Gram
+of their stacked real and imaginary parts.
 """
 
 from __future__ import annotations
@@ -137,6 +140,19 @@ def _synthesize(kernel, xi, inner=None):
 def weighted_analysis_matrix(kernel):
     """sqrt(W) Omega: the analysis operator as an isometry into plain l2."""
     return np.sqrt(kernel.grid.weights)[:, None] * kernel.entries
+
+
+def _weighted_rows(kernel):
+    """sqrt(W) rows: sqrt(W) Omega without the column phase, real for every
+    built-in kind.  Omega = rows P, so the two share singular values and left
+    singular vectors, and the right ones of Omega are P^H times those of rows."""
+    return np.sqrt(kernel.grid.weights)[:, None] * kernel.rows
+
+
+def _unphase(kernel, block):
+    """P^H block for a coefficient vector or block of columns: maps a
+    coefficient-side result for the rows to the one for Omega = rows P."""
+    return block if kernel.phase is None else _scale_rows(kernel.phase.conj(), block)
 
 
 @dataclass(frozen=True)
@@ -305,16 +321,17 @@ def totality_test(kernel, threshold=1e-6):
     """
     if threshold <= 0:
         raise InvalidConfigError(f"threshold must be positive, got {threshold}")
-    factor = StageFactorization(weighted_analysis_matrix(kernel))
+    factor = StageFactorization(_weighted_rows(kernel))
     sigma_min, sigma_max = factor.sigma_min, factor.sigma_max
     if sigma_max == 0.0:
         return TotalityResult(False, 0.0, 0.0, TestFunction.basis(0, kernel.truncation))
     if _full_rank(sigma_min, sigma_max, threshold):
         return TotalityResult(True, sigma_min, sigma_max)
-    # right singular vectors of R are those of sqrt(W) Omega; the full set
-    # also spans the null space when there are fewer rows than columns
+    # right singular vectors of R are those of sqrt(W) rows; the full set
+    # also spans the null space when there are fewer rows than columns.  The
+    # rows annihilate v, so Omega = rows P annihilates conj(P) v.
     _, _, vh = np.linalg.svd(factor.r)
-    return TotalityResult(False, sigma_min, sigma_max, TestFunction(vh[-1].conj()))
+    return TotalityResult(False, sigma_min, sigma_max, TestFunction(_unphase(kernel, vh[-1].conj())))
 
 
 @dataclass(frozen=True)
@@ -347,23 +364,34 @@ def mu_independence_test(kernel, threshold=1e-6):
     discretized synthesis map always has a null space, which is an artifact
     of discretization rather than a property of the map.  The witness, when
     dependence is found, is a near-null grid function of unit L2(X) norm.
-
-    The weighted real rows are factored (a column phase changes neither the
-    singular values nor the left singular vectors), values only, and again
-    with U only when the map is dependent, as totality_test does.
+    The singular values come from _coarse_svd, the one coarse rank rule.
     """
     if threshold <= 0:
         raise InvalidConfigError(f"threshold must be positive, got {threshold}")
-    _check_coarse(kernel.node_count, kernel.truncation)
-    weighted = np.sqrt(kernel.grid.weights)[:, None] * kernel.rows
-    svals = np.linalg.svd(weighted, compute_uv=False)
+    svals, u = _coarse_svd(kernel, threshold)
     sigma_max = float(svals[0])
     sigma_min = float(svals[-1])
-    if _full_rank(sigma_min, sigma_max, threshold):
+    if u is None:
         return MuIndependenceResult(True, sigma_min, sigma_max)
-    u = np.linalg.svd(weighted, full_matrices=False)[0]
     scaled = u[:, -1] / np.sqrt(kernel.grid.weights)
     return MuIndependenceResult(False, sigma_min, sigma_max, scaled)
+
+
+def _coarse_svd(kernel, threshold):
+    """The coarse rank rule: (singular values, U) of the weighted rows of a
+    kernel with node count <= truncation (InvalidConfigError otherwise).
+
+    The values come from a values-only SVD; U, the thin left singular
+    vectors, only when the rows are rank-deficient at ``threshold`` (None at
+    full row rank).  The rows are factored without the column phase, which
+    changes neither the singular values nor the left singular vectors.
+    """
+    _check_coarse(kernel.node_count, kernel.truncation)
+    weighted = _weighted_rows(kernel)
+    svals = np.linalg.svd(weighted, compute_uv=False)
+    if _full_rank(svals[-1], svals[0], threshold):
+        return svals, None
+    return svals, np.linalg.svd(weighted, full_matrices=False)[0]
 
 
 def _check_coarse(node_count, truncation):
@@ -389,7 +417,7 @@ def bessel_seminorm_constant(kernel, k):
     """Smallest C with l2x_norm(analysis(f)) <= C * p_k(f) at this truncation."""
     if k < 0:
         raise ValueError(f"seminorm index must be nonnegative, got {k}")
-    return StageFactorization(np.sqrt(kernel.grid.weights)[:, None] * kernel.rows).bessel_constant(k)
+    return StageFactorization(_weighted_rows(kernel)).bessel_constant(k)
 
 
 @dataclass(frozen=True)

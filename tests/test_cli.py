@@ -461,3 +461,41 @@ def test_report_bodies_tool(tmp_path):
     assert bodies["custom-real/N=32/classify"].startswith("InvalidConfigError: ")
     assert bodies["bump[-1,1]/n_max=16/dual"].startswith("NotAFrameError: ")
     assert all("timing" not in body for body in bodies.values() if isinstance(body, dict))
+
+
+def test_report_bodies_compare(tmp_path, capsys):
+    """--compare prints each differing leaf as `key/path: before -> after`
+    and exits 1, or prints nothing and exits 0."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "tools" / "report_bodies.py"
+    spec = importlib.util.spec_from_file_location("report_bodies", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    before = {
+        "dirac/n_max=8/moment-solve": {"moment": {"score": 1.0, "worst_residual": 2e-15}},
+        "dirac/n_max=8/bounds": {"stages": [{"A": 1.0}, {"A": 0.5}], "labels": ["frame"]},
+        "dirac/n_max=8/classify": "InvalidConfigError: refused",
+    }
+    after = {
+        "dirac/n_max=8/moment-solve": {"moment": {"score": 1.0, "worst_residual": 0.0}},
+        "dirac/n_max=8/bounds": {"stages": [{"A": 1.0}, {"A": 0.25}], "labels": ["frame", "tight"]},
+        "dirac/n_max=8/classify": {"labels": []},
+        "dirac/n_max=8/dual": "NotAFrameError: singular",
+    }
+    files = {}
+    for name, bodies in (("before", before), ("after", after)):
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(bodies))
+    assert tool.main(["--compare", str(files["before"]), str(files["before"])]) == 0
+    assert capsys.readouterr().out == ""
+    assert tool.main(["--compare", str(files["before"]), str(files["after"])]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        'dirac/n_max=8/bounds/labels: ["frame"] -> ["frame", "tight"]',
+        "dirac/n_max=8/bounds/stages/1/A: 0.5 -> 0.25",
+        'dirac/n_max=8/classify: "InvalidConfigError: refused" -> {"labels": []}',
+        'dirac/n_max=8/dual: <absent> -> "NotAFrameError: singular"',
+        "dirac/n_max=8/moment-solve/moment/worst_residual: 2e-15 -> 0.0",
+    ]
+    assert tool.main(["--compare", str(files["before"])]) == 2

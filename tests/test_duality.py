@@ -119,6 +119,31 @@ class TestVerifyDuality:
         with pytest.raises(TypeError):
             DualPair(pair.omega, pair.theta, 0.0)
 
+    @pytest.mark.parametrize("spec", [weighted_dirac_map("2+sin(x)"), fourier_map()], ids=["2+sin(x)", "fourier"])
+    def test_canonical_pair_takes_one_pass_over_the_rows(self, monkeypatch, spec):
+        """theta shares omega's rows, so a canonical pair is measured with one
+        pass over them (on [X P f | P g]); an explicit pair takes one per
+        kernel, and both give the same defect."""
+        from riggedframes import duality, operators
+
+        pair = canonical_dual(make_kernel(spec, 32))
+        explicit = DualPair(pair.omega, pair.theta)
+        passes = []
+        apply = operators._apply
+
+        def recording(matrix, block):
+            if matrix.shape[0] == pair.omega.node_count:
+                passes.append(block.shape)
+            return apply(matrix, block)
+
+        monkeypatch.setattr(operators, "_apply", recording)
+        monkeypatch.setattr(duality, "_apply", recording)
+        lazy = verify_duality(pair, 20, SEED)
+        assert passes == [(32, 40)]
+        passes.clear()
+        assert abs(verify_duality(explicit, 20, SEED) - lazy) <= 1e-12
+        assert passes == [(32, 20), (32, 20)]
+
 
 class TestDualBounds:
     def test_dirac(self):

@@ -21,6 +21,7 @@ from riggedframes import (
     envelope,
     envelope_condition_check,
     fourier_map,
+    gelfand_check,
     l2x_norm,
     random_test_function,
     rf_diagnostic,
@@ -28,6 +29,7 @@ from riggedframes import (
     seminorm,
     solve_moment,
     stage_grid,
+    totality_test,
     weighted_analysis_matrix,
     weighted_dirac_map,
     weighted_least_squares,
@@ -430,3 +432,125 @@ def test_envelope_condition_check_rejects_non_finite_target(bad):
     target[3] = bad
     with pytest.raises(InvalidConfigError):
         envelope_condition_check(kernel, target, 0)
+
+
+def _projection_reference(kernel):
+    """rf_diagnostic's probes projected onto the range of a thin SVD of
+    sqrt(W) Omega (same cutoff), one l2x-normalized panel indicator at a
+    time: (score, residual per probe)."""
+    grid = kernel.grid
+    u, svals, _ = np.linalg.svd(weighted_analysis_matrix(kernel), full_matrices=False)
+    basis = u[:, svals > 1e-10 * svals[0]]
+    residuals = []
+    for panel in range(grid.panels):
+        target = np.zeros(grid.node_count)
+        target[panel * grid.order : (panel + 1) * grid.order] = 1.0
+        target /= l2x_norm(target, grid)
+        probe = np.sqrt(grid.weights) * target
+        residuals.append(np.linalg.norm(probe - basis @ (basis.conj().T @ probe)) / l2x_norm(target, grid))
+    residuals = np.array(residuals)
+    return float(np.mean(residuals <= 1e-6)), residuals
+
+
+class TestRfRankRule:
+    @pytest.mark.parametrize(
+        "spec",
+        [dirac_map(), weighted_dirac_map("2+sin(x)"), dirac_derivative_map()],
+        ids=["dirac", "2+sin(x)", "dirac_derivative"],
+    )
+    def test_full_row_rank_reads_off_singular_values_only(self, monkeypatch, spec):
+        """A coarse kernel of full row rank reaches every probe: exactly
+        (1.0, 0.0), with no singular vectors formed."""
+        kernel = coarse_kernel(spec, 64)
+        seen = []
+        svd = np.linalg.svd
+
+        def recording_svd(a, *args, **kwargs):
+            seen.append(kwargs.get("compute_uv", args[1] if len(args) > 1 else True))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        assert rf_diagnostic(kernel) == (1.0, 0.0)
+        assert seen == [False]
+
+    def test_bump_and_zero_kernel_match_the_projection_reference(self):
+        bump = coarse_kernel(bump_dirac_map(-1.0, 1.0), 64)
+        zero = KernelMatrix(np.zeros(bump.rows.shape), bump.grid)
+        for kernel in (bump, zero):
+            expected_score, residuals = _projection_reference(kernel)
+            score, worst = rf_diagnostic(kernel)
+            assert 0.0 <= score < 1.0
+            assert score == expected_score
+            assert abs(worst - residuals.max()) <= 1e-12
+
+    def test_fourier_equals_dirac_to_the_bit(self):
+        assert rf_diagnostic(coarse_kernel(fourier_map(), 64)) == rf_diagnostic(
+            coarse_kernel(dirac_map(), 64)
+        )
+        # rank-deficient rows under fourier's phase: the phase is not factored
+        bump = coarse_kernel(bump_dirac_map(-1.0, 1.0), 64)
+        phased = KernelMatrix(bump.rows, bump.grid, phase=(-1j) ** np.arange(64))
+        assert rf_diagnostic(phased) == rf_diagnostic(bump)
+
+    def test_tall_kernel_rejected(self):
+        kernel = make_kernel(dirac_map(), 16)
+        with pytest.raises(InvalidConfigError, match=r"node count <= truncation, got \d+ nodes > 16"):
+            rf_diagnostic(kernel)
+
+
+class TestFourierRealRows:
+    """fourier's moment and totality diagnostics run on dirac's real rows:
+    its column phase P touches only N-vectors."""
+
+    N = 64
+
+    def kernels(self, sampler=make_kernel):
+        return sampler(fourier_map(), self.N), sampler(dirac_map(), self.N)
+
+    def test_spectral_readings_equal_dirac_to_the_bit(self):
+        fourier, dirac = self.kernels()
+        for fourier_kernel, dirac_kernel in (self.kernels(), self.kernels(coarse_kernel)):
+            f, d = totality_test(fourier_kernel), totality_test(dirac_kernel)
+            assert (f.sigma_min, f.sigma_max) == (d.sigma_min, d.sigma_max)
+        for k in range(3):
+            assert continuity_constant(fourier, k) == continuity_constant(dirac, k)
+            assert np.array_equal(envelope(fourier, k), envelope(dirac, k))
+        assert gelfand_check(fourier).isometry_defect == gelfand_check(dirac).isometry_defect
+
+    def test_witness_and_solution_carry_the_conjugate_phase(self):
+        phase = (-1j) ** np.arange(self.N)
+        fourier, dirac = self.kernels(coarse_kernel)
+        witness_f, witness_d = totality_test(fourier).witness, totality_test(dirac).witness
+        assert witness_d is not None
+        assert np.abs(witness_f.coeffs - phase.conj() * witness_d.coeffs).max() <= 1e-12
+        fourier, dirac = self.kernels()
+        rng = np.random.default_rng(SEED)
+        g = random_test_function(self.N, rng)
+        noise = rng.standard_normal(dirac.node_count)
+        for h in (analysis(dirac, g), analysis(dirac, g).real + noise):
+            f_sol, d_sol = solve_moment(fourier, h), solve_moment(dirac, h)
+            assert np.abs(f_sol.f.coeffs - phase.conj() * d_sol.f.coeffs).max() <= 1e-12
+            assert (f_sol.residual, f_sol.null_dim) == (d_sol.residual, d_sol.null_dim)
+
+    def test_no_complex_matrix_is_factored(self, monkeypatch):
+        fourier, coarse = make_kernel(fourier_map(), self.N), coarse_kernel(fourier_map(), self.N)
+        seen = []
+
+        def recording(fn):
+            def call(a, *args, **kwargs):
+                seen.append(np.iscomplexobj(a))
+                return fn(a, *args, **kwargs)
+
+            return call
+
+        for name in ("svd", "qr"):
+            monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
+        h = analysis(fourier, random_test_function(self.N, np.random.default_rng(SEED)))
+        totality_test(fourier)
+        totality_test(coarse)
+        continuity_constant(fourier, 1)
+        solve_moment(fourier, h)
+        gelfand_check(fourier)
+        envelope(fourier, 1)
+        rf_diagnostic(coarse)
+        assert seen and not any(seen)

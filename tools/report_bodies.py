@@ -13,6 +13,12 @@ two checkouts give byte-identical files exactly when their reports agree
 apart from timing:
 
     cmp before.json after.json
+
+    PYTHONPATH=src python tools/report_bodies.py --compare BEFORE AFTER
+
+prints each leaf that differs between two such files as
+``key/path: before -> after`` (``<absent>`` for a missing leaf) and exits 1,
+or prints nothing and exits 0 when they agree.
 """
 
 from __future__ import annotations
@@ -86,10 +92,50 @@ def report_bodies(n_maxes):
     return bodies
 
 
+ABSENT = object()
+
+
+def differing_leaves(before, after, path=""):
+    """(path, before leaf, after leaf) for every leaf where two bodies differ;
+    a dict key or list index extends the path, anything else is a leaf."""
+    if isinstance(before, dict) and isinstance(after, dict):
+        keys = sorted(set(before) | set(after))
+        pairs = [(k, before.get(k, ABSENT), after.get(k, ABSENT)) for k in keys]
+    elif isinstance(before, list) and isinstance(after, list) and len(before) == len(after):
+        pairs = list(zip(range(len(before)), before, after))
+    else:
+        # compared as written: 1, 1.0 and true differ, NaN equals NaN
+        same = ABSENT not in (before, after) and json.dumps(before) == json.dumps(after)
+        return [] if same else [(path, before, after)]
+    return [
+        leaf
+        for key, b, a in pairs
+        for leaf in differing_leaves(b, a, f"{path}/{key}" if path else str(key))
+    ]
+
+
+def compare(before_path, after_path):
+    """Print every differing leaf of two body files; 1 if any, else 0."""
+    with open(before_path) as fh:
+        before = json.load(fh)
+    with open(after_path) as fh:
+        after = json.load(fh)
+    leaves = differing_leaves(before, after)
+    for path, *values in leaves:
+        before_text, after_text = ("<absent>" if v is ABSENT else json.dumps(v) for v in values)
+        print(f"{path}: {before_text} -> {after_text}")
+    return 1 if leaves else 0
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["--compare"]:
+        if len(argv) != 3:
+            print("usage: report_bodies.py --compare BEFORE AFTER", file=sys.stderr)
+            return 2
+        return compare(argv[1], argv[2])
     if not argv:
-        print("usage: report_bodies.py OUT [N_MAX ...]", file=sys.stderr)
+        print("usage: report_bodies.py OUT [N_MAX ...] | --compare BEFORE AFTER", file=sys.stderr)
         return 2
     out, n_maxes = argv[0], [int(n) for n in argv[1:]] or [64]
     with open(out, "w") as fh:
