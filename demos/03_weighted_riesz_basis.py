@@ -46,8 +46,7 @@ print(f"dual bounds: [{dl:.6f}, {du:.6f}]  (inside [1/9, 1])")
 # Reconstruction works in both displayed orders.
 rng = np.random.default_rng(42)
 f = random_test_function(N, rng)
-_, err1 = reconstruct(pair, f)
-_, err2 = reconstruct(pair, f, swap_roles=True)
+(_, err1), (_, err2) = reconstruct(pair, f)
 print(f"\nreconstruction errors: dual-synthesis {err1:.2e}, omega-synthesis {err2:.2e}")
 
 # A frame is in particular an upper semi-frame, so its dual clears the

@@ -114,7 +114,6 @@ from .moments import (
     envelope_condition_check,
     rf_diagnostic,
     solve_moment,
-    weighted_least_squares,
 )
 
 __version__ = "0.1.0"

@@ -6,10 +6,10 @@ subcommand and the acceptance test suite, so the criteria live in exactly
 one place.
 
 Oracles used here are deliberately independent of the code paths they
-check: the derivative-map frame operator is compared against the
-pentadiagonal Gram matrix assembled from the coefficient-space ladder
-relation, and moment recovery draws its reference solutions from an
-explicit row-space projection.
+check: the derivative-map frame operator is compared against the exact
+one formed from the Hermite-basis matrices of x and d/dx
+(_exact_frame_operator), and moment recovery draws its reference solutions
+from an explicit row-space projection.
 """
 
 from __future__ import annotations
@@ -119,7 +119,7 @@ def check_dual_reconstruction():
     pair = canonical_dual(kernel)
     rng = np.random.default_rng(DEFAULT_SEED)
     functions = [random_test_function(16, rng) for _ in range(20)]
-    worst = max(err for swap in (False, True) for _, err in reconstruct(pair, functions, swap))
+    worst = max(err for order in reconstruct(pair, functions) for _, err in order)
     return _result(
         "dual_reconstruction",
         worst <= 1e-8,
@@ -127,15 +127,22 @@ def check_dual_reconstruction():
     )
 
 
-def _derivative_penta_oracle(truncation):
-    """Gram of the derivative images from the coefficient ladder relation,
-    assembled without touching the quadrature path."""
-    ladder = np.zeros((truncation + 1, truncation))
-    for n in range(truncation):
-        ladder[n + 1, n] = -np.sqrt((n + 1) / 2.0)
-        if n >= 1:
-            ladder[n - 1, n] = np.sqrt(n / 2.0)
-    return ladder.T @ ladder
+def _exact_frame_operator(poly_coeffs, derivative_order, truncation):
+    """S_N of omega_x = p(x) delta_x^(d) with no quadrature and no Hermite
+    values: the leading N x N block of (p(J) D^d)^T (p(J) D^d).  In the
+    Hermite-function basis x acts as the Jacobi matrix J, J[n, n+1] =
+    sqrt((n+1)/2), and d/dx as D, D[n-1, n] = sqrt(n/2) and D[n+1, n] =
+    -sqrt((n+1)/2).  Both are formed at size N + d + deg p, where cutting
+    them off changes no entry of the block.  ``poly_coeffs`` lists p's
+    coefficients from the constant term up."""
+    size = truncation + derivative_order + len(poly_coeffs) - 1
+    ladder = np.diag(np.sqrt(np.arange(1, size) / 2.0), 1)
+    jacobi, derivative = ladder + ladder.T, ladder - ladder.T
+    images = np.linalg.matrix_power(derivative, derivative_order)[:, :truncation]
+    mapped = poly_coeffs[-1] * images
+    for coeff in reversed(poly_coeffs[:-1]):
+        mapped = jacobi @ mapped + coeff * images
+    return mapped.T @ mapped
 
 
 def check_derivative_deltas_unbounded():
@@ -148,7 +155,7 @@ def check_derivative_deltas_unbounded():
         op = frame_operator(kernel)
         oracle_defect = max(
             oracle_defect,
-            float(np.abs(op.matrix - _derivative_penta_oracle(truncation)).max()),
+            float(np.abs(op.matrix - _exact_frame_operator((1.0,), 1, truncation)).max()),
         )
         uppers.append(frame_bounds(op)[1])
     ratios = [b / a for a, b in zip(uppers, uppers[1:])]

@@ -34,8 +34,11 @@ N x N work on blocks of at most a few dozen columns besides the passes over
 omega's rows.  X^H, not X: the computed inverse is not exactly Hermitian.
 ``pair.theta`` forms rows @ X when read (not cached).  Randomized checks
 draw all their trial functions first, in the order a per-trial loop would,
-and apply them as one block of columns: one pass over each kernel per
-direction.
+and apply them as one block of columns.  Since theta shares omega's rows,
+work through both maps stacks its blocks and takes one pass over the rows
+per direction: verify_duality one analysis pass, reconstruct (which returns
+both orders) one analysis and one synthesis pass.  A hand-built pair takes
+one pass per kernel and direction.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ from .operators import (
     _hermitian_gram,
     _scale_rows,
     _synthesize,
+    _unphase,
     _weighted_rows,
     classify,
     frame_bounds,
@@ -123,15 +127,6 @@ class DualPair:
         return KernelMatrix(rows, self.omega.grid, None, phase=self.omega.phase)
 
 
-def _theta_side(pair):
-    """(kernel, inner) with theta = kernel.rows @ inner @ P, for _analyze
-    and _synthesize: (omega, X) for a canonical pair, (theta, None) for an
-    explicit one."""
-    if pair.inverse is None:
-        return pair.explicit_theta, None
-    return pair.omega, pair.inverse
-
-
 def canonical_dual(kernel):
     """Canonical dual pair (omega, Omega S^{-1}), unmeasured (see
     verify_duality).
@@ -170,10 +165,8 @@ def verify_duality(pair, trials, seed=DEFAULT_SEED):
     """Worst normalized defect of <f, g> = int <f, theta_x><omega_x, g> dmu
     over seeded random pairs.
 
-    The pairs are drawn in turn (f, g, f, g, ...) and applied as one block,
-    one pass over each kernel.  A canonical pair's theta shares omega's rows,
-    so both sides take a single pass over them, on the stacked block
-    [X P f | P g].
+    The pairs are drawn in turn (f, g, f, g, ...) and applied as one block
+    through each map (_analyze_pair).
     """
     if trials < 1:
         raise InvalidConfigError(f"trials must be >= 1, got {trials}")
@@ -183,14 +176,7 @@ def verify_duality(pair, trials, seed=DEFAULT_SEED):
     draws = np.stack([random_test_function(n, rng).coeffs for _ in range(2 * trials)], axis=1)
     f, g = draws[:, 0::2], draws[:, 1::2]
     direct = np.sum(f * g.conj(), axis=0)
-    if pair.inverse is None:
-        analyzed_f, analyzed_g = _analyze(pair.explicit_theta, f), _analyze(omega, g)
-    else:
-        block = np.concatenate([f, g], axis=1)
-        if omega.phase is not None:
-            block = _scale_rows(omega.phase, block)
-        block[:, :trials] = _apply(pair.inverse, block[:, :trials])
-        analyzed_f, analyzed_g = np.hsplit(_apply(omega.rows, block), 2)
+    analyzed_f, analyzed_g = np.hsplit(_analyze_pair(pair, f, g), 2)
     through = omega.grid.weights @ (analyzed_f * analyzed_g.conj())
     scale = np.linalg.norm(f, axis=0) * np.linalg.norm(g, axis=0)
     return float(np.max(np.abs(direct - through) / scale))
@@ -216,28 +202,56 @@ def dual_bounds(pair):
     return lower_t, upper_t
 
 
-def reconstruct(pair, f, swap_roles=False):
-    """Round-trip f through analysis and the dual synthesis.
+def _analyze_pair(pair, theta_block, omega_block):
+    """[Theta @ theta_block | Omega @ omega_block] as one array.  A canonical
+    pair's theta = rows X P shares omega's rows, so both take one pass over
+    them, on the stacked block [X P theta_block | P omega_block]; a
+    hand-built pair takes one pass per kernel."""
+    omega = pair.omega
+    if pair.inverse is None:
+        parts = [_analyze(pair.explicit_theta, theta_block), _analyze(omega, omega_block)]
+        return np.concatenate(parts, axis=1)
+    if omega.phase is not None:
+        theta_block, omega_block = (_scale_rows(omega.phase, b) for b in (theta_block, omega_block))
+    block = np.concatenate([_apply(pair.inverse, theta_block), omega_block], axis=1)
+    return _apply(omega.rows, block)
 
-    ``swap_roles`` uses the other displayed order (analyze through theta,
-    synthesize through omega).  Returns (reconstruction, relative error).
-    ``f`` may also be a sequence of test functions, which round-trip as one
-    block (one pass over each kernel per direction); the result is then a
-    list of such pairs.
+
+def reconstruct(pair, f):
+    """Round-trip f through both displayed orders of the dual pair.
+
+    Returns (forward, backward): forward synthesizes through theta what
+    omega analyzed, backward synthesizes through omega what theta analyzed.
+    Each is a (reconstruction, relative error) pair, or a list of them when
+    ``f`` is a sequence of test functions, which round-trip as one block.  A
+    canonical pair takes one pass over omega's rows per direction for both
+    orders; a hand-built pair one per kernel and direction.
     """
     single = isinstance(f, TestFunction)
     functions = [f] if single else list(f)
+    count = len(functions)
     coeffs = np.stack([g.coeffs for g in functions], axis=1)
-    theta, inner = _theta_side(pair)
-    if swap_roles:
-        rebuilt = _synthesize(pair.omega, _analyze(theta, coeffs, inner))
+    omega = pair.omega
+    analyzed = _analyze_pair(pair, coeffs, coeffs)
+    if pair.inverse is None:
+        forward = _synthesize(pair.explicit_theta, analyzed[:, count:])
+        backward = _synthesize(omega, analyzed[:, :count])
     else:
-        rebuilt = _synthesize(theta, _analyze(pair.omega, coeffs), inner)
+        # Theta^H (W xi) = P^H conj(X^T rows^T conj(W xi)): both orders in one
+        # pass, with W and conj applied in place to the stacked block
+        analyzed *= omega.grid.weights[:, None]
+        out = _apply(omega.rows.T, np.conjugate(analyzed, out=analyzed))
+        backward, forward = np.hsplit(out, [count])
+        forward = _unphase(omega, _apply(pair.inverse.T, forward).conj())
+        backward = _unphase(omega, backward.conj())
     scale = np.linalg.norm(coeffs, axis=0)
-    err = np.linalg.norm(rebuilt - coeffs, axis=0)
-    rel = err / np.where(scale > 0, scale, 1.0)
-    results = [(TestFunction(rebuilt[:, k]), float(rel[k])) for k in range(len(functions))]
-    return results[0] if single else results
+    orders = []
+    for rebuilt in (forward, backward):
+        err = np.linalg.norm(rebuilt - coeffs, axis=0)
+        rel = err / np.where(scale > 0, scale, 1.0)
+        results = [(TestFunction(rebuilt[:, k]), float(rel[k])) for k in range(count)]
+        orders.append(results[0] if single else results)
+    return tuple(orders)
 
 
 def parseval_check(kernel):

@@ -48,7 +48,6 @@ from .quadrature import l2x_norm
 __all__ = [
     "MomentSolution",
     "DualBesselResult",
-    "weighted_least_squares",
     "solve_moment",
     "rf_diagnostic",
     "continuity_constant",
@@ -58,23 +57,6 @@ __all__ = [
 ]
 
 NULL_SPACE_CUTOFF = 1e-10
-
-
-def weighted_least_squares(matrix, rhs, weights):
-    """Minimum-norm minimizer of sum_j w_j |(A x - b)_j|^2.
-
-    Returns (x, attained weighted residual norm).
-    """
-    matrix = np.asarray(matrix)
-    rhs = np.asarray(rhs)
-    weights = np.asarray(weights, dtype=float)
-    for name, arr in (("matrix", matrix), ("rhs", rhs), ("weights", weights)):
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{name} contains non-finite entries")
-    scale = np.sqrt(weights)
-    solution, _, _, _ = np.linalg.lstsq(scale[:, None] * matrix, scale * rhs, rcond=None)
-    residual = float(np.linalg.norm(scale * (matrix @ solution - rhs)))
-    return solution, residual
 
 
 @dataclass(frozen=True)

@@ -112,29 +112,19 @@ def _scale_rows(scale, block):
     return (scale if block.ndim == 1 else scale[:, None]) * block
 
 
-def _analyze(kernel, block, inner=None):
+def _analyze(kernel, block):
     """Omega @ block = rows @ (P block) for a coefficient vector or a block of
-    columns: the phase P touches only the block.  An N x N ``inner`` factor
-    analyzes through rows @ inner @ P instead, applied as rows @ (inner @ (P
-    block)), so that kernel is never formed."""
+    columns: the phase P touches only the block."""
     if kernel.phase is not None:
         block = _scale_rows(kernel.phase, block)
-    if inner is not None:
-        block = _apply(inner, block)
     return _apply(kernel.rows, block)
 
 
-def _synthesize(kernel, xi, inner=None):
+def _synthesize(kernel, xi):
     """Omega^H (W xi) = P^H conj(rows^T conj(W xi)) for a grid function or a
-    block of them (one column each): no conjugate copy of the kernel.  With an
-    ``inner`` factor it is (rows @ inner @ P)^H (W xi), with inner^H applied
-    as conj(inner^T conj(.)) on the N-row block."""
+    block of them (one column each): no conjugate copy of the kernel."""
     weighted = _scale_rows(kernel.grid.weights, xi)
-    out = _apply(kernel.rows.T, weighted.conj())
-    if inner is not None:
-        out = _apply(inner.T, out)
-    out = out.conj()
-    return out if kernel.phase is None else _scale_rows(kernel.phase.conj(), out)
+    return _unphase(kernel, _apply(kernel.rows.T, weighted.conj()).conj())
 
 
 def weighted_analysis_matrix(kernel):

@@ -292,7 +292,7 @@ def _dual_section(config, round_trip=False):
     if round_trip:
         rng = np.random.default_rng(config.seed)
         functions = [random_test_function(kernel.truncation, rng) for _ in range(20)]
-        defect = max(err for swap in (False, True) for _, err in reconstruct(pair, functions, swap))
+        defect = max(err for order in reconstruct(pair, functions) for _, err in order)
     else:
         defect = verify_duality(pair, 20, config.seed)
     return {"A_theta": lower, "B_theta": upper, "defect": defect}

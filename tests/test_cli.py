@@ -451,10 +451,12 @@ def test_report_bodies_tool(tmp_path):
         assert tool.main([str(out), "16"]) == 0
     assert outs[0].read_bytes() == outs[1].read_bytes()
     bodies = json.loads(outs[0].read_text())
-    # every report command, plus the bounds report in CSV
+    # every report command, plus the bounds report in CSV, plus each demo's stdout
+    demos = sorted(tool.DEMOS.glob("*.py"))
     assert len(bodies) == (len(tool.BUILTIN_MAPS) + len(tool.CUSTOM_KERNELS)) * (
         len(tool.REPORT_COMMANDS) + 1
-    )
+    ) + len(demos)
+    assert len(demos) == 7 and all(bodies[f"demos/{d.stem}"].strip() for d in demos)
     assert bodies["dirac/n_max=16/bounds/csv"].startswith("N,L,nodes,A,B,")
     assert tempfile.gettempdir() not in outs[0].read_text()
     assert bodies["custom-real/N=32/dual"]["config"]["map"]["custom_kernel"].startswith("<tmp>")

@@ -172,7 +172,7 @@ class TestReconstruct:
         pair = canonical_dual(make_kernel(dirac_map(), 16))
         rng = np.random.default_rng(SEED)
         f = random_test_function(16, rng)
-        _, err = reconstruct(pair, f)
+        (_, err), _ = reconstruct(pair, f)
         assert err <= 1e-9
 
     def test_weighted_both_orders(self):
@@ -180,12 +180,44 @@ class TestReconstruct:
         rng = np.random.default_rng(SEED)
         for _ in range(10):
             f = random_test_function(16, rng)
-            assert reconstruct(pair, f)[1] <= 1e-8
-            assert reconstruct(pair, f, swap_roles=True)[1] <= 1e-8
+            forward, backward = reconstruct(pair, f)
+            assert forward[1] <= 1e-8
+            assert backward[1] <= 1e-8
+
+    @pytest.mark.parametrize("spec", [weighted_dirac_map("2+sin(x)"), fourier_map()], ids=["2+sin(x)", "fourier"])
+    def test_canonical_pair_takes_one_pass_over_the_rows_per_direction(self, monkeypatch, spec):
+        """Both orders of a canonical pair come from one product with
+        omega.rows (on [X P c | P c]) and one with omega.rows.T; an explicit
+        pair takes one per kernel and direction, and both agree."""
+        from riggedframes import duality, operators
+
+        pair = canonical_dual(make_kernel(spec, 32))
+        explicit = DualPair(pair.omega, pair.theta)
+        passes = []
+        apply = operators._apply
+
+        def recording(matrix, block):
+            if pair.omega.node_count in matrix.shape:
+                side = "rows" if matrix.shape[0] == pair.omega.node_count else "rows.T"
+                passes.append((side, block.shape[1]))
+            return apply(matrix, block)
+
+        monkeypatch.setattr(operators, "_apply", recording)
+        monkeypatch.setattr(duality, "_apply", recording)
+        rng = np.random.default_rng(SEED)
+        functions = [random_test_function(32, rng) for _ in range(20)]
+        lazy = reconstruct(pair, functions)
+        assert passes == [("rows", 40), ("rows.T", 40)]
+        passes.clear()
+        eager = reconstruct(explicit, functions)
+        assert sorted(passes) == [("rows", 20), ("rows", 20), ("rows.T", 20), ("rows.T", 20)]
+        for lazy_order, eager_order in zip(lazy, eager):
+            for (_, lazy_err), (_, eager_err) in zip(lazy_order, eager_order):
+                assert abs(lazy_err - eager_err) <= 1e-12
 
     def test_zero_function(self):
         pair = canonical_dual(make_kernel(dirac_map(), 8))
-        rebuilt, err = reconstruct(pair, TestFunction.zero(8))
+        (rebuilt, err), _ = reconstruct(pair, TestFunction.zero(8))
         assert rebuilt.norm() == pytest.approx(0.0, abs=1e-14)
         assert err <= 1e-14
 
@@ -362,11 +394,10 @@ class TestRealDualPathOracle:
         assert abs(verify_duality(pair, 20, SEED) - defect) <= tol
         rng = np.random.default_rng(SEED)
         functions = [random_test_function(truncation, rng) for _ in range(20)]
-        forward = [err for _, err in reconstruct(pair, functions)]
-        backward = [err for _, err in reconstruct(pair, functions, swap_roles=True)]
+        forward, backward = ([err for _, err in order] for order in reconstruct(pair, functions))
         mine = np.array([e for both in zip(forward, backward) for e in both])
         assert np.abs(mine - errors).max() <= tol
-        single = reconstruct(pair, functions[3], swap_roles=True)
+        single = reconstruct(pair, functions[3])[1]
         assert isinstance(single[0], TestFunction) and abs(single[1] - backward[3]) <= tol
 
 
@@ -451,8 +482,8 @@ class TestThetaOperator:
 @pytest.mark.parametrize("spec", [weighted_dirac_map("2+sin(x)"), fourier_map()])
 def test_dual_requests_allocate_less_than_the_kernel(spec):
     """canonical_dual keeps the inverse X and theta is applied as
-    rows @ (X @ block): neither building the pair nor verifying it nor either
-    reconstruction order forms a second kernel-sized matrix."""
+    rows @ (X @ block): neither building the pair nor verifying it nor
+    reconstructing in both orders forms a second kernel-sized matrix."""
     import tracemalloc
 
     kernel = make_kernel(spec, 256)
@@ -461,8 +492,7 @@ def test_dual_requests_allocate_less_than_the_kernel(spec):
     rng = np.random.default_rng(SEED)
     functions = [random_test_function(256, rng) for _ in range(20)]
     for call in (lambda: canonical_dual(kernel), lambda: verify_duality(pair, 20, SEED),
-                 lambda: reconstruct(pair, functions),
-                 lambda: reconstruct(pair, functions, swap_roles=True)):
+                 lambda: reconstruct(pair, functions)):
         tracemalloc.start()
         try:
             call()

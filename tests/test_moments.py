@@ -32,7 +32,6 @@ from riggedframes import (
     totality_test,
     weighted_analysis_matrix,
     weighted_dirac_map,
-    weighted_least_squares,
 )
 from riggedframes.operators import ClassifyThresholds, StageFactorization, _series_trend
 
@@ -45,40 +44,6 @@ def make_kernel(spec, truncation):
 
 def coarse_kernel(spec, truncation):
     return sample_kernel(spec, coarse_synthesis_grid(truncation), truncation)
-
-
-class TestWeightedLeastSquares:
-    def test_identity_system(self):
-        b = np.array([1.0, -2.0, 3.0])
-        x, residual = weighted_least_squares(np.eye(3), b, np.ones(3))
-        assert x == pytest.approx(b)
-        assert residual == pytest.approx(0.0, abs=1e-14)
-
-    def test_inconsistent_system_matches_normal_equations(self):
-        rng = np.random.default_rng(SEED)
-        matrix = rng.standard_normal((12, 5))
-        rhs = rng.standard_normal(12)
-        weights = rng.uniform(0.5, 2.0, 12)
-        x, residual = weighted_least_squares(matrix, rhs, weights)
-        # independent oracle: solve the weighted normal equations directly
-        gram = matrix.T @ (weights[:, None] * matrix)
-        oracle = np.linalg.solve(gram, matrix.T @ (weights * rhs))
-        assert x == pytest.approx(oracle, rel=1e-10)
-        oracle_residual = math.sqrt(np.sum(weights * (matrix @ oracle - rhs) ** 2))
-        assert residual == pytest.approx(oracle_residual, rel=1e-10)
-        assert residual > 0
-
-    def test_rank_deficient_minimum_norm(self):
-        matrix = np.array([[1.0, 1.0], [2.0, 2.0]])
-        rhs = np.array([1.0, 2.0])
-        x, residual = weighted_least_squares(matrix, rhs, np.ones(2))
-        assert residual == pytest.approx(0.0, abs=1e-12)
-        # minimum-norm solution is orthogonal to the null direction (1, -1)
-        assert x @ np.array([1.0, -1.0]) == pytest.approx(0.0, abs=1e-12)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            weighted_least_squares(np.array([[np.inf]]), np.array([1.0]), np.array([1.0]))
 
 
 class TestSolveMoment:

@@ -49,6 +49,15 @@ BUILTIN_FAMILIES = {
     "bump[-1,1]": bump_dirac_map(-1.0, 1.0),
 }
 
+# (spec, coefficients of p from the constant term up, d) for omega_x = p(x) delta_x^(d)
+EXACT_OPERATORS = {
+    "dirac": (dirac_map(), (1.0,), 0),
+    "dirac_derivative": (dirac_derivative_map(), (1.0,), 1),
+    "1+x^2": (weighted_dirac_map("1+x^2"), (1.0, 0.0, 1.0), 0),
+    "x": (weighted_dirac_map("x"), (0.0, 1.0), 0),
+    "fourier": (fourier_map(), (1.0,), 0),
+}
+
 
 def make_kernel(spec, truncation):
     return sample_kernel(spec, stage_grid(default_stage(truncation)), truncation)
@@ -162,6 +171,21 @@ class TestFrameOperator:
         uppers = [b[1] for b in bounds]
         assert all(a >= b - 1e-12 for a, b in zip(lowers, lowers[1:]))
         assert all(a <= b + 1e-12 for a, b in zip(uppers, uppers[1:]))
+
+    @pytest.mark.parametrize("truncation", [64, 1024])
+    @pytest.mark.parametrize("family", list(EXACT_OPERATORS))
+    def test_stage_operator_matches_the_exact_oracle(self, family, truncation):
+        """The quadrature S on the default stage against the exact S of
+        omega_x = p(x) delta_x^(d), formed from the Hermite-basis matrices of
+        x and d/dx with no quadrature.  Fourier's S is dirac's up to its
+        column phase, so its gram is the one compared."""
+        from riggedframes.acceptance import _exact_frame_operator
+
+        spec, poly_coeffs, derivative_order = EXACT_OPERATORS[family]
+        op = frame_operator(make_kernel(spec, truncation))
+        stage_s = op.gram if family == "fourier" else op.matrix
+        exact = _exact_frame_operator(poly_coeffs, derivative_order, truncation)
+        assert np.abs(stage_s - exact).max() <= 1e-12 * np.abs(stage_s).max()
 
 
 class TestEigenpairs:

@@ -8,9 +8,11 @@ real and a complex custom CSV kernel at N = 32 (2+sin(x) and fourier sampled
 on the default stage grid).  Each body is the report as the CLI emits it,
 with ``timing`` and the temporary CSV path dropped; the bounds report is
 also recorded in CSV, as ``.../bounds/csv``; a refused command is recorded as
-``"ErrorType: message"``.  OUT is written with sorted keys, so
-two checkouts give byte-identical files exactly when their reports agree
-apart from timing:
+``"ErrorType: message"``.  The stdout of each script under ``demos/`` is
+recorded as ``demos/<stem>``, run with this interpreter and environment.
+OUT is written with sorted keys, so two checkouts give byte-identical files
+exactly when their reports agree apart from timing and their demos print
+the same:
 
     cmp before.json after.json
 
@@ -24,6 +26,7 @@ or prints nothing and exits 0 when they agree.
 from __future__ import annotations
 
 import json
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -45,6 +48,7 @@ BUILTIN_MAPS = {
 CUSTOM_N = 32
 CUSTOM_KERNELS = {"custom-real": weighted_dirac_map("2+sin(x)"), "custom-complex": fourier_map()}
 TMP = "<tmp>"
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
 def _report(command, data, tmpdir):
@@ -89,6 +93,9 @@ def report_bodies(n_maxes):
                 bodies[f"{key}/{command}"] = _body(report, tmpdir)
                 if command == "bounds":
                     bodies[f"{key}/bounds/csv"] = _body(report, tmpdir, "csv")
+    for script in sorted(DEMOS.glob("*.py")):
+        run_demo = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, check=True)
+        bodies[f"demos/{script.stem}"] = run_demo.stdout
     return bodies
 
 
