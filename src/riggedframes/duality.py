@@ -333,11 +333,22 @@ def riesz_check(kernel, ladder=None, thresholds=ClassifyThresholds()):
 
     The singular-value interval of the weighted kernel certifies the
     synthesis map as bounded with bounded inverse at the truncated level.
+    It is read off classify's final stage when the kernel has that stage's
+    truncation and grid; any other kernel is factored once more.
     """
     ladder = _walkable_ladder(kernel, ladder, "riesz_check")
     report = classify(kernel.map_spec, ladder, thresholds)
-    # real rows: fourier's column phase changes no singular value
-    factor = StageFactorization(_weighted_rows(kernel))
+    stage, grid = ladder.final_stage, kernel.grid
+    final_grid = stage_grid(stage)
+    if (
+        kernel.truncation == stage.truncation
+        and np.array_equal(grid.nodes, final_grid.nodes)
+        and np.array_equal(grid.weights, final_grid.weights)
+    ):
+        factor = report.stages[-1]
+    else:
+        # real rows: fourier's column phase changes no singular value
+        factor = StageFactorization(_weighted_rows(kernel))
     return RieszResult(report.has("riesz_basis"), factor.sigma_min, factor.sigma_max, report)
 
 

@@ -112,11 +112,13 @@ def custom_map(path):
 def bump_profile(a, b, x):
     """The smooth bump exp(1 - 1/(1 - t^2)) on (a, b), zero outside.
 
-    t is the affine image of x onto (-1, 1); the peak value at the midpoint
-    is exactly 1, so max |eta| = 1 for bound checks.
+    t is the affine image of x onto (-1, 1), measured from the midpoint; the
+    peak value there is exactly 1, so max |eta| = 1 for bound checks.  On a
+    support symmetric about 0 the midpoint is 0 and t = x / b, so the profile
+    is even bit for bit.
     """
     xa = np.atleast_1d(np.asarray(x, dtype=float))
-    t = (2.0 * xa - a - b) / (b - a)
+    t = (xa - 0.5 * (a + b)) / (0.5 * (b - a))
     out = np.zeros_like(xa)
     inside = np.abs(t) < 1.0
     out[inside] = np.exp(1.0 - 1.0 / (1.0 - t[inside] ** 2))
@@ -197,28 +199,35 @@ def sample_kernel(spec, grid, truncation):
         raise InvalidConfigError(f"truncation must be >= 1, got {truncation}")
     if spec.kind == "custom":
         return load_custom_kernel(spec.custom_kernel, grid, truncation)
-    rows = _real_rows(spec, grid.nodes, truncation)
+    rows = _real_rows(spec, grid.nodes, truncation, _row_weight(spec, grid.nodes))
     rows.setflags(write=False)
     phase = (-1j) ** np.arange(truncation) if spec.kind == "fourier" else None
     return KernelMatrix(rows, grid, spec, phase=phase)
 
 
-def _real_rows(spec, nodes, truncation):
+def _row_weight(spec, nodes):
+    """The real factor a built-in kind's rows carry at each node: the weight
+    of weighted_dirac, the bump of bump_dirac, None for the other kinds.
+    Complex weights go through custom kernels."""
+    if spec.kind == "weighted_dirac":
+        return eval_weight(spec.weight, nodes)
+    if spec.kind == "bump_dirac":
+        return bump_profile(*spec.bump_support, nodes)
+    return None
+
+
+def _real_rows(spec, nodes, truncation, weight):
     """Real kernel rows of a built-in kind: the Hermite (or derivative) table
-    times the row weight, with negligible entries floored to 0.  fourier
-    shares the dirac rows: its unitary (-i)^n column phase, kept apart by
-    sample_kernel, commutes with every column scaling and so leaves all
-    spectral diagnostics unchanged."""
+    times the row weight (_row_weight at these nodes), with negligible entries
+    floored to 0.  fourier shares the dirac rows: its unitary (-i)^n column
+    phase, kept apart by sample_kernel, commutes with every column scaling and
+    so leaves all spectral diagnostics unchanged."""
     if spec.kind == "dirac_derivative":
         table = -hermite_derivative_table(truncation, nodes)
     else:
         table = hermite_table(truncation, nodes)
-    if spec.kind == "weighted_dirac":
-        # real weights throughout; complex weights go through custom kernels
-        table *= eval_weight(spec.weight, nodes)[:, None]
-    elif spec.kind == "bump_dirac":
-        a, b = spec.bump_support
-        table *= bump_profile(a, b, nodes)[:, None]
+    if weight is not None:
+        table *= weight[:, None]
     _floor_negligible(table)
     return table
 

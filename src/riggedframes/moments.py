@@ -222,10 +222,11 @@ def dual_bessel_check(pair, ladder=None):
 
     Precondition (config error if unmet): the original map solves every
     coarse-grid panel probe, rf score 1.  It walks the ladder as classify does
-    and reads each stage's canonical dual off omega's R (S = R^T R, so sqrt(W)
-    Theta = Q R^-T; NotAFrameError for a singular S), certifying the smallest
-    seminorm index up to the classifier's default ``bessel_k_max`` whose
-    constant, the top singular value of R^-T D_k, is bounded by its trend rule.
+    and reads each stage's canonical dual off omega's R, block by block (S =
+    R^T R, so sqrt(W) Theta = Q R^-T; NotAFrameError for a singular S),
+    certifying the smallest seminorm index up to the classifier's default
+    ``bessel_k_max`` whose constant, the top singular value of R^-T D_k over
+    the blocks, is bounded by its trend rule.
     """
     kernel = pair.omega
     coarse = _coarse_kernel(kernel.map_spec, kernel.truncation, kernel)
@@ -239,9 +240,11 @@ def dual_bessel_check(pair, ladder=None):
     factors = []
     for _, factor in _ladder_walk(kernel.map_spec, ladder):
         _require_frame(factor.sigma_min**2, factor.sigma_max**2)
-        # the N x N QR of R^-T is theta's factor; fourier's column phase
-        # commutes with every D_k, so fourier reads the real R dirac does
-        factors.append(StageFactorization(np.linalg.inv(factor.r).T))
+        # the QR of each block's R^-T is theta's factor of that block;
+        # fourier's column phase commutes with every D_k, so fourier reads
+        # the real R dirac does
+        inverses = tuple(np.linalg.inv(r).T for r, _ in factor.blocks)
+        factors.append(StageFactorization(inverses, tuple(c for _, c in factor.blocks)))
     index, constant, _ = _bessel_search(factors, ClassifyThresholds())
     if index is None:
         return DualBesselResult(False, -1, math.inf)

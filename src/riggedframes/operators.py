@@ -14,6 +14,12 @@ factors each stage once (a thin QR of the ~15N x N weighted real rows to R;
 Chan, ACM TOMS 8, 1982).  Bounds and totality are R's singular values; the
 p_k Bessel constant is the top one of R D_k (R^-T D_k for the dual), formed
 after the walk up to the first bounded k (k = 0 is sigma_max: no damped SVD).
+Stage grids are mirror-symmetric bit for bit, and h_n(-x) = (-1)^n h_n(x):
+when the map's row weight has magnitudes that agree bit for bit at mirrored
+nodes (dirac, fourier and dirac_derivative always, a weight or bump when
+|w(x)| == |w(-x)|), S is block diagonal in the even and odd indices, so the
+walk samples only the nodes x >= 0 and StageFactorization holds one R per
+parity block (see _stage_rows); every read is taken over the blocks.
 The synthesis side (mu-independence, moment solves, the Gel'fand isometry
 defect) reads one coarse kernel per call, from _coarse_kernel: a built-in map
 sampled on the bulk grid coarse_synthesis_grid(N), or a given kernel, with
@@ -47,7 +53,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidConfigError, NumericError
 from .hermite import DistributionSample, TestFunction
-from .kernels import _real_rows, sample_kernel
+from .kernels import _real_rows, _row_weight, sample_kernel
 from .quadrature import build_grid, bulk_half_width, stage_grid
 
 __all__ = [
@@ -266,25 +272,42 @@ def frame_bounds(op):
 
 
 class StageFactorization:
-    """Triangular factor R of a weighted kernel sqrt(W) Omega, from one thin QR.
+    """Triangular factors R of a weighted kernel sqrt(W) Omega, one thin QR per
+    diagonal block of its frame operator.
 
-    R D has the singular values of sqrt(W) Omega D for every column scaling
-    D; the Gram route would square the condition number at the rank cutoff.
+    ``blocks`` holds (R, columns) pairs, ``columns`` the slice of coefficient
+    indices the block's R stands for.  One block holds every column; a
+    parity split (see _stage_rows) holds the even and the odd ones.  R D
+    has the singular values of sqrt(W) Omega D for every column scaling D
+    that keeps the blocks, diagonal D among them; the Gram route would square
+    the condition number at the rank cutoff.
+
+    ``weighted`` is one matrix, or with ``columns`` one matrix per block,
+    ``weighted[i]`` holding the kernel's columns ``columns[i]``.
     """
 
-    def __init__(self, weighted):
-        self.r = np.linalg.qr(weighted, mode="r")
-        svals = np.linalg.svd(self.r, compute_uv=False)
-        self.sigma_max = float(svals[0])
-        # fewer rows than columns leave a null space whatever R's spectrum
-        self.sigma_min = float(svals[-1]) if weighted.shape[0] >= weighted.shape[1] else 0.0
+    def __init__(self, weighted, columns=None):
+        if columns is None:
+            weighted, columns = (weighted,), (slice(None),)
+        self.blocks = tuple((np.linalg.qr(a, mode="r"), c) for a, c in zip(weighted, columns))
+        self.sigma_min, self.sigma_max = math.inf, 0.0
+        for a, (r, _) in zip(weighted, self.blocks):
+            svals = np.linalg.svd(r, compute_uv=False)
+            self.sigma_max = max(self.sigma_max, float(svals[0]))
+            # fewer rows than columns leave a null space whatever R's spectrum
+            self.sigma_min = min(self.sigma_min, float(svals[-1]) if a.shape[0] >= a.shape[1] else 0.0)
 
     def bessel_constant(self, k):
-        """Top singular value of the kernel damped by (1+n)^(-k/2)."""
+        """Top singular value of the kernel damped by (1+n)^(-k/2): the
+        largest over the blocks."""
         if k == 0:
             return self.sigma_max
-        damping = (1.0 + np.arange(self.r.shape[1])) ** (-k / 2.0)
-        return float(np.linalg.svd(self.r * damping[None, :], compute_uv=False)[0])
+        truncation = sum(r.shape[1] for r, _ in self.blocks)
+        damping = (1.0 + np.arange(truncation)) ** (-k / 2.0)
+        return max(
+            float(np.linalg.svd(r * damping[columns][None, :], compute_uv=False)[0])
+            for r, columns in self.blocks
+        )
 
 
 def _full_rank(sigma_min, sigma_max, threshold):
@@ -320,7 +343,8 @@ def totality_test(kernel, threshold=1e-6):
     # right singular vectors of R are those of sqrt(W) rows; the full set
     # also spans the null space when there are fewer rows than columns.  The
     # rows annihilate v, so Omega = rows P annihilates conj(P) v.
-    _, _, vh = np.linalg.svd(factor.r)
+    ((r, _),) = factor.blocks
+    _, _, vh = np.linalg.svd(r)
     return TotalityResult(False, sigma_min, sigma_max, TestFunction(_unphase(kernel, vh[-1].conj())))
 
 
@@ -487,7 +511,9 @@ def _series_trend(values, thresholds, vanish_floor):
     "bounded" needs the last step to move by at most the stability
     tolerance; "vanishing" is a decreasing series that has dropped below the
     floor; anything else is still "drifting" at this ladder depth.  A
-    single value has no trend: it is "undetermined".
+    single value has no trend: it is "undetermined".  A series that is 0
+    throughout is bounded, but one that has fallen to exactly 0 from
+    positive values has vanished rather than settled.
     """
     if len(values) < 2:
         return "undetermined"
@@ -495,7 +521,7 @@ def _series_trend(values, thresholds, vanish_floor):
     if all(r >= thresholds.growth for r in ratios):
         return "growing"
     prev, last = values[-2], values[-1]
-    change = abs(last - prev) / prev if prev > 0 else (0.0 if last == 0.0 else math.inf)
+    change = abs(last - prev) / prev if prev > 0 else (0.0 if not any(values) else math.inf)
     if change <= thresholds.stability:
         return "bounded"
     if all(r <= 1.0 for r in ratios) and last <= vanish_floor:
@@ -527,10 +553,43 @@ def _ladder_walk(map_spec, ladder):
     generator frees a stage's rows as a plain loop does, after the next stage's
     are sampled: freeing them earlier, on a helper's return, raised peak RSS."""
     for stage in ladder.stages:
-        grid = stage_grid(stage)
-        rows = _real_rows(map_spec, grid.nodes, stage.truncation)
-        rows *= np.sqrt(grid.weights)[:, None]
-        yield stage, StageFactorization(rows)
+        rows, columns = _stage_rows(map_spec, stage_grid(stage), stage.truncation)
+        yield stage, StageFactorization(rows, columns)
+
+
+# The parity classes of the Hermite functions, h_n(-x) = (-1)^n h_n(x).
+_PARITY = (slice(0, None, 2), slice(1, None, 2))
+
+
+def _stage_rows(map_spec, grid, truncation):
+    """A built-in map's weighted real rows on ``grid`` (a build_grid grid, so
+    mirror-symmetric bit for bit) as (weighted, columns) for
+    StageFactorization: one matrix and None, or one matrix per parity block
+    and _PARITY.
+
+    When the row weight's magnitudes agree bit for bit at mirrored nodes
+    (always for dirac, fourier and dirac_derivative), the row at -x is the
+    row at x times +-(-1)^n, so S is block diagonal in the even and odd
+    indices: S = 2 A+^T A+ on each class, A+ the weighted rows at x > 0,
+    plus the row at x = 0 once.  Then only the nodes x >= 0 are sampled,
+    weighted by sqrt(2 W) (sqrt(W) at 0), and each parity class is factored
+    on its own: half the rows and a quarter of a single QR's flops.  Any
+    other map, and N = 1, is factored in one block.
+    """
+    nodes, weights = grid.nodes, grid.weights
+    weight = _row_weight(map_spec, nodes)
+    mirrored = weight is None or np.array_equal(np.abs(weight), np.abs(weight[::-1]))
+    if truncation == 1 or not mirrored:
+        rows = _real_rows(map_spec, nodes, truncation, weight)
+        rows *= np.sqrt(weights)[:, None]
+        return rows, None
+    start = nodes.size // 2
+    scale = 2.0 * weights[start:]
+    if nodes.size % 2:
+        scale[0] = weights[start]
+    rows = _real_rows(map_spec, nodes[start:], truncation, None if weight is None else weight[start:])
+    rows *= np.sqrt(scale)[:, None]
+    return tuple(rows[:, c] for c in _PARITY), _PARITY
 
 
 def classify(map_spec, ladder, thresholds=ClassifyThresholds()):

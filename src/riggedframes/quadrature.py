@@ -65,7 +65,11 @@ def build_grid(half_width, panels, order):
     """Composite Gauss-Legendre grid: ``panels`` panels of ``order`` points
     each on [-half_width, half_width].
 
-    Exact for polynomials of degree <= 2*order - 1 on each panel.
+    Exact for polynomials of degree <= 2*order - 1 on each panel.  The grid
+    is mirror-symmetric bit for bit: the non-negative half is built and the
+    negative half is its mirror image, so ``nodes == -nodes[::-1]`` and
+    ``weights == weights[::-1]`` exactly (an odd node count puts a node at
+    exactly 0).
     """
     if not (half_width > 0 and math.isfinite(half_width)):
         raise InvalidConfigError(f"half_width must be positive, got {half_width}")
@@ -73,12 +77,15 @@ def build_grid(half_width, panels, order):
         raise InvalidConfigError(f"panels must be >= 1, got {panels}")
     if order < 2:
         raise InvalidConfigError(f"order must be >= 2, got {order}")
+    # leggauss's rule is itself exactly symmetric, with a 0.0 middle node
     ref_nodes, ref_weights = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(-half_width, half_width, panels + 1)
-    half = 0.5 * (edges[1] - edges[0])
-    centers = 0.5 * (edges[:-1] + edges[1:])
+    half = half_width / panels
+    centers = (2.0 * np.arange(panels) + 1.0 - panels) * half
     nodes = (centers[:, None] + half * ref_nodes[None, :]).ravel()
     weights = np.tile(half * ref_weights, panels)
+    mirrored = nodes.size // 2
+    nodes[:mirrored] = -nodes[::-1][:mirrored]
+    weights[:mirrored] = weights[::-1][:mirrored]
     return QuadratureGrid(nodes, weights, float(half_width), int(panels), int(order))
 
 

@@ -213,8 +213,13 @@ def _eval(node, x):
         with np.errstate(divide="ignore", invalid="ignore"):
             return left / right
     if isinstance(node, Power):
+        # a power of |base| with the sign put back for odd exponents: numpy's
+        # power of a negative base can differ from the positive one's in the
+        # last bit, and this way x^n is even or odd bit for bit
+        base = _eval(node.base, x)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return np.power(_eval(node.base, x), float(node.exponent))
+            magnitude = np.power(np.abs(base), float(node.exponent))
+        return np.copysign(magnitude, base) if node.exponent % 2 else magnitude
     if isinstance(node, Call):
         with np.errstate(over="ignore"):
             return _FUNCTIONS[node.func](_eval(node.arg, x))

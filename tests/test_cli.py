@@ -466,8 +466,9 @@ def test_report_bodies_tool(tmp_path):
 
 
 def test_report_bodies_compare(tmp_path, capsys):
-    """--compare prints each differing leaf as `key/path: before -> after`
-    and exits 1, or prints nothing and exits 0."""
+    """--compare prints each differing leaf as `key/path: before -> after`,
+    with the relative difference of two numbers, and exits 1, or prints
+    nothing and exits 0."""
     import importlib.util
     from pathlib import Path
 
@@ -495,9 +496,9 @@ def test_report_bodies_compare(tmp_path, capsys):
     assert tool.main(["--compare", str(files["before"]), str(files["after"])]) == 1
     assert capsys.readouterr().out.splitlines() == [
         'dirac/n_max=8/bounds/labels: ["frame"] -> ["frame", "tight"]',
-        "dirac/n_max=8/bounds/stages/1/A: 0.5 -> 0.25",
+        "dirac/n_max=8/bounds/stages/1/A: 0.5 -> 0.25 (rel 5.0e-01)",
         'dirac/n_max=8/classify: "InvalidConfigError: refused" -> {"labels": []}',
         'dirac/n_max=8/dual: <absent> -> "NotAFrameError: singular"',
-        "dirac/n_max=8/moment-solve/moment/worst_residual: 2e-15 -> 0.0",
+        "dirac/n_max=8/moment-solve/moment/worst_residual: 2e-15 -> 0.0 (rel 1.0e+00)",
     ]
     assert tool.main(["--compare", str(files["before"])]) == 2

@@ -7,6 +7,7 @@ from riggedframes import (
     KernelMatrix,
     NotAFrameError,
     TestFunction,
+    build_grid,
     bump_dirac_map,
     canonical_dual,
     classify,
@@ -31,6 +32,7 @@ from riggedframes import (
     weighted_dirac_map,
 )
 from riggedframes.duality import INVERSION_CUTOFF
+from riggedframes.operators import StageFactorization, _weighted_rows
 
 SEED = 20240409
 
@@ -272,6 +274,19 @@ class TestGelfand:
             gelfand_check(KernelMatrix(kernel.rows, kernel.grid))
 
 
+def _record_qr_shapes(monkeypatch):
+    """The shapes np.linalg.qr is called on from now on, in call order."""
+    shapes = []
+    qr = np.linalg.qr
+
+    def recording_qr(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", recording_qr)
+    return shapes
+
+
 class TestRiesz:
     def test_weighted_with_certificate_interval(self):
         result = riesz_check(make_kernel(weighted_dirac_map("2+sin(x)"), 32))
@@ -286,6 +301,32 @@ class TestRiesz:
         result = riesz_check(make_kernel(dirac_derivative_map(), 32))
         assert not result.riesz
         assert not result.report.has("frame")
+
+    @pytest.mark.parametrize(
+        "spec, blocks", [(weighted_dirac_map("2+sin(x)"), 1), (dirac_map(), 2), (dirac_derivative_map(), 2)]
+    )
+    def test_reads_the_interval_off_the_final_stage(self, monkeypatch, spec, blocks):
+        """A kernel on the final stage's grid is factored only by classify's
+        walk, one QR per block and stage, and its interval is the one-block
+        factor's to 1e-12 sigma_max."""
+        kernel = make_kernel(spec, 32)
+        reference = StageFactorization(_weighted_rows(kernel))
+        qr_calls = _record_qr_shapes(monkeypatch)
+        result = riesz_check(kernel)
+        assert len(qr_calls) == blocks * len(default_ladder(32).stages)
+        tolerance = 1e-12 * reference.sigma_max
+        assert abs(result.sigma_min - reference.sigma_min) <= tolerance
+        assert abs(result.sigma_max - reference.sigma_max) <= tolerance
+
+    def test_kernel_off_the_final_stage_is_factored_once_more(self, monkeypatch):
+        spec = weighted_dirac_map("1+x^2")
+        kernel = sample_kernel(spec, build_grid(16.0, 80, 8), 32)
+        reference = StageFactorization(_weighted_rows(kernel))
+        qr_calls = _record_qr_shapes(monkeypatch)
+        result = riesz_check(kernel)
+        assert len(qr_calls) == 2 * len(default_ladder(32).stages) + 1
+        assert qr_calls[-1] == kernel.rows.shape
+        assert (result.sigma_min, result.sigma_max) == (reference.sigma_min, reference.sigma_max)
 
     @pytest.mark.parametrize("truncation", [32, 64])
     def test_fourier_sigma_equals_dirac_to_the_bit(self, truncation):

@@ -92,6 +92,11 @@ class TestSampling:
         assert bump_profile(-1.0, 1.0, 0.0) == 1.0
         assert bump_profile(2.0, 6.0, 4.0) == 1.0
 
+    @pytest.mark.parametrize("b", [1.0, 2.5])
+    def test_bump_on_a_symmetric_support_is_even_bit_for_bit(self, b):
+        x = np.linspace(0.0, b, 1001)
+        assert np.array_equal(bump_profile(-b, b, x), bump_profile(-b, b, -x))
+
     def test_derivative_norm_matches_coefficient_route(self):
         # combined truncation + quadrature error budget for a smooth function
         stage = default_stage(16)

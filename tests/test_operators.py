@@ -11,6 +11,7 @@ from riggedframes import (
     TestFunction,
     analysis,
     bessel_seminorm_constant,
+    build_grid,
     bump_dirac_map,
     classify,
     coarse_synthesis_grid,
@@ -121,8 +122,6 @@ class TestFrameOperator:
         kernel = make_kernel(weighted_dirac_map("2+sin(x)"), 12)
         op = frame_operator(kernel)
         stage = default_stage(12)
-        from riggedframes import build_grid
-
         fine = build_grid(stage.half_width, 3 * stage.panels, 12)
         from riggedframes import hermite_table
 
@@ -186,6 +185,19 @@ class TestFrameOperator:
         stage_s = op.gram if family == "fourier" else op.matrix
         exact = _exact_frame_operator(poly_coeffs, derivative_order, truncation)
         assert np.abs(stage_s - exact).max() <= 1e-12 * np.abs(stage_s).max()
+
+
+    @pytest.mark.parametrize("family", ["1+x^2", "dirac_derivative"])
+    def test_classify_final_bounds_match_the_exact_oracle(self, family):
+        """classify's final-stage A and B at n_max 1024, read off the parity
+        split's blocks, against eigvalsh of the exact S."""
+        from riggedframes.acceptance import _exact_frame_operator
+
+        spec, poly_coeffs, derivative_order = EXACT_OPERATORS[family]
+        final = classify(spec, default_ladder(1024)).stages[-1]
+        exact = np.linalg.eigvalsh(_exact_frame_operator(poly_coeffs, derivative_order, 1024))
+        assert abs(final.lower - exact[0]) <= 1e-9 * exact[0]
+        assert abs(final.upper - exact[-1]) <= 1e-9 * exact[-1]
 
 
 class TestEigenpairs:
@@ -475,13 +487,85 @@ class TestStageFactorization:
         monkeypatch.setattr(np.linalg, "qr", recording_qr)
         ladder = default_ladder(64)
         truncations = [s.truncation for s in ladder.stages]
-        classify(weighted_dirac_map("2+sin(x)"), ladder)
-        # every factored matrix has the stage truncation as its column count
-        assert [cols for _, cols in qr_shapes] == truncations
-        for rows, cols in svd_shapes:
-            assert cols in truncations and rows <= cols
-        for n in truncations:
-            assert sum(cols == n for _, cols in svd_shapes) <= 8
+        # 2+sin(x) factors one block per stage, 1+x^2 its two parity blocks
+        for family, blocks in (("2+sin(x)", 1), ("1+x^2", 2)):
+            svd_shapes.clear()
+            qr_shapes.clear()
+            classify(BUILTIN_FAMILIES[family], ladder)
+            # one QR per block, on its share of the stage's rows and columns
+            width = {n: n // blocks for n in truncations}
+            assert qr_shapes == [
+                (-(-s.node_count // blocks), width[s.truncation]) for s in ladder.stages for _ in range(blocks)
+            ]
+            # every SVD is of a block's R or of the stage's wide coarse
+            # kernel: at most one of R per block and seminorm index, and one
+            # coarse
+            accounted = 0
+            for n in truncations:
+                stage_svds = [s for s in svd_shapes if s == (width[n],) * 2 or (s[1] == n and s[0] < n)]
+                assert len(stage_svds) <= blocks * (1 + ClassifyThresholds().bessel_k_max) + 1
+                accounted += len(stage_svds)
+            assert accounted == len(svd_shapes)
+
+
+EVEN_FAMILIES = {
+    "dirac": dirac_map(),
+    "fourier": fourier_map(),
+    "dirac_derivative": dirac_derivative_map(),
+    "1+x^2": weighted_dirac_map("1+x^2"),
+    "exp(-x^2)": weighted_dirac_map("exp(-x^2)"),
+    "bump[-1,1]": bump_dirac_map(-1.0, 1.0),
+}
+
+
+def _walk_factor(spec, grid, truncation):
+    """The StageFactorization the ladder walk forms on a grid."""
+    return operators.StageFactorization(*operators._stage_rows(spec, grid, truncation))
+
+
+def _block_singular_values(factor):
+    """Every singular value a StageFactorization's blocks hold, descending."""
+    values = np.concatenate([np.linalg.svd(r, compute_uv=False) for r, _ in factor.blocks])
+    return np.sort(values)[::-1]
+
+
+class TestParitySplit:
+    """Maps whose row magnitudes are even on the mirror-symmetric stage grid
+    factor the even and odd coefficients apart, from the nodes x >= 0."""
+
+    @pytest.mark.parametrize("n", [64, 1024])
+    @pytest.mark.parametrize("family", list(EVEN_FAMILIES))
+    def test_even_maps_split_with_the_one_block_spectrum(self, family, n):
+        spec, grid = EVEN_FAMILIES[family], stage_grid(default_stage(n))
+        split = _walk_factor(spec, grid, n)
+        assert [columns for _, columns in split.blocks] == list(operators._PARITY)
+        assert [r.shape for r, _ in split.blocks] == [(n // 2, n // 2)] * 2
+        one = operators.StageFactorization(operators._weighted_rows(sample_kernel(spec, grid, n)))
+        reference = _block_singular_values(one)
+        assert np.abs(_block_singular_values(split) - reference).max() <= 1e-13 * reference[0]
+        assert abs(split.sigma_max - one.sigma_max) <= 1e-13 * reference[0]
+        assert abs(split.sigma_min - one.sigma_min) <= 1e-13 * reference[0]
+
+    @pytest.mark.parametrize(
+        "spec", [weighted_dirac_map("2+sin(x)"), bump_dirac_map(-1.0, 2.0)], ids=["2+sin(x)", "bump[-1,2]"]
+    )
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_maps_without_even_magnitude_take_one_block(self, spec, n):
+        factor = _walk_factor(spec, stage_grid(default_stage(n)), n)
+        ((r, columns),) = factor.blocks
+        assert columns == slice(None) and r.shape == (n, n)
+
+    def test_a_node_at_zero_counts_once(self):
+        """An odd node count puts a node at 0, whose row is sampled once, with
+        its own weight, in both blocks."""
+        grid = build_grid(12.0, 25, 9)
+        assert grid.node_count % 2 and grid.nodes[grid.node_count // 2] == 0.0
+        spec = weighted_dirac_map("1+x^2")
+        split = _walk_factor(spec, grid, 16)
+        assert [r.shape for r, _ in split.blocks] == [(8, 8)] * 2
+        one = operators.StageFactorization(operators._weighted_rows(sample_kernel(spec, grid, 16)))
+        reference = _block_singular_values(one)
+        assert np.abs(_block_singular_values(split) - reference).max() <= 1e-13 * reference[0]
 
 
 def _eager_bessel_search(factors, thresholds):
@@ -500,8 +584,13 @@ class TestBesselSearch:
     """classify forms the damped Bessel series only up to the first bounded
     seminorm index, and picks what forming every series would pick."""
 
-    @pytest.mark.parametrize("family, per_stage", [("dirac", 2), ("dirac_derivative", 3)])
-    def test_values_only_svds_per_stage(self, monkeypatch, family, per_stage):
+    @pytest.mark.parametrize(
+        "family, blocks, per_block", [("dirac", 2, 1), ("dirac_derivative", 2, 2), ("2+sin(x)", 1, 1)]
+    )
+    def test_values_only_svds_per_stage(self, monkeypatch, family, blocks, per_block):
+        """Per stage, each block's R once plus one damped R per block and
+        seminorm index up to the bounded one (dirac and 2+sin(x) are bounded
+        at k = 0, dirac_derivative at k = 1), and the coarse rank rule's one."""
         computes_uv = []
         svd = np.linalg.svd
 
@@ -512,7 +601,7 @@ class TestBesselSearch:
         monkeypatch.setattr(np.linalg, "svd", recording_svd)
         ladder = default_ladder(64)
         classify(BUILTIN_FAMILIES[family], ladder)
-        assert len(computes_uv) == per_stage * len(ladder.stages)
+        assert len(computes_uv) == (blocks * per_block + 1) * len(ladder.stages)
         assert not any(computes_uv)
 
     @pytest.mark.parametrize("family", list(BUILTIN_FAMILIES))

@@ -40,8 +40,22 @@ class TestBuildGrid:
 
     def test_symmetry(self):
         grid = build_grid(4.0, 9, 6)
-        assert grid.nodes == pytest.approx(-grid.nodes[::-1], abs=1e-14)
-        assert grid.weights == pytest.approx(grid.weights[::-1], abs=1e-14)
+        assert np.array_equal(grid.nodes, -grid.nodes[::-1])
+        assert np.array_equal(grid.weights, grid.weights[::-1])
+
+    @pytest.mark.parametrize("panels, order", [(9, 5), (8, 5), (1, 3), (1, 2), (25, 10)])
+    def test_mirror_symmetric_bit_for_bit(self, panels, order):
+        grid = build_grid(4.0, panels, order)
+        assert np.array_equal(grid.nodes, -grid.nodes[::-1])
+        assert np.array_equal(grid.weights, grid.weights[::-1])
+        if grid.node_count % 2:
+            assert grid.nodes[grid.node_count // 2] == 0.0
+
+    @pytest.mark.parametrize("n", [8, 64, 512, 2048])
+    def test_default_stage_grids_are_mirror_symmetric(self, n):
+        grid = stage_grid(default_stage(n))
+        assert np.array_equal(grid.nodes, -grid.nodes[::-1])
+        assert np.array_equal(grid.weights, grid.weights[::-1])
 
     def test_refinement_keeps_polynomial_integrals(self):
         poly = lambda x: 3 * x**4 - x**2 + 0.5

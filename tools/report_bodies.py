@@ -19,13 +19,16 @@ the same:
     PYTHONPATH=src python tools/report_bodies.py --compare BEFORE AFTER
 
 prints each leaf that differs between two such files as
-``key/path: before -> after`` (``<absent>`` for a missing leaf) and exits 1,
-or prints nothing and exits 0 when they agree.
+``key/path: before -> after`` (``<absent>`` for a missing leaf), followed by
+``(rel D)`` when both leaves are finite numbers, D = |after - before| / max(
+|before|, |after|), and exits 1, or prints nothing and exits 0 when they
+agree.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -130,8 +133,16 @@ def compare(before_path, after_path):
     leaves = differing_leaves(before, after)
     for path, *values in leaves:
         before_text, after_text = ("<absent>" if v is ABSENT else json.dumps(v) for v in values)
-        print(f"{path}: {before_text} -> {after_text}")
+        print(f"{path}: {before_text} -> {after_text}{_relative_text(*values)}")
     return 1 if leaves else 0
+
+
+def _relative_text(before, after):
+    """`` (rel D)`` for two finite numeric leaves, else empty."""
+    numbers = [v for v in (before, after) if type(v) in (int, float) and math.isfinite(v)]
+    if len(numbers) < 2:
+        return ""
+    return f" (rel {abs(after - before) / max(abs(before), abs(after)):.1e})"
 
 
 def main(argv=None):
