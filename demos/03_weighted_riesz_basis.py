@@ -51,6 +51,6 @@ print(f"\nreconstruction errors: dual-synthesis {err1:.2e}, omega-synthesis {err
 
 # A frame is in particular an upper semi-frame, so its dual clears the
 # reciprocal lower bound at every ladder stage.
-check = dual_semiframe_check(pair)
+check = dual_semiframe_check(kernel)
 print(f"dual lower bounds clear 1/B at all stages: {check.holds}, "
       f"margins {[f'{m:.3f}' for m in check.margins]}")

@@ -34,7 +34,7 @@ for n in (8, 16, 32):
 # ---------------------------------------------------------------------------
 # The near-annihilated direction at N = 32 lives outside the bump.
 kernel = sample_kernel(spec, stage_grid(default_stage(32)), 32)
-result = totality_test(kernel, threshold=1e-6)
+result = totality_test(kernel)
 grid = kernel.grid
 values = result.witness(grid.nodes)
 outside = np.abs(grid.nodes) >= 1.0

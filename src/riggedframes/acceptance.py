@@ -196,7 +196,7 @@ def check_bump_bounded_bessel():
         uppers.append(frame_bounds(frame_operator(kernel))[1])
     bound_ok = all(b <= 1.0 + 1e-9 for b in uppers)
     kernel = _stage_kernel(spec, 32)
-    totality = totality_test(kernel, threshold=1e-6)
+    totality = totality_test(kernel)
     grid = kernel.grid
     values = totality.witness(grid.nodes) if totality.witness is not None else None
     if values is not None:
@@ -329,12 +329,12 @@ ALL_CHECKS = (
 )
 
 
-def run_all(printer=print):
+def run_all():
     """Run every check, print one PASS/FAIL line each, return the results."""
     results = []
     for check in ALL_CHECKS:
         result = check()
         results.append(result)
         status = "PASS" if result.passed else "FAIL"
-        printer(f"{status}  {result.name}: {result.detail}")
+        print(f"{status}  {result.name}: {result.detail}")
     return results

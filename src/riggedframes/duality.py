@@ -39,6 +39,12 @@ work through both maps stacks its blocks and takes one pass over the rows
 per direction: verify_duality one analysis pass, reconstruct (which returns
 both orders) one analysis and one synthesis pass.  A hand-built pair takes
 one pass per kernel and direction.
+
+The ladder checks (riesz_check, dual_semiframe_check and
+moments.dual_bessel_check) take only the kernel they check and walk the
+ladder _walkable_ladder derives from it, N = 8, 16, ... up to the largest
+8 * 2^j <= N, at classify's default thresholds.  gelfand_check reads
+mu-independence at operators.RANK_CUTOFF.
 """
 
 from __future__ import annotations
@@ -51,7 +57,6 @@ from .errors import InvalidConfigError, NotAFrameError, NumericError
 from .hermite import TestFunction, random_test_function
 from .kernels import KernelMatrix, sample_kernel
 from .operators import (
-    ClassifyThresholds,
     FrameOperatorMatrix,
     StageFactorization,
     _analyze,
@@ -293,8 +298,8 @@ class GelfandResult:
         return self.gelfand
 
 
-def gelfand_check(kernel, threshold=1e-6):
-    """Gel'fand basis test: Parseval and mu-independent.
+def gelfand_check(kernel):
+    """Gel'fand basis test: Parseval and mu-independent at RANK_CUTOFF.
 
     Also reports how far the weighted synthesis map on the coarse grid is
     from an isometry (its column Gram against the identity).  That defect is
@@ -303,7 +308,7 @@ def gelfand_check(kernel, threshold=1e-6):
     """
     parseval, parseval_defect = parseval_check(kernel)
     coarse = _coarse_kernel(kernel.map_spec, kernel.truncation, kernel)
-    mu = mu_independence_test(coarse, threshold)
+    mu = mu_independence_test(coarse)
     # Omega = rows P with P unitary diagonal: Omega Omega^H = rows rows^H
     weighted = _weighted_rows(coarse)
     gram = weighted @ weighted.conj().T
@@ -328,16 +333,17 @@ class RieszResult:
         return self.riesz
 
 
-def riesz_check(kernel, ladder=None, thresholds=ClassifyThresholds()):
-    """Riesz basis test: classify's riesz_basis label (a mu-independent frame).
+def riesz_check(kernel):
+    """Riesz basis test: classify's riesz_basis label (a mu-independent frame)
+    on the kernel's ladder.
 
     The singular-value interval of the weighted kernel certifies the
     synthesis map as bounded with bounded inverse at the truncated level.
     It is read off classify's final stage when the kernel has that stage's
     truncation and grid; any other kernel is factored once more.
     """
-    ladder = _walkable_ladder(kernel, ladder, "riesz_check")
-    report = classify(kernel.map_spec, ladder, thresholds)
+    ladder = _walkable_ladder(kernel, "riesz_check")
+    report = classify(kernel.map_spec, ladder)
     stage, grid = ladder.final_stage, kernel.grid
     final_grid = stage_grid(stage)
     if (
@@ -352,12 +358,14 @@ def riesz_check(kernel, ladder=None, thresholds=ClassifyThresholds()):
     return RieszResult(report.has("riesz_basis"), factor.sigma_min, factor.sigma_max, report)
 
 
-def _walkable_ladder(kernel, ladder, check):
-    """``ladder``, or the doubling one to 8 * 2^j <= N; needs a resamplable spec."""
+def _walkable_ladder(kernel, check):
+    """The doubling ladder to the largest 8 * 2^j <= N, walked by every ladder
+    check; refused without a resamplable spec or below N = 8 (InvalidConfigError)."""
     if kernel.map_spec is None or kernel.map_spec.kind == "custom":
         raise InvalidConfigError(f"{check} walks a ladder and needs a resamplable map spec")
-    n_max = 8 << ((max(kernel.truncation, 8) // 8).bit_length() - 1)
-    return default_ladder(n_max) if ladder is None else ladder
+    if kernel.truncation < 8:
+        raise InvalidConfigError(f"{check} walks a ladder from N=8, got N={kernel.truncation}")
+    return default_ladder(8 << ((kernel.truncation // 8).bit_length() - 1))
 
 
 @dataclass(frozen=True)
@@ -369,16 +377,15 @@ class DualSemiframeResult:
         return self.holds
 
 
-def dual_semiframe_check(pair, ladder=None, thresholds=ClassifyThresholds()):
+def dual_semiframe_check(kernel):
     """Dual of an upper semi-frame is a lower semi-frame with bound 1/B.
 
-    Requires omega to classify as an upper semi-frame (or better, a frame)
-    with a stable upper bound; verifies lower_theta >= 1/upper_omega - tol
-    at every ladder stage.
+    Requires the map to classify as an upper semi-frame (or better, a frame)
+    with a stable upper bound on the kernel's ladder; verifies lower_theta >=
+    1/upper_omega - tol at every ladder stage.
     """
-    kernel = pair.omega
-    ladder = _walkable_ladder(kernel, ladder, "dual_semiframe_check")
-    report = classify(kernel.map_spec, ladder, thresholds)
+    ladder = _walkable_ladder(kernel, "dual_semiframe_check")
+    report = classify(kernel.map_spec, ladder)
     if report.upper_trend != "bounded" or not report.has("total"):
         raise InvalidConfigError(
             f"map is not an upper semi-frame: upper trend {report.upper_trend!r}, "

@@ -70,7 +70,6 @@ class MomentSolution:
 
     f: TestFunction
     residual: float
-    least_norm: bool
     null_dim: int
 
 
@@ -78,38 +77,27 @@ def solve_moment(kernel, h):
     """Solve <f, omega_{x_j}> = h_j in the weighted least-squares sense.
 
     Inconsistent targets yield a positive residual, never an error; the
-    returned representative is orthogonal to the numerical null space.
+    returned representative is orthogonal to the numerical null space.  One
+    SVD of the weighted rows gives it; real rows meet a complex target
+    through its float view, and a column phase P touches the solution only.
     """
     h = np.asarray(h)
     if h.shape != (kernel.node_count,):
         raise InvalidConfigError(
             f"target has shape {h.shape}, expected ({kernel.node_count},)"
         )
-    coeffs, residuals, rank = _least_norm(kernel, h[:, None])
-    return MomentSolution(
-        f=TestFunction(coeffs[:, 0]),
-        residual=float(residuals[0]),
-        least_norm=True,
-        null_dim=kernel.truncation - rank,
-    )
-
-
-def _least_norm(kernel, targets):
-    """Least-norm solutions for every target column from one SVD of the
-    weighted rows: returns (coefficient columns, residuals as in
-    MomentSolution, rank).  A column phase P is applied to the solutions
-    only (Omega = rows P, so pinv(Omega) = P^H pinv(rows)), and real rows
-    meet complex targets through their float view, never as a complex copy."""
     weighted = _weighted_rows(kernel)
-    scaled = np.sqrt(kernel.grid.weights)[:, None] * targets
+    scaled = np.sqrt(kernel.grid.weights) * h
     u, svals, vh = np.linalg.svd(weighted, full_matrices=False)
     keep = svals > NULL_SPACE_CUTOFF * (svals[0] if svals.size else 0.0)
-    projected = _apply(u[:, keep].conj().T, scaled) / svals[keep][:, None]
-    coeffs = _apply(vh[keep].conj().T, projected)
-    residuals = np.linalg.norm(_apply(weighted, coeffs) - scaled, axis=0)
-    norms = np.array([l2x_norm(column, kernel.grid) for column in targets.T])
-    residuals = np.divide(residuals, norms, out=residuals, where=norms > 0)
-    return _unphase(kernel, coeffs), residuals, int(np.count_nonzero(keep))
+    coeffs = _apply(vh[keep].conj().T, _apply(u[:, keep].conj().T, scaled) / svals[keep])
+    residual = float(np.linalg.norm(_apply(weighted, coeffs) - scaled))
+    norm = l2x_norm(h, kernel.grid)
+    return MomentSolution(
+        f=TestFunction(_unphase(kernel, coeffs)),
+        residual=residual / norm if norm > 0 else residual,
+        null_dim=kernel.truncation - int(np.count_nonzero(keep)),
+    )
 
 
 def rf_diagnostic(kernel):
@@ -217,20 +205,20 @@ class DualBesselResult:
         return self.bessel
 
 
-def dual_bessel_check(pair, ladder=None):
+def dual_bessel_check(kernel):
     """A dual of a moment-solvable map is itself norm-bounded by a seminorm.
 
-    Precondition (config error if unmet): the original map solves every
-    coarse-grid panel probe, rf score 1.  It walks the ladder as classify does
-    and reads each stage's canonical dual off omega's R, block by block (S =
-    R^T R, so sqrt(W) Theta = Q R^-T; NotAFrameError for a singular S),
+    Precondition (config error if unmet): the kernel's map solves every
+    coarse-grid panel probe, rf score 1.  It walks the kernel's ladder
+    (duality._walkable_ladder) as classify does and reads each stage's
+    canonical dual off omega's R, block by block (S = R^T R, so
+    sqrt(W) Theta = Q R^-T; NotAFrameError for a singular S),
     certifying the smallest seminorm index up to the classifier's default
     ``bessel_k_max`` whose constant, the top singular value of R^-T D_k over
     the blocks, is bounded by its trend rule.
     """
-    kernel = pair.omega
     coarse = _coarse_kernel(kernel.map_spec, kernel.truncation, kernel)
-    ladder = _walkable_ladder(kernel, ladder, "dual_bessel_check")
+    ladder = _walkable_ladder(kernel, "dual_bessel_check")
     score, worst = rf_diagnostic(coarse)
     if score < 1.0:
         raise InvalidConfigError(

@@ -65,6 +65,7 @@ __all__ = [
     "StageDiagnostics",
     "FrameReport",
     "LABEL_ORDER",
+    "RANK_CUTOFF",
     "analysis",
     "synthesis",
     "weighted_analysis_matrix",
@@ -310,6 +311,11 @@ class StageFactorization:
         )
 
 
+# The relative singular-value cutoff of every rank decision, and the default
+# of ClassifyThresholds.rank, which classify applies to all of its own.
+RANK_CUTOFF = 1e-6
+
+
 def _full_rank(sigma_min, sigma_max, threshold):
     return bool(sigma_max > 0.0 and sigma_min > threshold * sigma_max)
 
@@ -325,20 +331,18 @@ class TotalityResult:
         return self.total
 
 
-def totality_test(kernel, threshold=1e-6):
+def totality_test(kernel):
     """Total iff analysis is injective at the truncation: smallest singular
-    value of the weighted kernel above threshold * largest.
+    value of the weighted kernel above RANK_CUTOFF * largest.
 
     When not total, the witness is the near-annihilated coefficient
     direction.
     """
-    if threshold <= 0:
-        raise InvalidConfigError(f"threshold must be positive, got {threshold}")
     factor = StageFactorization(_weighted_rows(kernel))
     sigma_min, sigma_max = factor.sigma_min, factor.sigma_max
     if sigma_max == 0.0:
         return TotalityResult(False, 0.0, 0.0, TestFunction.basis(0, kernel.truncation))
-    if _full_rank(sigma_min, sigma_max, threshold):
+    if _full_rank(sigma_min, sigma_max, RANK_CUTOFF):
         return TotalityResult(True, sigma_min, sigma_max)
     # right singular vectors of R are those of sqrt(W) rows; the full set
     # also spans the null space when there are fewer rows than columns.  The
@@ -371,7 +375,7 @@ def coarse_synthesis_grid(truncation):
     return build_grid(bulk_half_width(truncation), panels, order)
 
 
-def mu_independence_test(kernel, threshold=1e-6):
+def mu_independence_test(kernel, threshold=RANK_CUTOFF):
     """Mu-independent iff synthesis is injective on grid functions.
 
     Requires node count <= truncation: with more nodes than coefficients the
@@ -448,7 +452,7 @@ class ClassifyThresholds:
 
     stability: float = 0.05
     growth: float = 1.3
-    rank: float = 1e-6
+    rank: float = RANK_CUTOFF
     tight: float = 1e-6
     parseval: float = 1e-6
     bessel_k_max: int = 6
@@ -631,8 +635,7 @@ def classify(map_spec, ladder, thresholds=ClassifyThresholds()):
 
     final = stages[-1]
     bounded_upper = upper_trend == "bounded"
-    lower_positive = final.lower > 0.0 and final.lower > thresholds.rank**2 * final.upper
-    stable_lower = lower_trend == "bounded" and lower_positive
+    stable_lower = lower_trend == "bounded" and final.total
     is_frame = bounded_upper and stable_lower
     labels = []
     if bessel_index is not None:

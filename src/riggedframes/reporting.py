@@ -261,7 +261,7 @@ def _echo_config(config):
     }
 
 
-def _stage_rows(report):
+def _stage_table(report):
     return tuple(
         {
             "N": s.truncation,
@@ -318,7 +318,7 @@ def run(command, config):
     checks = None
     if command in ("classify", "bounds", "sweep"):
         report = classify(config.map_spec, config.ladder, config.thresholds)
-        stages = _stage_rows(report)
+        stages = _stage_table(report)
         if command in ("classify", "sweep"):
             labels = tuple(report.labels)
     if command in ("dual", "reconstruct"):

@@ -319,9 +319,9 @@ class TestDemoExitContract:
         from riggedframes import acceptance, cli
         from riggedframes.acceptance import CheckResult
 
-        def fake_run_all(printer=print):
+        def fake_run_all():
             results = [CheckResult("forced_failure", False, "synthetic")]
-            printer("FAIL  forced_failure: synthetic")
+            print("FAIL  forced_failure: synthetic")
             return results
 
         monkeypatch.setattr(acceptance, "run_all", fake_run_all)
@@ -331,7 +331,7 @@ class TestDemoExitContract:
         from riggedframes import acceptance, cli
         from riggedframes.acceptance import CheckResult
 
-        def fake_run_all(printer=print):
+        def fake_run_all():
             return [CheckResult("ok", True, "synthetic")]
 
         monkeypatch.setattr(acceptance, "run_all", fake_run_all)
@@ -502,3 +502,23 @@ def test_report_bodies_compare(tmp_path, capsys):
         "dirac/n_max=8/moment-solve/moment/worst_residual: 2e-15 -> 0.0 (rel 1.0e+00)",
     ]
     assert tool.main(["--compare", str(files["before"])]) == 2
+
+
+def test_settable_values_tool(capsys):
+    """tools/settable_values.py prints one sorted module.name.param=default
+    line per defaulted public parameter, then their total."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "tools" / "settable_values.py"
+    spec = importlib.util.spec_from_file_location("settable_values", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.main() == 0
+    *lines, total = capsys.readouterr().out.splitlines()
+    assert total == f"total: {len(lines)}"
+    assert lines == sorted(lines) and len(set(lines)) == len(lines)
+    assert all(line.split("=", 1)[0].count(".") == 2 for line in lines)
+    assert "operators.ClassifyThresholds.rank=1e-06" in lines
+    assert "operators.mu_independence_test.threshold=1e-06" in lines
+    assert not any(line.startswith("operators.totality_test.") for line in lines)

@@ -15,6 +15,7 @@ from riggedframes import (
     default_stage,
     dirac_derivative_map,
     dirac_map,
+    dual_bessel_check,
     dual_bounds,
     dual_semiframe_check,
     fourier_map,
@@ -339,22 +340,30 @@ class TestRiesz:
 
 class TestDualSemiframe:
     def test_dirac(self):
-        pair = canonical_dual(make_kernel(dirac_map(), 16))
-        result = dual_semiframe_check(pair)
+        result = dual_semiframe_check(make_kernel(dirac_map(), 16))
         assert result.holds
         assert all(m >= -1e-9 for m in result.margins)
 
     def test_weighted(self):
-        pair = canonical_dual(make_kernel(weighted_dirac_map("2+sin(x)"), 32))
-        result = dual_semiframe_check(pair)
+        result = dual_semiframe_check(make_kernel(weighted_dirac_map("2+sin(x)"), 32))
         assert result.holds
         # lower dual bound clears 1/9 at every stage
         assert all(m >= -1e-8 for m in result.margins)
 
     def test_non_upper_semiframe_rejected(self):
-        pair = canonical_dual(make_kernel(dirac_derivative_map(), 16))
+        kernel = make_kernel(dirac_derivative_map(), 16)
         with pytest.raises(InvalidConfigError):
-            dual_semiframe_check(pair)
+            dual_semiframe_check(kernel)
+
+
+@pytest.mark.parametrize(
+    "check", [riesz_check, dual_semiframe_check, dual_bessel_check], ids=lambda check: check.__name__
+)
+def test_ladder_checks_refuse_kernels_below_n8(check):
+    """Every ladder starts at N = 8: a smaller kernel is refused, not judged
+    off a stage above its own truncation."""
+    with pytest.raises(InvalidConfigError, match=f"^{check.__name__} walks a ladder from N=8, got N=4$"):
+        check(make_kernel(dirac_map(), 4))
 
 
 ORACLE_FAMILIES = {

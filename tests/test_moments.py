@@ -6,7 +6,6 @@ import pytest
 from riggedframes import (
     InvalidConfigError,
     KernelMatrix,
-    RefinementLadder,
     TestFunction,
     analysis,
     bump_dirac_map,
@@ -58,7 +57,6 @@ class TestSolveMoment:
         assert solution.residual <= 1e-10
         assert np.abs(solution.f.coeffs - f0.coeffs).max() <= 1e-8
         assert solution.null_dim == 0
-        assert solution.least_norm
 
     def test_zero_target(self):
         kernel = make_kernel(dirac_map(), 8)
@@ -114,8 +112,6 @@ class TestRfDiagnostic:
 
     @pytest.mark.parametrize("spec", [dirac_map(), bump_dirac_map(-1.0, 1.0)], ids=["dirac", "bump"])
     def test_block_solve_matches_per_probe_solves(self, spec):
-        from riggedframes.moments import _least_norm
-
         kernel = coarse_kernel(spec, 32)
         grid = kernel.grid
         targets = np.zeros((grid.node_count, grid.panels))
@@ -123,8 +119,6 @@ class TestRfDiagnostic:
             targets[panel * grid.order : (panel + 1) * grid.order, panel] = 1.0
             targets[:, panel] /= l2x_norm(targets[:, panel], grid)
         single = np.array([solve_moment(kernel, t).residual for t in targets.T])
-        block = _least_norm(kernel, targets)[1]
-        assert np.abs(block - single).max() <= 1e-12
         score, worst = rf_diagnostic(kernel)
         assert worst == pytest.approx(single.max(), abs=1e-12)
         assert score == np.mean(single <= 1e-6)
@@ -231,15 +225,13 @@ class TestEnvelope:
 
 class TestDualBessel:
     def test_dirac_witness_zero(self):
-        pair = canonical_dual(make_kernel(dirac_map(), 16))
-        result = dual_bessel_check(pair)
+        result = dual_bessel_check(make_kernel(dirac_map(), 16))
         assert result.bessel
         assert result.seminorm_index == 0
         assert result.constant == pytest.approx(1.0, abs=1e-8)
 
     def test_weighted_witness_zero(self):
-        pair = canonical_dual(make_kernel(weighted_dirac_map("2+sin(x)"), 16))
-        result = dual_bessel_check(pair)
+        result = dual_bessel_check(make_kernel(weighted_dirac_map("2+sin(x)"), 16))
         assert result.bessel
         assert result.seminorm_index == 0
         # dual analysis is bounded by the reciprocal lower weight
@@ -266,7 +258,7 @@ class TestDualBessel:
                     series[k].append(factor.bessel_constant(k))
             lower, upper = pair.omega_bounds
             bounded = [k for k, v in series.items() if _series_trend(v, thresholds, 0.0) == "bounded"]
-            result = dual_bessel_check(canonical_dual(make_kernel(spec, n_max)), ladder)
+            result = dual_bessel_check(make_kernel(spec, n_max))
             # dirac_derivative's dual series are bounded for no k <= bessel_k_max
             assert result.seminorm_index == (bounded[0] if bounded else -1)
             if bounded:
@@ -278,8 +270,7 @@ class TestDualBessel:
         """No eigh and no Cholesky, and one QR with more rows than columns per
         stage: the dual is read off R, not built as a canonical dual.  (The
         grids' Gauss-Legendre nodes come from eigvalsh, which is allowed.)"""
-        pair = canonical_dual(make_kernel(weighted_dirac_map("2+sin(x)"), 64))
-        ladder = default_ladder(64)
+        kernel = make_kernel(weighted_dirac_map("2+sin(x)"), 64)
         shapes = []
         qr = np.linalg.qr
 
@@ -296,33 +287,31 @@ class TestDualBessel:
         monkeypatch.setattr(np.linalg, "qr", recording_qr)
         for name in ("eigh", "cholesky"):
             monkeypatch.setattr(np.linalg, name, refused(name))
-        assert dual_bessel_check(pair, ladder).bessel
-        assert len([s for s in shapes if s[0] > s[1]]) == len(ladder.stages)
+        assert dual_bessel_check(kernel).bessel
+        assert len([s for s in shapes if s[0] > s[1]]) == len(default_ladder(64).stages)
 
     def test_fourier_equals_dirac_to_the_bit(self):
         """fourier's dual rows are dirac's; its column phase leaves every
         singular value alone and is not factored."""
-        fourier = dual_bessel_check(canonical_dual(make_kernel(fourier_map(), 128)))
-        dirac = dual_bessel_check(canonical_dual(make_kernel(dirac_map(), 128)))
+        fourier = dual_bessel_check(make_kernel(fourier_map(), 128))
+        dirac = dual_bessel_check(make_kernel(dirac_map(), 128))
         assert fourier == dirac
 
     def test_single_stage_certifies_nothing(self):
-        pair = canonical_dual(make_kernel(dirac_map(), 16))
-        result = dual_bessel_check(pair, ladder=RefinementLadder((default_stage(16),)))
+        # an N = 8 kernel walks the one-stage ladder (8,)
+        result = dual_bessel_check(make_kernel(dirac_map(), 8))
         assert not result.bessel
         assert result.seminorm_index == -1
 
     def test_spec_less_kernel_with_more_nodes_than_coefficients_rejected(self):
         kernel = make_kernel(dirac_map(), 8)
-        pair = canonical_dual(KernelMatrix(kernel.rows, kernel.grid))
         with pytest.raises(InvalidConfigError, match=r"node count <= truncation, got \d+ nodes > 8"):
-            dual_bessel_check(pair)
+            dual_bessel_check(KernelMatrix(kernel.rows, kernel.grid))
 
     def test_bump_precondition_rejected(self):
         kernel = make_kernel(bump_dirac_map(-1.0, 1.0), 16)
-        pair_like = type("P", (), {"omega": kernel})()
-        with pytest.raises(InvalidConfigError):
-            dual_bessel_check(pair_like)
+        with pytest.raises(InvalidConfigError, match="moment-solvability precondition unmet"):
+            dual_bessel_check(kernel)
 
 
 CONTINUITY_FAMILIES = {

@@ -242,7 +242,7 @@ class TestTotality:
 
     def test_bump_not_total_with_outside_witness(self):
         kernel = make_kernel(bump_dirac_map(-1.0, 1.0), 32)
-        result = totality_test(kernel, threshold=1e-6)
+        result = totality_test(kernel)
         assert not result.total
         values = result.witness(kernel.grid.nodes)
         outside = np.abs(kernel.grid.nodes) >= 1.0
