@@ -9,19 +9,6 @@ solvers with their solvability envelopes.  Classification of continuum
 properties is read off refinement-ladder trends, never a single stage.
 """
 
-import os as _os
-
-# Cap BLAS parallelism before numpy loads anywhere in the package.
-if "RIGGEDFRAMES_THREADS" in _os.environ:
-    _cap = _os.environ["RIGGEDFRAMES_THREADS"]
-    for _var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        _os.environ.setdefault(_var, _cap)
-
 from .errors import (
     DimensionMismatchError,
     InvalidConfigError,

@@ -5,14 +5,23 @@
 
 Commands: classify, bounds, dual, reconstruct, moment-solve, sweep, demo.
 ``demo`` runs every built-in acceptance check, prints one PASS/FAIL line
-per check, and exits nonzero if any fails.  The RIGGEDFRAMES_THREADS
-environment variable caps BLAS parallelism for reproducible timing.
+per check, and exits 1 if any fails; it needs no ``--config`` and runs on
+the dirac map.  Each flag sets a field of the config document (``--seed``
+seed, ``--stages`` ladder.stages, ``--output`` output.path, ``--format``
+output.format), and config_from_dict checks the result once, so a flag is
+held to the same rule as the field.  Exit codes: 0 on success, 2 for a
+config or output error, 1 for a numerical failure or a failing demo check.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+
+
+def stage_list(text):
+    """``8,16,32`` as [8, 16, 32]; the truncations are checked as ladder.stages."""
+    return [int(part) for part in text.split(",") if part.strip()]
 
 
 def _build_parser():
@@ -29,6 +38,7 @@ def _build_parser():
     parser.add_argument("--seed", type=int, help="seed override for randomized checks")
     parser.add_argument(
         "--stages",
+        type=stage_list,
         help="comma-separated truncations overriding the ladder, e.g. 8,16,32",
     )
     return parser
@@ -36,41 +46,29 @@ def _build_parser():
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    # package import applies RIGGEDFRAMES_THREADS before numpy loads
-    from .errors import InvalidConfigError, NotAFrameError, NumericError, WeightSyntaxError
-    from .reporting import (
-        config_with_overrides,
-        default_config,
-        emit,
-        load_config,
-        run,
-        write_report,
-    )
+    from .errors import InvalidConfigError, NotAFrameError, NumericError
+    from .reporting import config_from_dict, config_to_dict, emit, load_config, run, write_report
 
     try:
         if args.config is not None:
             config = load_config(args.config)
         elif args.command == "demo":
-            config = default_config()
+            config = config_from_dict({"map": {"kind": "dirac"}})
         else:
             print("error: --config is required for this command", file=sys.stderr)
             return 2
-        stages = None
+        document = config_to_dict(config)
+        if args.seed is not None:
+            document["seed"] = args.seed
         if args.stages is not None:
-            try:
-                stages = [int(part) for part in args.stages.split(",") if part.strip()]
-            except ValueError:
-                print(f"error: stages: not a comma-separated integer list: {args.stages!r}", file=sys.stderr)
-                return 2
-        config = config_with_overrides(
-            config,
-            seed=args.seed,
-            stages=stages,
-            output_path=args.output,
-            output_format=args.output_format,
-        )
+            document["ladder"] = {"stages": args.stages}
+        if args.output is not None:
+            document["output"]["path"] = args.output
+        if args.output_format is not None:
+            document["output"]["format"] = args.output_format
+        config = config_from_dict(document)
         report = run(args.command, config)
-    except (InvalidConfigError, WeightSyntaxError) as exc:
+    except InvalidConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NotAFrameError, NumericError) as exc:

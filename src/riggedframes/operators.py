@@ -47,6 +47,7 @@ of their stacked real and imaginary parts.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -457,6 +458,11 @@ class ClassifyThresholds:
     parseval: float = 1e-6
     bessel_k_max: int = 6
 
+    def __post_init__(self):
+        # at growth <= 1 a flat series would count as growing
+        if not self.growth > 1.0:
+            raise InvalidConfigError(f"thresholds.growth: must be > 1, got {self.growth!r}")
+
 
 @dataclass(frozen=True)
 class StageDiagnostics:
@@ -596,6 +602,10 @@ def _stage_rows(map_spec, grid, truncation):
     return tuple(rows[:, c] for c in _PARITY), _PARITY
 
 
+# The largest sigma_max whose square, the upper frame bound, is a finite float.
+_SIGMA_CEILING = math.sqrt(sys.float_info.max)
+
+
 def classify(map_spec, ladder, thresholds=ClassifyThresholds()):
     """Run the full diagnostic ladder and assemble taxonomy labels.
 
@@ -609,6 +619,11 @@ def classify(map_spec, ladder, thresholds=ClassifyThresholds()):
         )
     stages, factors = [], []
     for stage, factor in _ladder_walk(map_spec, ladder):
+        if factor.sigma_max > _SIGMA_CEILING:
+            raise NumericError(
+                f"stage N={stage.truncation}: the upper frame bound sigma_max^2 = "
+                f"({factor.sigma_max:.3e})^2 is past float64 range"
+            )
         coarse = _coarse_kernel(map_spec, stage.truncation)
         stages.append(
             StageDiagnostics(

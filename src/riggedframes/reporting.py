@@ -18,7 +18,7 @@ import numpy as np
 
 from . import acceptance
 from .duality import DEFAULT_SEED, canonical_dual, dual_bounds, reconstruct, verify_duality
-from .errors import InvalidConfigError, NotAFrameError, WeightSyntaxError
+from .errors import InvalidConfigError, NotAFrameError, WeightEvalError, WeightSyntaxError
 from .hermite import random_test_function
 from .kernels import MapSpec, sample_kernel
 from .moments import rf_diagnostic
@@ -38,8 +38,7 @@ __all__ = [
     "ReportDocument",
     "load_config",
     "config_from_dict",
-    "default_config",
-    "config_with_overrides",
+    "config_to_dict",
     "run",
     "emit",
     "write_report",
@@ -47,6 +46,18 @@ __all__ = [
 
 COMMANDS = ("classify", "bounds", "dual", "reconstruct", "moment-solve", "sweep", "demo")
 THRESHOLD_FIELDS = tuple(f.name for f in fields(ClassifyThresholds))
+# The stage table's (column, StageDiagnostics attribute) pairs, in CSV order.
+STAGE_COLUMNS = (
+    ("N", "truncation"),
+    ("L", "half_width"),
+    ("nodes", "node_count"),
+    ("A", "lower"),
+    ("B", "upper"),
+    ("sigma_min", "sigma_min"),
+    ("sigma_max", "sigma_max"),
+    ("total", "total"),
+    ("mu_independent", "mu_independent"),
+)
 
 
 @dataclass(frozen=True)
@@ -55,8 +66,8 @@ class RunConfig:
     ladder: RefinementLadder
     thresholds: ClassifyThresholds
     seed: int
-    output_path: str = None
-    output_format: str = "json"
+    output_path: str
+    output_format: str
 
 
 @dataclass(frozen=True)
@@ -71,9 +82,17 @@ class ReportDocument:
 
 
 def load_config(path):
+    """config_from_dict of the JSON file at ``path``; a file that exists but
+    cannot be read as UTF-8 text is a config error naming the path."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
+    except FileNotFoundError:
+        # bench/tests/test_bench.py pins a missing file as a raised
+        # FileNotFoundError; it joins the config errors with that pin (ROADMAP)
+        raise
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidConfigError(f"{path}: cannot read ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise InvalidConfigError(f"{path}: invalid JSON ({exc})") from exc
     return config_from_dict(data)
@@ -210,30 +229,6 @@ def config_from_dict(data):
     return RunConfig(map_spec, ladder, thresholds, seed, output_path, output_format)
 
 
-def default_config():
-    """Fallback configuration: the dirac map on the default 32-ladder."""
-    return RunConfig(MapSpec("dirac"), default_ladder(32), ClassifyThresholds(), DEFAULT_SEED)
-
-
-def config_with_overrides(config, seed=None, stages=None, output_path=None, output_format=None):
-    if seed is not None:
-        _require(_is_int(seed) and seed >= 0, "seed", "must be a nonnegative integer")
-    ladder = config.ladder
-    if stages is not None:
-        try:
-            ladder = RefinementLadder(tuple(default_stage(n) for n in stages))
-        except InvalidConfigError as exc:
-            raise InvalidConfigError(f"stages: {exc}") from exc
-    return RunConfig(
-        map_spec=config.map_spec,
-        ladder=ladder,
-        thresholds=config.thresholds,
-        seed=config.seed if seed is None else seed,
-        output_path=config.output_path if output_path is None else output_path,
-        output_format=config.output_format if output_format is None else output_format,
-    )
-
-
 def _echo_map(spec):
     echo = {"kind": spec.kind}
     if spec.weight is not None:
@@ -245,7 +240,9 @@ def _echo_map(spec):
     return echo
 
 
-def _echo_config(config):
+def config_to_dict(config):
+    """The config document of ``config``, every field explicit: the inverse
+    of config_from_dict, and the ``config`` section of every report."""
     thresholds = config.thresholds
     return {
         "map": _echo_map(config.map_spec),
@@ -263,17 +260,7 @@ def _echo_config(config):
 
 def _stage_table(report):
     return tuple(
-        {
-            "N": s.truncation,
-            "L": s.half_width,
-            "nodes": s.node_count,
-            "A": s.lower,
-            "B": s.upper,
-            "sigma_min": s.sigma_min,
-            "sigma_max": s.sigma_max,
-            "total": s.total,
-            "mu_independent": s.mu_independent,
-        }
+        {column: getattr(s, attribute) for column, attribute in STAGE_COLUMNS}
         for s in report.stages
     )
 
@@ -316,27 +303,32 @@ def run(command, config):
     dual = None
     moment = None
     checks = None
-    if command in ("classify", "bounds", "sweep"):
-        report = classify(config.map_spec, config.ladder, config.thresholds)
-        stages = _stage_table(report)
-        if command in ("classify", "sweep"):
-            labels = tuple(report.labels)
-    if command in ("dual", "reconstruct"):
-        dual = _dual_section(config, round_trip=command == "reconstruct")
-    if command in ("moment-solve", "sweep"):
-        moment = _moment_section(config)
-    if command == "sweep":
-        try:
-            dual = _dual_section(config)
-        except NotAFrameError:
-            dual = None
+    # the weight parses for every x, but a grid node of the ladder can still
+    # land where it is non-finite (1/x at x = 0)
+    try:
+        if command in ("classify", "bounds", "sweep"):
+            report = classify(config.map_spec, config.ladder, config.thresholds)
+            stages = _stage_table(report)
+            if command in ("classify", "sweep"):
+                labels = tuple(report.labels)
+        if command in ("dual", "reconstruct"):
+            dual = _dual_section(config, round_trip=command == "reconstruct")
+        if command in ("moment-solve", "sweep"):
+            moment = _moment_section(config)
+        if command == "sweep":
+            try:
+                dual = _dual_section(config)
+            except NotAFrameError:
+                dual = None
+    except WeightEvalError as exc:
+        raise InvalidConfigError(f"map.weight: {exc}") from exc
     if command == "demo":
         results = acceptance.run_all()
         checks = tuple(
             {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
         )
     return ReportDocument(
-        config=_echo_config(config),
+        config=config_to_dict(config),
         stages=stages,
         labels=labels,
         dual=dual,
@@ -382,8 +374,7 @@ def emit(report, output_format="json"):
         document["timing"] = report.timing
         return (_json_value(document) + "\n").encode()
     if output_format == "csv":
-        header = "N,L,nodes,A,B,sigma_min,sigma_max,total,mu_independent"
-        lines = [header]
+        lines = [",".join(column for column, _ in STAGE_COLUMNS)]
         for row in report.stages:
             lines.append(",".join(_json_value(v) for v in row.values()))
         return ("\n".join(lines) + "\n").encode()

@@ -17,6 +17,7 @@ tree exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 
@@ -99,7 +100,10 @@ class _Tokenizer:
         lexeme = self.text[start : self.pos]
         if lexeme in ("", "."):
             raise WeightSyntaxError(f"expected a number, found {lexeme!r}", start)
-        return float(lexeme), start
+        value = float(lexeme)
+        if value == float("inf"):
+            raise WeightSyntaxError(f"number out of float64 range: {lexeme!r}", start)
+        return value, start
 
     def take_name(self):
         start = self.pos
@@ -237,7 +241,7 @@ def eval_weight(expr, x):
     if not np.all(np.isfinite(values)):
         bad = np.atleast_1d(xa)[~np.isfinite(values)][:1]
         raise WeightEvalError(
-            f"expression '{expr_to_string(expr)}' is non-finite at x={bad[0]!r}"
+            f"expression '{expr_to_string(expr)}' is non-finite at x={float(bad[0])!r}"
         )
     return float(values[0]) if xa.ndim == 0 else values
 
@@ -261,7 +265,9 @@ def _prec(node):
 def expr_to_string(node):
     """Render a tree so that parsing the output reproduces the tree."""
     if isinstance(node, Number):
-        return repr(node.value)
+        # positional, since the tokenizer reads no exponent: 1e-05 prints as
+        # 0.00001, and the shortest repr's digits make it round-trip exactly
+        return f"{Decimal(repr(node.value)):f}"
     if isinstance(node, Variable):
         return "x"
     if isinstance(node, Negate):

@@ -17,9 +17,9 @@ def test_acceptance_criterion(check):
 
 
 def test_demo_command_reports_all_checks(tmp_path, capsys):
-    from riggedframes.reporting import default_config, run
+    from riggedframes.reporting import config_from_dict, run
 
-    report = run("demo", default_config())
+    report = run("demo", config_from_dict({"map": {"kind": "dirac"}}))
     lines = [line for line in capsys.readouterr().out.splitlines() if line]
     assert len(lines) == len(ALL_CHECKS)
     assert all(line.startswith("PASS") for line in lines)

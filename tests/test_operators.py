@@ -421,6 +421,12 @@ class TestClassify:
         with pytest.raises(InvalidConfigError, match="threshold must be positive"):
             classify(dirac_map(), default_ladder(16), ClassifyThresholds(rank=0.0))
 
+    def test_frame_bound_past_float64_range_names_the_stage(self):
+        """exp(x^2) at N=128 has sigma_max ~ 7e208, whose square overflows;
+        the check warns of nothing (warnings are errors here)."""
+        with pytest.raises(NumericError, match=r"stage N=128: .* past float64 range"):
+            classify(weighted_dirac_map("exp(x^2)"), default_ladder(128))
+
     def test_custom_kind_rejected(self):
         from riggedframes import custom_map
 

@@ -53,6 +53,12 @@ class TestParsing:
         with pytest.raises(WeightSyntaxError):
             parse_weight("x^1.5")
 
+    def test_literal_past_float64_range_rejected(self):
+        """A literal that rounds to inf would print as no literal at all."""
+        with pytest.raises(WeightSyntaxError, match="out of float64 range") as err:
+            parse_weight("x+1" + "0" * 400)
+        assert err.value.offset == 2
+
     def test_trailing_garbage(self):
         with pytest.raises(WeightSyntaxError) as err:
             parse_weight("1+x )")
@@ -115,6 +121,9 @@ class TestPrinting:
             "x^-2",
             "--x",
             "2*x/(1+x^2)",
+            "0.00001*x",
+            "10000000000000000+x",
+            pytest.param("0.1+0." + "0" * 299 + "15", id="0.1+1.5e-300"),
         ],
     )
     def test_parse_print_parse_identity(self, text):
