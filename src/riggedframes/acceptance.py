@@ -1,9 +1,9 @@
 """End-to-end verification of the built-in map families.
 
-Each check pins the tolerance it asserts and returns a pass/fail result
-with a one-line detail string.  The registry backs both the ``demo`` CLI
-subcommand and the acceptance test suite, so the criteria live in exactly
-one place.
+Each check pins the tolerance it asserts and returns its entry of a demo
+report's ``checks`` section, ``{"name", "passed", "detail"}`` with a one-line
+detail string.  The registry backs both the ``demo`` CLI subcommand and the
+acceptance test suite, so the criteria live in exactly one place.
 
 Oracles used here are deliberately independent of the code paths they
 check: the derivative-map frame operator is compared against the exact
@@ -13,8 +13,6 @@ from an explicit row-space projection.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,18 +40,11 @@ from .operators import (
 from .hermite import pair as dual_pairing
 from .quadrature import default_ladder, default_stage, l2x_inner, l2x_norm, stage_grid
 
-__all__ = ["CheckResult", "ALL_CHECKS", "run_all"]
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+__all__ = ["ALL_CHECKS", "run_all"]
 
 
 def _result(name, passed, detail):
-    return CheckResult(name, bool(passed), detail)
+    return {"name": name, "passed": bool(passed), "detail": detail}
 
 
 def _stage_kernel(map_spec, truncation):
@@ -330,11 +321,11 @@ ALL_CHECKS = (
 
 
 def run_all():
-    """Run every check, print one PASS/FAIL line each, return the results."""
+    """Run every check, print one PASS/FAIL line each, return their entries."""
     results = []
     for check in ALL_CHECKS:
         result = check()
         results.append(result)
-        status = "PASS" if result.passed else "FAIL"
-        print(f"{status}  {result.name}: {result.detail}")
+        status = "PASS" if result["passed"] else "FAIL"
+        print(f"{status}  {result['name']}: {result['detail']}")
     return results

@@ -83,7 +83,7 @@ def main(argv=None):
             return 2
     elif args.command != "demo":
         sys.stdout.write(emit(report, config.output_format).decode())
-    if args.command == "demo" and any(not c["passed"] for c in report.checks):
+    if args.command == "demo" and any(not c["passed"] for c in report["checks"]):
         return 1
     return 0
 

@@ -57,11 +57,13 @@ from .errors import InvalidConfigError, NotAFrameError, NumericError
 from .hermite import TestFunction, random_test_function
 from .kernels import KernelMatrix, sample_kernel
 from .operators import (
+    RANK_CUTOFF,
     FrameOperatorMatrix,
     StageFactorization,
     _analyze,
     _apply,
     _coarse_kernel,
+    _full_rank,
     _hermitian_gram,
     _scale_rows,
     _synthesize,
@@ -76,7 +78,6 @@ from .operators import (
 from .quadrature import default_ladder, stage_grid
 
 __all__ = [
-    "INVERSION_CUTOFF",
     "DEFAULT_SEED",
     "DualPair",
     "GelfandResult",
@@ -92,7 +93,6 @@ __all__ = [
     "dual_semiframe_check",
 ]
 
-INVERSION_CUTOFF = 1e-12
 DEFAULT_SEED = 20240409
 
 
@@ -138,7 +138,7 @@ def canonical_dual(kernel):
 
     Raises NotAFrameError when the frame operator is singular at the
     relative cutoff, carrying the offending smallest eigenvalue, and
-    NumericError when S has no Cholesky factor.
+    NumericError when S is past float64 range or has no Cholesky factor.
     """
     op = frame_operator(kernel)
     values, vectors = hermitian_eigenpairs(op.gram)
@@ -157,10 +157,11 @@ def canonical_dual(kernel):
 
 
 def _require_frame(lam_min, lam_max):
-    """NotAFrameError unless lambda_min > INVERSION_CUTOFF * lambda_max > 0."""
-    if lam_max <= 0.0 or lam_min <= INVERSION_CUTOFF * lam_max:
+    """NotAFrameError unless S has full rank: its eigenvalues are squared
+    singular values, so the cutoff is RANK_CUTOFF squared."""
+    if not _full_rank(lam_min, lam_max, RANK_CUTOFF**2):
         raise NotAFrameError(
-            f"frame operator singular at cutoff {INVERSION_CUTOFF:g}: "
+            f"frame operator singular at cutoff {RANK_CUTOFF**2:g}: "
             f"lambda_min={lam_min:.3e}, lambda_max={lam_max:.3e}",
             lam_min,
         )

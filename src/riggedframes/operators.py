@@ -196,7 +196,8 @@ def frame_operator(kernel):
     has the rows' own memory order, so filling it is a contiguous copy.
     Complex rows (a custom kernel) stack their real and imaginary parts,
     [Re A, Im A], and S_rows is read off that real Gram (see
-    _hermitian_from_stacked).  Either way S comes out exactly Hermitian."""
+    _hermitian_from_stacked).  Either way S comes out exactly Hermitian.
+    An S with an entry past float64 range is a NumericError naming N."""
     rows = kernel.rows
     parts = (rows.real, rows.imag) if np.iscomplexobj(rows) else (rows,)
     m, n = rows.shape
@@ -204,14 +205,17 @@ def frame_operator(kernel):
     sqrt_w = np.sqrt(kernel.grid.weights)[:, None]
     block = np.empty((min(step, m), len(parts) * n), order="F" if rows.flags.f_contiguous else "C")
     gram = np.zeros((len(parts) * n,) * 2)
-    for start in range(0, m, step):
-        a = block[: min(step, m - start)]
-        for i, part in enumerate(parts):
-            out = a[:, i * n : (i + 1) * n]
-            np.multiply(sqrt_w[start : start + step], part[start : start + step], out=out)
-        gram += a.T @ a
-    if len(parts) == 2:
-        gram = _hermitian_from_stacked(gram)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, m, step):
+            a = block[: min(step, m - start)]
+            for i, part in enumerate(parts):
+                out = a[:, i * n : (i + 1) * n]
+                np.multiply(sqrt_w[start : start + step], part[start : start + step], out=out)
+            gram += a.T @ a
+        if len(parts) == 2:
+            gram = _hermitian_from_stacked(gram)
+    if not np.isfinite(gram).all():
+        raise NumericError(f"N={n}: the frame operator is past float64 range")
     return FrameOperatorMatrix(gram, phase=kernel.phase)
 
 

@@ -1,7 +1,9 @@
 """Run configuration, experiment orchestration, and report emission.
 
-Reports are plain documents with a fixed key order and floats serialized at
-17 significant digits, so identical configurations produce byte-identical
+``run`` returns the report as the plain dict that ``emit`` writes: keys
+``config, stages, labels, dual, moment``, then ``checks`` (demo only) and
+``timing`` last.  ``emit`` serializes it in that key order with floats at 17
+significant digits, so identical configurations produce byte-identical
 output (timing aside) and golden-file comparison is exact.
 """
 
@@ -35,7 +37,6 @@ from .weights import expr_to_string, parse_weight
 __all__ = [
     "COMMANDS",
     "RunConfig",
-    "ReportDocument",
     "load_config",
     "config_from_dict",
     "config_to_dict",
@@ -68,17 +69,6 @@ class RunConfig:
     seed: int
     output_path: str
     output_format: str
-
-
-@dataclass(frozen=True)
-class ReportDocument:
-    config: dict
-    stages: tuple = ()
-    labels: tuple = None
-    dual: dict = None
-    moment: dict = None
-    checks: tuple = None
-    timing: float = 0.0
 
 
 def load_config(path):
@@ -258,11 +248,11 @@ def config_to_dict(config):
     }
 
 
-def _stage_table(report):
-    return tuple(
+def _stage_table(frames):
+    return [
         {column: getattr(s, attribute) for column, attribute in STAGE_COLUMNS}
-        for s in report.stages
-    )
+        for s in frames.stages
+    ]
 
 
 def _final_kernel(config):
@@ -294,48 +284,32 @@ def _moment_section(config):
 
 
 def run(command, config):
-    """Execute one CLI command and assemble its report document."""
+    """Execute one CLI command and return its report document."""
     if command not in COMMANDS:
         raise InvalidConfigError(f"unknown command {command!r}; expected one of {COMMANDS}")
     started = time.perf_counter()
-    stages = ()
-    labels = None
-    dual = None
-    moment = None
-    checks = None
+    report = {"config": config_to_dict(config), "stages": [], "labels": None, "dual": None, "moment": None}
     # the weight parses for every x, but a grid node of the ladder can still
     # land where it is non-finite (1/x at x = 0)
     try:
         if command in ("classify", "bounds", "sweep"):
-            report = classify(config.map_spec, config.ladder, config.thresholds)
-            stages = _stage_table(report)
+            frames = classify(config.map_spec, config.ladder, config.thresholds)
+            report["stages"] = _stage_table(frames)
             if command in ("classify", "sweep"):
-                labels = tuple(report.labels)
+                report["labels"] = list(frames.labels)
         if command in ("dual", "reconstruct"):
-            dual = _dual_section(config, round_trip=command == "reconstruct")
+            report["dual"] = _dual_section(config, round_trip=command == "reconstruct")
         if command in ("moment-solve", "sweep"):
-            moment = _moment_section(config)
+            report["moment"] = _moment_section(config)
         if command == "sweep":
-            try:
-                dual = _dual_section(config)
-            except NotAFrameError:
-                dual = None
+            with contextlib.suppress(NotAFrameError):
+                report["dual"] = _dual_section(config)
     except WeightEvalError as exc:
         raise InvalidConfigError(f"map.weight: {exc}") from exc
     if command == "demo":
-        results = acceptance.run_all()
-        checks = tuple(
-            {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
-        )
-    return ReportDocument(
-        config=config_to_dict(config),
-        stages=stages,
-        labels=labels,
-        dual=dual,
-        moment=moment,
-        checks=checks,
-        timing=time.perf_counter() - started,
-    )
+        report["checks"] = acceptance.run_all()
+    report["timing"] = time.perf_counter() - started
+    return report
 
 
 def _json_value(value):
@@ -360,22 +334,12 @@ def _json_value(value):
 
 
 def emit(report, output_format="json"):
-    """Serialize a report: JSON with stable key order, or CSV of the stages."""
+    """Serialize a report document: JSON in its key order, or CSV of the stages."""
     if output_format == "json":
-        document = {
-            "config": report.config,
-            "stages": list(report.stages),
-            "labels": list(report.labels) if report.labels is not None else None,
-            "dual": report.dual,
-            "moment": report.moment,
-        }
-        if report.checks is not None:
-            document["checks"] = list(report.checks)
-        document["timing"] = report.timing
-        return (_json_value(document) + "\n").encode()
+        return (_json_value(report) + "\n").encode()
     if output_format == "csv":
         lines = [",".join(column for column, _ in STAGE_COLUMNS)]
-        for row in report.stages:
+        for row in report["stages"]:
             lines.append(",".join(_json_value(v) for v in row.values()))
         return ("\n".join(lines) + "\n").encode()
     raise InvalidConfigError(f"unknown output format {output_format!r}")

@@ -23,17 +23,18 @@ from riggedframes import (
     frame_operator,
     gelfand_check,
     hermite_table,
+    load_custom_kernel,
     parseval_check,
     random_test_function,
     reconstruct,
     riesz_check,
     sample_kernel,
+    save_kernel_csv,
     stage_grid,
     verify_duality,
     weighted_dirac_map,
 )
-from riggedframes.duality import INVERSION_CUTOFF
-from riggedframes.operators import StageFactorization, _weighted_rows
+from riggedframes.operators import RANK_CUTOFF, StageFactorization, _weighted_rows
 
 SEED = 20240409
 
@@ -366,6 +367,18 @@ def test_ladder_checks_refuse_kernels_below_n8(check):
         check(make_kernel(dirac_map(), 4))
 
 
+@pytest.mark.parametrize("check", [riesz_check, dual_semiframe_check], ids=lambda check: check.__name__)
+def test_ladder_checks_refuse_custom_kernels(check, tmp_path):
+    """A CSV kernel has no map to sample at the ladder's other stages."""
+    kernel = make_kernel(dirac_map(), 16)
+    path = str(tmp_path / "kernel.csv")
+    save_kernel_csv(kernel, path)
+    custom = load_custom_kernel(path, kernel.grid, 16)
+    message = f"^{check.__name__} walks a ladder and needs a resamplable map spec$"
+    with pytest.raises(InvalidConfigError, match=message):
+        check(custom)
+
+
 ORACLE_FAMILIES = {
     "dirac": dirac_map(),
     "fourier": fourier_map(),
@@ -391,7 +404,7 @@ def _complex_dual_reference(kernel, trials, seed):
     omega = kernel.entries.astype(complex)
     w = kernel.grid.weights
     values, vectors = np.linalg.eigh(omega.conj().T @ (w[:, None] * omega))
-    if values[-1] <= 0.0 or values[0] <= INVERSION_CUTOFF * values[-1]:
+    if values[-1] <= 0.0 or values[0] <= RANK_CUTOFF**2 * values[-1]:
         raise NotAFrameError("reference frame operator singular", values[0])
     theta = omega @ ((vectors / values[None, :]) @ vectors.conj().T)
     dual = np.linalg.eigvalsh(theta.conj().T @ (w[:, None] * theta))

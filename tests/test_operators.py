@@ -109,6 +109,14 @@ class TestFrameOperator:
         op = frame_operator(kernel)
         assert np.abs(op.matrix - np.eye(32)).max() <= 1e-10
 
+    def test_past_float64_range_names_the_truncation(self):
+        """exp(x^2) at N=128 overflows the Gram: a NumericError naming N,
+        with no overflow warning (warnings are errors here) and not a
+        singular or non-Cholesky operator downstream."""
+        kernel = make_kernel(weighted_dirac_map("exp(x^2)"), 128)
+        with pytest.raises(NumericError, match=r"^N=128: the frame operator is past float64 range$"):
+            frame_operator(kernel)
+
     def test_hermitian_and_psd(self):
         for spec in (weighted_dirac_map("2+sin(x)"), dirac_derivative_map()):
             op = frame_operator(make_kernel(spec, 16))
