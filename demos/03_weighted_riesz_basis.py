@@ -53,4 +53,4 @@ print(f"\nreconstruction errors: dual-synthesis {err1:.2e}, omega-synthesis {err
 # reciprocal lower bound at every ladder stage.
 check = dual_semiframe_check(kernel)
 print(f"dual lower bounds clear 1/B at all stages: {check.holds}, "
-      f"margins {[f'{m:.3f}' for m in check.margins]}")
+      f"margins {[f'{m:.1e}' for m in check.margins]}")

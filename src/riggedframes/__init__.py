@@ -20,7 +20,6 @@ from .errors import (
 from .hermite import (
     DistributionSample,
     TestFunction,
-    as_test_function,
     derivative_coeffs,
     dirac_sample,
     embed,
@@ -67,12 +66,10 @@ from .operators import (
     StageDiagnostics,
     TotalityResult,
     analysis,
-    bessel_seminorm_constant,
     classify,
     coarse_synthesis_grid,
     frame_bounds,
     frame_operator,
-    hermitian_eigenpairs,
     mu_independence_test,
     synthesis,
     totality_test,

@@ -88,10 +88,10 @@ def check_weighted_riesz_basis():
     """Weight 2+sin(x): spectrum inside [1, 9], Riesz basis, dual bounds in [1/9, 1]."""
     spec = weighted_dirac_map("2+sin(x)")
     kernel = _stage_kernel(spec, 32)
-    lower, upper = frame_bounds(frame_operator(kernel))
+    pair = canonical_dual(kernel)
+    lower, upper = pair.omega_bounds
     spectrum_ok = lower >= 1.0 - 1e-9 and upper <= 9.0 + 1e-9
     riesz = riesz_check(kernel)
-    pair = canonical_dual(kernel)
     dual_lower, dual_upper = dual_bounds(pair)
     dual_ok = dual_lower >= 1.0 / 9.0 - 1e-8 and dual_upper <= 1.0 + 1e-8
     ok = spectrum_ok and riesz.riesz and dual_ok

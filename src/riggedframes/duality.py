@@ -7,31 +7,33 @@ orders
 
     f = synthesis_theta(analysis_omega(f)) = synthesis_omega(analysis_theta(f))
 
-recover f up to conditioning.  Inversion goes through the
-eigendecomposition with a relative cutoff so that near-singular frame
-operators surface as NotAFrameError instead of amplified noise.
-canonical_dual builds the pair and measures nothing: the duality identity
+recover f up to conditioning.  S is factored once, S = R^H R with R the
+upper Cholesky factor, and inverted through it: X = R^{-1} R^{-H} (Higham,
+Accuracy and Stability of Numerical Algorithms, ch. 10 and 14).  Omega's
+bounds (A, B) come from frame_bounds, values only, as for every other
+bounds reader, and a relative cutoff on them turns a near-singular frame
+operator into NotAFrameError instead of amplified noise.  canonical_dual
+builds the pair and measures nothing: the duality identity
 <f, g> = int <f, theta_x><omega_x, g> dmu is measured by verify_duality, on
 whatever pair a caller hands it.
 
-That eigendecomposition is the only one of S_omega: the pair keeps its
-extreme eigenvalues (A, B) for dual_bounds.  Theta's own frame operator is
-formed in N x N arithmetic, with no tall Gram of theta: with X the computed
-inverse and S = L L^H (Cholesky), S_theta = X^H S X = G^H G for G = L^H X,
-exactly Hermitian, and the pair keeps it.  Its eigenvalues measure X against
-S, so dual_bounds checks them against [1/B, 1/A] as the postcondition on
-the inverse; they are never read off 1/lambda, which would be a tautology.
+The pair keeps (A, B) for dual_bounds.  Theta's own frame operator is
+formed in N x N arithmetic, with no tall Gram of theta: S_theta = X^H S X =
+G^H G for G = R X, exactly Hermitian, and the pair keeps it.  Its
+eigenvalues measure X against S, so dual_bounds checks them against
+[1/B, 1/A] as the postcondition on the inverse; they are never read off
+1/lambda, which would be a tautology.
 
 Everything runs on the kernel's rows in their own dtype.  A kernel with a
 column phase P (fourier; see KernelMatrix) has S = P^H S_rows P, so
 S^{-1} = P^H S_rows^{-1} P and Theta = rows X P with X = S_rows^{-1}: the
-dual is built from the real Gram, a real eigendecomposition and a real
+dual is built from the real Gram, its real Cholesky factor and a real
 inverse, and keeps omega's phase.
 
 Theta is never formed as a second kernel.  The pair keeps X, and analysis
 through theta is rows @ (X @ (P block)), synthesis P^H X^H (rows^H W xi):
 N x N work on blocks of at most a few dozen columns besides the passes over
-omega's rows.  X^H, not X: the computed inverse is not exactly Hermitian.
+omega's rows.  X^H, not X: the computed inverse need not be exactly Hermitian.
 ``pair.theta`` forms rows @ X when read (not cached).  Randomized checks
 draw all their trial functions first, in the order a per-trial loop would,
 and apply them as one block of columns.  Since theta shares omega's rows,
@@ -72,7 +74,6 @@ from .operators import (
     classify,
     frame_bounds,
     frame_operator,
-    hermitian_eigenpairs,
     mu_independence_test,
 )
 from .quadrature import default_ladder, stage_grid
@@ -101,14 +102,14 @@ class DualPair:
     """A map and its candidate dual on the same grid and truncation.
 
     A hand-built pair, DualPair(omega, theta), holds its theta explicitly.
-    canonical_dual holds none: it keeps the computed inverse X of omega's
-    row Gram, so that theta = omega.rows @ X with omega's column
-    phase, applied as rows @ (X @ block) and formed only when ``theta`` is
-    read (read-only, not cached).  It also carries omega's (A, B), the
-    extremes of the S it inverted, and ``theta_operator``, theta's frame
-    operator X^H S X formed in N x N arithmetic from that S and X (theta's
-    column phase kept apart as for any kernel).  A pair carries no
-    measurement: verify_duality measures it.
+    canonical_dual holds none: it keeps the inverse X = R^{-1} R^{-H} of
+    omega's row Gram S = R^H R, so that theta = omega.rows @ X with omega's
+    column phase, applied as rows @ (X @ block) and formed only when
+    ``theta`` is read (read-only, not cached).  It also carries omega's
+    (A, B), frame_bounds of the S it inverted, and ``theta_operator``,
+    theta's frame operator X^H S X = G^H G for G = R X, formed in N x N
+    arithmetic (theta's column phase kept apart as for any kernel).  A pair
+    carries no measurement: verify_duality measures it.
     """
 
     omega: KernelMatrix
@@ -134,22 +135,22 @@ class DualPair:
 
 def canonical_dual(kernel):
     """Canonical dual pair (omega, Omega S^{-1}), unmeasured (see
-    verify_duality).
+    verify_duality), with X = R^{-1} R^{-H} from S = R^H R (Cholesky).
 
     Raises NotAFrameError when the frame operator is singular at the
     relative cutoff, carrying the offending smallest eigenvalue, and
     NumericError when S is past float64 range or has no Cholesky factor.
     """
     op = frame_operator(kernel)
-    values, vectors = hermitian_eigenpairs(op.gram)
-    lam_min, lam_max = float(values[0]), float(values[-1])
+    lam_min, lam_max = frame_bounds(op)
     _require_frame(lam_min, lam_max)
-    inverse = (vectors / values[None, :]) @ vectors.conj().T
     try:
-        factor = np.linalg.cholesky(op.gram)
+        factor = np.linalg.cholesky(op.gram).conj().T
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"frame operator has no Cholesky factor: {exc}") from exc
-    theta_operator = FrameOperatorMatrix(_hermitian_gram(factor.conj().T @ inverse), phase=kernel.phase)
+    factor_inverse = np.linalg.inv(factor)
+    inverse = factor_inverse @ factor_inverse.conj().T
+    theta_operator = FrameOperatorMatrix(_hermitian_gram(factor @ inverse), phase=kernel.phase)
     inverse.setflags(write=False)
     return DualPair(
         kernel, None, omega_bounds=(lam_min, lam_max), theta_operator=theta_operator, inverse=inverse

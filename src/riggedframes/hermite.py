@@ -33,7 +33,6 @@ __all__ = [
     "pair",
     "embed",
     "dirac_sample",
-    "as_test_function",
     "random_test_function",
 ]
 
@@ -238,15 +237,6 @@ def dirac_sample(x, truncation):
     """The point-evaluation distribution at x: ``pair(f, dirac_sample(x, N))``
     is f(x) summed over the first N modes."""
     return DistributionSample(hermite_table(truncation, [float(x)])[0])
-
-
-def as_test_function(sample):
-    """Project a distribution back onto the truncated function space.
-
-    Exact for embedded functions; for anything else this is the coefficient
-    vector of the H-projection at the current truncation.
-    """
-    return TestFunction(sample.pairings)
 
 
 def derivative_coeffs(f):

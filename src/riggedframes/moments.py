@@ -217,8 +217,8 @@ def dual_bessel_check(kernel):
     ``bessel_k_max`` whose constant, the top singular value of R^-T D_k over
     the blocks, is bounded by its trend rule.
     """
-    coarse = _coarse_kernel(kernel.map_spec, kernel.truncation, kernel)
     ladder = _walkable_ladder(kernel, "dual_bessel_check")
+    coarse = _coarse_kernel(kernel.map_spec, kernel.truncation, kernel)
     score, worst = rf_diagnostic(coarse)
     if score < 1.0:
         raise InvalidConfigError(

@@ -71,12 +71,10 @@ __all__ = [
     "synthesis",
     "weighted_analysis_matrix",
     "frame_operator",
-    "hermitian_eigenpairs",
     "frame_bounds",
     "totality_test",
     "coarse_synthesis_grid",
     "mu_independence_test",
-    "bessel_seminorm_constant",
     "classify",
 ]
 
@@ -236,11 +234,17 @@ def _hermitian_gram(matrix):
     return _hermitian_from_stacked(stacked.T @ stacked)
 
 
-def _decompose_hermitian(decompose, op):
-    """decompose(matrix) for the matrix of a Hermitian operator.  Visibly
-    non-Hermitian input is rejected rather than silently symmetrized, and
-    failure to converge surfaces as NumericError."""
-    matrix = op.matrix if isinstance(op, FrameOperatorMatrix) else np.asarray(op)
+def frame_bounds(op):
+    """(lower, upper) = extreme eigenvalues of the frame operator, from a
+    values-only eigendecomposition; a FrameOperatorMatrix gives them from its
+    unphased ``gram``, since a diagonal unitary changes no eigenvalue.
+    Visibly non-Hermitian input is rejected rather than silently
+    symmetrized, and failure to converge surfaces as NumericError.
+
+    Inner approximations: the lower bound is nonincreasing and the upper
+    nondecreasing as the truncation grows over a fixed map.
+    """
+    matrix = op.gram if isinstance(op, FrameOperatorMatrix) else np.asarray(op)
     scale = np.abs(matrix).max()
     if scale > 0 and np.abs(matrix - matrix.conj().T).max() > 1e-12 * scale:
         raise NumericError(
@@ -248,32 +252,9 @@ def _decompose_hermitian(decompose, op):
             f"against scale {scale:.3e}"
         )
     try:
-        return decompose(matrix)
+        values = np.linalg.eigvalsh(matrix)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition failed: {exc}") from exc
-
-
-def hermitian_eigenpairs(op):
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian
-    operator matrix.
-
-    Rejects visibly non-Hermitian input rather than silently symmetrizing;
-    failure to converge surfaces as NumericError.
-    """
-    return _decompose_hermitian(np.linalg.eigh, op)
-
-
-def frame_bounds(op):
-    """(lower, upper) = extreme eigenvalues of the frame operator, from a
-    values-only eigendecomposition; a FrameOperatorMatrix gives them from its
-    unphased ``gram``, since a diagonal unitary changes no eigenvalue.
-    Input is checked as by hermitian_eigenpairs.
-
-    Inner approximations: the lower bound is nonincreasing and the upper
-    nondecreasing as the truncation grows over a fixed map.
-    """
-    gram = op.gram if isinstance(op, FrameOperatorMatrix) else op
-    values = _decompose_hermitian(np.linalg.eigvalsh, gram)
     return float(values[0]), float(values[-1])
 
 
@@ -434,13 +415,6 @@ def _coarse_kernel(map_spec, truncation, kernel=None):
         kernel = sample_kernel(map_spec, coarse_synthesis_grid(truncation), truncation)
     _check_coarse(kernel.node_count, truncation)
     return kernel
-
-
-def bessel_seminorm_constant(kernel, k):
-    """Smallest C with l2x_norm(analysis(f)) <= C * p_k(f) at this truncation."""
-    if k < 0:
-        raise ValueError(f"seminorm index must be nonnegative, got {k}")
-    return StageFactorization(_weighted_rows(kernel)).bessel_constant(k)
 
 
 @dataclass(frozen=True)

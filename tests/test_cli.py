@@ -442,15 +442,15 @@ class TestDemoExitContract:
 
 @pytest.mark.parametrize("command", ["dual", "reconstruct"])
 def test_dual_requests_form_one_tall_frame_operator(monkeypatch, tmp_path, command):
-    """One tall S and one eigendecomposition for omega (canonical_dual), one
-    values-only eigendecomposition of theta's N x N operator (the dual_bounds
-    postcondition): neither omega's bounds nor theta's S are re-formed from
-    a kernel."""
+    """One tall S for omega, and two values-only eigendecompositions of N x N
+    operators: omega's bounds (canonical_dual) and theta's (the dual_bounds
+    postcondition).  No eigenvectors are computed, and neither omega's
+    bounds nor theta's S are re-formed from a kernel."""
     import numpy as np
 
     from riggedframes import operators
 
-    counts = {"frame_operator": 0, "decompositions": 0}
+    counts = {"frame_operator": 0, "eigh": 0, "eigvalsh": 0}
     truncation = DIRAC_CONFIG["ladder"]["n_max"]
     frame_operator = operators.frame_operator
     decompositions = {name: getattr(np.linalg, name) for name in ("eigh", "eigvalsh")}
@@ -463,7 +463,7 @@ def test_dual_requests_form_one_tall_frame_operator(monkeypatch, tmp_path, comma
         def decompose(matrix, *args, **kwargs):
             # N x N operators only: leggauss takes the eigenvalues of its
             # small Jacobi matrix when the grid is built
-            counts["decompositions"] += np.shape(matrix) == (truncation, truncation)
+            counts[name] += np.shape(matrix) == (truncation, truncation)
             return decompositions[name](matrix, *args, **kwargs)
         return decompose
 
@@ -474,7 +474,7 @@ def test_dual_requests_form_one_tall_frame_operator(monkeypatch, tmp_path, comma
         monkeypatch.setattr(np.linalg, name, counting(name))
     data = dict(DIRAC_CONFIG, map={"kind": "weighted_dirac", "weight": "2+sin(x)"})
     run(command, load_config(write_config(tmp_path, data)))
-    assert counts == {"frame_operator": 1, "decompositions": 2}
+    assert counts == {"frame_operator": 1, "eigh": 0, "eigvalsh": 2}
 
 
 def test_only_the_dual_report_measures_the_duality_defect(monkeypatch):

@@ -367,7 +367,9 @@ def test_ladder_checks_refuse_kernels_below_n8(check):
         check(make_kernel(dirac_map(), 4))
 
 
-@pytest.mark.parametrize("check", [riesz_check, dual_semiframe_check], ids=lambda check: check.__name__)
+@pytest.mark.parametrize(
+    "check", [riesz_check, dual_semiframe_check, dual_bessel_check], ids=lambda check: check.__name__
+)
 def test_ladder_checks_refuse_custom_kernels(check, tmp_path):
     """A CSV kernel has no map to sample at the ladder's other stages."""
     kernel = make_kernel(dirac_map(), 16)
@@ -466,13 +468,10 @@ class TestRealDualPathOracle:
 
 class TestOmegaBoundsReuse:
     def test_canonical_dual_keeps_the_bounds_it_inverted(self):
+        """canonical_dual reads omega's bounds with frame_bounds, the one
+        values-only route every bounds reader takes, so they agree exactly."""
         kernel = make_kernel(weighted_dirac_map("2+sin(x)"), 32)
-        # Same Gram code, but eigh (dstedc) and the values-only eigvalsh
-        # (dsterf) round differently.  Both are backward stable in |S| = B, so
-        # compare in ulps of B: they differ by 1.25 and 2 here.
-        kept = canonical_dual(kernel).omega_bounds
-        gap = np.abs(np.subtract(kept, frame_bounds(frame_operator(kernel))))
-        assert np.all(gap <= 4 * np.spacing(kept[1]))
+        assert canonical_dual(kernel).omega_bounds == frame_bounds(frame_operator(kernel))
 
     def test_dual_bounds_rejects_a_pair_canonical_dual_did_not_build(self):
         pair = canonical_dual(make_kernel(dirac_map(), 8))

@@ -6,7 +6,6 @@ import pytest
 from riggedframes import (
     DimensionMismatchError,
     TestFunction,
-    as_test_function,
     derivative_coeffs,
     dirac_sample,
     embed,
@@ -170,11 +169,6 @@ class TestInnerProductAndPair:
         sample = dirac_sample(0.7, 16)
         value = pair(TestFunction.basis(2, 16), sample)
         assert value == pytest.approx(-0.008314294079538848, rel=1e-12)
-
-    def test_projection_back_to_function(self):
-        rng = np.random.default_rng(8)
-        f = random_test_function(7, rng)
-        assert as_test_function(embed(f)).coeffs == pytest.approx(f.coeffs, abs=0)
 
 
 class TestSeminorm:

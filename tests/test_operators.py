@@ -10,7 +10,6 @@ from riggedframes import (
     NumericError,
     TestFunction,
     analysis,
-    bessel_seminorm_constant,
     build_grid,
     bump_dirac_map,
     classify,
@@ -24,7 +23,6 @@ from riggedframes import (
     frame_bounds,
     frame_operator,
     hermite_eval,
-    hermitian_eigenpairs,
     l2x_inner,
     l2x_norm,
     mu_independence_test,
@@ -122,8 +120,8 @@ class TestFrameOperator:
             op = frame_operator(make_kernel(spec, 16))
             scale = np.abs(op.matrix).max()
             assert np.abs(op.matrix - op.matrix.conj().T).max() <= 1e-12 * scale
-            values, _ = hermitian_eigenpairs(op)
-            assert values[0] >= -1e-10 * values[-1]
+            lower, upper = frame_bounds(op)
+            assert lower >= -1e-10 * upper
 
     def test_weighted_matches_independent_quadrature_oracle(self):
         # same integrand assembled on a 3x finer independent grid
@@ -206,40 +204,6 @@ class TestFrameOperator:
         exact = np.linalg.eigvalsh(_exact_frame_operator(poly_coeffs, derivative_order, 1024))
         assert abs(final.lower - exact[0]) <= 1e-9 * exact[0]
         assert abs(final.upper - exact[-1]) <= 1e-9 * exact[-1]
-
-
-class TestEigenpairs:
-    def test_identity(self):
-        from riggedframes.operators import FrameOperatorMatrix
-
-        op = FrameOperatorMatrix(np.eye(6))
-        values, vectors = hermitian_eigenpairs(op)
-        assert values == pytest.approx(np.ones(6))
-        assert np.abs(vectors.conj().T @ vectors - np.eye(6)).max() <= 1e-12
-
-    def test_diagonal(self):
-        from riggedframes.operators import FrameOperatorMatrix
-
-        op = FrameOperatorMatrix(np.diag(np.arange(1.0, 9.0)))
-        values, _ = hermitian_eigenpairs(op)
-        assert values == pytest.approx(np.arange(1.0, 9.0))
-
-    def test_random_hermitian_reconstruction(self):
-        rng = np.random.default_rng(RNG_SEED)
-        raw = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
-        matrix = raw + raw.conj().T
-        values, vectors = hermitian_eigenpairs(matrix)
-        rebuilt = (vectors * values[None, :]) @ vectors.conj().T
-        scale = np.abs(values).max()
-        assert np.abs(rebuilt - matrix).max() <= 1e-10 * scale
-        for i in range(12):
-            residual = np.linalg.norm(matrix @ vectors[:, i] - values[i] * vectors[:, i])
-            assert residual <= 1e-10 * scale
-        assert np.abs(vectors.conj().T @ vectors - np.eye(12)).max() <= 1e-10
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NumericError):
-            hermitian_eigenpairs(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestTotality:
@@ -330,7 +294,7 @@ class TestBesselConstant:
             (bump_dirac_map(-1.0, 1.0), 0),
         ]:
             kernel = make_kernel(spec, 16)
-            constant = bessel_seminorm_constant(kernel, k)
+            constant = operators.StageFactorization(operators._weighted_rows(kernel)).bessel_constant(k)
             for _ in range(100):
                 f = random_test_function(16, rng)
                 lhs = l2x_norm(analysis(kernel, f), kernel.grid)
@@ -342,10 +306,11 @@ class TestBesselConstant:
         weighted = weighted_analysis_matrix(kernel)
         sigma_max = np.linalg.svd(weighted, compute_uv=False)[0]
         damping_base = 1.0 + np.arange(64)
+        factor = operators.StageFactorization(operators._weighted_rows(kernel))
         for k in range(ClassifyThresholds().bessel_k_max + 1):
             damped = weighted * (damping_base ** (-k / 2.0))[None, :]
             direct = np.linalg.svd(damped, compute_uv=False)[0]
-            assert abs(bessel_seminorm_constant(kernel, k) - direct) <= 1e-12 * sigma_max
+            assert abs(factor.bessel_constant(k) - direct) <= 1e-12 * sigma_max
 
 
 class TestClassify:
@@ -728,7 +693,7 @@ def test_frame_bounds_takes_eigenvalues_only(monkeypatch):
     visibly non-Hermitian matrix."""
     kernel = make_kernel(weighted_dirac_map("2+sin(x)"), 32)
     op = frame_operator(kernel)
-    expected = hermitian_eigenpairs(op)[0]
+    expected = np.linalg.eigh(op.gram)[0]
 
     def no_vectors(*args, **kwargs):
         raise AssertionError("frame_bounds computed eigenvectors")
