@@ -257,16 +257,23 @@ def _floor_negligible(table):
 
 def save_kernel_csv(kernel, path):
     """Write kernel entries in the interchange schema: header re0,im0,...,
-    one row per grid node, 17 significant digits, CRLF line ends as csv writes."""
+    one row per grid node, 17 significant digits (%.17g), CRLF line ends as
+    csv writes.  A column that holds only +0.0 (every imaginary column of a
+    real kernel) is written as the literal 0 that %.17g gives it, so only
+    the other columns are formatted; a column with any -0.0 keeps %.17g,
+    which writes -0."""
     entries = kernel.entries if isinstance(kernel, KernelMatrix) else np.asarray(kernel)
     cells = np.empty((entries.shape[0], 2 * entries.shape[1]))
     cells[:, 0::2] = entries.real
     cells[:, 1::2] = entries.imag
+    # +0.0 is the one float whose bits are all 0
+    literal = ~cells.view(np.int64).any(axis=0)
+    line = ",".join("0" if zero else "%.17g" for zero in literal) + "\r\n"
+    formatted = np.flatnonzero(~literal)
     with open(path, "w", newline="") as fh:
-        np.savetxt(
-            fh, cells, fmt="%.17g", delimiter=",", newline="\r\n", comments="",
-            header=",".join(_csv_header(entries.shape[1])),
-        )
+        fh.write(",".join(_csv_header(entries.shape[1])) + "\r\n")
+        for row in cells:
+            fh.write(line % tuple(row[formatted].tolist()))
 
 
 def _csv_header(truncation):

@@ -17,9 +17,14 @@ after the walk up to the first bounded k (k = 0 is sigma_max: no damped SVD).
 Stage grids are mirror-symmetric bit for bit, and h_n(-x) = (-1)^n h_n(x):
 when the map's row weight has magnitudes that agree bit for bit at mirrored
 nodes (dirac, fourier and dirac_derivative always, a weight or bump when
-|w(x)| == |w(-x)|), S is block diagonal in the even and odd indices, so the
-walk samples only the nodes x >= 0 and StageFactorization holds one R per
-parity block (see _stage_rows); every read is taken over the blocks.
+|w(x)| == |w(-x)|; the rule is _mirrored), S is block diagonal in the even
+and odd indices, so the walk samples only the nodes x >= 0 and
+StageFactorization holds one R per parity block (see _stage_rows); every
+read is taken over the blocks.  frame_operator splits by the same rule,
+once the kernel's own rows are checked to mirror bit for bit: it forms S
+as its two parity blocks from the x >= 0 half of the rows, with exact
+zeros between them, FrameOperatorMatrix records the classes, and
+frame_bounds and the canonical dual work per block.
 The synthesis side (mu-independence, moment solves, the Gel'fand isometry
 defect) reads one coarse kernel per call, from _coarse_kernel: a built-in map
 sampled on the bulk grid coarse_synthesis_grid(N), or a given kernel, with
@@ -35,13 +40,13 @@ built-in kind has real rows; fourier's (-i)^n column phase P is kept apart
 (see KernelMatrix), so Omega = rows P and S = P^H S_rows P.  Analysis and
 synthesis apply P to the N-vector or N x k block on the coefficient side and
 meet real rows through the complex block's float view, S_rows is the real
-Gram A^T A of A = sqrt(W) rows formed over row blocks (copied in the rows'
-own memory order), and nothing kernel-sized is promoted or copied to
-complex.  A diagonal unitary changes no eigenvalue, so frame_bounds reads a
-phased S off S_rows, values only; totality_test and the moment solvers
-factor A itself and apply P to their N-side results (_unphase).  Only a
-complex custom kernel has complex rows; its S_rows is read off the real Gram
-of their stacked real and imaginary parts.
+Gram A^T A of A = sqrt(W) rows (or its parity blocks) formed over row
+blocks (copied in the rows' own memory order), and nothing kernel-sized is
+promoted or copied to complex.  A diagonal unitary changes no eigenvalue,
+so frame_bounds reads a phased S off S_rows, values only; totality_test and
+the moment solvers factor A itself and apply P to their N-side results
+(_unphase).  Only a complex custom kernel has complex rows; its S_rows is
+read off the real Gram of their stacked real and imaginary parts.
 """
 
 from __future__ import annotations
@@ -151,6 +156,10 @@ def _unphase(kernel, block):
     return block if kernel.phase is None else _scale_rows(kernel.phase.conj(), block)
 
 
+# The parity classes of the Hermite functions, h_n(-x) = (-1)^n h_n(x).
+_PARITY = (slice(0, None, 2), slice(1, None, 2))
+
+
 @dataclass(frozen=True)
 class FrameOperatorMatrix:
     """S[m][n] = sum_j w_j conj(Omega[j][m]) Omega[j][n]; Hermitian PSD.
@@ -158,16 +167,28 @@ class FrameOperatorMatrix:
     Stored as ``gram``, the S of the kernel's rows (real whenever they are),
     and the kernel's column phase P if it has one: S = P^H gram P, which
     ``matrix`` forms when read (read-only, not cached).  Both have the same
-    eigenvalues.
+    eigenvalues.  ``columns`` holds the column classes of gram's diagonal
+    blocks, read off gram itself: _PARITY when every entry coupling an even
+    and an odd index is exactly 0 (frame_operator of mirrored rows), else
+    one class of all the columns.  Every reader of S works per block.
     """
 
     gram: np.ndarray
     phase: np.ndarray = field(default=None, kw_only=True)
+    columns: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        arr = np.array(self.gram, dtype=complex if np.iscomplexobj(self.gram) else float)
-        arr.setflags(write=False)
+        # a read-only array of the right dtype is adopted as it is
+        # (frame_operator and canonical_dual hand over arrays they just made);
+        # anything a caller can still write to is copied
+        arr = np.asarray(self.gram)
+        dtype = complex if np.iscomplexobj(arr) else float
+        if arr.flags.writeable or arr.dtype != dtype:
+            arr = np.array(arr, dtype=dtype)
+            arr.setflags(write=False)
         object.__setattr__(self, "gram", arr)
+        split = arr.shape[0] > 1 and not arr[_PARITY[0], _PARITY[1]].any()
+        object.__setattr__(self, "columns", _PARITY if split else (slice(None),))
 
     @property
     def matrix(self):
@@ -192,29 +213,102 @@ def frame_operator(kernel):
     A = sqrt(W) rows summed over row blocks and P the kernel's column phase
     (kept apart: S.matrix forms P^H S_rows P when read).  The block buffer
     has the rows' own memory order, so filling it is a contiguous copy.
-    Complex rows (a custom kernel) stack their real and imaginary parts,
-    [Re A, Im A], and S_rows is read off that real Gram (see
-    _hermitian_from_stacked).  Either way S comes out exactly Hermitian.
-    An S with an entry past float64 range is a NumericError naming N."""
-    rows = kernel.rows
+
+    When a built-in map's rows mirror (see _mirrored; the kernel's own rows
+    are checked bit for bit, _rows_mirror), S_rows is block diagonal in the
+    even and odd indices: each block is formed from the x >= 0 half of the
+    rows weighted by sqrt(2 W) (sqrt(W) at a node at 0), and every entry
+    coupling an even and an odd index is exactly 0.  That is half the rows
+    and a quarter of the one-block flops.  Complex rows (a custom kernel)
+    stack their real and imaginary parts, [Re A, Im A], and S_rows is read
+    off that real Gram (see _hermitian_from_stacked).  Either way S comes
+    out exactly Hermitian.  An S with an entry past float64 range is a
+    NumericError naming N."""
+    rows, scale, columns = _gram_rows(kernel)
     parts = (rows.real, rows.imag) if np.iscomplexobj(rows) else (rows,)
-    m, n = rows.shape
+    # the buffer holds one column class after the other, a class as its parts
+    # side by side, and each class's Gram is summed on its own
+    classes = [[part[:, c] for part in parts] for c in columns]
+    widths = [sum(piece.shape[1] for piece in pieces) for pieces in classes]
+    grams = [np.zeros((width, width)) for width in widths]
+    m, n = rows.shape[0], kernel.truncation
     step = max(1, -(-m // _ROW_BLOCKS))
-    sqrt_w = np.sqrt(kernel.grid.weights)[:, None]
-    block = np.empty((min(step, m), len(parts) * n), order="F" if rows.flags.f_contiguous else "C")
-    gram = np.zeros((len(parts) * n,) * 2)
+    sqrt_w = np.sqrt(scale)[:, None]
+    block = np.empty((min(step, m), sum(widths)), order="F" if kernel.rows.flags.f_contiguous else "C")
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, m, step):
-            a = block[: min(step, m - start)]
-            for i, part in enumerate(parts):
-                out = a[:, i * n : (i + 1) * n]
-                np.multiply(sqrt_w[start : start + step], part[start : start + step], out=out)
-            gram += a.T @ a
+            a, offset = block[: min(step, m - start)], 0
+            for pieces, gram in zip(classes, grams):
+                first = offset
+                for piece in pieces:
+                    out = a[:, offset : offset + piece.shape[1]]
+                    np.multiply(sqrt_w[start : start + step], piece[start : start + step], out=out)
+                    offset += piece.shape[1]
+                gram += a[:, first:offset].T @ a[:, first:offset]
         if len(parts) == 2:
-            gram = _hermitian_from_stacked(gram)
+            grams = [_hermitian_from_stacked(gram) for gram in grams]
+    gram = _block_diagonal(grams, columns)
     if not np.isfinite(gram).all():
         raise NumericError(f"N={n}: the frame operator is past float64 range")
+    gram.setflags(write=False)
     return FrameOperatorMatrix(gram, phase=kernel.phase)
+
+
+def _gram_rows(kernel):
+    """(rows, quadrature scale, column classes) that frame_operator sums
+    over: when the kernel's rows mirror, the x >= 0 half of them, 2 W on it
+    (W at a node at 0) and _PARITY; otherwise all of them, W and one class."""
+    rows, weights = kernel.rows, kernel.grid.weights
+    start = rows.shape[0] // 2
+    if (
+        kernel.truncation > 1
+        and not np.iscomplexobj(rows)
+        and _mirrored(kernel.map_spec, kernel.grid)[1]
+        and _rows_mirror(rows, start)
+    ):
+        return rows[start:], _half_scale(weights), _PARITY
+    return rows, weights, (slice(None),)
+
+
+def _rows_mirror(rows, start):
+    """Whether each row at -x is the row at x times s (-1)^n with s = +1 or
+    -1, bit for bit, for rows over a mirrored grid whose nodes x >= 0 begin
+    at ``start``: a KernelMatrix may carry a map's spec with rows of its
+    own.  Checked a block of rows at a time, as frame_operator sums them."""
+    positive, negative = rows[start:], rows[: rows.shape[0] - start][::-1]
+    step = max(1, -(-positive.shape[0] // _ROW_BLOCKS))
+    for lo in range(0, positive.shape[0], step):
+        (even, odd), (mirror_even, mirror_odd) = (
+            [block[lo : lo + step, c] for c in _PARITY] for block in (positive, negative)
+        )
+        kept = (mirror_even == even).all(axis=1) & (mirror_odd == -odd).all(axis=1)
+        if not kept.all():
+            flipped = (mirror_even == -even).all(axis=1) & (mirror_odd == odd).all(axis=1)
+            if not (kept | flipped).all():
+                return False
+    return True
+
+
+def _half_scale(weights):
+    """The quadrature weights of the nodes x >= 0 of a mirrored grid, each
+    standing for itself and its mirror: 2 W, and W at a node at 0."""
+    start = weights.size // 2
+    scale = 2.0 * weights[start:]
+    if weights.size % 2:
+        scale[0] = weights[start]
+    return scale
+
+
+def _block_diagonal(blocks, columns):
+    """The N x N matrix holding ``blocks[i]`` on the rows and columns
+    ``columns[i]`` and exact zeros elsewhere; a single block as it is."""
+    if len(blocks) == 1:
+        return blocks[0]
+    n = sum(block.shape[0] for block in blocks)
+    out = np.zeros((n, n), dtype=np.result_type(*blocks))
+    for c, block in zip(columns, blocks):
+        out[c, c] = block
+    return out
 
 
 def _hermitian_from_stacked(gram):
@@ -237,14 +331,18 @@ def _hermitian_gram(matrix):
 def frame_bounds(op):
     """(lower, upper) = extreme eigenvalues of the frame operator, from a
     values-only eigendecomposition; a FrameOperatorMatrix gives them from its
-    unphased ``gram``, since a diagonal unitary changes no eigenvalue.
-    Visibly non-Hermitian input is rejected rather than silently
-    symmetrized, and failure to converge surfaces as NumericError.
+    unphased ``gram``, since a diagonal unitary changes no eigenvalue, one
+    diagonal block at a time (its ``columns``).  Visibly non-Hermitian input
+    is rejected rather than silently symmetrized, and failure to converge
+    surfaces as NumericError.
 
     Inner approximations: the lower bound is nonincreasing and the upper
     nondecreasing as the truncation grows over a fixed map.
     """
-    matrix = op.gram if isinstance(op, FrameOperatorMatrix) else np.asarray(op)
+    if isinstance(op, FrameOperatorMatrix):
+        matrix, columns = op.gram, op.columns
+    else:
+        matrix, columns = np.asarray(op), (slice(None),)
     scale = np.abs(matrix).max()
     if scale > 0 and np.abs(matrix - matrix.conj().T).max() > 1e-12 * scale:
         raise NumericError(
@@ -252,10 +350,10 @@ def frame_bounds(op):
             f"against scale {scale:.3e}"
         )
     try:
-        values = np.linalg.eigvalsh(matrix)
+        values = [np.linalg.eigvalsh(matrix[c, c]) for c in columns]
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition failed: {exc}") from exc
-    return float(values[0]), float(values[-1])
+    return float(min(v[0] for v in values)), float(max(v[-1] for v in values))
 
 
 class StageFactorization:
@@ -545,38 +643,47 @@ def _ladder_walk(map_spec, ladder):
         yield stage, StageFactorization(rows, columns)
 
 
-# The parity classes of the Hermite functions, h_n(-x) = (-1)^n h_n(x).
-_PARITY = (slice(0, None, 2), slice(1, None, 2))
+def _mirrored(map_spec, grid):
+    """(row weight, mirrored) of a map on a grid.  The weight is _row_weight
+    at the grid's nodes (None for a custom or spec-less kernel).  The rows
+    of a built-in map mirror when the grid's nodes and weights are
+    mirror-symmetric bit for bit (build_grid's are) and |w(x)| == |w(-x)| at
+    every node (always for dirac, fourier and dirac_derivative, a weight or
+    bump when even or odd in magnitude): then the row at -x is the row at x
+    times +-(-1)^n, and S is block diagonal in the even and odd indices."""
+    if map_spec is None or map_spec.kind == "custom":
+        return None, False
+    nodes, weights = grid.nodes, grid.weights
+    weight = _row_weight(map_spec, nodes)
+    mirrored = (
+        np.array_equal(nodes, -nodes[::-1])
+        and np.array_equal(weights, weights[::-1])
+        and (weight is None or np.array_equal(np.abs(weight), np.abs(weight[::-1])))
+    )
+    return weight, mirrored
 
 
 def _stage_rows(map_spec, grid, truncation):
-    """A built-in map's weighted real rows on ``grid`` (a build_grid grid, so
-    mirror-symmetric bit for bit) as (weighted, columns) for
-    StageFactorization: one matrix and None, or one matrix per parity block
-    and _PARITY.
+    """A built-in map's weighted real rows on ``grid`` as (weighted, columns)
+    for StageFactorization: one matrix and None, or one matrix per parity
+    block and _PARITY.
 
-    When the row weight's magnitudes agree bit for bit at mirrored nodes
-    (always for dirac, fourier and dirac_derivative), the row at -x is the
-    row at x times +-(-1)^n, so S is block diagonal in the even and odd
-    indices: S = 2 A+^T A+ on each class, A+ the weighted rows at x > 0,
-    plus the row at x = 0 once.  Then only the nodes x >= 0 are sampled,
-    weighted by sqrt(2 W) (sqrt(W) at 0), and each parity class is factored
-    on its own: half the rows and a quarter of a single QR's flops.  Any
-    other map, and N = 1, is factored in one block.
+    When the rows mirror (_mirrored), S = 2 A+^T A+ on each parity class,
+    A+ the weighted rows at x > 0, plus the row at x = 0 once.  Then only
+    the nodes x >= 0 are sampled, weighted by sqrt(2 W) (sqrt(W) at 0), and
+    each parity class is factored on its own: half the rows and a quarter
+    of a single QR's flops.  Any other map, and N = 1, is factored in one
+    block.
     """
     nodes, weights = grid.nodes, grid.weights
-    weight = _row_weight(map_spec, nodes)
-    mirrored = weight is None or np.array_equal(np.abs(weight), np.abs(weight[::-1]))
+    weight, mirrored = _mirrored(map_spec, grid)
     if truncation == 1 or not mirrored:
         rows = _real_rows(map_spec, nodes, truncation, weight)
         rows *= np.sqrt(weights)[:, None]
         return rows, None
     start = nodes.size // 2
-    scale = 2.0 * weights[start:]
-    if nodes.size % 2:
-        scale[0] = weights[start]
     rows = _real_rows(map_spec, nodes[start:], truncation, None if weight is None else weight[start:])
-    rows *= np.sqrt(scale)[:, None]
+    rows *= np.sqrt(_half_scale(weights))[:, None]
     return tuple(rows[:, c] for c in _PARITY), _PARITY
 
 

@@ -477,6 +477,37 @@ def test_dual_requests_form_one_tall_frame_operator(monkeypatch, tmp_path, comma
     assert counts == {"frame_operator": 1, "eigh": 0, "eigvalsh": 2}
 
 
+
+@pytest.mark.parametrize("command", ["dual", "reconstruct"])
+def test_mirrored_dual_requests_factor_half_size_blocks(monkeypatch, tmp_path, command):
+    """dirac's rows mirror, so its S and theta's are block diagonal by parity:
+    a dual request decomposes only their N/2 x N/2 even and odd blocks (two
+    eigvalsh per operator, one cholesky and one inv per block of S), never
+    an N x N matrix."""
+    import numpy as np
+
+    truncation = 64
+    sizes = {(truncation, truncation): "N", (truncation // 2, truncation // 2): "N/2"}
+    names = ("eigh", "eigvalsh", "cholesky", "inv")
+    originals = {name: getattr(np.linalg, name) for name in names}
+    counts = {}
+
+    def counting(name):
+        def decompose(matrix, *args, **kwargs):
+            # N x N and N/2 x N/2 only: leggauss takes the eigenvalues of its
+            # small Jacobi matrix when the grid is built
+            size = sizes.get(np.shape(matrix))
+            if size is not None:
+                counts[name, size] = counts.get((name, size), 0) + 1
+            return originals[name](matrix, *args, **kwargs)
+        return decompose
+
+    for name in names:
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    data = dict(DIRAC_CONFIG, ladder={"n_max": truncation})
+    run(command, load_config(write_config(tmp_path, data)))
+    assert counts == {("eigvalsh", "N/2"): 4, ("cholesky", "N/2"): 2, ("inv", "N/2"): 2}
+
 def test_only_the_dual_report_measures_the_duality_defect(monkeypatch):
     """canonical_dual only builds the pair: run("dual") verifies it once, with
     20 trials at the config's seed, and neither canonical_dual nor

@@ -151,6 +151,10 @@ class TestCustomKernelCsv:
             load_custom_kernel(path, grid, 3)
 
     def test_save_matches_csv_writer_bytes(self, tmp_path, grid):
+        """What csv.writer writes with %.17g cells, for a complex kernel with
+        extreme values, a real kernel (its imaginary columns all +0.0, written
+        as the literal 0) and a kernel with an imaginary column of -0.0 only
+        (written -0)."""
         import csv
 
         rng = np.random.default_rng(3)
@@ -160,18 +164,25 @@ class TestCustomKernelCsv:
         ) + 1j * rng.standard_normal(grid.node_count)
         entries[0, 0] = complex(-0.0, -0.0)
         entries[1, 1] = complex(2.0**60, 1e-320)
-        path = tmp_path / "kernel.csv"
-        save_kernel_csv(entries, path)
-        reference = tmp_path / "reference.csv"
-        with open(reference, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"{part}{n}" for n in range(4) for part in ("re", "im")])
-            for row in entries:
-                writer.writerow([f"{v:.17g}" for pair in zip(row.real, row.imag) for v in pair])
-        assert path.read_bytes() == reference.read_bytes()
-        loaded = load_custom_kernel(path, grid, 4)
-        assert loaded.entries.dtype == complex
-        assert np.array_equal(loaded.entries, entries)
+        real = sample_kernel(weighted_dirac_map("2+sin(x)"), grid, 4)
+        negative_zero = np.array(real.rows, dtype=complex)
+        negative_zero.imag[:, 2] = -0.0
+        assert np.signbit(negative_zero[:, 2].imag).all()
+        for case, kernel in (("complex", entries), ("real", real), ("negative_zero", negative_zero)):
+            path = tmp_path / f"{case}.csv"
+            save_kernel_csv(kernel, path)
+            reference = tmp_path / f"{case}-reference.csv"
+            cells = kernel.entries if case == "real" else kernel
+            with open(reference, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow([f"{part}{n}" for n in range(4) for part in ("re", "im")])
+                for row in cells:
+                    writer.writerow([f"{v:.17g}" for pair in zip(row.real, row.imag) for v in pair])
+            assert path.read_bytes() == reference.read_bytes(), case
+            loaded = load_custom_kernel(path, grid, 4)
+            assert np.array_equal(loaded.entries, cells), case
+        assert ",-0," in (tmp_path / "negative_zero.csv").read_text()
+        assert load_custom_kernel(tmp_path / "complex.csv", grid, 4).entries.dtype == complex
 
     def test_wrong_cell_count_reports_row(self, tmp_path, grid):
         kernel = sample_kernel(dirac_map(), grid, 3)

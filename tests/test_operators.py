@@ -12,12 +12,14 @@ from riggedframes import (
     analysis,
     build_grid,
     bump_dirac_map,
+    canonical_dual,
     classify,
     coarse_synthesis_grid,
     default_ladder,
     default_stage,
     dirac_derivative_map,
     dirac_map,
+    dual_bounds,
     embed,
     fourier_map,
     frame_bounds,
@@ -110,8 +112,10 @@ class TestFrameOperator:
     def test_past_float64_range_names_the_truncation(self):
         """exp(x^2) at N=128 overflows the Gram: a NumericError naming N,
         with no overflow warning (warnings are errors here) and not a
-        singular or non-Cholesky operator downstream."""
+        singular or non-Cholesky operator downstream.  Its rows mirror, so
+        the overflow is caught on the parity-split route."""
         kernel = make_kernel(weighted_dirac_map("exp(x^2)"), 128)
+        assert operators._gram_rows(kernel)[2] == operators._PARITY
         with pytest.raises(NumericError, match=r"^N=128: the frame operator is past float64 range$"):
             frame_operator(kernel)
 
@@ -192,6 +196,81 @@ class TestFrameOperator:
         exact = _exact_frame_operator(poly_coeffs, derivative_order, truncation)
         assert np.abs(stage_s - exact).max() <= 1e-12 * np.abs(stage_s).max()
 
+    @pytest.mark.parametrize("truncation", [64, 512])
+    @pytest.mark.parametrize("family", list(EXACT_OPERATORS))
+    def test_canonical_dual_matches_the_exact_oracle(self, family, truncation):
+        """canonical_dual's omega_bounds and inverse, and dual_bounds, against
+        the extreme eigenvalues, the inverse and their reciprocals of the
+        exact S, and against the one-block route on the same rows (a kernel
+        without a spec), all to 1e-13 cond(S) relative.  Fourier's inverse
+        is that of its rows' S, dirac's."""
+        from riggedframes.acceptance import _exact_frame_operator
+
+        spec, poly_coeffs, derivative_order = EXACT_OPERATORS[family]
+        exact = _exact_frame_operator(poly_coeffs, derivative_order, truncation)
+        values = np.linalg.eigvalsh(exact)
+        tol = 1e-13 * values[-1] / values[0]
+        kernel = make_kernel(spec, truncation)
+        pair = canonical_dual(kernel)
+        assert frame_operator(kernel).columns == pair.theta_operator.columns == operators._PARITY
+        lower, upper = pair.omega_bounds
+        assert abs(lower - values[0]) <= tol * values[0]
+        assert abs(upper - values[-1]) <= tol * values[-1]
+        inverse = np.linalg.inv(exact)
+        assert np.abs(pair.inverse - inverse).max() <= tol * np.abs(inverse).max()
+        dual_lower, dual_upper = dual_bounds(pair)
+        assert abs(dual_lower * values[-1] - 1.0) <= tol
+        assert abs(dual_upper * values[0] - 1.0) <= tol
+        one_block = canonical_dual(KernelMatrix(kernel.rows, kernel.grid, phase=kernel.phase))
+        assert one_block.theta_operator.columns == (slice(None),)
+        for mine, theirs in zip(pair.omega_bounds + dual_bounds(pair),
+                                one_block.omega_bounds + dual_bounds(one_block)):
+            assert abs(mine - theirs) <= tol * theirs
+
+    @pytest.mark.parametrize("family", ["dirac", "fourier", "dirac_derivative", "1+x^2", "x", "bump[-1,1]"])
+    def test_mirrored_rows_give_an_exactly_split_operator(self, family):
+        """A mirrored map's S is formed per parity block from the x >= 0 half
+        of its rows: every entry coupling an even and an odd index is exactly
+        0, and S is the Gram of all the weighted rows to rounding.  The odd
+        grid puts a node at 0, which counts once.  Rows negated at some
+        nodes still mirror, each pair with its own sign."""
+        spec = BUILTIN_FAMILIES.get(family) or EXACT_OPERATORS[family][0]
+        for grid in (stage_grid(default_stage(64)), build_grid(12.0, 45, 9)):
+            kernel = sample_kernel(spec, grid, 64)
+            negated = kernel.rows * np.where(grid.nodes < -3.0, -1.0, 1.0)[:, None]
+            for omega in (kernel, KernelMatrix(negated, grid, spec)):
+                op = frame_operator(omega)
+                assert op.columns == operators._PARITY
+                assert not op.gram[0::2, 1::2].any() and not op.gram[1::2, 0::2].any()
+                reference = operators._hermitian_gram(operators._weighted_rows(omega))
+                assert np.abs(op.gram - reference).max() <= 1e-14 * np.abs(reference).max()
+
+    def test_rows_that_do_not_mirror_get_one_block(self):
+        """A KernelMatrix may carry dirac's spec with rows of its own, or lie on
+        a grid that is not mirror-symmetric: unless rows and grid mirror bit
+        for bit, S is the one-block Gram of all the rows, never a split one
+        that drops their coupling."""
+        from riggedframes import QuadratureGrid
+
+        kernel = make_kernel(dirac_map(), 64)
+        grid = kernel.grid
+        nudged = np.array(kernel.rows)
+        row = grid.node_count // 4
+        nudged[row, 5] = np.nextafter(nudged[row, 5], np.inf)
+        # |h_n| is even in x for every n: magnitudes mirror, parities do not
+        cases = [(nudged, grid), (np.abs(kernel.rows), grid)]
+        shifted = QuadratureGrid(
+            grid.nodes + 1e-3, grid.weights, grid.half_width, grid.panels, grid.order
+        )
+        cases.append((sample_kernel(dirac_map(), shifted, 64).rows, shifted))
+        for rows, on in cases:
+            op = frame_operator(KernelMatrix(rows, on, dirac_map()))
+            assert op.columns == (slice(None),)
+            reference = operators._hermitian_gram(np.sqrt(on.weights)[:, None] * rows)
+            assert np.abs(op.gram - reference).max() <= 1e-14 * np.abs(reference).max()
+        # the |h_n| rows couple h_0 and h_1 at order 1: a split would drop it
+        coupled = frame_operator(KernelMatrix(np.abs(kernel.rows), grid, dirac_map()))
+        assert abs(coupled.gram[0, 1]) > 0.1
 
     @pytest.mark.parametrize("family", ["1+x^2", "dirac_derivative"])
     def test_classify_final_bounds_match_the_exact_oracle(self, family):
