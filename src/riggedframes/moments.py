@@ -9,10 +9,11 @@ phase P (fourier) touches the solution only, as P^H c.
 
 At one truncation, omega is Riesz-Fischer (every target has a solution)
 exactly when the weighted coarse kernel has full row rank.  rf_diagnostic
-reads that off the coarse rank rule's singular values; only a
-rank-deficient kernel has its panel probes measured against its numerical
-range, and its ``worst_residual`` is the largest distance from a unit probe
-to that range (exactly 0 at full row rank).
+reads that off the coarse rank rule's singular values (operators._CoarseSVD,
+which takes a mirrored kernel's from its two parity blocks); only a
+rank-deficient kernel forms U and has its panel probes measured against its
+numerical range, and its ``worst_residual`` is the largest distance from a
+unit probe to that range (exactly 0 at full row rank).
 
 The solvability envelope realizes the necessary condition for the
 continuum problem: a target h reachable from the p_k unit ball must satisfy
@@ -37,8 +38,8 @@ from .operators import (
     StageFactorization,
     _apply,
     _bessel_search,
+    _CoarseSVD,
     _coarse_kernel,
-    _coarse_svd,
     _ladder_walk,
     _unphase,
     _weighted_rows,
@@ -111,14 +112,18 @@ def rf_diagnostic(kernel):
     probes with residual <= 1e-6, and ``worst_residual``, the largest
     distance, is reported alongside.
 
-    The rank is read off _coarse_svd, the coarse rank rule: a kernel of full
-    row rank reaches every grid function, so it scores (1.0, 0.0) with no
-    singular vectors and no solve.  A kernel with more nodes than
-    coefficients is refused (InvalidConfigError), as by mu_independence_test.
+    The rank is read off _CoarseSVD's values step, the coarse rank rule: a
+    kernel of full row rank reaches every grid function, so it scores (1.0,
+    0.0) with no singular vectors and no solve.  Only a rank-deficient one
+    runs the vectors step, whose U (lifted from the parity blocks when the
+    rows mirror) is orthonormal on the full grid.  A kernel with more nodes
+    than coefficients is refused (InvalidConfigError), as by
+    mu_independence_test.
     """
-    svals, u = _coarse_svd(kernel, NULL_SPACE_CUTOFF)
-    if u is None:
+    rule = _CoarseSVD(kernel, NULL_SPACE_CUTOFF)
+    if rule.full_rank:
         return 1.0, 0.0
+    svals, u = rule.svals, rule.left_vectors()
     grid = kernel.grid
     sqrt_w = np.sqrt(grid.weights).reshape(grid.panels, grid.order)
     # column j, b_j, is the indicator of panel j scaled by sqrt(W), unit in l2

@@ -28,10 +28,12 @@ frame_bounds and the canonical dual work per block.
 The synthesis side (mu-independence, moment solves, the Gel'fand isometry
 defect) reads one coarse kernel per call, from _coarse_kernel: a built-in map
 sampled on the bulk grid coarse_synthesis_grid(N), or a given kernel, with
-node count <= N either way.  Its one rank rule, _coarse_svd, takes the
-values-only SVD of the weighted real rows and forms U only for rank-deficient
-rows; mu_independence_test (classify calls it per stage) and the moment
-probes of rf_diagnostic read it.
+node count <= N either way.  Its one rank rule, _CoarseSVD, splits by the
+same check as frame_operator when the node count is even: its values step
+takes values-only SVDs of the two parity blocks of the x > 0 rows and merges
+them (classify reads only that, per stage), and its vectors step forms U per
+block, lifted to the full grid, which mu_independence_test and the moment
+probes of rf_diagnostic run only for rank-deficient rows.
 Continuum statements (bounded versus growing bounds, totality) are read off
 trends along a refinement ladder; a single stage can never decide them.
 
@@ -224,7 +226,7 @@ def frame_operator(kernel):
     off that real Gram (see _hermitian_from_stacked).  Either way S comes
     out exactly Hermitian.  An S with an entry past float64 range is a
     NumericError naming N."""
-    rows, scale, columns = _gram_rows(kernel)
+    rows, scale, columns, _ = _gram_rows(kernel)
     parts = (rows.real, rows.imag) if np.iscomplexobj(rows) else (rows,)
     # the buffer holds one column class after the other, a class as its parts
     # side by side, and each class's Gram is summed on its own
@@ -255,27 +257,29 @@ def frame_operator(kernel):
 
 
 def _gram_rows(kernel):
-    """(rows, quadrature scale, column classes) that frame_operator sums
-    over: when the kernel's rows mirror, the x >= 0 half of them, 2 W on it
-    (W at a node at 0) and _PARITY; otherwise all of them, W and one class."""
+    """(rows, quadrature scale, column classes, signs) that frame_operator
+    sums over and the coarse rank rule splits: when the kernel's rows
+    mirror, the x >= 0 half of them, 2 W on it (W at a node at 0), _PARITY
+    and the sign per node pair (_rows_mirror); otherwise all of them, W, one
+    class and None."""
     rows, weights = kernel.rows, kernel.grid.weights
     start = rows.shape[0] // 2
-    if (
-        kernel.truncation > 1
-        and not np.iscomplexobj(rows)
-        and _mirrored(kernel.map_spec, kernel.grid)[1]
-        and _rows_mirror(rows, start)
-    ):
-        return rows[start:], _half_scale(weights), _PARITY
-    return rows, weights, (slice(None),)
+    if kernel.truncation > 1 and not np.iscomplexobj(rows) and _mirrored(kernel.map_spec, kernel.grid)[1]:
+        signs = _rows_mirror(rows, start)
+        if signs is not None:
+            return rows[start:], _half_scale(weights), _PARITY, signs
+    return rows, weights, (slice(None),), None
 
 
 def _rows_mirror(rows, start):
-    """Whether each row at -x is the row at x times s (-1)^n with s = +1 or
-    -1, bit for bit, for rows over a mirrored grid whose nodes x >= 0 begin
-    at ``start``: a KernelMatrix may carry a map's spec with rows of its
-    own.  Checked a block of rows at a time, as frame_operator sums them."""
+    """The sign s = +1 or -1 per node pair with the row at -x equal to the
+    row at x times s (-1)^n bit for bit, or None when some row does not
+    mirror, for rows over a mirrored grid whose nodes x >= 0 begin at
+    ``start``: a KernelMatrix may carry a map's spec with rows of its own.
+    A row that mirrors either way (a zero row) gets s = +1.  Checked a block
+    of rows at a time, as frame_operator sums them."""
     positive, negative = rows[start:], rows[: rows.shape[0] - start][::-1]
+    signs = np.ones(positive.shape[0])
     step = max(1, -(-positive.shape[0] // _ROW_BLOCKS))
     for lo in range(0, positive.shape[0], step):
         (even, odd), (mirror_even, mirror_odd) = (
@@ -285,8 +289,9 @@ def _rows_mirror(rows, start):
         if not kept.all():
             flipped = (mirror_even == -even).all(axis=1) & (mirror_odd == odd).all(axis=1)
             if not (kept | flipped).all():
-                return False
-    return True
+                return None
+            signs[lo : lo + step][~kept] = -1.0
+    return signs
 
 
 def _half_scale(weights):
@@ -466,34 +471,70 @@ def mu_independence_test(kernel, threshold=RANK_CUTOFF):
     discretized synthesis map always has a null space, which is an artifact
     of discretization rather than a property of the map.  The witness, when
     dependence is found, is a near-null grid function of unit L2(X) norm.
-    The singular values come from _coarse_svd, the one coarse rank rule.
+    The singular values come from _CoarseSVD, the one coarse rank rule, and
+    its vectors step runs only for dependent rows.
     """
-    if threshold <= 0:
-        raise InvalidConfigError(f"threshold must be positive, got {threshold}")
-    svals, u = _coarse_svd(kernel, threshold)
-    sigma_max = float(svals[0])
-    sigma_min = float(svals[-1])
-    if u is None:
+    rule = _CoarseSVD(kernel, threshold)
+    sigma_max = float(rule.svals[0])
+    sigma_min = float(rule.svals[-1])
+    if rule.full_rank:
         return MuIndependenceResult(True, sigma_min, sigma_max)
-    scaled = u[:, -1] / np.sqrt(kernel.grid.weights)
+    scaled = rule.left_vectors()[:, -1] / np.sqrt(kernel.grid.weights)
     return MuIndependenceResult(False, sigma_min, sigma_max, scaled)
 
 
-def _coarse_svd(kernel, threshold):
-    """The coarse rank rule: (singular values, U) of the weighted rows of a
-    kernel with node count <= truncation (InvalidConfigError otherwise).
+class _CoarseSVD:
+    """The coarse rank rule on the weighted rows of a kernel with node count
+    <= truncation (InvalidConfigError otherwise, or for a threshold <= 0).
 
-    The values come from a values-only SVD; U, the thin left singular
-    vectors, only when the rows are rank-deficient at ``threshold`` (None at
-    full row rank).  The rows are factored without the column phase, which
-    changes neither the singular values nor the left singular vectors.
+    The values step runs on construction: ``svals``, the singular values in
+    descending order from values-only SVDs, and ``full_rank``, full row rank
+    at ``threshold``.  The vectors step, left_vectors, forms U only when a
+    caller asks, which mu_independence_test and rf_diagnostic do only for
+    rank-deficient rows.  The rows are factored without the column phase,
+    which changes neither the singular values nor the left singular vectors.
+
+    When the rows mirror (_gram_rows) over an even node count, each node
+    pair (x, -x) gives one row of an even block and one of an odd block: the
+    even and the odd columns of the row at x > 0, weighted by sqrt(2 W)
+    (Golub & Van Loan, Matrix Computations, 8.6).  The two (m/2) x (N/2)
+    blocks' values, merged, are those of the m x N rows.  Custom, complex,
+    spec-less and unmirrored kernels keep one block, and so does an odd node
+    count, whose node at 0 would put a zero row into one of the blocks and a
+    spurious zero singular value with it.
     """
-    _check_coarse(kernel.node_count, kernel.truncation)
-    weighted = _weighted_rows(kernel)
-    svals = np.linalg.svd(weighted, compute_uv=False)
-    if _full_rank(svals[-1], svals[0], threshold):
-        return svals, None
-    return svals, np.linalg.svd(weighted, full_matrices=False)[0]
+
+    def __init__(self, kernel, threshold):
+        if threshold <= 0:
+            raise InvalidConfigError(f"threshold must be positive, got {threshold}")
+        _check_coarse(kernel.node_count, kernel.truncation)
+        rows, scale, columns, signs = _gram_rows(kernel)
+        self.signs = None if kernel.node_count % 2 else signs
+        if self.signs is None:
+            self.blocks = (_weighted_rows(kernel),)
+        else:
+            sqrt_w = np.sqrt(scale)[:, None]
+            self.blocks = tuple(sqrt_w * rows[:, c] for c in columns)
+        values = np.concatenate([np.linalg.svd(a, compute_uv=False) for a in self.blocks])
+        self.order = np.argsort(-values, kind="stable")
+        self.svals = values[self.order]
+        self.full_rank = _full_rank(self.svals[-1], self.svals[0], threshold)
+
+    def left_vectors(self):
+        """U, the thin left singular vectors of the weighted rows on the full
+        grid, orthonormal, one column per entry of ``svals`` in its order.
+        A split lifts each block's U exactly: with s the sign per node pair
+        (_rows_mirror), the even block's u becomes [(s u) reversed ; u] /
+        sqrt(2) and the odd block's [(-s u) reversed ; u] / sqrt(2),
+        orthogonal to each other since s^2 = 1."""
+        us = [np.linalg.svd(a, full_matrices=False)[0] for a in self.blocks]
+        if self.signs is None:
+            return us[0]
+        lifted = [
+            np.concatenate([(sign[:, None] * u)[::-1], u]) / math.sqrt(2.0)
+            for sign, u in zip((self.signs, -self.signs), us)
+        ]
+        return np.concatenate(lifted, axis=1)[:, self.order]
 
 
 def _check_coarse(node_count, truncation):
@@ -720,7 +761,7 @@ def classify(map_spec, ladder, thresholds=ClassifyThresholds()):
                 sigma_min=factor.sigma_min,
                 sigma_max=factor.sigma_max,
                 total=_full_rank(factor.sigma_min, factor.sigma_max, thresholds.rank),
-                mu_independent=mu_independence_test(coarse, thresholds.rank).mu_independent,
+                mu_independent=_CoarseSVD(coarse, thresholds.rank).full_rank,
             )
         )
         factors.append(factor)

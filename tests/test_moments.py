@@ -411,24 +411,25 @@ def _projection_reference(kernel):
 
 class TestRfRankRule:
     @pytest.mark.parametrize(
-        "spec",
-        [dirac_map(), weighted_dirac_map("2+sin(x)"), dirac_derivative_map()],
+        "spec, blocks",
+        [(dirac_map(), 2), (weighted_dirac_map("2+sin(x)"), 1), (dirac_derivative_map(), 2)],
         ids=["dirac", "2+sin(x)", "dirac_derivative"],
     )
-    def test_full_row_rank_reads_off_singular_values_only(self, monkeypatch, spec):
+    def test_full_row_rank_reads_off_singular_values_only(self, monkeypatch, spec, blocks):
         """A coarse kernel of full row rank reaches every probe: exactly
-        (1.0, 0.0), with no singular vectors formed."""
+        (1.0, 0.0), with no singular vectors formed.  Mirrored rows take
+        their values from two parity blocks, (node count / 2, N / 2) each."""
         kernel = coarse_kernel(spec, 64)
         seen = []
         svd = np.linalg.svd
 
         def recording_svd(a, *args, **kwargs):
-            seen.append(kwargs.get("compute_uv", args[1] if len(args) > 1 else True))
+            seen.append((kwargs.get("compute_uv", args[1] if len(args) > 1 else True), np.shape(a)))
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", recording_svd)
         assert rf_diagnostic(kernel) == (1.0, 0.0)
-        assert seen == [False]
+        assert seen == [(False, (kernel.node_count // blocks, 64 // blocks))] * blocks
 
     def test_bump_and_zero_kernel_match_the_projection_reference(self):
         bump = coarse_kernel(bump_dirac_map(-1.0, 1.0), 64)

@@ -2,7 +2,7 @@
 
     PYTHONPATH=src python tools/report_bodies.py OUT [N_MAX ...]
 
-Runs classify, bounds, dual, reconstruct, moment-solve and sweep on the seven
+Runs classify, bounds, dual, reconstruct, moment-solve and sweep on the eight
 built-in families at each N_MAX (default 64) on the default ladder, and on a
 real and a complex custom CSV kernel at N = 32 (2+sin(x) and fourier sampled
 on the default stage grid).  Each body is the report as the CLI emits it,
@@ -49,6 +49,9 @@ BUILTIN_MAPS = {
     "bump[-1,1]": {"kind": "bump_dirac", "bump_support": [-1, 1]},
     # mirrored, with a weight that changes sign at -x
     "x": {"kind": "weighted_dirac", "weight": "x"},
+    # mirrored, with coarse singular values that cross moment-solve's 1e-10
+    # cutoff mid-spectrum: its range comes from both parity blocks
+    "exp(-x^2)": {"kind": "weighted_dirac", "weight": "exp(-x^2)"},
 }
 CUSTOM_N = 32
 CUSTOM_KERNELS = {"custom-real": weighted_dirac_map("2+sin(x)"), "custom-complex": fourier_map()}
