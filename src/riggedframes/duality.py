@@ -72,6 +72,7 @@ from .operators import (
     _analyze,
     _apply,
     _block_diagonal,
+    _CoarseSVD,
     _coarse_kernel,
     _full_rank,
     _hermitian_gram,
@@ -82,7 +83,6 @@ from .operators import (
     classify,
     frame_bounds,
     frame_operator,
-    mu_independence_test,
 )
 from .quadrature import default_ladder, stage_grid
 
@@ -329,15 +329,15 @@ def gelfand_check(kernel):
     """
     parseval, parseval_defect = parseval_check(kernel)
     coarse = _coarse_kernel(kernel.map_spec, kernel.truncation, kernel)
-    mu = mu_independence_test(coarse)
+    mu_independent = _CoarseSVD(coarse, RANK_CUTOFF).full_rank
     # Omega = rows P with P unitary diagonal: Omega Omega^H = rows rows^H
     weighted = _weighted_rows(coarse)
     gram = weighted @ weighted.conj().T
     isometry_defect = float(np.abs(gram - np.eye(coarse.node_count)).max())
     return GelfandResult(
-        gelfand=bool(parseval and mu),
+        gelfand=bool(parseval and mu_independent),
         parseval=parseval,
-        mu_independent=bool(mu),
+        mu_independent=mu_independent,
         parseval_defect=parseval_defect,
         isometry_defect=isometry_defect,
     )

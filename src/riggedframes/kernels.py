@@ -29,6 +29,7 @@ scaled by a constant gives scaled rows.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -284,10 +285,11 @@ def load_custom_kernel(path, grid, truncation):
     """Load an M x N complex kernel from CSV and validate it against the grid.
 
     The data rows are parsed straight from the file opened binary, with no
-    copy of its text.  np.loadtxt skips blank lines (and warns on a file of
+    copy of its text, a block of lines at a time into preallocated arrays
+    (_parse_entries).  np.loadtxt skips blank lines (and warns on a file of
     nothing else), so the lines are counted first in a streaming pass: a
-    blank line, or a count that differs from the rows parsed, sends the file
-    to the rescan, which names the offending row."""
+    blank line, or a block that parses to fewer rows or other widths, sends
+    the file to the rescan, which names the offending row."""
     with open(path, newline="") as fh:
         first = fh.readline()
         if not first:
@@ -303,23 +305,53 @@ def load_custom_kernel(path, grid, truncation):
         fh.seek(start)
         blank = [line.isspace() for line in fh]
         fh.seek(start)
-        cells = None
+        entries = None
         if blank and not any(blank):
             try:
-                cells = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+                entries = _parse_entries(fh, len(blank), truncation)
             except ValueError:
                 pass
-    if cells is None or cells.shape != (len(blank), 2 * truncation):
+    if entries is None:
         # the fast parse failed or skipped lines: rescan cell by cell, which
         # names the first offending row and column
-        cells = _scan_cells(path, truncation)
-    if cells.shape[0] != grid.node_count:
+        entries = _scan_cells(path, truncation).view(complex)
+    if entries.shape[0] != grid.node_count:
         raise InvalidConfigError(
-            f"{path}: {cells.shape[0]} data rows but the grid has {grid.node_count} nodes"
+            f"{path}: {entries.shape[0]} data rows but the grid has {grid.node_count} nodes"
         )
-    entries = cells.view(complex)
     entries.setflags(write=False)
     return KernelMatrix(entries, grid, custom_map(path))
+
+
+# _parse_entries reads this many data lines per np.loadtxt call.
+_PARSE_LINES = 256
+
+
+def _parse_entries(fh, count, truncation):
+    """The entries of the ``count`` data lines ahead in ``fh``, or None when
+    a block parses to fewer lines or another width.  Each block is split
+    into preallocated real and imaginary arrays, the imaginary one made only
+    at the first imaginary part that is not +0.0 (the float whose bits are
+    all 0), so a real kernel is parsed at half the bytes of its cells.  Both
+    are sized by the line count, so the heap a load leaves behind does not
+    depend on how np.loadtxt would grow one output for the whole file."""
+    real, imag = np.empty((count, truncation)), None
+    for start in range(0, count, _PARSE_LINES):
+        stop = min(start + _PARSE_LINES, count)
+        cells = np.loadtxt(itertools.islice(fh, stop - start), delimiter=",", comments=None, ndmin=2)
+        if cells.shape != (stop - start, 2 * truncation):
+            return None
+        real[start:stop] = cells[:, 0::2]
+        if imag is None and cells[:, 1::2].view(np.int64).any():
+            imag = np.zeros_like(real)
+        if imag is not None:
+            imag[start:stop] = cells[:, 1::2]
+    # KernelMatrix stores rows real when every imaginary part is 0 (+0.0 or -0.0)
+    if imag is None or not imag.any():
+        return real
+    entries = np.empty(real.shape, complex)
+    entries.real, entries.imag = real, imag
+    return entries
 
 
 def _scan_cells(path, truncation):

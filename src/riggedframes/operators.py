@@ -14,26 +14,27 @@ factors each stage once (a thin QR of the ~15N x N weighted real rows to R;
 Chan, ACM TOMS 8, 1982).  Bounds and totality are R's singular values; the
 p_k Bessel constant is the top one of R D_k (R^-T D_k for the dual), formed
 after the walk up to the first bounded k (k = 0 is sigma_max: no damped SVD).
-Stage grids are mirror-symmetric bit for bit, and h_n(-x) = (-1)^n h_n(x):
-when the map's row weight has magnitudes that agree bit for bit at mirrored
-nodes (dirac, fourier and dirac_derivative always, a weight or bump when
-|w(x)| == |w(-x)|; the rule is _mirrored), S is block diagonal in the even
-and odd indices, so the walk samples only the nodes x >= 0 and
+Stage grids are mirror-symmetric bit for bit, and h_n(-x) = (-1)^n h_n(x).
+One parity rule, _mirrored, serves every consumer: on a mirrored grid with
+an even node count, when the map's row weight has magnitudes that agree bit
+for bit at mirrored nodes (dirac, fourier and dirac_derivative always, a
+weight or bump when |w(x)| == |w(-x)|), S is block diagonal in the even and
+odd indices, and each consumer works per block on the x > 0 half of the
+rows, weighted by sqrt(2 W).  The walk samples only those nodes and
 StageFactorization holds one R per parity block (see _stage_rows); every
-read is taken over the blocks.  frame_operator splits by the same rule,
-once the kernel's own rows are checked to mirror bit for bit: it forms S
-as its two parity blocks from the x >= 0 half of the rows, with exact
-zeros between them, FrameOperatorMatrix records the classes, and
+read is taken over the blocks.  frame_operator and the coarse rank rule take
+their rows from _gram_rows, which also checks the kernel's own rows to
+mirror bit for bit: frame_operator forms S as its two parity blocks, with
+exact zeros between them, FrameOperatorMatrix records the classes, and
 frame_bounds and the canonical dual work per block.
 The synthesis side (mu-independence, moment solves, the Gel'fand isometry
 defect) reads one coarse kernel per call, from _coarse_kernel: a built-in map
 sampled on the bulk grid coarse_synthesis_grid(N), or a given kernel, with
-node count <= N either way.  Its one rank rule, _CoarseSVD, splits by the
-same check as frame_operator when the node count is even: its values step
-takes values-only SVDs of the two parity blocks of the x > 0 rows and merges
-them (classify reads only that, per stage), and its vectors step forms U per
-block, lifted to the full grid, which mu_independence_test and the moment
-probes of rf_diagnostic run only for rank-deficient rows.
+node count <= N either way.  Its one rank rule, _CoarseSVD, takes values-only
+SVDs of the same blocks and merges them (classify reads only that, per
+stage), and its vectors step forms U per block, lifted to the full grid,
+which mu_independence_test and the moment probes of rf_diagnostic run only
+for rank-deficient rows.
 Continuum statements (bounded versus growing bounds, totality) are read off
 trends along a refinement ladder; a single stage can never decide them.
 
@@ -211,44 +212,33 @@ _ROW_BLOCKS = 8
 
 
 def frame_operator(kernel):
-    """S = P^H S_rows P, with S_rows the Gram A^T A of the weighted rows
+    """S = P^H S_rows P, with S_rows the Gram A^H A of the weighted rows
     A = sqrt(W) rows summed over row blocks and P the kernel's column phase
     (kept apart: S.matrix forms P^H S_rows P when read).  The block buffer
     has the rows' own memory order, so filling it is a contiguous copy.
 
-    When a built-in map's rows mirror (see _mirrored; the kernel's own rows
-    are checked bit for bit, _rows_mirror), S_rows is block diagonal in the
-    even and odd indices: each block is formed from the x >= 0 half of the
-    rows weighted by sqrt(2 W) (sqrt(W) at a node at 0), and every entry
-    coupling an even and an odd index is exactly 0.  That is half the rows
-    and a quarter of the one-block flops.  Complex rows (a custom kernel)
-    stack their real and imaginary parts, [Re A, Im A], and S_rows is read
-    off that real Gram (see _hermitian_from_stacked).  Either way S comes
-    out exactly Hermitian.  An S with an entry past float64 range is a
-    NumericError naming N."""
+    On a mirrored grid with an even node count, when a built-in map's rows
+    mirror (see _mirrored; the kernel's own rows are checked bit for bit,
+    _rows_mirror), S_rows is block diagonal in the even and odd indices:
+    each block is formed from the x > 0 half of the rows weighted by
+    sqrt(2 W), and every entry coupling an even and an odd index is exactly
+    0.  That is half the rows and a quarter of the one-block flops.  Each
+    block's Gram is _hermitian_gram's, so S comes out exactly Hermitian,
+    complex rows (a custom kernel) included.  An S with an entry past
+    float64 range is a NumericError naming N."""
     rows, scale, columns, _ = _gram_rows(kernel)
-    parts = (rows.real, rows.imag) if np.iscomplexobj(rows) else (rows,)
-    # the buffer holds one column class after the other, a class as its parts
-    # side by side, and each class's Gram is summed on its own
-    classes = [[part[:, c] for part in parts] for c in columns]
-    widths = [sum(piece.shape[1] for piece in pieces) for pieces in classes]
-    grams = [np.zeros((width, width)) for width in widths]
     m, n = rows.shape[0], kernel.truncation
+    grams = [np.zeros((rows[:, c].shape[1],) * 2, rows.dtype) for c in columns]
     step = max(1, -(-m // _ROW_BLOCKS))
     sqrt_w = np.sqrt(scale)[:, None]
-    block = np.empty((min(step, m), sum(widths)), order="F" if kernel.rows.flags.f_contiguous else "C")
+    block = np.empty((min(step, m), n), rows.dtype, "F" if kernel.rows.flags.f_contiguous else "C")
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, m, step):
-            a, offset = block[: min(step, m - start)], 0
-            for pieces, gram in zip(classes, grams):
-                first = offset
-                for piece in pieces:
-                    out = a[:, offset : offset + piece.shape[1]]
-                    np.multiply(sqrt_w[start : start + step], piece[start : start + step], out=out)
-                    offset += piece.shape[1]
-                gram += a[:, first:offset].T @ a[:, first:offset]
-        if len(parts) == 2:
-            grams = [_hermitian_from_stacked(gram) for gram in grams]
+            stop = min(start + step, m)
+            for c, gram in zip(columns, grams):
+                a = block[: stop - start, : gram.shape[0]]
+                np.multiply(sqrt_w[start:stop], rows[start:stop, c], out=a)
+                gram += _hermitian_gram(a)
     gram = _block_diagonal(grams, columns)
     if not np.isfinite(gram).all():
         raise NumericError(f"N={n}: the frame operator is past float64 range")
@@ -258,23 +248,23 @@ def frame_operator(kernel):
 
 def _gram_rows(kernel):
     """(rows, quadrature scale, column classes, signs) that frame_operator
-    sums over and the coarse rank rule splits: when the kernel's rows
-    mirror, the x >= 0 half of them, 2 W on it (W at a node at 0), _PARITY
-    and the sign per node pair (_rows_mirror); otherwise all of them, W, one
-    class and None."""
+    sums over and the coarse rank rule factors: when the kernel's rows
+    mirror (_mirrored, _rows_mirror), the x > 0 half of them, 2 W on it,
+    _PARITY and the sign per node pair; otherwise all of them, W, one class
+    and None."""
     rows, weights = kernel.rows, kernel.grid.weights
     start = rows.shape[0] // 2
     if kernel.truncation > 1 and not np.iscomplexobj(rows) and _mirrored(kernel.map_spec, kernel.grid)[1]:
         signs = _rows_mirror(rows, start)
         if signs is not None:
-            return rows[start:], _half_scale(weights), _PARITY, signs
+            return rows[start:], 2.0 * weights[start:], _PARITY, signs
     return rows, weights, (slice(None),), None
 
 
 def _rows_mirror(rows, start):
     """The sign s = +1 or -1 per node pair with the row at -x equal to the
     row at x times s (-1)^n bit for bit, or None when some row does not
-    mirror, for rows over a mirrored grid whose nodes x >= 0 begin at
+    mirror, for rows over a mirrored grid whose nodes x > 0 begin at
     ``start``: a KernelMatrix may carry a map's spec with rows of its own.
     A row that mirrors either way (a zero row) gets s = +1.  Checked a block
     of rows at a time, as frame_operator sums them."""
@@ -294,16 +284,6 @@ def _rows_mirror(rows, start):
     return signs
 
 
-def _half_scale(weights):
-    """The quadrature weights of the nodes x >= 0 of a mirrored grid, each
-    standing for itself and its mirror: 2 W, and W at a node at 0."""
-    start = weights.size // 2
-    scale = 2.0 * weights[start:]
-    if weights.size % 2:
-        scale[0] = weights[start]
-    return scale
-
-
 def _block_diagonal(blocks, columns):
     """The N x N matrix holding ``blocks[i]`` on the rows and columns
     ``columns[i]`` and exact zeros elsewhere; a single block as it is."""
@@ -316,21 +296,17 @@ def _block_diagonal(blocks, columns):
     return out
 
 
-def _hermitian_from_stacked(gram):
-    """G^H G from the real Gram of the stacked [Re G, Im G]: the diagonal
-    blocks sum to the real part and the off-diagonal ones give the imaginary
-    part, so a symmetric input gives an exactly Hermitian result."""
-    n = gram.shape[0] // 2
-    return gram[:n, :n] + gram[n:, n:] + 1j * (gram[:n, n:] - gram[n:, :n])
-
-
 def _hermitian_gram(matrix):
-    """G^H G of a matrix, exactly Hermitian: the real Gram of G itself, or of
-    [Re G, Im G] for a complex G."""
+    """G^H G of a matrix, exactly Hermitian: the real Gram of G itself, or for
+    a complex G read off the real Gram of the stacked [Re G, Im G], whose
+    diagonal blocks sum to the real part and whose off-diagonal ones give the
+    imaginary part."""
     if not np.iscomplexobj(matrix):
         return matrix.T @ matrix
+    n = matrix.shape[1]
     stacked = np.concatenate([matrix.real, matrix.imag], axis=1)
-    return _hermitian_from_stacked(stacked.T @ stacked)
+    gram = stacked.T @ stacked
+    return gram[:n, :n] + gram[n:, n:] + 1j * (gram[:n, n:] - gram[n:, :n])
 
 
 def frame_bounds(op):
@@ -494,27 +470,22 @@ class _CoarseSVD:
     rank-deficient rows.  The rows are factored without the column phase,
     which changes neither the singular values nor the left singular vectors.
 
-    When the rows mirror (_gram_rows) over an even node count, each node
-    pair (x, -x) gives one row of an even block and one of an odd block: the
-    even and the odd columns of the row at x > 0, weighted by sqrt(2 W)
-    (Golub & Van Loan, Matrix Computations, 8.6).  The two (m/2) x (N/2)
-    blocks' values, merged, are those of the m x N rows.  Custom, complex,
-    spec-less and unmirrored kernels keep one block, and so does an odd node
-    count, whose node at 0 would put a zero row into one of the blocks and a
-    spurious zero singular value with it.
+    The blocks are sqrt(scale) rows[:, c] per column class c of _gram_rows.
+    On a mirrored grid with an even node count, when the rows mirror, each
+    node pair (x, -x) gives one row of an even block and one of an odd
+    block: the even and the odd columns of the row at x > 0, weighted by
+    sqrt(2 W) (Golub & Van Loan, Matrix Computations, 8.6).  The two
+    (m/2) x (N/2) blocks' values, merged, are those of the m x N rows.
+    Every other kernel is one block, its weighted rows.
     """
 
     def __init__(self, kernel, threshold):
         if threshold <= 0:
             raise InvalidConfigError(f"threshold must be positive, got {threshold}")
         _check_coarse(kernel.node_count, kernel.truncation)
-        rows, scale, columns, signs = _gram_rows(kernel)
-        self.signs = None if kernel.node_count % 2 else signs
-        if self.signs is None:
-            self.blocks = (_weighted_rows(kernel),)
-        else:
-            sqrt_w = np.sqrt(scale)[:, None]
-            self.blocks = tuple(sqrt_w * rows[:, c] for c in columns)
+        rows, scale, columns, self.signs = _gram_rows(kernel)
+        sqrt_w = np.sqrt(scale)[:, None]
+        self.blocks = tuple(sqrt_w * rows[:, c] for c in columns)
         values = np.concatenate([np.linalg.svd(a, compute_uv=False) for a in self.blocks])
         self.order = np.argsort(-values, kind="stable")
         self.svals = values[self.order]
@@ -685,19 +656,22 @@ def _ladder_walk(map_spec, ladder):
 
 
 def _mirrored(map_spec, grid):
-    """(row weight, mirrored) of a map on a grid.  The weight is _row_weight
-    at the grid's nodes (None for a custom or spec-less kernel).  The rows
-    of a built-in map mirror when the grid's nodes and weights are
-    mirror-symmetric bit for bit (build_grid's are) and |w(x)| == |w(-x)| at
-    every node (always for dirac, fourier and dirac_derivative, a weight or
-    bump when even or odd in magnitude): then the row at -x is the row at x
-    times +-(-1)^n, and S is block diagonal in the even and odd indices."""
+    """(row weight, mirrored) of a map on a grid, the one parity rule.  The
+    weight is _row_weight at the grid's nodes (None for a custom or spec-less
+    kernel).  The rows of a built-in map mirror on a mirrored grid with an
+    even node count (nodes and weights mirror-symmetric bit for bit, as
+    build_grid's are; an odd count puts a node at 0, which no default grid
+    has) when |w(x)| == |w(-x)| at every node (always for dirac, fourier and
+    dirac_derivative, a weight or bump when even or odd in magnitude): then
+    the row at -x is the row at x times +-(-1)^n, and S is block diagonal in
+    the even and odd indices."""
     if map_spec is None or map_spec.kind == "custom":
         return None, False
     nodes, weights = grid.nodes, grid.weights
     weight = _row_weight(map_spec, nodes)
     mirrored = (
-        np.array_equal(nodes, -nodes[::-1])
+        nodes.size % 2 == 0
+        and np.array_equal(nodes, -nodes[::-1])
         and np.array_equal(weights, weights[::-1])
         and (weight is None or np.array_equal(np.abs(weight), np.abs(weight[::-1])))
     )
@@ -710,11 +684,10 @@ def _stage_rows(map_spec, grid, truncation):
     block and _PARITY.
 
     When the rows mirror (_mirrored), S = 2 A+^T A+ on each parity class,
-    A+ the weighted rows at x > 0, plus the row at x = 0 once.  Then only
-    the nodes x >= 0 are sampled, weighted by sqrt(2 W) (sqrt(W) at 0), and
-    each parity class is factored on its own: half the rows and a quarter
-    of a single QR's flops.  Any other map, and N = 1, is factored in one
-    block.
+    A+ the weighted rows at x > 0.  Then only those nodes are sampled,
+    weighted by sqrt(2 W), and each parity class is factored on its own:
+    half the rows and a quarter of a single QR's flops.  Any other map, and
+    N = 1, is factored in one block.
     """
     nodes, weights = grid.nodes, grid.weights
     weight, mirrored = _mirrored(map_spec, grid)
@@ -724,7 +697,7 @@ def _stage_rows(map_spec, grid, truncation):
         return rows, None
     start = nodes.size // 2
     rows = _real_rows(map_spec, nodes[start:], truncation, None if weight is None else weight[start:])
-    rows *= np.sqrt(_half_scale(weights))[:, None]
+    rows *= np.sqrt(2.0 * weights[start:])[:, None]
     return tuple(rows[:, c] for c in _PARITY), _PARITY
 
 

@@ -584,11 +584,14 @@ def test_report_bodies_tool(tmp_path):
         assert tool.main([str(out), "16"]) == 0
     assert outs[0].read_bytes() == outs[1].read_bytes()
     bodies = json.loads(outs[0].read_text())
-    # every report command, plus the bounds report in CSV, plus each demo's stdout
+    # every report command, plus the bounds report in CSV, plus each demo's
+    # stdout, plus bounds and dual of each map on the grid with a node at 0
     demos = sorted(tool.DEMOS.glob("*.py"))
     assert len(bodies) == (len(tool.BUILTIN_MAPS) + len(tool.CUSTOM_KERNELS)) * (
         len(tool.REPORT_COMMANDS) + 1
-    ) + len(demos)
+    ) + len(demos) + 2 * len(tool.NODE_AT_ZERO_MAPS)
+    assert bodies["dirac/node-at-0/bounds"]["stages"][0]["nodes"] % 2
+    assert bodies["bump[-1,1]/node-at-0/dual"].startswith("NotAFrameError: ")
     assert len(demos) == 7 and all(bodies[f"demos/{d.stem}"].strip() for d in demos)
     assert bodies["dirac/n_max=16/bounds/csv"].startswith("N,L,nodes,A,B,")
     assert tempfile.gettempdir() not in outs[0].read_text()

@@ -275,6 +275,21 @@ class TestGelfand:
         with pytest.raises(InvalidConfigError, match=r"node count <= truncation, got \d+ nodes > 8"):
             gelfand_check(KernelMatrix(kernel.rows, kernel.grid))
 
+    def test_reads_only_the_values_step(self, monkeypatch):
+        """gelfand_check needs only the mu-independence verdict: a
+        rank-deficient coarse kernel (bump) forms no U."""
+        computes_uv = []
+        svd = np.linalg.svd
+
+        def recording_svd(a, *args, **kwargs):
+            computes_uv.append(kwargs.get("compute_uv", args[1] if len(args) > 1 else True))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        result = gelfand_check(make_kernel(bump_dirac_map(-1.0, 1.0), 64))
+        assert not result.mu_independent
+        assert computes_uv and not any(computes_uv)
+
 
 def _record_qr_shapes(monkeypatch):
     """The shapes np.linalg.qr is called on from now on, in call order."""

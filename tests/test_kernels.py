@@ -248,6 +248,41 @@ class TestCustomKernelCsv:
             tracemalloc.stop()
         assert peak < 2 * cells_bytes
 
+    def test_real_kernel_loads_below_the_bytes_of_its_cells(self, tmp_path):
+        """A kernel with every imaginary part +0.0 is parsed into real rows
+        only: the load peaks below the bytes of its re/im cells, which a
+        parse of all cells at once reaches by itself."""
+        import tracemalloc
+
+        grid = stage_grid(default_stage(128))
+        path = tmp_path / "kernel.csv"
+        kernel = sample_kernel(weighted_dirac_map("2+sin(x)"), grid, 128)
+        save_kernel_csv(kernel, path)
+        cells_bytes = grid.node_count * 2 * 128 * 8
+        tracemalloc.start()
+        try:
+            loaded = load_custom_kernel(path, grid, 128)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < cells_bytes
+        assert np.array_equal(loaded.rows, kernel.rows)
+
+    def test_complex_kernel_keeps_signed_zeros_across_parse_blocks(self, tmp_path):
+        """An imaginary part first nonzero past the first block of lines
+        keeps the -0.0 of the lines before it, bit for bit."""
+        grid = stage_grid(default_stage(64))
+        entries = np.array(sample_kernel(dirac_map(), grid, 3).rows, dtype=complex)
+        entries.imag[:, 1] = -0.0
+        entries.imag[-1, 2] = 0.5
+        path = tmp_path / "kernel.csv"
+        save_kernel_csv(entries, path)
+        loaded = load_custom_kernel(path, grid, 3).entries
+        assert loaded.dtype == complex
+        for part in ("real", "imag"):
+            got, want = getattr(loaded, part), getattr(entries, part)
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want)), part
+
 
 class TestKernelStorage:
     def test_real_whenever_the_entries_are(self, tmp_path, grid):

@@ -232,10 +232,10 @@ class TestFrameOperator:
 
     @pytest.mark.parametrize("family", ["dirac", "fourier", "dirac_derivative", "1+x^2", "x", "bump[-1,1]"])
     def test_mirrored_rows_give_an_exactly_split_operator(self, family):
-        """A mirrored map's S is formed per parity block from the x >= 0 half
+        """A mirrored map's S is formed per parity block from the x > 0 half
         of its rows: every entry coupling an even and an odd index is exactly
         0, and S is the Gram of all the weighted rows to rounding.  The odd
-        grid puts a node at 0, which counts once.  Rows negated at some
+        grid puts a node at 0 and takes one block.  Rows negated at some
         nodes still mirror, each pair with its own sign."""
         spec = BUILTIN_FAMILIES.get(family) or EXACT_OPERATORS[family][0]
         for grid in (stage_grid(default_stage(64)), build_grid(12.0, 45, 9)):
@@ -243,8 +243,11 @@ class TestFrameOperator:
             negated = kernel.rows * np.where(grid.nodes < -3.0, -1.0, 1.0)[:, None]
             for omega in (kernel, KernelMatrix(negated, grid, spec)):
                 op = frame_operator(omega)
-                assert op.columns == operators._PARITY
-                assert not op.gram[0::2, 1::2].any() and not op.gram[1::2, 0::2].any()
+                if grid.node_count % 2:
+                    assert op.columns == (slice(None),) and operators._gram_rows(omega)[3] is None
+                else:
+                    assert op.columns == operators._PARITY
+                    assert not op.gram[0::2, 1::2].any() and not op.gram[1::2, 0::2].any()
                 reference = operators._hermitian_gram(operators._weighted_rows(omega))
                 assert np.abs(op.gram - reference).max() <= 1e-14 * np.abs(reference).max()
 
@@ -625,13 +628,14 @@ class TestParitySplit:
         assert columns == slice(None) and r.shape == (n, n)
 
     def test_a_node_at_zero_counts_once(self):
-        """An odd node count puts a node at 0, whose row is sampled once, with
-        its own weight, in both blocks."""
+        """An odd node count puts a node at 0, so the walk factors all the
+        rows, that node's once, in one block."""
         grid = build_grid(12.0, 25, 9)
         assert grid.node_count % 2 and grid.nodes[grid.node_count // 2] == 0.0
         spec = weighted_dirac_map("1+x^2")
         split = _walk_factor(spec, grid, 16)
-        assert [r.shape for r, _ in split.blocks] == [(8, 8)] * 2
+        assert [(r.shape, columns) for r, columns in split.blocks] == [((16, 16), slice(None))]
+        assert operators._gram_rows(sample_kernel(spec, grid, 16))[3] is None
         one = operators.StageFactorization(operators._weighted_rows(sample_kernel(spec, grid, 16)))
         reference = _block_singular_values(one)
         assert np.abs(_block_singular_values(split) - reference).max() <= 1e-13 * reference[0]
@@ -713,14 +717,14 @@ class TestCoarseSplit:
 
     @pytest.mark.parametrize("family", ["dirac", "bump[-1,1]"])
     def test_a_node_at_zero_takes_one_block_with_the_same_verdict(self, family):
-        """The rows over an odd node count mirror, but the rule keeps one
-        block; its verdict is the one-block one, and that of the even grid
-        of the same width."""
+        """An odd node count puts a node at 0, so the rule keeps one block;
+        its verdict is the one-block one, and that of the even grid of the
+        same width."""
         spec, n = MIRRORED_COARSE[family], 32
         grid = build_grid(bulk_half_width(n), 5, 5)
         assert grid.node_count % 2 and grid.nodes[grid.node_count // 2] == 0.0
         kernel = sample_kernel(spec, grid, n)
-        assert operators._gram_rows(kernel)[3] is not None
+        assert operators._gram_rows(kernel)[3] is None
         rule = operators._CoarseSVD(kernel, RANK_CUTOFF)
         assert rule.signs is None and [a.shape for a in rule.blocks] == [(grid.node_count, n)]
         reference = np.linalg.svd(operators._weighted_rows(kernel), compute_uv=False)
@@ -867,17 +871,24 @@ def test_classify_scales_with_the_map():
 
 def test_frame_operator_is_the_same_for_either_row_order():
     """The row-block buffer follows the rows' memory order; a C-ordered copy
-    of the rows gives the same S to rounding."""
+    of the rows gives the same S to rounding, and S is exactly Hermitian for
+    real rows and for complex ones (the 2+sin(x) rows times exp(i x)).  The
+    stage's 1100 nodes leave a short last row block."""
     from riggedframes import KernelMatrix
 
     kernel = make_kernel(weighted_dirac_map("2+sin(x)"), 64)
-    assert kernel.rows.flags.f_contiguous
-    rows = np.ascontiguousarray(kernel.rows)
-    rows.setflags(write=False)
-    other = frame_operator(KernelMatrix(rows, kernel.grid, kernel.map_spec))
-    gram = frame_operator(kernel).gram
-    assert np.array_equal(gram, gram.T) and np.array_equal(other.gram, other.gram.T)
-    assert np.abs(gram - other.gram).max() <= 1e-14 * np.abs(gram).max()
+    assert kernel.node_count % operators._ROW_BLOCKS
+    modulated = np.asfortranarray(kernel.rows * np.exp(1j * kernel.grid.nodes)[:, None])
+    modulated.setflags(write=False)
+    for omega in (kernel, KernelMatrix(modulated, kernel.grid)):
+        assert omega.rows.flags.f_contiguous
+        rows = np.ascontiguousarray(omega.rows)
+        rows.setflags(write=False)
+        other = frame_operator(KernelMatrix(rows, omega.grid, omega.map_spec))
+        gram = frame_operator(omega).gram
+        assert gram.dtype == omega.rows.dtype
+        assert np.array_equal(gram, gram.conj().T) and np.array_equal(other.gram, other.gram.conj().T)
+        assert np.abs(gram - other.gram).max() <= 1e-14 * np.abs(gram).max()
 
 
 def test_frame_bounds_takes_eigenvalues_only(monkeypatch):

@@ -10,6 +10,9 @@ with ``timing`` and the temporary CSV path dropped; the bounds report is
 also recorded in CSV, as ``.../bounds/csv``; a refused command is recorded as
 ``"ErrorType: message"``.  The stdout of each script under ``demos/`` is
 recorded as ``demos/<stem>``, run with this interpreter and environment.
+The bounds and dual bodies of dirac, 1+x^2 and bump[-1,1] on one N = 64
+stage of 111 panels of order 11, a grid with a node at 0, are recorded as
+``<map>/node-at-0/<command>``.
 OUT is written with sorted keys, so two checkouts give byte-identical files
 exactly when their reports agree apart from timing and their demos print
 the same:
@@ -55,6 +58,9 @@ BUILTIN_MAPS = {
 }
 CUSTOM_N = 32
 CUSTOM_KERNELS = {"custom-real": weighted_dirac_map("2+sin(x)"), "custom-complex": fourier_map()}
+# odd panels of odd order put a node at 0: the grid takes the one-block path
+NODE_AT_ZERO_STAGE = {"N": 64, "panels": 111, "order": 11}
+NODE_AT_ZERO_MAPS = ("dirac", "1+x^2", "bump[-1,1]")
 TMP = "<tmp>"
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
@@ -101,6 +107,10 @@ def report_bodies(n_maxes):
                 bodies[f"{key}/{command}"] = _body(report, tmpdir)
                 if command == "bounds":
                     bodies[f"{key}/bounds/csv"] = _body(report, tmpdir, "csv")
+        for name in NODE_AT_ZERO_MAPS:
+            data = {"map": BUILTIN_MAPS[name], "ladder": {"stages": [NODE_AT_ZERO_STAGE]}}
+            for command in ("bounds", "dual"):
+                bodies[f"{name}/node-at-0/{command}"] = _body(_report(command, data, tmpdir), tmpdir)
     for script in sorted(DEMOS.glob("*.py")):
         run_demo = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, check=True)
         bodies[f"demos/{script.stem}"] = run_demo.stdout
