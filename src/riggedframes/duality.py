@@ -8,8 +8,10 @@ orders
     f = synthesis_theta(analysis_omega(f)) = synthesis_omega(analysis_theta(f))
 
 recover f up to conditioning.  S is factored once, S = R^H R with R the
-upper Cholesky factor, and inverted through it: X = R^{-1} R^{-H} (Higham,
-Accuracy and Stability of Numerical Algorithms, ch. 10 and 14).  Omega's
+upper Cholesky factor, and inverted through it: X = R^{-1} R^{-H}, with
+R^{-1} from a blocked triangular inverse (_triangular_inverse, shared with
+moments.dual_bessel_check; Higham, Accuracy and Stability of Numerical
+Algorithms, ch. 10 and 14).  Omega's
 bounds (A, B) come from frame_bounds, values only, as for every other
 bounds reader, and a relative cutoff on them turns a near-singular frame
 operator into NotAFrameError instead of amplified noise.  canonical_dual
@@ -29,7 +31,13 @@ operators.frame_operator and FrameOperatorMatrix.columns), each step runs
 per N/2 x N/2 block: omega's bounds, the Cholesky factor, the inverse and
 G = R X, and so theta's bounds.  The blocks are placed in the N x N X and
 S_theta the pair keeps, exactly 0 between them: a quarter of the
-one-block flops.
+one-block flops.  For a kernel sample_kernel split (KernelMatrix.signs) the
+passes over omega's rows run per parity class on the x > 0 rows too
+(operators._gram_rows): with a(x) = u + v and a(-x) = s (u - v) for the
+even and odd parts u, v of an analysis pass, the pairing sum of
+verify_duality is 2 sum_{x>0} w (u_f conj(u_g) + v_f conj(v_g)), and the
+round trip of reconstruct synthesizes each class from 2 W u and 2 W v.
+Neither forms a grid function on the full grid.
 
 Everything runs on the kernel's rows in their own dtype.  A kernel with a
 column phase P (fourier; see KernelMatrix) has S = P^H S_rows P, so
@@ -45,9 +53,10 @@ omega's rows.  X^H, not X: the computed inverse need not be exactly Hermitian.
 draw all their trial functions first, in the order a per-trial loop would,
 and apply them as one block of columns.  Since theta shares omega's rows,
 work through both maps stacks its blocks and takes one pass over the rows
-per direction: verify_duality one analysis pass, reconstruct (which returns
-both orders) one analysis and one synthesis pass.  A hand-built pair takes
-one pass per kernel and direction.
+per direction (one per parity class for a split kernel): verify_duality one
+analysis pass, reconstruct (which returns both orders) one analysis and one
+synthesis pass.  A hand-built pair takes one full-grid pass per kernel and
+direction.
 
 The ladder checks (riesz_check, dual_semiframe_check and
 moments.dual_bessel_check) take only the kernel they check and walk the
@@ -74,8 +83,11 @@ from .operators import (
     _block_diagonal,
     _CoarseSVD,
     _coarse_kernel,
+    _fold,
     _full_rank,
+    _gram_rows,
     _hermitian_gram,
+    _row_pass,
     _scale_rows,
     _synthesize,
     _unphase,
@@ -162,7 +174,7 @@ def canonical_dual(kernel):
             factor = np.linalg.cholesky(op.gram[c, c]).conj().T
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"frame operator has no Cholesky factor: {exc}") from exc
-        factor_inverse = np.linalg.inv(factor)
+        factor_inverse = _triangular_inverse(factor)
         inverses.append(factor_inverse @ factor_inverse.conj().T)
         theta_grams.append(_hermitian_gram(factor @ inverses[-1]))
     inverse, theta_gram = _block_diagonal(inverses, op.columns), _block_diagonal(theta_grams, op.columns)
@@ -172,6 +184,33 @@ def canonical_dual(kernel):
     return DualPair(
         kernel, None, omega_bounds=(lam_min, lam_max), theta_operator=theta_operator, inverse=inverse
     )
+
+
+def _triangular_inverse(r):
+    """R^-1 of an upper triangular R, exactly 0 below the diagonal.  With
+    R = [[A, B], [0, C]], R^-1 = [[A^-1, -A^-1 B C^-1], [0, C^-1]]; each
+    diagonal block is inverted the same way, down to order 64, where one
+    np.linalg.inv takes it (LU of a triangular matrix pivots nowhere, so
+    its zeros below the diagonal come out exact).  Two half-size products
+    per level, written into the one output: about 2n^3/3 flops against
+    LU's 2n^3 (Higham, Accuracy and Stability of Numerical Algorithms,
+    14.2)."""
+    out = np.zeros_like(r)
+    _invert_into(r, out)
+    return out
+
+
+def _invert_into(r, out):
+    n = r.shape[0]
+    if n <= 64:
+        out[...] = np.linalg.inv(r)
+        return
+    half = n // 2
+    _invert_into(r[:half, :half], out[:half, :half])
+    _invert_into(r[half:, half:], out[half:, half:])
+    corner = out[:half, half:]
+    np.matmul(out[:half, :half] @ r[:half, half:], out[half:, half:], out=corner)
+    np.negative(corner, out=corner)
 
 
 def _require_frame(lam_min, lam_max):
@@ -200,10 +239,13 @@ def verify_duality(pair, trials, seed=DEFAULT_SEED):
     draws = np.stack([random_test_function(n, rng).coeffs for _ in range(2 * trials)], axis=1)
     f, g = draws[:, 0::2], draws[:, 1::2]
     direct = np.sum(f * g.conj(), axis=0)
-    analyzed_f, analyzed_g = np.hsplit(_analyze_pair(pair, f, g), 2)
-    # in place on the pass's own output: no further kernel-height arrays
-    analyzed_f *= np.conjugate(analyzed_g, out=analyzed_g)
-    through = omega.grid.weights @ analyzed_f
+    parts, weights = _analyze_pair(pair, f, g)
+    through = 0.0
+    for part in parts:
+        # in place on the pass's own output: no further kernel-height arrays
+        analyzed_f, analyzed_g = np.hsplit(part, 2)
+        analyzed_f *= np.conjugate(analyzed_g, out=analyzed_g)
+        through = through + weights @ analyzed_f
     scale = np.linalg.norm(f, axis=0) * np.linalg.norm(g, axis=0)
     return float(np.max(np.abs(direct - through) / scale))
 
@@ -229,18 +271,21 @@ def dual_bounds(pair):
 
 
 def _analyze_pair(pair, theta_block, omega_block):
-    """[Theta @ theta_block | Omega @ omega_block] as one array.  A canonical
-    pair's theta = rows X P shares omega's rows, so both take one pass over
-    them, on the stacked block [X P theta_block | P omega_block]; a
-    hand-built pair takes one pass per kernel."""
+    """[Theta @ theta_block | Omega @ omega_block] as (parts, weights): the
+    pass's parts on the rows of each column class of omega's _gram_rows and
+    the quadrature weights on those rows.  A canonical pair's theta = rows X P
+    shares omega's rows, so both take one pass over them, on the stacked
+    block [X P theta_block | P omega_block]: for a split omega one per
+    parity class over the x > 0 rows, with 2 W.  A hand-built pair takes
+    one full-grid pass per kernel: one part, with W."""
     omega = pair.omega
     if pair.inverse is None:
         parts = [_analyze(pair.explicit_theta, theta_block), _analyze(omega, omega_block)]
-        return np.concatenate(parts, axis=1)
+        return [np.concatenate(parts, axis=1)], omega.grid.weights
     if omega.phase is not None:
         theta_block, omega_block = (_scale_rows(omega.phase, b) for b in (theta_block, omega_block))
     block = np.concatenate([_apply(pair.inverse, theta_block), omega_block], axis=1)
-    return _apply(omega.rows, block)
+    return _row_pass(omega, block), _gram_rows(omega)[1]
 
 
 def reconstruct(pair, f):
@@ -258,16 +303,19 @@ def reconstruct(pair, f):
     count = len(functions)
     coeffs = np.stack([g.coeffs for g in functions], axis=1)
     omega = pair.omega
-    analyzed = _analyze_pair(pair, coeffs, coeffs)
+    parts, weights = _analyze_pair(pair, coeffs, coeffs)
     if pair.inverse is None:
+        (analyzed,) = parts
         forward = _synthesize(pair.explicit_theta, analyzed[:, count:])
         backward = _synthesize(omega, analyzed[:, :count])
     else:
         # Theta^H (W xi) = P^H conj(X^T rows^T conj(W xi)): both orders in one
-        # pass, with W and conj applied in place to the stacked block
-        analyzed *= omega.grid.weights[:, None]
-        out = _apply(omega.rows.T, np.conjugate(analyzed, out=analyzed))
-        backward, forward = np.hsplit(out, [count])
+        # pass per class, with its weights and conj applied in place to the
+        # class's stacked block
+        for part in parts:
+            part *= weights[:, None]
+            np.conjugate(part, out=part)
+        backward, forward = np.hsplit(_fold(omega, parts), [count])
         forward = _unphase(omega, _apply(pair.inverse.T, forward).conj())
         backward = _unphase(omega, backward.conj())
     scale = np.linalg.norm(coeffs, axis=0)

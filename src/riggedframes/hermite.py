@@ -131,11 +131,18 @@ def hermite_derivative_table(truncation, x):
     """Table of h_n'(x_j) for n < truncation, from the ladder relation
     h_n' = sqrt(n/2) h_{n-1} - sqrt((n+1)/2) h_{n+1}."""
     xa = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.empty((truncation, xa.size)).T
+    _derivative_table(truncation, xa, out)
+    return out
+
+
+def _derivative_table(truncation, xa, out):
+    """Write h_n'(xa) for n < truncation into ``out``, of shape (len(xa),
+    truncation), by the ladder relation."""
     table = hermite_table(truncation + 1, xa)
     n = np.arange(truncation)
-    out = -np.sqrt((n + 1) / 2.0) * table[:, 1:]
+    np.multiply(-np.sqrt((n + 1) / 2.0), table[:, 1:], out=out)
     out[:, 1:] += np.sqrt(n[1:] / 2.0) * table[:, :-2]
-    return out
 
 
 def _frozen_complex_vector(values, what):

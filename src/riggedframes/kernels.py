@@ -16,6 +16,14 @@ Built-in kinds:
                     normalized to peak value 1 at the midpoint
   custom            an arbitrary kernel matrix loaded from CSV
 
+A built-in map whose rows mirror (see _mirror_signs: a mirrored grid with an
+even node count, and |w(x)| == |w(-x)| at every node) is sampled on the
+nodes x > 0 only: the Hermite recurrence, the row weight and the floor below
+run on half the nodes, and the rows at x < 0 are written as the exact sign
+mirror row(-x) = s (-1)^n row(x), with h_n(-x) = (-1)^n h_n(x).  The kernel
+records s per node pair (KernelMatrix.signs), and every operator pass over
+its rows then runs per parity class on the x > 0 half.
+
 Built-in rows carry no negligible entries: every entry below NEGLIGIBLE
 (2^-500) times the largest |entry| is set to exactly 0 where the rows are
 made.  The default grids reach far past the Hermite bulk, where the tails
@@ -35,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidConfigError
-from .hermite import hermite_derivative_table, hermite_table
+from .hermite import _derivative_table, _hermite_recurrence
 from .quadrature import QuadratureGrid
 from .weights import eval_weight, parse_weight
 
@@ -137,12 +145,20 @@ class KernelMatrix:
     apply it to N-vectors and N x N matrices, never to the kernel, so a
     fourier kernel is worked on in real arithmetic.  ``entries`` is Omega
     itself, formed when read (read-only, not cached) for a phased kernel.
+
+    ``signs`` is set by sample_kernel alone, for a map whose rows it sampled
+    mirrored: the sign s per node pair (x, -x), x > 0 in grid order, with
+    row(-x) = s (-1)^n row(x) exactly.  Operators then take every pass over
+    the rows per parity class on the x > 0 half.  Every other kernel, one
+    built from rows a caller hands over included, has none and is worked on
+    in one block.
     """
 
     rows: np.ndarray
     grid: QuadratureGrid
     map_spec: MapSpec = None
     phase: np.ndarray = field(default=None, kw_only=True)
+    signs: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = np.asarray(self.rows)
@@ -200,10 +216,12 @@ def sample_kernel(spec, grid, truncation):
         raise InvalidConfigError(f"truncation must be >= 1, got {truncation}")
     if spec.kind == "custom":
         return load_custom_kernel(spec.custom_kernel, grid, truncation)
-    rows = _real_rows(spec, grid.nodes, truncation, _row_weight(spec, grid.nodes))
+    rows, signs = _built_in_rows(spec, grid, truncation, mirror=True)
     rows.setflags(write=False)
     phase = (-1j) ** np.arange(truncation) if spec.kind == "fourier" else None
-    return KernelMatrix(rows, grid, spec, phase=phase)
+    kernel = KernelMatrix(rows, grid, spec, phase=phase)
+    object.__setattr__(kernel, "signs", signs)
+    return kernel
 
 
 def _row_weight(spec, nodes):
@@ -217,20 +235,74 @@ def _row_weight(spec, nodes):
     return None
 
 
-def _real_rows(spec, nodes, truncation, weight):
-    """Real kernel rows of a built-in kind: the Hermite (or derivative) table
-    times the row weight (_row_weight at these nodes), with negligible entries
-    floored to 0.  fourier shares the dirac rows: its unitary (-i)^n column
-    phase, kept apart by sample_kernel, commutes with every column scaling and
-    so leaves all spectral diagnostics unchanged."""
-    if spec.kind == "dirac_derivative":
-        table = -hermite_derivative_table(truncation, nodes)
-    else:
-        table = hermite_table(truncation, nodes)
+def _mirror_signs(spec, grid, truncation, weight):
+    """The one parity rule: the sign s per node pair (x, -x), x > 0 in grid
+    order, with row(-x) = s (-1)^n row(x) for a built-in map's rows, or None
+    when they do not mirror.  They mirror for N >= 2 on a mirrored grid
+    with an even node count (nodes and weights mirror-symmetric bit for bit,
+    as build_grid's are; an odd count puts a node at 0, which no default
+    grid has) when the row weight ``weight`` (_row_weight at the grid's
+    nodes) has |w(x)| == |w(-x)| at every node: always for dirac, fourier
+    and dirac_derivative, a weight or bump when even or odd in magnitude.
+    Then S is block diagonal in the even and odd indices.  s is -1 where
+    the weight's sign bit flips (the weight x), times -1 for
+    dirac_derivative, whose table has h_n'(-x) = (-1)^(n+1) h_n'(x); taking
+    s from sign bits makes zeros mirror bit for bit too."""
+    nodes, weights = grid.nodes, grid.weights
+    mirrored = (
+        truncation > 1
+        and nodes.size % 2 == 0
+        and np.array_equal(nodes, -nodes[::-1])
+        and np.array_equal(weights, weights[::-1])
+        and (weight is None or np.array_equal(np.abs(weight), np.abs(weight[::-1])))
+    )
+    if not mirrored:
+        return None
+    start = nodes.size // 2
+    signs = np.full(start, -1.0 if spec.kind == "dirac_derivative" else 1.0)
     if weight is not None:
-        table *= weight[:, None]
-    _floor_negligible(table)
-    return table
+        signs[np.signbit(weight[start:]) != np.signbit(weight[:start][::-1])] *= -1.0
+    return signs
+
+
+def _built_in_rows(spec, grid, truncation, mirror):
+    """(rows, signs): a built-in map's real rows on ``grid``, writable and
+    Fortran-ordered, and _mirror_signs for them.
+
+    Rows that do not mirror (signs None) are sampled at every node.  Rows
+    that do are sampled at the nodes x > 0 only, straight into their slice
+    of one buffer: with ``mirror`` the buffer spans every node and the rows
+    at x < 0 are written as the sign mirror of those at x, one parity class
+    at a time; without it the buffer holds the x > 0 rows alone (the stage
+    walk factors only those)."""
+    nodes = grid.nodes
+    weight = _row_weight(spec, nodes)
+    signs = _mirror_signs(spec, grid, truncation, weight)
+    start = 0 if signs is None else nodes.size // 2
+    rows = np.empty((truncation, nodes.size if mirror else nodes.size - start)).T
+    sampled = rows[start:] if mirror else rows
+    _fill_rows(spec, nodes[start:], None if weight is None else weight[start:], sampled)
+    if start and mirror:
+        column, negative = signs[:, None], rows[:start][::-1]
+        np.multiply(sampled[:, 0::2], column, out=negative[:, 0::2])
+        np.multiply(sampled[:, 1::2], -column, out=negative[:, 1::2])
+    return rows, signs
+
+
+def _fill_rows(spec, nodes, weight, out):
+    """Write a built-in kind's real rows at ``nodes`` into ``out``: the
+    Hermite (or derivative) table times the row weight, with negligible
+    entries floored to 0.  fourier shares the dirac rows: its unitary (-i)^n
+    column phase, kept apart by sample_kernel, commutes with every column
+    scaling and so leaves all spectral diagnostics unchanged."""
+    if spec.kind == "dirac_derivative":
+        _derivative_table(out.shape[1], nodes, out)
+        np.negative(out, out=out)
+    else:
+        _hermite_recurrence(out.shape[1], nodes, out.T)
+    if weight is not None:
+        out *= weight[:, None]
+    _floor_negligible(out)
 
 
 # Entries below this fraction of the largest |entry| are set to exactly 0.
@@ -241,12 +313,12 @@ _FLOOR_BLOCK = 2**15
 
 def _floor_negligible(table):
     """Set every entry of a real table below NEGLIGIBLE * max|table| to 0, in
-    place, a block of its contiguous lines at a time: the only temporaries
-    are two boolean masks of one block.  Entries keep their sign bit
-    (x * 0.0), so an exact -0.0 stays as it was and leaves LAPACK's
-    reflector signs alone."""
+    place, a block of its lines (rows or columns, whichever runs along the
+    smaller stride) at a time: the only temporaries are two boolean masks
+    of one block.  Entries keep their sign bit (x * 0.0), so an exact -0.0
+    stays as it was and leaves LAPACK's reflector signs alone."""
     floor = NEGLIGIBLE * max(table.max(), -table.min())
-    lines = table.T if table.flags.f_contiguous else table
+    lines = table.T if table.strides[0] < table.strides[1] else table
     step = max(1, _FLOOR_BLOCK // lines.shape[1])
     for start in range(0, lines.shape[0], step):
         block = lines[start : start + step]

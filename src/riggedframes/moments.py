@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duality import _require_frame, _walkable_ladder
+from .duality import _require_frame, _triangular_inverse, _walkable_ladder
 from .errors import InvalidConfigError
 from .hermite import TestFunction
 from .operators import (
@@ -236,7 +236,7 @@ def dual_bessel_check(kernel):
         # the QR of each block's R^-T is theta's factor of that block;
         # fourier's column phase commutes with every D_k, so fourier reads
         # the real R dirac does
-        inverses = tuple(np.linalg.inv(r).T for r, _ in factor.blocks)
+        inverses = tuple(_triangular_inverse(r).T for r, _ in factor.blocks)
         factors.append(StageFactorization(inverses, tuple(c for _, c in factor.blocks)))
     index, constant, _ = _bessel_search(factors, ClassifyThresholds())
     if index is None:

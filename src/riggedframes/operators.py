@@ -15,26 +15,32 @@ Chan, ACM TOMS 8, 1982).  Bounds and totality are R's singular values; the
 p_k Bessel constant is the top one of R D_k (R^-T D_k for the dual), formed
 after the walk up to the first bounded k (k = 0 is sigma_max: no damped SVD).
 Stage grids are mirror-symmetric bit for bit, and h_n(-x) = (-1)^n h_n(x).
-One parity rule, _mirrored, serves every consumer: on a mirrored grid with
-an even node count, when the map's row weight has magnitudes that agree bit
-for bit at mirrored nodes (dirac, fourier and dirac_derivative always, a
-weight or bump when |w(x)| == |w(-x)|), S is block diagonal in the even and
-odd indices, and each consumer works per block on the x > 0 half of the
-rows, weighted by sqrt(2 W).  The walk samples only those nodes and
-StageFactorization holds one R per parity block (see _stage_rows); every
-read is taken over the blocks.  frame_operator and the coarse rank rule take
-their rows from _gram_rows, which also checks the kernel's own rows to
-mirror bit for bit: frame_operator forms S as its two parity blocks, with
-exact zeros between them, FrameOperatorMatrix records the classes, and
-frame_bounds and the canonical dual work per block.
+One parity rule, kernels._mirror_signs, serves every consumer: on a mirrored
+grid with an even node count, when the map's row weight has magnitudes that
+agree bit for bit at mirrored nodes (dirac, fourier and dirac_derivative
+always, a weight or bump when |w(x)| == |w(-x)|), the row at -x is the row
+at x times s (-1)^n, S is block diagonal in the even and odd indices, and
+each consumer works per block on the x > 0 half of the rows, weighted by
+2 W (sqrt(2 W) on the rows).  The sampler applies it (kernels._built_in_rows):
+the walk samples only the nodes x > 0 and StageFactorization holds one R
+per parity block (see _stage_rows); sample_kernel samples them once, writes
+the rows at x < 0 as their sign mirror and records s on the kernel.  Every
+pass over a split kernel's rows then runs per class on the x > 0 rows
+(_gram_rows): frame_operator forms S as its two parity blocks, with exact
+zeros between them (FrameOperatorMatrix records the classes, and
+frame_bounds and the canonical dual work per block); analysis and synthesis
+take the even and odd parts of their pass (_row_pass, _fold), and only the
+public analysis and synthesis, which take or return grid functions, mirror
+at that boundary.  A kernel built from rows a caller hands over is one
+block, whatever spec it carries.
 The synthesis side (mu-independence, moment solves, the Gel'fand isometry
 defect) reads one coarse kernel per call, from _coarse_kernel: a built-in map
 sampled on the bulk grid coarse_synthesis_grid(N), or a given kernel, with
 node count <= N either way.  Its one rank rule, _CoarseSVD, takes values-only
 SVDs of the same blocks and merges them (classify reads only that, per
-stage), and its vectors step forms U per block, lifted to the full grid,
-which mu_independence_test and the moment probes of rf_diagnostic run only
-for rank-deficient rows.
+stage), and its vectors step forms U per block, lifted to the full grid with
+the kernel's signs, which mu_independence_test and the moment probes of
+rf_diagnostic run only for rank-deficient rows.
 Continuum statements (bounded versus growing bounds, totality) are read off
 trends along a refinement ladder; a single stage can never decide them.
 
@@ -62,7 +68,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidConfigError, NumericError
 from .hermite import DistributionSample, TestFunction
-from .kernels import _real_rows, _row_weight, sample_kernel
+from .kernels import _built_in_rows, sample_kernel
 from .quadrature import build_grid, bulk_half_width, stage_grid
 
 __all__ = [
@@ -128,17 +134,64 @@ def _scale_rows(scale, block):
 
 def _analyze(kernel, block):
     """Omega @ block = rows @ (P block) for a coefficient vector or a block of
-    columns: the phase P touches only the block."""
+    columns, on the full grid: the phase P touches only the block.  A split
+    kernel's pass runs per parity class on the x > 0 rows (_row_pass) and is
+    mirrored onto the nodes x < 0 here."""
     if kernel.phase is not None:
         block = _scale_rows(kernel.phase, block)
-    return _apply(kernel.rows, block)
+    parts = _row_pass(kernel, block)
+    return parts[0] if kernel.signs is None else _unfold(kernel.signs, *parts)
 
 
 def _synthesize(kernel, xi):
     """Omega^H (W xi) = P^H conj(rows^T conj(W xi)) for a grid function or a
-    block of them (one column each): no conjugate copy of the kernel."""
-    weighted = _scale_rows(kernel.grid.weights, xi)
-    return _unphase(kernel, _apply(kernel.rows.T, weighted.conj()).conj())
+    block of them (one column each): no conjugate copy of the kernel.  A
+    split kernel folds xi onto its x > 0 rows first: with xi' = s xi(-x),
+    the even class meets W (xi + xi') and the odd class W (xi - xi')."""
+    weights, signs = kernel.grid.weights, kernel.signs
+    if signs is None:
+        parts = [_scale_rows(weights, xi)]
+    else:
+        start = xi.shape[0] - signs.size
+        positive, mirrored = xi[start:], _scale_rows(signs, xi[:start][::-1])
+        parts = [_scale_rows(weights[start:], part) for part in (positive + mirrored, positive - mirrored)]
+    parts = [np.conjugate(part, out=part) for part in parts]
+    return _unphase(kernel, _fold(kernel, parts).conj())
+
+
+def _row_pass(kernel, block):
+    """rows[:, c] @ block[c] for each column class c of _gram_rows: for a
+    split kernel the even and the odd parts of the pass at the nodes x > 0
+    (half the rows, half the columns each), else the one product rows @
+    block.  Every analysis pass over a kernel's rows is this one."""
+    rows, _, columns, _ = _gram_rows(kernel)
+    return [_apply(rows[:, c], block[c]) for c in columns]
+
+
+def _unfold(signs, even, odd):
+    """The full-grid values of a pass from its even and odd parts at x > 0:
+    even + odd there, s (even - odd) at the mirrored node -x."""
+    start = even.shape[0]
+    out = np.empty((2 * start,) + even.shape[1:], np.result_type(even, odd))
+    np.add(even, odd, out=out[start:])
+    negative = np.subtract(even, odd, out=out[:start][::-1])
+    negative *= signs if negative.ndim == 1 else signs[:, None]
+    return out
+
+
+def _fold(kernel, parts):
+    """rows[:, c]^T @ parts[i] for each column class c of _gram_rows,
+    assembled on the coefficient side: the synthesis pass over a kernel's
+    rows, one product rows^T @ part for an unsplit kernel.  Each part is a
+    grid function (or block) on that class's rows, already weighted."""
+    rows, _, columns, _ = _gram_rows(kernel)
+    outs = [_apply(rows[:, c].T, part) for c, part in zip(columns, parts)]
+    if len(outs) == 1:
+        return outs[0]
+    out = np.empty((kernel.truncation,) + outs[0].shape[1:], np.result_type(*outs))
+    for c, part in zip(columns, outs):
+        out[c] = part
+    return out
 
 
 def weighted_analysis_matrix(kernel):
@@ -217,14 +270,13 @@ def frame_operator(kernel):
     (kept apart: S.matrix forms P^H S_rows P when read).  The block buffer
     has the rows' own memory order, so filling it is a contiguous copy.
 
-    On a mirrored grid with an even node count, when a built-in map's rows
-    mirror (see _mirrored; the kernel's own rows are checked bit for bit,
-    _rows_mirror), S_rows is block diagonal in the even and odd indices:
-    each block is formed from the x > 0 half of the rows weighted by
-    sqrt(2 W), and every entry coupling an even and an odd index is exactly
-    0.  That is half the rows and a quarter of the one-block flops.  Each
-    block's Gram is _hermitian_gram's, so S comes out exactly Hermitian,
-    complex rows (a custom kernel) included.  An S with an entry past
+    For a kernel sample_kernel split (its ``signs``), S_rows is block
+    diagonal in the even and odd indices: each block is formed from the
+    x > 0 half of the rows weighted by sqrt(2 W), and every entry coupling
+    an even and an odd index is exactly 0.  That is half the rows and a
+    quarter of the one-block flops.  Each block's Gram is _hermitian_gram's,
+    so S comes out exactly Hermitian, complex rows (a custom kernel)
+    included.  An S with an entry past
     float64 range is a NumericError naming N."""
     rows, scale, columns, _ = _gram_rows(kernel)
     m, n = rows.shape[0], kernel.truncation
@@ -247,41 +299,18 @@ def frame_operator(kernel):
 
 
 def _gram_rows(kernel):
-    """(rows, quadrature scale, column classes, signs) that frame_operator
-    sums over and the coarse rank rule factors: when the kernel's rows
-    mirror (_mirrored, _rows_mirror), the x > 0 half of them, 2 W on it,
-    _PARITY and the sign per node pair; otherwise all of them, W, one class
-    and None."""
-    rows, weights = kernel.rows, kernel.grid.weights
-    start = rows.shape[0] // 2
-    if kernel.truncation > 1 and not np.iscomplexobj(rows) and _mirrored(kernel.map_spec, kernel.grid)[1]:
-        signs = _rows_mirror(rows, start)
-        if signs is not None:
-            return rows[start:], 2.0 * weights[start:], _PARITY, signs
-    return rows, weights, (slice(None),), None
-
-
-def _rows_mirror(rows, start):
-    """The sign s = +1 or -1 per node pair with the row at -x equal to the
-    row at x times s (-1)^n bit for bit, or None when some row does not
-    mirror, for rows over a mirrored grid whose nodes x > 0 begin at
-    ``start``: a KernelMatrix may carry a map's spec with rows of its own.
-    A row that mirrors either way (a zero row) gets s = +1.  Checked a block
-    of rows at a time, as frame_operator sums them."""
-    positive, negative = rows[start:], rows[: rows.shape[0] - start][::-1]
-    signs = np.ones(positive.shape[0])
-    step = max(1, -(-positive.shape[0] // _ROW_BLOCKS))
-    for lo in range(0, positive.shape[0], step):
-        (even, odd), (mirror_even, mirror_odd) = (
-            [block[lo : lo + step, c] for c in _PARITY] for block in (positive, negative)
-        )
-        kept = (mirror_even == even).all(axis=1) & (mirror_odd == -odd).all(axis=1)
-        if not kept.all():
-            flipped = (mirror_even == -even).all(axis=1) & (mirror_odd == odd).all(axis=1)
-            if not (kept | flipped).all():
-                return None
-            signs[lo : lo + step][~kept] = -1.0
-    return signs
+    """(rows, quadrature scale, column classes, signs) that every pass over
+    a kernel's rows runs on: for a kernel sample_kernel split (its
+    ``signs``), the x > 0 half of its rows, 2 W on it, _PARITY and the
+    signs; for any other kernel all of its rows, W, one class and None.
+    With s^2 = 1 a sum over the grid of a product of two passes is 2 W
+    times the sum of the products of their even parts and of their odd
+    parts at x > 0."""
+    rows, weights, signs = kernel.rows, kernel.grid.weights, kernel.signs
+    if signs is None:
+        return rows, weights, (slice(None),), None
+    start = rows.shape[0] - signs.size
+    return rows[start:], 2.0 * weights[start:], _PARITY, signs
 
 
 def _block_diagonal(blocks, columns):
@@ -471,12 +500,12 @@ class _CoarseSVD:
     which changes neither the singular values nor the left singular vectors.
 
     The blocks are sqrt(scale) rows[:, c] per column class c of _gram_rows.
-    On a mirrored grid with an even node count, when the rows mirror, each
-    node pair (x, -x) gives one row of an even block and one of an odd
-    block: the even and the odd columns of the row at x > 0, weighted by
-    sqrt(2 W) (Golub & Van Loan, Matrix Computations, 8.6).  The two
-    (m/2) x (N/2) blocks' values, merged, are those of the m x N rows.
-    Every other kernel is one block, its weighted rows.
+    For a kernel sample_kernel split, each node pair (x, -x) gives one row
+    of an even block and one of an odd block: the even and the odd columns
+    of the row at x > 0, weighted by sqrt(2 W) (Golub & Van Loan, Matrix
+    Computations, 8.6).  The two (m/2) x (N/2) blocks' values, merged, are
+    those of the m x N rows.  Every other kernel is one block, its weighted
+    rows.
     """
 
     def __init__(self, kernel, threshold):
@@ -494,10 +523,11 @@ class _CoarseSVD:
     def left_vectors(self):
         """U, the thin left singular vectors of the weighted rows on the full
         grid, orthonormal, one column per entry of ``svals`` in its order.
-        A split lifts each block's U exactly: with s the sign per node pair
-        (_rows_mirror), the even block's u becomes [(s u) reversed ; u] /
-        sqrt(2) and the odd block's [(-s u) reversed ; u] / sqrt(2),
-        orthogonal to each other since s^2 = 1."""
+        A split lifts each block's U exactly: with s the kernel's sign per
+        node pair (KernelMatrix.signs), the even block's u becomes
+        [(s u) reversed ; u] / sqrt(2) and the odd block's
+        [(-s u) reversed ; u] / sqrt(2), orthogonal to each other since
+        s^2 = 1."""
         us = [np.linalg.svd(a, full_matrices=False)[0] for a in self.blocks]
         if self.signs is None:
             return us[0]
@@ -655,49 +685,24 @@ def _ladder_walk(map_spec, ladder):
         yield stage, StageFactorization(rows, columns)
 
 
-def _mirrored(map_spec, grid):
-    """(row weight, mirrored) of a map on a grid, the one parity rule.  The
-    weight is _row_weight at the grid's nodes (None for a custom or spec-less
-    kernel).  The rows of a built-in map mirror on a mirrored grid with an
-    even node count (nodes and weights mirror-symmetric bit for bit, as
-    build_grid's are; an odd count puts a node at 0, which no default grid
-    has) when |w(x)| == |w(-x)| at every node (always for dirac, fourier and
-    dirac_derivative, a weight or bump when even or odd in magnitude): then
-    the row at -x is the row at x times +-(-1)^n, and S is block diagonal in
-    the even and odd indices."""
-    if map_spec is None or map_spec.kind == "custom":
-        return None, False
-    nodes, weights = grid.nodes, grid.weights
-    weight = _row_weight(map_spec, nodes)
-    mirrored = (
-        nodes.size % 2 == 0
-        and np.array_equal(nodes, -nodes[::-1])
-        and np.array_equal(weights, weights[::-1])
-        and (weight is None or np.array_equal(np.abs(weight), np.abs(weight[::-1])))
-    )
-    return weight, mirrored
-
-
 def _stage_rows(map_spec, grid, truncation):
     """A built-in map's weighted real rows on ``grid`` as (weighted, columns)
     for StageFactorization: one matrix and None, or one matrix per parity
     block and _PARITY.
 
-    When the rows mirror (_mirrored), S = 2 A+^T A+ on each parity class,
-    A+ the weighted rows at x > 0.  Then only those nodes are sampled,
-    weighted by sqrt(2 W), and each parity class is factored on its own:
-    half the rows and a quarter of a single QR's flops.  Any other map, and
-    N = 1, is factored in one block.
+    The rows come from the sampler's own helper, kernels._built_in_rows, so
+    the parity rule is the one sample_kernel applies.  When the rows mirror,
+    S = 2 A+^T A+ on each parity class, A+ the weighted rows at x > 0: then
+    only those nodes are sampled, weighted by sqrt(2 W) in place, and each
+    parity class is factored on its own: half the rows and a quarter of a
+    single QR's flops.  Any other map, and N = 1, is factored in one block.
     """
-    nodes, weights = grid.nodes, grid.weights
-    weight, mirrored = _mirrored(map_spec, grid)
-    if truncation == 1 or not mirrored:
-        rows = _real_rows(map_spec, nodes, truncation, weight)
+    rows, signs = _built_in_rows(map_spec, grid, truncation, mirror=False)
+    weights = grid.weights
+    if signs is None:
         rows *= np.sqrt(weights)[:, None]
         return rows, None
-    start = nodes.size // 2
-    rows = _real_rows(map_spec, nodes[start:], truncation, None if weight is None else weight[start:])
-    rows *= np.sqrt(2.0 * weights[start:])[:, None]
+    rows *= np.sqrt(2.0 * weights[weights.size - signs.size :])[:, None]
     return tuple(rows[:, c] for c in _PARITY), _PARITY
 
 

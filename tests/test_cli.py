@@ -508,6 +508,27 @@ def test_mirrored_dual_requests_factor_half_size_blocks(monkeypatch, tmp_path, c
     run(command, load_config(write_config(tmp_path, data)))
     assert counts == {("eigvalsh", "N/2"): 4, ("cholesky", "N/2"): 2, ("inv", "N/2"): 2}
 
+@pytest.mark.parametrize("command", ["dual", "reconstruct"])
+def test_mirrored_dual_requests_sample_the_positive_nodes_once(monkeypatch, tmp_path, command):
+    """A dirac dual request at N=512 runs the Hermite recurrence once, on the
+    3840 nodes x > 0 of its 7680-node stage: the rows at x < 0 are their
+    mirror, and nothing else samples."""
+    from riggedframes import hermite, kernels
+
+    calls = []
+    recurrence = hermite._hermite_recurrence
+
+    def counting(truncation, xa, rows):
+        calls.append((truncation, xa.size))
+        return recurrence(truncation, xa, rows)
+
+    for module in (hermite, kernels):
+        monkeypatch.setattr(module, "_hermite_recurrence", counting)
+    data = dict(DIRAC_CONFIG, ladder={"stages": [512]})
+    run(command, load_config(write_config(tmp_path, data)))
+    assert calls == [(512, 3840)]
+
+
 def test_only_the_dual_report_measures_the_duality_defect(monkeypatch):
     """canonical_dual only builds the pair: run("dual") verifies it once, with
     20 trials at the config's seed, and neither canonical_dual nor

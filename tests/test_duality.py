@@ -76,6 +76,28 @@ class TestCanonicalDual:
             canonical_dual(make_kernel(bump_dirac_map(-1.0, 1.0), 32))
         assert err.value.lambda_min < 1e-12
 
+    @pytest.mark.parametrize("n", [64, 65, 256, 511])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_triangular_inverse_matches_lu(self, n, dtype):
+        """The blocked inverse of a Cholesky factor against np.linalg.inv, to
+        1e-13 relative, with exact zeros below the diagonal; at n <= 64 it
+        is np.linalg.inv's, bit for bit."""
+        from riggedframes.duality import _triangular_inverse
+
+        rng = np.random.default_rng(SEED + n)
+        g = rng.standard_normal((n, n))
+        if dtype is complex:
+            g = g + 1j * rng.standard_normal((n, n))
+        factor = np.linalg.cholesky(g.conj().T @ g / n + np.eye(n)).conj().T
+        inverse = _triangular_inverse(factor)
+        reference = np.linalg.inv(factor)
+        assert inverse.dtype == factor.dtype
+        assert not np.tril(inverse, -1).any()
+        assert np.abs(inverse - reference).max() <= 1e-13 * np.abs(reference).max()
+        assert np.abs(factor @ inverse - np.eye(n)).max() <= 1e-13
+        if n <= 64:
+            assert np.array_equal(inverse, reference)
+
     def test_dual_frame_operator_is_inverse(self):
         kernel = make_kernel(weighted_dirac_map("2+sin(x)"), 12)
         pair = canonical_dual(kernel)
@@ -126,27 +148,33 @@ class TestVerifyDuality:
     @pytest.mark.parametrize("spec", [weighted_dirac_map("2+sin(x)"), fourier_map()], ids=["2+sin(x)", "fourier"])
     def test_canonical_pair_takes_one_pass_over_the_rows(self, monkeypatch, spec):
         """theta shares omega's rows, so a canonical pair is measured with one
-        pass over them (on [X P f | P g]); an explicit pair takes one per
-        kernel, and both give the same defect."""
+        pass over them (on [X P f | P g]), one per parity block over the
+        x > 0 rows for fourier's split kernel; an explicit pair takes one per
+        kernel (theta = rows X is one block), and both give the same defect."""
         from riggedframes import duality, operators
 
         pair = canonical_dual(make_kernel(spec, 32))
         explicit = DualPair(pair.omega, pair.theta)
+        m, split = pair.omega.node_count, pair.omega.signs is not None
+        assert split == (spec.kind == "fourier")
         passes = []
         apply = operators._apply
 
         def recording(matrix, block):
-            if matrix.shape[0] == pair.omega.node_count:
-                passes.append(block.shape)
+            if matrix.shape[0] in (m, m // 2):
+                passes.append((matrix.shape[0],) + block.shape)
             return apply(matrix, block)
+
+        def omega_passes(columns):
+            return [(m // 2, 16, columns)] * 2 if split else [(m, 32, columns)]
 
         monkeypatch.setattr(operators, "_apply", recording)
         monkeypatch.setattr(duality, "_apply", recording)
         lazy = verify_duality(pair, 20, SEED)
-        assert passes == [(32, 40)]
+        assert passes == omega_passes(40)
         passes.clear()
         assert abs(verify_duality(explicit, 20, SEED) - lazy) <= 1e-12
-        assert passes == [(32, 20), (32, 20)]
+        assert passes == [(m, 32, 20)] + omega_passes(20)
 
 
 class TestDualBounds:
@@ -191,30 +219,39 @@ class TestReconstruct:
     @pytest.mark.parametrize("spec", [weighted_dirac_map("2+sin(x)"), fourier_map()], ids=["2+sin(x)", "fourier"])
     def test_canonical_pair_takes_one_pass_over_the_rows_per_direction(self, monkeypatch, spec):
         """Both orders of a canonical pair come from one product with
-        omega.rows (on [X P c | P c]) and one with omega.rows.T; an explicit
-        pair takes one per kernel and direction, and both agree."""
+        omega.rows (on [X P c | P c]) and one with omega.rows.T, one per
+        parity block over the x > 0 rows for fourier's split kernel; an
+        explicit pair takes one per kernel and direction (theta = rows X is
+        one block), and both agree."""
         from riggedframes import duality, operators
 
         pair = canonical_dual(make_kernel(spec, 32))
         explicit = DualPair(pair.omega, pair.theta)
+        m, split = pair.omega.node_count, pair.omega.signs is not None
+        assert split == (spec.kind == "fourier")
         passes = []
         apply = operators._apply
 
         def recording(matrix, block):
-            if pair.omega.node_count in matrix.shape:
-                side = "rows" if matrix.shape[0] == pair.omega.node_count else "rows.T"
-                passes.append((side, block.shape[1]))
+            for height in (m, m // 2):
+                if height in matrix.shape:
+                    side = "rows" if matrix.shape[0] == height else "rows.T"
+                    passes.append((side, height, block.shape[1]))
             return apply(matrix, block)
+
+        def omega_passes(side, columns):
+            return [(side, m // 2, columns)] * 2 if split else [(side, m, columns)]
 
         monkeypatch.setattr(operators, "_apply", recording)
         monkeypatch.setattr(duality, "_apply", recording)
         rng = np.random.default_rng(SEED)
         functions = [random_test_function(32, rng) for _ in range(20)]
         lazy = reconstruct(pair, functions)
-        assert passes == [("rows", 40), ("rows.T", 40)]
+        assert passes == omega_passes("rows", 40) + omega_passes("rows.T", 40)
         passes.clear()
         eager = reconstruct(explicit, functions)
-        assert sorted(passes) == [("rows", 20), ("rows", 20), ("rows.T", 20), ("rows.T", 20)]
+        theta_passes = [("rows", m, 20), ("rows.T", m, 20)]
+        assert sorted(passes) == sorted(theta_passes + omega_passes("rows", 20) + omega_passes("rows.T", 20))
         for lazy_order, eager_order in zip(lazy, eager):
             for (_, lazy_err), (_, eager_err) in zip(lazy_order, eager_order):
                 assert abs(lazy_err - eager_err) <= 1e-12

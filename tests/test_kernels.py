@@ -417,3 +417,101 @@ class TestNegligibleFloor:
             tracemalloc.stop()
         assert peak < table.nbytes / 8
         assert _negligible_count(table) == 0
+
+
+# the maps whose rows mirror on a mirrored grid, with the sign s of each
+# node pair for a weight that flips it (x) and zero rows (bump)
+MIRRORED_FAMILIES = {
+    "dirac": dirac_map(),
+    "fourier": fourier_map(),
+    "dirac_derivative": dirac_derivative_map(),
+    "x": weighted_dirac_map("x"),
+    "1+x^2": weighted_dirac_map("1+x^2"),
+    "exp(-x^2)": weighted_dirac_map("exp(-x^2)"),
+    "bump[-1,1]": bump_dirac_map(-1.0, 1.0),
+}
+
+
+def _full_grid_rows(spec, nodes, truncation):
+    """The rows sampled at every node: the Hermite (or derivative) table times
+    the row weight, with every entry below NEGLIGIBLE * max|entry| set to 0
+    keeping its sign bit."""
+    from riggedframes.hermite import hermite_derivative_table, hermite_table
+    from riggedframes.kernels import NEGLIGIBLE
+    from riggedframes.weights import eval_weight
+
+    if spec.kind == "dirac_derivative":
+        reference = -hermite_derivative_table(truncation, nodes)
+    else:
+        reference = hermite_table(truncation, nodes)
+    if spec.kind == "weighted_dirac":
+        reference *= eval_weight(spec.weight, nodes)[:, None]
+    elif spec.kind == "bump_dirac":
+        reference *= bump_profile(*spec.bump_support, nodes)[:, None]
+    negligible = np.abs(reference) < NEGLIGIBLE * np.abs(reference).max()
+    return np.where(negligible, 0.0 * reference, reference)
+
+
+class TestMirroredSampling:
+    """sample_kernel samples a mirrored map at the nodes x > 0 and writes the
+    rows at x < 0 as their sign mirror: the rows are those sampled at every
+    node, and the kernel records the sign of each node pair."""
+
+    @pytest.mark.parametrize("truncation", [8, 64, 1024])
+    @pytest.mark.parametrize("family", list(MIRRORED_FAMILIES))
+    def test_rows_are_the_full_grid_rows_to_the_bit(self, family, truncation):
+        from riggedframes.operators import coarse_synthesis_grid
+
+        spec = MIRRORED_FAMILIES[family]
+        for grid in (stage_grid(default_stage(truncation)), coarse_synthesis_grid(truncation)):
+            kernel = sample_kernel(spec, grid, truncation)
+            half = grid.node_count // 2
+            assert kernel.signs is not None and kernel.signs.shape == (half,)
+            reference = _full_grid_rows(spec, grid.nodes, truncation)
+            if family == "dirac_derivative" and truncation == 1024:
+                # the derivative table's sums give zeros whose sign does not
+                # mirror: equal values, and equal bits wherever nonzero
+                assert np.array_equal(kernel.rows, reference)
+                nonzero = reference != 0
+                assert np.array_equal(kernel.rows[nonzero].view(np.int64), reference[nonzero].view(np.int64))
+            else:
+                assert np.array_equal(kernel.rows.view(np.int64), reference.view(np.int64))
+            # row(-x) = s (-1)^n row(x), with the recorded s
+            parity = (-1.0) ** np.arange(truncation)
+            mirrored = kernel.signs[:, None] * parity * kernel.rows[half:]
+            assert np.array_equal(kernel.rows[:half][::-1], mirrored)
+
+    @pytest.mark.parametrize(
+        "spec", [weighted_dirac_map("2+sin(x)"), bump_dirac_map(-1.0, 2.0)], ids=["2+sin(x)", "bump[-1,2]"]
+    )
+    def test_maps_without_even_magnitude_do_not_split(self, spec):
+        for truncation in (8, 64):
+            grid = stage_grid(default_stage(truncation))
+            kernel = sample_kernel(spec, grid, truncation)
+            assert kernel.signs is None
+            assert np.array_equal(kernel.rows.view(np.int64),
+                                  _full_grid_rows(spec, grid.nodes, truncation).view(np.int64))
+
+    def test_caller_built_rows_do_not_split(self):
+        """Only sample_kernel records signs: a kernel built from the same rows
+        and spec, the N = 1 kernel and an odd node count have none."""
+        kernel = sample_kernel(dirac_map(), stage_grid(default_stage(16)), 16)
+        assert kernel.signs is not None
+        assert KernelMatrix(kernel.rows, kernel.grid, kernel.map_spec).signs is None
+        assert sample_kernel(dirac_map(), kernel.grid, 1).signs is None
+        assert sample_kernel(dirac_map(), build_grid(12.0, 25, 9), 16).signs is None
+
+    @pytest.mark.parametrize("family", ["dirac", "x"])
+    def test_samples_into_the_kernel_buffer(self, family):
+        """The half is sampled straight into the kernel's buffer and mirrored
+        in place: no temporary of half the kernel's size."""
+        import tracemalloc
+
+        grid = stage_grid(default_stage(256))
+        tracemalloc.start()
+        try:
+            kernel = sample_kernel(MIRRORED_FAMILIES[family], grid, 256)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * kernel.rows.nbytes

@@ -235,15 +235,16 @@ class TestFrameOperator:
         """A mirrored map's S is formed per parity block from the x > 0 half
         of its rows: every entry coupling an even and an odd index is exactly
         0, and S is the Gram of all the weighted rows to rounding.  The odd
-        grid puts a node at 0 and takes one block.  Rows negated at some
-        nodes still mirror, each pair with its own sign."""
+        grid puts a node at 0 and takes one block.  Rows a caller hands
+        over (here negated at some nodes, so they still mirror) take one
+        block whatever spec they carry: only sample_kernel splits."""
         spec = BUILTIN_FAMILIES.get(family) or EXACT_OPERATORS[family][0]
         for grid in (stage_grid(default_stage(64)), build_grid(12.0, 45, 9)):
             kernel = sample_kernel(spec, grid, 64)
             negated = kernel.rows * np.where(grid.nodes < -3.0, -1.0, 1.0)[:, None]
             for omega in (kernel, KernelMatrix(negated, grid, spec)):
                 op = frame_operator(omega)
-                if grid.node_count % 2:
+                if grid.node_count % 2 or omega is not kernel:
                     assert op.columns == (slice(None),) and operators._gram_rows(omega)[3] is None
                 else:
                     assert op.columns == operators._PARITY

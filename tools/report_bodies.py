@@ -3,9 +3,10 @@
     PYTHONPATH=src python tools/report_bodies.py OUT [N_MAX ...]
 
 Runs classify, bounds, dual, reconstruct, moment-solve and sweep on the eight
-built-in families at each N_MAX (default 64) on the default ladder, and on a
-real and a complex custom CSV kernel at N = 32 (2+sin(x) and fourier sampled
-on the default stage grid).  Each body is the report as the CLI emits it,
+built-in families at each N_MAX (default 64) on the default ladder, and on
+three custom CSV kernels at N = 32 (2+sin(x), fourier and dirac_derivative
+sampled on the default stage grid: real, complex, and real with mirrored
+rows).  Each body is the report as the CLI emits it,
 with ``timing`` and the temporary CSV path dropped; the bounds report is
 also recorded in CSV, as ``.../bounds/csv``; a refused command is recorded as
 ``"ErrorType: message"``.  The stdout of each script under ``demos/`` is
@@ -38,7 +39,13 @@ import tempfile
 from pathlib import Path
 
 from riggedframes.errors import InvalidConfigError, NotAFrameError, NumericError
-from riggedframes.kernels import fourier_map, sample_kernel, save_kernel_csv, weighted_dirac_map
+from riggedframes.kernels import (
+    dirac_derivative_map,
+    fourier_map,
+    sample_kernel,
+    save_kernel_csv,
+    weighted_dirac_map,
+)
 from riggedframes.quadrature import default_stage, stage_grid
 from riggedframes.reporting import COMMANDS, config_from_dict, emit, run
 
@@ -57,7 +64,13 @@ BUILTIN_MAPS = {
     "exp(-x^2)": {"kind": "weighted_dirac", "weight": "exp(-x^2)"},
 }
 CUSTOM_N = 32
-CUSTOM_KERNELS = {"custom-real": weighted_dirac_map("2+sin(x)"), "custom-complex": fourier_map()}
+CUSTOM_KERNELS = {
+    "custom-real": weighted_dirac_map("2+sin(x)"),
+    "custom-complex": fourier_map(),
+    # a mirrored map with node pair sign s = -1: its CSV is written from a
+    # parity-split sampled kernel
+    "custom-derivative": dirac_derivative_map(),
+}
 # odd panels of odd order put a node at 0: the grid takes the one-block path
 NODE_AT_ZERO_STAGE = {"N": 64, "panels": 111, "order": 11}
 NODE_AT_ZERO_MAPS = ("dirac", "1+x^2", "bump[-1,1]")
