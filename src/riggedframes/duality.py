@@ -9,9 +9,9 @@ orders
 
 recover f up to conditioning.  S is factored once, S = R^H R with R the
 upper Cholesky factor, and inverted through it: X = R^{-1} R^{-H}, with
-R^{-1} from a blocked triangular inverse (_triangular_inverse, shared with
-moments.dual_bessel_check; Higham, Accuracy and Stability of Numerical
-Algorithms, ch. 10 and 14).  Omega's
+R^{-1} from a blocked triangular inverse (_cholesky_inverses and
+_triangular_inverse, shared with moments.dual_bessel_check; Higham,
+Accuracy and Stability of Numerical Algorithms, ch. 10 and 14).  Omega's
 bounds (A, B) come from frame_bounds, values only, as for every other
 bounds reader, and a relative cutoff on them turns a near-singular frame
 operator into NotAFrameError instead of amplified noise.  canonical_dual
@@ -27,17 +27,13 @@ eigenvalues measure X against S, so dual_bounds checks them against
 1/lambda, which would be a tautology.
 
 When S is block diagonal in the even and odd indices (a mirrored map; see
-operators.frame_operator and FrameOperatorMatrix.columns), each step runs
-per N/2 x N/2 block: omega's bounds, the Cholesky factor, the inverse and
-G = R X, and so theta's bounds.  The blocks are placed in the N x N X and
-S_theta the pair keeps, exactly 0 between them: a quarter of the
-one-block flops.  For a kernel sample_kernel split (KernelMatrix.signs) the
-passes over omega's rows run per parity class on the x > 0 rows too
-(operators._gram_rows): with a(x) = u + v and a(-x) = s (u - v) for the
-even and odd parts u, v of an analysis pass, the pairing sum of
-verify_duality is 2 sum_{x>0} w (u_f conj(u_g) + v_f conj(v_g)), and the
-round trip of reconstruct synthesizes each class from 2 W u and 2 W v.
-Neither forms a grid function on the full grid.
+FrameOperatorMatrix.columns), each step runs per N/2 x N/2 block, placed
+in the N x N X and S_theta with exact zeros between them.  For a kernel
+sample_kernel split the passes over omega's rows run per parity class on
+the x > 0 rows too (operators._gram_rows): with a(x) = u + v and a(-x) =
+s (u - v) for the even and odd parts u, v of an analysis pass,
+verify_duality sums 2 w (u_f conj(u_g) + v_f conj(v_g)) over x > 0, and
+reconstruct synthesizes each class from 2 W u and 2 W v.
 
 Everything runs on the kernel's rows in their own dtype.  A kernel with a
 column phase P (fourier; see KernelMatrix) has S = P^H S_rows P, so
@@ -77,7 +73,6 @@ from .kernels import KernelMatrix, sample_kernel
 from .operators import (
     RANK_CUTOFF,
     FrameOperatorMatrix,
-    StageFactorization,
     _analyze,
     _apply,
     _block_diagonal,
@@ -87,6 +82,7 @@ from .operators import (
     _full_rank,
     _gram_rows,
     _hermitian_gram,
+    _resolved_bounds,
     _row_pass,
     _scale_rows,
     _synthesize,
@@ -163,27 +159,39 @@ def canonical_dual(kernel):
     relative cutoff, carrying the offending smallest eigenvalue, and
     NumericError when S is past float64 range or has no Cholesky factor.
     """
-    op = frame_operator(kernel)
+    return _canonical_dual(kernel, frame_operator(kernel))
+
+
+def _canonical_dual(kernel, op):
+    """canonical_dual of ``kernel`` from a frame operator ``op`` the caller
+    has (sweep: classify's final stage, so that S is formed once)."""
     lam_min, lam_max = frame_bounds(op)
     _require_frame(lam_min, lam_max)
     # one factor, inverse and theta Gram per diagonal block of S (its
     # columns), placed in N x N arrays that are exactly 0 between blocks
-    inverses, theta_grams = [], []
-    for c in op.columns:
-        try:
-            factor = np.linalg.cholesky(op.gram[c, c]).conj().T
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"frame operator has no Cholesky factor: {exc}") from exc
-        factor_inverse = _triangular_inverse(factor)
-        inverses.append(factor_inverse @ factor_inverse.conj().T)
-        theta_grams.append(_hermitian_gram(factor @ inverses[-1]))
-    inverse, theta_gram = _block_diagonal(inverses, op.columns), _block_diagonal(theta_grams, op.columns)
+    blocks = _cholesky_inverses(op)
+    inverse = _block_diagonal([x for _, x in blocks], op.columns)
+    theta_gram = _block_diagonal([_hermitian_gram(r @ x) for r, x in blocks], op.columns)
     inverse.setflags(write=False)
     theta_gram.setflags(write=False)
     theta_operator = FrameOperatorMatrix(theta_gram, phase=kernel.phase)
     return DualPair(
         kernel, None, omega_bounds=(lam_min, lam_max), theta_operator=theta_operator, inverse=inverse
     )
+
+
+def _cholesky_inverses(op):
+    """(R, X = R^-1 R^-H) per diagonal block of S (its ``columns``), R the
+    block's upper Cholesky factor (NumericError when it has none)."""
+    blocks = []
+    for c in op.columns:
+        try:
+            factor = np.linalg.cholesky(op.gram[c, c]).conj().T
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"frame operator has no Cholesky factor: {exc}") from exc
+        factor_inverse = _triangular_inverse(factor)
+        blocks.append((factor, factor_inverse @ factor_inverse.conj().T))
+    return blocks
 
 
 def _triangular_inverse(r):
@@ -409,7 +417,8 @@ def riesz_check(kernel):
     The singular-value interval of the weighted kernel certifies the
     synthesis map as bounded with bounded inverse at the truncated level.
     It is read off classify's final stage when the kernel has that stage's
-    truncation and grid; any other kernel is factored once more.
+    truncation and grid; any other kernel's is read off its own frame
+    operator, sqrt(lambda) of its spectrum (operators._resolved_bounds).
     """
     ladder = _walkable_ladder(kernel, "riesz_check")
     report = classify(kernel.map_spec, ladder)
@@ -420,11 +429,10 @@ def riesz_check(kernel):
         and np.array_equal(grid.nodes, final_grid.nodes)
         and np.array_equal(grid.weights, final_grid.weights)
     ):
-        factor = report.stages[-1]
+        sigma_min, sigma_max = report.stages[-1].sigma_min, report.stages[-1].sigma_max
     else:
-        # real rows: fourier's column phase changes no singular value
-        factor = StageFactorization(_weighted_rows(kernel))
-    return RieszResult(report.has("riesz_basis"), factor.sigma_min, factor.sigma_max, report)
+        sigma_min, sigma_max = np.sqrt(_resolved_bounds(frame_operator(kernel)))
+    return RieszResult(report.has("riesz_basis"), sigma_min, sigma_max, report)
 
 
 def _walkable_ladder(kernel, check):

@@ -211,17 +211,33 @@ class KernelMatrix:
 
 
 def sample_kernel(spec, grid, truncation):
-    """Sample a built-in map on a grid at the given truncation."""
+    """Sample a built-in map on a grid at the given truncation.  Rows that
+    mirror (_mirror_signs) are sampled at the nodes x > 0 only, into one
+    Fortran-ordered buffer that takes the rows at x < 0 as their sign mirror."""
     if truncation < 1:
         raise InvalidConfigError(f"truncation must be >= 1, got {truncation}")
     if spec.kind == "custom":
         return load_custom_kernel(spec.custom_kernel, grid, truncation)
-    rows, signs = _built_in_rows(spec, grid, truncation, mirror=True)
+    nodes = grid.nodes
+    weight = _row_weight(spec, nodes)
+    signs = _mirror_signs(spec, grid, truncation, weight)
+    start = 0 if signs is None else nodes.size // 2
+    rows = np.empty((truncation, nodes.size)).T
+    sampled = rows[start:]
+    _fill_rows(spec, nodes[start:], None if weight is None else weight[start:], sampled)
+    if start:
+        column, negative = signs[:, None], rows[:start][::-1]
+        np.multiply(sampled[:, 0::2], column, out=negative[:, 0::2])
+        np.multiply(sampled[:, 1::2], -column, out=negative[:, 1::2])
     rows.setflags(write=False)
-    phase = (-1j) ** np.arange(truncation) if spec.kind == "fourier" else None
-    kernel = KernelMatrix(rows, grid, spec, phase=phase)
+    kernel = KernelMatrix(rows, grid, spec, phase=_column_phase(spec, truncation))
     object.__setattr__(kernel, "signs", signs)
     return kernel
+
+
+def _column_phase(spec, truncation):
+    """A built-in kind's column phase: (-i)^n for fourier, else None."""
+    return (-1j) ** np.arange(truncation) if spec.kind == "fourier" else None
 
 
 def _row_weight(spec, nodes):
@@ -265,36 +281,13 @@ def _mirror_signs(spec, grid, truncation, weight):
     return signs
 
 
-def _built_in_rows(spec, grid, truncation, mirror):
-    """(rows, signs): a built-in map's real rows on ``grid``, writable and
-    Fortran-ordered, and _mirror_signs for them.
-
-    Rows that do not mirror (signs None) are sampled at every node.  Rows
-    that do are sampled at the nodes x > 0 only, straight into their slice
-    of one buffer: with ``mirror`` the buffer spans every node and the rows
-    at x < 0 are written as the sign mirror of those at x, one parity class
-    at a time; without it the buffer holds the x > 0 rows alone (the stage
-    walk factors only those)."""
-    nodes = grid.nodes
-    weight = _row_weight(spec, nodes)
-    signs = _mirror_signs(spec, grid, truncation, weight)
-    start = 0 if signs is None else nodes.size // 2
-    rows = np.empty((truncation, nodes.size if mirror else nodes.size - start)).T
-    sampled = rows[start:] if mirror else rows
-    _fill_rows(spec, nodes[start:], None if weight is None else weight[start:], sampled)
-    if start and mirror:
-        column, negative = signs[:, None], rows[:start][::-1]
-        np.multiply(sampled[:, 0::2], column, out=negative[:, 0::2])
-        np.multiply(sampled[:, 1::2], -column, out=negative[:, 1::2])
-    return rows, signs
-
-
-def _fill_rows(spec, nodes, weight, out):
+def _fill_rows(spec, nodes, weight, out, peak=0.0):
     """Write a built-in kind's real rows at ``nodes`` into ``out``: the
-    Hermite (or derivative) table times the row weight, with negligible
-    entries floored to 0.  fourier shares the dirac rows: its unitary (-i)^n
-    column phase, kept apart by sample_kernel, commutes with every column
-    scaling and so leaves all spectral diagnostics unchanged."""
+    Hermite (or derivative) table times the row weight, floored against
+    ``peak`` (see _floor_negligible, whose peak is returned).  fourier
+    shares the dirac rows: its unitary (-i)^n column phase, kept apart by
+    sample_kernel, commutes with every column scaling and so leaves all
+    spectral diagnostics unchanged."""
     if spec.kind == "dirac_derivative":
         _derivative_table(out.shape[1], nodes, out)
         np.negative(out, out=out)
@@ -302,7 +295,7 @@ def _fill_rows(spec, nodes, weight, out):
         _hermite_recurrence(out.shape[1], nodes, out.T)
     if weight is not None:
         out *= weight[:, None]
-    _floor_negligible(out)
+    return _floor_negligible(out, peak)
 
 
 # Entries below this fraction of the largest |entry| are set to exactly 0.
@@ -311,13 +304,14 @@ NEGLIGIBLE = 2.0**-500
 _FLOOR_BLOCK = 2**15
 
 
-def _floor_negligible(table):
-    """Set every entry of a real table below NEGLIGIBLE * max|table| to 0, in
-    place, a block of its lines (rows or columns, whichever runs along the
-    smaller stride) at a time: the only temporaries are two boolean masks
-    of one block.  Entries keep their sign bit (x * 0.0), so an exact -0.0
-    stays as it was and leaves LAPACK's reflector signs alone."""
-    floor = NEGLIGIBLE * max(table.max(), -table.min())
+def _floor_negligible(table, peak=0.0):
+    """Set every entry of a real table below NEGLIGIBLE * max(peak, max|table|)
+    (returned) to 0 in place, a block of its lines (rows or columns, whichever
+    runs along the smaller stride) at a time: the only temporaries are two
+    boolean masks of one block.  Entries keep their sign bit (x * 0.0), so an
+    exact -0.0 stays as it was and leaves LAPACK's reflector signs alone."""
+    peak = max(peak, table.max(), -table.min())
+    floor = NEGLIGIBLE * peak
     lines = table.T if table.strides[0] < table.strides[1] else table
     step = max(1, _FLOOR_BLOCK // lines.shape[1])
     for start in range(0, lines.shape[0], step):
@@ -326,6 +320,7 @@ def _floor_negligible(table):
         small &= block > -floor
         if small.any():
             np.multiply(block, 0.0, out=block, where=small)
+    return peak
 
 
 def save_kernel_csv(kernel, path):

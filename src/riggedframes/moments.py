@@ -30,21 +30,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duality import _require_frame, _triangular_inverse, _walkable_ladder
+from .duality import _cholesky_inverses, _require_frame, _walkable_ladder
 from .errors import InvalidConfigError
 from .hermite import TestFunction
 from .operators import (
     ClassifyThresholds,
-    StageFactorization,
+    FrameOperatorMatrix,
     _apply,
+    _bessel_constant,
     _bessel_search,
+    _block_diagonal,
     _CoarseSVD,
     _coarse_kernel,
-    _ladder_walk,
+    _stage_operator,
     _unphase,
     _weighted_rows,
+    frame_bounds,
 )
-from .quadrature import l2x_norm
+from .quadrature import l2x_norm, stage_grid
 
 __all__ = [
     "MomentSolution",
@@ -215,12 +218,12 @@ def dual_bessel_check(kernel):
 
     Precondition (config error if unmet): the kernel's map solves every
     coarse-grid panel probe, rf score 1.  It walks the kernel's ladder
-    (duality._walkable_ladder) as classify does and reads each stage's
-    canonical dual off omega's R, block by block (S = R^T R, so
-    sqrt(W) Theta = Q R^-T; NotAFrameError for a singular S),
+    (duality._walkable_ladder) as classify does, one Gram S per stage, and
+    reads theta's frame operator S^-1 off S's blocks' Cholesky factors
+    (duality._cholesky_inverses; NotAFrameError for a singular S),
     certifying the smallest seminorm index up to the classifier's default
-    ``bessel_k_max`` whose constant, the top singular value of R^-T D_k over
-    the blocks, is bounded by its trend rule.
+    ``bessel_k_max`` whose constant, sqrt(lambda_max(D_k S^-1 D_k)) over the
+    blocks, is bounded by its trend rule.
     """
     ladder = _walkable_ladder(kernel, "dual_bessel_check")
     coarse = _coarse_kernel(kernel.map_spec, kernel.truncation, kernel)
@@ -230,15 +233,15 @@ def dual_bessel_check(kernel):
             f"moment-solvability precondition unmet: rf score {score:.3f}, "
             f"worst residual {worst:.3e}"
         )
-    factors = []
-    for _, factor in _ladder_walk(kernel.map_spec, ladder):
-        _require_frame(factor.sigma_min**2, factor.sigma_max**2)
-        # the QR of each block's R^-T is theta's factor of that block;
-        # fourier's column phase commutes with every D_k, so fourier reads
-        # the real R dirac does
-        inverses = tuple(_triangular_inverse(r).T for r, _ in factor.blocks)
-        factors.append(StageFactorization(inverses, tuple(c for _, c in factor.blocks)))
-    index, constant, _ = _bessel_search(factors, ClassifyThresholds())
+    inverses = []
+    for stage in ladder.stages:
+        op = _stage_operator(kernel.map_spec, stage_grid(stage), stage.truncation)
+        _require_frame(*frame_bounds(op))
+        # fourier reads dirac's real inverse: its column phase commutes with D_k
+        blocks = [x for _, x in _cholesky_inverses(op)]
+        inverses.append(FrameOperatorMatrix(_block_diagonal(blocks, op.columns)))
+    tops = [_bessel_constant(inverse, 0) for inverse in inverses]
+    index, constant, _ = _bessel_search(inverses, tops, ClassifyThresholds())
     if index is None:
         return DualBesselResult(False, -1, math.inf)
     return DualBesselResult(True, index, float(constant))

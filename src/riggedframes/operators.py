@@ -9,29 +9,22 @@ weights) and Omega the kernel matrix:
 
 Frame bounds at truncation N are the extreme eigenvalues of S, equivalently
 the squared extreme singular values of the weighted kernel sqrt(W) Omega.
-One ladder walk, shared by classify and dual_bessel_check, samples and
-factors each stage once (a thin QR of the ~15N x N weighted real rows to R;
-Chan, ACM TOMS 8, 1982).  Bounds and totality are R's singular values; the
-p_k Bessel constant is the top one of R D_k (R^-T D_k for the dual), formed
-after the walk up to the first bounded k (k = 0 is sigma_max: no damped SVD).
-Stage grids are mirror-symmetric bit for bit, and h_n(-x) = (-1)^n h_n(x).
-One parity rule, kernels._mirror_signs, serves every consumer: on a mirrored
-grid with an even node count, when the map's row weight has magnitudes that
-agree bit for bit at mirrored nodes (dirac, fourier and dirac_derivative
-always, a weight or bump when |w(x)| == |w(-x)|), the row at -x is the row
-at x times s (-1)^n, S is block diagonal in the even and odd indices, and
-each consumer works per block on the x > 0 half of the rows, weighted by
-2 W (sqrt(2 W) on the rows).  The sampler applies it (kernels._built_in_rows):
-the walk samples only the nodes x > 0 and StageFactorization holds one R
-per parity block (see _stage_rows); sample_kernel samples them once, writes
-the rows at x < 0 as their sign mirror and records s on the kernel.  Every
-pass over a split kernel's rows then runs per class on the x > 0 rows
-(_gram_rows): frame_operator forms S as its two parity blocks, with exact
-zeros between them (FrameOperatorMatrix records the classes, and
-frame_bounds and the canonical dual work per block); analysis and synthesis
-take the even and odd parts of their pass (_row_pass, _fold), and only the
-public analysis and synthesis, which take or return grid functions, mirror
-at that boundary.  A kernel built from rows a caller hands over is one
+classify and moments.dual_bessel_check read every stage diagnostic off one
+Gram S per stage, streamed from the rows by _stage_operator: A and B per
+diagonal block by eigvalsh, sigma = sqrt(lambda), and the p_k Bessel
+constant sqrt(lambda_max(D_k S D_k)), formed after the walk up to the first
+bounded k.  A Gram squares the condition number, so A is resolved only down
+to GRAM_RESOLUTION * B (Higham, Accuracy and Stability of Numerical
+Algorithms, ch. 20).
+When one parity rule, kernels._mirror_signs, splits a map's rows (row(-x)
+= s (-1)^n row(x) on a mirrored grid), S is block diagonal in the even and
+odd indices and every consumer works per block on the x > 0 half of the
+rows, weighted by 2 W: _stage_operator samples only those nodes, and every
+pass over a split sampled kernel's rows runs per class (_gram_rows).
+frame_operator forms S as its two parity blocks with exact zeros between
+them (FrameOperatorMatrix records the classes); analysis and synthesis take
+the even and odd parts of their pass (_row_pass, _fold), mirrored only at
+the public boundary.  A kernel built from rows a caller hands over is one
 block, whatever spec it carries.
 The synthesis side (mu-independence, moment solves, the Gel'fand isometry
 defect) reads one coarse kernel per call, from _coarse_kernel: a built-in map
@@ -46,34 +39,28 @@ trends along a refinement ladder; a single stage can never decide them.
 
 Every operator works on the kernel's rows in their own dtype.  Every
 built-in kind has real rows; fourier's (-i)^n column phase P is kept apart
-(see KernelMatrix), so Omega = rows P and S = P^H S_rows P.  Analysis and
-synthesis apply P to the N-vector or N x k block on the coefficient side and
-meet real rows through the complex block's float view, S_rows is the real
-Gram A^T A of A = sqrt(W) rows (or its parity blocks) formed over row
-blocks (copied in the rows' own memory order), and nothing kernel-sized is
-promoted or copied to complex.  A diagonal unitary changes no eigenvalue,
-so frame_bounds reads a phased S off S_rows, values only; totality_test and
-the moment solvers factor A itself and apply P to their N-side results
-(_unphase).  Only a complex custom kernel has complex rows; its S_rows is
-read off the real Gram of their stacked real and imaginary parts.
+(see KernelMatrix), so Omega = rows P and S = P^H S_rows P.  P touches only
+N-vectors, N x k blocks and N x N matrices (_unphase), and nothing
+kernel-sized is promoted or copied to complex; a diagonal unitary changes
+no eigenvalue, so frame_bounds reads a phased S off S_rows.  Only a complex
+custom kernel has complex rows; its S_rows is read off the real Gram of
+their stacked real and imaginary parts.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidConfigError, NumericError
 from .hermite import DistributionSample, TestFunction
-from .kernels import _built_in_rows, sample_kernel
+from .kernels import _column_phase, _fill_rows, _mirror_signs, _row_weight, sample_kernel
 from .quadrature import build_grid, bulk_half_width, stage_grid
 
 __all__ = [
     "FrameOperatorMatrix",
-    "StageFactorization",
     "TotalityResult",
     "MuIndependenceResult",
     "ClassifyThresholds",
@@ -81,6 +68,7 @@ __all__ = [
     "FrameReport",
     "LABEL_ORDER",
     "RANK_CUTOFF",
+    "GRAM_RESOLUTION",
     "analysis",
     "synthesis",
     "weighted_analysis_matrix",
@@ -262,40 +250,87 @@ class FrameOperatorMatrix:
 # frame_operator forms S from this many row blocks of the weighted kernel, so
 # its working memory is a fraction of the kernel's.
 _ROW_BLOCKS = 8
+# _stage_operator samples a stage's rows at most this many nodes at a time.
+_NODE_BLOCK = 4096
 
 
 def frame_operator(kernel):
     """S = P^H S_rows P, with S_rows the Gram A^H A of the weighted rows
-    A = sqrt(W) rows summed over row blocks and P the kernel's column phase
-    (kept apart: S.matrix forms P^H S_rows P when read).  The block buffer
-    has the rows' own memory order, so filling it is a contiguous copy.
-
-    For a kernel sample_kernel split (its ``signs``), S_rows is block
-    diagonal in the even and odd indices: each block is formed from the
-    x > 0 half of the rows weighted by sqrt(2 W), and every entry coupling
-    an even and an odd index is exactly 0.  That is half the rows and a
-    quarter of the one-block flops.  Each block's Gram is _hermitian_gram's,
-    so S comes out exactly Hermitian, complex rows (a custom kernel)
-    included.  An S with an entry past
-    float64 range is a NumericError naming N."""
+    A = sqrt(W) rows and P the kernel's column phase (kept apart: S.matrix
+    forms P^H S_rows P when read).  A is written ceil(m/8) rows at a time
+    into one buffer of the rows' own memory order and _class_grams sums the
+    blocks' Grams: per parity class from the x > 0 rows with 2 W for a
+    split kernel, and for complex rows the real Gram of [Re A, Im A], read
+    as S_rows once.  An S past float64 range is a NumericError naming N."""
     rows, scale, columns, _ = _gram_rows(kernel)
-    m, n = rows.shape[0], kernel.truncation
-    grams = [np.zeros((rows[:, c].shape[1],) * 2, rows.dtype) for c in columns]
+    (m, n), stacked = rows.shape, np.iscomplexobj(rows)
     step = max(1, -(-m // _ROW_BLOCKS))
     sqrt_w = np.sqrt(scale)[:, None]
-    block = np.empty((min(step, m), n), rows.dtype, "F" if kernel.rows.flags.f_contiguous else "C")
+    order = "F" if kernel.rows.flags.f_contiguous else "C"
+    buffer = np.empty((min(step, m), 2 * n if stacked else n), order=order)
+
+    def blocks():
+        for i in range(0, m, step):
+            block, part = buffer[: min(step, m - i)], rows[i : i + step]
+            for j, values in enumerate((part.real, part.imag) if stacked else (part,)):
+                np.multiply(sqrt_w[i : i + step], values, out=block[:, j * n : (j + 1) * n])
+            yield block
+
+    grams = _class_grams(blocks(), columns, buffer.shape[1])
+    grams = [_from_stacked(grams[0])] if stacked else grams
+    return _operator_matrix(grams, columns, kernel.phase, f"N={n}")
+
+
+def _stage_operator(map_spec, grid, truncation):
+    """frame_operator of sample_kernel's kernel on a stage grid, to rounding,
+    without holding the rows: they are sampled (the nodes x > 0 only, with
+    2 W, when kernels._mirror_signs splits them) _NODE_BLOCK nodes at a time
+    into one Fortran-ordered buffer, weighted in place and summed by
+    _class_grams, the negligible floor carrying its peak from block to
+    block.  An S past float64 range is a NumericError naming the stage."""
+    n, nodes, weights = truncation, grid.nodes, grid.weights
+    weight = _row_weight(map_spec, nodes)
+    signs = _mirror_signs(map_spec, grid, n, weight)
+    start = 0 if signs is None else nodes.size // 2
+    sqrt_w = np.sqrt(weights if signs is None else 2.0 * weights[start:])
+    nodes, weight = nodes[start:], None if weight is None else weight[start:]
+    step = min(nodes.size, _NODE_BLOCK)
+    buffer = np.empty((n, step)).T
+
+    def blocks():
+        peak = 0.0
+        for lo in range(0, nodes.size, step):
+            block, part = buffer[: min(step, nodes.size - lo)], slice(lo, lo + step)
+            peak = _fill_rows(map_spec, nodes[part], None if weight is None else weight[part], block, peak)
+            block *= sqrt_w[part, None]
+            yield block
+
+    columns = (slice(None),) if signs is None else _PARITY
+    grams = _class_grams(blocks(), columns, n)
+    return _operator_matrix(grams, columns, _column_phase(map_spec, n), f"stage N={n}")
+
+
+def _class_grams(blocks, columns, width):
+    """The Gram a^T a of each column class c, a = block[:, c], summed over
+    ``blocks`` (real, ``width`` wide) through one product per class: a class
+    of a Fortran-ordered block is a strided view BLAS takes without a copy,
+    and a^T a is a symmetric rank-k update, so each sum is exactly symmetric."""
+    grams = [np.zeros((len(range(width)[c]),) * 2) for c in columns]
+    products = [np.empty_like(gram) for gram in grams]
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, m, step):
-            stop = min(start + step, m)
-            for c, gram in zip(columns, grams):
-                a = block[: stop - start, : gram.shape[0]]
-                np.multiply(sqrt_w[start:stop], rows[start:stop, c], out=a)
-                gram += _hermitian_gram(a)
+        for block in blocks:
+            for c, gram, product in zip(columns, grams, products):
+                gram += np.matmul(block[:, c].T, block[:, c], out=product)
+    return grams
+
+
+def _operator_matrix(grams, columns, phase, where):
+    """FrameOperatorMatrix of ``grams`` on the diagonal blocks ``columns``."""
     gram = _block_diagonal(grams, columns)
     if not np.isfinite(gram).all():
-        raise NumericError(f"N={n}: the frame operator is past float64 range")
+        raise NumericError(f"{where}: the frame operator is past float64 range")
     gram.setflags(write=False)
-    return FrameOperatorMatrix(gram, phase=kernel.phase)
+    return FrameOperatorMatrix(gram, phase=phase)
 
 
 def _gram_rows(kernel):
@@ -326,15 +361,17 @@ def _block_diagonal(blocks, columns):
 
 
 def _hermitian_gram(matrix):
-    """G^H G of a matrix, exactly Hermitian: the real Gram of G itself, or for
-    a complex G read off the real Gram of the stacked [Re G, Im G], whose
-    diagonal blocks sum to the real part and whose off-diagonal ones give the
-    imaginary part."""
+    """G^H G of a matrix, exactly Hermitian: the real Gram of G itself, or
+    for a complex G read off the real Gram of the stacked [Re G, Im G]."""
     if not np.iscomplexobj(matrix):
         return matrix.T @ matrix
-    n = matrix.shape[1]
     stacked = np.concatenate([matrix.real, matrix.imag], axis=1)
-    gram = stacked.T @ stacked
+    return _from_stacked(stacked.T @ stacked)
+
+
+def _from_stacked(gram):
+    """G^H G from the real Gram of [Re G, Im G], exactly Hermitian."""
+    n = gram.shape[0] // 2
     return gram[:n, :n] + gram[n:, n:] + 1j * (gram[:n, n:] - gram[n:, :n])
 
 
@@ -366,48 +403,18 @@ def frame_bounds(op):
     return float(min(v[0] for v in values)), float(max(v[-1] for v in values))
 
 
-class StageFactorization:
-    """Triangular factors R of a weighted kernel sqrt(W) Omega, one thin QR per
-    diagonal block of its frame operator.
-
-    ``blocks`` holds (R, columns) pairs, ``columns`` the slice of coefficient
-    indices the block's R stands for.  One block holds every column; a
-    parity split (see _stage_rows) holds the even and the odd ones.  R D
-    has the singular values of sqrt(W) Omega D for every column scaling D
-    that keeps the blocks, diagonal D among them; the Gram route would square
-    the condition number at the rank cutoff.
-
-    ``weighted`` is one matrix, or with ``columns`` one matrix per block,
-    ``weighted[i]`` holding the kernel's columns ``columns[i]``.
-    """
-
-    def __init__(self, weighted, columns=None):
-        if columns is None:
-            weighted, columns = (weighted,), (slice(None),)
-        self.blocks = tuple((np.linalg.qr(a, mode="r"), c) for a, c in zip(weighted, columns))
-        self.sigma_min, self.sigma_max = math.inf, 0.0
-        for a, (r, _) in zip(weighted, self.blocks):
-            svals = np.linalg.svd(r, compute_uv=False)
-            self.sigma_max = max(self.sigma_max, float(svals[0]))
-            # fewer rows than columns leave a null space whatever R's spectrum
-            self.sigma_min = min(self.sigma_min, float(svals[-1]) if a.shape[0] >= a.shape[1] else 0.0)
-
-    def bessel_constant(self, k):
-        """Top singular value of the kernel damped by (1+n)^(-k/2): the
-        largest over the blocks."""
-        if k == 0:
-            return self.sigma_max
-        truncation = sum(r.shape[1] for r, _ in self.blocks)
-        damping = (1.0 + np.arange(truncation)) ** (-k / 2.0)
-        return max(
-            float(np.linalg.svd(r * damping[columns][None, :], compute_uv=False)[0])
-            for r, columns in self.blocks
-        )
-
-
 # The relative singular-value cutoff of every rank decision, and the default
 # of ClassifyThresholds.rank, which classify applies to all of its own.
 RANK_CUTOFF = 1e-6
+# A within this fraction of B reads as 0: a rank-deficient stage's Gram puts
+# it anywhere in +-2.6 eps B (measured, N <= 2048), 70x under RANK_CUTOFF**2.
+GRAM_RESOLUTION = 64 * np.finfo(float).eps
+
+
+def _resolved_bounds(op):
+    """frame_bounds of ``op``, A read as 0 within GRAM_RESOLUTION * B."""
+    lower, upper = frame_bounds(op)
+    return (lower if lower > GRAM_RESOLUTION * upper else 0.0), upper
 
 
 def _full_rank(sigma_min, sigma_max, threshold):
@@ -427,22 +434,21 @@ class TotalityResult:
 
 def totality_test(kernel):
     """Total iff analysis is injective at the truncation: smallest singular
-    value of the weighted kernel above RANK_CUTOFF * largest.
-
-    When not total, the witness is the near-annihilated coefficient
-    direction.
+    value of the weighted kernel, sqrt(lambda) off the frame operator
+    (_resolved_bounds; 0 with fewer rows than columns), above RANK_CUTOFF *
+    largest.  When not total, the witness is the near-annihilated
+    coefficient direction, from an SVD of the weighted rows.
     """
-    factor = StageFactorization(_weighted_rows(kernel))
-    sigma_min, sigma_max = factor.sigma_min, factor.sigma_max
+    lower, upper = _resolved_bounds(frame_operator(kernel))
+    short = kernel.node_count < kernel.truncation
+    sigma_min, sigma_max = 0.0 if short else math.sqrt(lower), math.sqrt(upper)
     if sigma_max == 0.0:
         return TotalityResult(False, 0.0, 0.0, TestFunction.basis(0, kernel.truncation))
     if _full_rank(sigma_min, sigma_max, RANK_CUTOFF):
         return TotalityResult(True, sigma_min, sigma_max)
-    # right singular vectors of R are those of sqrt(W) rows; the full set
-    # also spans the null space when there are fewer rows than columns.  The
-    # rows annihilate v, so Omega = rows P annihilates conj(P) v.
-    ((r, _),) = factor.blocks
-    _, _, vh = np.linalg.svd(r)
+    # the full V spans the null space of fewer rows than columns; the rows
+    # annihilate v, so Omega = rows P annihilates conj(P) v
+    _, _, vh = np.linalg.svd(_weighted_rows(kernel), full_matrices=short)
     return TotalityResult(False, sigma_min, sigma_max, TestFunction(_unphase(kernel, vh[-1].conj())))
 
 
@@ -616,6 +622,8 @@ class FrameReport:
 
     ``bessel_constants`` holds the per-stage series of each seminorm index
     examined: k = 0..bessel_index, or 0..bessel_k_max when none is bounded.
+    A stage's A (``lower``) and sigma_min read exactly 0 below the Gram's
+    resolution, GRAM_RESOLUTION (64 eps) times its B.
     """
 
     stages: tuple
@@ -664,50 +672,26 @@ def _consecutive_ratios(values):
     )
 
 
-def _bessel_search(factors, thresholds):
-    """First k <= bessel_k_max whose Bessel series over the stage factors is
+def _bessel_constant(op, k):
+    """Top singular value of the weighted kernel damped by D_k =
+    diag((1+n)^(-k/2)): sqrt(lambda_max(D_k S D_k)) over the diagonal blocks
+    of the frame operator ``op`` (a column phase commutes with D_k)."""
+    damping = (1.0 + np.arange(op.truncation)) ** (-k / 2.0)
+    top = max(np.linalg.eigvalsh(damping[c, None] * op.gram[c, c] * damping[c])[-1] for c in op.columns)
+    return math.sqrt(max(float(top), 0.0))
+
+
+def _bessel_search(grams, tops, thresholds):
+    """First k <= bessel_k_max whose Bessel series over the stages' frame
+    operators ``grams`` (sigma_max per stage, ``tops``, for k = 0) is
     bounded: (k, its last constant, {k: series examined}), or (None, None,
     every series); the series for k is formed only when no smaller k was."""
     series = {}
     for k in range(thresholds.bessel_k_max + 1):
-        series[k] = tuple(factor.bessel_constant(k) for factor in factors)
+        series[k] = tuple(tops) if k == 0 else tuple(_bessel_constant(op, k) for op in grams)
         if _series_trend(series[k], thresholds, 0.0) == "bounded":
             return k, series[k][-1], series
     return None, None, series
-
-
-def _ladder_walk(map_spec, ladder):
-    """Yield (stage, StageFactorization of its weighted real rows) per stage.  A
-    generator frees a stage's rows as a plain loop does, after the next stage's
-    are sampled: freeing them earlier, on a helper's return, raised peak RSS."""
-    for stage in ladder.stages:
-        rows, columns = _stage_rows(map_spec, stage_grid(stage), stage.truncation)
-        yield stage, StageFactorization(rows, columns)
-
-
-def _stage_rows(map_spec, grid, truncation):
-    """A built-in map's weighted real rows on ``grid`` as (weighted, columns)
-    for StageFactorization: one matrix and None, or one matrix per parity
-    block and _PARITY.
-
-    The rows come from the sampler's own helper, kernels._built_in_rows, so
-    the parity rule is the one sample_kernel applies.  When the rows mirror,
-    S = 2 A+^T A+ on each parity class, A+ the weighted rows at x > 0: then
-    only those nodes are sampled, weighted by sqrt(2 W) in place, and each
-    parity class is factored on its own: half the rows and a quarter of a
-    single QR's flops.  Any other map, and N = 1, is factored in one block.
-    """
-    rows, signs = _built_in_rows(map_spec, grid, truncation, mirror=False)
-    weights = grid.weights
-    if signs is None:
-        rows *= np.sqrt(weights)[:, None]
-        return rows, None
-    rows *= np.sqrt(2.0 * weights[weights.size - signs.size :])[:, None]
-    return tuple(rows[:, c] for c in _PARITY), _PARITY
-
-
-# The largest sigma_max whose square, the upper frame bound, is a finite float.
-_SIGMA_CEILING = math.sqrt(sys.float_info.max)
 
 
 def classify(map_spec, ladder, thresholds=ClassifyThresholds()):
@@ -716,33 +700,36 @@ def classify(map_spec, ladder, thresholds=ClassifyThresholds()):
     Labels follow the sharpest-class convention: the semi-frame labels are
     reported only when the map is not a frame outright.
     """
+    return _classify(map_spec, ladder, thresholds)[0]
+
+
+def _classify(map_spec, ladder, thresholds):
+    """classify's report and its final stage's S, which sweep's dual inverts."""
     if map_spec.kind == "custom":
         raise InvalidConfigError(
             "classification needs per-stage resampling; custom kernels support "
             "the stage-level diagnostics directly"
         )
-    stages, factors = [], []
-    for stage, factor in _ladder_walk(map_spec, ladder):
-        if factor.sigma_max > _SIGMA_CEILING:
-            raise NumericError(
-                f"stage N={stage.truncation}: the upper frame bound sigma_max^2 = "
-                f"({factor.sigma_max:.3e})^2 is past float64 range"
-            )
+    stages, grams = [], []
+    for stage in ladder.stages:
+        op = _stage_operator(map_spec, stage_grid(stage), stage.truncation)
+        lower, upper = _resolved_bounds(op)
+        sigma_min, sigma_max = math.sqrt(lower), math.sqrt(upper)
         coarse = _coarse_kernel(map_spec, stage.truncation)
         stages.append(
             StageDiagnostics(
                 truncation=stage.truncation,
                 half_width=stage.half_width,
                 node_count=stage.node_count,
-                lower=factor.sigma_min**2,
-                upper=factor.sigma_max**2,
-                sigma_min=factor.sigma_min,
-                sigma_max=factor.sigma_max,
-                total=_full_rank(factor.sigma_min, factor.sigma_max, thresholds.rank),
+                lower=lower,
+                upper=upper,
+                sigma_min=sigma_min,
+                sigma_max=sigma_max,
+                total=_full_rank(sigma_min, sigma_max, thresholds.rank),
                 mu_independent=_CoarseSVD(coarse, thresholds.rank).full_rank,
             )
         )
-        factors.append(factor)
+        grams.append(op)
 
     lowers = [s.lower for s in stages]
     uppers = [s.upper for s in stages]
@@ -750,7 +737,8 @@ def classify(map_spec, ladder, thresholds=ClassifyThresholds()):
     lower_trend = _series_trend(lowers, thresholds, vanish_floor)
     upper_trend = _series_trend(uppers, thresholds, vanish_floor)
 
-    bessel_index, bessel_constant, bessel_series = _bessel_search(factors, thresholds)
+    tops = [s.sigma_max for s in stages]
+    bessel_index, bessel_constant, bessel_series = _bessel_search(grams, tops, thresholds)
 
     final = stages[-1]
     bounded_upper = upper_trend == "bounded"
@@ -780,7 +768,7 @@ def classify(map_spec, ladder, thresholds=ClassifyThresholds()):
         if final.mu_independent:
             labels.append("riesz_basis")
 
-    return FrameReport(
+    report = FrameReport(
         stages=tuple(stages),
         lower_trend=lower_trend,
         upper_trend=upper_trend,
@@ -791,3 +779,4 @@ def classify(map_spec, ladder, thresholds=ClassifyThresholds()):
         bessel_constant=bessel_constant,
         bessel_constants=bessel_series,
     )
+    return report, grams[-1]

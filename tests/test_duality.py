@@ -32,9 +32,11 @@ from riggedframes import (
     save_kernel_csv,
     stage_grid,
     verify_duality,
+    weighted_analysis_matrix,
     weighted_dirac_map,
 )
-from riggedframes.operators import RANK_CUTOFF, StageFactorization, _weighted_rows
+from riggedframes import duality, operators
+from riggedframes.operators import RANK_CUTOFF
 
 SEED = 20240409
 
@@ -328,17 +330,34 @@ class TestGelfand:
         assert computes_uv and not any(computes_uv)
 
 
-def _record_qr_shapes(monkeypatch):
-    """The shapes np.linalg.qr is called on from now on, in call order."""
-    shapes = []
-    qr = np.linalg.qr
+def _count_operators(monkeypatch):
+    """{"stage": [...], "kernel": [...]}: the FrameOperatorMatrix of every
+    stage Gram and every kernel frame_operator formed from now on, and a
+    refusal of np.linalg.qr."""
+    built = {"stage": [], "kernel": []}
 
-    def recording_qr(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return qr(a, *args, **kwargs)
+    def recording(name, fn):
+        def call(*args, **kwargs):
+            built[name].append(fn(*args, **kwargs))
+            return built[name][-1]
 
-    monkeypatch.setattr(np.linalg, "qr", recording_qr)
-    return shapes
+        return call
+
+    def refused(*args, **kwargs):
+        raise AssertionError("np.linalg.qr was called")
+
+    monkeypatch.setattr(operators, "_stage_operator", recording("stage", operators._stage_operator))
+    kernel_operator = recording("kernel", operators.frame_operator)
+    monkeypatch.setattr(operators, "frame_operator", kernel_operator)
+    monkeypatch.setattr(duality, "frame_operator", kernel_operator)
+    monkeypatch.setattr(np.linalg, "qr", refused)
+    return built
+
+
+def _sigma_interval(kernel):
+    """(sigma_min, sigma_max) of the complex weighted kernel, by direct SVD."""
+    svals = np.linalg.svd(weighted_analysis_matrix(kernel), compute_uv=False)
+    return svals[-1], svals[0]
 
 
 class TestRiesz:
@@ -360,32 +379,38 @@ class TestRiesz:
         "spec, blocks", [(weighted_dirac_map("2+sin(x)"), 1), (dirac_map(), 2), (dirac_derivative_map(), 2)]
     )
     def test_reads_the_interval_off_the_final_stage(self, monkeypatch, spec, blocks):
-        """A kernel on the final stage's grid is factored only by classify's
-        walk, one QR per block and stage, and its interval is the one-block
-        factor's to 1e-12 sigma_max."""
+        """A kernel on the final stage's grid is read only off classify's
+        walk, one stage Gram per stage with ``blocks`` diagonal blocks and no
+        frame operator of its own, and its interval is the direct SVD's to
+        1e-12 sigma_max."""
         kernel = make_kernel(spec, 32)
-        reference = StageFactorization(_weighted_rows(kernel))
-        qr_calls = _record_qr_shapes(monkeypatch)
+        reference_min, reference_max = _sigma_interval(kernel)
+        built = _count_operators(monkeypatch)
         result = riesz_check(kernel)
-        assert len(qr_calls) == blocks * len(default_ladder(32).stages)
-        tolerance = 1e-12 * reference.sigma_max
-        assert abs(result.sigma_min - reference.sigma_min) <= tolerance
-        assert abs(result.sigma_max - reference.sigma_max) <= tolerance
+        assert [len(op.columns) for op in built["stage"]] == [blocks] * len(default_ladder(32).stages)
+        assert built["kernel"] == []
+        tolerance = 1e-12 * reference_max
+        assert abs(result.sigma_min - reference_min) <= tolerance
+        assert abs(result.sigma_max - reference_max) <= tolerance
 
     def test_kernel_off_the_final_stage_is_factored_once_more(self, monkeypatch):
+        """Any other kernel's interval is sqrt of its own frame operator's
+        resolved bounds, formed once after the walk."""
         spec = weighted_dirac_map("1+x^2")
         kernel = sample_kernel(spec, build_grid(16.0, 80, 8), 32)
-        reference = StageFactorization(_weighted_rows(kernel))
-        qr_calls = _record_qr_shapes(monkeypatch)
+        reference = [np.sqrt(v) for v in operators._resolved_bounds(frame_operator(kernel))]
+        built = _count_operators(monkeypatch)
         result = riesz_check(kernel)
-        assert len(qr_calls) == 2 * len(default_ladder(32).stages) + 1
-        assert qr_calls[-1] == kernel.rows.shape
-        assert (result.sigma_min, result.sigma_max) == (reference.sigma_min, reference.sigma_max)
+        assert len(built["stage"]) == len(default_ladder(32).stages) and len(built["kernel"]) == 1
+        assert [result.sigma_min, result.sigma_max] == reference
+        reference_min, reference_max = _sigma_interval(kernel)
+        assert abs(result.sigma_min - reference_min) <= 1e-12 * reference_max
+        assert abs(result.sigma_max - reference_max) <= 1e-12 * reference_max
 
     @pytest.mark.parametrize("truncation", [32, 64])
     def test_fourier_sigma_equals_dirac_to_the_bit(self, truncation):
-        """fourier factors the real rows dirac does: its unit-modulus column
-        phase moves no singular value and is not factored."""
+        """fourier's stage Grams are those of the real rows dirac has: its
+        unit-modulus column phase moves no eigenvalue and is not formed."""
         fourier = riesz_check(make_kernel(fourier_map(), truncation))
         dirac = riesz_check(make_kernel(dirac_map(), truncation))
         assert (fourier.sigma_min, fourier.sigma_max) == (dirac.sigma_min, dirac.sigma_max)

@@ -32,7 +32,7 @@ from riggedframes import (
     weighted_analysis_matrix,
     weighted_dirac_map,
 )
-from riggedframes.operators import ClassifyThresholds, StageFactorization, _series_trend
+from riggedframes.operators import ClassifyThresholds, _series_trend
 
 SEED = 20240409
 
@@ -253,9 +253,11 @@ class TestDualBessel:
             series = {k: [] for k in range(thresholds.bessel_k_max + 1)}
             for stage in ladder.stages:
                 pair = canonical_dual(sample_kernel(spec, stage_grid(stage), stage.truncation))
-                factor = StageFactorization(weighted_analysis_matrix(pair.theta))
+                weighted = weighted_analysis_matrix(pair.theta)
+                damping = 1.0 + np.arange(stage.truncation)
                 for k in series:
-                    series[k].append(factor.bessel_constant(k))
+                    damped = weighted * (damping ** (-k / 2.0))[None, :]
+                    series[k].append(np.linalg.svd(damped, compute_uv=False)[0])
             lower, upper = pair.omega_bounds
             bounded = [k for k, v in series.items() if _series_trend(v, thresholds, 0.0) == "bounded"]
             result = dual_bessel_check(make_kernel(spec, n_max))
@@ -267,16 +269,12 @@ class TestDualBessel:
                 assert abs(result.constant - expected) <= tol * expected
 
     def test_reads_the_dual_off_the_walk_factor(self, monkeypatch):
-        """No eigh and no Cholesky, and one QR with more rows than columns per
-        stage: the dual is read off R, not built as a canonical dual.  (The
-        grids' Gauss-Legendre nodes come from eigvalsh, which is allowed.)"""
-        kernel = make_kernel(weighted_dirac_map("2+sin(x)"), 64)
-        shapes = []
-        qr = np.linalg.qr
-
-        def recording_qr(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return qr(a, *args, **kwargs)
+        """The dual is read off each stage's S, not built as a canonical dual:
+        no QR, no eigh and no frame_operator of a sampled kernel, and one
+        Cholesky factor per diagonal block of each stage's S, split as the
+        stage is (2+sin(x) in one block, dirac in its two parity blocks).
+        (The grids' Gauss-Legendre nodes come from numpy's own eigvalsh.)"""
+        from riggedframes import duality, operators
 
         def refused(name):
             def call(*args, **kwargs):
@@ -284,11 +282,23 @@ class TestDualBessel:
 
             return call
 
-        monkeypatch.setattr(np.linalg, "qr", recording_qr)
-        for name in ("eigh", "cholesky"):
-            monkeypatch.setattr(np.linalg, name, refused(name))
-        assert dual_bessel_check(kernel).bessel
-        assert len([s for s in shapes if s[0] > s[1]]) == len(default_ladder(64).stages)
+        for family, blocks in ((weighted_dirac_map("2+sin(x)"), 1), (dirac_map(), 2)):
+            shapes = []
+            cholesky = np.linalg.cholesky
+
+            def recording_cholesky(a, *args, **kwargs):
+                shapes.append(np.shape(a))
+                return cholesky(a, *args, **kwargs)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "cholesky", recording_cholesky)
+                for name in ("eigh", "qr"):
+                    patch.setattr(np.linalg, name, refused(name))
+                patch.setattr(operators, "frame_operator", refused("frame_operator"))
+                patch.setattr(duality, "frame_operator", refused("frame_operator"))
+                assert dual_bessel_check(make_kernel(family, 64)).bessel
+            stages = default_ladder(64).stages
+            assert shapes == [(s.truncation // blocks,) * 2 for s in stages for _ in range(blocks)]
 
     def test_fourier_equals_dirac_to_the_bit(self):
         """fourier's dual rows are dirac's; its column phase leaves every
@@ -501,7 +511,7 @@ class TestFourierRealRows:
 
             return call
 
-        for name in ("svd", "qr"):
+        for name in ("svd", "qr", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
         h = analysis(fourier, random_test_function(self.N, np.random.default_rng(SEED)))
         totality_test(fourier)

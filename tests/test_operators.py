@@ -122,6 +122,24 @@ class TestFrameOperator:
         with pytest.raises(NumericError, match=r"^N=128: the frame operator is past float64 range$"):
             frame_operator(kernel)
 
+    def test_complex_custom_kernel_matches_the_weighted_gram(self, tmp_path):
+        """A complex custom kernel (the 2+sin(x) rows times exp(i x), through
+        the CSV interchange) has S = the Gram of weighted_analysis_matrix to
+        1e-13 max|S|, exactly Hermitian, summed over several row blocks."""
+        from riggedframes import load_custom_kernel, save_kernel_csv
+
+        kernel = make_kernel(weighted_dirac_map("2+sin(x)"), 32)
+        modulated = KernelMatrix(kernel.rows * np.exp(1j * kernel.grid.nodes)[:, None], kernel.grid)
+        path = tmp_path / "complex.csv"
+        save_kernel_csv(modulated, path)
+        custom = load_custom_kernel(path, kernel.grid, 32)
+        assert custom.rows.dtype == complex and custom.node_count > operators._ROW_BLOCKS
+        gram = frame_operator(custom).gram
+        weighted = weighted_analysis_matrix(custom)
+        reference = weighted.conj().T @ weighted
+        assert np.array_equal(gram, gram.conj().T)
+        assert np.abs(gram - reference).max() <= 1e-13 * np.abs(gram).max()
+
     def test_hermitian_and_psd(self):
         for spec in (weighted_dirac_map("2+sin(x)"), dirac_derivative_map()):
             op = frame_operator(make_kernel(spec, 16))
@@ -386,7 +404,7 @@ class TestBesselConstant:
             (bump_dirac_map(-1.0, 1.0), 0),
         ]:
             kernel = make_kernel(spec, 16)
-            constant = operators.StageFactorization(operators._weighted_rows(kernel)).bessel_constant(k)
+            constant = operators._bessel_constant(frame_operator(kernel), k)
             for _ in range(100):
                 f = random_test_function(16, rng)
                 lhs = l2x_norm(analysis(kernel, f), kernel.grid)
@@ -398,11 +416,11 @@ class TestBesselConstant:
         weighted = weighted_analysis_matrix(kernel)
         sigma_max = np.linalg.svd(weighted, compute_uv=False)[0]
         damping_base = 1.0 + np.arange(64)
-        factor = operators.StageFactorization(operators._weighted_rows(kernel))
+        op = frame_operator(kernel)
         for k in range(ClassifyThresholds().bessel_k_max + 1):
             damped = weighted * (damping_base ** (-k / 2.0))[None, :]
             direct = np.linalg.svd(damped, compute_uv=False)[0]
-            assert abs(factor.bessel_constant(k) - direct) <= 1e-12 * sigma_max
+            assert abs(operators._bessel_constant(op, k) - direct) <= 1e-12 * sigma_max
 
 
 class TestClassify:
@@ -492,6 +510,27 @@ class TestClassify:
         with pytest.raises(NumericError, match=r"stage N=128: .* past float64 range"):
             classify(weighted_dirac_map("exp(x^2)"), default_ladder(128))
 
+    @pytest.mark.parametrize(
+        "spec", [weighted_dirac_map("exp(-x^2)"), bump_dirac_map(-1.0, 2.0)], ids=["exp(-x^2)", "bump[-1,2]"]
+    )
+    def test_unresolved_lower_bounds_read_exactly_zero(self, spec):
+        """At n_max 512 these stages lose rank: their A is Gram rounding
+        noise of either sign, reported as exactly 0, never negative and
+        never inside (0, GRAM_RESOLUTION * B)."""
+        report = classify(spec, default_ladder(512))
+        for stage in report.stages:
+            assert stage.lower == 0.0 or stage.lower > operators.GRAM_RESOLUTION * stage.upper
+            assert stage.sigma_min == np.sqrt(stage.lower)
+        assert report.stages[-1].lower == 0.0 and not report.has("total")
+
+    def test_small_resolved_lower_bound_keeps_totality(self):
+        """1/(1+x^2)^2 at n_max 512 has A/B ~ 1.1e-12: above the resolution,
+        so it stays total and an upper semi-frame."""
+        report = classify(weighted_dirac_map("1/(1+x^2)^2"), default_ladder(512))
+        final = report.stages[-1]
+        assert operators.GRAM_RESOLUTION * final.upper < final.lower < 1e-11 * final.upper
+        assert report.has("total") and report.has("upper_semi_frame")
+
     def test_custom_kind_rejected(self):
         from riggedframes import custom_map
 
@@ -506,13 +545,43 @@ class TestClassify:
             assert set(report.labels) <= {"total", "mu_independent"}
 
 
+def _record_linalg(monkeypatch, *names):
+    """{name: [shape, ...]} of the np.linalg calls riggedframes makes from
+    now on, in call order (the grids' Gauss-Legendre nodes come from numpy's
+    own eigvalsh calls, which are not recorded); a ``qr`` call fails."""
+    import sys
+
+    calls = {name: [] for name in names}
+
+    def recording(name, fn):
+        def call(a, *args, **kwargs):
+            if sys._getframe(1).f_globals["__name__"].startswith("riggedframes"):
+                calls[name].append((np.shape(a), kwargs.get("compute_uv", True)))
+            return fn(a, *args, **kwargs)
+
+        return call
+
+    def refused(*args, **kwargs):
+        raise AssertionError("np.linalg.qr was called")
+
+    for name in names:
+        monkeypatch.setattr(np.linalg, name, recording(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(np.linalg, "qr", refused)
+    return calls
+
+
 class TestStageFactorization:
-    """Classify's R-factor diagnostics against direct SVDs of the complex
-    weighted kernel, and a guard on what classify factors."""
+    """Classify's stage diagnostics, read off one Gram per stage, against
+    direct SVDs of the complex weighted kernel, and a guard on what classify
+    factors."""
 
     @pytest.mark.parametrize("n_max", [64, 128])
     @pytest.mark.parametrize("family", list(BUILTIN_FAMILIES))
     def test_matches_direct_complex_svd(self, family, n_max):
+        """A, B, sigma_max and every Bessel constant to 1e-12, and sigma_min
+        to 1e-12 where the Gram resolves it.  A stage whose A is within
+        GRAM_RESOLUTION * B (bump's: rank-deficient) reports A = sigma_min
+        = 0 exactly, and there the direct sigma_min^2 is within it too."""
         spec = BUILTIN_FAMILIES[family]
         ladder = default_ladder(n_max)
         report = classify(spec, ladder)
@@ -526,12 +595,17 @@ class TestStageFactorization:
             assert abs(diag.upper - upper) <= 1e-12 * upper
             assert abs(diag.lower - sigma_min**2) <= 1e-12 * upper
             assert abs(diag.sigma_max - sigma_max) <= 1e-12 * sigma_max
-            assert abs(diag.sigma_min - sigma_min) <= 1e-12 * sigma_max
+            if diag.lower == 0.0:
+                assert diag.sigma_min == 0.0
+                assert sigma_min**2 <= operators.GRAM_RESOLUTION * upper
+            else:
+                assert abs(diag.sigma_min - sigma_min) <= 1e-12 * sigma_max
             damping_base = 1.0 + np.arange(stage.truncation)
             for k, series in report.bessel_constants.items():
                 damped = weighted * (damping_base ** (-k / 2.0))[None, :]
                 direct = np.linalg.svd(damped, compute_uv=False)[0]
                 assert abs(series[i] - direct) <= 1e-12 * sigma_max
+        assert (family == "bump[-1,1]") == any(d.lower == 0.0 for d in report.stages)
 
     def test_fourier_equals_dirac_with_identity_frame_operator(self):
         ladder = default_ladder(128)
@@ -543,42 +617,27 @@ class TestStageFactorization:
             assert abs(s.lower - 1.0) <= 1e-12 and abs(s.upper - 1.0) <= 1e-12
 
     def test_classify_factors_only_small_matrices(self, monkeypatch):
-        svd_shapes, qr_shapes = [], []
-        svd, qr = np.linalg.svd, np.linalg.qr
-
-        def recording_svd(a, *args, **kwargs):
-            svd_shapes.append(np.shape(a))
-            return svd(a, *args, **kwargs)
-
-        def recording_qr(a, *args, **kwargs):
-            qr_shapes.append(np.shape(a))
-            return qr(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", recording_svd)
-        monkeypatch.setattr(np.linalg, "qr", recording_qr)
+        """No QR; the only SVDs are the coarse rank rule's values-only ones,
+        one per block of each stage's coarse kernel; and every eigvalsh
+        works on one diagonal block of a stage's S, one per block for the
+        bounds and one per block and damped seminorm index examined."""
+        calls = _record_linalg(monkeypatch, "svd", "eigvalsh", "cholesky")
         ladder = default_ladder(64)
-        truncations = [s.truncation for s in ladder.stages]
-        # 2+sin(x) factors one block per stage, 1+x^2 its two parity blocks
+        # 2+sin(x) takes one block per stage, 1+x^2 its two parity blocks
         for family, blocks in (("2+sin(x)", 1), ("1+x^2", 2)):
-            svd_shapes.clear()
-            qr_shapes.clear()
-            classify(BUILTIN_FAMILIES[family], ladder)
-            # one QR per block, on its share of the stage's rows and columns
-            width = {n: n // blocks for n in truncations}
-            assert qr_shapes == [
-                (-(-s.node_count // blocks), width[s.truncation]) for s in ladder.stages for _ in range(blocks)
+            for recorded in calls.values():
+                recorded.clear()
+            report = classify(BUILTIN_FAMILIES[family], ladder)
+            assert calls["svd"] == [
+                ((coarse_synthesis_grid(s.truncation).node_count // blocks, s.truncation // blocks), False)
+                for s in ladder.stages
+                for _ in range(blocks)
             ]
-            # every SVD is of a block's R or of a block of the stage's wide
-            # coarse kernel, split as the stage is: at most one of R per block
-            # and seminorm index, and exactly one coarse per block, of shape
-            # (node count / blocks, N / blocks)
-            accounted = 0
-            for n in truncations:
-                coarse = (coarse_synthesis_grid(n).node_count // blocks, width[n])
-                assert svd_shapes.count(coarse) == blocks
-                assert svd_shapes.count((width[n],) * 2) <= blocks * (1 + ClassifyThresholds().bessel_k_max)
-                accounted += svd_shapes.count(coarse) + svd_shapes.count((width[n],) * 2)
-            assert accounted == len(svd_shapes)
+            examined = len(report.bessel_constants)
+            assert sorted(shape for shape, _ in calls["eigvalsh"]) == sorted(
+                (s.truncation // blocks,) * 2 for s in ladder.stages for _ in range(blocks * examined)
+            )
+            assert calls["cholesky"] == []
 
 
 EVEN_FAMILIES = {
@@ -591,56 +650,55 @@ EVEN_FAMILIES = {
 }
 
 
-def _walk_factor(spec, grid, truncation):
-    """The StageFactorization the ladder walk forms on a grid."""
-    return operators.StageFactorization(*operators._stage_rows(spec, grid, truncation))
-
-
-def _block_singular_values(factor):
-    """Every singular value a StageFactorization's blocks hold, descending."""
-    values = np.concatenate([np.linalg.svd(r, compute_uv=False) for r, _ in factor.blocks])
-    return np.sort(values)[::-1]
+def _one_block(spec, grid, truncation):
+    """S of the map's rows on a grid in one block: a kernel built from
+    sample_kernel's rows, which never splits."""
+    kernel = sample_kernel(spec, grid, truncation)
+    return frame_operator(KernelMatrix(kernel.rows, kernel.grid, phase=kernel.phase))
 
 
 class TestParitySplit:
     """Maps whose row magnitudes are even on the mirror-symmetric stage grid
-    factor the even and odd coefficients apart, from the nodes x >= 0."""
+    sum the even and odd blocks of a stage's S apart, from the nodes x > 0."""
 
     @pytest.mark.parametrize("n", [64, 1024])
     @pytest.mark.parametrize("family", list(EVEN_FAMILIES))
     def test_even_maps_split_with_the_one_block_spectrum(self, family, n):
+        """The split stage's S is the one-block S to 1e-14 B, exactly 0
+        between the blocks, and so has its spectrum."""
         spec, grid = EVEN_FAMILIES[family], stage_grid(default_stage(n))
-        split = _walk_factor(spec, grid, n)
-        assert [columns for _, columns in split.blocks] == list(operators._PARITY)
-        assert [r.shape for r, _ in split.blocks] == [(n // 2, n // 2)] * 2
-        one = operators.StageFactorization(operators._weighted_rows(sample_kernel(spec, grid, n)))
-        reference = _block_singular_values(one)
-        assert np.abs(_block_singular_values(split) - reference).max() <= 1e-13 * reference[0]
-        assert abs(split.sigma_max - one.sigma_max) <= 1e-13 * reference[0]
-        assert abs(split.sigma_min - one.sigma_min) <= 1e-13 * reference[0]
+        split = operators._stage_operator(spec, grid, n)
+        assert split.columns == operators._PARITY
+        assert not split.gram[0::2, 1::2].any()
+        one = _one_block(spec, grid, n)
+        assert one.columns == (slice(None),)
+        upper = frame_bounds(one)[1]
+        assert np.abs(split.gram - one.gram).max() <= 1e-14 * upper
+        for mine, theirs in zip(frame_bounds(split), frame_bounds(one)):
+            assert abs(mine - theirs) <= 1e-14 * upper
 
     @pytest.mark.parametrize(
         "spec", [weighted_dirac_map("2+sin(x)"), bump_dirac_map(-1.0, 2.0)], ids=["2+sin(x)", "bump[-1,2]"]
     )
     @pytest.mark.parametrize("n", [8, 64])
     def test_maps_without_even_magnitude_take_one_block(self, spec, n):
-        factor = _walk_factor(spec, stage_grid(default_stage(n)), n)
-        ((r, columns),) = factor.blocks
-        assert columns == slice(None) and r.shape == (n, n)
+        grid = stage_grid(default_stage(n))
+        op = operators._stage_operator(spec, grid, n)
+        assert op.columns == (slice(None),)
+        one = _one_block(spec, grid, n)
+        assert np.abs(op.gram - one.gram).max() <= 1e-14 * frame_bounds(one)[1]
 
     def test_a_node_at_zero_counts_once(self):
-        """An odd node count puts a node at 0, so the walk factors all the
-        rows, that node's once, in one block."""
+        """An odd node count puts a node at 0, so the stage sums all the rows,
+        that node's once, in one block."""
         grid = build_grid(12.0, 25, 9)
         assert grid.node_count % 2 and grid.nodes[grid.node_count // 2] == 0.0
         spec = weighted_dirac_map("1+x^2")
-        split = _walk_factor(spec, grid, 16)
-        assert [(r.shape, columns) for r, columns in split.blocks] == [((16, 16), slice(None))]
+        op = operators._stage_operator(spec, grid, 16)
+        assert op.columns == (slice(None),)
         assert operators._gram_rows(sample_kernel(spec, grid, 16))[3] is None
-        one = operators.StageFactorization(operators._weighted_rows(sample_kernel(spec, grid, 16)))
-        reference = _block_singular_values(one)
-        assert np.abs(_block_singular_values(split) - reference).max() <= 1e-13 * reference[0]
-
+        reference = operators._hermitian_gram(operators._weighted_rows(sample_kernel(spec, grid, 16)))
+        assert np.abs(op.gram - reference).max() <= 1e-14 * np.abs(reference).max()
 
 
 # the coarse kernels that mirror bit for bit: one with a node pair sign
@@ -736,11 +794,11 @@ class TestCoarseSplit:
         assert rule.full_rank == (family == "dirac")
 
 
-def _eager_bessel_search(factors, thresholds):
+def _eager_bessel_search(grams, tops, thresholds):
     """Reference: form every seminorm index's series, then pick the first
     bounded one."""
     series = {
-        k: tuple(factor.bessel_constant(k) for factor in factors)
+        k: tuple(tops) if k == 0 else tuple(operators._bessel_constant(op, k) for op in grams)
         for k in range(thresholds.bessel_k_max + 1)
     }
     bounded = [k for k, v in series.items() if operators._series_trend(v, thresholds, 0.0) == "bounded"]
@@ -756,29 +814,22 @@ class TestBesselSearch:
         "family, blocks, per_block", [("dirac", 2, 1), ("dirac_derivative", 2, 2), ("2+sin(x)", 1, 1)]
     )
     def test_values_only_svds_per_stage(self, monkeypatch, family, blocks, per_block):
-        """Per stage, each block's R once plus one damped R per block and
+        """Per stage, the only SVDs are the coarse rank rule's values-only
+        ones, one per block of the coarse kernel, split as the stage is; and
+        each block of S takes one eigvalsh for the bounds plus one per damped
         seminorm index up to the bounded one (dirac and 2+sin(x) are bounded
-        at k = 0, dirac_derivative at k = 1), and the coarse rank rule's one
-        per block of the coarse kernel, split as the stage is."""
-        computes_uv, shapes = [], []
-        svd = np.linalg.svd
-
-        def recording_svd(a, *args, **kwargs):
-            computes_uv.append(kwargs.get("compute_uv", True))
-            shapes.append(np.shape(a))
-            return svd(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        at k = 0, dirac_derivative at k = 1): ``per_block`` in all."""
+        calls = _record_linalg(monkeypatch, "svd", "eigvalsh")
         ladder = default_ladder(64)
         classify(BUILTIN_FAMILIES[family], ladder)
-        assert len(computes_uv) == blocks * (per_block + 1) * len(ladder.stages)
-        assert not any(computes_uv)
-        # the wide ones are the coarse blocks, (node count / blocks, N / blocks)
-        assert [s for s in shapes if s[0] != s[1]] == [
-            (coarse_synthesis_grid(stage.truncation).node_count // blocks, stage.truncation // blocks)
+        assert calls["svd"] == [
+            ((coarse_synthesis_grid(stage.truncation).node_count // blocks, stage.truncation // blocks), False)
             for stage in ladder.stages
             for _ in range(blocks)
         ]
+        assert sorted(shape for shape, _ in calls["eigvalsh"]) == sorted(
+            (stage.truncation // blocks,) * 2 for stage in ladder.stages for _ in range(blocks * per_block)
+        )
 
     @pytest.mark.parametrize("family", list(BUILTIN_FAMILIES))
     def test_examines_indices_up_to_the_bounded_one(self, family):

@@ -1,11 +1,13 @@
-"""Property tests: the parity split of the stage factor and of the passes.
+"""Property tests: the parity split of the stage Gram and of the passes,
+and the stage bounds against the exact frame operator.
 
 A polynomial weight with even magnitude (even coefficients only, or x times
 such a polynomial) gives rows whose magnitudes agree bit for bit at mirrored
-nodes of the stage grid, so the walk factors the even and odd coefficients
-apart from the nodes x >= 0; its singular values and Bessel constants are
-those of the one-block factor of the full rows.  A weight with a generic odd
-term is factored in one block.
+nodes of the stage grid, so the stage Gram sums the even and odd blocks of
+S apart from the nodes x > 0; it is the one-block S of the full rows to
+1e-14 B, so it has its spectrum and Bessel constants.  A weight with a
+generic odd term is summed in one block.  For any polynomial weight of
+degree <= 3, classify's final-stage A and B are those of the exact S.
 
 A kernel sample_kernel splits runs analysis, synthesis, verify_duality and
 reconstruct per parity class on its x > 0 rows; each agrees with the
@@ -26,10 +28,14 @@ from riggedframes import (  # noqa: E402
     TestFunction,
     analysis,
     bump_dirac_map,
+    classify,
+    default_ladder,
     default_stage,
     dirac_derivative_map,
     dirac_map,
     fourier_map,
+    frame_bounds,
+    frame_operator,
     reconstruct,
     sample_kernel,
     stage_grid,
@@ -37,7 +43,8 @@ from riggedframes import (  # noqa: E402
     verify_duality,
     weighted_dirac_map,
 )
-from riggedframes.operators import StageFactorization, _stage_rows, _weighted_rows  # noqa: E402
+from riggedframes.acceptance import _exact_frame_operator  # noqa: E402
+from riggedframes.operators import _PARITY, _bessel_constant, _stage_operator  # noqa: E402
 
 TRUNCATIONS = (8, 16, 32, 64, 128)
 COEFFICIENT = st.floats(0.1, 3.0).map(lambda c: round(c, 3))
@@ -47,11 +54,6 @@ SIGN = st.sampled_from("+-")
 def _polynomial(terms):
     """Weight expression sum of sign * c * x^power over (sign, c, power)."""
     return "".join(f"{sign}{c:.3f}*x^{power}" for sign, c, power in terms).lstrip("+")
-
-
-def _singular_values(factor):
-    values = np.concatenate([np.linalg.svd(r, compute_uv=False) for r, _ in factor.blocks])
-    return np.sort(values)[::-1]
 
 
 def _terms(powers):
@@ -67,14 +69,17 @@ def test_even_magnitude_weights_split_with_the_one_block_spectrum(terms, odd_sig
     even = _polynomial(terms)
     spec = weighted_dirac_map(f"x*({even})" if odd_sign else even)
     grid = stage_grid(default_stage(truncation))
-    split = StageFactorization(*_stage_rows(spec, grid, truncation))
-    assert len(split.blocks) == 2
-    one = StageFactorization(_weighted_rows(sample_kernel(spec, grid, truncation)))
-    reference = _singular_values(one)
-    tolerance = 1e-13 * reference[0]
-    assert np.abs(_singular_values(split) - reference).max() <= tolerance
+    split = _stage_operator(spec, grid, truncation)
+    assert split.columns == _PARITY
+    rows = sample_kernel(spec, grid, truncation).rows
+    one = frame_operator(KernelMatrix(rows, grid))
+    assert one.columns == (slice(None),)
+    upper = frame_bounds(one)[1]
+    assert np.abs(split.gram - one.gram).max() <= 1e-14 * upper
+    for mine, theirs in zip(frame_bounds(split), frame_bounds(one)):
+        assert abs(mine - theirs) <= 1e-14 * upper
     for k in range(4):
-        assert abs(split.bessel_constant(k) - one.bessel_constant(k)) <= tolerance
+        assert abs(_bessel_constant(split, k) - _bessel_constant(one, k)) <= 1e-13 * np.sqrt(upper)
 
 
 @given(
@@ -84,9 +89,29 @@ def test_even_magnitude_weights_split_with_the_one_block_spectrum(terms, odd_sig
 )
 def test_weights_with_a_generic_odd_term_take_one_block(even, odd, truncation):
     spec = weighted_dirac_map(_polynomial(even + odd))
-    factor = StageFactorization(*_stage_rows(spec, stage_grid(default_stage(truncation)), truncation))
-    ((r, _),) = factor.blocks
-    assert r.shape == (truncation, truncation)
+    op = _stage_operator(spec, stage_grid(default_stage(truncation)), truncation)
+    assert op.columns == (slice(None),)
+
+
+@given(
+    terms=_terms((0, 1, 2, 3)),
+    degree=st.integers(0, 3),
+    parity=st.sampled_from((0, 1, None)),
+    n_max=st.sampled_from((8, 16, 32, 64)),
+)
+def test_final_stage_bounds_match_the_exact_frame_operator(terms, degree, parity, n_max):
+    """classify's final-stage A and B for a random polynomial weight of
+    degree <= 3, even (parity 0), odd (1) or neither, against eigvalsh of
+    the exact S of p(x) delta_x, to 1e-12 B: the Gram route, its parity
+    split and the resolution clamp add nothing above rounding."""
+    kept = [t for t in terms if t[2] <= degree and parity in (None, t[2] % 2)] or [terms[parity or 0]]
+    coeffs = [0.0] * (max(power for _, _, power in kept) + 1)
+    for sign, c, power in kept:
+        coeffs[power] = -c if sign == "-" else c
+    final = classify(weighted_dirac_map(_polynomial(kept)), default_ladder(n_max)).stages[-1]
+    exact = np.linalg.eigvalsh(_exact_frame_operator(coeffs, 0, n_max))
+    assert abs(final.upper - exact[-1]) <= 1e-12 * exact[-1]
+    assert abs(final.lower - exact[0]) <= 1e-12 * exact[-1]
 
 
 MIRRORED_MAPS = {
