@@ -159,12 +159,7 @@ def canonical_dual(kernel):
     relative cutoff, carrying the offending smallest eigenvalue, and
     NumericError when S is past float64 range or has no Cholesky factor.
     """
-    return _canonical_dual(kernel, frame_operator(kernel))
-
-
-def _canonical_dual(kernel, op):
-    """canonical_dual of ``kernel`` from a frame operator ``op`` the caller
-    has (sweep: classify's final stage, so that S is formed once)."""
+    op = frame_operator(kernel)
     lam_min, lam_max = frame_bounds(op)
     _require_frame(lam_min, lam_max)
     # one factor, inverse and theta Gram per diagonal block of S (its

@@ -247,10 +247,13 @@ class FrameOperatorMatrix:
         return self.gram.shape[0]
 
 
-# frame_operator forms S from this many row blocks of the weighted kernel, so
-# its working memory is a fraction of the kernel's.
+# frame_operator sums S over this many row blocks of rows it already holds:
+# 2-4 MB of working memory at N = 512, against 16 MB for one 4096-row block.
 _ROW_BLOCKS = 8
-# _stage_operator samples a stage's rows at most this many nodes at a time.
+# _stage_operator samples rows held nowhere else at most this many nodes at a
+# time (a split stage up to N = 512 is one block).  ceil(m/8) nodes per block
+# cut classify-ladder's peak RSS from 57.3 to 45.6 MB but its requests per
+# second from 24.1 to 16.8 (medians of 3 runs): eight calls per small stage.
 _NODE_BLOCK = 4096
 
 
@@ -437,19 +440,28 @@ def totality_test(kernel):
     value of the weighted kernel, sqrt(lambda) off the frame operator
     (_resolved_bounds; 0 with fewer rows than columns), above RANK_CUTOFF *
     largest.  When not total, the witness is the near-annihilated
-    coefficient direction, from an SVD of the weighted rows.
+    coefficient direction: the eigenvector of S's smallest eigenvalue.
     """
-    lower, upper = _resolved_bounds(frame_operator(kernel))
+    op = frame_operator(kernel)
+    lower, upper = _resolved_bounds(op)
     short = kernel.node_count < kernel.truncation
     sigma_min, sigma_max = 0.0 if short else math.sqrt(lower), math.sqrt(upper)
     if sigma_max == 0.0:
         return TotalityResult(False, 0.0, 0.0, TestFunction.basis(0, kernel.truncation))
     if _full_rank(sigma_min, sigma_max, RANK_CUTOFF):
         return TotalityResult(True, sigma_min, sigma_max)
-    # the full V spans the null space of fewer rows than columns; the rows
-    # annihilate v, so Omega = rows P annihilates conj(P) v
-    _, _, vh = np.linalg.svd(_weighted_rows(kernel), full_matrices=short)
-    return TotalityResult(False, sigma_min, sigma_max, TestFunction(_unphase(kernel, vh[-1].conj())))
+    # the rows annihilate v, so Omega = rows P annihilates conj(P) v
+    return TotalityResult(False, sigma_min, sigma_max, TestFunction(_unphase(kernel, _null_direction(op))))
+
+
+def _null_direction(op):
+    """The unit eigenvector of op.gram for its smallest eigenvalue, from an
+    eigh of each diagonal block (its ``columns``), on all N coefficients."""
+    pairs = [np.linalg.eigh(op.gram[c, c]) for c in op.columns]
+    i = min(range(len(pairs)), key=lambda i: pairs[i][0][0])
+    out = np.zeros(op.truncation, dtype=op.gram.dtype)
+    out[op.columns[i]] = pairs[i][1][:, 0]
+    return out
 
 
 @dataclass(frozen=True)
@@ -700,11 +712,6 @@ def classify(map_spec, ladder, thresholds=ClassifyThresholds()):
     Labels follow the sharpest-class convention: the semi-frame labels are
     reported only when the map is not a frame outright.
     """
-    return _classify(map_spec, ladder, thresholds)[0]
-
-
-def _classify(map_spec, ladder, thresholds):
-    """classify's report and its final stage's S, which sweep's dual inverts."""
     if map_spec.kind == "custom":
         raise InvalidConfigError(
             "classification needs per-stage resampling; custom kernels support "
@@ -768,7 +775,7 @@ def _classify(map_spec, ladder, thresholds):
         if final.mu_independent:
             labels.append("riesz_basis")
 
-    report = FrameReport(
+    return FrameReport(
         stages=tuple(stages),
         lower_trend=lower_trend,
         upper_trend=upper_trend,
@@ -779,4 +786,3 @@ def _classify(map_spec, ladder, thresholds):
         bessel_constant=bessel_constant,
         bessel_constants=bessel_series,
     )
-    return report, grams[-1]

@@ -19,12 +19,12 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import acceptance
-from .duality import DEFAULT_SEED, _canonical_dual, canonical_dual, dual_bounds, reconstruct, verify_duality
+from .duality import DEFAULT_SEED, canonical_dual, dual_bounds, reconstruct, verify_duality
 from .errors import InvalidConfigError, NotAFrameError, WeightEvalError, WeightSyntaxError
 from .hermite import random_test_function
 from .kernels import MapSpec, sample_kernel
 from .moments import rf_diagnostic
-from .operators import ClassifyThresholds, _classify, _coarse_kernel, classify
+from .operators import ClassifyThresholds, _coarse_kernel, classify
 from .quadrature import (
     LadderStage,
     RefinementLadder,
@@ -260,12 +260,11 @@ def _final_kernel(config):
     return sample_kernel(config.map_spec, stage_grid(stage), stage.truncation)
 
 
-def _dual_section(config, round_trip=False, operator=None):
+def _dual_section(config, round_trip=False):
     """Dual bounds with the duality defect, or with the worst round-trip
-    error over both reconstruction orders when ``round_trip`` is set.  The
-    dual inverts the final stage's ``operator`` when the caller has it."""
+    error over both reconstruction orders when ``round_trip`` is set."""
     kernel = _final_kernel(config)
-    pair = canonical_dual(kernel) if operator is None else _canonical_dual(kernel, operator)
+    pair = canonical_dual(kernel)
     lower, upper = dual_bounds(pair)
     if round_trip:
         rng = np.random.default_rng(config.seed)
@@ -294,9 +293,7 @@ def run(command, config):
     # land where it is non-finite (1/x at x = 0)
     try:
         if command in ("classify", "bounds", "sweep"):
-            # sweep keeps the final S for its dual; the rest call classify, which spans wrap
-            args = (config.map_spec, config.ladder, config.thresholds)
-            frames, final_operator = _classify(*args) if command == "sweep" else (classify(*args), None)
+            frames = classify(config.map_spec, config.ladder, config.thresholds)
             report["stages"] = _stage_table(frames)
             if command in ("classify", "sweep"):
                 report["labels"] = list(frames.labels)
@@ -306,7 +303,7 @@ def run(command, config):
             report["moment"] = _moment_section(config)
         if command == "sweep":
             with contextlib.suppress(NotAFrameError):
-                report["dual"] = _dual_section(config, operator=final_operator)
+                report["dual"] = _dual_section(config)
     except WeightEvalError as exc:
         raise InvalidConfigError(f"map.weight: {exc}") from exc
     if command == "demo":

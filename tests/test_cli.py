@@ -270,34 +270,6 @@ class TestRun:
         report = run("sweep", config)
         assert report["labels"] and report["dual"] and report["moment"]
 
-    @pytest.mark.parametrize("family", [{"kind": "dirac"}, {"kind": "weighted_dirac", "weight": "2+sin(x)"}])
-    def test_sweep_forms_its_final_stage_gram_once(self, tmp_path, monkeypatch, family):
-        """sweep's dual inverts classify's final-stage S: one stage Gram per
-        stage and no frame_operator of the sampled kernel, with the dual
-        command's bounds to rounding."""
-        from riggedframes import duality, operators
-
-        config = load_config(write_config(tmp_path, dict(DIRAC_CONFIG, map=family)))
-        dual = run("dual", config)["dual"]
-        counts = {"stage": 0, "kernel": 0}
-
-        def counting(name, fn):
-            def call(*args, **kwargs):
-                counts[name] += 1
-                return fn(*args, **kwargs)
-
-            return call
-
-        monkeypatch.setattr(operators, "_stage_operator", counting("stage", operators._stage_operator))
-        kernel_operator = counting("kernel", operators.frame_operator)
-        monkeypatch.setattr(operators, "frame_operator", kernel_operator)
-        monkeypatch.setattr(duality, "frame_operator", kernel_operator)
-        report = run("sweep", config)
-        assert counts == {"stage": len(config.ladder.stages), "kernel": 0}
-        for key in ("A_theta", "B_theta"):
-            assert report["dual"][key] == pytest.approx(dual[key], rel=1e-12, abs=0.0)
-        assert report["dual"]["defect"] <= 1e-8
-
     def test_sweep_dual_null_for_non_frame(self, tmp_path):
         data = dict(DIRAC_CONFIG, map={"kind": "bump_dirac", "bump_support": [-1, 1]}, ladder={"n_max": 32})
         config = load_config(write_config(tmp_path, data))

@@ -327,6 +327,11 @@ class TestTotality:
             w * np.abs(values) ** 2
         )
         assert mass >= 0.99
+        # the eigenvector of S's smallest eigenvalue is annihilated within
+        # the Gram's resolution
+        image = operators.weighted_analysis_matrix(kernel) @ result.witness.coeffs
+        assert np.linalg.norm(result.witness.coeffs) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(image) <= np.sqrt(operators.GRAM_RESOLUTION) * result.sigma_max
 
     def test_zero_kernel(self):
         base = make_kernel(dirac_map(), 8)
