@@ -14,8 +14,9 @@ _triangular_inverse, shared with moments.dual_bessel_check; Higham,
 Accuracy and Stability of Numerical Algorithms, ch. 10 and 14).  Omega's
 bounds (A, B) come from frame_bounds, values only, as for every other
 bounds reader, and a relative cutoff on them turns a near-singular frame
-operator into NotAFrameError instead of amplified noise.  canonical_dual
-builds the pair and measures nothing: the duality identity
+operator into NotAFrameError instead of amplified noise.  One builder,
+_canonical_dual, makes every canonical pair from an S and measures
+nothing: the duality identity
 <f, g> = int <f, theta_x><omega_x, g> dmu is measured by verify_duality, on
 whatever pair a caller hands it.
 
@@ -55,21 +56,22 @@ synthesis pass.  A hand-built pair takes one full-grid pass per kernel and
 direction.
 
 The ladder checks (riesz_check, dual_semiframe_check and
-moments.dual_bessel_check) take only the kernel they check and walk the
-ladder _walkable_ladder derives from it, N = 8, 16, ... up to the largest
-8 * 2^j <= N, at classify's default thresholds.  gelfand_check reads
-mu-independence at operators.RANK_CUTOFF.
+moments.dual_bessel_check) take only the kernel they check and classify
+the ladder _walkable_ladder derives from it, N = 8, 16, ... up to the
+largest 8 * 2^j <= N, at classify's default thresholds: each stage's
+numbers come from the S classify formed, the kernel's from its own S.
+gelfand_check reads mu-independence at operators.RANK_CUTOFF.
 """
 
 from __future__ import annotations
 
-from dataclasses import KW_ONLY, dataclass
+from dataclasses import KW_ONLY, dataclass, field
 
 import numpy as np
 
 from .errors import InvalidConfigError, NotAFrameError, NumericError
 from .hermite import TestFunction, random_test_function
-from .kernels import KernelMatrix, sample_kernel
+from .kernels import KernelMatrix
 from .operators import (
     RANK_CUTOFF,
     FrameOperatorMatrix,
@@ -82,7 +84,6 @@ from .operators import (
     _full_rank,
     _gram_rows,
     _hermitian_gram,
-    _resolved_bounds,
     _row_pass,
     _scale_rows,
     _synthesize,
@@ -91,8 +92,9 @@ from .operators import (
     classify,
     frame_bounds,
     frame_operator,
+    totality_test,
 )
-from .quadrature import default_ladder, stage_grid
+from .quadrature import default_ladder
 
 __all__ = [
     "DEFAULT_SEED",
@@ -125,15 +127,15 @@ class DualPair:
     (A, B), frame_bounds of the S it inverted, and ``theta_operator``,
     theta's frame operator X^H S X = G^H G for G = R X, formed in N x N
     arithmetic (theta's column phase kept apart as for any kernel), one
-    parity block at a time for a mirrored map.  A pair carries no
-    measurement: verify_duality measures it.
+    parity block at a time for a mirrored map; only the builder sets these
+    two.  A pair carries no measurement: verify_duality measures it.
     """
 
     omega: KernelMatrix
     explicit_theta: KernelMatrix
     _: KW_ONLY
-    omega_bounds: tuple = None
-    theta_operator: FrameOperatorMatrix = None
+    omega_bounds: tuple = field(default=None, init=False)
+    theta_operator: FrameOperatorMatrix = field(default=None, init=False)
     inverse: np.ndarray = None
 
     def __post_init__(self):
@@ -159,7 +161,12 @@ def canonical_dual(kernel):
     relative cutoff, carrying the offending smallest eigenvalue, and
     NumericError when S is past float64 range or has no Cholesky factor.
     """
-    op = frame_operator(kernel)
+    return _canonical_dual(frame_operator(kernel), kernel)
+
+
+def _canonical_dual(op, omega=None):
+    """canonical_dual's pair from omega's frame operator ``op``; a stage's S
+    from classify comes without omega, for dual_bounds only."""
     lam_min, lam_max = frame_bounds(op)
     _require_frame(lam_min, lam_max)
     # one factor, inverse and theta Gram per diagonal block of S (its
@@ -169,10 +176,10 @@ def canonical_dual(kernel):
     theta_gram = _block_diagonal([_hermitian_gram(r @ x) for r, x in blocks], op.columns)
     inverse.setflags(write=False)
     theta_gram.setflags(write=False)
-    theta_operator = FrameOperatorMatrix(theta_gram, phase=kernel.phase)
-    return DualPair(
-        kernel, None, omega_bounds=(lam_min, lam_max), theta_operator=theta_operator, inverse=inverse
-    )
+    pair = DualPair(omega, None, inverse=inverse)
+    object.__setattr__(pair, "omega_bounds", (lam_min, lam_max))
+    object.__setattr__(pair, "theta_operator", FrameOperatorMatrix(theta_gram, phase=op.phase))
+    return pair
 
 
 def _cholesky_inverses(op):
@@ -411,23 +418,11 @@ def riesz_check(kernel):
 
     The singular-value interval of the weighted kernel certifies the
     synthesis map as bounded with bounded inverse at the truncated level.
-    It is read off classify's final stage when the kernel has that stage's
-    truncation and grid; any other kernel's is read off its own frame
-    operator, sqrt(lambda) of its spectrum (operators._resolved_bounds).
+    It is the kernel's own, totality_test's, read off its frame operator.
     """
-    ladder = _walkable_ladder(kernel, "riesz_check")
-    report = classify(kernel.map_spec, ladder)
-    stage, grid = ladder.final_stage, kernel.grid
-    final_grid = stage_grid(stage)
-    if (
-        kernel.truncation == stage.truncation
-        and np.array_equal(grid.nodes, final_grid.nodes)
-        and np.array_equal(grid.weights, final_grid.weights)
-    ):
-        sigma_min, sigma_max = report.stages[-1].sigma_min, report.stages[-1].sigma_max
-    else:
-        sigma_min, sigma_max = np.sqrt(_resolved_bounds(frame_operator(kernel)))
-    return RieszResult(report.has("riesz_basis"), sigma_min, sigma_max, report)
+    report = classify(kernel.map_spec, _walkable_ladder(kernel, "riesz_check"))
+    own = totality_test(kernel)
+    return RieszResult(report.has("riesz_basis"), own.sigma_min, own.sigma_max, report)
 
 
 def _walkable_ladder(kernel, check):
@@ -454,19 +449,14 @@ def dual_semiframe_check(kernel):
 
     Requires the map to classify as an upper semi-frame (or better, a frame)
     with a stable upper bound on the kernel's ladder; verifies lower_theta >=
-    1/upper_omega - tol at every ladder stage.
+    1/upper_omega - tol at every ladder stage, on the dual of its S.
     """
-    ladder = _walkable_ladder(kernel, "dual_semiframe_check")
-    report = classify(kernel.map_spec, ladder)
+    report = classify(kernel.map_spec, _walkable_ladder(kernel, "dual_semiframe_check"))
     if report.upper_trend != "bounded" or not report.has("total"):
         raise InvalidConfigError(
             f"map is not an upper semi-frame: upper trend {report.upper_trend!r}, "
             f"total={report.has('total')}"
         )
-    # the upper bound of each stage is already in the report
-    margins = []
-    for stage, diag in zip(ladder.stages, report.stages):
-        stage_kernel = sample_kernel(kernel.map_spec, stage_grid(stage), stage.truncation)
-        margins.append(dual_bounds(canonical_dual(stage_kernel))[0] - 1.0 / diag.upper)
-    holds = all(m >= -1e-8 / d.upper for m, d in zip(margins, report.stages))
+    margins = [dual_bounds(_canonical_dual(s.operator))[0] - 1.0 / s.upper for s in report.stages]
+    holds = all(m >= -1e-8 / s.upper for m, s in zip(margins, report.stages))
     return DualSemiframeResult(holds, tuple(margins))

@@ -42,12 +42,11 @@ from .operators import (
     _block_diagonal,
     _CoarseSVD,
     _coarse_kernel,
-    _stage_operator,
     _unphase,
     _weighted_rows,
-    frame_bounds,
+    classify,
 )
-from .quadrature import l2x_norm, stage_grid
+from .quadrature import l2x_norm
 
 __all__ = [
     "MomentSolution",
@@ -217,9 +216,9 @@ def dual_bessel_check(kernel):
     """A dual of a moment-solvable map is itself norm-bounded by a seminorm.
 
     Precondition (config error if unmet): the kernel's map solves every
-    coarse-grid panel probe, rf score 1.  It walks the kernel's ladder
-    (duality._walkable_ladder) as classify does, one Gram S per stage, and
-    reads theta's frame operator S^-1 off S's blocks' Cholesky factors
+    coarse-grid panel probe, rf score 1.  It classifies the kernel's ladder
+    (duality._walkable_ladder), the one walk, and reads theta's frame
+    operator S^-1 off the Cholesky factors of the blocks of each stage's S
     (duality._cholesky_inverses; NotAFrameError for a singular S),
     certifying the smallest seminorm index up to the classifier's default
     ``bessel_k_max`` whose constant, sqrt(lambda_max(D_k S^-1 D_k)) over the
@@ -234,12 +233,11 @@ def dual_bessel_check(kernel):
             f"worst residual {worst:.3e}"
         )
     inverses = []
-    for stage in ladder.stages:
-        op = _stage_operator(kernel.map_spec, stage_grid(stage), stage.truncation)
-        _require_frame(*frame_bounds(op))
+    for stage in classify(kernel.map_spec, ladder).stages:
+        _require_frame(stage.lower, stage.upper)
         # fourier reads dirac's real inverse: its column phase commutes with D_k
-        blocks = [x for _, x in _cholesky_inverses(op)]
-        inverses.append(FrameOperatorMatrix(_block_diagonal(blocks, op.columns)))
+        blocks = [x for _, x in _cholesky_inverses(stage.operator)]
+        inverses.append(FrameOperatorMatrix(_block_diagonal(blocks, stage.operator.columns)))
     tops = [_bessel_constant(inverse, 0) for inverse in inverses]
     index, constant, _ = _bessel_search(inverses, tops, ClassifyThresholds())
     if index is None:

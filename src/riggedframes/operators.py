@@ -9,12 +9,13 @@ weights) and Omega the kernel matrix:
 
 Frame bounds at truncation N are the extreme eigenvalues of S, equivalently
 the squared extreme singular values of the weighted kernel sqrt(W) Omega.
-classify and moments.dual_bessel_check read every stage diagnostic off one
+classify is the one ladder walk.  It reads every stage diagnostic off one
 Gram S per stage, streamed from the rows by _stage_operator: A and B per
 diagonal block by eigvalsh, sigma = sqrt(lambda), and the p_k Bessel
 constant sqrt(lambda_max(D_k S D_k)), formed after the walk up to the first
-bounded k.  A Gram squares the condition number, so A is resolved only down
-to GRAM_RESOLUTION * B (Higham, Accuracy and Stability of Numerical
+bounded k.  Each stage keeps its S, which the ladder checks read.  A Gram
+squares the condition number, so A is resolved only down to
+GRAM_RESOLUTION * B (Higham, Accuracy and Stability of Numerical
 Algorithms, ch. 20).
 When one parity rule, kernels._mirror_signs, splits a map's rows (row(-x)
 = s (-1)^n row(x) on a mirrored grid), S is block diagonal in the even and
@@ -440,14 +441,13 @@ def totality_test(kernel):
     value of the weighted kernel, sqrt(lambda) off the frame operator
     (_resolved_bounds; 0 with fewer rows than columns), above RANK_CUTOFF *
     largest.  When not total, the witness is the near-annihilated
-    coefficient direction: the eigenvector of S's smallest eigenvalue.
+    coefficient direction: the eigenvector of S's smallest eigenvalue (e_0
+    for a zero kernel).
     """
     op = frame_operator(kernel)
     lower, upper = _resolved_bounds(op)
     short = kernel.node_count < kernel.truncation
     sigma_min, sigma_max = 0.0 if short else math.sqrt(lower), math.sqrt(upper)
-    if sigma_max == 0.0:
-        return TotalityResult(False, 0.0, 0.0, TestFunction.basis(0, kernel.truncation))
     if _full_rank(sigma_min, sigma_max, RANK_CUTOFF):
         return TotalityResult(True, sigma_min, sigma_max)
     # the rows annihilate v, so Omega = rows P annihilates conj(P) v
@@ -602,6 +602,9 @@ class ClassifyThresholds:
 
 @dataclass(frozen=True)
 class StageDiagnostics:
+    """One ladder stage's numbers, read off its S, ``operator``, which the
+    stage table, ``==`` and ``repr`` ignore."""
+
     truncation: int
     half_width: float
     node_count: int
@@ -611,6 +614,7 @@ class StageDiagnostics:
     sigma_max: float
     total: bool
     mu_independent: bool
+    operator: FrameOperatorMatrix = field(repr=False, compare=False)
 
 
 LABEL_ORDER = (
@@ -635,7 +639,8 @@ class FrameReport:
     ``bessel_constants`` holds the per-stage series of each seminorm index
     examined: k = 0..bessel_index, or 0..bessel_k_max when none is bounded.
     A stage's A (``lower``) and sigma_min read exactly 0 below the Gram's
-    resolution, GRAM_RESOLUTION (64 eps) times its B.
+    resolution, GRAM_RESOLUTION (64 eps) times its B.  Each stage holds its
+    S, N^2 * 8 bytes: about 45 MB over a ladder to n_max = 2048.
     """
 
     stages: tuple
@@ -717,7 +722,7 @@ def classify(map_spec, ladder, thresholds=ClassifyThresholds()):
             "classification needs per-stage resampling; custom kernels support "
             "the stage-level diagnostics directly"
         )
-    stages, grams = [], []
+    stages = []
     for stage in ladder.stages:
         op = _stage_operator(map_spec, stage_grid(stage), stage.truncation)
         lower, upper = _resolved_bounds(op)
@@ -734,9 +739,9 @@ def classify(map_spec, ladder, thresholds=ClassifyThresholds()):
                 sigma_max=sigma_max,
                 total=_full_rank(sigma_min, sigma_max, thresholds.rank),
                 mu_independent=_CoarseSVD(coarse, thresholds.rank).full_rank,
+                operator=op,
             )
         )
-        grams.append(op)
 
     lowers = [s.lower for s in stages]
     uppers = [s.upper for s in stages]
@@ -745,6 +750,7 @@ def classify(map_spec, ladder, thresholds=ClassifyThresholds()):
     upper_trend = _series_trend(uppers, thresholds, vanish_floor)
 
     tops = [s.sigma_max for s in stages]
+    grams = [s.operator for s in stages]
     bessel_index, bessel_constant, bessel_series = _bessel_search(grams, tops, thresholds)
 
     final = stages[-1]

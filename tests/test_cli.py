@@ -680,6 +680,6 @@ def test_settable_values_tool(capsys):
     assert "operators.mu_independence_test.threshold=1e-06" in lines
     assert not any(line.startswith("operators.totality_test.") for line in lines)
     # a ratchet: a new knob raises the total and has to edit this bound
-    assert len(lines) <= 26
+    assert len(lines) <= 24
     assert not any(line.startswith("reporting.config_with_overrides.") for line in lines)
     assert not any(line.startswith("reporting.ReportDocument.") for line in lines)

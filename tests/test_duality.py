@@ -31,6 +31,7 @@ from riggedframes import (
     sample_kernel,
     save_kernel_csv,
     stage_grid,
+    totality_test,
     verify_duality,
     weighted_analysis_matrix,
     weighted_dirac_map,
@@ -375,37 +376,29 @@ class TestRiesz:
         assert not result.riesz
         assert not result.report.has("frame")
 
-    @pytest.mark.parametrize(
-        "spec, blocks", [(weighted_dirac_map("2+sin(x)"), 1), (dirac_map(), 2), (dirac_derivative_map(), 2)]
-    )
-    def test_reads_the_interval_off_the_final_stage(self, monkeypatch, spec, blocks):
-        """A kernel on the final stage's grid is read only off classify's
-        walk, one stage Gram per stage with ``blocks`` diagonal blocks and no
-        frame operator of its own, and its interval is the direct SVD's to
-        1e-12 sigma_max."""
-        kernel = make_kernel(spec, 32)
-        reference_min, reference_max = _sigma_interval(kernel)
-        built = _count_operators(monkeypatch)
-        result = riesz_check(kernel)
-        assert [len(op.columns) for op in built["stage"]] == [blocks] * len(default_ladder(32).stages)
-        assert built["kernel"] == []
-        tolerance = 1e-12 * reference_max
-        assert abs(result.sigma_min - reference_min) <= tolerance
-        assert abs(result.sigma_max - reference_max) <= tolerance
-
     def test_kernel_off_the_final_stage_is_factored_once_more(self, monkeypatch):
-        """Any other kernel's interval is sqrt of its own frame operator's
-        resolved bounds, formed once after the walk."""
-        spec = weighted_dirac_map("1+x^2")
-        kernel = sample_kernel(spec, build_grid(16.0, 80, 8), 32)
-        reference = [np.sqrt(v) for v in operators._resolved_bounds(frame_operator(kernel))]
-        built = _count_operators(monkeypatch)
-        result = riesz_check(kernel)
-        assert len(built["stage"]) == len(default_ladder(32).stages) and len(built["kernel"]) == 1
-        assert [result.sigma_min, result.sigma_max] == reference
-        reference_min, reference_max = _sigma_interval(kernel)
-        assert abs(result.sigma_min - reference_min) <= 1e-12 * reference_max
-        assert abs(result.sigma_max - reference_max) <= 1e-12 * reference_max
+        """Every kernel's interval is its own, on the final stage's grid or
+        off it: classify forms one stage Gram per ladder stage (with
+        ``blocks`` diagonal blocks), the kernel one frame operator of its own,
+        and (sigma_min, sigma_max) are totality_test's to the bit and the
+        direct SVD's to 1e-12 sigma_max."""
+        cases = [
+            (make_kernel(weighted_dirac_map("2+sin(x)"), 32), 1),
+            (make_kernel(dirac_map(), 32), 2),
+            (make_kernel(dirac_derivative_map(), 32), 2),
+            (sample_kernel(weighted_dirac_map("1+x^2"), build_grid(16.0, 80, 8), 32), 2),
+        ]
+        for kernel, blocks in cases:
+            own = totality_test(kernel)
+            reference_min, reference_max = _sigma_interval(kernel)
+            with monkeypatch.context() as patch:
+                built = _count_operators(patch)
+                result = riesz_check(kernel)
+            assert [len(op.columns) for op in built["stage"]] == [blocks] * len(default_ladder(32).stages)
+            assert len(built["kernel"]) == 1
+            assert (result.sigma_min, result.sigma_max) == (own.sigma_min, own.sigma_max)
+            assert abs(result.sigma_min - reference_min) <= 1e-12 * reference_max
+            assert abs(result.sigma_max - reference_max) <= 1e-12 * reference_max
 
     @pytest.mark.parametrize("truncation", [32, 64])
     def test_fourier_sigma_equals_dirac_to_the_bit(self, truncation):
@@ -432,6 +425,34 @@ class TestDualSemiframe:
         kernel = make_kernel(dirac_derivative_map(), 16)
         with pytest.raises(InvalidConfigError):
             dual_semiframe_check(kernel)
+
+    @pytest.mark.parametrize("spec", [dirac_map(), weighted_dirac_map("2+sin(x)")], ids=["dirac", "2+sin(x)"])
+    def test_reads_each_stage_dual_off_the_walk(self, monkeypatch, spec):
+        """Each stage's dual is built from the S classify formed for it: one
+        stage Gram per stage, no frame operator of a kernel, and no kernel
+        sampled but classify's coarse ones.  The margins are those of the
+        canonical dual of the stage's sampled kernel to 1e-12 / A."""
+        ladder = default_ladder(32)
+        expected = []
+        for stage in ladder.stages:
+            stage_kernel = sample_kernel(spec, stage_grid(stage), stage.truncation)
+            lower, upper = frame_bounds(frame_operator(stage_kernel))
+            expected.append((dual_bounds(canonical_dual(stage_kernel))[0] - 1.0 / upper, lower))
+        built = _count_operators(monkeypatch)
+        coarse, sample = [], operators.sample_kernel
+
+        def recording(map_spec, grid, truncation):
+            coarse.append(grid.node_count <= truncation)
+            return sample(map_spec, grid, truncation)
+
+        monkeypatch.setattr(operators, "sample_kernel", recording)
+        monkeypatch.setattr(duality, "sample_kernel", recording, raising=False)
+        result = dual_semiframe_check(make_kernel(spec, 32))
+        assert len(built["stage"]) == len(ladder.stages) and built["kernel"] == []
+        assert coarse == [True] * len(ladder.stages)
+        assert result.holds and len(result.margins) == len(expected)
+        for margin, (reference, lower) in zip(result.margins, expected):
+            assert abs(margin - reference) <= 1e-12 / lower
 
 
 @pytest.mark.parametrize(
@@ -555,6 +576,19 @@ class TestOmegaBoundsReuse:
         with pytest.raises(InvalidConfigError):
             dual_bounds(DualPair(pair.omega, pair.theta))
 
+    def test_measured_fields_are_set_only_by_the_builder(self):
+        """No constructor argument takes omega's bounds or theta's operator,
+        so a caller cannot hand dual_bounds forged ones; a pair built from an
+        inverse carries neither."""
+        pair = canonical_dual(make_kernel(dirac_map(), 8))
+        for name in ("omega_bounds", "theta_operator"):
+            with pytest.raises(TypeError):
+                DualPair(pair.omega, None, inverse=pair.inverse, **{name: getattr(pair, name)})
+        lazy = DualPair(pair.omega, None, inverse=pair.inverse)
+        assert lazy.omega_bounds is None and lazy.theta_operator is None
+        with pytest.raises(InvalidConfigError):
+            dual_bounds(lazy)
+
 
 class TestFourierDual:
     """fourier is dirac times the unitary column phase P = diag((-i)^n), so
@@ -597,15 +631,19 @@ class TestThetaOperator:
         assert np.abs(mine - tall).max() <= (1e-12 + 1e-15 * upper / lower) / lower
 
     def test_postcondition_rejects_a_scaled_theta_operator(self):
-        from dataclasses import replace
+        """No constructor argument takes a measured field, so the doctored
+        theta operator is set on a copy of the pair, as the builder sets it."""
+        from copy import copy
 
         from riggedframes import FrameOperatorMatrix, NumericError
 
         pair = canonical_dual(make_kernel(weighted_dirac_map("2+sin(x)"), 64))
         dual_bounds(pair)
-        doubled = FrameOperatorMatrix(2.0 * pair.theta_operator.gram)
+        doctored = copy(pair)
+        object.__setattr__(doctored, "theta_operator", FrameOperatorMatrix(2.0 * pair.theta_operator.gram))
         with pytest.raises(NumericError, match="escaped"):
-            dual_bounds(replace(pair, theta_operator=doubled))
+            dual_bounds(doctored)
+        dual_bounds(pair)
 
     def test_cholesky_failure_is_a_numeric_error(self, monkeypatch):
         from riggedframes import NumericError

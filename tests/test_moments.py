@@ -300,6 +300,42 @@ class TestDualBessel:
             stages = default_ladder(64).stages
             assert shapes == [(s.truncation // blocks,) * 2 for s in stages for _ in range(blocks)]
 
+    def test_walks_the_ladder_once(self, monkeypatch):
+        """classify is the one walk: one stage Gram per ladder stage."""
+        from riggedframes import operators
+
+        built, stage_operator = [], operators._stage_operator
+
+        def recording(*args):
+            built.append(stage_operator(*args))
+            return built[-1]
+
+        monkeypatch.setattr(operators, "_stage_operator", recording)
+        for spec in (weighted_dirac_map("2+sin(x)"), dirac_map()):
+            built.clear()
+            assert dual_bessel_check(make_kernel(spec, 64)).bessel
+            assert [op.truncation for op in built] == [s.truncation for s in default_ladder(64).stages]
+
+    def test_refuses_in_order_before_the_walk(self, monkeypatch):
+        """_walkable_ladder refuses first, then the rf precondition, each
+        with its own message and before any stage Gram is formed."""
+        from riggedframes import operators
+
+        def refused(*args):
+            raise AssertionError("a stage Gram was formed")
+
+        monkeypatch.setattr(operators, "_stage_operator", refused)
+        bump = bump_dirac_map(-1.0, 1.0)
+        kernel = make_kernel(bump, 16)
+        with pytest.raises(InvalidConfigError, match="^dual_bessel_check walks a ladder from N=8, got N=4$"):
+            dual_bessel_check(make_kernel(bump, 4))
+        message = "^dual_bessel_check walks a ladder and needs a resamplable map spec$"
+        with pytest.raises(InvalidConfigError, match=message):
+            dual_bessel_check(KernelMatrix(kernel.rows, kernel.grid))
+        message = r"^moment-solvability precondition unmet: rf score 0\.\d{3}, worst residual \d\.\d{3}e[+-]\d\d$"
+        with pytest.raises(InvalidConfigError, match=message):
+            dual_bessel_check(kernel)
+
     def test_fourier_equals_dirac_to_the_bit(self):
         """fourier's dual rows are dirac's; its column phase leaves every
         singular value alone and is not factored."""

@@ -536,6 +536,26 @@ class TestClassify:
         assert operators.GRAM_RESOLUTION * final.upper < final.lower < 1e-11 * final.upper
         assert report.has("total") and report.has("upper_semi_frame")
 
+    @pytest.mark.parametrize(
+        "spec, blocks", [(dirac_map(), 2), (weighted_dirac_map("2+sin(x)"), 1)], ids=["dirac", "2+sin(x)"]
+    )
+    def test_each_stage_keeps_the_operator_it_was_read_off(self, spec, blocks):
+        """Every stage holds its S, split as the stage is, and its reported
+        (A, B) are that S's _resolved_bounds exactly.  The report's == and
+        repr ignore the operator."""
+        from dataclasses import replace
+
+        report = classify(spec, default_ladder(64))
+        for stage in report.stages:
+            assert stage.operator.truncation == stage.truncation
+            assert len(stage.operator.columns) == blocks
+            assert operators._resolved_bounds(stage.operator) == (stage.lower, stage.upper)
+        first = report.stages[0]
+        other = operators.FrameOperatorMatrix(2.0 * first.operator.gram)
+        assert replace(first, operator=other) == first
+        assert replace(report, stages=(replace(first, operator=other),) + report.stages[1:]) == report
+        assert "operator" not in repr(report) and "gram" not in repr(report)
+
     def test_custom_kind_rejected(self):
         from riggedframes import custom_map
 
