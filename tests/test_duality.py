@@ -376,29 +376,44 @@ class TestRiesz:
         assert not result.riesz
         assert not result.report.has("frame")
 
+    @pytest.mark.parametrize(
+        "spec, blocks", [(weighted_dirac_map("2+sin(x)"), 1), (dirac_map(), 2), (dirac_derivative_map(), 2)]
+    )
+    def test_reads_the_interval_off_the_final_stage(self, monkeypatch, spec, blocks):
+        """A kernel on the final stage's grid is walked once by classify, one
+        stage Gram per stage with ``blocks`` diagonal blocks, and factored once
+        more on its own frame operator: its interval is totality_test's to the
+        bit, and the final stage's and the direct SVD's to 1e-12 sigma_max."""
+        kernel = make_kernel(spec, 32)
+        own = totality_test(kernel)
+        reference_min, reference_max = _sigma_interval(kernel)
+        built = _count_operators(monkeypatch)
+        result = riesz_check(kernel)
+        assert [len(op.columns) for op in built["stage"]] == [blocks] * len(default_ladder(32).stages)
+        assert len(built["kernel"]) == 1
+        assert (result.sigma_min, result.sigma_max) == (own.sigma_min, own.sigma_max)
+        final = result.report.stages[-1]
+        assert final.truncation == kernel.truncation
+        tolerance = 1e-12 * reference_max
+        for lo, hi in [(final.sigma_min, final.sigma_max), (reference_min, reference_max)]:
+            assert abs(result.sigma_min - lo) <= tolerance
+            assert abs(result.sigma_max - hi) <= tolerance
+
     def test_kernel_off_the_final_stage_is_factored_once_more(self, monkeypatch):
-        """Every kernel's interval is its own, on the final stage's grid or
-        off it: classify forms one stage Gram per ladder stage (with
-        ``blocks`` diagonal blocks), the kernel one frame operator of its own,
-        and (sigma_min, sigma_max) are totality_test's to the bit and the
-        direct SVD's to 1e-12 sigma_max."""
-        cases = [
-            (make_kernel(weighted_dirac_map("2+sin(x)"), 32), 1),
-            (make_kernel(dirac_map(), 32), 2),
-            (make_kernel(dirac_derivative_map(), 32), 2),
-            (sample_kernel(weighted_dirac_map("1+x^2"), build_grid(16.0, 80, 8), 32), 2),
-        ]
-        for kernel, blocks in cases:
-            own = totality_test(kernel)
-            reference_min, reference_max = _sigma_interval(kernel)
-            with monkeypatch.context() as patch:
-                built = _count_operators(patch)
-                result = riesz_check(kernel)
-            assert [len(op.columns) for op in built["stage"]] == [blocks] * len(default_ladder(32).stages)
-            assert len(built["kernel"]) == 1
-            assert (result.sigma_min, result.sigma_max) == (own.sigma_min, own.sigma_max)
-            assert abs(result.sigma_min - reference_min) <= 1e-12 * reference_max
-            assert abs(result.sigma_max - reference_max) <= 1e-12 * reference_max
+        """Any other kernel's interval is its own too: classify forms one
+        two-block stage Gram per ladder stage, the kernel one frame operator
+        of its own, and (sigma_min, sigma_max) are totality_test's to the bit
+        and the direct SVD's to 1e-12 sigma_max."""
+        kernel = sample_kernel(weighted_dirac_map("1+x^2"), build_grid(16.0, 80, 8), 32)
+        own = totality_test(kernel)
+        reference_min, reference_max = _sigma_interval(kernel)
+        built = _count_operators(monkeypatch)
+        result = riesz_check(kernel)
+        assert [len(op.columns) for op in built["stage"]] == [2] * len(default_ladder(32).stages)
+        assert len(built["kernel"]) == 1
+        assert (result.sigma_min, result.sigma_max) == (own.sigma_min, own.sigma_max)
+        assert abs(result.sigma_min - reference_min) <= 1e-12 * reference_max
+        assert abs(result.sigma_max - reference_max) <= 1e-12 * reference_max
 
     @pytest.mark.parametrize("truncation", [32, 64])
     def test_fourier_sigma_equals_dirac_to_the_bit(self, truncation):
