@@ -16,13 +16,18 @@ Built-in kinds:
                     normalized to peak value 1 at the midpoint
   custom            an arbitrary kernel matrix loaded from CSV
 
-A built-in map whose rows mirror (see _mirror_signs: a mirrored grid with an
-even node count, and |w(x)| == |w(-x)| at every node) is sampled on the
-nodes x > 0 only: the Hermite recurrence, the row weight and the floor below
-run on half the nodes, and the rows at x < 0 are written as the exact sign
-mirror row(-x) = s (-1)^n row(x), with h_n(-x) = (-1)^n h_n(x).  The kernel
-records s per node pair (KernelMatrix.signs), and every operator pass over
-its rows then runs per parity class on the x > 0 half.
+The split rule has two halves.  The grid alone (_mirrored_grid: a mirrored
+grid with an even node count, N >= 2) decides that a stage's S is summed
+from the nodes x > 0, for every built-in map (operators._stage_operator).
+The weight decides the rest: with |w(x)| == |w(-x)| at every node the rows
+mirror (_mirror_signs), S has no even-odd cross block, and a held kernel
+splits too.  Such a kernel is sampled on the nodes x > 0 only: the Hermite
+recurrence, the row weight and the floor below run on half the nodes, and
+the rows at x < 0 are written as the exact sign mirror row(-x) = s (-1)^n
+row(x), with h_n(-x) = (-1)^n h_n(x).  The kernel records s per node pair
+(KernelMatrix.signs), and every operator pass over its rows then runs per
+parity class on the x > 0 half.  A held kernel of any other weight is
+sampled on every node and worked on in one block.
 
 Built-in rows carry no negligible entries: every entry below NEGLIGIBLE
 (2^-500) times the largest |entry| is set to exactly 0 where the rows are
@@ -251,30 +256,40 @@ def _row_weight(spec, nodes):
     return None
 
 
-def _mirror_signs(spec, grid, truncation, weight):
-    """The one parity rule: the sign s per node pair (x, -x), x > 0 in grid
-    order, with row(-x) = s (-1)^n row(x) for a built-in map's rows, or None
-    when they do not mirror.  They mirror for N >= 2 on a mirrored grid
-    with an even node count (nodes and weights mirror-symmetric bit for bit,
-    as build_grid's are; an odd count puts a node at 0, which no default
-    grid has) when the row weight ``weight`` (_row_weight at the grid's
-    nodes) has |w(x)| == |w(-x)| at every node: always for dirac, fourier
-    and dirac_derivative, a weight or bump when even or odd in magnitude.
-    Then S is block diagonal in the even and odd indices.  s is -1 where
-    the weight's sign bit flips (the weight x), times -1 for
-    dirac_derivative, whose table has h_n'(-x) = (-1)^(n+1) h_n'(x); taking
-    s from sign bits makes zeros mirror bit for bit too."""
+def _mirrored_grid(grid, truncation):
+    """The grid half of the parity rule: N >= 2 on a mirrored grid with an
+    even node count (nodes and weights mirror-symmetric bit for bit, as
+    build_grid's are; an odd count puts a node at 0, which no default grid
+    has).  The grid alone decides whether a stage's S is read off the nodes
+    x > 0 (operators._stage_operator, for every built-in map)."""
     nodes, weights = grid.nodes, grid.weights
-    mirrored = (
+    return (
         truncation > 1
         and nodes.size % 2 == 0
         and np.array_equal(nodes, -nodes[::-1])
         and np.array_equal(weights, weights[::-1])
-        and (weight is None or np.array_equal(np.abs(weight), np.abs(weight[::-1])))
+    )
+
+
+def _mirror_signs(spec, grid, truncation, weight):
+    """The one parity rule for held rows: the sign s per node pair (x, -x),
+    x > 0 in grid order, with row(-x) = s (-1)^n row(x) for a built-in map's
+    rows, or None when they do not mirror.  They mirror on a _mirrored_grid
+    when the row weight ``weight`` (_row_weight at the grid's nodes) has
+    |w(x)| == |w(-x)| at every node: always for dirac, fourier and
+    dirac_derivative, a weight or bump when even or odd in magnitude.  Then
+    S is block diagonal in the even and odd indices; any other weight gives
+    S one even-odd cross block, which a stage sums from the nodes x > 0
+    (operators._stage_operator) but a held kernel takes in one block.  s is
+    -1 where the weight's sign bit flips (the weight x), times -1 for
+    dirac_derivative, whose table has h_n'(-x) = (-1)^(n+1) h_n'(x); taking
+    s from sign bits makes zeros mirror bit for bit too."""
+    mirrored = _mirrored_grid(grid, truncation) and (
+        weight is None or np.array_equal(np.abs(weight), np.abs(weight[::-1]))
     )
     if not mirrored:
         return None
-    start = nodes.size // 2
+    start = grid.nodes.size // 2
     signs = np.full(start, -1.0 if spec.kind == "dirac_derivative" else 1.0)
     if weight is not None:
         signs[np.signbit(weight[start:]) != np.signbit(weight[:start][::-1])] *= -1.0
@@ -329,19 +344,38 @@ def save_kernel_csv(kernel, path):
     csv writes.  A column that holds only +0.0 (every imaginary column of a
     real kernel) is written as the literal 0 that %.17g gives it, so only
     the other columns are formatted; a column with any -0.0 keeps %.17g,
-    which writes -0."""
-    entries = kernel.entries if isinstance(kernel, KernelMatrix) else np.asarray(kernel)
-    cells = np.empty((entries.shape[0], 2 * entries.shape[1]))
-    cells[:, 0::2] = entries.real
-    cells[:, 1::2] = entries.imag
+    which writes -0.  The cells are formed _WRITE_LINES rows at a time, in
+    two passes (the literal columns, then the lines), so no M x 2N array of
+    them, nor a phased kernel's complex entries, is ever held whole."""
+    if isinstance(kernel, KernelMatrix):
+        rows, phase = kernel.rows, kernel.phase
+    else:
+        rows, phase = np.asarray(kernel), None
+
+    def cell_blocks():
+        for start in range(0, rows.shape[0], _WRITE_LINES):
+            entries = rows[start : start + _WRITE_LINES]
+            entries = entries if phase is None else entries * phase
+            cells = np.empty((entries.shape[0], 2 * entries.shape[1]))
+            cells[:, 0::2] = entries.real
+            cells[:, 1::2] = entries.imag
+            yield cells
+
     # +0.0 is the one float whose bits are all 0
-    literal = ~cells.view(np.int64).any(axis=0)
+    literal = np.ones(2 * rows.shape[1], bool)
+    for cells in cell_blocks():
+        literal &= ~cells.view(np.int64).any(axis=0)
     line = ",".join("0" if zero else "%.17g" for zero in literal) + "\r\n"
     formatted = np.flatnonzero(~literal)
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(_csv_header(entries.shape[1])) + "\r\n")
-        for row in cells:
-            fh.write(line % tuple(row[formatted].tolist()))
+        fh.write(",".join(_csv_header(rows.shape[1])) + "\r\n")
+        for cells in cell_blocks():
+            for row in cells[:, formatted]:
+                fh.write(line % tuple(row.tolist()))
+
+
+# save_kernel_csv forms the cells of this many rows at a time.
+_WRITE_LINES = 256
 
 
 def _csv_header(truncation):

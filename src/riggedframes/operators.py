@@ -17,16 +17,20 @@ bounded k.  Each stage keeps its S, which the ladder checks read.  A Gram
 squares the condition number, so A is resolved only down to
 GRAM_RESOLUTION * B (Higham, Accuracy and Stability of Numerical
 Algorithms, ch. 20).
-When one parity rule, kernels._mirror_signs, splits a map's rows (row(-x)
-= s (-1)^n row(x) on a mirrored grid), S is block diagonal in the even and
-odd indices and every consumer works per block on the x > 0 half of the
-rows, weighted by 2 W: _stage_operator samples only those nodes, and every
-pass over a split sampled kernel's rows runs per class (_gram_rows).
-frame_operator forms S as its two parity blocks with exact zeros between
-them (FrameOperatorMatrix records the classes); analysis and synthesis take
+The split rule has two halves.  The grid alone decides a stage's split: on
+a mirrored grid with an even node count (kernels._mirrored_grid),
+_stage_operator samples every built-in map at the nodes x > 0 only, with
+2 W, since h_n(-x) = (-1)^n h_n(x) makes both S's same-parity blocks and
+its one even-odd cross block sums over those nodes.  The weight decides the
+rest: with |w(x)| == |w(-x)| at every node the cross block is 0, S is block
+diagonal in the even and odd indices, and a held kernel splits too
+(kernels._mirror_signs: row(-x) = s (-1)^n row(x)), so every pass over its
+rows runs per class on the x > 0 half (_gram_rows).  frame_operator forms
+such an S as its two parity blocks with exact zeros between them
+(FrameOperatorMatrix reads the classes off it); analysis and synthesis take
 the even and odd parts of their pass (_row_pass, _fold), mirrored only at
-the public boundary.  A kernel built from rows a caller hands over is one
-block, whatever spec it carries.
+the public boundary.  A held kernel of any other weight, or one built from
+rows a caller hands over, is one block, whatever spec it carries.
 The synthesis side (mu-independence, moment solves, the Gel'fand isometry
 defect) reads one coarse kernel per call, from _coarse_kernel: a built-in map
 sampled on the bulk grid coarse_synthesis_grid(N), or a given kernel, with
@@ -57,7 +61,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidConfigError, NumericError
 from .hermite import DistributionSample, TestFunction
-from .kernels import _column_phase, _fill_rows, _mirror_signs, _row_weight, sample_kernel
+from .kernels import NEGLIGIBLE, _column_phase, _fill_rows, _mirrored_grid, _row_weight, sample_kernel
 from .quadrature import build_grid, bulk_half_width, stage_grid
 
 __all__ = [
@@ -215,7 +219,8 @@ class FrameOperatorMatrix:
     eigenvalues.  ``columns`` holds the column classes of gram's diagonal
     blocks, read off gram itself: _PARITY when every entry coupling an even
     and an odd index is exactly 0 (frame_operator of mirrored rows), else
-    one class of all the columns.  Every reader of S works per block.
+    one class of all the columns (a stage S with an even-odd cross block).
+    Every reader of S works per block.
     """
 
     gram: np.ndarray
@@ -287,31 +292,68 @@ def frame_operator(kernel):
 
 def _stage_operator(map_spec, grid, truncation):
     """frame_operator of sample_kernel's kernel on a stage grid, to rounding,
-    without holding the rows: they are sampled (the nodes x > 0 only, with
-    2 W, when kernels._mirror_signs splits them) _NODE_BLOCK nodes at a time
+    without holding the rows: they are sampled _NODE_BLOCK nodes at a time
     into one Fortran-ordered buffer, weighted in place and summed by
     _class_grams, the negligible floor carrying its peak from block to
-    block.  An S past float64 range is a NumericError naming the stage."""
+    block.  On a kernels._mirrored_grid every built-in map is sampled at the
+    nodes x > 0 only, with 2 W, whatever its weight w: h_n(-x) = (-1)^n
+    h_n(x), so a node pair adds W h_m h_n (w(x)^2 + w(-x)^2) to a same-parity
+    entry of S and W h_m h_n (w(x)^2 - w(-x)^2) to an even-odd one.  The
+    rows at x > 0 carry rho and q of _pair_weights; after each block's class
+    Grams its odd columns are scaled by q in place and one product adds the
+    even-odd cross block, set with its exact transpose in S.  A weight even
+    in magnitude has q = 0 and S is block diagonal (the cross step is
+    skipped).  An S past float64 range is a NumericError naming the stage."""
     n, nodes, weights = truncation, grid.nodes, grid.weights
-    weight = _row_weight(map_spec, nodes)
-    signs = _mirror_signs(map_spec, grid, n, weight)
-    start = 0 if signs is None else nodes.size // 2
-    sqrt_w = np.sqrt(weights if signs is None else 2.0 * weights[start:])
-    nodes, weight = nodes[start:], None if weight is None else weight[start:]
-    step = min(nodes.size, _NODE_BLOCK)
-    buffer = np.empty((n, step)).T
+    weight, q, start = _row_weight(map_spec, nodes), None, 0
+    if _mirrored_grid(grid, n):
+        start = nodes.size // 2
+        weights = 2.0 * weights[start:]
+        if weight is not None:
+            weight, q = _pair_weights(weight)
+    nodes, sqrt_w = nodes[start:], np.sqrt(weights)
+    columns = _PARITY if start else (slice(None),)
+    cross = None if q is None else np.zeros(((n + 1) // 2, n // 2))
 
     def blocks():
+        step = min(nodes.size, _NODE_BLOCK)
+        buffer = np.empty((n, step)).T
+        product = None if cross is None else np.empty_like(cross)
         peak = 0.0
         for lo in range(0, nodes.size, step):
             block, part = buffer[: min(step, nodes.size - lo)], slice(lo, lo + step)
             peak = _fill_rows(map_spec, nodes[part], None if weight is None else weight[part], block, peak)
             block *= sqrt_w[part, None]
             yield block
+            # resumed once _class_grams has summed this block's class Grams
+            if cross is not None:
+                odd = block[:, 1::2]
+                odd *= q[part, None]
+                np.add(cross, np.matmul(block[:, 0::2].T, odd, out=product), out=cross)
 
-    columns = (slice(None),) if signs is None else _PARITY
     grams = _class_grams(blocks(), columns, n)
-    return _operator_matrix(grams, columns, _column_phase(map_spec, n), f"stage N={n}")
+    return _operator_matrix(grams, columns, _column_phase(map_spec, n), f"stage N={n}", cross)
+
+
+def _pair_weights(weight):
+    """(rho, q) at the nodes x > 0 of a mirrored grid from the row weight w
+    at all its nodes: rho = w(x) where |w(x)| == |w(-x)| (so a weight even in
+    magnitude gives its own rows), else sqrt((w(x)^2 + w(-x)^2) / 2), and q
+    = (w(x)^2 - w(-x)^2) / (w(x)^2 + w(-x)^2) in [-1, 1], 0 where |q| <
+    NEGLIGIBLE (so the cross block adds no subnormal); q is None when it is
+    0 at every node.  Both are formed from the ratios to the larger
+    magnitude, so no square leaves float64 range."""
+    start = weight.size // 2
+    plus, minus = weight[start:], weight[:start][::-1]
+    larger = np.maximum(np.abs(plus), np.abs(minus))
+    even = np.abs(plus) == np.abs(minus)
+    # a node with larger == 0 is even, so no ratio divides by 0
+    ratios = np.divide([plus, minus], larger, out=np.zeros((2, start)), where=~even) ** 2
+    total = ratios.sum(axis=0)
+    rho = np.where(even, plus, larger * np.sqrt(total / 2.0))
+    q = (ratios[0] - ratios[1]) / np.where(even, 1.0, total)
+    q[np.abs(q) < NEGLIGIBLE] = 0.0
+    return rho, (q if q.any() else None)
 
 
 def _class_grams(blocks, columns, width):
@@ -328,9 +370,13 @@ def _class_grams(blocks, columns, width):
     return grams
 
 
-def _operator_matrix(grams, columns, phase, where):
-    """FrameOperatorMatrix of ``grams`` on the diagonal blocks ``columns``."""
+def _operator_matrix(grams, columns, phase, where, cross=None):
+    """FrameOperatorMatrix of ``grams`` on the diagonal blocks ``columns``,
+    with ``cross`` (if given) as the even-odd block and its transpose."""
     gram = _block_diagonal(grams, columns)
+    if cross is not None:
+        gram[_PARITY[0], _PARITY[1]] = cross
+        gram[_PARITY[1], _PARITY[0]] = cross.T
     if not np.isfinite(gram).all():
         raise NumericError(f"{where}: the frame operator is past float64 range")
     gram.setflags(write=False)

@@ -13,7 +13,9 @@ off a single stage.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,8 +79,7 @@ def build_grid(half_width, panels, order):
         raise InvalidConfigError(f"panels must be >= 1, got {panels}")
     if order < 2:
         raise InvalidConfigError(f"order must be >= 2, got {order}")
-    # leggauss's rule is itself exactly symmetric, with a 0.0 middle node
-    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(order)
+    ref_nodes, ref_weights = _reference_rule(operator.index(order))
     half = half_width / panels
     centers = (2.0 * np.arange(panels) + 1.0 - panels) * half
     nodes = (centers[:, None] + half * ref_nodes[None, :]).ravel()
@@ -87,6 +88,16 @@ def build_grid(half_width, panels, order):
     nodes[:mirrored] = -nodes[::-1][:mirrored]
     weights[:mirrored] = weights[::-1][:mirrored]
     return QuadratureGrid(nodes, weights, float(half_width), int(panels), int(order))
+
+
+@functools.lru_cache(maxsize=64)
+def _reference_rule(order):
+    """leggauss's rule on [-1, 1], read-only and computed once per order.
+    It is itself exactly symmetric, with a 0.0 middle node."""
+    rule = np.polynomial.legendre.leggauss(order)
+    for arr in rule:
+        arr.setflags(write=False)
+    return rule
 
 
 def _check_grid_length(values, grid):

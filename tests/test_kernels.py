@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from riggedframes import kernels
 from riggedframes import (
     InvalidConfigError,
     KernelMatrix,
@@ -183,6 +184,26 @@ class TestCustomKernelCsv:
             assert np.array_equal(loaded.entries, cells), case
         assert ",-0," in (tmp_path / "negative_zero.csv").read_text()
         assert load_custom_kernel(tmp_path / "complex.csv", grid, 4).entries.dtype == complex
+
+    def test_save_reads_every_row_block_for_the_literal_columns(self, tmp_path):
+        """The cells are formed a block of rows at a time: a column that is
+        +0.0 in the first block and -0.0 in the last row only is still
+        formatted, so that row writes -0, as csv.writer does."""
+        import csv
+
+        grid = stage_grid(default_stage(16))
+        entries = np.array(sample_kernel(weighted_dirac_map("2+sin(x)"), grid, 3).rows, dtype=complex)
+        entries.imag[-1, 2] = -0.0
+        assert grid.node_count > kernels._WRITE_LINES
+        path, reference = tmp_path / "kernel.csv", tmp_path / "reference.csv"
+        save_kernel_csv(entries, path)
+        with open(reference, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([f"{part}{n}" for n in range(3) for part in ("re", "im")])
+            for row in entries:
+                writer.writerow([f"{v:.17g}" for pair in zip(row.real, row.imag) for v in pair])
+        assert path.read_bytes() == reference.read_bytes()
+        assert path.read_text().splitlines()[-1].endswith(",-0")
 
     def test_wrong_cell_count_reports_row(self, tmp_path, grid):
         kernel = sample_kernel(dirac_map(), grid, 3)

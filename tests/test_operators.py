@@ -703,10 +703,21 @@ class TestParitySplit:
             assert abs(mine - theirs) <= 1e-14 * upper
 
     @pytest.mark.parametrize(
-        "spec", [weighted_dirac_map("2+sin(x)"), bump_dirac_map(-1.0, 2.0)], ids=["2+sin(x)", "bump[-1,2]"]
+        "spec",
+        [
+            weighted_dirac_map("2+sin(x)"),
+            weighted_dirac_map("10^150*(2+sin(x))"),
+            bump_dirac_map(-1.0, 2.0),
+            bump_dirac_map(-2.0, 1.0),
+        ],
+        ids=["2+sin(x)", "1e150*(2+sin(x))", "bump[-1,2]", "bump[-2,1]"],
     )
     @pytest.mark.parametrize("n", [8, 64])
     def test_maps_without_even_magnitude_take_one_block(self, spec, n):
+        """The stage sums S from the nodes x > 0 with one even-odd cross
+        block, so S is one class: the one-block S to 1e-14 B, for a weight
+        near the top of float64 range and for bumps that vanish on one side
+        of a node pair only."""
         grid = stage_grid(default_stage(n))
         op = operators._stage_operator(spec, grid, n)
         assert op.columns == (slice(None),)

@@ -6,7 +6,9 @@ such a polynomial) gives rows whose magnitudes agree bit for bit at mirrored
 nodes of the stage grid, so the stage Gram sums the even and odd blocks of
 S apart from the nodes x > 0; it is the one-block S of the full rows to
 1e-14 B, so it has its spectrum and Bessel constants.  A weight with a
-generic odd term is summed in one block.  For any polynomial weight of
+generic odd term, or one that vanishes on one side of a node pair only, is
+summed from the nodes x > 0 too, with one even-odd cross block: its S is
+one class, the one-block S to 1e-14 B.  For any polynomial weight of
 degree <= 3, classify's final-stage A and B are those of the exact S.
 
 A kernel sample_kernel splits runs analysis, synthesis, verify_duality and
@@ -14,6 +16,8 @@ reconstruct per parity class on its x > 0 rows; each agrees with the
 one-block route on the same rows (a KernelMatrix built from them, which
 never splits) for any parity-block-diagonal inverse X.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -44,7 +48,9 @@ from riggedframes import (  # noqa: E402
     weighted_dirac_map,
 )
 from riggedframes.acceptance import _exact_frame_operator  # noqa: E402
-from riggedframes.operators import _PARITY, _bessel_constant, _stage_operator  # noqa: E402
+from riggedframes import operators  # noqa: E402
+from riggedframes.kernels import _row_weight  # noqa: E402
+from riggedframes.operators import _PARITY, _bessel_constant, _pair_weights, _stage_operator  # noqa: E402
 
 TRUNCATIONS = (8, 16, 32, 64, 128)
 COEFFICIENT = st.floats(0.1, 3.0).map(lambda c: round(c, 3))
@@ -88,9 +94,65 @@ def test_even_magnitude_weights_split_with_the_one_block_spectrum(terms, odd_sig
     truncation=st.sampled_from(TRUNCATIONS),
 )
 def test_weights_with_a_generic_odd_term_take_one_block(even, odd, truncation):
+    """The stage is sampled at the nodes x > 0 only, and its S, with its
+    even-odd cross block, is one class: the one-block S of the held rows to
+    1e-14 B."""
     spec = weighted_dirac_map(_polynomial(even + odd))
-    op = _stage_operator(spec, stage_grid(default_stage(truncation)), truncation)
+    grid = stage_grid(default_stage(truncation))
+    op, sampled = _sampled_stage(spec, grid, truncation)
     assert op.columns == (slice(None),)
+    assert sampled.size == grid.node_count // 2 and (sampled > 0).all()
+    one = _one_block(spec, grid, truncation)
+    assert np.abs(op.gram - one.gram).max() <= 1e-14 * frame_bounds(one)[1]
+
+
+def _sampled_stage(spec, grid, truncation):
+    """_stage_operator's S and every node it sampled, through _fill_rows."""
+    sampled, fill_rows = [], operators._fill_rows
+
+    def recording(spec, nodes, *args):
+        sampled.append(nodes.copy())
+        return fill_rows(spec, nodes, *args)
+
+    with mock.patch.object(operators, "_fill_rows", recording):
+        op = _stage_operator(spec, grid, truncation)
+    return op, np.concatenate(sampled)
+
+
+def _one_block(spec, grid, truncation):
+    """frame_operator of sample_kernel's rows in one block (a KernelMatrix
+    built from them never splits)."""
+    kernel = sample_kernel(spec, grid, truncation)
+    return frame_operator(KernelMatrix(kernel.rows, kernel.grid, phase=kernel.phase))
+
+
+@pytest.mark.parametrize("scale", ["10^-160", "10^160"])
+def test_pair_weights_scale_with_the_weight(scale):
+    """rho and q are formed from the ratios to the larger magnitude: a weight
+    scaled by c gives rho scaled by c and the same q, where squaring c w
+    would underflow (1e-160) or overflow (1e160)."""
+    nodes = stage_grid(default_stage(64)).nodes
+    rho, q = _pair_weights(_row_weight(weighted_dirac_map(f"{scale}*(2+sin(x))"), nodes))
+    plain_rho, plain_q = _pair_weights(_row_weight(weighted_dirac_map("2+sin(x)"), nodes))
+    c = float(scale.replace("10^", "1e"))
+    assert np.abs(rho / c - plain_rho).max() <= 1e-15 * plain_rho.max()
+    assert np.abs(q - plain_q).max() <= 1e-15
+
+
+@pytest.mark.parametrize("support", [(-2.0, 1.0), (-1.0, 2.0)], ids=["bump[-2,1]", "bump[-1,2]"])
+def test_pair_weights_of_a_weight_zero_on_one_side(support):
+    """Where the weight vanishes at one node of a pair only, q is -1 or 1
+    exactly and rho is the other magnitude over sqrt(2); where both vanish
+    rho and q are 0."""
+    nodes = stage_grid(default_stage(64)).nodes
+    weight = _row_weight(bump_dirac_map(*support), nodes)
+    rho, q = _pair_weights(weight)
+    plus, minus = weight[nodes.size // 2 :], weight[: nodes.size // 2][::-1]
+    one_sided, neither = (plus == 0) != (minus == 0), (plus == 0) & (minus == 0)
+    assert one_sided.any() and neither.any()
+    assert np.array_equal(q[one_sided], np.where(plus[one_sided] == 0, -1.0, 1.0))
+    assert np.array_equal(rho[one_sided], np.maximum(plus, minus)[one_sided] * np.sqrt(0.5))
+    assert not rho[neither].any() and not q[neither].any()
 
 
 @given(

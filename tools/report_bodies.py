@@ -2,7 +2,7 @@
 
     PYTHONPATH=src python tools/report_bodies.py OUT [N_MAX ...]
 
-Runs classify, bounds, dual, reconstruct, moment-solve and sweep on the eight
+Runs classify, bounds, dual, reconstruct, moment-solve and sweep on the nine
 built-in families at each N_MAX (default 64) on the default ladder, and on
 three custom CSV kernels at N = 32 (2+sin(x), fourier and dirac_derivative
 sampled on the default stage grid: real, complex, and real with mirrored
@@ -62,6 +62,9 @@ BUILTIN_MAPS = {
     # mirrored, with coarse singular values that cross moment-solve's 1e-10
     # cutoff mid-spectrum: its range comes from both parity blocks
     "exp(-x^2)": {"kind": "weighted_dirac", "weight": "exp(-x^2)"},
+    # not even in magnitude, and 0 at -x but not at x on (1, 2): its stage S
+    # has an even-odd cross block
+    "bump[-1,2]": {"kind": "bump_dirac", "bump_support": [-1, 2]},
 }
 CUSTOM_N = 32
 CUSTOM_KERNELS = {
