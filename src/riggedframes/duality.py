@@ -27,10 +27,10 @@ eigenvalues measure X against S, so dual_bounds checks them against
 [1/B, 1/A] as the postcondition on the inverse; they are never read off
 1/lambda, which would be a tautology.
 
-When S is block diagonal in the even and odd indices (a mirrored map; see
-FrameOperatorMatrix.columns), each step runs per N/2 x N/2 block, placed
-in the N x N X and S_theta with exact zeros between them.  For a kernel
-sample_kernel split the passes over omega's rows run per parity class on
+When S is block diagonal in the even and odd indices (a mirrored map, by
+the parity rule kernels._pair_split; see FrameOperatorMatrix.columns),
+each step runs per N/2 x N/2 block, placed in the N x N X and S_theta with
+exact zeros between them.  For a kernel sample_kernel split the passes over omega's rows run per parity class on
 the x > 0 rows too (operators._gram_rows): with a(x) = u + v and a(-x) =
 s (u - v) for the even and odd parts u, v of an analysis pass,
 verify_duality sums 2 w (u_f conj(u_g) + v_f conj(v_g)) over x > 0, and

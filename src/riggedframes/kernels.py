@@ -16,17 +16,14 @@ Built-in kinds:
                     normalized to peak value 1 at the midpoint
   custom            an arbitrary kernel matrix loaded from CSV
 
-The split rule has two halves.  The grid alone (_mirrored_grid: a mirrored
-grid with an even node count, N >= 2) decides that a stage's S is summed
-from the nodes x > 0, for every built-in map (operators._stage_operator).
-The weight decides the rest: with |w(x)| == |w(-x)| at every node the rows
-mirror (_mirror_signs), S has no even-odd cross block, and a held kernel
-splits too.  Such a kernel is sampled on the nodes x > 0 only: the Hermite
-recurrence, the row weight and the floor below run on half the nodes, and
-the rows at x < 0 are written as the exact sign mirror row(-x) = s (-1)^n
-row(x), with h_n(-x) = (-1)^n h_n(x).  The kernel records s per node pair
-(KernelMatrix.signs), and every operator pass over its rows then runs per
-parity class on the x > 0 half.  A held kernel of any other weight is
+The parity rule is stated once, in _pair_split: on a mirrored grid with
+an even node count a stage's S is summed from the nodes x > 0 for every
+built-in map (operators._stage_operator), and a held kernel whose rows
+mirror (|w(x)| == |w(-x)|) is sampled there only: the Hermite recurrence,
+the row weight and the floor below run on half the nodes, and the rows at
+x < 0 are written as the exact sign mirror row(-x) = s (-1)^n row(x).  The
+kernel records s per node pair (KernelMatrix.signs), and every operator
+pass over its rows then runs per parity class on the x > 0 half.  A held kernel of any other weight is
 sampled on every node and worked on in one block.
 
 Built-in rows carry no negligible entries: every entry below NEGLIGIBLE
@@ -152,8 +149,7 @@ class KernelMatrix:
     itself, formed when read (read-only, not cached) for a phased kernel.
 
     ``signs`` is set by sample_kernel alone, for a map whose rows it sampled
-    mirrored: the sign s per node pair (x, -x), x > 0 in grid order, with
-    row(-x) = s (-1)^n row(x) exactly.  Operators then take every pass over
+    mirrored: the signs of _pair_split.  Operators then take every pass over
     the rows per parity class on the x > 0 half.  Every other kernel, one
     built from rows a caller hands over included, has none and is worked on
     in one block.
@@ -217,15 +213,17 @@ class KernelMatrix:
 
 def sample_kernel(spec, grid, truncation):
     """Sample a built-in map on a grid at the given truncation.  Rows that
-    mirror (_mirror_signs) are sampled at the nodes x > 0 only, into one
-    Fortran-ordered buffer that takes the rows at x < 0 as their sign mirror."""
+    mirror (_pair_split's signs) are sampled at the nodes x > 0 only, into
+    one Fortran-ordered buffer that takes the rows at x < 0 as their sign
+    mirror."""
     if truncation < 1:
         raise InvalidConfigError(f"truncation must be >= 1, got {truncation}")
     if spec.kind == "custom":
         return load_custom_kernel(spec.custom_kernel, grid, truncation)
     nodes = grid.nodes
     weight = _row_weight(spec, nodes)
-    signs = _mirror_signs(spec, grid, truncation, weight)
+    split = _pair_split(spec, grid, truncation, weight)
+    signs = None if split is None else split[2]
     start = 0 if signs is None else nodes.size // 2
     rows = np.empty((truncation, nodes.size)).T
     sampled = rows[start:]
@@ -256,44 +254,61 @@ def _row_weight(spec, nodes):
     return None
 
 
-def _mirrored_grid(grid, truncation):
-    """The grid half of the parity rule: N >= 2 on a mirrored grid with an
-    even node count (nodes and weights mirror-symmetric bit for bit, as
-    build_grid's are; an odd count puts a node at 0, which no default grid
-    has).  The grid alone decides whether a stage's S is read off the nodes
-    x > 0 (operators._stage_operator, for every built-in map)."""
+def _pair_split(spec, grid, truncation, weight):
+    """The one parity rule for a built-in map's rows on a grid: None, or
+    (rho, q, signs) at the nodes x > 0 in grid order.
+
+    Since h_n(-x) = (-1)^n h_n(x), a node pair (x, -x) with row weight w
+    (``weight``: _row_weight at the grid's nodes, None for the kinds without
+    one) adds W h_m h_n (w(x)^2 + w(-x)^2) to a same-parity entry of S and
+    W h_m h_n (w(x)^2 - w(-x)^2) to an even-odd one.  So every sum over the
+    rows can run on the nodes x > 0 of a mirrored grid with an even node
+    count (nodes and weights mirror-symmetric bit for bit, as build_grid's
+    are; an odd count puts a node at 0, which no default grid has) when
+    N >= 2.  On any other grid, or at N = 1, the result is None and the rows
+    take one block.  Otherwise:
+
+      rho    sqrt((w(x)^2 + w(-x)^2) / 2), the row weight a stage S is
+             summed with (operators._stage_operator); None without a w
+      q      (w(x)^2 - w(-x)^2) / (w(x)^2 + w(-x)^2) in [-1, 1], 0 where
+             both vanish, which scales the odd columns of S's even-odd
+             cross block; None when 0 at every node
+      signs  s per node pair with row(-x) = s (-1)^n row(x), for held rows
+             (sample_kernel, KernelMatrix.signs); set exactly when q is
+             None, that is |w(x)| == |w(-x)| at every node (always for
+             dirac, fourier and dirac_derivative; a weight or bump even or
+             odd in magnitude).  s is -1 where w's sign bit flips (the
+             weight x), times -1 for dirac_derivative, whose table has
+             h_n'(-x) = (-1)^(n+1) h_n'(x); read off sign bits, zeros
+             mirror bit for bit too.
+
+    rho and q are formed from the ratios to the larger magnitude, so no
+    square leaves float64 range.  On a pair with |w(x)| == |w(-x)| > 0 both
+    ratios are exactly +-1, so rho = |w| and q = 0 exactly (held rows keep
+    the signed w, with the same S); on any other pair the smaller ratio is
+    at most 1 - 2^-53, so |q| >= 2^-53."""
     nodes, weights = grid.nodes, grid.weights
-    return (
+    if not (
         truncation > 1
         and nodes.size % 2 == 0
         and np.array_equal(nodes, -nodes[::-1])
         and np.array_equal(weights, weights[::-1])
-    )
-
-
-def _mirror_signs(spec, grid, truncation, weight):
-    """The one parity rule for held rows: the sign s per node pair (x, -x),
-    x > 0 in grid order, with row(-x) = s (-1)^n row(x) for a built-in map's
-    rows, or None when they do not mirror.  They mirror on a _mirrored_grid
-    when the row weight ``weight`` (_row_weight at the grid's nodes) has
-    |w(x)| == |w(-x)| at every node: always for dirac, fourier and
-    dirac_derivative, a weight or bump when even or odd in magnitude.  Then
-    S is block diagonal in the even and odd indices; any other weight gives
-    S one even-odd cross block, which a stage sums from the nodes x > 0
-    (operators._stage_operator) but a held kernel takes in one block.  s is
-    -1 where the weight's sign bit flips (the weight x), times -1 for
-    dirac_derivative, whose table has h_n'(-x) = (-1)^(n+1) h_n'(x); taking
-    s from sign bits makes zeros mirror bit for bit too."""
-    mirrored = _mirrored_grid(grid, truncation) and (
-        weight is None or np.array_equal(np.abs(weight), np.abs(weight[::-1]))
-    )
-    if not mirrored:
+    ):
         return None
-    start = grid.nodes.size // 2
+    start = nodes.size // 2
     signs = np.full(start, -1.0 if spec.kind == "dirac_derivative" else 1.0)
-    if weight is not None:
-        signs[np.signbit(weight[start:]) != np.signbit(weight[:start][::-1])] *= -1.0
-    return signs
+    if weight is None:
+        return None, None, signs
+    plus, minus = weight[start:], weight[:start][::-1]
+    larger = np.maximum(np.abs(plus), np.abs(minus))
+    ratios = np.divide([plus, minus], larger, out=np.zeros((2, start)), where=larger > 0) ** 2
+    total = ratios.sum(axis=0)
+    rho = larger * np.sqrt(total / 2.0)
+    q = np.divide(ratios[0] - ratios[1], total, out=np.zeros(start), where=larger > 0)
+    if q.any():
+        return rho, q, None
+    signs[np.signbit(plus) != np.signbit(minus)] *= -1.0
+    return rho, None, signs
 
 
 def _fill_rows(spec, nodes, weight, out, peak=0.0):

@@ -17,20 +17,16 @@ bounded k.  Each stage keeps its S, which the ladder checks read.  A Gram
 squares the condition number, so A is resolved only down to
 GRAM_RESOLUTION * B (Higham, Accuracy and Stability of Numerical
 Algorithms, ch. 20).
-The split rule has two halves.  The grid alone decides a stage's split: on
-a mirrored grid with an even node count (kernels._mirrored_grid),
-_stage_operator samples every built-in map at the nodes x > 0 only, with
-2 W, since h_n(-x) = (-1)^n h_n(x) makes both S's same-parity blocks and
-its one even-odd cross block sums over those nodes.  The weight decides the
-rest: with |w(x)| == |w(-x)| at every node the cross block is 0, S is block
-diagonal in the even and odd indices, and a held kernel splits too
-(kernels._mirror_signs: row(-x) = s (-1)^n row(x)), so every pass over its
-rows runs per class on the x > 0 half (_gram_rows).  frame_operator forms
-such an S as its two parity blocks with exact zeros between them
-(FrameOperatorMatrix reads the classes off it); analysis and synthesis take
-the even and odd parts of their pass (_row_pass, _fold), mirrored only at
-the public boundary.  A held kernel of any other weight, or one built from
-rows a caller hands over, is one block, whatever spec it carries.
+The parity rule is kernels._pair_split.  Where it splits, _stage_operator
+samples every built-in map at the nodes x > 0 only, with 2 W, and S has an
+even-odd cross block only where the map's rows do not mirror.  A held
+kernel whose rows mirror (KernelMatrix.signs) runs every pass over its rows
+per class on the x > 0 half (_gram_rows): frame_operator forms its S as two
+parity blocks with exact zeros between them (FrameOperatorMatrix reads the
+classes off it); analysis and synthesis take the even and odd parts of their
+pass (_row_pass, _fold), mirrored only at the public boundary.  A held
+kernel of any other weight, or one built from rows a caller hands over, is
+one block, whatever spec it carries.
 The synthesis side (mu-independence, moment solves, the Gel'fand isometry
 defect) reads one coarse kernel per call, from _coarse_kernel: a built-in map
 sampled on the bulk grid coarse_synthesis_grid(N), or a given kernel, with
@@ -61,7 +57,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidConfigError, NumericError
 from .hermite import DistributionSample, TestFunction
-from .kernels import NEGLIGIBLE, _column_phase, _fill_rows, _mirrored_grid, _row_weight, sample_kernel
+from .kernels import _column_phase, _fill_rows, _pair_split, _row_weight, sample_kernel
 from .quadrature import build_grid, bulk_half_width, stage_grid
 
 __all__ = [
@@ -270,7 +266,8 @@ def frame_operator(kernel):
     into one buffer of the rows' own memory order and _class_grams sums the
     blocks' Grams: per parity class from the x > 0 rows with 2 W for a
     split kernel, and for complex rows the real Gram of [Re A, Im A], read
-    as S_rows once.  An S past float64 range is a NumericError naming N."""
+    as S_rows once.  An S out of float64 range (_operator_matrix) is a
+    NumericError naming N."""
     rows, scale, columns, _ = _gram_rows(kernel)
     (m, n), stacked = rows.shape, np.iscomplexobj(rows)
     step = max(1, -(-m // _ROW_BLOCKS))
@@ -287,7 +284,7 @@ def frame_operator(kernel):
 
     grams = _class_grams(blocks(), columns, buffer.shape[1])
     grams = [_from_stacked(grams[0])] if stacked else grams
-    return _operator_matrix(grams, columns, kernel.phase, f"N={n}")
+    return _operator_matrix(grams, columns, kernel.phase, f"N={n}", rows.any)
 
 
 def _stage_operator(map_spec, grid, truncation):
@@ -295,31 +292,29 @@ def _stage_operator(map_spec, grid, truncation):
     without holding the rows: they are sampled _NODE_BLOCK nodes at a time
     into one Fortran-ordered buffer, weighted in place and summed by
     _class_grams, the negligible floor carrying its peak from block to
-    block.  On a kernels._mirrored_grid every built-in map is sampled at the
-    nodes x > 0 only, with 2 W, whatever its weight w: h_n(-x) = (-1)^n
-    h_n(x), so a node pair adds W h_m h_n (w(x)^2 + w(-x)^2) to a same-parity
-    entry of S and W h_m h_n (w(x)^2 - w(-x)^2) to an even-odd one.  The
-    rows at x > 0 carry rho and q of _pair_weights; after each block's class
-    Grams its odd columns are scaled by q in place and one product adds the
-    even-odd cross block, set with its exact transpose in S.  A weight even
-    in magnitude has q = 0 and S is block diagonal (the cross step is
-    skipped).  An S past float64 range is a NumericError naming the stage."""
+    block.  Where kernels._pair_split splits, every built-in map is sampled
+    at the nodes x > 0 only, with 2 W and its rho, whatever its weight;
+    with a q, after each block's class Grams its odd columns are scaled by q
+    in place and one product adds the even-odd cross block, set with its
+    exact transpose in S.  An S out of float64 range (_operator_matrix) is
+    a NumericError naming the stage."""
     n, nodes, weights = truncation, grid.nodes, grid.weights
-    weight, q, start = _row_weight(map_spec, nodes), None, 0
-    if _mirrored_grid(grid, n):
+    weight = _row_weight(map_spec, nodes)
+    split, q, start = _pair_split(map_spec, grid, n, weight), None, 0
+    if split is not None:
         start = nodes.size // 2
         weights = 2.0 * weights[start:]
-        if weight is not None:
-            weight, q = _pair_weights(weight)
+        weight, q, _ = split
     nodes, sqrt_w = nodes[start:], np.sqrt(weights)
     columns = _PARITY if start else (slice(None),)
     cross = None if q is None else np.zeros(((n + 1) // 2, n // 2))
+    peak = 0.0
 
     def blocks():
+        nonlocal peak
         step = min(nodes.size, _NODE_BLOCK)
         buffer = np.empty((n, step)).T
         product = None if cross is None else np.empty_like(cross)
-        peak = 0.0
         for lo in range(0, nodes.size, step):
             block, part = buffer[: min(step, nodes.size - lo)], slice(lo, lo + step)
             peak = _fill_rows(map_spec, nodes[part], None if weight is None else weight[part], block, peak)
@@ -332,28 +327,7 @@ def _stage_operator(map_spec, grid, truncation):
                 np.add(cross, np.matmul(block[:, 0::2].T, odd, out=product), out=cross)
 
     grams = _class_grams(blocks(), columns, n)
-    return _operator_matrix(grams, columns, _column_phase(map_spec, n), f"stage N={n}", cross)
-
-
-def _pair_weights(weight):
-    """(rho, q) at the nodes x > 0 of a mirrored grid from the row weight w
-    at all its nodes: rho = w(x) where |w(x)| == |w(-x)| (so a weight even in
-    magnitude gives its own rows), else sqrt((w(x)^2 + w(-x)^2) / 2), and q
-    = (w(x)^2 - w(-x)^2) / (w(x)^2 + w(-x)^2) in [-1, 1], 0 where |q| <
-    NEGLIGIBLE (so the cross block adds no subnormal); q is None when it is
-    0 at every node.  Both are formed from the ratios to the larger
-    magnitude, so no square leaves float64 range."""
-    start = weight.size // 2
-    plus, minus = weight[start:], weight[:start][::-1]
-    larger = np.maximum(np.abs(plus), np.abs(minus))
-    even = np.abs(plus) == np.abs(minus)
-    # a node with larger == 0 is even, so no ratio divides by 0
-    ratios = np.divide([plus, minus], larger, out=np.zeros((2, start)), where=~even) ** 2
-    total = ratios.sum(axis=0)
-    rho = np.where(even, plus, larger * np.sqrt(total / 2.0))
-    q = (ratios[0] - ratios[1]) / np.where(even, 1.0, total)
-    q[np.abs(q) < NEGLIGIBLE] = 0.0
-    return rho, (q if q.any() else None)
+    return _operator_matrix(grams, columns, _column_phase(map_spec, n), f"stage N={n}", lambda: peak > 0, cross)
 
 
 def _class_grams(blocks, columns, width):
@@ -370,15 +344,21 @@ def _class_grams(blocks, columns, width):
     return grams
 
 
-def _operator_matrix(grams, columns, phase, where, cross=None):
+def _operator_matrix(grams, columns, phase, where, rows_any, cross=None):
     """FrameOperatorMatrix of ``grams`` on the diagonal blocks ``columns``,
-    with ``cross`` (if given) as the even-odd block and its transpose."""
+    with ``cross`` (if given) as the even-odd block and its transpose.  An S
+    past float64 range, or one whose largest |entry| (on the diagonal, S
+    being PSD) is below the normal range, subnormal or 0, so that A keeps
+    only a few digits or none, while the rows summed are not all zero
+    (``rows_any()``), is a NumericError naming ``where``."""
     gram = _block_diagonal(grams, columns)
     if cross is not None:
         gram[_PARITY[0], _PARITY[1]] = cross
         gram[_PARITY[1], _PARITY[0]] = cross.T
     if not np.isfinite(gram).all():
         raise NumericError(f"{where}: the frame operator is past float64 range")
+    if gram.diagonal().real.max() < np.finfo(float).tiny and rows_any():
+        raise NumericError(f"{where}: the frame operator is below float64's normal range")
     gram.setflags(write=False)
     return FrameOperatorMatrix(gram, phase=phase)
 
@@ -386,11 +366,11 @@ def _operator_matrix(grams, columns, phase, where, cross=None):
 def _gram_rows(kernel):
     """(rows, quadrature scale, column classes, signs) that every pass over
     a kernel's rows runs on: for a kernel sample_kernel split (its
-    ``signs``), the x > 0 half of its rows, 2 W on it, _PARITY and the
-    signs; for any other kernel all of its rows, W, one class and None.
-    With s^2 = 1 a sum over the grid of a product of two passes is 2 W
-    times the sum of the products of their even parts and of their odd
-    parts at x > 0."""
+    ``signs``; see kernels._pair_split), the x > 0 half of its rows, 2 W on
+    it, _PARITY and the signs; for any other kernel all of its rows, W, one
+    class and None.  With s^2 = 1 a sum over the grid of a product of two
+    passes is 2 W times the sum of the products of their even parts and of
+    their odd parts at x > 0."""
     rows, weights, signs = kernel.rows, kernel.grid.weights, kernel.signs
     if signs is None:
         return rows, weights, (slice(None),), None
@@ -564,18 +544,23 @@ class _CoarseSVD:
     which changes neither the singular values nor the left singular vectors.
 
     The blocks are sqrt(scale) rows[:, c] per column class c of _gram_rows.
-    For a kernel sample_kernel split, each node pair (x, -x) gives one row
-    of an even block and one of an odd block: the even and the odd columns
-    of the row at x > 0, weighted by sqrt(2 W) (Golub & Van Loan, Matrix
-    Computations, 8.6).  The two (m/2) x (N/2) blocks' values, merged, are
-    those of the m x N rows.  Every other kernel is one block, its weighted
-    rows.
+    For a kernel sample_kernel split (kernels._pair_split), each node pair
+    (x, -x) gives one row of an even block and one of an odd block: the even
+    and the odd columns of the row at x > 0, weighted by sqrt(2 W) (Golub &
+    Van Loan, Matrix Computations, 8.6).  The two (m/2) x (N/2) blocks'
+    values, merged, are those of the m x N rows.  Every other kernel is one
+    block, its weighted rows.
     """
 
     def __init__(self, kernel, threshold):
         if threshold <= 0:
             raise InvalidConfigError(f"threshold must be positive, got {threshold}")
-        _check_coarse(kernel.node_count, kernel.truncation)
+        if kernel.node_count > kernel.truncation:
+            raise InvalidConfigError(
+                f"synthesis-side diagnostics need node count <= truncation, got "
+                f"{kernel.node_count} nodes > {kernel.truncation}: with more nodes than "
+                f"coefficients the discretized synthesis map always has a null space"
+            )
         rows, scale, columns, self.signs = _gram_rows(kernel)
         sqrt_w = np.sqrt(scale)[:, None]
         self.blocks = tuple(sqrt_w * rows[:, c] for c in columns)
@@ -602,22 +587,12 @@ class _CoarseSVD:
         return np.concatenate(lifted, axis=1)[:, self.order]
 
 
-def _check_coarse(node_count, truncation):
-    if node_count > truncation:
-        raise InvalidConfigError(
-            f"synthesis-side diagnostics need node count <= truncation, got "
-            f"{node_count} nodes > {truncation}: with more nodes than coefficients "
-            f"the discretized synthesis map always has a null space"
-        )
-
-
 def _coarse_kernel(map_spec, truncation, kernel=None):
     """The kernel every synthesis-side diagnostic reads: a built-in map
     sampled on coarse_synthesis_grid(truncation), or else ``kernel`` as it
-    is.  Either must have node count <= truncation (InvalidConfigError)."""
+    is.  _CoarseSVD refuses either with node count > truncation."""
     if map_spec is not None and map_spec.kind != "custom":
-        kernel = sample_kernel(map_spec, coarse_synthesis_grid(truncation), truncation)
-    _check_coarse(kernel.node_count, truncation)
+        return sample_kernel(map_spec, coarse_synthesis_grid(truncation), truncation)
     return kernel
 
 

@@ -472,8 +472,7 @@ class TestClassify:
 
     def test_zero_weight_degenerate(self):
         report = classify(weighted_dirac_map("0"), default_ladder(16))
-        assert report.has("bounded_bessel")
-        assert not report.has("total")
+        assert report.labels == ("bessel", "bounded_bessel")
         assert report.stages[-1].lower == 0.0
         assert report.stages[-1].upper == 0.0
 
@@ -514,6 +513,22 @@ class TestClassify:
         the check warns of nothing (warnings are errors here)."""
         with pytest.raises(NumericError, match=r"stage N=128: .* past float64 range"):
             classify(weighted_dirac_map("exp(x^2)"), default_ladder(128))
+
+    @pytest.mark.parametrize("scale", ["10^-155", "10^-160", "10^-162"])
+    def test_frame_operator_below_the_normal_range_names_the_stage(self, scale):
+        """w^2 under the smallest normal float leaves S subnormal (A off by
+        3e-3 at 1e-160) or exactly 0 (1e-162, which would read as a zero
+        map): a NumericError naming the stage, and N for a held kernel."""
+        spec = weighted_dirac_map(f"{scale}*(2+sin(x))")
+        with pytest.raises(NumericError, match=r"^stage N=8: the frame operator is below float64's normal range$"):
+            classify(spec, default_ladder(8))
+        with pytest.raises(NumericError, match=r"^N=8: the frame operator is below float64's normal range$"):
+            frame_operator(make_kernel(spec, 8))
+
+    def test_a_bump_off_every_stage_grid_keeps_its_zero_frame_operator(self):
+        """bump(100, 101) is 0 at every stage node: S = 0 is no underflow,
+        and the map is Bessel with nothing else."""
+        assert classify(bump_dirac_map(100.0, 101.0), default_ladder(32)).labels == ("bessel", "bounded_bessel")
 
     @pytest.mark.parametrize(
         "spec", [weighted_dirac_map("exp(-x^2)"), bump_dirac_map(-1.0, 2.0)], ids=["exp(-x^2)", "bump[-1,2]"]
@@ -670,6 +685,8 @@ EVEN_FAMILIES = {
     "fourier": fourier_map(),
     "dirac_derivative": dirac_derivative_map(),
     "1+x^2": weighted_dirac_map("1+x^2"),
+    # even in magnitude and negative for |x| > 1: the stage rows carry |w|
+    "1-x^2": weighted_dirac_map("1-x^2"),
     "exp(-x^2)": weighted_dirac_map("exp(-x^2)"),
     "bump[-1,1]": bump_dirac_map(-1.0, 1.0),
 }

@@ -49,8 +49,8 @@ from riggedframes import (  # noqa: E402
 )
 from riggedframes.acceptance import _exact_frame_operator  # noqa: E402
 from riggedframes import operators  # noqa: E402
-from riggedframes.kernels import _row_weight  # noqa: E402
-from riggedframes.operators import _PARITY, _bessel_constant, _pair_weights, _stage_operator  # noqa: E402
+from riggedframes.kernels import _pair_split, _row_weight  # noqa: E402
+from riggedframes.operators import _PARITY, _bessel_constant, _stage_operator  # noqa: E402
 
 TRUNCATIONS = (8, 16, 32, 64, 128)
 COEFFICIENT = st.floats(0.1, 3.0).map(lambda c: round(c, 3))
@@ -126,14 +126,34 @@ def _one_block(spec, grid, truncation):
     return frame_operator(KernelMatrix(kernel.rows, kernel.grid, phase=kernel.phase))
 
 
+def _rho_q(spec, grid):
+    """_pair_split's rho and q for a map on a stage grid at N = 64."""
+    rho, q, _ = _pair_split(spec, grid, 64, _row_weight(spec, grid.nodes))
+    return rho, q
+
+
+@pytest.mark.parametrize("weight", ["x", "1-x^2"])
+def test_pair_split_of_a_weight_even_in_magnitude(weight):
+    """rho is |w| exactly and q is None; the held rows' sign s is -1
+    exactly where the sign bits of w(x) and w(-x) differ."""
+    spec, grid = weighted_dirac_map(weight), stage_grid(default_stage(64))
+    w = _row_weight(spec, grid.nodes)
+    rho, q, signs = _pair_split(spec, grid, 64, w)
+    plus, minus = w[w.size // 2 :], w[: w.size // 2][::-1]
+    assert (np.minimum(plus, minus) < 0).any()
+    assert np.array_equal(rho, np.abs(plus)) and q is None
+    flips = np.signbit(plus) != np.signbit(minus)
+    assert np.array_equal(signs, np.where(flips, -1.0, 1.0))
+
+
 @pytest.mark.parametrize("scale", ["10^-160", "10^160"])
 def test_pair_weights_scale_with_the_weight(scale):
     """rho and q are formed from the ratios to the larger magnitude: a weight
     scaled by c gives rho scaled by c and the same q, where squaring c w
     would underflow (1e-160) or overflow (1e160)."""
-    nodes = stage_grid(default_stage(64)).nodes
-    rho, q = _pair_weights(_row_weight(weighted_dirac_map(f"{scale}*(2+sin(x))"), nodes))
-    plain_rho, plain_q = _pair_weights(_row_weight(weighted_dirac_map("2+sin(x)"), nodes))
+    grid = stage_grid(default_stage(64))
+    rho, q = _rho_q(weighted_dirac_map(f"{scale}*(2+sin(x))"), grid)
+    plain_rho, plain_q = _rho_q(weighted_dirac_map("2+sin(x)"), grid)
     c = float(scale.replace("10^", "1e"))
     assert np.abs(rho / c - plain_rho).max() <= 1e-15 * plain_rho.max()
     assert np.abs(q - plain_q).max() <= 1e-15
@@ -144,9 +164,10 @@ def test_pair_weights_of_a_weight_zero_on_one_side(support):
     """Where the weight vanishes at one node of a pair only, q is -1 or 1
     exactly and rho is the other magnitude over sqrt(2); where both vanish
     rho and q are 0."""
-    nodes = stage_grid(default_stage(64)).nodes
-    weight = _row_weight(bump_dirac_map(*support), nodes)
-    rho, q = _pair_weights(weight)
+    spec, grid = bump_dirac_map(*support), stage_grid(default_stage(64))
+    nodes = grid.nodes
+    weight = _row_weight(spec, nodes)
+    rho, q = _rho_q(spec, grid)
     plus, minus = weight[nodes.size // 2 :], weight[: nodes.size // 2][::-1]
     one_sided, neither = (plus == 0) != (minus == 0), (plus == 0) & (minus == 0)
     assert one_sided.any() and neither.any()

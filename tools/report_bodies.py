@@ -2,7 +2,7 @@
 
     PYTHONPATH=src python tools/report_bodies.py OUT [N_MAX ...]
 
-Runs classify, bounds, dual, reconstruct, moment-solve and sweep on the nine
+Runs classify, bounds, dual, reconstruct, moment-solve and sweep on the ten
 built-in families at each N_MAX (default 64) on the default ladder, and on
 three custom CSV kernels at N = 32 (2+sin(x), fourier and dirac_derivative
 sampled on the default stage grid: real, complex, and real with mirrored
@@ -59,6 +59,9 @@ BUILTIN_MAPS = {
     "bump[-1,1]": {"kind": "bump_dirac", "bump_support": [-1, 1]},
     # mirrored, with a weight that changes sign at -x
     "x": {"kind": "weighted_dirac", "weight": "x"},
+    # even in magnitude and negative for |x| > 1: its stage rows carry |w|,
+    # its held rows w
+    "1-x^2": {"kind": "weighted_dirac", "weight": "1-x^2"},
     # mirrored, with coarse singular values that cross moment-solve's 1e-10
     # cutoff mid-spectrum: its range comes from both parity blocks
     "exp(-x^2)": {"kind": "weighted_dirac", "weight": "exp(-x^2)"},
