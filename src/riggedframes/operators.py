@@ -17,11 +17,13 @@ bounded k.  Each stage keeps its S, which the ladder checks read.  A Gram
 squares the condition number, so A is resolved only down to
 GRAM_RESOLUTION * B (Higham, Accuracy and Stability of Numerical
 Algorithms, ch. 20).
-The parity rule is kernels._pair_split.  Where it splits, _stage_operator
-samples every built-in map at the nodes x > 0 only, with 2 W, and S has an
-even-odd cross block only where the map's rows do not mirror.  A held
-kernel whose rows mirror (KernelMatrix.signs) runs every pass over its rows
-per class on the x > 0 half (_gram_rows): frame_operator forms its S as two
+One block loop, _summed_operator, sums every S from a row source: a held
+kernel's rows (frame_operator) or a stage's, sampled a block at a time
+(_stage_operator).  The parity rule is kernels._pair_split.  Where it
+splits, _stage_operator samples every built-in map at the nodes x > 0 only,
+with 2 W, and S has an even-odd cross block only where the map's rows do not
+mirror.  A held kernel whose rows mirror (KernelMatrix.signs) runs every
+pass over its rows per class on the x > 0 half (_gram_rows): its S has two
 parity blocks with exact zeros between them (FrameOperatorMatrix reads the
 classes off it); analysis and synthesis take the even and odd parts of their
 pass (_row_pass, _fold), mirrored only at the public boundary.  A held
@@ -214,9 +216,9 @@ class FrameOperatorMatrix:
     ``matrix`` forms when read (read-only, not cached).  Both have the same
     eigenvalues.  ``columns`` holds the column classes of gram's diagonal
     blocks, read off gram itself: _PARITY when every entry coupling an even
-    and an odd index is exactly 0 (frame_operator of mirrored rows), else
-    one class of all the columns (a stage S with an even-odd cross block).
-    Every reader of S works per block.
+    and an odd index is exactly 0 (_summed_operator summed the parity
+    classes apart and added no cross block), else one class of all the
+    columns.  Every reader of S works per block.
     """
 
     gram: np.ndarray
@@ -249,7 +251,8 @@ class FrameOperatorMatrix:
         return self.gram.shape[0]
 
 
-# frame_operator sums S over this many row blocks of rows it already holds:
+# The two row sources of _summed_operator keep their own measured block
+# rules.  frame_operator sums rows it already holds in _ROW_BLOCKS blocks:
 # 2-4 MB of working memory at N = 512, against 16 MB for one 4096-row block.
 _ROW_BLOCKS = 8
 # _stage_operator samples rows held nowhere else at most this many nodes at a
@@ -259,99 +262,41 @@ _ROW_BLOCKS = 8
 _NODE_BLOCK = 4096
 
 
-def frame_operator(kernel):
-    """S = P^H S_rows P, with S_rows the Gram A^H A of the weighted rows
-    A = sqrt(W) rows and P the kernel's column phase (kept apart: S.matrix
-    forms P^H S_rows P when read).  A is written ceil(m/8) rows at a time
-    into one buffer of the rows' own memory order and _class_grams sums the
-    blocks' Grams: per parity class from the x > 0 rows with 2 W for a
-    split kernel, and for complex rows the real Gram of [Re A, Im A], read
-    as S_rows once.  An S out of float64 range (_operator_matrix) is a
-    NumericError naming N."""
-    rows, scale, columns, _ = _gram_rows(kernel)
-    (m, n), stacked = rows.shape, np.iscomplexobj(rows)
-    step = max(1, -(-m // _ROW_BLOCKS))
-    sqrt_w = np.sqrt(scale)[:, None]
-    order = "F" if kernel.rows.flags.f_contiguous else "C"
-    buffer = np.empty((min(step, m), 2 * n if stacked else n), order=order)
-
-    def blocks():
-        for i in range(0, m, step):
-            block, part = buffer[: min(step, m - i)], rows[i : i + step]
-            for j, values in enumerate((part.real, part.imag) if stacked else (part,)):
-                np.multiply(sqrt_w[i : i + step], values, out=block[:, j * n : (j + 1) * n])
-            yield block
-
-    grams = _class_grams(blocks(), columns, buffer.shape[1])
-    grams = [_from_stacked(grams[0])] if stacked else grams
-    return _operator_matrix(grams, columns, kernel.phase, f"N={n}", rows.any)
-
-
-def _stage_operator(map_spec, grid, truncation):
-    """frame_operator of sample_kernel's kernel on a stage grid, to rounding,
-    without holding the rows: they are sampled _NODE_BLOCK nodes at a time
-    into one Fortran-ordered buffer, weighted in place and summed by
-    _class_grams, the negligible floor carrying its peak from block to
-    block.  Where kernels._pair_split splits, every built-in map is sampled
-    at the nodes x > 0 only, with 2 W and its rho, whatever its weight;
-    with a q, after each block's class Grams its odd columns are scaled by q
-    in place and one product adds the even-odd cross block, set with its
-    exact transpose in S.  An S out of float64 range (_operator_matrix) is
-    a NumericError naming the stage."""
-    n, nodes, weights = truncation, grid.nodes, grid.weights
-    weight = _row_weight(map_spec, nodes)
-    split, q, start = _pair_split(map_spec, grid, n, weight), None, 0
-    if split is not None:
-        start = nodes.size // 2
-        weights = 2.0 * weights[start:]
-        weight, q, _ = split
-    nodes, sqrt_w = nodes[start:], np.sqrt(weights)
-    columns = _PARITY if start else (slice(None),)
-    cross = None if q is None else np.zeros(((n + 1) // 2, n // 2))
-    peak = 0.0
-
-    def blocks():
-        nonlocal peak
-        step = min(nodes.size, _NODE_BLOCK)
-        buffer = np.empty((n, step)).T
-        product = None if cross is None else np.empty_like(cross)
-        for lo in range(0, nodes.size, step):
-            block, part = buffer[: min(step, nodes.size - lo)], slice(lo, lo + step)
-            peak = _fill_rows(map_spec, nodes[part], None if weight is None else weight[part], block, peak)
-            block *= sqrt_w[part, None]
-            yield block
-            # resumed once _class_grams has summed this block's class Grams
-            if cross is not None:
-                odd = block[:, 1::2]
-                odd *= q[part, None]
-                np.add(cross, np.matmul(block[:, 0::2].T, odd, out=product), out=cross)
-
-    grams = _class_grams(blocks(), columns, n)
-    return _operator_matrix(grams, columns, _column_phase(map_spec, n), f"stage N={n}", lambda: peak > 0, cross)
-
-
-def _class_grams(blocks, columns, width):
-    """The Gram a^T a of each column class c, a = block[:, c], summed over
-    ``blocks`` (real, ``width`` wide) through one product per class: a class
-    of a Fortran-ordered block is a strided view BLAS takes without a copy,
-    and a^T a is a symmetric rank-k update, so each sum is exactly symmetric."""
-    grams = [np.zeros((len(range(width)[c]),) * 2) for c in columns]
-    products = [np.empty_like(gram) for gram in grams]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for block in blocks:
-            for c, gram, product in zip(columns, grams, products):
-                gram += np.matmul(block[:, c].T, block[:, c], out=product)
-    return grams
-
-
-def _operator_matrix(grams, columns, phase, where, rows_any, cross=None):
-    """FrameOperatorMatrix of ``grams`` on the diagonal blocks ``columns``,
-    with ``cross`` (if given) as the even-odd block and its transpose.  An S
+def _summed_operator(fill, count, step, order, n, columns, *, stacked=False, q=None, phase, where, rows_any):
+    """FrameOperatorMatrix of the Gram A^T A of ``count`` real weighted rows
+    A, summed ``step`` rows at a time: ``fill(block, part)`` writes the rows
+    ``part`` (a slice) into ``block``, the leading rows of one reused buffer
+    in memory ``order``, N = ``n`` columns wide, or 2N for ``stacked`` rows,
+    [Re A, Im A] of complex rows, whose real Gram is read as S_rows.  Each
+    column class c of ``columns`` adds the Gram of a = block[:, c] through
+    one product: a class of a Fortran-ordered block is a strided view BLAS
+    takes without a copy, and a^T a is a symmetric rank-k update, so each
+    sum is exactly symmetric.  With ``q`` (one factor per row), the block's
+    odd columns are then scaled by q in place and one product adds the
+    even-odd cross block, set with its exact transpose in S.  The class
+    Grams stay apart until the buffer is freed; then S is assembled.  An S
     past float64 range, or one whose largest |entry| (on the diagonal, S
     being PSD) is below the normal range, subnormal or 0, so that A keeps
     only a few digits or none, while the rows summed are not all zero
     (``rows_any()``), is a NumericError naming ``where``."""
-    gram = _block_diagonal(grams, columns)
+    width = 2 * n if stacked else n
+    buffer = np.empty((min(step, count), width), order=order)
+    grams = [np.zeros((len(range(width)[c]),) * 2) for c in columns]
+    products = [np.empty_like(gram) for gram in grams]
+    cross = None if q is None else np.zeros(((n + 1) // 2, n // 2))
+    cross_product = None if q is None else np.empty_like(cross)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, count, step):
+            block, part = buffer[: min(step, count - lo)], slice(lo, lo + step)
+            fill(block, part)
+            for c, gram, product in zip(columns, grams, products):
+                gram += np.matmul(block[:, c].T, block[:, c], out=product)
+            if q is not None:
+                np.multiply(block[:, 1::2], q[part, None], out=block[:, 1::2])
+                cross += np.matmul(block[:, 0::2].T, block[:, 1::2], out=cross_product)
+        # any view of the buffer left alive keeps it (a grid has nodes: block is bound)
+        del buffer, block, products, cross_product
+        gram = _from_stacked(grams[0]) if stacked else _block_diagonal(grams, columns)
     if cross is not None:
         gram[_PARITY[0], _PARITY[1]] = cross
         gram[_PARITY[1], _PARITY[0]] = cross.T
@@ -361,6 +306,59 @@ def _operator_matrix(grams, columns, phase, where, rows_any, cross=None):
         raise NumericError(f"{where}: the frame operator is below float64's normal range")
     gram.setflags(write=False)
     return FrameOperatorMatrix(gram, phase=phase)
+
+
+def frame_operator(kernel):
+    """S = P^H S_rows P, with S_rows the Gram A^H A of the weighted rows
+    A = sqrt(W) rows and P the kernel's column phase (kept apart: S.matrix
+    forms P^H S_rows P when read).  The row source of _summed_operator over
+    rows it holds: A is written ceil(m/8) rows at a time in the rows' own
+    memory order, per parity class from the x > 0 rows with 2 W for a split
+    kernel, and for complex rows as [Re A, Im A].  An S out of float64
+    range is a NumericError naming N."""
+    rows, scale, columns, _ = _gram_rows(kernel)
+    (m, n), stacked = rows.shape, np.iscomplexobj(rows)
+    sqrt_w = np.sqrt(scale)[:, None]
+
+    def fill(block, part):
+        for j, values in enumerate((rows[part].real, rows[part].imag) if stacked else (rows[part],)):
+            np.multiply(sqrt_w[part], values, out=block[:, j * n : (j + 1) * n])
+
+    order = "F" if kernel.rows.flags.f_contiguous else "C"
+    return _summed_operator(
+        fill, m, max(1, -(-m // _ROW_BLOCKS)), order, n, columns,
+        stacked=stacked, phase=kernel.phase, where=f"N={n}", rows_any=rows.any,
+    )
+
+
+def _stage_operator(map_spec, grid, truncation):
+    """frame_operator of sample_kernel's kernel on a stage grid, to rounding,
+    without holding the rows: the row source of _summed_operator that
+    samples them _NODE_BLOCK nodes at a time into its Fortran-ordered
+    buffer, weighted in place, the negligible floor carrying its peak from
+    block to block.  Where kernels._pair_split splits, every built-in map is
+    sampled at the nodes x > 0 only, with 2 W and its rho, whatever its
+    weight, and its q (if any) adds the even-odd cross block.  An S out of
+    float64 range is a NumericError naming the stage."""
+    n, nodes, weights = truncation, grid.nodes, grid.weights
+    weight = _row_weight(map_spec, nodes)
+    split, q, start = _pair_split(map_spec, grid, n, weight), None, 0
+    if split is not None:
+        start = nodes.size // 2
+        weights = 2.0 * weights[start:]
+        weight, q, _ = split
+    nodes, sqrt_w = nodes[start:], np.sqrt(weights)
+    peak = 0.0
+
+    def fill(block, part):
+        nonlocal peak
+        peak = _fill_rows(map_spec, nodes[part], None if weight is None else weight[part], block, peak)
+        block *= sqrt_w[part, None]
+
+    return _summed_operator(
+        fill, nodes.size, _NODE_BLOCK, "F", n, _PARITY if start else (slice(None),),
+        q=q, phase=_column_phase(map_spec, n), where=f"stage N={n}", rows_any=lambda: peak > 0,
+    )
 
 
 def _gram_rows(kernel):

@@ -406,11 +406,31 @@ class TestCommandLine:
 
     @pytest.mark.parametrize("command", ["dual", "reconstruct"])
     def test_frame_operator_past_float64_range_exits_one(self, tmp_path, command):
-        """exp(x^2) at n_max 128: one error line naming N, and no warning."""
-        data = {"map": {"kind": "weighted_dirac", "weight": "exp(x^2)"}, "ladder": {"n_max": 128}}
-        proc = self.run_cli(command, "--config", str(write_config(tmp_path, data)))
-        assert proc.returncode == 1
-        assert proc.stderr == "error: N=128: the frame operator is past float64 range\n"
+        """exp(x^2) at n_max 128, and a complex custom CSV of 1e160 (2+sin(x))
+        exp(i x) at N=16: one error line naming N, and no warning."""
+        import numpy as np
+
+        from riggedframes import (
+            KernelMatrix,
+            default_stage,
+            sample_kernel,
+            save_kernel_csv,
+            stage_grid,
+            weighted_dirac_map,
+        )
+
+        grid = stage_grid(default_stage(16))
+        kernel = sample_kernel(weighted_dirac_map("2+sin(x)"), grid, 16)
+        path = tmp_path / "complex.csv"
+        save_kernel_csv(KernelMatrix(1e160 * kernel.rows * np.exp(1j * grid.nodes)[:, None], grid), path)
+        cases = {
+            "N=128": {"map": {"kind": "weighted_dirac", "weight": "exp(x^2)"}, "ladder": {"n_max": 128}},
+            "N=16": {"map": {"kind": "custom", "custom_kernel": str(path)}, "ladder": {"stages": [16]}},
+        }
+        for where, data in cases.items():
+            proc = self.run_cli(command, "--config", str(write_config(tmp_path, data)))
+            assert proc.returncode == 1
+            assert proc.stderr == f"error: {where}: the frame operator is past float64 range\n"
 
     def test_missing_config_is_usage_error(self):
         proc = self.run_cli("classify")

@@ -7,6 +7,7 @@ from riggedframes import (
     InvalidConfigError,
     RefinementLadder,
     KernelMatrix,
+    LadderStage,
     NumericError,
     TestFunction,
     analysis,
@@ -121,6 +122,15 @@ class TestFrameOperator:
         assert operators._gram_rows(kernel)[2] == operators._PARITY
         with pytest.raises(NumericError, match=r"^N=128: the frame operator is past float64 range$"):
             frame_operator(kernel)
+
+    def test_complex_rows_past_float64_range_name_the_truncation(self):
+        """1e160 (2+sin(x)) exp(i x) at N=16 overflows the stacked Gram of
+        [Re A, Im A]: the same NumericError, with no invalid-value warning
+        from inf - inf where S_rows is read off it."""
+        kernel = make_kernel(weighted_dirac_map("2+sin(x)"), 16)
+        rows = 1e160 * kernel.rows * np.exp(1j * kernel.grid.nodes)[:, None]
+        with pytest.raises(NumericError, match=r"^N=16: the frame operator is past float64 range$"):
+            frame_operator(KernelMatrix(rows, kernel.grid))
 
     def test_complex_custom_kernel_matches_the_weighted_gram(self, tmp_path):
         """A complex custom kernel (the 2+sin(x) rows times exp(i x), through
@@ -729,17 +739,41 @@ class TestParitySplit:
         ],
         ids=["2+sin(x)", "1e150*(2+sin(x))", "bump[-1,2]", "bump[-2,1]"],
     )
-    @pytest.mark.parametrize("n", [8, 64])
-    def test_maps_without_even_magnitude_take_one_block(self, spec, n):
+    @pytest.mark.parametrize(
+        "stage",
+        [default_stage(8), default_stage(64), LadderStage(16, 10.0, 1500, 10)],
+        ids=["8", "64", "16-two-node-blocks"],
+    )
+    def test_maps_without_even_magnitude_take_one_block(self, spec, stage):
         """The stage sums S from the nodes x > 0 with one even-odd cross
         block, so S is one class: the one-block S to 1e-14 B, for a weight
-        near the top of float64 range and for bumps that vanish on one side
-        of a node pair only."""
-        grid = stage_grid(default_stage(n))
+        near the top of float64 range, for bumps that vanish on one side
+        of a node pair only, and with the cross block summed over a second,
+        shorter node block: 7,500 nodes at x > 0, the second block holding
+        x > 5.46, across the turning point sqrt(33) = 5.74."""
+        grid, n = stage_grid(stage), stage.truncation
         op = operators._stage_operator(spec, grid, n)
         assert op.columns == (slice(None),)
         one = _one_block(spec, grid, n)
         assert np.abs(op.gram - one.gram).max() <= 1e-14 * frame_bounds(one)[1]
+
+    def test_stage_frees_its_row_buffer_before_s_is_assembled(self):
+        """2+sin(x) at N = 1024 samples two node blocks into one 4096 x N
+        buffer (32 MiB).  The traced peak stays below that buffer plus two
+        N x N matrices: S is assembled from the class Grams only once the
+        buffer is freed."""
+        import tracemalloc
+
+        n, spec = 1024, weighted_dirac_map("2+sin(x)")
+        grid = stage_grid(default_stage(n))
+        assert grid.node_count // 2 > operators._NODE_BLOCK
+        tracemalloc.start()
+        try:
+            operators._stage_operator(spec, grid, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < operators._NODE_BLOCK * n * 8 + 2 * n * n * 8
 
     def test_a_node_at_zero_counts_once(self):
         """An odd node count puts a node at 0, so the stage sums all the rows,
