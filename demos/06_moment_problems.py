@@ -1,7 +1,8 @@
 """Moment problems: when does <f, omega_x> = h(x) have a solution?
 
-On a coarse grid with fewer nodes than coefficients, every consistent
-target is exactly solvable and the least-norm representative is recovered.
+On the Gauss-Hermite coarse grid, with as many nodes as coefficients, the
+weighted dirac rows are orthogonal: every target is exactly solvable and
+the least-norm representative is recovered.
 The solvability envelope gives the constructive necessary condition, and
 the continuity constants quantify how strongly solutions are controlled by
 their data -- or fail to be, for the derivative map.

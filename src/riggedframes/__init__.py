@@ -39,6 +39,7 @@ from .quadrature import (
     bulk_half_width,
     default_ladder,
     default_stage,
+    hermite_grid,
     l2x_inner,
     l2x_norm,
     stage_grid,

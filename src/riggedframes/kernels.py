@@ -222,7 +222,7 @@ def sample_kernel(spec, grid, truncation):
         return load_custom_kernel(spec.custom_kernel, grid, truncation)
     nodes = grid.nodes
     weight = _row_weight(spec, nodes)
-    split = _pair_split(spec, grid, truncation, weight)
+    split = _pair_split(spec, grid, truncation, weight, held=True)
     signs = None if split is None else split[2]
     start = 0 if signs is None else nodes.size // 2
     rows = np.empty((truncation, nodes.size)).T
@@ -254,9 +254,11 @@ def _row_weight(spec, nodes):
     return None
 
 
-def _pair_split(spec, grid, truncation, weight):
+def _pair_split(spec, grid, truncation, weight, *, held=False):
     """The one parity rule for a built-in map's rows on a grid: None, or
-    (rho, q, signs) at the nodes x > 0 in grid order.
+    (rho, q, signs) at the nodes x > 0 in grid order.  With ``held`` (the
+    rows sample_kernel keeps, which need only the signs) rho and q are not
+    formed: the result is (None, None, signs), or None where q would be set.
 
     Since h_n(-x) = (-1)^n h_n(x), a node pair (x, -x) with row weight w
     (``weight``: _row_weight at the grid's nodes, None for the kinds without
@@ -264,7 +266,8 @@ def _pair_split(spec, grid, truncation, weight):
     W h_m h_n (w(x)^2 - w(-x)^2) to an even-odd one.  So every sum over the
     rows can run on the nodes x > 0 of a mirrored grid with an even node
     count (nodes and weights mirror-symmetric bit for bit, as build_grid's
-    are; an odd count puts a node at 0, which no default grid has) when
+    and hermite_grid's are; an odd count puts a node at 0, which no default
+    grid has) when
     N >= 2.  On any other grid, or at N = 1, the result is None and the rows
     take one block.  Otherwise:
 
@@ -300,13 +303,19 @@ def _pair_split(spec, grid, truncation, weight):
     if weight is None:
         return None, None, signs
     plus, minus = weight[start:], weight[:start][::-1]
-    larger = np.maximum(np.abs(plus), np.abs(minus))
-    ratios = np.divide([plus, minus], larger, out=np.zeros((2, start)), where=larger > 0) ** 2
-    total = ratios.sum(axis=0)
-    rho = larger * np.sqrt(total / 2.0)
-    q = np.divide(ratios[0] - ratios[1], total, out=np.zeros(start), where=larger > 0)
-    if q.any():
-        return rho, q, None
+    rho = None
+    if held:
+        # q is 0 at every pair exactly when |w(x)| == |w(-x)| at every pair
+        if not np.array_equal(np.abs(plus), np.abs(minus)):
+            return None
+    else:
+        larger = np.maximum(np.abs(plus), np.abs(minus))
+        ratios = np.divide([plus, minus], larger, out=np.zeros((2, start)), where=larger > 0) ** 2
+        total = ratios.sum(axis=0)
+        rho = larger * np.sqrt(total / 2.0)
+        q = np.divide(ratios[0] - ratios[1], total, out=np.zeros(start), where=larger > 0)
+        if q.any():
+            return rho, q, None
     signs[np.signbit(plus) != np.signbit(minus)] *= -1.0
     return rho, None, signs
 

@@ -13,7 +13,10 @@ reads that off the coarse rank rule's singular values (operators._CoarseSVD,
 which takes a mirrored kernel's from its two parity blocks); only a
 rank-deficient kernel forms U and has its panel probes measured against its
 numerical range, and its ``worst_residual`` is the largest distance from a
-unit probe to that range (exactly 0 at full row rank).
+unit probe to that range (exactly 0 at full row rank).  A built-in map on
+its Gauss-Hermite coarse grid needs neither kernel nor SVD (_coarse_rf):
+its range is spanned by the nodes whose closed-form singular value
+(operators._coarse_values) clears the cutoff.
 
 The solvability envelope realizes the necessary condition for the
 continuum problem: a target h reachable from the p_k unit ball must satisfy
@@ -40,11 +43,14 @@ from .operators import (
     _bessel_constant,
     _bessel_search,
     _block_diagonal,
+    _builtin,
     _CoarseSVD,
-    _coarse_kernel,
+    _coarse_values,
+    _full_rank,
     _unphase,
     _weighted_rows,
     classify,
+    coarse_synthesis_grid,
 )
 from .quadrature import l2x_norm
 
@@ -135,9 +141,34 @@ def rf_diagnostic(kernel):
         sqrt_w / np.linalg.norm(sqrt_w, axis=1, keepdims=True)
     ).ravel()
     basis = u[:, svals > NULL_SPACE_CUTOFF * svals[0]]
-    residuals = np.linalg.norm(probes - basis @ (basis.conj().T @ probes), axis=0)
-    score = np.count_nonzero(residuals <= 1e-6) / residuals.size
-    return float(score), float(residuals.max())
+    return _scored(np.linalg.norm(probes - basis @ (basis.conj().T @ probes), axis=0))
+
+
+def _scored(residuals):
+    """(score, worst residual) of the probes' residuals."""
+    return float(np.count_nonzero(residuals <= 1e-6) / residuals.size), float(residuals.max())
+
+
+def _coarse_rf(map_spec, truncation, kernel=None):
+    """rf_diagnostic of operators._coarse_kernel's kernel, with no kernel
+    sampled and no SVD for a built-in map; rf_diagnostic of ``kernel``
+    otherwise.  A built-in's weighted coarse rows have the left singular
+    vector e_j for the closed-form value sigma_j at node j (_coarse_values),
+    so their numerical range is the span of the e_j with sigma_j >
+    NULL_SPACE_CUTOFF * sigma_max, and a probe's residual is its norm on the
+    other nodes: sqrt(sum of W there / sum of W on its cell).
+    dirac_derivative's left vectors are not the e_j, but it drops no node:
+    its smallest value over its largest exceeds 1/(2K) (measured for
+    K <= 2048, odd N included), far above the cutoff."""
+    if not _builtin(map_spec):
+        return rf_diagnostic(kernel)
+    values = _coarse_values(map_spec, truncation)
+    if _full_rank(values.min(), values.max(), NULL_SPACE_CUTOFF):
+        return 1.0, 0.0
+    grid = coarse_synthesis_grid(truncation)
+    cells = grid.weights.reshape(grid.panels, grid.order)
+    dropped = np.where(values > NULL_SPACE_CUTOFF * values.max(), 0.0, grid.weights)
+    return _scored(np.sqrt(dropped.reshape(cells.shape).sum(axis=1) / cells.sum(axis=1)))
 
 
 def continuity_constant(kernel, k):
@@ -216,17 +247,17 @@ def dual_bessel_check(kernel):
     """A dual of a moment-solvable map is itself norm-bounded by a seminorm.
 
     Precondition (config error if unmet): the kernel's map solves every
-    coarse-grid panel probe, rf score 1.  It classifies the kernel's ladder
-    (duality._walkable_ladder), the one walk, and reads theta's frame
-    operator S^-1 off the Cholesky factors of the blocks of each stage's S
-    (duality._cholesky_inverses; NotAFrameError for a singular S),
+    coarse-grid panel probe, rf score 1 (_coarse_rf).  It classifies the
+    kernel's ladder (duality._walkable_ladder), the one walk, and reads
+    theta's frame operator S^-1 off the Cholesky factors of the blocks of
+    each stage's S (duality._cholesky_inverses; NotAFrameError for a
+    singular S),
     certifying the smallest seminorm index up to the classifier's default
     ``bessel_k_max`` whose constant, sqrt(lambda_max(D_k S^-1 D_k)) over the
     blocks, is bounded by its trend rule.
     """
     ladder = _walkable_ladder(kernel, "dual_bessel_check")
-    coarse = _coarse_kernel(kernel.map_spec, kernel.truncation, kernel)
-    score, worst = rf_diagnostic(coarse)
+    score, worst = _coarse_rf(kernel.map_spec, kernel.truncation)
     if score < 1.0:
         raise InvalidConfigError(
             f"moment-solvability precondition unmet: rf score {score:.3f}, "

@@ -30,12 +30,17 @@ pass (_row_pass, _fold), mirrored only at the public boundary.  A held
 kernel of any other weight, or one built from rows a caller hands over, is
 one block, whatever spec it carries.
 The synthesis side (mu-independence, moment solves, the Gel'fand isometry
-defect) reads one coarse kernel per call, from _coarse_kernel: a built-in map
-sampled on the bulk grid coarse_synthesis_grid(N), or a given kernel, with
-node count <= N either way.  Its one rank rule, _CoarseSVD, takes values-only
-SVDs of the same blocks and merges them (classify reads only that, per
-stage), and its vectors step forms U per block, lifted to the full grid with
-the kernel's signs, which mu_independence_test and the moment probes of
+defect) is read on the Gauss-Hermite grid coarse_synthesis_grid(N): K = N
+nodes for even N and N - 1 for odd N (N = 1 is refused), on which the K x K
+matrix Q = [sqrt(lambda_j) h_n(x_j)] is orthogonal.  So a built-in map's
+coarse singular values have a closed form, _coarse_values, and classify, the
+moment-solve report and dual_bessel_check's precondition sample no coarse
+kernel and take no SVD for it.  _coarse_kernel (a built-in map sampled on
+that grid, or a given kernel, with node count <= N either way) serves
+gelfand_check's isometry defect, and _CoarseSVD is the rank rule of a
+kernel a caller hands over: values-only SVDs of its parity blocks, merged,
+and a vectors step forming U per block, lifted to the full grid with the
+kernel's signs, which mu_independence_test and the moment probes of
 rf_diagnostic run only for rank-deficient rows.
 Continuum statements (bounded versus growing bounds, totality) are read off
 trends along a refinement ladder; a single stage can never decide them.
@@ -60,7 +65,7 @@ import numpy as np
 from .errors import DimensionMismatchError, InvalidConfigError, NumericError
 from .hermite import DistributionSample, TestFunction
 from .kernels import _column_phase, _fill_rows, _pair_split, _row_weight, sample_kernel
-from .quadrature import build_grid, bulk_half_width, stage_grid
+from .quadrature import hermite_grid, stage_grid
 
 __all__ = [
     "FrameOperatorMatrix",
@@ -500,15 +505,20 @@ class MuIndependenceResult:
 
 
 def coarse_synthesis_grid(truncation):
-    """Grid with ~N/2 nodes covering only the Hermite bulk [-sqrt(2N+1), ...].
-
-    Nodes past the turning point pair to numerically zero with every basis
-    function, which would fake a synthesis kernel; restricting the test grid
-    to the bulk removes that discretization artifact.
-    """
-    order = 4
-    panels = max(1, truncation // (2 * order))
-    return build_grid(bulk_half_width(truncation), panels, order)
+    """The synthesis-side grid at truncation N: quadrature.hermite_grid(K)
+    with K = 2 floor(N/2) nodes, never more nodes than coefficients.  On
+    K = N nodes sqrt(W) H_N is orthogonal, so every built-in map's coarse
+    kernel has its singular values in closed form (_coarse_values): dirac's
+    is an isometry.  An odd K would put a node at 0, where dirac_derivative's
+    rows read a null direction of the grid, not of the map: so an odd N
+    takes the N - 1 zeros of h_(N-1), at which the column h_(N-1) vanishes,
+    and N = 1, whose one node would be 0, is an InvalidConfigError."""
+    if truncation < 2:
+        raise InvalidConfigError(
+            f"synthesis-side diagnostics need N >= 2, got N={truncation}: "
+            f"a single coarse node sits at x = 0, a null direction of dirac_derivative's grid"
+        )
+    return hermite_grid(truncation - truncation % 2)
 
 
 def mu_independence_test(kernel, threshold=RANK_CUTOFF):
@@ -551,8 +561,7 @@ class _CoarseSVD:
     """
 
     def __init__(self, kernel, threshold):
-        if threshold <= 0:
-            raise InvalidConfigError(f"threshold must be positive, got {threshold}")
+        _check_threshold(threshold)
         if kernel.node_count > kernel.truncation:
             raise InvalidConfigError(
                 f"synthesis-side diagnostics need node count <= truncation, got "
@@ -585,13 +594,72 @@ class _CoarseSVD:
         return np.concatenate(lifted, axis=1)[:, self.order]
 
 
+def _check_threshold(threshold):
+    if threshold <= 0:
+        raise InvalidConfigError(f"threshold must be positive, got {threshold}")
+
+
+def _builtin(map_spec):
+    return map_spec is not None and map_spec.kind != "custom"
+
+
 def _coarse_kernel(map_spec, truncation, kernel=None):
     """The kernel every synthesis-side diagnostic reads: a built-in map
     sampled on coarse_synthesis_grid(truncation), or else ``kernel`` as it
     is.  _CoarseSVD refuses either with node count > truncation."""
-    if map_spec is not None and map_spec.kind != "custom":
+    if _builtin(map_spec):
         return sample_kernel(map_spec, coarse_synthesis_grid(truncation), truncation)
     return kernel
+
+
+def _coarse_values(map_spec, truncation):
+    """The singular values of a built-in map's weighted coarse kernel,
+    sqrt(W) Omega on coarse_synthesis_grid(N), in closed form: no kernel is
+    sampled and no SVD is taken, save two small ones for dirac_derivative at
+    odd N.  One value per node; for every kind but dirac_derivative the j-th
+    is node j's, with the left singular vector e_j.
+
+    With K nodes x_j (the zeros of h_K) and Q = [sqrt(lambda_j) h_n(x_j)]
+    (n < K) orthogonal, and h_K(x_j) = 0, the weighted dirac rows are Q,
+    padded at odd N by the column h_(N-1) = h_K, which is 0 at the nodes:
+      dirac, fourier          all 1 (fourier's column phase is unitary);
+      weighted_dirac, bump    |w(x_j)|, the rows being diag(w(x_j)) Q;
+      dirac_derivative        |x_j| at even N.  The rows -h_n'(x_j)
+                              = sqrt((n+1)/2) h_(n+1) - sqrt(n/2) h_(n-1)
+                              are Q D_N, the h_N term vanishing at the
+                              nodes, with D_N skew-symmetric tridiagonal;
+                              diag(i^n) takes D_N to -i J_N, J_N the Jacobi
+                              matrix of the Hermite recurrence, whose
+                              eigenvalues are the x_j.
+    At odd N dirac_derivative's rows are Q M with M = [D_K | c] (K x N,
+    K = N - 1): at the zeros of h_(N-1) the recurrence gives h_N = -sqrt((N
+    - 1)/N) h_(N-2), so the last column c is -sqrt(2K) e_(K-1).  Its values
+    come from values-only SVDs of M's two parity blocks, since each column
+    couples only to rows of the other parity."""
+    grid = coarse_synthesis_grid(truncation)
+    if map_spec.kind == "dirac_derivative":
+        if grid.node_count == truncation:
+            return np.abs(grid.nodes)
+        k = grid.node_count
+        coupling = np.sqrt(np.arange(1, k) / 2.0)
+        m = np.zeros((k, truncation))
+        m[np.arange(1, k), np.arange(k - 1)] = coupling
+        m[np.arange(k - 1), np.arange(1, k)] = -coupling
+        m[k - 1, k] = -math.sqrt(2.0 * k)
+        blocks = zip(_PARITY, _PARITY[::-1])
+        return np.concatenate([np.linalg.svd(m[rows, columns], compute_uv=False) for rows, columns in blocks])
+    weight = _row_weight(map_spec, grid.nodes)
+    return np.ones(grid.node_count) if weight is None else np.abs(weight)
+
+
+def _coarse_full_rank(map_spec, truncation, threshold, kernel=None):
+    """Full row rank at ``threshold`` of _coarse_kernel's kernel: read off
+    _coarse_values for a built-in map, else off _CoarseSVD of ``kernel``."""
+    if not _builtin(map_spec):
+        return _CoarseSVD(kernel, threshold).full_rank
+    _check_threshold(threshold)
+    values = _coarse_values(map_spec, truncation)
+    return _full_rank(values.min(), values.max(), threshold)
 
 
 @dataclass(frozen=True)
@@ -746,7 +814,6 @@ def classify(map_spec, ladder, thresholds=ClassifyThresholds()):
         op = _stage_operator(map_spec, stage_grid(stage), stage.truncation)
         lower, upper = _resolved_bounds(op)
         sigma_min, sigma_max = math.sqrt(lower), math.sqrt(upper)
-        coarse = _coarse_kernel(map_spec, stage.truncation)
         stages.append(
             StageDiagnostics(
                 truncation=stage.truncation,
@@ -757,7 +824,7 @@ def classify(map_spec, ladder, thresholds=ClassifyThresholds()):
                 sigma_min=sigma_min,
                 sigma_max=sigma_max,
                 total=_full_rank(sigma_min, sigma_max, thresholds.rank),
-                mu_independent=_CoarseSVD(coarse, thresholds.rank).full_rank,
+                mu_independent=_coarse_full_rank(map_spec, stage.truncation, thresholds.rank),
                 operator=op,
             )
         )

@@ -1,9 +1,13 @@
-"""Composite Gauss-Legendre discretization of the measure space.
+"""Quadrature rules for the measure space: composite Gauss-Legendre stage
+grids and the Gauss-Hermite rule of the synthesis side.
 
 The measure space is the interval [-L, L] with Lebesgue measure.  L is tied
 to the Hermite turning point sqrt(2N+1) plus a fixed margin: past the
 turning point the basis functions decay super-exponentially, so the
 truncated interval carries the whole computation to working precision.
+hermite_grid is the K-node Gauss-Hermite rule for Lebesgue measure on the
+line, whose K x K matrix sqrt(lambda_j) h_n(x_j) is orthogonal
+(operators.coarse_synthesis_grid).
 
 The refinement ladder pairs growing truncations N with widening intervals
 and denser grids; classification of continuum properties (bounded versus
@@ -21,12 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidConfigError
+from .hermite import _hermite_recurrence, hermite_table
 
 __all__ = [
     "QuadratureGrid",
     "LadderStage",
     "RefinementLadder",
     "build_grid",
+    "hermite_grid",
     "l2x_inner",
     "l2x_norm",
     "bulk_half_width",
@@ -44,7 +50,10 @@ MIN_STAGE_MARGIN = 4.0
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Nodes and weights of a composite Gauss-Legendre rule on [-L, L]."""
+    """Nodes and weights of a quadrature rule on [-L, L], in ascending node
+    order: composite Gauss-Legendre (build_grid) or Gauss-Hermite
+    (hermite_grid).  The nodes fall into ``panels`` cells of ``order``
+    consecutive nodes each: the rule's panels, or hermite_grid's cells."""
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -98,6 +107,56 @@ def _reference_rule(order):
     for arr in rule:
         arr.setflags(write=False)
     return rule
+
+
+@functools.lru_cache(maxsize=64)
+def hermite_grid(count):
+    """The K = ``count`` node Gauss-Hermite rule for Lebesgue measure: the
+    zeros x_j of h_K and the Christoffel weights lambda_j = 1 / sum_{n<K}
+    h_n(x_j)^2, so that sum_j lambda_j h_m(x_j) h_n(x_j) = delta_mn for
+    m, n < K (the matrix sqrt(lambda_j) h_n(x_j) is orthogonal).  Cached per
+    K, read-only; numpy's hermgauss is not used, since its nodes come out NaN
+    at K = 1024.
+
+    The positive zeros of h_K are the square roots of the zeros of the
+    generalized Laguerre polynomial L_{K//2}^(a), a = -1/2 for even K and
+    +1/2 for odd K (Szego, Orthogonal Polynomials, 5.6), the eigenvalues of
+    its K//2 x K//2 Jacobi matrix, diagonal 2k + a + 1 and off-diagonal
+    sqrt(k (k + a)) (Golub & Welsch, Math. Comp. 23, 1969).  One Newton step
+    on h_K, with h_K' = sqrt(2K) h_{K-1} - x h_K from the recurrence (scaled
+    where the seed underflows, so the ratio is exact), polishes them; the
+    negative half is their exact mirror and an odd K adds the node 0.  The
+    weights come from the Hermite table, with no e^(x^2) formed, a block of
+    nodes at a time.  The cells are gcd(K, 4) nodes each, and L is the
+    turning point sqrt(2K + 1), past every zero of h_K."""
+    count = operator.index(count)
+    if count < 1:
+        raise InvalidConfigError(f"node count must be >= 1, got {count}")
+    half, shift = count // 2, 0.5 if count % 2 else -0.5
+    k = np.arange(half)
+    jacobi = np.diag(2.0 * k + shift + 1.0)
+    coupling = np.sqrt(k[1:] * (k[1:] + shift))
+    jacobi[k[1:], k[1:] - 1] = jacobi[k[1:] - 1, k[1:]] = coupling
+    positive = np.sqrt(np.linalg.eigvalsh(jacobi))
+    last = np.empty((3, half))
+    _hermite_recurrence(count + 1, positive, last)
+    h_k, h_before = last[count % 3], last[(count - 1) % 3]
+    positive -= h_k / (math.sqrt(2.0 * count) * h_before - positive * h_k)
+    right = np.concatenate([[0.0], positive]) if count % 2 else positive
+    sums = [np.square(hermite_table(count, right[i : i + _WEIGHT_NODES])).sum(axis=1)
+            for i in range(0, right.size, _WEIGHT_NODES)]
+    weights = 1.0 / np.concatenate(sums)
+    order = math.gcd(count, 4)
+    return QuadratureGrid(
+        np.concatenate([-positive[::-1], right]),
+        np.concatenate([weights[count % 2 :][::-1], weights]),
+        bulk_half_width(count), count // order, order,
+    )
+
+
+# hermite_grid sums the Hermite table over this many nodes at a time:
+# 2 MB of table at K = 1024.
+_WEIGHT_NODES = 256
 
 
 def _check_grid_length(values, grid):

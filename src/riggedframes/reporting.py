@@ -23,8 +23,8 @@ from .duality import DEFAULT_SEED, canonical_dual, dual_bounds, reconstruct, ver
 from .errors import InvalidConfigError, NotAFrameError, WeightEvalError, WeightSyntaxError
 from .hermite import random_test_function
 from .kernels import MapSpec, sample_kernel
-from .moments import rf_diagnostic
-from .operators import ClassifyThresholds, _coarse_kernel, classify
+from .moments import _coarse_rf
+from .operators import ClassifyThresholds, classify
 from .quadrature import (
     LadderStage,
     RefinementLadder,
@@ -278,8 +278,7 @@ def _dual_section(config, round_trip=False):
 def _moment_section(config):
     spec = config.map_spec
     custom = _final_kernel(config) if spec.kind == "custom" else None
-    kernel = _coarse_kernel(spec, config.ladder.final_stage.truncation, custom)
-    score, worst = rf_diagnostic(kernel)
+    score, worst = _coarse_rf(spec, config.ladder.final_stage.truncation, custom)
     return {"score": score, "worst_residual": worst}
 
 

@@ -276,19 +276,27 @@ class TestRun:
         report = run("sweep", config)
         assert report["dual"] is None
 
-    def test_moment_solve_refuses_more_coarse_nodes_than_coefficients(self, tmp_path, capsys):
-        """At N = 2 the coarse grid has 4 nodes: classify refuses that stage,
-        and so does moment-solve, with the same message."""
+    @pytest.mark.parametrize("kind", ["dirac", "dirac_derivative"])
+    def test_moment_solve_and_classify_at_two_and_three_coefficients(self, kind):
+        """The coarse grid has 2 nodes at N = 2 and N = 3, never more than
+        N: both maps solve every probe and are mu-independent there."""
+        for n in (2, 3):
+            config = config_from_dict(dict(DIRAC_CONFIG, map={"kind": kind}, ladder={"stages": [n]}))
+            assert run("moment-solve", config)["moment"] == {"score": 1.0, "worst_residual": 0.0}
+            assert run("classify", config)["labels"] == ["total", "mu_independent"]
+
+    def test_synthesis_side_refuses_one_coefficient(self, tmp_path, capsys):
+        """At N = 1 the one coarse node would sit at 0: classify refuses that
+        stage, and so does moment-solve, with the same message."""
         from riggedframes import cli
 
         path = write_config(tmp_path, DIRAC_CONFIG)
-        config = config_from_dict(dict(DIRAC_CONFIG, ladder={"stages": [2]}))
-        with pytest.raises(InvalidConfigError, match="4 nodes > 2"):
-            run("moment-solve", config)
-        with pytest.raises(InvalidConfigError, match="4 nodes > 2"):
-            run("classify", config)
-        assert cli.main(["moment-solve", "--config", str(path), "--stages", "2"]) == 2
-        assert "4 nodes > 2" in capsys.readouterr().err
+        config = config_from_dict(dict(DIRAC_CONFIG, ladder={"stages": [1]}))
+        for command in ("moment-solve", "classify"):
+            with pytest.raises(InvalidConfigError, match="need N >= 2, got N=1"):
+                run(command, config)
+        assert cli.main(["moment-solve", "--config", str(path), "--stages", "1"]) == 2
+        assert "need N >= 2, got N=1" in capsys.readouterr().err
 
     def test_unknown_command_is_refused(self):
         with pytest.raises(InvalidConfigError, match="^unknown command 'nope'"):
@@ -628,9 +636,10 @@ def test_report_bodies_tool(tmp_path):
     # every report command, plus the bounds report in CSV, plus each demo's
     # stdout, plus bounds and dual of each map on the grid with a node at 0
     demos = sorted(tool.DEMOS.glob("*.py"))
-    assert len(bodies) == (len(tool.BUILTIN_MAPS) + len(tool.CUSTOM_KERNELS)) * (
+    assert len(bodies) == (len(tool.BUILTIN_MAPS) + len(tool.ODD_N_MAPS) + len(tool.CUSTOM_KERNELS)) * (
         len(tool.REPORT_COMMANDS) + 1
     ) + len(demos) + 2 * len(tool.NODE_AT_ZERO_MAPS)
+    assert bodies["dirac_derivative/N=33/classify"]["labels"] == ["total", "mu_independent"]
     assert bodies["dirac/node-at-0/bounds"]["stages"][0]["nodes"] % 2
     assert bodies["bump[-1,1]/node-at-0/dual"].startswith("NotAFrameError: ")
     assert len(demos) == 7 and all(bodies[f"demos/{d.stem}"].strip() for d in demos)

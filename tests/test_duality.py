@@ -316,8 +316,9 @@ class TestGelfand:
             gelfand_check(KernelMatrix(kernel.rows, kernel.grid))
 
     def test_reads_only_the_values_step(self, monkeypatch):
-        """gelfand_check needs only the mu-independence verdict: a
-        rank-deficient coarse kernel (bump) forms no U."""
+        """gelfand_check needs only the mu-independence verdict, which a
+        built-in map reads off its closed-form coarse values: a
+        rank-deficient coarse kernel (bump) takes no SVD at all."""
         computes_uv = []
         svd = np.linalg.svd
 
@@ -328,7 +329,7 @@ class TestGelfand:
         monkeypatch.setattr(np.linalg, "svd", recording_svd)
         result = gelfand_check(make_kernel(bump_dirac_map(-1.0, 1.0), 64))
         assert not result.mu_independent
-        assert computes_uv and not any(computes_uv)
+        assert computes_uv == []
 
 
 def _count_operators(monkeypatch):
@@ -445,8 +446,9 @@ class TestDualSemiframe:
     def test_reads_each_stage_dual_off_the_walk(self, monkeypatch, spec):
         """Each stage's dual is built from the S classify formed for it: one
         stage Gram per stage, no frame operator of a kernel, and no kernel
-        sampled but classify's coarse ones.  The margins are those of the
-        canonical dual of the stage's sampled kernel to 1e-12 / A."""
+        sampled, classify's coarse values being closed-form.  The margins
+        are those of the canonical dual of the stage's sampled kernel to
+        1e-12 / A."""
         ladder = default_ladder(32)
         expected = []
         for stage in ladder.stages:
@@ -454,17 +456,17 @@ class TestDualSemiframe:
             lower, upper = frame_bounds(frame_operator(stage_kernel))
             expected.append((dual_bounds(canonical_dual(stage_kernel))[0] - 1.0 / upper, lower))
         built = _count_operators(monkeypatch)
-        coarse, sample = [], operators.sample_kernel
+        sampled, sample = [], operators.sample_kernel
 
         def recording(map_spec, grid, truncation):
-            coarse.append(grid.node_count <= truncation)
+            sampled.append(grid.node_count)
             return sample(map_spec, grid, truncation)
 
         monkeypatch.setattr(operators, "sample_kernel", recording)
         monkeypatch.setattr(duality, "sample_kernel", recording, raising=False)
         result = dual_semiframe_check(make_kernel(spec, 32))
         assert len(built["stage"]) == len(ladder.stages) and built["kernel"] == []
-        assert coarse == [True] * len(ladder.stages)
+        assert sampled == []
         assert result.holds and len(result.margins) == len(expected)
         for margin, (reference, lower) in zip(result.margins, expected):
             assert abs(margin - reference) <= 1e-12 / lower

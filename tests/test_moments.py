@@ -21,6 +21,7 @@ from riggedframes import (
     envelope_condition_check,
     fourier_map,
     gelfand_check,
+    hermite_grid,
     l2x_norm,
     random_test_function,
     rf_diagnostic,
@@ -43,6 +44,12 @@ def make_kernel(spec, truncation):
 
 def coarse_kernel(spec, truncation):
     return sample_kernel(spec, coarse_synthesis_grid(truncation), truncation)
+
+
+def wide_kernel(spec, truncation):
+    """The map on N/2 Gauss-Hermite nodes: fewer rows than columns, so the
+    weighted rows have a null space of dimension N/2."""
+    return sample_kernel(spec, hermite_grid(truncation // 2), truncation)
 
 
 class TestSolveMoment:
@@ -73,7 +80,7 @@ class TestSolveMoment:
         assert solution.residual == pytest.approx(1.0, abs=1e-10)
 
     def test_coset_shift_invariance(self):
-        kernel = coarse_kernel(dirac_map(), 32)
+        kernel = wide_kernel(dirac_map(), 32)
         weighted = weighted_analysis_matrix(kernel)
         _, _, vh = np.linalg.svd(weighted)
         null_vec = vh[-1].conj()  # exact null direction (M < N)
@@ -386,7 +393,7 @@ def _tall_svd_continuity(kernel, k):
 @pytest.mark.parametrize("family", list(CONTINUITY_FAMILIES))
 def test_continuity_constant_from_r_matches_tall_svd(monkeypatch, family, truncation):
     spec = CONTINUITY_FAMILIES[family]
-    kernels = (make_kernel(spec, truncation), coarse_kernel(spec, truncation))
+    kernels = (make_kernel(spec, truncation), wide_kernel(spec, truncation))
     expected = [[_tall_svd_continuity(kernel, k) for k in range(3)] for kernel in kernels]
     shapes = []
     svd = np.linalg.svd
@@ -523,7 +530,7 @@ class TestFourierRealRows:
 
     def test_witness_and_solution_carry_the_conjugate_phase(self):
         phase = (-1j) ** np.arange(self.N)
-        fourier, dirac = self.kernels(coarse_kernel)
+        fourier, dirac = self.kernels(wide_kernel)
         witness_f, witness_d = totality_test(fourier).witness, totality_test(dirac).witness
         assert witness_d is not None
         assert np.abs(witness_f.coeffs - phase.conj() * witness_d.coeffs).max() <= 1e-12

@@ -354,7 +354,7 @@ class TestTotality:
 class TestMuIndependence:
     def test_dirac_on_coarse_grid(self):
         kernel = sample_kernel(dirac_map(), coarse_synthesis_grid(32), 32)
-        assert kernel.node_count == 16
+        assert kernel.node_count == 32
         assert mu_independence_test(kernel).mu_independent
 
     def test_weighted_on_coarse_grid(self):
@@ -597,15 +597,17 @@ class TestClassify:
 
 def _record_linalg(monkeypatch, *names):
     """{name: [shape, ...]} of the np.linalg calls riggedframes makes from
-    now on, in call order (the grids' Gauss-Legendre nodes come from numpy's
-    own eigvalsh calls, which are not recorded); a ``qr`` call fails."""
+    now on, in call order (the grids' nodes are not recorded: Gauss-Legendre
+    from numpy's own eigvalsh calls, Gauss-Hermite from quadrature's, once
+    per node count); a ``qr`` call fails."""
     import sys
 
     calls = {name: [] for name in names}
 
     def recording(name, fn):
         def call(a, *args, **kwargs):
-            if sys._getframe(1).f_globals["__name__"].startswith("riggedframes"):
+            module = sys._getframe(1).f_globals["__name__"]
+            if module.startswith("riggedframes") and module != "riggedframes.quadrature":
                 calls[name].append((np.shape(a), kwargs.get("compute_uv", True)))
             return fn(a, *args, **kwargs)
 
@@ -667,10 +669,10 @@ class TestStageFactorization:
             assert abs(s.lower - 1.0) <= 1e-12 and abs(s.upper - 1.0) <= 1e-12
 
     def test_classify_factors_only_small_matrices(self, monkeypatch):
-        """No QR; the only SVDs are the coarse rank rule's values-only ones,
-        one per block of each stage's coarse kernel; and every eigvalsh
-        works on one diagonal block of a stage's S, one per block for the
-        bounds and one per block and damped seminorm index examined."""
+        """No QR and no SVD: the coarse values are closed-form.  Every
+        eigvalsh works on one diagonal block of a stage's S, one per block
+        for the bounds and one per block and damped seminorm index
+        examined."""
         calls = _record_linalg(monkeypatch, "svd", "eigvalsh", "cholesky")
         ladder = default_ladder(64)
         # 2+sin(x) takes one block per stage, 1+x^2 its two parity blocks
@@ -678,11 +680,7 @@ class TestStageFactorization:
             for recorded in calls.values():
                 recorded.clear()
             report = classify(BUILTIN_FAMILIES[family], ladder)
-            assert calls["svd"] == [
-                ((coarse_synthesis_grid(s.truncation).node_count // blocks, s.truncation // blocks), False)
-                for s in ladder.stages
-                for _ in range(blocks)
-            ]
+            assert calls["svd"] == []
             examined = len(report.bessel_constants)
             assert sorted(shape for shape, _ in calls["eigvalsh"]) == sorted(
                 (s.truncation // blocks,) * 2 for s in ladder.stages for _ in range(blocks * examined)
@@ -900,20 +898,16 @@ class TestBesselSearch:
     @pytest.mark.parametrize(
         "family, blocks, per_block", [("dirac", 2, 1), ("dirac_derivative", 2, 2), ("2+sin(x)", 1, 1)]
     )
-    def test_values_only_svds_per_stage(self, monkeypatch, family, blocks, per_block):
-        """Per stage, the only SVDs are the coarse rank rule's values-only
-        ones, one per block of the coarse kernel, split as the stage is; and
-        each block of S takes one eigvalsh for the bounds plus one per damped
-        seminorm index up to the bounded one (dirac and 2+sin(x) are bounded
-        at k = 0, dirac_derivative at k = 1): ``per_block`` in all."""
+    def test_eigvalsh_per_stage_block_and_no_svd(self, monkeypatch, family, blocks, per_block):
+        """Per stage, classify takes no SVD (its coarse values are
+        closed-form), and each block of S takes one eigvalsh for the bounds
+        plus one per damped seminorm index up to the bounded one (dirac and
+        2+sin(x) are bounded at k = 0, dirac_derivative at k = 1):
+        ``per_block`` in all."""
         calls = _record_linalg(monkeypatch, "svd", "eigvalsh")
         ladder = default_ladder(64)
         classify(BUILTIN_FAMILIES[family], ladder)
-        assert calls["svd"] == [
-            ((coarse_synthesis_grid(stage.truncation).node_count // blocks, stage.truncation // blocks), False)
-            for stage in ladder.stages
-            for _ in range(blocks)
-        ]
+        assert calls["svd"] == []
         assert sorted(shape for shape, _ in calls["eigvalsh"]) == sorted(
             (stage.truncation // blocks,) * 2 for stage in ladder.stages for _ in range(blocks * per_block)
         )

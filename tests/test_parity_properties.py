@@ -146,6 +146,23 @@ def test_pair_split_of_a_weight_even_in_magnitude(weight):
     assert np.array_equal(signs, np.where(flips, -1.0, 1.0))
 
 
+@pytest.mark.parametrize(
+    "weight", ["x", "1-x^2", "exp(-x^2)", "2+sin(x)", "10^-160*(2+sin(x))", "x^3-x+1"]
+)
+def test_held_split_forms_only_the_signs(weight):
+    """The rule sample_kernel reads (held=True) forms no rho or q: it gives
+    the stage rule's signs where q is None and refuses the split where q is
+    set, so the held rows are the same."""
+    spec, grid = weighted_dirac_map(weight), stage_grid(default_stage(64))
+    w = _row_weight(spec, grid.nodes)
+    _, q, signs = _pair_split(spec, grid, 64, w)
+    held = _pair_split(spec, grid, 64, w, held=True)
+    if q is not None:
+        assert held is None
+    else:
+        assert held[:2] == (None, None) and np.array_equal(held[2], signs)
+
+
 @pytest.mark.parametrize("scale", ["10^-160", "10^160"])
 def test_pair_weights_scale_with_the_weight(scale):
     """rho and q are formed from the ratios to the larger magnitude: a weight

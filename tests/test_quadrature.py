@@ -11,6 +11,8 @@ from riggedframes import (
     default_ladder,
     default_stage,
     hermite_eval,
+    hermite_grid,
+    hermite_table,
     l2x_inner,
     l2x_norm,
     stage_grid,
@@ -77,6 +79,50 @@ class TestBuildGrid:
     def test_invalid_config(self, kwargs):
         with pytest.raises(InvalidConfigError):
             build_grid(**kwargs)
+
+
+class TestHermiteGrid:
+    @pytest.mark.parametrize("count", [8, 16, 20])
+    def test_nodes_and_weights_match_mpmath(self, count):
+        """mpmath's Gauss-Hermite rule for e^(-x^2) at 40 digits: the same
+        nodes, and weights w_j with lambda_j = w_j e^(x_j^2)."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            nodes, weights = mpmath.mp.gauss_quadrature(count, "hermite")
+            expected = [(float(x), float(w * mpmath.exp(x * x))) for x, w in zip(nodes, weights)]
+        grid = hermite_grid(count)
+        assert np.abs(grid.nodes - [x for x, _ in expected]).max() <= 1e-14
+        assert np.abs(grid.weights / [w for _, w in expected] - 1.0).max() <= 1e-14
+
+    @pytest.mark.parametrize("count", [64, 1024])
+    def test_weighted_table_is_orthogonal(self, count):
+        grid = hermite_grid(count)
+        q = np.sqrt(grid.weights)[:, None] * hermite_table(count, grid.nodes)
+        assert np.abs(q.T @ q - np.eye(count)).max() <= 1e-13
+
+    def test_cached_and_read_only(self):
+        grid = hermite_grid(16)
+        assert hermite_grid(16) is grid
+        for arr in (grid.nodes, grid.weights):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    @pytest.mark.parametrize("count, order", [(1, 1), (2, 2), (3, 1), (6, 2), (8, 4), (9, 1), (64, 4)])
+    def test_mirrored_in_cells_inside_the_turning_point(self, count, order):
+        """Nodes and weights mirror bit for bit (an odd count puts a node at
+        exactly 0), in cells of gcd(K, 4) nodes, inside sqrt(2K + 1)."""
+        grid = hermite_grid(count)
+        assert np.array_equal(grid.nodes, -grid.nodes[::-1])
+        assert np.array_equal(grid.weights, grid.weights[::-1])
+        assert (grid.order, grid.panels * grid.order) == (order, count)
+        assert np.all(np.diff(grid.nodes) > 0) and np.all(grid.weights > 0)
+        assert grid.half_width == bulk_half_width(count) > grid.nodes[-1]
+
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_refuses_an_empty_rule(self, count):
+        with pytest.raises(InvalidConfigError, match="node count must be >= 1"):
+            hermite_grid(count)
 
 
 class TestL2X:

@@ -3,8 +3,9 @@
     PYTHONPATH=src python tools/report_bodies.py OUT [N_MAX ...]
 
 Runs classify, bounds, dual, reconstruct, moment-solve and sweep on the ten
-built-in families at each N_MAX (default 64) on the default ladder, and on
-three custom CSV kernels at N = 32 (2+sin(x), fourier and dirac_derivative
+built-in families at each N_MAX (default 64) on the default ladder, on
+dirac_derivative and 2+sin(x) at one odd stage N = 33 (whose coarse grid
+has N - 1 nodes), and on three custom CSV kernels at N = 32 (2+sin(x), fourier and dirac_derivative
 sampled on the default stage grid: real, complex, and real with mirrored
 rows).  Each body is the report as the CLI emits it,
 with ``timing`` and the temporary CSV path dropped; the bounds report is
@@ -69,6 +70,10 @@ BUILTIN_MAPS = {
     # has an even-odd cross block
     "bump[-1,2]": {"kind": "bump_dirac", "bump_support": [-1, 2]},
 }
+# an odd N takes N - 1 coarse nodes, where dirac_derivative's coarse values
+# come from its (N - 1) x N coefficient matrix
+ODD_N = 33
+ODD_N_MAPS = ("dirac_derivative", "2+sin(x)")
 CUSTOM_N = 32
 CUSTOM_KERNELS = {
     "custom-real": weighted_dirac_map("2+sin(x)"),
@@ -112,6 +117,8 @@ def report_bodies(n_maxes):
             for n in n_maxes
             for name, spec in BUILTIN_MAPS.items()
         }
+        for name in ODD_N_MAPS:
+            configs[f"{name}/N={ODD_N}"] = {"map": BUILTIN_MAPS[name], "ladder": {"stages": [ODD_N]}}
         stage = default_stage(CUSTOM_N)
         for name, spec in CUSTOM_KERNELS.items():
             path = str(Path(tmpdir) / f"{name}.csv")
