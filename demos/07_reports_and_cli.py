@@ -28,10 +28,11 @@ report = run("sweep", config)
 document = json.loads(emit(report).decode())
 
 print("labels:", document["labels"])
-print("stage table:")
+# Every stage is summed on one grid, the final stage's, echoed in the config.
+grid = document["config"]["ladder"]["stages"][-1]
+print(f"stage table (one grid: L={grid['L']:.3f}, {grid['panels'] * grid['order']} nodes):")
 for row in document["stages"]:
-    print(f"  N={row['N']:>3} nodes={row['nodes']:>5} "
-          f"A={row['A']:.6f} B={row['B']:.6f} total={row['total']}")
+    print(f"  N={row['N']:>3} A={row['A']:.6f} B={row['B']:.6f} total={row['total']}")
 print("dual section:", document["dual"])
 print("moment section:", document["moment"])
 

@@ -9,16 +9,20 @@ weights) and Omega the kernel matrix:
 
 Frame bounds at truncation N are the extreme eigenvalues of S, equivalently
 the squared extreme singular values of the weighted kernel sqrt(W) Omega.
-classify is the one ladder walk.  It reads every stage diagnostic off one
-Gram S per stage, streamed from the rows by _stage_operator: A and B per
-diagonal block by eigvalsh, sigma = sqrt(lambda), and the p_k Bessel
+classify is the one ladder walk.  It sums one Gram S per ladder, on the
+final stage's grid, streamed from the rows by _stage_operator.  Stage N is
+the Galerkin truncation P_N S P_N, the leading N x N block of that S, read
+as a view (per parity class, the leading ceil(N/2) and floor(N/2) columns),
+so the stage bounds interlace by construction (Cauchy; Horn & Johnson,
+Matrix Analysis, 4.3).  Every stage diagnostic comes off its block: A and
+B per diagonal block by eigvalsh, sigma = sqrt(lambda), and the p_k Bessel
 constant sqrt(lambda_max(D_k S D_k)), formed after the walk up to the first
-bounded k.  Each stage keeps its S, which the ladder checks read.  A Gram
-squares the condition number, so A is resolved only down to
+bounded k.  Each stage keeps its block, which the ladder checks read.  A
+Gram squares the condition number, so A is resolved only down to
 GRAM_RESOLUTION * B (Higham, Accuracy and Stability of Numerical
 Algorithms, ch. 20).
 One block loop, _summed_operator, sums every S from a row source: a held
-kernel's rows (frame_operator) or a stage's, sampled a block at a time
+kernel's rows (frame_operator) or a ladder's, sampled a block at a time
 (_stage_operator).  The parity rule is kernels._pair_split.  Where it
 splits, _stage_operator samples every built-in map at the nodes x > 0 only,
 with 2 W, and S has an even-odd cross block only where the map's rows do not
@@ -337,14 +341,14 @@ def frame_operator(kernel):
 
 
 def _stage_operator(map_spec, grid, truncation):
-    """frame_operator of sample_kernel's kernel on a stage grid, to rounding,
+    """frame_operator of sample_kernel's kernel on a ladder's grid, to rounding,
     without holding the rows: the row source of _summed_operator that
     samples them _NODE_BLOCK nodes at a time into its Fortran-ordered
     buffer, weighted in place, the negligible floor carrying its peak from
     block to block.  Where kernels._pair_split splits, every built-in map is
     sampled at the nodes x > 0 only, with 2 W and its rho, whatever its
     weight, and its q (if any) adds the even-odd cross block.  An S out of
-    float64 range is a NumericError naming the stage."""
+    float64 range is a NumericError naming the ladder's final stage."""
     n, nodes, weights = truncation, grid.nodes, grid.weights
     weight = _row_weight(map_spec, nodes)
     split, q, start = _pair_split(map_spec, grid, n, weight), None, 0
@@ -689,12 +693,11 @@ class ClassifyThresholds:
 
 @dataclass(frozen=True)
 class StageDiagnostics:
-    """One ladder stage's numbers, read off its S, ``operator``, which the
-    stage table, ``==`` and ``repr`` ignore."""
+    """One ladder stage's numbers, read off its S, ``operator``: the leading
+    N x N block of the final stage's S, as a read-only view.  The stage
+    table, ``==`` and ``repr`` ignore it."""
 
     truncation: int
-    half_width: float
-    node_count: int
     lower: float
     upper: float
     sigma_min: float
@@ -726,8 +729,9 @@ class FrameReport:
     ``bessel_constants`` holds the per-stage series of each seminorm index
     examined: k = 0..bessel_index, or 0..bessel_k_max when none is bounded.
     A stage's A (``lower``) and sigma_min read exactly 0 below the Gram's
-    resolution, GRAM_RESOLUTION (64 eps) times its B.  Each stage holds its
-    S, N^2 * 8 bytes: about 45 MB over a ladder to n_max = 2048.
+    resolution, GRAM_RESOLUTION (64 eps) times its B.  The stages hold views
+    of one S, the final stage's, and no copy: n_max^2 * 8 bytes, 32 MiB at
+    n_max = 2048.
     """
 
     stages: tuple
@@ -809,22 +813,22 @@ def classify(map_spec, ladder, thresholds=ClassifyThresholds()):
             "classification needs per-stage resampling; custom kernels support "
             "the stage-level diagnostics directly"
         )
+    grid_stage = ladder.final_stage
+    whole = _stage_operator(map_spec, stage_grid(grid_stage), grid_stage.truncation)
     stages = []
-    for stage in ladder.stages:
-        op = _stage_operator(map_spec, stage_grid(stage), stage.truncation)
+    for n in ladder.truncations:
+        op = FrameOperatorMatrix(whole.gram[:n, :n], phase=None if whole.phase is None else whole.phase[:n])
         lower, upper = _resolved_bounds(op)
         sigma_min, sigma_max = math.sqrt(lower), math.sqrt(upper)
         stages.append(
             StageDiagnostics(
-                truncation=stage.truncation,
-                half_width=stage.half_width,
-                node_count=stage.node_count,
+                truncation=n,
                 lower=lower,
                 upper=upper,
                 sigma_min=sigma_min,
                 sigma_max=sigma_max,
                 total=_full_rank(sigma_min, sigma_max, thresholds.rank),
-                mu_independent=_coarse_full_rank(map_spec, stage.truncation, thresholds.rank),
+                mu_independent=_coarse_full_rank(map_spec, n, thresholds.rank),
                 operator=op,
             )
         )

@@ -9,10 +9,11 @@ hermite_grid is the K-node Gauss-Hermite rule for Lebesgue measure on the
 line, whose K x K matrix sqrt(lambda_j) h_n(x_j) is orthogonal
 (operators.coarse_synthesis_grid).
 
-The refinement ladder pairs growing truncations N with widening intervals
-and denser grids; classification of continuum properties (bounded versus
-growing frame bounds, totality) is read off trends along the ladder, never
-off a single stage.
+A refinement ladder is a list of growing truncations N plus one grid, its
+final stage's: every stage's S is summed on that grid, so stage N's S is
+the leading N x N block of the final stage's.  Classification of continuum
+properties (bounded versus growing frame bounds, totality) is read off
+trends along the ladder, never off a single stage.
 """
 
 from __future__ import annotations
@@ -198,7 +199,7 @@ def default_panels(truncation, half_width):
 
 @dataclass(frozen=True)
 class LadderStage:
-    """One refinement stage: truncation N with its grid parameters."""
+    """A truncation N with the grid its S is summed on."""
 
     truncation: int
     half_width: float
@@ -213,10 +214,6 @@ class LadderStage:
                 f"stage half_width {self.half_width:.3f} is below the Hermite bulk "
                 f"{bulk_half_width(self.truncation):.3f} plus margin {MIN_STAGE_MARGIN}"
             )
-
-    @property
-    def node_count(self):
-        return self.panels * self.order
 
 
 def default_stage(truncation):
@@ -235,24 +232,27 @@ def stage_grid(stage):
 
 @dataclass(frozen=True)
 class RefinementLadder:
-    stages: tuple
+    """Increasing truncations N, every one summed on one grid: that of
+    ``final_stage``, the stage at the last N.  A grid wide and fine enough
+    for the last N resolves every smaller one."""
+
+    truncations: tuple
+    final_stage: LadderStage
 
     def __post_init__(self):
-        stages = tuple(self.stages)
-        if not stages:
-            raise InvalidConfigError("ladder must have at least one stage")
-        truncations = [s.truncation for s in stages]
-        if any(b <= a for a, b in zip(truncations, truncations[1:])):
-            raise InvalidConfigError(f"stage truncations must increase, got {truncations}")
-        object.__setattr__(self, "stages", stages)
-
-    @property
-    def final_stage(self):
-        return self.stages[-1]
+        truncations, final = tuple(self.truncations), self.final_stage.truncation
+        steps = zip(truncations, truncations[1:])
+        if truncations[-1:] != (final,) or truncations[0] < 1 or any(b <= a for a, b in steps):
+            raise InvalidConfigError(
+                f"stage truncations must increase from N >= 1 to the final stage's N={final}, "
+                f"got {list(truncations)}"
+            )
+        object.__setattr__(self, "truncations", truncations)
 
 
 def default_ladder(n_max):
-    """Stages N = 8, 16, ..., n_max with default grids (>= 10N nodes each).
+    """Stages N = 8, 16, ..., n_max on default_stage(n_max)'s grid (>= 10
+    n_max nodes).
 
     ``n_max`` must be 8 times a power of two so the ladder is a clean
     doubling sequence.
@@ -262,9 +262,4 @@ def default_ladder(n_max):
         n //= 2
     if n != 8:
         raise InvalidConfigError(f"n_max must be 8 * 2^k, got {n_max}")
-    stages = []
-    size = 8
-    while size <= n_max:
-        stages.append(default_stage(size))
-        size *= 2
-    return RefinementLadder(tuple(stages))
+    return RefinementLadder(tuple(8 << j for j in range((n_max // 8).bit_length())), default_stage(n_max))

@@ -50,8 +50,6 @@ THRESHOLD_FIELDS = tuple(f.name for f in fields(ClassifyThresholds))
 # The stage table's (column, StageDiagnostics attribute) pairs, in CSV order.
 STAGE_COLUMNS = (
     ("N", "truncation"),
-    ("L", "half_width"),
-    ("nodes", "node_count"),
     ("A", "lower"),
     ("B", "upper"),
     ("sigma_min", "sigma_min"),
@@ -93,6 +91,12 @@ def _require(condition, path, message):
         raise InvalidConfigError(f"{path}: {message}")
 
 
+def _check_fields(data, prefix, known, message="unknown field"):
+    """Refuse any key of the object ``data`` outside ``known``, by its path."""
+    for key in data:
+        _require(key in known, f"{prefix}{key}", message)
+
+
 def _is_int(value):
     """An integer that is not a boolean (json's true is a Python int)."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -105,6 +109,7 @@ def _is_number(value):
 
 def _parse_map(data):
     _require(isinstance(data, dict), "map", "must be an object")
+    _check_fields(data, "map.", ("kind", "weight", "bump_support", "custom_kernel"))
     kind = data.get("kind")
     _require(isinstance(kind, str), "map.kind", "must be a string")
     weight = None
@@ -134,6 +139,8 @@ def _parse_ladder(data):
     if data is None:
         return default_ladder(32)
     _require(isinstance(data, dict), "ladder", "must be an object")
+    _check_fields(data, "ladder.", ("n_max", "stages"))
+    _require(not ("n_max" in data and "stages" in data), "ladder", "takes either n_max or stages, not both")
     if "n_max" in data:
         _require(
             _is_int(data["n_max"]) and data["n_max"] >= 8,
@@ -147,32 +154,34 @@ def _parse_ladder(data):
     if "stages" in data:
         raw = data["stages"]
         _require(isinstance(raw, list) and raw, "ladder.stages", "must be a nonempty list")
-        stages = []
+        truncations = []
         for i, item in enumerate(raw):
             path = f"ladder.stages[{i}]"
             if _is_int(item):
                 item = {"N": item}
             _require(isinstance(item, dict), path, "must be an int or object")
+            _check_fields(item, f"{path}.", ("N", "L", "panels", "order"))
+            if i < len(raw) - 1:
+                why = "only the final stage sets the grid, which every stage is summed on"
+                _check_fields(item, f"{path}.", ("N",), why)
             _require("N" in item, f"{path}.N", "is required")
             n = item["N"]
             _require(_is_int(n) and n >= 1, f"{path}.N", "must be a positive integer")
-            base = default_stage(n)
-            half_width = item.get("L", base.half_width)
-            _require(_is_number(half_width), f"{path}.L", "must be a finite number")
-            panels = item.get("panels", base.panels)
-            _require(_is_int(panels) and panels >= 1, f"{path}.panels", "must be a positive integer")
-            order = item.get("order", base.order)
-            _require(_is_int(order) and order >= 2, f"{path}.order", "must be an integer >= 2")
-            try:
-                stages.append(
-                    LadderStage(
-                        truncation=n, half_width=float(half_width), panels=panels, order=order
-                    )
-                )
-            except InvalidConfigError as exc:
-                raise InvalidConfigError(f"{path}: {exc}") from exc
+            truncations.append(n)
+        # the last entry, N = n at ``path``, sets the ladder's one grid
+        base = default_stage(n)
+        half_width = item.get("L", base.half_width)
+        _require(_is_number(half_width), f"{path}.L", "must be a finite number")
+        panels = item.get("panels", base.panels)
+        _require(_is_int(panels) and panels >= 1, f"{path}.panels", "must be a positive integer")
+        order = item.get("order", base.order)
+        _require(_is_int(order) and order >= 2, f"{path}.order", "must be an integer >= 2")
         try:
-            return RefinementLadder(tuple(stages))
+            final_stage = LadderStage(truncation=n, half_width=float(half_width), panels=panels, order=order)
+        except InvalidConfigError as exc:
+            raise InvalidConfigError(f"{path}: {exc}") from exc
+        try:
+            return RefinementLadder(tuple(truncations), final_stage)
         except InvalidConfigError as exc:
             raise InvalidConfigError(f"ladder.stages: {exc}") from exc
     raise InvalidConfigError("ladder: needs either n_max or stages")
@@ -182,8 +191,7 @@ def _parse_thresholds(data):
     if data is None:
         return ClassifyThresholds()
     _require(isinstance(data, dict), "thresholds", "must be an object")
-    unknown = set(data) - set(THRESHOLD_FIELDS)
-    _require(not unknown, "thresholds", f"unknown fields {sorted(unknown)}")
+    _check_fields(data, "thresholds.", THRESHOLD_FIELDS)
     kwargs = {}
     for key, value in data.items():
         if key == "bessel_k_max":
@@ -201,6 +209,7 @@ def _parse_thresholds(data):
 
 def config_from_dict(data):
     _require(isinstance(data, dict), "config", "must be an object")
+    _check_fields(data, "", ("map", "ladder", "thresholds", "seed", "output"))
     _require("map" in data, "map", "is required")
     map_spec = _parse_map(data["map"])
     ladder = _parse_ladder(data.get("ladder"))
@@ -212,6 +221,7 @@ def config_from_dict(data):
     if data.get("output") is not None:
         raw = data["output"]
         _require(isinstance(raw, dict), "output", "must be an object")
+        _check_fields(raw, "output.", ("path", "format"))
         output_path = raw.get("path")
         _require(output_path is None or isinstance(output_path, str), "output.path", "must be a string")
         output_format = raw.get("format", "json")
@@ -232,15 +242,15 @@ def _echo_map(spec):
 
 def config_to_dict(config):
     """The config document of ``config``, every field explicit: the inverse
-    of config_from_dict, and the ``config`` section of every report."""
-    thresholds = config.thresholds
+    of config_from_dict, and the ``config`` section of every report.  The
+    ladder's earlier stages are echoed with their N only; the final stage
+    with the one grid every stage is summed on."""
+    thresholds, final = config.thresholds, config.ladder.final_stage
     return {
         "map": _echo_map(config.map_spec),
         "ladder": {
-            "stages": [
-                {"N": s.truncation, "L": s.half_width, "panels": s.panels, "order": s.order}
-                for s in config.ladder.stages
-            ]
+            "stages": [{"N": n} for n in config.ladder.truncations[:-1]]
+            + [{"N": final.truncation, "L": final.half_width, "panels": final.panels, "order": final.order}]
         },
         "thresholds": {name: getattr(thresholds, name) for name in THRESHOLD_FIELDS},
         "seed": config.seed,

@@ -39,7 +39,7 @@ class TestConfig:
     def test_minimal(self):
         config = config_from_dict({"map": {"kind": "dirac"}})
         assert config.map_spec.kind == "dirac"
-        assert [s.truncation for s in config.ladder.stages] == [8, 16, 32]
+        assert config.ladder.truncations == (8, 16, 32)
         assert config.seed == 20240409
 
     def test_weight_parse_position_in_error(self):
@@ -60,8 +60,8 @@ class TestConfig:
         config = config_from_dict(
             {"map": {"kind": "dirac"}, "ladder": {"stages": [8, {"N": 16}, {"N": 24, "order": 8}]}}
         )
-        assert [s.truncation for s in config.ladder.stages] == [8, 16, 24]
-        assert config.ladder.stages[2].order == 8
+        assert config.ladder.truncations == (8, 16, 24)
+        assert config.ladder.final_stage.order == 8
 
     @pytest.mark.parametrize(
         "override, path",
@@ -98,12 +98,34 @@ class TestConfig:
                 {"map": {"kind": "bump_dirac", "bump_support": [1, -1]}},
                 "map: bump support must satisfy a < b",
             ),
+            ({"ladder": {"n_max": 16, "stages": [8]}}, "ladder: takes either n_max or stages, not both"),
+            (
+                {"ladder": {"stages": [8, {"N": 16, "L": 20.0}, 32]}},
+                "ladder.stages[1].L: only the final stage sets the grid",
+            ),
         ],
-        ids=["empty_ladder", "decreasing_stages", "narrow_stage", "reversed_bump"],
+        ids=["empty_ladder", "decreasing_stages", "narrow_stage", "reversed_bump", "n_max_and_stages", "middle_grid"],
     )
     def test_inconsistent_fields_rejected_with_their_path(self, override, message):
         data = dict({"map": {"kind": "dirac"}}, **override)
         with pytest.raises(InvalidConfigError, match="^" + re.escape(message)):
+            config_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "override, path",
+        [
+            ({"sede": 3}, "sede"),
+            ({"map": {"kind": "weighted_dirac", "weight": "2", "wieght": "3"}}, "map.wieght"),
+            ({"ladder": {"n_max": 16, "stage": [8]}}, "ladder.stage"),
+            ({"ladder": {"stages": [{"N": 16, "Panels": 3}]}}, "ladder.stages[0].Panels"),
+            ({"thresholds": {"bogus": 1}}, "thresholds.bogus"),
+            ({"output": {"fromat": "csv"}}, "output.fromat"),
+        ],
+    )
+    def test_unknown_fields_rejected_with_their_path(self, override, path):
+        """A misspelled or unknown key is refused, not dropped."""
+        data = dict({"map": {"kind": "dirac"}}, **override)
+        with pytest.raises(InvalidConfigError, match="^" + re.escape(f"{path}: unknown field") + "$"):
             config_from_dict(data)
 
     def test_non_json_config_file_is_a_config_error(self, tmp_path):
@@ -240,7 +262,7 @@ class TestRun:
         assert len(report["stages"]) == 2
         row = report["stages"][0]
         assert list(row) == [
-            "N", "L", "nodes", "A", "B", "sigma_min", "sigma_max", "total", "mu_independent",
+            "N", "A", "B", "sigma_min", "sigma_max", "total", "mu_independent",
         ]
 
     def test_bounds_has_no_labels(self, tmp_path):
@@ -349,8 +371,8 @@ class TestEmit:
     def test_csv_row_count(self, tmp_path):
         config = load_config(write_config(tmp_path, DIRAC_CONFIG))
         lines = emit(run("bounds", config), "csv").decode().strip().splitlines()
-        assert len(lines) == len(config.ladder.stages) + 1
-        assert lines[0] == "N,L,nodes,A,B,sigma_min,sigma_max,total,mu_independent"
+        assert len(lines) == len(config.ladder.truncations) + 1
+        assert lines[0] == "N,A,B,sigma_min,sigma_max,total,mu_independent"
 
     @pytest.mark.parametrize("map_data", BUILTIN_MAPS, ids=lambda data: data.get("weight", data["kind"]))
     def test_csv_cells_parse_back_to_the_json_stage_values(self, map_data):
@@ -401,6 +423,17 @@ class TestCommandLine:
         proc = self.run_cli("classify", "--config", str(config))
         assert proc.returncode == 2
         assert "offset 4" in proc.stderr
+
+    def test_middle_stage_grid_exits_two_naming_the_field(self, tmp_path):
+        """Every stage is summed on the final stage's grid: a grid set on an
+        earlier stage (here one that under-resolves N = 256) is refused."""
+        data = {
+            "map": {"kind": "weighted_dirac", "weight": "2+sin(x)"},
+            "ladder": {"stages": [128, {"N": 256, "panels": 60}, 512]},
+        }
+        proc = self.run_cli("classify", "--config", str(write_config(tmp_path, data)))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ladder.stages[1].panels: only the final stage sets the grid")
 
     def test_stages_and_seed_overrides(self, tmp_path):
         config = write_config(tmp_path, DIRAC_CONFIG)
@@ -634,16 +667,21 @@ def test_report_bodies_tool(tmp_path):
     assert outs[0].read_bytes() == outs[1].read_bytes()
     bodies = json.loads(outs[0].read_text())
     # every report command, plus the bounds report in CSV, plus each demo's
-    # stdout, plus bounds and dual of each map on the grid with a node at 0
+    # stdout, plus bounds and dual of each map on the grid with a node at 0,
+    # plus the refused middle-stage grid
     demos = sorted(tool.DEMOS.glob("*.py"))
     assert len(bodies) == (len(tool.BUILTIN_MAPS) + len(tool.ODD_N_MAPS) + len(tool.CUSTOM_KERNELS)) * (
         len(tool.REPORT_COMMANDS) + 1
-    ) + len(demos) + 2 * len(tool.NODE_AT_ZERO_MAPS)
+    ) + len(demos) + 2 * len(tool.NODE_AT_ZERO_MAPS) + 1
+    assert bodies["2+sin(x)/middle-stage-grid/classify"].startswith(
+        "InvalidConfigError: ladder.stages[1].panels: "
+    )
     assert bodies["dirac_derivative/N=33/classify"]["labels"] == ["total", "mu_independent"]
-    assert bodies["dirac/node-at-0/bounds"]["stages"][0]["nodes"] % 2
+    grid = bodies["dirac/node-at-0/bounds"]["config"]["ladder"]["stages"][-1]
+    assert grid["panels"] * grid["order"] % 2
     assert bodies["bump[-1,1]/node-at-0/dual"].startswith("NotAFrameError: ")
     assert len(demos) == 7 and all(bodies[f"demos/{d.stem}"].strip() for d in demos)
-    assert bodies["dirac/n_max=16/bounds/csv"].startswith("N,L,nodes,A,B,")
+    assert bodies["dirac/n_max=16/bounds/csv"].startswith("N,A,B,")
     assert tempfile.gettempdir() not in outs[0].read_text()
     assert bodies["custom-real/N=32/dual"]["config"]["map"]["custom_kernel"].startswith("<tmp>")
     assert bodies["custom-real/N=32/classify"].startswith("InvalidConfigError: ")

@@ -382,7 +382,7 @@ class TestRiesz:
     )
     def test_reads_the_interval_off_the_final_stage(self, monkeypatch, spec, blocks):
         """A kernel on the final stage's grid is walked once by classify, one
-        stage Gram per stage with ``blocks`` diagonal blocks, and factored once
+        Gram for the ladder with ``blocks`` diagonal blocks, and factored once
         more on its own frame operator: its interval is totality_test's to the
         bit, and the final stage's and the direct SVD's to 1e-12 sigma_max."""
         kernel = make_kernel(spec, 32)
@@ -390,7 +390,7 @@ class TestRiesz:
         reference_min, reference_max = _sigma_interval(kernel)
         built = _count_operators(monkeypatch)
         result = riesz_check(kernel)
-        assert [len(op.columns) for op in built["stage"]] == [blocks] * len(default_ladder(32).stages)
+        assert [len(op.columns) for op in built["stage"]] == [blocks]
         assert len(built["kernel"]) == 1
         assert (result.sigma_min, result.sigma_max) == (own.sigma_min, own.sigma_max)
         final = result.report.stages[-1]
@@ -402,7 +402,7 @@ class TestRiesz:
 
     def test_kernel_off_the_final_stage_is_factored_once_more(self, monkeypatch):
         """Any other kernel's interval is its own too: classify forms one
-        two-block stage Gram per ladder stage, the kernel one frame operator
+        two-block Gram for the ladder, the kernel one frame operator
         of its own, and (sigma_min, sigma_max) are totality_test's to the bit
         and the direct SVD's to 1e-12 sigma_max."""
         kernel = sample_kernel(weighted_dirac_map("1+x^2"), build_grid(16.0, 80, 8), 32)
@@ -410,7 +410,7 @@ class TestRiesz:
         reference_min, reference_max = _sigma_interval(kernel)
         built = _count_operators(monkeypatch)
         result = riesz_check(kernel)
-        assert [len(op.columns) for op in built["stage"]] == [2] * len(default_ladder(32).stages)
+        assert [len(op.columns) for op in built["stage"]] == [2]
         assert len(built["kernel"]) == 1
         assert (result.sigma_min, result.sigma_max) == (own.sigma_min, own.sigma_max)
         assert abs(result.sigma_min - reference_min) <= 1e-12 * reference_max
@@ -444,15 +444,15 @@ class TestDualSemiframe:
 
     @pytest.mark.parametrize("spec", [dirac_map(), weighted_dirac_map("2+sin(x)")], ids=["dirac", "2+sin(x)"])
     def test_reads_each_stage_dual_off_the_walk(self, monkeypatch, spec):
-        """Each stage's dual is built from the S classify formed for it: one
-        stage Gram per stage, no frame operator of a kernel, and no kernel
-        sampled, classify's coarse values being closed-form.  The margins
-        are those of the canonical dual of the stage's sampled kernel to
-        1e-12 / A."""
+        """Each stage's dual is built from the block of the one S classify
+        formed: one Gram for the ladder, no frame operator of a kernel, and
+        no kernel sampled, classify's coarse values being closed-form.  The
+        margins are those of the canonical dual of the stage's kernel
+        sampled on the ladder's grid to 1e-12 / A."""
         ladder = default_ladder(32)
         expected = []
-        for stage in ladder.stages:
-            stage_kernel = sample_kernel(spec, stage_grid(stage), stage.truncation)
+        for n in ladder.truncations:
+            stage_kernel = sample_kernel(spec, stage_grid(ladder.final_stage), n)
             lower, upper = frame_bounds(frame_operator(stage_kernel))
             expected.append((dual_bounds(canonical_dual(stage_kernel))[0] - 1.0 / upper, lower))
         built = _count_operators(monkeypatch)
@@ -465,7 +465,7 @@ class TestDualSemiframe:
         monkeypatch.setattr(operators, "sample_kernel", recording)
         monkeypatch.setattr(duality, "sample_kernel", recording, raising=False)
         result = dual_semiframe_check(make_kernel(spec, 32))
-        assert len(built["stage"]) == len(ladder.stages) and built["kernel"] == []
+        assert len(built["stage"]) == 1 and built["kernel"] == []
         assert sampled == []
         assert result.holds and len(result.margins) == len(expected)
         for margin, (reference, lower) in zip(result.margins, expected):

@@ -251,17 +251,18 @@ class TestDualBessel:
     )
     def test_matches_eager_reference(self, spec):
         """Same index as forming every seminorm index's series of constants of
-        a per-stage canonical dual and picking the first bounded one, and the
+        a per-stage canonical dual, on the ladder's one grid, and picking the
+        first bounded one, and the
         same constant to 1e-14 + 1e-15 cond(S) relative, cond(S) of the last
         stage's frame operator."""
         thresholds = ClassifyThresholds()
         for n_max in (32, 128):
             ladder = default_ladder(n_max)
             series = {k: [] for k in range(thresholds.bessel_k_max + 1)}
-            for stage in ladder.stages:
-                pair = canonical_dual(sample_kernel(spec, stage_grid(stage), stage.truncation))
+            for n in ladder.truncations:
+                pair = canonical_dual(sample_kernel(spec, stage_grid(ladder.final_stage), n))
                 weighted = weighted_analysis_matrix(pair.theta)
-                damping = 1.0 + np.arange(stage.truncation)
+                damping = 1.0 + np.arange(n)
                 for k in series:
                     damped = weighted * (damping ** (-k / 2.0))[None, :]
                     series[k].append(np.linalg.svd(damped, compute_uv=False)[0])
@@ -304,11 +305,12 @@ class TestDualBessel:
                 patch.setattr(operators, "frame_operator", refused("frame_operator"))
                 patch.setattr(duality, "frame_operator", refused("frame_operator"))
                 assert dual_bessel_check(make_kernel(family, 64)).bessel
-            stages = default_ladder(64).stages
-            assert shapes == [(s.truncation // blocks,) * 2 for s in stages for _ in range(blocks)]
+            truncations = default_ladder(64).truncations
+            assert shapes == [(n // blocks,) * 2 for n in truncations for _ in range(blocks)]
 
     def test_walks_the_ladder_once(self, monkeypatch):
-        """classify is the one walk: one stage Gram per ladder stage."""
+        """classify is the one walk: one Gram for the ladder, at its final
+        stage."""
         from riggedframes import operators
 
         built, stage_operator = [], operators._stage_operator
@@ -321,7 +323,7 @@ class TestDualBessel:
         for spec in (weighted_dirac_map("2+sin(x)"), dirac_map()):
             built.clear()
             assert dual_bessel_check(make_kernel(spec, 64)).bessel
-            assert [op.truncation for op in built] == [s.truncation for s in default_ladder(64).stages]
+            assert [op.truncation for op in built] == [64]
 
     def test_refuses_in_order_before_the_walk(self, monkeypatch):
         """_walkable_ladder refuses first, then the rf precondition, each

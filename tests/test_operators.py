@@ -565,9 +565,10 @@ class TestClassify:
         "spec, blocks", [(dirac_map(), 2), (weighted_dirac_map("2+sin(x)"), 1)], ids=["dirac", "2+sin(x)"]
     )
     def test_each_stage_keeps_the_operator_it_was_read_off(self, spec, blocks):
-        """Every stage holds its S, split as the stage is, and its reported
-        (A, B) are that S's _resolved_bounds exactly.  The report's == and
-        repr ignore the operator."""
+        """Every stage holds its S, the leading block of the ladder's one S,
+        split as that S is, and its reported (A, B) are that block's
+        _resolved_bounds exactly.  The report's == and repr ignore the
+        operator."""
         from dataclasses import replace
 
         report = classify(spec, default_ladder(64))
@@ -588,7 +589,7 @@ class TestClassify:
             classify(custom_map("nope.csv"), default_ladder(8))
 
     def test_single_stage_certifies_no_trend_label(self):
-        single = RefinementLadder((default_stage(32),))
+        single = RefinementLadder((32,), default_stage(32))
         for spec in (dirac_derivative_map(), weighted_dirac_map("1+x^2"), dirac_map()):
             report = classify(spec, single)
             assert report.lower_trend == report.upper_trend == "undetermined"
@@ -633,14 +634,13 @@ class TestStageFactorization:
         """A, B, sigma_max and every Bessel constant to 1e-12, and sigma_min
         to 1e-12 where the Gram resolves it.  A stage whose A is within
         GRAM_RESOLUTION * B (bump's: rank-deficient) reports A = sigma_min
-        = 0 exactly, and there the direct sigma_min^2 is within it too."""
+        = 0 exactly, and there the direct sigma_min^2 is within it too.
+        Every stage's kernel is sampled on the ladder's one grid."""
         spec = BUILTIN_FAMILIES[family]
         ladder = default_ladder(n_max)
         report = classify(spec, ladder)
-        for i, (stage, diag) in enumerate(zip(ladder.stages, report.stages)):
-            weighted = weighted_analysis_matrix(
-                sample_kernel(spec, stage_grid(stage), stage.truncation)
-            )
+        for i, (n, diag) in enumerate(zip(ladder.truncations, report.stages)):
+            weighted = weighted_analysis_matrix(sample_kernel(spec, stage_grid(ladder.final_stage), n))
             svals = np.linalg.svd(weighted, compute_uv=False)
             sigma_max, sigma_min = svals[0], svals[-1]
             upper = sigma_max**2
@@ -652,7 +652,7 @@ class TestStageFactorization:
                 assert sigma_min**2 <= operators.GRAM_RESOLUTION * upper
             else:
                 assert abs(diag.sigma_min - sigma_min) <= 1e-12 * sigma_max
-            damping_base = 1.0 + np.arange(stage.truncation)
+            damping_base = 1.0 + np.arange(n)
             for k, series in report.bessel_constants.items():
                 damped = weighted * (damping_base ** (-k / 2.0))[None, :]
                 direct = np.linalg.svd(damped, compute_uv=False)[0]
@@ -683,9 +683,45 @@ class TestStageFactorization:
             assert calls["svd"] == []
             examined = len(report.bessel_constants)
             assert sorted(shape for shape, _ in calls["eigvalsh"]) == sorted(
-                (s.truncation // blocks,) * 2 for s in ladder.stages for _ in range(blocks * examined)
+                (n // blocks,) * 2 for n in ladder.truncations for _ in range(blocks * examined)
             )
             assert calls["cholesky"] == []
+
+
+# tools/report_bodies.py's ten maps, plus two narrow bumps that a grid per
+# stage under-resolved at its small N
+ONE_GRID_FAMILIES = BUILTIN_FAMILIES | {
+    "x": weighted_dirac_map("x"),
+    "1-x^2": weighted_dirac_map("1-x^2"),
+    "exp(-x^2)": weighted_dirac_map("exp(-x^2)"),
+    "bump[-1,2]": bump_dirac_map(-1.0, 2.0),
+    "bump[0,0.05]": bump_dirac_map(0.0, 0.05),
+    "bump[-1,-0.9]": bump_dirac_map(-1.0, -0.9),
+}
+
+
+@pytest.mark.parametrize("n_max", [64, 1024])
+@pytest.mark.parametrize("family", list(ONE_GRID_FAMILIES))
+def test_stages_are_leading_blocks_of_one_s_and_interlace(monkeypatch, family, n_max):
+    """classify sums one S, on the final stage's grid, and every stage's S
+    is a view of its leading N x N block.  So by Cauchy interlacing A never
+    rises, and B and each Bessel constant never fall, from one stage to the
+    next, to 1e-14 of the larger stage's value."""
+    built, stage_operator = [], operators._stage_operator
+
+    def recording(*args):
+        built.append(stage_operator(*args))
+        return built[-1]
+
+    monkeypatch.setattr(operators, "_stage_operator", recording)
+    report = classify(ONE_GRID_FAMILIES[family], default_ladder(n_max))
+    assert [op.truncation for op in built] == [n_max]
+    assert all(np.shares_memory(stage.operator.gram, built[0].gram) for stage in report.stages)
+    for before, after in zip(report.stages, report.stages[1:]):
+        assert after.lower <= before.lower + 1e-14 * after.upper
+        assert after.upper >= before.upper - 1e-14 * after.upper
+    for series in report.bessel_constants.values():
+        assert all(after >= before - 1e-14 * after for before, after in zip(series, series[1:]))
 
 
 EVEN_FAMILIES = {
@@ -909,7 +945,7 @@ class TestBesselSearch:
         classify(BUILTIN_FAMILIES[family], ladder)
         assert calls["svd"] == []
         assert sorted(shape for shape, _ in calls["eigvalsh"]) == sorted(
-            (stage.truncation // blocks,) * 2 for stage in ladder.stages for _ in range(blocks * per_block)
+            (n // blocks,) * 2 for n in ladder.truncations for _ in range(blocks * per_block)
         )
 
     @pytest.mark.parametrize("family", list(BUILTIN_FAMILIES))

@@ -155,23 +155,27 @@ class TestL2X:
 class TestLadder:
     def test_single_stage(self):
         ladder = default_ladder(8)
-        assert len(ladder.stages) == 1
-        stage = ladder.stages[0]
+        assert ladder.truncations == (8,)
+        stage = ladder.final_stage
         assert stage.truncation == 8
         assert stage.half_width == pytest.approx(math.sqrt(17) + 8, rel=1e-12)
-        assert stage.node_count >= 80
+        assert stage_grid(stage).node_count >= 80
 
     def test_three_stages_widths_increase(self):
+        """default_stage widens with N; the ladder sums every stage on one
+        grid, its final stage's default one."""
         ladder = default_ladder(32)
-        assert [s.truncation for s in ladder.stages] == [8, 16, 32]
-        widths = [s.half_width for s in ladder.stages]
+        assert ladder.truncations == (8, 16, 32)
+        assert ladder.final_stage == default_stage(32)
+        widths = [default_stage(n).half_width for n in ladder.truncations]
         assert all(a < b for a, b in zip(widths, widths[1:]))
-        assert all(s.node_count >= 10 * s.truncation for s in ladder.stages)
+        assert all(stage_grid(default_stage(n)).node_count >= 10 * n for n in ladder.truncations)
 
     def test_every_stage_normalizes_top_mode(self):
-        for stage in default_ladder(32).stages:
-            grid = stage_grid(stage)
-            values = hermite_eval(stage.truncation - 1, grid.nodes)
+        ladder = default_ladder(32)
+        grid = stage_grid(ladder.final_stage)
+        for n in ladder.truncations:
+            values = hermite_eval(n - 1, grid.nodes)
             assert np.sum(grid.weights * values**2) == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("bad", [7, 12, 24, 0])
@@ -180,9 +184,13 @@ class TestLadder:
             default_ladder(bad)
 
     def test_rejects_nonincreasing_stages(self):
-        stages = (default_stage(16), default_stage(8))
-        with pytest.raises(InvalidConfigError):
-            RefinementLadder(stages)
+        with pytest.raises(InvalidConfigError, match="must increase"):
+            RefinementLadder((16, 8), default_stage(8))
+
+    @pytest.mark.parametrize("truncations", [(), (0, 8), (8, 8), (8, 16)])
+    def test_rejects_truncations_the_final_stage_does_not_close(self, truncations):
+        with pytest.raises(InvalidConfigError, match="to the final stage's N=8"):
+            RefinementLadder(truncations, default_stage(8))
 
     def test_rejects_half_width_inside_bulk(self):
         with pytest.raises(InvalidConfigError):

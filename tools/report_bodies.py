@@ -14,7 +14,10 @@ also recorded in CSV, as ``.../bounds/csv``; a refused command is recorded as
 recorded as ``demos/<stem>``, run with this interpreter and environment.
 The bounds and dual bodies of dirac, 1+x^2 and bump[-1,1] on one N = 64
 stage of 111 panels of order 11, a grid with a node at 0, are recorded as
-``<map>/node-at-0/<command>``.
+``<map>/node-at-0/<command>``.  classify of 2+sin(x) on stages 128, 256 and
+512 with a 60-panel grid set on the middle stage is recorded as
+``2+sin(x)/middle-stage-grid/classify``: only the final stage sets the grid,
+which every stage is summed on, so it is a refusal.
 OUT is written with sorted keys, so two checkouts give byte-identical files
 exactly when their reports agree apart from timing and their demos print
 the same:
@@ -85,6 +88,8 @@ CUSTOM_KERNELS = {
 # odd panels of odd order put a node at 0: the grid takes the one-block path
 NODE_AT_ZERO_STAGE = {"N": 64, "panels": 111, "order": 11}
 NODE_AT_ZERO_MAPS = ("dirac", "1+x^2", "bump[-1,1]")
+# a grid of its own on a non-final stage, one that under-resolves its N
+MIDDLE_STAGE_GRID = {"stages": [128, {"N": 256, "panels": 60}, 512]}
 TMP = "<tmp>"
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
@@ -137,6 +142,8 @@ def report_bodies(n_maxes):
             data = {"map": BUILTIN_MAPS[name], "ladder": {"stages": [NODE_AT_ZERO_STAGE]}}
             for command in ("bounds", "dual"):
                 bodies[f"{name}/node-at-0/{command}"] = _body(_report(command, data, tmpdir), tmpdir)
+        data = {"map": BUILTIN_MAPS["2+sin(x)"], "ladder": MIDDLE_STAGE_GRID}
+        bodies["2+sin(x)/middle-stage-grid/classify"] = _body(_report("classify", data, tmpdir), tmpdir)
     for script in sorted(DEMOS.glob("*.py")):
         run_demo = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, check=True)
         bodies[f"demos/{script.stem}"] = run_demo.stdout
