@@ -44,7 +44,7 @@ from .quadrature import (
     l2x_norm,
     stage_grid,
 )
-from .weights import eval_weight, expr_to_string, parse_weight
+from .weights import eval_weight, expr_to_string, parse_weight, polynomial_degree
 from .kernels import (
     KernelMatrix,
     MapSpec,

@@ -28,6 +28,7 @@ from .kernels import (
 )
 from .moments import continuity_constant, envelope_condition_check, solve_moment
 from .operators import (
+    _ladder_grid,
     analysis,
     classify,
     coarse_synthesis_grid,
@@ -38,7 +39,7 @@ from .operators import (
     weighted_analysis_matrix,
 )
 from .hermite import pair as dual_pairing
-from .quadrature import default_ladder, default_stage, l2x_inner, l2x_norm, stage_grid
+from .quadrature import default_ladder, default_stage, l2x_inner, l2x_norm
 
 __all__ = ["ALL_CHECKS", "run_all"]
 
@@ -48,8 +49,8 @@ def _result(name, passed, detail):
 
 
 def _stage_kernel(map_spec, truncation):
-    stage = default_stage(truncation)
-    return sample_kernel(map_spec, stage_grid(stage), truncation)
+    """The map's kernel at a default stage, on the grid classify sums it on."""
+    return sample_kernel(map_spec, _ladder_grid(map_spec, default_stage(truncation)), truncation)
 
 
 def check_dirac_gelfand_basis():

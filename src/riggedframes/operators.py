@@ -10,7 +10,12 @@ weights) and Omega the kernel matrix:
 Frame bounds at truncation N are the extreme eigenvalues of S, equivalently
 the squared extreme singular values of the weighted kernel sqrt(W) Omega.
 classify is the one ladder walk.  It sums one Gram S per ladder, on the
-final stage's grid, streamed from the rows by _stage_operator.  Stage N is
+grid _ladder_grid picks, streamed from the rows by _stage_operator.  For an
+exact map (dirac and fourier, dirac_derivative, a weighted dirac whose weight
+is a polynomial of degree d) on a default final stage that grid is the
+Gauss-Hermite rule of K = N + d nodes rounded up to even, on which every
+entry of S is summed exactly; every other ladder is summed on its final
+stage's composite grid, stage_grid.  Stage N is
 the Galerkin truncation P_N S P_N, the leading N x N block of that S, read
 as a view (per parity class, the leading ceil(N/2) and floor(N/2) columns),
 so the stage bounds interlace by construction (Cauchy; Horn & Johnson,
@@ -69,7 +74,8 @@ import numpy as np
 from .errors import DimensionMismatchError, InvalidConfigError, NumericError
 from .hermite import DistributionSample, TestFunction
 from .kernels import _column_phase, _fill_rows, _pair_split, _row_weight, sample_kernel
-from .quadrature import hermite_grid, stage_grid
+from .quadrature import default_stage, hermite_grid, stage_grid
+from .weights import polynomial_degree
 
 __all__ = [
     "FrameOperatorMatrix",
@@ -656,6 +662,46 @@ def _coarse_values(map_spec, truncation):
     return np.ones(grid.node_count) if weight is None else np.abs(weight)
 
 
+def _ladder_grid(map_spec, stage):
+    """The grid a ladder whose final stage is ``stage`` is summed on: the
+    Gauss-Hermite rule hermite_grid(K) where _exact_node_count gives a K,
+    else stage_grid(stage)."""
+    count = _exact_node_count(map_spec, stage)
+    return stage_grid(stage) if count is None else hermite_grid(count)
+
+
+# d for the exact kinds without a row weight: their column n is a polynomial
+# of degree n + d times e^(-x^2/2), d the derivative order.
+_EXACT_KINDS = {"dirac": 0, "fourier": 0, "dirac_derivative": 1}
+
+
+def _exact_node_count(map_spec, stage):
+    """K = N + d rounded up to even for an exact map whose ``stage`` is
+    default_stage(N), the stage that sets no grid; else None.
+
+    An exact map's column n at x is a polynomial of degree <= n + d times
+    e^(-x^2/2): h_n for dirac and fourier (d = 0), -h_n' for
+    dirac_derivative (d = 1), and w h_n for a weight w of degree <= d
+    (weights.polynomial_degree).  So each entry of S, a sum over the nodes of
+    lambda_j times the product of two columns, sums a polynomial of degree
+    <= 2(N - 1 + d) times e^(-x^2): the K-node Gauss-Hermite rule
+    sums it exactly once K >= N + d (Golub & Welsch, Math. Comp. 23, 1969),
+    the size of acceptance._exact_frame_operator's oracle.  An even K puts
+    no node at 0, so kernels._pair_split applies.  A weight that is no
+    polynomial (2+sin(x), exp(-x^2)), a bump and a custom kernel are not
+    exact, and a final stage that sets L, panels or order keeps its own
+    grid whatever the map."""
+    if stage != default_stage(stage.truncation):
+        return None
+    degree = _EXACT_KINDS.get(map_spec.kind)
+    if map_spec.kind == "weighted_dirac":
+        degree = polynomial_degree(map_spec.weight)
+    if degree is None:
+        return None
+    count = stage.truncation + degree
+    return count + count % 2
+
+
 def _coarse_full_rank(map_spec, truncation, threshold, kernel=None):
     """Full row rank at ``threshold`` of _coarse_kernel's kernel: read off
     _coarse_values for a built-in map, else off _CoarseSVD of ``kernel``."""
@@ -810,11 +856,12 @@ def classify(map_spec, ladder, thresholds=ClassifyThresholds()):
     """
     if map_spec.kind == "custom":
         raise InvalidConfigError(
-            "classification needs per-stage resampling; custom kernels support "
+            "classification samples the map on its ladder's grid, and a custom kernel "
+            "has no map to sample, only the CSV rows of one stage; custom kernels support "
             "the stage-level diagnostics directly"
         )
     grid_stage = ladder.final_stage
-    whole = _stage_operator(map_spec, stage_grid(grid_stage), grid_stage.truncation)
+    whole = _stage_operator(map_spec, _ladder_grid(map_spec, grid_stage), grid_stage.truncation)
     stages = []
     for n in ladder.truncations:
         op = FrameOperatorMatrix(whole.gram[:n, :n], phase=None if whole.phase is None else whole.phase[:n])

@@ -1,5 +1,6 @@
 """Quadrature rules for the measure space: composite Gauss-Legendre stage
-grids and the Gauss-Hermite rule of the synthesis side.
+grids and the Gauss-Hermite rule, which sums the stage frame operators of
+the exact maps and serves the synthesis side.
 
 The measure space is the interval [-L, L] with Lebesgue measure.  L is tied
 to the Hermite turning point sqrt(2N+1) plus a fixed margin: past the
@@ -9,11 +10,16 @@ hermite_grid is the K-node Gauss-Hermite rule for Lebesgue measure on the
 line, whose K x K matrix sqrt(lambda_j) h_n(x_j) is orthogonal
 (operators.coarse_synthesis_grid).
 
-A refinement ladder is a list of growing truncations N plus one grid, its
-final stage's: every stage's S is summed on that grid, so stage N's S is
-the leading N x N block of the final stage's.  Classification of continuum
-properties (bounded versus growing frame bounds, totality) is read off
-trends along the ladder, never off a single stage.
+A refinement ladder is a list of growing truncations N plus one grid, set
+by its final stage: every stage's S is summed on that grid, so stage N's S
+is the leading N x N block of the final stage's.  Which grid that is,
+operators._ladder_grid decides: a final stage equal to default_stage(N)
+sets no grid, and an exact map (dirac, fourier, dirac_derivative, a
+polynomial weight) is then summed exactly on hermite_grid(K), K = N + d
+rounded up to even; every other ladder on stage_grid(final stage).
+Classification of continuum properties (bounded versus growing frame
+bounds, totality) is read off trends along the ladder, never off a single
+stage.
 """
 
 from __future__ import annotations
@@ -232,9 +238,12 @@ def stage_grid(stage):
 
 @dataclass(frozen=True)
 class RefinementLadder:
-    """Increasing truncations N, every one summed on one grid: that of
-    ``final_stage``, the stage at the last N.  A grid wide and fine enough
-    for the last N resolves every smaller one."""
+    """Increasing truncations N, every one summed on one grid, set by
+    ``final_stage``, the stage at the last N: operators._ladder_grid gives
+    the Gauss-Hermite rule of N + d nodes for an exact map when
+    ``final_stage`` is default_stage(N), else stage_grid(final_stage).  A
+    grid exact, or wide and fine enough, for the last N resolves every
+    smaller one."""
 
     truncations: tuple
     final_stage: LadderStage
@@ -251,8 +260,10 @@ class RefinementLadder:
 
 
 def default_ladder(n_max):
-    """Stages N = 8, 16, ..., n_max on default_stage(n_max)'s grid (>= 10
-    n_max nodes).
+    """Stages N = 8, 16, ..., n_max with final stage default_stage(n_max),
+    which sets no grid: an exact map is summed on the Gauss-Hermite rule of
+    n_max + d nodes, any other on that stage's composite grid (>= 10 n_max
+    nodes; operators._ladder_grid).
 
     ``n_max`` must be 8 times a power of two so the ladder is a clean
     doubling sequence.

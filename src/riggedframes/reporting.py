@@ -24,14 +24,8 @@ from .errors import InvalidConfigError, NotAFrameError, WeightEvalError, WeightS
 from .hermite import random_test_function
 from .kernels import MapSpec, sample_kernel
 from .moments import _coarse_rf
-from .operators import ClassifyThresholds, classify
-from .quadrature import (
-    LadderStage,
-    RefinementLadder,
-    default_ladder,
-    default_stage,
-    stage_grid,
-)
+from .operators import ClassifyThresholds, _exact_node_count, _ladder_grid, classify
+from .quadrature import LadderStage, RefinementLadder, default_ladder, default_stage
 from .weights import expr_to_string, parse_weight
 
 __all__ = [
@@ -243,15 +237,18 @@ def _echo_map(spec):
 def config_to_dict(config):
     """The config document of ``config``, every field explicit: the inverse
     of config_from_dict, and the ``config`` section of every report.  The
-    ladder's earlier stages are echoed with their N only; the final stage
-    with the one grid every stage is summed on."""
+    ladder's earlier stages are echoed with their N only, and so is a final
+    stage summed on the Gauss-Hermite rule (an exact map on a stage that sets
+    no grid, operators._exact_node_count): it reads back as default_stage(N).
+    Any other final stage is echoed with the composite grid every stage is
+    summed on."""
     thresholds, final = config.thresholds, config.ladder.final_stage
+    echo = {"N": final.truncation}
+    if _exact_node_count(config.map_spec, final) is None:
+        echo.update(L=final.half_width, panels=final.panels, order=final.order)
     return {
         "map": _echo_map(config.map_spec),
-        "ladder": {
-            "stages": [{"N": n} for n in config.ladder.truncations[:-1]]
-            + [{"N": final.truncation, "L": final.half_width, "panels": final.panels, "order": final.order}]
-        },
+        "ladder": {"stages": [{"N": n} for n in config.ladder.truncations[:-1]] + [echo]},
         "thresholds": {name: getattr(thresholds, name) for name in THRESHOLD_FIELDS},
         "seed": config.seed,
         "output": {"path": config.output_path, "format": config.output_format},
@@ -266,8 +263,9 @@ def _stage_table(frames):
 
 
 def _final_kernel(config):
-    stage = config.ladder.final_stage
-    return sample_kernel(config.map_spec, stage_grid(stage), stage.truncation)
+    """The final stage's kernel, sampled on the grid classify sums it on."""
+    spec, stage = config.map_spec, config.ladder.final_stage
+    return sample_kernel(spec, _ladder_grid(spec, stage), stage.truncation)
 
 
 def _dual_section(config, round_trip=False):

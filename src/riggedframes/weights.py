@@ -11,7 +11,8 @@ Grammar (whitespace-insensitive):
 '^' binds tighter than unary minus (so ``-x^2`` is ``-(x^2)``), binary
 operators of equal precedence associate to the left, and exponents are
 integer literals.  Printing a parsed tree and reparsing it reproduces the
-tree exactly.
+tree exactly.  polynomial_degree reads off the tree whether the grammar
+makes a weight a polynomial in x, and bounds its degree.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
     "Call",
     "parse_weight",
     "eval_weight",
+    "polynomial_degree",
     "expr_to_string",
 ]
 
@@ -244,6 +246,38 @@ def eval_weight(expr, x):
             f"expression '{expr_to_string(expr)}' is non-finite at x={float(bad[0])!r}"
         )
     return float(values[0]) if xa.ndim == 0 else values
+
+
+def polynomial_degree(node):
+    """An upper bound on the degree of a weight expression as a polynomial
+    in x, or None when the grammar does not make it one.  A number is of
+    degree 0 and x of degree 1; + and - take the larger degree and * the
+    sum; a quotient is a polynomial only over a divisor of degree 0, a
+    power only for an exponent >= 0, and sin, cos or exp only of an argument
+    of degree 0 (a constant).  Cancellation is not seen, so (x-x)^3 reads
+    3: a bound is all the Gauss-Hermite stage grids need
+    (operators._ladder_grid), since a larger rule is still exact."""
+    if isinstance(node, Number):
+        return 0
+    if isinstance(node, Variable):
+        return 1
+    if isinstance(node, Negate):
+        return polynomial_degree(node.operand)
+    if isinstance(node, Binary):
+        left, right = polynomial_degree(node.left), polynomial_degree(node.right)
+        if left is None or right is None:
+            return None
+        if node.op in ("+", "-"):
+            return max(left, right)
+        if node.op == "*":
+            return left + right
+        return left if right == 0 else None
+    if isinstance(node, Power):
+        base = polynomial_degree(node.base)
+        return None if base is None or node.exponent < 0 else base * node.exponent
+    if isinstance(node, Call):
+        return 0 if polynomial_degree(node.arg) == 0 else None
+    raise TypeError(f"not a weight expression node: {node!r}")
 
 
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}

@@ -137,19 +137,28 @@ class TestConfig:
     @pytest.mark.parametrize("map_data", BUILTIN_MAPS, ids=lambda data: data.get("weight", data["kind"]))
     def test_config_to_dict_inverts_config_from_dict(self, map_data):
         """Every field survives config_to_dict, both as a document and as the
-        ``config`` section of an emitted report."""
-        config = config_from_dict(
-            {
-                "map": map_data,
-                "ladder": {"stages": [8, {"N": 16, "L": 20.5, "panels": 50, "order": 8}]},
-                "thresholds": {"stability": 0.1, "growth": 1.7, "rank": 1e-8, "bessel_k_max": 3},
-                "seed": 11,
-                "output": {"path": "report.csv", "format": "csv"},
-            }
-        )
-        assert config_from_dict(config_to_dict(config)) == config
-        document = json.loads(emit(run("bounds", config)).decode())
-        assert config_from_dict(document["config"]) == config
+        ``config`` section of an emitted report, on an explicit grid and on
+        the default ladder.  The default final stage of an exact map (dirac,
+        fourier, dirac_derivative, 1+x^2), summed on the Gauss-Hermite rule,
+        is echoed with its N only; every other final stage with its grid."""
+        exact = map_data.get("weight", map_data["kind"]) in ("dirac", "fourier", "dirac_derivative", "1+x^2")
+        for ladder in ({"stages": [8, {"N": 16, "L": 20.5, "panels": 50, "order": 8}]}, {"n_max": 16}):
+            config = config_from_dict(
+                {
+                    "map": map_data,
+                    "ladder": ladder,
+                    "thresholds": {"stability": 0.1, "growth": 1.7, "rank": 1e-8, "bessel_k_max": 3},
+                    "seed": 11,
+                    "output": {"path": "report.csv", "format": "csv"},
+                }
+            )
+            assert config_from_dict(config_to_dict(config)) == config
+            document = json.loads(emit(run("bounds", config)).decode())
+            assert config_from_dict(document["config"]) == config
+            grid_echoed = "n_max" not in ladder or not exact
+            assert set(document["config"]["ladder"]["stages"][-1]) == (
+                {"N", "L", "panels", "order"} if grid_echoed else {"N"}
+            )
 
     @pytest.mark.parametrize("growth", [0.5, 1.0])
     def test_growth_at_most_one_is_refused(self, growth):
@@ -544,10 +553,16 @@ def test_mirrored_dual_requests_factor_half_size_blocks(monkeypatch, tmp_path, c
     """dirac's rows mirror, so its S and theta's are block diagonal by parity:
     a dual request decomposes only their N/2 x N/2 even and odd blocks (two
     eigvalsh per operator, one cholesky and one inv per block of S), never
-    an N x N matrix."""
+    an N x N matrix.  The grid its stage is summed on (the 64-node
+    Gauss-Hermite rule, whose nodes are the eigenvalues of an N/2 x N/2
+    Jacobi matrix) is built before counting."""
     import numpy as np
 
+    from riggedframes import operators
+
     truncation = 64
+    config = load_config(write_config(tmp_path, dict(DIRAC_CONFIG, ladder={"n_max": truncation})))
+    operators._ladder_grid(config.map_spec, config.ladder.final_stage)
     sizes = {(truncation, truncation): "N", (truncation // 2, truncation // 2): "N/2"}
     names = ("eigh", "eigvalsh", "cholesky", "inv")
     originals = {name: getattr(np.linalg, name) for name in names}
@@ -565,17 +580,20 @@ def test_mirrored_dual_requests_factor_half_size_blocks(monkeypatch, tmp_path, c
 
     for name in names:
         monkeypatch.setattr(np.linalg, name, counting(name))
-    data = dict(DIRAC_CONFIG, ladder={"n_max": truncation})
-    run(command, load_config(write_config(tmp_path, data)))
+    run(command, config)
     assert counts == {("eigvalsh", "N/2"): 4, ("cholesky", "N/2"): 2, ("inv", "N/2"): 2}
 
 @pytest.mark.parametrize("command", ["dual", "reconstruct"])
 def test_mirrored_dual_requests_sample_the_positive_nodes_once(monkeypatch, tmp_path, command):
     """A dirac dual request at N=512 runs the Hermite recurrence once, on the
-    3840 nodes x > 0 of its 7680-node stage: the rows at x < 0 are their
-    mirror, and nothing else samples."""
-    from riggedframes import hermite, kernels
+    nodes x > 0 of the grid its stage is summed on (the 512-node
+    Gauss-Hermite rule): the rows at x < 0 are their mirror, and nothing
+    else samples.  The grid is built, with its own Hermite table, before
+    counting."""
+    from riggedframes import hermite, kernels, operators
 
+    config = load_config(write_config(tmp_path, dict(DIRAC_CONFIG, ladder={"stages": [512]})))
+    grid = operators._ladder_grid(config.map_spec, config.ladder.final_stage)
     calls = []
     recurrence = hermite._hermite_recurrence
 
@@ -585,9 +603,8 @@ def test_mirrored_dual_requests_sample_the_positive_nodes_once(monkeypatch, tmp_
 
     for module in (hermite, kernels):
         monkeypatch.setattr(module, "_hermite_recurrence", counting)
-    data = dict(DIRAC_CONFIG, ladder={"stages": [512]})
-    run(command, load_config(write_config(tmp_path, data)))
-    assert calls == [(512, 3840)]
+    run(command, config)
+    assert grid.node_count == 512 and calls == [(512, 256)]
 
 
 def test_only_the_dual_report_measures_the_duality_defect(monkeypatch):
@@ -619,11 +636,11 @@ def test_only_the_dual_report_measures_the_duality_defect(monkeypatch):
 
 @pytest.mark.parametrize("map_data", [{"kind": "weighted_dirac", "weight": "2+sin(x)"}, {"kind": "fourier"}])
 def test_dual_defect_is_verify_duality_of_the_canonical_dual(map_data):
-    from riggedframes import canonical_dual, sample_kernel, stage_grid, verify_duality
+    from riggedframes import canonical_dual, operators, sample_kernel, verify_duality
 
     config = config_from_dict(dict(DIRAC_CONFIG, map=map_data))
     stage = config.ladder.final_stage
-    kernel = sample_kernel(config.map_spec, stage_grid(stage), stage.truncation)
+    kernel = sample_kernel(config.map_spec, operators._ladder_grid(config.map_spec, stage), stage.truncation)
     expected = verify_duality(canonical_dual(kernel), 20, config.seed)
     assert run("dual", config)["dual"]["defect"] == expected
 

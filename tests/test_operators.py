@@ -585,7 +585,7 @@ class TestClassify:
     def test_custom_kind_rejected(self):
         from riggedframes import custom_map
 
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidConfigError, match="a custom kernel has no map to sample"):
             classify(custom_map("nope.csv"), default_ladder(8))
 
     def test_single_stage_certifies_no_trend_label(self):
@@ -703,7 +703,7 @@ ONE_GRID_FAMILIES = BUILTIN_FAMILIES | {
 @pytest.mark.parametrize("n_max", [64, 1024])
 @pytest.mark.parametrize("family", list(ONE_GRID_FAMILIES))
 def test_stages_are_leading_blocks_of_one_s_and_interlace(monkeypatch, family, n_max):
-    """classify sums one S, on the final stage's grid, and every stage's S
+    """classify sums one S, on the ladder's grid, and every stage's S
     is a view of its leading N x N block.  So by Cauchy interlacing A never
     rises, and B and each Bessel constant never fall, from one stage to the
     next, to 1e-14 of the larger stage's value."""
@@ -722,6 +722,75 @@ def test_stages_are_leading_blocks_of_one_s_and_interlace(monkeypatch, family, n
         assert after.upper >= before.upper - 1e-14 * after.upper
     for series in report.bessel_constants.values():
         assert all(after >= before - 1e-14 * after for before, after in zip(series, series[1:]))
+
+
+# EXACT_OPERATORS plus 1-x^2, whose weight is negative for |x| > 1
+EXACT_GRID_MAPS = EXACT_OPERATORS | {"1-x^2": (weighted_dirac_map("1-x^2"), (1.0, 0.0, -1.0), 0)}
+
+
+class TestLadderGrid:
+    """operators._ladder_grid: an exact map (dirac, fourier, dirac_derivative,
+    a polynomial weight) on a stage that sets no grid is summed on the
+    Gauss-Hermite rule of N + d nodes rounded up to even, exactly; every
+    other ladder on its final stage's composite grid."""
+
+    @pytest.mark.parametrize("truncation", [8, 64, 512, 1024])
+    @pytest.mark.parametrize("family", list(EXACT_GRID_MAPS))
+    def test_exact_maps_sum_the_exact_operator_on_their_grid(self, family, truncation):
+        """The S summed on the grid _ladder_grid picks against the exact S
+        of omega_x = p(x) delta_x^(d), to 1e-13 B.  Fourier's S is dirac's
+        up to its column phase, so its gram is the one compared."""
+        from riggedframes import hermite_grid
+        from riggedframes.acceptance import _exact_frame_operator
+
+        spec, poly_coeffs, derivative_order = EXACT_GRID_MAPS[family]
+        grid = operators._ladder_grid(spec, default_stage(truncation))
+        count = truncation + derivative_order + len(poly_coeffs) - 1
+        assert grid is hermite_grid(count + count % 2)
+        op = operators._stage_operator(spec, grid, truncation)
+        stage_s = op.gram if family == "fourier" else op.matrix
+        exact = _exact_frame_operator(poly_coeffs, derivative_order, truncation)
+        upper = np.linalg.eigvalsh(exact)[-1]
+        assert np.abs(stage_s - exact).max() <= 1e-13 * upper
+
+    @staticmethod
+    def _sampled_nodes(monkeypatch, spec, ladder):
+        """The nodes classify samples its map at, summed over its blocks."""
+        sampled, fill_rows = [], operators._fill_rows
+
+        def counting(spec, nodes, *args):
+            sampled.append(nodes.size)
+            return fill_rows(spec, nodes, *args)
+
+        monkeypatch.setattr(operators, "_fill_rows", counting)
+        classify(spec, ladder)
+        return sum(sampled)
+
+    def test_dirac_samples_the_positive_gauss_hermite_nodes(self, monkeypatch):
+        """dirac at n_max 256 sums its S on K = 256 Gauss-Hermite nodes,
+        sampling the K/2 = 128 at x > 0."""
+        assert self._sampled_nodes(monkeypatch, dirac_map(), default_ladder(256)) == 128
+
+    @pytest.mark.parametrize("spec", [
+        weighted_dirac_map("2+sin(x)"),
+        weighted_dirac_map("exp(-x^2)"),
+        weighted_dirac_map("1/(1+x^2)"),
+        bump_dirac_map(-1.0, 1.0),
+    ], ids=["2+sin(x)", "exp(-x^2)", "1/(1+x^2)", "bump[-1,1]"])
+    def test_inexact_maps_sample_the_composite_stage(self, monkeypatch, spec):
+        """A weight that is no polynomial, or a bump, keeps the default
+        composite grid: half its nodes, those at x > 0, are sampled."""
+        composite = stage_grid(default_stage(256))
+        assert self._sampled_nodes(monkeypatch, spec, default_ladder(256)) == composite.node_count // 2
+
+    def test_an_explicit_grid_stays_composite_on_an_exact_map(self, monkeypatch):
+        """A final stage that sets its own grid is summed on it, dirac's too."""
+        base = default_stage(64)
+        stage = LadderStage(64, base.half_width, base.panels + 2, base.order)
+        ladder = RefinementLadder((16, 32, 64), stage)
+        composite = stage_grid(stage)
+        assert np.array_equal(operators._ladder_grid(dirac_map(), stage).nodes, composite.nodes)
+        assert self._sampled_nodes(monkeypatch, dirac_map(), ladder) == composite.node_count // 2
 
 
 EVEN_FAMILIES = {

@@ -9,7 +9,8 @@ S apart from the nodes x > 0; it is the one-block S of the full rows to
 generic odd term, or one that vanishes on one side of a node pair only, is
 summed from the nodes x > 0 too, with one even-odd cross block: its S is
 one class, the one-block S to 1e-14 B.  For any polynomial weight of
-degree <= 3, classify's final-stage A and B are those of the exact S.
+degree <= 3, classify's final-stage A and B are those of the exact S, on
+its Gauss-Hermite ladder grid and on the composite default stage alike.
 
 A kernel sample_kernel splits runs analysis, synthesis, verify_duality and
 reconstruct per parity class on its x > 0 rows; each agrees with the
@@ -40,6 +41,7 @@ from riggedframes import (  # noqa: E402
     fourier_map,
     frame_bounds,
     frame_operator,
+    hermite_grid,
     reconstruct,
     sample_kernel,
     stage_grid,
@@ -203,15 +205,22 @@ def test_final_stage_bounds_match_the_exact_frame_operator(terms, degree, parity
     """classify's final-stage A and B for a random polynomial weight of
     degree <= 3, even (parity 0), odd (1) or neither, against eigvalsh of
     the exact S of p(x) delta_x, to 1e-12 B: the Gram route, its parity
-    split and the resolution clamp add nothing above rounding."""
+    split and the resolution clamp add nothing above rounding.  The default
+    ladder sums its S on the Gauss-Hermite rule of N + deg p nodes rounded
+    up to even; the final stage's composite grid is held to the same."""
     kept = [t for t in terms if t[2] <= degree and parity in (None, t[2] % 2)] or [terms[parity or 0]]
     coeffs = [0.0] * (max(power for _, _, power in kept) + 1)
     for sign, c, power in kept:
         coeffs[power] = -c if sign == "-" else c
-    final = classify(weighted_dirac_map(_polynomial(kept)), default_ladder(n_max)).stages[-1]
+    spec, stage = weighted_dirac_map(_polynomial(kept)), default_stage(n_max)
+    count = n_max + len(coeffs) - 1
+    assert operators._ladder_grid(spec, stage) is hermite_grid(count + count % 2)
+    final = classify(spec, default_ladder(n_max)).stages[-1]
+    composite = operators._resolved_bounds(_stage_operator(spec, stage_grid(stage), n_max))
     exact = np.linalg.eigvalsh(_exact_frame_operator(coeffs, 0, n_max))
-    assert abs(final.upper - exact[-1]) <= 1e-12 * exact[-1]
-    assert abs(final.lower - exact[0]) <= 1e-12 * exact[-1]
+    for lower, upper in ((final.lower, final.upper), composite):
+        assert abs(upper - exact[-1]) <= 1e-12 * exact[-1]
+        assert abs(lower - exact[0]) <= 1e-12 * exact[-1]
 
 
 MIRRORED_MAPS = {

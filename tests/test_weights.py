@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from riggedframes import WeightEvalError, WeightSyntaxError, eval_weight, expr_to_string, parse_weight
+from riggedframes import (
+    WeightEvalError,
+    WeightSyntaxError,
+    eval_weight,
+    expr_to_string,
+    parse_weight,
+    polynomial_degree,
+)
 from riggedframes.weights import Binary, Call, Negate, Number, Power, Variable
 
 
@@ -150,3 +157,44 @@ class TestPrinting:
         for _ in range(200):
             tree = build(0)
             assert parse_weight(expr_to_string(tree)) == tree
+
+
+class TestPolynomialDegree:
+    @pytest.mark.parametrize(
+        "text, degree",
+        [("x/2", 1), ("sin(1)*x", 1), ("0", 0), ("-x^3+x", 3), ("(1+x^2)^2/4", 4), ("exp(2)-cos(0)*x^2", 2)],
+    )
+    def test_polynomials_read_their_degree(self, text, degree):
+        assert polynomial_degree(parse_weight(text)) == degree
+
+    def test_cancellation_is_an_upper_bound(self):
+        """(x-x)^3 is 0, read as degree <= 3: a larger rule is still exact."""
+        assert 0 <= polynomial_degree(parse_weight("(x-x)^3")) <= 3
+
+    @pytest.mark.parametrize("text", ["x^-1", "1/x", "exp(x)", "2+sin(x)", "1/(1+x^2)", "exp(-x^2)"])
+    def test_other_weights_are_not_polynomials(self, text):
+        assert polynomial_degree(parse_weight(text)) is None
+
+    def test_random_polynomials_bound_their_sampled_degree(self):
+        """A degree d read off the tree leaves the (d+1)-th finite difference
+        of the weight at d + 2 integer points 0, to rounding."""
+        rng = np.random.default_rng(5)
+
+        def build(depth):
+            pick = rng.integers(0, 5 if depth < 3 else 2)
+            if pick == 0:
+                return Number(float(rng.integers(1, 4)))
+            if pick == 1:
+                return Variable()
+            if pick == 2:
+                return Negate(build(depth + 1))
+            if pick == 3:
+                return Binary(str(rng.choice(["+", "-", "*"])), build(depth + 1), build(depth + 1))
+            return Power(build(depth + 1), int(rng.integers(0, 3)))
+
+        for _ in range(100):
+            tree = build(0)
+            degree = polynomial_degree(tree)
+            values = eval_weight(tree, np.arange(degree + 2, dtype=float))
+            difference = np.diff(values, degree + 1)[0]
+            assert abs(difference) <= 1e-9 * max(1.0, np.abs(values).max())

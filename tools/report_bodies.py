@@ -6,8 +6,8 @@ Runs classify, bounds, dual, reconstruct, moment-solve and sweep on the ten
 built-in families at each N_MAX (default 64) on the default ladder, on
 dirac_derivative and 2+sin(x) at one odd stage N = 33 (whose coarse grid
 has N - 1 nodes), and on three custom CSV kernels at N = 32 (2+sin(x), fourier and dirac_derivative
-sampled on the default stage grid: real, complex, and real with mirrored
-rows).  Each body is the report as the CLI emits it,
+sampled on the default stage's composite grid, which a custom kernel is
+summed on: real, complex, and real with mirrored rows).  Each body is the report as the CLI emits it,
 with ``timing`` and the temporary CSV path dropped; the bounds report is
 also recorded in CSV, as ``.../bounds/csv``; a refused command is recorded as
 ``"ErrorType: message"``.  The stdout of each script under ``demos/`` is
