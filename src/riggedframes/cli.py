@@ -16,6 +16,7 @@ config or output error, 1 for a numerical failure or a failing demo check.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 
@@ -24,7 +25,10 @@ def stage_list(text):
     return [int(part) for part in text.split(",") if part.strip()]
 
 
+@functools.cache
 def _build_parser():
+    """The one argument parser of the process: parse_args keeps no state
+    between calls, so every main call reuses it."""
     from .reporting import COMMANDS
 
     parser = argparse.ArgumentParser(

@@ -23,8 +23,10 @@ mirror (|w(x)| == |w(-x)|) is sampled there only: the Hermite recurrence,
 the row weight and the floor below run on half the nodes, and the rows at
 x < 0 are written as the exact sign mirror row(-x) = s (-1)^n row(x).  The
 kernel records s per node pair (KernelMatrix.signs), and every operator
-pass over its rows then runs per parity class on the x > 0 half.  A held kernel of any other weight is
-sampled on every node and worked on in one block.
+pass over its rows then runs per parity class on the x > 0 half; the coarse
+rank rule (operators._CoarseSVD), which serves only kernels a caller hands
+over, factors every kernel in one block.  A held kernel of any other weight
+is sampled on every node and worked on in one block.
 
 Built-in rows carry no negligible entries: every entry below NEGLIGIBLE
 (2^-500) times the largest |entry| is set to exactly 0 where the rows are
@@ -222,7 +224,7 @@ def sample_kernel(spec, grid, truncation):
         return load_custom_kernel(spec.custom_kernel, grid, truncation)
     nodes = grid.nodes
     weight = _row_weight(spec, nodes)
-    split = _pair_split(spec, grid, truncation, weight, held=True)
+    split = _pair_split(spec, grid, truncation, weight)
     signs = None if split is None else split[2]
     start = 0 if signs is None else nodes.size // 2
     rows = np.empty((truncation, nodes.size)).T
@@ -254,11 +256,9 @@ def _row_weight(spec, nodes):
     return None
 
 
-def _pair_split(spec, grid, truncation, weight, *, held=False):
+def _pair_split(spec, grid, truncation, weight):
     """The one parity rule for a built-in map's rows on a grid: None, or
-    (rho, q, signs) at the nodes x > 0 in grid order.  With ``held`` (the
-    rows sample_kernel keeps, which need only the signs) rho and q are not
-    formed: the result is (None, None, signs), or None where q would be set.
+    (rho, q, signs) at the nodes x > 0 in grid order.
 
     Since h_n(-x) = (-1)^n h_n(x), a node pair (x, -x) with row weight w
     (``weight``: _row_weight at the grid's nodes, None for the kinds without
@@ -303,19 +303,13 @@ def _pair_split(spec, grid, truncation, weight, *, held=False):
     if weight is None:
         return None, None, signs
     plus, minus = weight[start:], weight[:start][::-1]
-    rho = None
-    if held:
-        # q is 0 at every pair exactly when |w(x)| == |w(-x)| at every pair
-        if not np.array_equal(np.abs(plus), np.abs(minus)):
-            return None
-    else:
-        larger = np.maximum(np.abs(plus), np.abs(minus))
-        ratios = np.divide([plus, minus], larger, out=np.zeros((2, start)), where=larger > 0) ** 2
-        total = ratios.sum(axis=0)
-        rho = larger * np.sqrt(total / 2.0)
-        q = np.divide(ratios[0] - ratios[1], total, out=np.zeros(start), where=larger > 0)
-        if q.any():
-            return rho, q, None
+    larger = np.maximum(np.abs(plus), np.abs(minus))
+    ratios = np.divide([plus, minus], larger, out=np.zeros((2, start)), where=larger > 0) ** 2
+    total = ratios.sum(axis=0)
+    rho = larger * np.sqrt(total / 2.0)
+    q = np.divide(ratios[0] - ratios[1], total, out=np.zeros(start), where=larger > 0)
+    if q.any():
+        return rho, q, None
     signs[np.signbit(plus) != np.signbit(minus)] *= -1.0
     return rho, None, signs
 

@@ -10,10 +10,10 @@ phase P (fourier) touches the solution only, as P^H c.
 At one truncation, omega is Riesz-Fischer (every target has a solution)
 exactly when the weighted coarse kernel has full row rank.  rf_diagnostic
 reads that off the coarse rank rule's singular values (operators._CoarseSVD,
-which takes a mirrored kernel's from its two parity blocks); only a
-rank-deficient kernel forms U and has its panel probes measured against its
-numerical range, and its ``worst_residual`` is the largest distance from a
-unit probe to that range (exactly 0 at full row rank).  A built-in map on
+one values-only SVD of the weighted rows); only a rank-deficient kernel
+forms U and has its panel probes measured against its numerical range,
+and its ``worst_residual`` is the largest distance from a unit probe to
+that range (exactly 0 at full row rank).  A built-in map on
 its Gauss-Hermite coarse grid needs neither kernel nor SVD (_coarse_rf):
 its range is spanned by the nodes whose closed-form singular value
 (operators._coarse_values) clears the cutoff.
@@ -123,9 +123,8 @@ def rf_diagnostic(kernel):
     The rank is read off _CoarseSVD's values step, the coarse rank rule: a
     kernel of full row rank reaches every grid function, so it scores (1.0,
     0.0) with no singular vectors and no solve.  Only a rank-deficient one
-    runs the vectors step, whose U (lifted from the parity blocks when the
-    rows mirror) is orthonormal on the full grid.  A kernel with more nodes
-    than coefficients is refused (InvalidConfigError), as by
+    runs the vectors step, the thin U of the same weighted rows.  A kernel
+    with more nodes than coefficients is refused (InvalidConfigError), as by
     mu_independence_test.
     """
     rule = _CoarseSVD(kernel, NULL_SPACE_CUTOFF)

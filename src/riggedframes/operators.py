@@ -47,10 +47,10 @@ moment-solve report and dual_bessel_check's precondition sample no coarse
 kernel and take no SVD for it.  _coarse_kernel (a built-in map sampled on
 that grid, or a given kernel, with node count <= N either way) serves
 gelfand_check's isometry defect, and _CoarseSVD is the rank rule of a
-kernel a caller hands over: values-only SVDs of its parity blocks, merged,
-and a vectors step forming U per block, lifted to the full grid with the
-kernel's signs, which mu_independence_test and the moment probes of
-rf_diagnostic run only for rank-deficient rows.
+kernel a caller hands over: one values-only SVD of its weighted rows, in
+one block whatever the kernel, and a vectors step forming their thin U,
+which mu_independence_test and the moment probes of rf_diagnostic run only
+for rank-deficient rows.
 Continuum statements (bounded versus growing bounds, totality) are read off
 trends along a refinement ladder; a single stage can never decide them.
 
@@ -170,7 +170,7 @@ def _row_pass(kernel, block):
     split kernel the even and the odd parts of the pass at the nodes x > 0
     (half the rows, half the columns each), else the one product rows @
     block.  Every analysis pass over a kernel's rows is this one."""
-    rows, _, columns, _ = _gram_rows(kernel)
+    rows, _, columns = _gram_rows(kernel)
     return [_apply(rows[:, c], block[c]) for c in columns]
 
 
@@ -190,7 +190,7 @@ def _fold(kernel, parts):
     assembled on the coefficient side: the synthesis pass over a kernel's
     rows, one product rows^T @ part for an unsplit kernel.  Each part is a
     grid function (or block) on that class's rows, already weighted."""
-    rows, _, columns, _ = _gram_rows(kernel)
+    rows, _, columns = _gram_rows(kernel)
     outs = [_apply(rows[:, c].T, part) for c, part in zip(columns, parts)]
     if len(outs) == 1:
         return outs[0]
@@ -331,7 +331,7 @@ def frame_operator(kernel):
     memory order, per parity class from the x > 0 rows with 2 W for a split
     kernel, and for complex rows as [Re A, Im A].  An S out of float64
     range is a NumericError naming N."""
-    rows, scale, columns, _ = _gram_rows(kernel)
+    rows, scale, columns = _gram_rows(kernel)
     (m, n), stacked = rows.shape, np.iscomplexobj(rows)
     sqrt_w = np.sqrt(scale)[:, None]
 
@@ -377,18 +377,17 @@ def _stage_operator(map_spec, grid, truncation):
 
 
 def _gram_rows(kernel):
-    """(rows, quadrature scale, column classes, signs) that every pass over
-    a kernel's rows runs on: for a kernel sample_kernel split (its
-    ``signs``; see kernels._pair_split), the x > 0 half of its rows, 2 W on
-    it, _PARITY and the signs; for any other kernel all of its rows, W, one
-    class and None.  With s^2 = 1 a sum over the grid of a product of two
-    passes is 2 W times the sum of the products of their even parts and of
-    their odd parts at x > 0."""
+    """(rows, quadrature scale, column classes) that every pass over a
+    kernel's rows runs on: for a kernel sample_kernel split (its ``signs``;
+    see kernels._pair_split), the x > 0 half of its rows, 2 W on it and
+    _PARITY; for any other kernel all of its rows, W and one class.  With
+    s^2 = 1 a sum over the grid of a product of two passes is 2 W times the
+    sum of the products of their even parts and of their odd parts at x > 0."""
     rows, weights, signs = kernel.rows, kernel.grid.weights, kernel.signs
     if signs is None:
-        return rows, weights, (slice(None),), None
+        return rows, weights, (slice(None),)
     start = rows.shape[0] - signs.size
-    return rows[start:], 2.0 * weights[start:], _PARITY, signs
+    return rows[start:], 2.0 * weights[start:], _PARITY
 
 
 def _block_diagonal(blocks, columns):
@@ -551,23 +550,16 @@ def mu_independence_test(kernel, threshold=RANK_CUTOFF):
 
 
 class _CoarseSVD:
-    """The coarse rank rule on the weighted rows of a kernel with node count
-    <= truncation (InvalidConfigError otherwise, or for a threshold <= 0).
+    """The coarse rank rule on the weighted rows sqrt(W) rows of a kernel with
+    node count <= truncation (InvalidConfigError otherwise, or for a
+    threshold <= 0), one block whatever the kernel.
 
     The values step runs on construction: ``svals``, the singular values in
-    descending order from values-only SVDs, and ``full_rank``, full row rank
-    at ``threshold``.  The vectors step, left_vectors, forms U only when a
-    caller asks, which mu_independence_test and rf_diagnostic do only for
+    descending order from one values-only SVD, and ``full_rank``, full row
+    rank at ``threshold``.  The vectors step, left_vectors, forms U only when
+    a caller asks, which mu_independence_test and rf_diagnostic do only for
     rank-deficient rows.  The rows are factored without the column phase,
     which changes neither the singular values nor the left singular vectors.
-
-    The blocks are sqrt(scale) rows[:, c] per column class c of _gram_rows.
-    For a kernel sample_kernel split (kernels._pair_split), each node pair
-    (x, -x) gives one row of an even block and one of an odd block: the even
-    and the odd columns of the row at x > 0, weighted by sqrt(2 W) (Golub &
-    Van Loan, Matrix Computations, 8.6).  The two (m/2) x (N/2) blocks'
-    values, merged, are those of the m x N rows.  Every other kernel is one
-    block, its weighted rows.
     """
 
     def __init__(self, kernel, threshold):
@@ -578,30 +570,14 @@ class _CoarseSVD:
                 f"{kernel.node_count} nodes > {kernel.truncation}: with more nodes than "
                 f"coefficients the discretized synthesis map always has a null space"
             )
-        rows, scale, columns, self.signs = _gram_rows(kernel)
-        sqrt_w = np.sqrt(scale)[:, None]
-        self.blocks = tuple(sqrt_w * rows[:, c] for c in columns)
-        values = np.concatenate([np.linalg.svd(a, compute_uv=False) for a in self.blocks])
-        self.order = np.argsort(-values, kind="stable")
-        self.svals = values[self.order]
+        self.weighted = _weighted_rows(kernel)
+        self.svals = np.linalg.svd(self.weighted, compute_uv=False)
         self.full_rank = _full_rank(self.svals[-1], self.svals[0], threshold)
 
     def left_vectors(self):
-        """U, the thin left singular vectors of the weighted rows on the full
-        grid, orthonormal, one column per entry of ``svals`` in its order.
-        A split lifts each block's U exactly: with s the kernel's sign per
-        node pair (KernelMatrix.signs), the even block's u becomes
-        [(s u) reversed ; u] / sqrt(2) and the odd block's
-        [(-s u) reversed ; u] / sqrt(2), orthogonal to each other since
-        s^2 = 1."""
-        us = [np.linalg.svd(a, full_matrices=False)[0] for a in self.blocks]
-        if self.signs is None:
-            return us[0]
-        lifted = [
-            np.concatenate([(sign[:, None] * u)[::-1], u]) / math.sqrt(2.0)
-            for sign, u in zip((self.signs, -self.signs), us)
-        ]
-        return np.concatenate(lifted, axis=1)[:, self.order]
+        """U, the thin left singular vectors of the weighted rows, orthonormal,
+        one column per entry of ``svals`` in its order."""
+        return np.linalg.svd(self.weighted, full_matrices=False)[0]
 
 
 def _check_threshold(threshold):

@@ -223,9 +223,12 @@ class LadderStage:
 
 
 def default_stage(truncation):
+    """The stage at N = ``truncation`` that sets no grid of its own; N must
+    be an integer (TypeError otherwise)."""
+    truncation = operator.index(truncation)
     half_width = default_half_width(truncation)
     return LadderStage(
-        truncation=int(truncation),
+        truncation=truncation,
         half_width=half_width,
         panels=default_panels(truncation, half_width),
         order=DEFAULT_ORDER,
@@ -266,9 +269,9 @@ def default_ladder(n_max):
     nodes; operators._ladder_grid).
 
     ``n_max`` must be 8 times a power of two so the ladder is a clean
-    doubling sequence.
+    doubling sequence, and an integer (TypeError otherwise).
     """
-    n = n_max
+    n = n_max = operator.index(n_max)
     while n > 8 and n % 2 == 0:
         n //= 2
     if n != 8:

@@ -510,6 +510,25 @@ class TestDemoExitContract:
         assert cli.main(["demo"]) == 0
 
 
+def test_main_reuses_one_parser(tmp_path, capsys):
+    """The parser is built once per process: two main calls print the same
+    bytes, and a bad argument exits 2 on the second call as on the first."""
+    from riggedframes import cli
+
+    assert cli._build_parser() is cli._build_parser()
+    argv = ["bounds", "--config", str(write_config(tmp_path, DIRAC_CONFIG)), "--format", "csv"]
+    outs = []
+    for _ in range(2):
+        assert cli.main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and outs[0].startswith("N,A,B,")
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["bounds", "--format", "xml"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'xml'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["dual", "reconstruct"])
 def test_dual_requests_form_one_tall_frame_operator(monkeypatch, tmp_path, command):
     """One tall S for omega, and two values-only eigendecompositions of N x N
@@ -767,3 +786,43 @@ def test_settable_values_tool(capsys):
     assert len(lines) <= 24
     assert not any(line.startswith("reporting.config_with_overrides.") for line in lines)
     assert not any(line.startswith("reporting.ReportDocument.") for line in lines)
+
+
+def test_code_lines_tool(tmp_path, capsys):
+    """tools/code_lines.py counts the lines holding code: a module, class
+    and function docstring, comments and blank lines do not count, and a
+    statement spanning lines counts each of them."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
+    spec = importlib.util.spec_from_file_location("code_lines", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    fixture = tmp_path / "fixture.py"
+    fixture.write_text(
+        '"""Module docstring,\n'
+        'two lines."""\n'
+        "\n"
+        "# a comment line\n"
+        "import math  # a trailing comment\n"
+        "\n"
+        "\n"
+        "class Box:\n"
+        '    """Class docstring."""\n'
+        "\n"
+        "    def area(self, side):\n"
+        '        """Function docstring."""\n'
+        "        # a comment in the body\n"
+        "        return math.prod(\n"
+        "            (side, side)\n"
+        "        )\n"
+        "\n"
+        'NAME = "a string that is code"\n'
+    )
+    assert tool.code_lines(fixture) == 7
+    assert tool.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [f"7 {fixture}", "total: 7"]
+    assert tool.main([]) == 0
+    *files, total = capsys.readouterr().out.splitlines()
+    assert files and total == f"total: {sum(int(line.split()[0]) for line in files)}"

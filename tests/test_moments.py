@@ -466,14 +466,14 @@ def _projection_reference(kernel):
 
 class TestRfRankRule:
     @pytest.mark.parametrize(
-        "spec, blocks",
-        [(dirac_map(), 2), (weighted_dirac_map("2+sin(x)"), 1), (dirac_derivative_map(), 2)],
+        "spec",
+        [dirac_map(), weighted_dirac_map("2+sin(x)"), dirac_derivative_map()],
         ids=["dirac", "2+sin(x)", "dirac_derivative"],
     )
-    def test_full_row_rank_reads_off_singular_values_only(self, monkeypatch, spec, blocks):
+    def test_full_row_rank_reads_off_singular_values_only(self, monkeypatch, spec):
         """A coarse kernel of full row rank reaches every probe: exactly
-        (1.0, 0.0), with no singular vectors formed.  Mirrored rows take
-        their values from two parity blocks, (node count / 2, N / 2) each."""
+        (1.0, 0.0), from one values-only SVD of its (node count, N)
+        weighted rows, with no singular vectors formed."""
         kernel = coarse_kernel(spec, 64)
         seen = []
         svd = np.linalg.svd
@@ -484,7 +484,7 @@ class TestRfRankRule:
 
         monkeypatch.setattr(np.linalg, "svd", recording_svd)
         assert rf_diagnostic(kernel) == (1.0, 0.0)
-        assert seen == [(False, (kernel.node_count // blocks, 64 // blocks))] * blocks
+        assert seen == [(False, (kernel.node_count, 64))]
 
     def test_bump_and_zero_kernel_match_the_projection_reference(self):
         bump = coarse_kernel(bump_dirac_map(-1.0, 1.0), 64)

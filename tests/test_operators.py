@@ -40,7 +40,6 @@ from riggedframes import (
     weighted_analysis_matrix,
     weighted_dirac_map,
 )
-from riggedframes.moments import NULL_SPACE_CUTOFF
 from riggedframes.operators import RANK_CUTOFF
 
 RNG_SEED = 1234
@@ -273,7 +272,7 @@ class TestFrameOperator:
             for omega in (kernel, KernelMatrix(negated, grid, spec)):
                 op = frame_operator(omega)
                 if grid.node_count % 2 or omega is not kernel:
-                    assert op.columns == (slice(None),) and operators._gram_rows(omega)[3] is None
+                    assert op.columns == operators._gram_rows(omega)[2] == (slice(None),)
                 else:
                     assert op.columns == operators._PARITY
                     assert not op.gram[0::2, 1::2].any() and not op.gram[1::2, 0::2].any()
@@ -386,12 +385,10 @@ class TestMuIndependence:
         dirac = mu_independence_test(sample_kernel(dirac_map(), grid, truncation))
         assert fourier == dirac
 
-    @pytest.mark.parametrize(
-        "family, with_u", [("dirac", [False] * 2), ("bump[-1,1]", [False] * 2 + [True] * 2)]
-    )
+    @pytest.mark.parametrize("family, with_u", [("dirac", [False]), ("bump[-1,1]", [False, True])])
     def test_vectors_only_when_dependent(self, monkeypatch, family, with_u):
-        """Both rows mirror: one values-only SVD per parity block, each of
-        shape (node count / 2, N / 2), and the blocks' U only when dependent."""
+        """One values-only SVD of the weighted rows, of shape (node count, N),
+        and one thin SVD for U only when the rows are dependent."""
         kernel = sample_kernel(BUILTIN_FAMILIES[family], coarse_synthesis_grid(32), 32)
         computes_uv, shapes = [], []
         svd = np.linalg.svd
@@ -404,7 +401,7 @@ class TestMuIndependence:
         monkeypatch.setattr(np.linalg, "svd", recording_svd)
         result = mu_independence_test(kernel)
         assert computes_uv == with_u
-        assert shapes == [(kernel.node_count // 2, 16)] * len(with_u)
+        assert shapes == [(kernel.node_count, 32)] * len(with_u)
         assert result.mu_independent == (True not in with_u)
 
 
@@ -886,65 +883,23 @@ class TestParitySplit:
         spec = weighted_dirac_map("1+x^2")
         op = operators._stage_operator(spec, grid, 16)
         assert op.columns == (slice(None),)
-        assert operators._gram_rows(sample_kernel(spec, grid, 16))[3] is None
+        assert operators._gram_rows(sample_kernel(spec, grid, 16))[2] == (slice(None),)
         reference = operators._hermitian_gram(operators._weighted_rows(sample_kernel(spec, grid, 16)))
         assert np.abs(op.gram - reference).max() <= 1e-14 * np.abs(reference).max()
 
 
-# the coarse kernels that mirror bit for bit: one with a node pair sign
-# s = -1 (dirac_derivative, x) and ones with zero rows (bump) among them
-MIRRORED_COARSE = {name: spec for name, (spec, _, _) in EXACT_OPERATORS.items()} | {
-    "exp(-x^2)": weighted_dirac_map("exp(-x^2)"),
-    "bump[-1,1]": bump_dirac_map(-1.0, 1.0),
-}
+# rank-deficient coarse kernels: exp(-x^2) has values crossing the cutoff,
+# bump[-1,1] zero rows
+DEFICIENT_COARSE = {"exp(-x^2)": weighted_dirac_map("exp(-x^2)"), "bump[-1,1]": bump_dirac_map(-1.0, 1.0)}
 
 
-def _coarse(spec, n):
-    return sample_kernel(spec, coarse_synthesis_grid(n), n)
+class TestCoarseRankRule:
+    """The coarse rank rule on a kernel it is handed: its witness and its
+    verdict where a node sits at 0."""
 
-
-class TestCoarseSplit:
-    """The coarse rank rule takes a mirrored coarse kernel's singular values,
-    and U, from its two parity blocks; rows that do not mirror bit for bit,
-    and an odd node count, keep the one-block SVD."""
-
-    @pytest.mark.parametrize("n", [64, 256, 512])
-    @pytest.mark.parametrize("family", list(MIRRORED_COARSE))
-    def test_split_matches_the_one_block_svd(self, family, n):
-        kernel = _coarse(MIRRORED_COARSE[family], n)
-        rule = operators._CoarseSVD(kernel, RANK_CUTOFF)
-        assert [a.shape for a in rule.blocks] == [(kernel.node_count // 2, n // 2)] * 2
-        weighted = operators._weighted_rows(kernel)
-        reference = np.linalg.svd(weighted, compute_uv=False)
-        scale = reference[0]
-        assert np.abs(rule.svals - reference).max() <= 1e-14 * scale
-        assert rule.full_rank == operators._full_rank(reference[-1], scale, RANK_CUTOFF)
-        # the lifted U is orthonormal on the full grid and its column j is a
-        # left singular vector for svals[j]: U^T A A^T U = diag(svals^2)
-        u = rule.left_vectors()
-        assert np.abs(u.T @ u - np.eye(kernel.node_count)).max() <= 1e-13
-        image = weighted.T @ u
-        assert np.abs(image.T @ image - np.diag(rule.svals**2)).max() <= 1e-13 * scale**2
-
-    @pytest.mark.parametrize("n", [64, 256, 512])
-    @pytest.mark.parametrize("family", ["exp(-x^2)", "bump[-1,1]"])
-    def test_deficient_range_matches_the_one_block_projector(self, family, n):
-        """rf_diagnostic's numerical range, from the lifted U, is the one-block
-        one: to rounding over the gap at the cutoff (Davis-Kahan), which is
-        wide for bump and narrow for exp(-x^2), whose values cross it."""
-        kernel = _coarse(MIRRORED_COARSE[family], n)
-        rule = operators._CoarseSVD(kernel, NULL_SPACE_CUTOFF)
-        assert not rule.full_rank
-        u, svals, _ = np.linalg.svd(operators._weighted_rows(kernel), full_matrices=False)
-        rank = np.count_nonzero(svals > NULL_SPACE_CUTOFF * svals[0])
-        basis = rule.left_vectors()[:, rule.svals > NULL_SPACE_CUTOFF * rule.svals[0]]
-        assert basis.shape == (kernel.node_count, rank)
-        bound = 10 * np.finfo(float).eps * svals[0] / (svals[rank - 1] - svals[rank])
-        assert np.abs(basis @ basis.T - u[:, :rank] @ u[:, :rank].T).max() <= bound
-
-    @pytest.mark.parametrize("family", ["exp(-x^2)", "bump[-1,1]"])
+    @pytest.mark.parametrize("family", list(DEFICIENT_COARSE))
     def test_witness_is_a_unit_near_null_grid_function(self, family):
-        kernel = _coarse(MIRRORED_COARSE[family], 256)
+        kernel = sample_kernel(DEFICIENT_COARSE[family], coarse_synthesis_grid(256), 256)
         result = mu_independence_test(kernel)
         assert not result.mu_independent
         assert abs(l2x_norm(result.witness, kernel.grid) - 1.0) <= 1e-13
@@ -953,35 +908,17 @@ class TestCoarseSplit:
         assert abs(np.linalg.norm(image) - result.sigma_min) <= 1e-13 * result.sigma_max
         assert result.sigma_min <= RANK_CUTOFF * result.sigma_max
 
-    def test_rows_off_the_mirror_by_one_ulp_take_one_block(self):
-        kernel = _coarse(dirac_map(), 64)
-        rows = np.array(kernel.rows)
-        middle = kernel.node_count // 2
-        rows[middle, 0] = np.nextafter(rows[middle, 0], np.inf)
-        doctored = KernelMatrix(rows, kernel.grid, dirac_map())
-        rule = operators._CoarseSVD(doctored, RANK_CUTOFF)
-        assert rule.signs is None and [a.shape for a in rule.blocks] == [(kernel.node_count, 64)]
-        reference = np.linalg.svd(operators._weighted_rows(doctored), compute_uv=False)
-        assert np.array_equal(rule.svals, reference)
-
     @pytest.mark.parametrize("family", ["dirac", "bump[-1,1]"])
-    def test_a_node_at_zero_takes_one_block_with_the_same_verdict(self, family):
-        """An odd node count puts a node at 0, so the rule keeps one block;
-        its verdict is the one-block one, and that of the even grid of the
-        same width."""
-        spec, n = MIRRORED_COARSE[family], 32
+    def test_a_node_at_zero_gives_the_same_verdict(self, family):
+        """An odd node count puts a node at 0; the verdict is that of the
+        even grid of the same width."""
+        spec, n = BUILTIN_FAMILIES[family], 32
         grid = build_grid(bulk_half_width(n), 5, 5)
         assert grid.node_count % 2 and grid.nodes[grid.node_count // 2] == 0.0
         kernel = sample_kernel(spec, grid, n)
-        assert operators._gram_rows(kernel)[3] is None
-        rule = operators._CoarseSVD(kernel, RANK_CUTOFF)
-        assert rule.signs is None and [a.shape for a in rule.blocks] == [(grid.node_count, n)]
-        reference = np.linalg.svd(operators._weighted_rows(kernel), compute_uv=False)
-        assert np.array_equal(rule.svals, reference)
         even = sample_kernel(spec, build_grid(bulk_half_width(n), 6, 4), n)
-        assert len(operators._CoarseSVD(even, RANK_CUTOFF).blocks) == 2
         assert mu_independence_test(kernel).mu_independent == mu_independence_test(even).mu_independent
-        assert rule.full_rank == (family == "dirac")
+        assert operators._CoarseSVD(kernel, RANK_CUTOFF).full_rank == (family == "dirac")
 
 
 def _eager_bessel_search(grams, tops, thresholds):

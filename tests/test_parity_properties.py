@@ -151,18 +151,16 @@ def test_pair_split_of_a_weight_even_in_magnitude(weight):
 @pytest.mark.parametrize(
     "weight", ["x", "1-x^2", "exp(-x^2)", "2+sin(x)", "10^-160*(2+sin(x))", "x^3-x+1"]
 )
-def test_held_split_forms_only_the_signs(weight):
-    """The rule sample_kernel reads (held=True) forms no rho or q: it gives
-    the stage rule's signs where q is None and refuses the split where q is
-    set, so the held rows are the same."""
+def test_sampled_signs_are_the_split_signs(weight):
+    """sample_kernel reads its signs off the one parity rule: the stage
+    rule's signs, and None (one block) where q is set."""
     spec, grid = weighted_dirac_map(weight), stage_grid(default_stage(64))
-    w = _row_weight(spec, grid.nodes)
-    _, q, signs = _pair_split(spec, grid, 64, w)
-    held = _pair_split(spec, grid, 64, w, held=True)
+    _, q, signs = _pair_split(spec, grid, 64, _row_weight(spec, grid.nodes))
+    sampled = sample_kernel(spec, grid, 64).signs
     if q is not None:
-        assert held is None
+        assert signs is None and sampled is None
     else:
-        assert held[:2] == (None, None) and np.array_equal(held[2], signs)
+        assert np.array_equal(sampled, signs)
 
 
 @pytest.mark.parametrize("scale", ["10^-160", "10^160"])

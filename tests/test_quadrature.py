@@ -183,6 +183,14 @@ class TestLadder:
         with pytest.raises(InvalidConfigError):
             default_ladder(bad)
 
+    @pytest.mark.parametrize("build, value", [(default_ladder, 16.0), (default_stage, 8.5), (default_stage, 8.0)])
+    def test_rejects_a_non_integer_truncation(self, build, value):
+        """default_stage(8.5) would build an N = 8 stage on N = 8.5's width,
+        which is not default_stage(8); an integer of any type is taken."""
+        with pytest.raises(TypeError):
+            build(value)
+        assert build(np.int64(16)) == build(16)
+
     def test_rejects_nonincreasing_stages(self):
         with pytest.raises(InvalidConfigError, match="must increase"):
             RefinementLadder((16, 8), default_stage(8))
