@@ -40,6 +40,7 @@ from riggedframes import (
     weighted_analysis_matrix,
     weighted_dirac_map,
 )
+from riggedframes.moments import NULL_SPACE_CUTOFF
 from riggedframes.operators import RANK_CUTOFF
 
 RNG_SEED = 1234
@@ -891,15 +892,59 @@ class TestParitySplit:
 # rank-deficient coarse kernels: exp(-x^2) has values crossing the cutoff,
 # bump[-1,1] zero rows
 DEFICIENT_COARSE = {"exp(-x^2)": weighted_dirac_map("exp(-x^2)"), "bump[-1,1]": bump_dirac_map(-1.0, 1.0)}
+# the coarse kernels the rule is checked on: the exact maps, one with a
+# node pair sign s = -1 (dirac_derivative, x), and the deficient ones
+RULE_COARSE = {name: spec for name, (spec, _, _) in EXACT_OPERATORS.items()} | DEFICIENT_COARSE
+
+
+def _coarse(spec, n):
+    return sample_kernel(spec, coarse_synthesis_grid(n), n)
 
 
 class TestCoarseRankRule:
-    """The coarse rank rule on a kernel it is handed: its witness and its
-    verdict where a node sits at 0."""
+    """The coarse rank rule on a kernel it is handed: its two steps, its
+    witness and its verdict where a node sits at 0."""
+
+    @pytest.mark.parametrize("n", [64, 256, 512])
+    @pytest.mark.parametrize("family", list(RULE_COARSE))
+    def test_vectors_step_pairs_with_the_values_step(self, family, n):
+        """svals descend and set full_rank; left_vectors is orthonormal on
+        the full grid and its column j is a left singular vector for
+        svals[j]: U^T A A^T U = diag(svals^2)."""
+        kernel = _coarse(RULE_COARSE[family], n)
+        rule = operators._CoarseSVD(kernel, RANK_CUTOFF)
+        assert rule.svals.shape == (kernel.node_count,) and np.all(np.diff(rule.svals) <= 0)
+        scale = rule.svals[0]
+        assert rule.full_rank == operators._full_rank(rule.svals[-1], scale, RANK_CUTOFF)
+        u = rule.left_vectors()
+        assert np.abs(u.T @ u - np.eye(kernel.node_count)).max() <= 1e-13
+        image = operators._weighted_rows(kernel).T @ u
+        assert np.abs(image.T @ image - np.diag(rule.svals**2)).max() <= 1e-13 * scale**2
+
+    @pytest.mark.parametrize("n", [64, 256, 512])
+    @pytest.mark.parametrize("family", list(DEFICIENT_COARSE))
+    def test_deficient_range_leaves_the_cut_values(self, family, n):
+        """rf_diagnostic's numerical range, the columns of U above the
+        cutoff, is an orthogonal projector P of that rank, and what it
+        leaves of the weighted rows has norm ||(I - P) A|| = svals[rank],
+        the largest value cut."""
+        kernel = _coarse(DEFICIENT_COARSE[family], n)
+        rule = operators._CoarseSVD(kernel, NULL_SPACE_CUTOFF)
+        assert not rule.full_rank
+        keep = rule.svals > NULL_SPACE_CUTOFF * rule.svals[0]
+        rank = np.count_nonzero(keep)
+        assert 0 < rank < kernel.node_count and keep[:rank].all()
+        basis = rule.left_vectors()[:, keep]
+        projector = basis @ basis.T
+        assert np.abs(projector @ projector - projector).max() <= 1e-13
+        assert abs(np.trace(projector) - rank) <= 1e-12
+        weighted = operators._weighted_rows(kernel)
+        left = np.linalg.norm(weighted - projector @ weighted, 2)
+        assert abs(left - rule.svals[rank]) <= 1e-13 * rule.svals[0]
 
     @pytest.mark.parametrize("family", list(DEFICIENT_COARSE))
     def test_witness_is_a_unit_near_null_grid_function(self, family):
-        kernel = sample_kernel(DEFICIENT_COARSE[family], coarse_synthesis_grid(256), 256)
+        kernel = _coarse(DEFICIENT_COARSE[family], 256)
         result = mu_independence_test(kernel)
         assert not result.mu_independent
         assert abs(l2x_norm(result.witness, kernel.grid) - 1.0) <= 1e-13
