@@ -9,8 +9,9 @@ per check, and exits 1 if any fails; it needs no ``--config`` and runs on
 the dirac map.  Each flag sets a field of the config document (``--seed``
 seed, ``--stages`` ladder.stages, ``--output`` output.path, ``--format``
 output.format), and config_from_dict checks the result once, so a flag is
-held to the same rule as the field.  Exit codes: 0 on success, 2 for a
-config or output error, 1 for a numerical failure or a failing demo check.
+held to the same rule as the field.  Exit codes, which main returns: 0 on
+success or --help, 2 for a malformed flag or command or a config or output
+error, 1 for a numerical failure or a failing demo check.
 """
 
 from __future__ import annotations
@@ -49,7 +50,13 @@ def _build_parser():
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    """Run one command and return its exit code.  A malformed flag or
+    command returns 2 and --help returns 0, after argparse prints the usage,
+    rather than raising argparse's SystemExit."""
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
     from .errors import InvalidConfigError, NotAFrameError, NumericError
     from .reporting import config_from_dict, config_to_dict, emit, load_config, run, write_report
 

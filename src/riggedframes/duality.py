@@ -9,7 +9,7 @@ orders
 
 recover f up to conditioning.  S is factored once, S = R^H R with R the
 upper Cholesky factor, and inverted through it: X = R^{-1} R^{-H}, with
-R^{-1} from a blocked triangular inverse (_cholesky_inverses and
+R^{-1} from a blocked triangular inverse (_cholesky_inverse and
 _triangular_inverse, shared with moments.dual_bessel_check; Higham,
 Accuracy and Stability of Numerical Algorithms, ch. 10 and 14).  Omega's
 bounds (A, B) come from frame_bounds, values only, as for every other
@@ -170,10 +170,18 @@ def _canonical_dual(op, omega=None):
     lam_min, lam_max = frame_bounds(op)
     _require_frame(lam_min, lam_max)
     # one factor, inverse and theta Gram per diagonal block of S (its
-    # columns), placed in N x N arrays that are exactly 0 between blocks
-    blocks = _cholesky_inverses(op)
-    inverse = _block_diagonal([x for _, x in blocks], op.columns)
-    theta_gram = _block_diagonal([_hermitian_gram(r @ x) for r, x in blocks], op.columns)
+    # columns), placed in N x N arrays that are exactly 0 between blocks;
+    # R is freed once R X is formed, and R X once its Gram is
+    inverses, grams = [], []
+    for c in op.columns:
+        factor, inverse = _cholesky_inverse(op.gram[c, c])
+        product = factor @ inverse
+        del factor
+        grams.append(_hermitian_gram(product))
+        del product
+        inverses.append(inverse)
+    inverse = _block_diagonal(inverses, op.columns)
+    theta_gram = _block_diagonal(grams, op.columns)
     inverse.setflags(write=False)
     theta_gram.setflags(write=False)
     pair = DualPair(omega, None, inverse=inverse)
@@ -182,18 +190,16 @@ def _canonical_dual(op, omega=None):
     return pair
 
 
-def _cholesky_inverses(op):
-    """(R, X = R^-1 R^-H) per diagonal block of S (its ``columns``), R the
-    block's upper Cholesky factor (NumericError when it has none)."""
-    blocks = []
-    for c in op.columns:
-        try:
-            factor = np.linalg.cholesky(op.gram[c, c]).conj().T
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"frame operator has no Cholesky factor: {exc}") from exc
-        factor_inverse = _triangular_inverse(factor)
-        blocks.append((factor, factor_inverse @ factor_inverse.conj().T))
-    return blocks
+def _cholesky_inverse(block):
+    """(R, X = R^-1 R^-H) of one diagonal block of S (one of its
+    ``columns``), R the block's upper Cholesky factor (NumericError when it
+    has none); R^-1 is freed once X is formed."""
+    try:
+        factor = np.linalg.cholesky(block).conj().T
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"frame operator has no Cholesky factor: {exc}") from exc
+    factor_inverse = _triangular_inverse(factor)
+    return factor, factor_inverse @ factor_inverse.conj().T
 
 
 def _triangular_inverse(r):

@@ -408,7 +408,23 @@ def load_custom_kernel(path, grid, truncation):
     (_parse_entries).  np.loadtxt skips blank lines (and warns on a file of
     nothing else), so the lines are counted first in a streaming pass: a
     blank line, or a block that parses to fewer rows or other widths, sends
-    the file to the rescan, which names the offending row."""
+    the file to the rescan, which names the offending row.
+
+    The rows of the last fast parse in the process are kept for reuse, keyed
+    by the SHA-256 of the data bytes (every byte after the header line) and
+    N.  The counting pass takes the digest, so a load of unchanged bytes
+    reuses the same read-only rows without parsing them again, whatever the
+    path or the file's times; the header and node-count checks run on every
+    load.  On a miss the parse pass hashes the lines it parses, and the rows
+    are kept only when that digest is the counting pass's, so bytes
+    rewritten during a load are never kept under another file's key.  Rows
+    from the rescan are never kept.  What is held is one kernel's rows
+    (7.5 MiB at N = 256 on its default stage), and a miss pays the hash
+    twice on top of the parse: about 40 ms on a 0.35-0.5 s load at N = 256
+    (22 MiB of text, one Xeon core), where a hit takes 35-45 ms."""
+    import hashlib  # loads OpenSSL: imported only where a kernel file is read
+
+    global _last_parse
     with open(path, newline="") as fh:
         first = fh.readline()
         if not first:
@@ -422,14 +438,27 @@ def load_custom_kernel(path, grid, truncation):
         start = len(first.encode(fh.encoding))
     with open(path, "rb") as fh:
         fh.seek(start)
-        blank = [line.isspace() for line in fh]
-        fh.seek(start)
-        entries = None
+        digest, blank = hashlib.sha256(), []
+        for line in fh:
+            digest.update(line)
+            blank.append(line.isspace())
+        key = digest.digest(), truncation
+        entries = fresh = None
         if blank and not any(blank):
-            try:
-                entries = _parse_entries(fh, len(blank), truncation)
-            except ValueError:
-                pass
+            last = _last_parse
+            if last is not None and last[0] == key:
+                entries = last[1]
+            else:
+                # the kept rows go before a parse, so a load never holds two
+                _last_parse = None
+                fh.seek(start)
+                parsed = hashlib.sha256()
+                try:
+                    entries = _parse_entries(_hashed(fh, parsed), len(blank), truncation)
+                except ValueError:
+                    pass
+                if entries is not None and parsed.digest() == key[0]:
+                    fresh = entries
     if entries is None:
         # the fast parse failed or skipped lines: rescan cell by cell, which
         # names the first offending row and column
@@ -439,7 +468,21 @@ def load_custom_kernel(path, grid, truncation):
             f"{path}: {entries.shape[0]} data rows but the grid has {grid.node_count} nodes"
         )
     entries.setflags(write=False)
+    if fresh is not None:
+        _last_parse = key, fresh
     return KernelMatrix(entries, grid, custom_map(path))
+
+
+# (key, rows) of load_custom_kernel's last fast parse, or None: the key is
+# the SHA-256 of the data bytes and N, the rows read-only.
+_last_parse = None
+
+
+def _hashed(lines, digest):
+    """``lines`` as they come, each fed to ``digest`` first."""
+    for line in lines:
+        digest.update(line)
+        yield line
 
 
 # _parse_entries reads this many data lines per np.loadtxt call.

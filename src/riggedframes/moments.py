@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duality import _cholesky_inverses, _require_frame, _walkable_ladder
+from .duality import _cholesky_inverse, _require_frame, _walkable_ladder
 from .errors import InvalidConfigError
 from .hermite import TestFunction
 from .operators import (
@@ -249,7 +249,7 @@ def dual_bessel_check(kernel):
     coarse-grid panel probe, rf score 1 (_coarse_rf).  It classifies the
     kernel's ladder (duality._walkable_ladder), the one walk, and reads
     theta's frame operator S^-1 off the Cholesky factors of the blocks of
-    each stage's S (duality._cholesky_inverses; NotAFrameError for a
+    each stage's S (duality._cholesky_inverse; NotAFrameError for a
     singular S),
     certifying the smallest seminorm index up to the classifier's default
     ``bessel_k_max`` whose constant, sqrt(lambda_max(D_k S^-1 D_k)) over the
@@ -266,8 +266,9 @@ def dual_bessel_check(kernel):
     for stage in classify(kernel.map_spec, ladder).stages:
         _require_frame(stage.lower, stage.upper)
         # fourier reads dirac's real inverse: its column phase commutes with D_k
-        blocks = [x for _, x in _cholesky_inverses(stage.operator)]
-        inverses.append(FrameOperatorMatrix(_block_diagonal(blocks, stage.operator.columns)))
+        op = stage.operator
+        blocks = [_cholesky_inverse(op.gram[c, c])[1] for c in op.columns]
+        inverses.append(FrameOperatorMatrix(_block_diagonal(blocks, op.columns)))
     tops = [_bessel_constant(inverse, 0) for inverse in inverses]
     index, constant, _ = _bessel_search(inverses, tops, ClassifyThresholds())
     if index is None:

@@ -432,17 +432,23 @@ def frame_bounds(op):
         matrix, columns = op.gram, op.columns
     else:
         matrix, columns = np.asarray(op), (slice(None),)
-    scale = np.abs(matrix).max()
-    if scale > 0 and np.abs(matrix - matrix.conj().T).max() > 1e-12 * scale:
+    scale, deviation = _max_abs(matrix), _max_abs(matrix - matrix.conj().T)
+    if scale > 0 and deviation > 1e-12 * scale:
         raise NumericError(
-            f"matrix is not Hermitian: deviation {np.abs(matrix - matrix.conj().T).max():.3e} "
-            f"against scale {scale:.3e}"
+            f"matrix is not Hermitian: deviation {deviation:.3e} against scale {scale:.3e}"
         )
     try:
         values = [np.linalg.eigvalsh(matrix[c, c]) for c in columns]
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition failed: {exc}") from exc
     return float(min(v[0] for v in values)), float(max(v[-1] for v in values))
+
+
+def _max_abs(matrix):
+    """max |matrix|; for a real matrix read off its extremes, with no copy."""
+    if np.iscomplexobj(matrix):
+        return np.abs(matrix).max()
+    return max(matrix.max(), -matrix.min())
 
 
 # The relative singular-value cutoff of every rank decision, and the default

@@ -512,7 +512,8 @@ class TestDemoExitContract:
 
 def test_main_reuses_one_parser(tmp_path, capsys):
     """The parser is built once per process: two main calls print the same
-    bytes, and a bad argument exits 2 on the second call as on the first."""
+    bytes, and a bad argument returns 2 on the second call as on the first,
+    with argparse's message on stderr."""
     from riggedframes import cli
 
     assert cli._build_parser() is cli._build_parser()
@@ -523,10 +524,27 @@ def test_main_reuses_one_parser(tmp_path, capsys):
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1] and outs[0].startswith("N,A,B,")
     for _ in range(2):
-        with pytest.raises(SystemExit) as exit_info:
-            cli.main(["bounds", "--format", "xml"])
-        assert exit_info.value.code == 2
+        assert cli.main(["bounds", "--format", "xml"]) == 2
         assert "invalid choice: 'xml'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, code, stream, text",
+    [
+        (["frobnicate"], 2, "err", "invalid choice: 'frobnicate'"),
+        (["bounds", "--bogus"], 2, "err", "unrecognized arguments: --bogus"),
+        (["bounds", "--seed", "x"], 2, "err", "argument --seed: invalid int value: 'x'"),
+        ([], 2, "err", "the following arguments are required: command"),
+        (["--help"], 0, "out", "usage: riggedframes"),
+    ],
+)
+def test_main_returns_the_argparse_exit_code(capsys, argv, code, stream, text):
+    """argparse's refusals and --help come back as main's return value, with
+    its usage printed, as every other refusal does; none raises."""
+    from riggedframes import cli
+
+    assert cli.main(argv) == code
+    assert text in getattr(capsys.readouterr(), stream)
 
 
 @pytest.mark.parametrize("command", ["dual", "reconstruct"])

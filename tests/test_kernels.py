@@ -305,6 +305,123 @@ class TestCustomKernelCsv:
             assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want)), part
 
 
+class TestParseReuse:
+    """load_custom_kernel keeps the rows of its last fast parse, keyed by the
+    SHA-256 of the data bytes and N, and reuses them for unchanged bytes."""
+
+    @pytest.fixture
+    def loadtxt_calls(self, monkeypatch):
+        calls = []
+        loadtxt = np.loadtxt
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counting)
+        return calls
+
+    def test_unchanged_bytes_reuse_the_rows_without_a_parse(self, tmp_path, grid, loadtxt_calls):
+        entries = sample_kernel(fourier_map(), grid, 4).entries
+        path, copy = tmp_path / "kernel.csv", tmp_path / "copy.csv"
+        save_kernel_csv(entries, path)
+        copy.write_bytes(path.read_bytes())
+        first = load_custom_kernel(path, grid, 4)
+        parses = len(loadtxt_calls)
+        assert parses > 0
+        for again in (path, copy):
+            loaded = load_custom_kernel(again, grid, 4)
+            assert loaded.rows is first.rows and not loaded.rows.flags.writeable
+            assert loaded.map_spec.custom_kernel == str(again)
+        assert len(loadtxt_calls) == parses
+        # the kept rows are bit for bit what a fresh parse gives
+        kernels._last_parse = None
+        fresh = load_custom_kernel(path, grid, 4).rows
+        assert fresh is not first.rows and len(loadtxt_calls) == 2 * parses
+        assert fresh.dtype == complex and np.array_equal(fresh.view(np.int64), first.rows.view(np.int64))
+        assert np.array_equal(fresh, entries)
+
+    def test_a_same_length_rewrite_is_parsed_again(self, tmp_path, grid, loadtxt_calls):
+        """Rows swapped in place keep the file's length, and its times are
+        set back: the bytes differ, so the file is parsed again."""
+        import os
+
+        rows = sample_kernel(weighted_dirac_map("2+sin(x)"), grid, 3).rows
+        path = tmp_path / "kernel.csv"
+        save_kernel_csv(rows, path)
+        before = os.stat(path)
+        load_custom_kernel(path, grid, 3)
+        parses = len(loadtxt_calls)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[1], lines[2] = lines[2], lines[1]
+        path.write_bytes(b"".join(lines))
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = os.stat(path)
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        swapped = rows[[1, 0, *range(2, rows.shape[0])]]
+        assert not np.array_equal(swapped, rows)
+        loaded = load_custom_kernel(path, grid, 3)
+        assert len(loadtxt_calls) == 2 * parses
+        assert np.array_equal(loaded.rows, swapped)
+
+    def test_a_hit_still_checks_the_header_and_the_grid(self, tmp_path, grid, loadtxt_calls):
+        path = tmp_path / "kernel.csv"
+        save_kernel_csv(sample_kernel(dirac_map(), grid, 3), path)
+        kept = load_custom_kernel(path, grid, 3).rows
+        parses = len(loadtxt_calls)
+        with pytest.raises(InvalidConfigError, match="header does not match 4"):
+            load_custom_kernel(path, grid, 4)
+        other = build_grid(13.0, 27, 8)
+        with pytest.raises(InvalidConfigError, match=f"data rows but the grid has {other.node_count} nodes"):
+            load_custom_kernel(path, other, 3)
+        assert len(loadtxt_calls) == parses
+        assert kernels._last_parse[1] is kept
+
+    def test_files_sent_to_the_rescan_are_never_kept(self, tmp_path, grid):
+        """A blank line is refused and a file with lone-CR line ends loads
+        through the rescan; neither leaves rows behind."""
+        rows = sample_kernel(dirac_map(), grid, 3).rows
+        path = tmp_path / "kernel.csv"
+        save_kernel_csv(rows, path)
+        text = path.read_bytes()
+        path.write_bytes(text + b"\r\n")
+        with pytest.raises(InvalidConfigError, match="has 0 cells"):
+            load_custom_kernel(path, grid, 3)
+        assert kernels._last_parse is None
+        path.write_bytes(text.replace(b"\r\n", b"\r"))
+        assert np.array_equal(load_custom_kernel(path, grid, 3).rows, rows)
+        assert kernels._last_parse is None
+
+    def test_bytes_rewritten_during_a_load_are_not_kept(self, tmp_path, grid, monkeypatch):
+        """The file changes between the counting pass and the parse: the
+        parse is returned, but not kept under the counting pass's key."""
+        rows = sample_kernel(dirac_map(), grid, 3).rows
+        path = tmp_path / "kernel.csv"
+        save_kernel_csv(rows, path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[1], lines[2] = lines[2], lines[1]
+        parse = kernels._parse_entries
+
+        def rewrite_first(fh, count, truncation):
+            path.write_bytes(b"".join(lines))
+            return parse(fh, count, truncation)
+
+        monkeypatch.setattr(kernels, "_parse_entries", rewrite_first)
+        loaded = load_custom_kernel(path, grid, 3)
+        assert np.array_equal(loaded.rows, rows[[1, 0, *range(2, rows.shape[0])]])
+        assert kernels._last_parse is None
+
+    def test_importing_the_package_leaves_hashlib_unloaded(self):
+        """hashlib loads OpenSSL; only a kernel file load imports it."""
+        import subprocess
+        import sys
+
+        probe = "import sys, riggedframes.cli; print('_hashlib' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+
 class TestKernelStorage:
     def test_real_whenever_the_entries_are(self, tmp_path, grid):
         for spec in (dirac_map(), dirac_derivative_map(), weighted_dirac_map("2+sin(x)"),
