@@ -28,8 +28,9 @@ report = run("sweep", config)
 document = json.loads(emit(report).decode())
 
 print("labels:", document["labels"])
-# Every stage is summed on one grid, the final stage's, echoed in the config.
-grid = document["config"]["ladder"]["stages"][-1]
+# Every stage is summed on one grid, named in the report: this map's is
+# composite, chosen from the map and the final N.
+grid = document["grid"]
 print(f"stage table (one grid: L={grid['L']:.3f}, {grid['panels'] * grid['order']} nodes):")
 for row in document["stages"]:
     print(f"  N={row['N']:>3} A={row['A']:.6f} B={row['B']:.6f} total={row['total']}")

@@ -10,12 +10,12 @@ weights) and Omega the kernel matrix:
 Frame bounds at truncation N are the extreme eigenvalues of S, equivalently
 the squared extreme singular values of the weighted kernel sqrt(W) Omega.
 classify is the one ladder walk.  It sums one Gram S per ladder, on the
-grid _ladder_grid picks, streamed from the rows by _stage_operator.  For an
-exact map (dirac and fourier, dirac_derivative, a weighted dirac whose weight
-is a polynomial of degree d) on a default final stage that grid is the
-Gauss-Hermite rule of K = N + d nodes rounded up to even, on which every
-entry of S is summed exactly; every other ladder is summed on its final
-stage's composite grid, stage_grid.  Stage N is
+grid _ladder_grid picks from the map and the final N alone, streamed from
+the rows by _stage_operator.  For an exact map (dirac and fourier,
+dirac_derivative, a weighted dirac whose weight is a polynomial of degree d)
+that grid is the Gauss-Hermite rule of K = N + d nodes rounded up to even,
+on which every entry of S is summed exactly; every other built-in map is
+summed on default_stage(N)'s composite grid, stage_grid.  Stage N is
 the Galerkin truncation P_N S P_N, the leading N x N block of that S, read
 as a view (per parity class, the leading ceil(N/2) and floor(N/2) columns),
 so the stage bounds interlace by construction (Cauchy; Horn & Johnson,
@@ -28,10 +28,11 @@ GRAM_RESOLUTION * B (Higham, Accuracy and Stability of Numerical
 Algorithms, ch. 20).
 One block loop, _summed_operator, sums every S from a row source: a held
 kernel's rows (frame_operator) or a ladder's, sampled a block at a time
-(_stage_operator).  The parity rule is kernels._pair_split.  Where it
-splits, _stage_operator samples every built-in map at the nodes x > 0 only,
-with 2 W, and S has an even-odd cross block only where the map's rows do not
-mirror.  A held kernel whose rows mirror (KernelMatrix.signs) runs every
+(_stage_operator).  The parity rule is kernels._pair_split.  Every ladder
+grid is mirrored with an even node count, so _stage_operator always splits:
+it samples every built-in map at the nodes x > 0 only, with 2 W, and S
+has an even-odd cross block only where the map's rows do not mirror.
+A held kernel whose rows mirror (KernelMatrix.signs) runs every
 pass over its rows per class on the x > 0 half (_gram_rows): its S has two
 parity blocks with exact zeros between them (FrameOperatorMatrix reads the
 classes off it); analysis and synthesis take the even and odd parts of their
@@ -351,18 +352,15 @@ def _stage_operator(map_spec, grid, truncation):
     without holding the rows: the row source of _summed_operator that
     samples them _NODE_BLOCK nodes at a time into its Fortran-ordered
     buffer, weighted in place, the negligible floor carrying its peak from
-    block to block.  Where kernels._pair_split splits, every built-in map is
-    sampled at the nodes x > 0 only, with 2 W and its rho, whatever its
-    weight, and its q (if any) adds the even-odd cross block.  An S out of
-    float64 range is a NumericError naming the ladder's final stage."""
-    n, nodes, weights = truncation, grid.nodes, grid.weights
-    weight = _row_weight(map_spec, nodes)
-    split, q, start = _pair_split(map_spec, grid, n, weight), None, 0
-    if split is not None:
-        start = nodes.size // 2
-        weights = 2.0 * weights[start:]
-        weight, q, _ = split
-    nodes, sqrt_w = nodes[start:], np.sqrt(weights)
+    block to block.  Every ladder grid is mirrored with an even node count
+    (_ladder_grid), and classify refuses N = 1 before it sums S, so
+    kernels._pair_split always splits: every built-in map is sampled at the
+    nodes x > 0 only, with 2 W and its rho, whatever its weight, and its q
+    (if any) adds the even-odd cross block.  An S out of float64 range is a
+    NumericError naming the ladder's final stage."""
+    n, start = truncation, grid.node_count // 2
+    weight, q, _ = _pair_split(map_spec, grid, n, _row_weight(map_spec, grid.nodes))
+    nodes, sqrt_w = grid.nodes[start:], np.sqrt(2.0 * grid.weights[start:])
     peak = 0.0
 
     def fill(block, part):
@@ -371,7 +369,7 @@ def _stage_operator(map_spec, grid, truncation):
         block *= sqrt_w[part, None]
 
     return _summed_operator(
-        fill, nodes.size, _NODE_BLOCK, "F", n, _PARITY if start else (slice(None),),
+        fill, nodes.size, _NODE_BLOCK, "F", n, _PARITY,
         q=q, phase=_column_phase(map_spec, n), where=f"stage N={n}", rows_any=lambda: peak > 0,
     )
 
@@ -644,11 +642,21 @@ def _coarse_values(map_spec, truncation):
     return np.ones(grid.node_count) if weight is None else np.abs(weight)
 
 
+# Why a built-in map's ladder sets no grid: _ladder_grid's refusal, and
+# reporting's of L, panels and order on such a map's config stages.
+BUILTIN_GRID = "a built-in map's grid is chosen from the map and N"
+
+
 def _ladder_grid(map_spec, stage):
     """The grid a ladder whose final stage is ``stage`` is summed on: the
     Gauss-Hermite rule hermite_grid(K) where _exact_node_count gives a K,
-    else stage_grid(stage)."""
-    count = _exact_node_count(map_spec, stage)
+    else stage_grid(stage).  Only a custom map's stage may set its own grid:
+    a built-in map's is a function of the map and N, so a final stage other
+    than default_stage(N) is an InvalidConfigError, the one refusal point of
+    every ladder request on a built-in map."""
+    if _builtin(map_spec) and stage != default_stage(stage.truncation):
+        raise InvalidConfigError(f"ladder.final_stage: {BUILTIN_GRID}, not {stage}")
+    count = _exact_node_count(map_spec, stage.truncation)
     return stage_grid(stage) if count is None else hermite_grid(count)
 
 
@@ -657,9 +665,9 @@ def _ladder_grid(map_spec, stage):
 _EXACT_KINDS = {"dirac": 0, "fourier": 0, "dirac_derivative": 1}
 
 
-def _exact_node_count(map_spec, stage):
-    """K = N + d rounded up to even for an exact map whose ``stage`` is
-    default_stage(N), the stage that sets no grid; else None.
+def _exact_node_count(map_spec, truncation):
+    """K = N + d rounded up to even for an exact map at N = ``truncation``;
+    else None.
 
     An exact map's column n at x is a polynomial of degree <= n + d times
     e^(-x^2/2): h_n for dirac and fourier (d = 0), -h_n' for
@@ -671,16 +679,13 @@ def _exact_node_count(map_spec, stage):
     the size of acceptance._exact_frame_operator's oracle.  An even K puts
     no node at 0, so kernels._pair_split applies.  A weight that is no
     polynomial (2+sin(x), exp(-x^2)), a bump and a custom kernel are not
-    exact, and a final stage that sets L, panels or order keeps its own
-    grid whatever the map."""
-    if stage != default_stage(stage.truncation):
-        return None
+    exact."""
     degree = _EXACT_KINDS.get(map_spec.kind)
     if map_spec.kind == "weighted_dirac":
         degree = polynomial_degree(map_spec.weight)
     if degree is None:
         return None
-    count = stage.truncation + degree
+    count = truncation + degree
     return count + count % 2
 
 
@@ -842,10 +847,12 @@ def classify(map_spec, ladder, thresholds=ClassifyThresholds()):
             "has no map to sample, only the CSV rows of one stage; custom kernels support "
             "the stage-level diagnostics directly"
         )
+    # the coarse ranks come first: their grid refuses N = 1, which no split S has
+    mu_independent = [_coarse_full_rank(map_spec, n, thresholds.rank) for n in ladder.truncations]
     grid_stage = ladder.final_stage
     whole = _stage_operator(map_spec, _ladder_grid(map_spec, grid_stage), grid_stage.truncation)
     stages = []
-    for n in ladder.truncations:
+    for n, mu in zip(ladder.truncations, mu_independent):
         op = FrameOperatorMatrix(whole.gram[:n, :n], phase=None if whole.phase is None else whole.phase[:n])
         lower, upper = _resolved_bounds(op)
         sigma_min, sigma_max = math.sqrt(lower), math.sqrt(upper)
@@ -857,7 +864,7 @@ def classify(map_spec, ladder, thresholds=ClassifyThresholds()):
                 sigma_min=sigma_min,
                 sigma_max=sigma_max,
                 total=_full_rank(sigma_min, sigma_max, thresholds.rank),
-                mu_independent=_coarse_full_rank(map_spec, n, thresholds.rank),
+                mu_independent=mu,
                 operator=op,
             )
         )

@@ -12,11 +12,13 @@ line, whose K x K matrix sqrt(lambda_j) h_n(x_j) is orthogonal
 
 A refinement ladder is a list of growing truncations N plus one grid, set
 by its final stage: every stage's S is summed on that grid, so stage N's S
-is the leading N x N block of the final stage's.  Which grid that is,
-operators._ladder_grid decides: a final stage equal to default_stage(N)
-sets no grid, and an exact map (dirac, fourier, dirac_derivative, a
-polynomial weight) is then summed exactly on hermite_grid(K), K = N + d
-rounded up to even; every other ladder on stage_grid(final stage).
+is the leading N x N block of the final stage's.  For a built-in map that
+grid is a function of the map and the final N alone (operators._ladder_grid,
+which refuses any final stage but default_stage(N)): an exact map (dirac,
+fourier, dirac_derivative, a polynomial weight) is summed exactly on
+hermite_grid(K), K = N + d rounded up to even, every other built-in map on
+stage_grid(default_stage(N)).  Both are mirrored with an even node count.
+Only a custom kernel's final stage may set L, panels and order.
 Classification of continuum properties (bounded versus growing frame
 bounds, totality) is read off trends along the ladder, never off a single
 stage.
@@ -223,8 +225,10 @@ class LadderStage:
 
 
 def default_stage(truncation):
-    """The stage at N = ``truncation`` that sets no grid of its own; N must
-    be an integer (TypeError otherwise)."""
+    """The stage at N = ``truncation`` that sets no grid of its own, the
+    only final stage a built-in map's ladder takes (its composite grid has
+    an even node count, order 10); N must be an integer (TypeError
+    otherwise)."""
     truncation = operator.index(truncation)
     half_width = default_half_width(truncation)
     return LadderStage(
@@ -243,10 +247,11 @@ def stage_grid(stage):
 class RefinementLadder:
     """Increasing truncations N, every one summed on one grid, set by
     ``final_stage``, the stage at the last N: operators._ladder_grid gives
-    the Gauss-Hermite rule of N + d nodes for an exact map when
-    ``final_stage`` is default_stage(N), else stage_grid(final_stage).  A
-    grid exact, or wide and fine enough, for the last N resolves every
-    smaller one."""
+    the Gauss-Hermite rule of N + d nodes for an exact map, else
+    stage_grid(final_stage).  A built-in map's ``final_stage`` must be
+    default_stage(N), which _ladder_grid checks; a custom kernel's may set
+    its own grid.  A grid exact, or wide and fine enough, for the last N
+    resolves every smaller one."""
 
     truncations: tuple
     final_stage: LadderStage
@@ -265,8 +270,8 @@ class RefinementLadder:
 def default_ladder(n_max):
     """Stages N = 8, 16, ..., n_max with final stage default_stage(n_max),
     which sets no grid: an exact map is summed on the Gauss-Hermite rule of
-    n_max + d nodes, any other on that stage's composite grid (>= 10 n_max
-    nodes; operators._ladder_grid).
+    n_max + d nodes, any other built-in map on that stage's composite grid
+    (>= 10 n_max nodes; operators._ladder_grid).
 
     ``n_max`` must be 8 times a power of two so the ladder is a clean
     doubling sequence, and an integer (TypeError otherwise).

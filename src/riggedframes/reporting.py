@@ -1,8 +1,9 @@
 """Run configuration, experiment orchestration, and report emission.
 
 ``run`` returns the report as the plain dict that ``emit`` writes: keys
-``config, stages, labels, dual, moment``, then ``checks`` (demo only) and
-``timing`` last.  ``emit`` serializes it in that key order with floats at 17
+``config, grid, stages, labels, dual, moment``, then ``checks`` (demo only)
+and ``timing`` last.  ``grid`` names the rule the ladder is summed on.
+``emit`` serializes the report in that key order with floats at 17
 significant digits, so identical configurations produce byte-identical
 output (timing aside) and golden-file comparison is exact.
 """
@@ -24,7 +25,7 @@ from .errors import InvalidConfigError, NotAFrameError, WeightEvalError, WeightS
 from .hermite import random_test_function
 from .kernels import MapSpec, sample_kernel
 from .moments import _coarse_rf
-from .operators import ClassifyThresholds, _exact_node_count, _ladder_grid, classify
+from .operators import BUILTIN_GRID, ClassifyThresholds, _exact_node_count, _ladder_grid, classify
 from .quadrature import LadderStage, RefinementLadder, default_ladder, default_stage
 from .weights import expr_to_string, parse_weight
 
@@ -41,6 +42,7 @@ __all__ = [
 
 COMMANDS = ("classify", "bounds", "dual", "reconstruct", "moment-solve", "sweep", "demo")
 THRESHOLD_FIELDS = tuple(f.name for f in fields(ClassifyThresholds))
+MIDDLE_GRID = "only the final stage sets the grid, which every stage is summed on"
 # The stage table's (column, StageDiagnostics attribute) pairs, in CSV order.
 STAGE_COLUMNS = (
     ("N", "truncation"),
@@ -129,7 +131,9 @@ def _parse_map(data):
         raise InvalidConfigError(f"map: {exc}") from exc
 
 
-def _parse_ladder(data):
+def _parse_ladder(data, custom):
+    """The ladder of a config; only a ``custom`` map's final stage may set L,
+    panels or order: a built-in map's grid is chosen from the map and N."""
     if data is None:
         return default_ladder(32)
     _require(isinstance(data, dict), "ladder", "must be an object")
@@ -155,8 +159,8 @@ def _parse_ladder(data):
                 item = {"N": item}
             _require(isinstance(item, dict), path, "must be an int or object")
             _check_fields(item, f"{path}.", ("N", "L", "panels", "order"))
-            if i < len(raw) - 1:
-                why = "only the final stage sets the grid, which every stage is summed on"
+            if i < len(raw) - 1 or not custom:
+                why = BUILTIN_GRID if i == len(raw) - 1 else MIDDLE_GRID
                 _check_fields(item, f"{path}.", ("N",), why)
             _require("N" in item, f"{path}.N", "is required")
             n = item["N"]
@@ -206,7 +210,7 @@ def config_from_dict(data):
     _check_fields(data, "", ("map", "ladder", "thresholds", "seed", "output"))
     _require("map" in data, "map", "is required")
     map_spec = _parse_map(data["map"])
-    ladder = _parse_ladder(data.get("ladder"))
+    ladder = _parse_ladder(data.get("ladder"), map_spec.kind == "custom")
     thresholds = _parse_thresholds(data.get("thresholds"))
     seed = data.get("seed", DEFAULT_SEED)
     _require(_is_int(seed) and seed >= 0, "seed", "must be a nonnegative integer")
@@ -236,15 +240,13 @@ def _echo_map(spec):
 
 def config_to_dict(config):
     """The config document of ``config``, every field explicit: the inverse
-    of config_from_dict, and the ``config`` section of every report.  The
-    ladder's earlier stages are echoed with their N only, and so is a final
-    stage summed on the Gauss-Hermite rule (an exact map on a stage that sets
-    no grid, operators._exact_node_count): it reads back as default_stage(N).
-    Any other final stage is echoed with the composite grid every stage is
-    summed on."""
+    of config_from_dict, and the ``config`` section of every report.  Every
+    stage is echoed with its N only, save a custom map's final stage, which
+    carries the composite grid its kernel is summed on: a built-in map's
+    grid is chosen from the map and N, and the report's ``grid`` names it."""
     thresholds, final = config.thresholds, config.ladder.final_stage
     echo = {"N": final.truncation}
-    if _exact_node_count(config.map_spec, final) is None:
+    if config.map_spec.kind == "custom":
         echo.update(L=final.half_width, panels=final.panels, order=final.order)
     return {
         "map": _echo_map(config.map_spec),
@@ -253,6 +255,16 @@ def config_to_dict(config):
         "seed": config.seed,
         "output": {"path": config.output_path, "format": config.output_format},
     }
+
+
+def _grid_section(config):
+    """The rule the ladder is summed on: an exact map's Gauss-Hermite rule
+    (operators._exact_node_count), else the final stage's composite grid."""
+    final = config.ladder.final_stage
+    count = _exact_node_count(config.map_spec, final.truncation)
+    if count is not None:
+        return {"rule": "gauss_hermite", "nodes": count}
+    return {"rule": "composite", "L": final.half_width, "panels": final.panels, "order": final.order}
 
 
 def _stage_table(frames):
@@ -295,7 +307,8 @@ def run(command, config):
     if command not in COMMANDS:
         raise InvalidConfigError(f"unknown command {command!r}; expected one of {COMMANDS}")
     started = time.perf_counter()
-    report = {"config": config_to_dict(config), "stages": [], "labels": None, "dual": None, "moment": None}
+    report = {"config": config_to_dict(config), "grid": _grid_section(config), "stages": [], "labels": None,
+              "dual": None, "moment": None}
     # the weight parses for every x, but a grid node of the ladder can still
     # land where it is non-finite (1/x at x = 0)
     try:

@@ -27,6 +27,6 @@ def test_demo_command_reports_all_checks(tmp_path, capsys):
     assert all(line.startswith("PASS") for line in lines)
     assert all(check["passed"] for check in report["checks"])
     emitted = json.loads(emit(report).decode())
-    assert list(emitted) == ["config", "stages", "labels", "dual", "moment", "checks", "timing"]
+    assert list(emitted) == ["config", "grid", "stages", "labels", "dual", "moment", "checks", "timing"]
     assert len(emitted["checks"]) == len(ALL_CHECKS)
     assert all(list(check) == ["name", "passed", "detail"] for check in emitted["checks"])

@@ -9,6 +9,7 @@ import pytest
 from riggedframes import InvalidConfigError
 from riggedframes.reporting import (
     COMMANDS,
+    _grid_section,
     config_from_dict,
     config_to_dict,
     emit,
@@ -25,6 +26,8 @@ def write_config(tmp_path, data, name="config.json"):
 
 
 DIRAC_CONFIG = {"map": {"kind": "dirac"}, "ladder": {"n_max": 16}, "seed": 7}
+# a custom map's final stage may set its grid; the CSV is not opened at parse time
+CUSTOM_MAP = {"kind": "custom", "custom_kernel": "kernel.csv"}
 BUILTIN_MAPS = [
     {"kind": "dirac"},
     {"kind": "fourier"},
@@ -57,9 +60,7 @@ class TestConfig:
             config_from_dict({"map": {"kind": "dirac"}, "output": {"format": "xml"}})
 
     def test_explicit_stages(self):
-        config = config_from_dict(
-            {"map": {"kind": "dirac"}, "ladder": {"stages": [8, {"N": 16}, {"N": 24, "order": 8}]}}
-        )
+        config = config_from_dict({"map": CUSTOM_MAP, "ladder": {"stages": [8, {"N": 16}, {"N": 24, "order": 8}]}})
         assert config.ladder.truncations == (8, 16, 24)
         assert config.ladder.final_stage.order == 8
 
@@ -68,10 +69,10 @@ class TestConfig:
         [
             ({"map": {"kind": "bump_dirac", "bump_support": ["a", 1]}}, "map.bump_support"),
             ({"map": {"kind": "bump_dirac", "bump_support": [None, 1]}}, "map.bump_support"),
-            ({"ladder": {"stages": [{"N": 8, "panels": "x"}]}}, "ladder.stages[0].panels"),
-            ({"ladder": {"stages": [{"N": 8, "L": "12"}]}}, "ladder.stages[0].L"),
-            ({"ladder": {"stages": [8, {"N": 16, "panels": 40.7}]}}, "ladder.stages[1].panels"),
-            ({"ladder": {"stages": [{"N": 8, "order": 1}]}}, "ladder.stages[0].order"),
+            ({"map": CUSTOM_MAP, "ladder": {"stages": [{"N": 8, "panels": "x"}]}}, "ladder.stages[0].panels"),
+            ({"map": CUSTOM_MAP, "ladder": {"stages": [{"N": 8, "L": "12"}]}}, "ladder.stages[0].L"),
+            ({"map": CUSTOM_MAP, "ladder": {"stages": [8, {"N": 16, "panels": 40.7}]}}, "ladder.stages[1].panels"),
+            ({"map": CUSTOM_MAP, "ladder": {"stages": [{"N": 8, "order": 1}]}}, "ladder.stages[0].order"),
             ({"seed": True}, "seed"),
             ({"thresholds": {"bessel_k_max": True}}, "thresholds.bessel_k_max"),
             ({"ladder": {"stages": [True]}}, "ladder.stages[0]"),
@@ -91,7 +92,7 @@ class TestConfig:
             ({"ladder": {}}, "ladder: needs either n_max or stages"),
             ({"ladder": {"stages": [16, 8]}}, "ladder.stages: stage truncations must increase"),
             (
-                {"ladder": {"stages": [{"N": 64, "L": 5.0}]}},
+                {"map": CUSTOM_MAP, "ladder": {"stages": [{"N": 64, "L": 5.0}]}},
                 "ladder.stages[0]: stage half_width 5.000 is below the Hermite bulk",
             ),
             (
@@ -100,7 +101,7 @@ class TestConfig:
             ),
             ({"ladder": {"n_max": 16, "stages": [8]}}, "ladder: takes either n_max or stages, not both"),
             (
-                {"ladder": {"stages": [8, {"N": 16, "L": 20.0}, 32]}},
+                {"map": CUSTOM_MAP, "ladder": {"stages": [8, {"N": 16, "L": 20.0}, 32]}},
                 "ladder.stages[1].L: only the final stage sets the grid",
             ),
         ],
@@ -137,12 +138,17 @@ class TestConfig:
     @pytest.mark.parametrize("map_data", BUILTIN_MAPS, ids=lambda data: data.get("weight", data["kind"]))
     def test_config_to_dict_inverts_config_from_dict(self, map_data):
         """Every field survives config_to_dict, both as a document and as the
-        ``config`` section of an emitted report, on an explicit grid and on
-        the default ladder.  The default final stage of an exact map (dirac,
-        fourier, dirac_derivative, 1+x^2), summed on the Gauss-Hermite rule,
-        is echoed with its N only; every other final stage with its grid."""
-        exact = map_data.get("weight", map_data["kind"]) in ("dirac", "fourier", "dirac_derivative", "1+x^2")
-        for ladder in ({"stages": [8, {"N": 16, "L": 20.5, "panels": 50, "order": 8}]}, {"n_max": 16}):
+        ``config`` section of an emitted report, on explicit stages and on
+        the default ladder.  A built-in map's final stage is echoed with its
+        N only, and the report's ``grid`` names the rule it is summed on: the
+        Gauss-Hermite rule of N + d nodes, rounded up to even, for an exact
+        map (dirac, fourier, dirac_derivative, 1+x^2), else default_stage(N)'s
+        composite grid."""
+        from riggedframes import default_stage
+
+        degrees = {"dirac": 0, "fourier": 0, "dirac_derivative": 1, "1+x^2": 2}
+        exact = degrees.get(map_data.get("weight", map_data["kind"]))
+        for ladder in ({"stages": [8, {"N": 16}]}, {"n_max": 16}):
             config = config_from_dict(
                 {
                     "map": map_data,
@@ -155,10 +161,38 @@ class TestConfig:
             assert config_from_dict(config_to_dict(config)) == config
             document = json.loads(emit(run("bounds", config)).decode())
             assert config_from_dict(document["config"]) == config
-            grid_echoed = "n_max" not in ladder or not exact
-            assert set(document["config"]["ladder"]["stages"][-1]) == (
-                {"N", "L", "panels", "order"} if grid_echoed else {"N"}
-            )
+            assert document["config"]["ladder"]["stages"][-1] == {"N": 16}
+            stage = default_stage(16)
+            if exact is None:
+                grid = {"rule": "composite", "L": stage.half_width, "panels": stage.panels, "order": stage.order}
+            else:
+                grid = {"rule": "gauss_hermite", "nodes": 16 + exact + exact % 2}
+            assert document["grid"] == grid
+
+    def test_custom_final_stage_grid_round_trips(self):
+        """A custom map's final stage keeps L, panels and order: they are
+        echoed in ``config`` and read back, and ``grid`` names that stage's
+        composite grid.  config_to_dict reads no CSV."""
+        config = config_from_dict(
+            {"map": CUSTOM_MAP, "ladder": {"stages": [8, {"N": 16, "L": 20.5, "panels": 50, "order": 8}]}}
+        )
+        document = config_to_dict(config)
+        assert document["ladder"]["stages"] == [{"N": 8}, {"N": 16, "L": 20.5, "panels": 50, "order": 8}]
+        assert config_from_dict(document) == config
+        assert _grid_section(config) == {"rule": "composite", "L": 20.5, "panels": 50, "order": 8}
+
+    @pytest.mark.parametrize("field, value", [("L", 30.0), ("panels", 120), ("order", 8)])
+    def test_built_in_maps_refuse_a_grid_on_any_stage(self, field, value):
+        """A built-in map's grid is chosen from the map and N: L, panels or
+        order on its final stage is refused by path, as on a middle stage."""
+        for map_data in BUILTIN_MAPS:
+            for stages, path, why in (
+                ([128, 256, {"N": 512, field: value}], "ladder.stages[2]", "a built-in map's grid is chosen"),
+                ([128, {"N": 256, field: value}, 512], "ladder.stages[1]", "only the final stage sets the grid"),
+                ([{"N": 512, field: value}], "ladder.stages[0]", "a built-in map's grid is chosen"),
+            ):
+                with pytest.raises(InvalidConfigError, match="^" + re.escape(f"{path}.{field}: {why}")):
+                    config_from_dict({"map": map_data, "ladder": {"stages": stages}})
 
     @pytest.mark.parametrize("growth", [0.5, 1.0])
     def test_growth_at_most_one_is_refused(self, growth):
@@ -187,18 +221,19 @@ class TestConfig:
         assert cli.main(["bounds", "--config", str(config), "--stages", "0"]) == 2
         assert "error: ladder.stages[0].N: must be a positive integer" in capsys.readouterr().err
 
-    def test_weight_non_finite_at_a_stage_node_is_a_config_error(self, tmp_path, capsys):
-        """1/x parses, but an odd node count puts a node at exactly 0."""
-        from riggedframes import cli
+    @pytest.mark.parametrize("command", ["classify", "dual"])
+    def test_weight_non_finite_at_a_stage_node_is_a_config_error(self, tmp_path, capsys, command):
+        """exp(x^2) parses, but overflows at the outer nodes of the N = 256
+        stage grid: the error names the weight and a node of that grid."""
+        from riggedframes import cli, default_stage, stage_grid
 
-        data = {
-            "map": {"kind": "weighted_dirac", "weight": "1/x"},
-            "ladder": {"stages": [{"N": 8, "panels": 21, "order": 3}]},
-        }
+        data = {"map": {"kind": "weighted_dirac", "weight": "exp(x^2)"}, "ladder": {"stages": [256]}}
         config = write_config(tmp_path, data)
-        assert cli.main(["classify", "--config", str(config)]) == 2
+        assert cli.main([command, "--config", str(config)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: map.weight: ") and "x=0.0" in err
+        prefix = "error: map.weight: expression 'exp(x^2)' is non-finite at x="
+        assert err.startswith(prefix)
+        assert float(err.removeprefix(prefix)) in stage_grid(default_stage(256)).nodes
 
     def test_overrides(self, tmp_path):
         """--seed, --stages and --output land in the report's config section."""
@@ -316,14 +351,17 @@ class TestRun:
             assert run("moment-solve", config)["moment"] == {"score": 1.0, "worst_residual": 0.0}
             assert run("classify", config)["labels"] == ["total", "mu_independent"]
 
-    def test_synthesis_side_refuses_one_coefficient(self, tmp_path, capsys):
+    def test_synthesis_side_refuses_one_coefficient(self, tmp_path, capsys, monkeypatch):
         """At N = 1 the one coarse node would sit at 0: classify refuses that
-        stage, and so does moment-solve, with the same message."""
-        from riggedframes import cli
+        stage, and so does moment-solve, with the same message.  classify
+        reads the coarse ranks first, so no S is summed at N = 1, where a
+        ladder's stage could not split by parity."""
+        from riggedframes import cli, operators
 
         path = write_config(tmp_path, DIRAC_CONFIG)
         config = config_from_dict(dict(DIRAC_CONFIG, ladder={"stages": [1]}))
-        for command in ("moment-solve", "classify"):
+        monkeypatch.setattr(operators, "_stage_operator", None)
+        for command in ("moment-solve", "classify", "bounds", "sweep"):
             with pytest.raises(InvalidConfigError, match="need N >= 2, got N=1"):
                 run(command, config)
         assert cli.main(["moment-solve", "--config", str(path), "--stages", "1"]) == 2
@@ -357,14 +395,14 @@ class TestEmit:
         config = load_config(write_config(tmp_path, DIRAC_CONFIG))
         payload = emit(run("classify", config)).decode()
         parsed = json.loads(payload)
-        assert list(parsed) == ["config", "stages", "labels", "dual", "moment", "timing"]
+        assert list(parsed) == ["config", "grid", "stages", "labels", "dual", "moment", "timing"]
 
     @pytest.mark.parametrize("command", [c for c in COMMANDS if c != "demo"])
     def test_json_key_order_of_every_command(self, tmp_path, command):
         config = load_config(write_config(tmp_path, DIRAC_CONFIG))
         payload = emit(run(command, config)).decode()
         parsed = json.loads(payload)
-        assert list(parsed) == ["config", "stages", "labels", "dual", "moment", "timing"]
+        assert list(parsed) == ["config", "grid", "stages", "labels", "dual", "moment", "timing"]
 
     def test_round_trip_exact_at_17_digits(self, tmp_path):
         config = load_config(write_config(tmp_path, DIRAC_CONFIG))
@@ -443,6 +481,22 @@ class TestCommandLine:
         proc = self.run_cli("classify", "--config", str(write_config(tmp_path, data)))
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.startswith("error: ladder.stages[1].panels: only the final stage sets the grid")
+
+    @pytest.mark.parametrize("panels", [120, 200])
+    def test_final_stage_grid_of_a_built_in_map_exits_two_naming_the_field(self, tmp_path, capsys, panels):
+        """2+sin(x) on a 120-panel final stage (the default at N = 512 is 768)
+        read B = 10.58, above the continuum's 9, and lost `frame`: a built-in
+        map's grid is chosen from the map and N, so any grid set is refused."""
+        from riggedframes import cli
+
+        data = {
+            "map": {"kind": "weighted_dirac", "weight": "2+sin(x)"},
+            "ladder": {"stages": [128, 256, {"N": 512, "panels": panels}]},
+        }
+        assert cli.main(["classify", "--config", str(write_config(tmp_path, data))]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: ladder.stages[2].panels: a built-in map's grid is chosen from the map and N\n"
 
     def test_stages_and_seed_overrides(self, tmp_path):
         config = write_config(tmp_path, DIRAC_CONFIG)
@@ -721,19 +775,20 @@ def test_report_bodies_tool(tmp_path):
     assert outs[0].read_bytes() == outs[1].read_bytes()
     bodies = json.loads(outs[0].read_text())
     # every report command, plus the bounds report in CSV, plus each demo's
-    # stdout, plus bounds and dual of each map on the grid with a node at 0,
-    # plus the refused middle-stage grid
+    # stdout, plus the two refused grids
     demos = sorted(tool.DEMOS.glob("*.py"))
     assert len(bodies) == (len(tool.BUILTIN_MAPS) + len(tool.ODD_N_MAPS) + len(tool.CUSTOM_KERNELS)) * (
         len(tool.REPORT_COMMANDS) + 1
-    ) + len(demos) + 2 * len(tool.NODE_AT_ZERO_MAPS) + 1
+    ) + len(demos) + 2
     assert bodies["2+sin(x)/middle-stage-grid/classify"].startswith(
-        "InvalidConfigError: ladder.stages[1].panels: "
+        "InvalidConfigError: ladder.stages[1].panels: only the final stage sets the grid"
+    )
+    assert bodies["2+sin(x)/final-stage-grid/classify"] == (
+        "InvalidConfigError: ladder.stages[2].panels: a built-in map's grid is chosen from the map and N"
     )
     assert bodies["dirac_derivative/N=33/classify"]["labels"] == ["total", "mu_independent"]
-    grid = bodies["dirac/node-at-0/bounds"]["config"]["ladder"]["stages"][-1]
-    assert grid["panels"] * grid["order"] % 2
-    assert bodies["bump[-1,1]/node-at-0/dual"].startswith("NotAFrameError: ")
+    assert bodies["dirac/n_max=16/bounds"]["grid"] == {"rule": "gauss_hermite", "nodes": 16}
+    assert bodies["custom-real/N=32/dual"]["grid"]["rule"] == "composite"
     assert len(demos) == 7 and all(bodies[f"demos/{d.stem}"].strip() for d in demos)
     assert bodies["dirac/n_max=16/bounds/csv"].startswith("N,A,B,")
     assert tempfile.gettempdir() not in outs[0].read_text()

@@ -781,14 +781,29 @@ class TestLadderGrid:
         composite = stage_grid(default_stage(256))
         assert self._sampled_nodes(monkeypatch, spec, default_ladder(256)) == composite.node_count // 2
 
-    def test_an_explicit_grid_stays_composite_on_an_exact_map(self, monkeypatch):
-        """A final stage that sets its own grid is summed on it, dirac's too."""
-        base = default_stage(64)
-        stage = LadderStage(64, base.half_width, base.panels + 2, base.order)
-        ladder = RefinementLadder((16, 32, 64), stage)
-        composite = stage_grid(stage)
-        assert np.array_equal(operators._ladder_grid(dirac_map(), stage).nodes, composite.nodes)
-        assert self._sampled_nodes(monkeypatch, dirac_map(), ladder) == composite.node_count // 2
+    @pytest.mark.parametrize("family", ["dirac", "2+sin(x)"])
+    def test_a_final_stage_grid_is_refused_on_a_built_in_map(self, family):
+        """A built-in map's grid is chosen from the map and N: a final stage
+        other than default_stage(N), built past the config parser, is
+        refused by _ladder_grid on every ladder request.  2+sin(x) on 120
+        panels (768 by default) read B = 10.58, above the continuum's 9.  A
+        custom map's final stage keeps its own grid."""
+        from dataclasses import replace
+
+        from riggedframes.kernels import MapSpec
+        from riggedframes.reporting import RunConfig, run
+
+        spec, stage = BUILTIN_FAMILIES[family], replace(default_stage(512), panels=120)
+        ladder = RefinementLadder((128, 256, 512), stage)
+        match = r"^ladder\.final_stage: a built-in map's grid is chosen from the map and N, not LadderStage\("
+        with pytest.raises(InvalidConfigError, match=match):
+            classify(spec, ladder)
+        config = RunConfig(spec, ladder, ClassifyThresholds(), 7, None, "json")
+        for command in ("bounds", "sweep", "dual", "reconstruct"):
+            with pytest.raises(InvalidConfigError, match=match):
+                run(command, config)
+        custom = MapSpec("custom", custom_kernel="kernel.csv")
+        assert np.array_equal(operators._ladder_grid(custom, stage).nodes, stage_grid(stage).nodes)
 
 
 EVEN_FAMILIES = {
@@ -877,15 +892,17 @@ class TestParitySplit:
         assert peak < operators._NODE_BLOCK * n * 8 + 2 * n * n * 8
 
     def test_a_node_at_zero_counts_once(self):
-        """An odd node count puts a node at 0, so the stage sums all the rows,
-        that node's once, in one block."""
+        """An odd node count puts a node at 0, which no ladder grid has: a
+        held kernel on such a grid is one block, and its S sums all the
+        rows, that node's once."""
         grid = build_grid(12.0, 25, 9)
         assert grid.node_count % 2 and grid.nodes[grid.node_count // 2] == 0.0
-        spec = weighted_dirac_map("1+x^2")
-        op = operators._stage_operator(spec, grid, 16)
+        kernel = sample_kernel(weighted_dirac_map("1+x^2"), grid, 16)
+        assert kernel.signs is None and operators._gram_rows(kernel)[2] == (slice(None),)
+        op = frame_operator(kernel)
         assert op.columns == (slice(None),)
-        assert operators._gram_rows(sample_kernel(spec, grid, 16))[2] == (slice(None),)
-        reference = operators._hermitian_gram(operators._weighted_rows(sample_kernel(spec, grid, 16)))
+        rows = (1.0 + grid.nodes**2)[:, None] * np.column_stack([hermite_eval(n, grid.nodes) for n in range(16)])
+        reference = rows.T @ (grid.weights[:, None] * rows)
         assert np.abs(op.gram - reference).max() <= 1e-14 * np.abs(reference).max()
 
 

@@ -12,12 +12,12 @@ with ``timing`` and the temporary CSV path dropped; the bounds report is
 also recorded in CSV, as ``.../bounds/csv``; a refused command is recorded as
 ``"ErrorType: message"``.  The stdout of each script under ``demos/`` is
 recorded as ``demos/<stem>``, run with this interpreter and environment.
-The bounds and dual bodies of dirac, 1+x^2 and bump[-1,1] on one N = 64
-stage of 111 panels of order 11, a grid with a node at 0, are recorded as
-``<map>/node-at-0/<command>``.  classify of 2+sin(x) on stages 128, 256 and
-512 with a 60-panel grid set on the middle stage is recorded as
-``2+sin(x)/middle-stage-grid/classify``: only the final stage sets the grid,
-which every stage is summed on, so it is a refusal.
+Two refusals of 2+sin(x) on stages 128, 256 and 512 are recorded: classify
+with a 60-panel grid set on the middle stage, as
+``2+sin(x)/middle-stage-grid/classify`` (only the final stage sets the grid,
+which every stage is summed on), and with a 120-panel grid set on the final
+stage, as ``2+sin(x)/final-stage-grid/classify`` (a built-in map's grid is
+chosen from the map and N).
 OUT is written with sorted keys, so two checkouts give byte-identical files
 exactly when their reports agree apart from timing and their demos print
 the same:
@@ -85,11 +85,11 @@ CUSTOM_KERNELS = {
     # parity-split sampled kernel
     "custom-derivative": dirac_derivative_map(),
 }
-# odd panels of odd order put a node at 0: the grid takes the one-block path
-NODE_AT_ZERO_STAGE = {"N": 64, "panels": 111, "order": 11}
-NODE_AT_ZERO_MAPS = ("dirac", "1+x^2", "bump[-1,1]")
-# a grid of its own on a non-final stage, one that under-resolves its N
-MIDDLE_STAGE_GRID = {"stages": [128, {"N": 256, "panels": 60}, 512]}
+# grids set on a built-in map's stages, each one that under-resolves its N
+GRID_REFUSALS = {
+    "middle-stage-grid": {"stages": [128, {"N": 256, "panels": 60}, 512]},
+    "final-stage-grid": {"stages": [128, 256, {"N": 512, "panels": 120}]},
+}
 TMP = "<tmp>"
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
@@ -138,12 +138,9 @@ def report_bodies(n_maxes):
                 bodies[f"{key}/{command}"] = _body(report, tmpdir)
                 if command == "bounds":
                     bodies[f"{key}/bounds/csv"] = _body(report, tmpdir, "csv")
-        for name in NODE_AT_ZERO_MAPS:
-            data = {"map": BUILTIN_MAPS[name], "ladder": {"stages": [NODE_AT_ZERO_STAGE]}}
-            for command in ("bounds", "dual"):
-                bodies[f"{name}/node-at-0/{command}"] = _body(_report(command, data, tmpdir), tmpdir)
-        data = {"map": BUILTIN_MAPS["2+sin(x)"], "ladder": MIDDLE_STAGE_GRID}
-        bodies["2+sin(x)/middle-stage-grid/classify"] = _body(_report("classify", data, tmpdir), tmpdir)
+        for name, ladder in GRID_REFUSALS.items():
+            data = {"map": BUILTIN_MAPS["2+sin(x)"], "ladder": ladder}
+            bodies[f"2+sin(x)/{name}/classify"] = _body(_report("classify", data, tmpdir), tmpdir)
     for script in sorted(DEMOS.glob("*.py")):
         run_demo = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, check=True)
         bodies[f"demos/{script.stem}"] = run_demo.stdout
