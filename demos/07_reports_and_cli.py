@@ -28,10 +28,11 @@ report = run("sweep", config)
 document = json.loads(emit(report).decode())
 
 print("labels:", document["labels"])
-# Every stage is summed on one grid, named in the report: this map's is
-# composite, chosen from the map and the final N.
+# Every stage is summed on one grid, named in the report and chosen from the
+# map and the final N: this weight's is a Gauss-Hermite rule of K nodes, the
+# first K on which S's last columns stop moving.
 grid = document["grid"]
-print(f"stage table (one grid: L={grid['L']:.3f}, {grid['panels'] * grid['order']} nodes):")
+print(f"stage table (one grid: {grid['rule']}, {grid['nodes']} nodes):")
 for row in document["stages"]:
     print(f"  N={row['N']:>3} A={row['A']:.6f} B={row['B']:.6f} total={row['total']}")
 print("dual section:", document["dual"])

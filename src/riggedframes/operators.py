@@ -14,9 +14,11 @@ grid _ladder_grid picks from the map and the final N alone, streamed from
 the rows by _stage_operator.  For an exact map (dirac and fourier,
 dirac_derivative, a weighted dirac whose weight is a polynomial of degree d)
 that grid is the Gauss-Hermite rule of K = N + d nodes rounded up to even,
-on which every entry of S is summed exactly; every other built-in map is
-summed on default_stage(N)'s composite grid, stage_grid.  Stage N is
-the Galerkin truncation P_N S P_N, the leading N x N block of that S, read
+on which every entry of S is summed exactly; any other weighted dirac is
+summed on the Gauss-Hermite rule whose K _searched_node_count finds a
+posteriori, from S's last columns on two rules; a bump, and a weight past
+the search's ceiling, on default_stage(N)'s composite grid, stage_grid.
+Stage N is the Galerkin truncation P_N S P_N, the leading N x N block of that S, read
 as a view (per parity class, the leading ceil(N/2) and floor(N/2) columns),
 so the stage bounds interlace by construction (Cauchy; Horn & Johnson,
 Matrix Analysis, 4.3).  Every stage diagnostic comes off its block: A and
@@ -67,15 +69,16 @@ their stacked real and imaginary parts.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidConfigError, NumericError
+from .errors import DimensionMismatchError, InvalidConfigError, NumericError, WeightEvalError
 from .hermite import DistributionSample, TestFunction
 from .kernels import _column_phase, _fill_rows, _pair_split, _row_weight, sample_kernel
-from .quadrature import default_stage, hermite_grid, stage_grid
+from .quadrature import bulk_half_width, default_stage, hermite_grid, stage_grid
 from .weights import polynomial_degree
 
 __all__ = [
@@ -649,15 +652,26 @@ BUILTIN_GRID = "a built-in map's grid is chosen from the map and N"
 
 def _ladder_grid(map_spec, stage):
     """The grid a ladder whose final stage is ``stage`` is summed on: the
-    Gauss-Hermite rule hermite_grid(K) where _exact_node_count gives a K,
+    Gauss-Hermite rule hermite_grid(K) where _hermite_node_count gives a K,
     else stage_grid(stage).  Only a custom map's stage may set its own grid:
     a built-in map's is a function of the map and N, so a final stage other
     than default_stage(N) is an InvalidConfigError, the one refusal point of
     every ladder request on a built-in map."""
     if _builtin(map_spec) and stage != default_stage(stage.truncation):
         raise InvalidConfigError(f"ladder.final_stage: {BUILTIN_GRID}, not {stage}")
-    count = _exact_node_count(map_spec, stage.truncation)
+    count = _hermite_node_count(map_spec, stage.truncation)
     return stage_grid(stage) if count is None else hermite_grid(count)
+
+
+def _hermite_node_count(map_spec, truncation):
+    """The K of the Gauss-Hermite rule a ladder of final N = ``truncation``
+    is summed on, or None for the composite grid: _exact_node_count's K for
+    an exact map, _searched_node_count's for any other weight, None for a
+    bump or a custom kernel.  The report's ``grid`` reads it."""
+    count = _exact_node_count(map_spec, truncation)
+    if count is None and map_spec.kind == "weighted_dirac" and truncation > 1:
+        count = _searched_node_count(map_spec, truncation)
+    return count
 
 
 # d for the exact kinds without a row weight: their column n is a polynomial
@@ -678,15 +692,94 @@ def _exact_node_count(map_spec, truncation):
     sums it exactly once K >= N + d (Golub & Welsch, Math. Comp. 23, 1969),
     the size of acceptance._exact_frame_operator's oracle.  An even K puts
     no node at 0, so kernels._pair_split applies.  A weight that is no
-    polynomial (2+sin(x), exp(-x^2)), a bump and a custom kernel are not
-    exact."""
+    polynomial (2+sin(x), exp(-x^2)) is not exact, and _searched_node_count
+    finds its K; a bump and a custom kernel are not exact either."""
     degree = _EXACT_KINDS.get(map_spec.kind)
     if map_spec.kind == "weighted_dirac":
         degree = polynomial_degree(map_spec.weight)
     if degree is None:
         return None
-    count = truncation + degree
+    return _even(truncation + degree)
+
+
+def _even(count):
     return count + count % 2
+
+
+# The Gauss-Hermite search of _searched_node_count.  It starts at K = N + 64:
+# 2+sin(x) is resolved there at every N >= 256 measured.  Each step grows K
+# by 1.25, so the rule a step checks against is the next step's candidate
+# and each step builds one new rule.  K stops at 4N + 64 (+64 so that small N
+# get a search): 1/(1+x^2) at N = 64 still reads 1.4e-10 B at K = 4N, and a
+# rule of 4N nodes costs a quarter of the composite grid's S at N >= 512.
+_SEARCH_START = 64
+_SEARCH_GROWTH = 1.25
+_SEARCH_CEILING = 4
+# The columns of S compared between two rules: the error of a Gauss-Hermite
+# S peaks in its last four columns (16 cases, N = 256 and 512), where the
+# difference between K and 1.25K nodes equals the true error.
+_TAIL_COLUMNS = 4
+
+
+@functools.lru_cache(maxsize=64)
+def _searched_node_count(map_spec, truncation):
+    """The K of the first Gauss-Hermite rule, from N + _SEARCH_START up by
+    _SEARCH_GROWTH, on which S's last _TAIL_COLUMNS columns agree with the
+    next rule's within GRAM_RESOLUTION B; None once K passes _SEARCH_CEILING
+    N + _SEARCH_START, or where a rule's nodes take the weight or the tail
+    out of float64 range, so that the composite grid decides (and reports
+    any such error as it always has).  B is read as the largest w(x_j)^2
+    at the nodes inside the turning point sqrt(2N + 1): S = Q^T diag(w^2) Q
+    with Q's N columns orthonormal, so B <= max w^2, and the top of the
+    spectrum fills out to the sup of w^2 over the bulk as N grows.  Cached
+    per map and N: the report's ``grid`` and the stage both ask.
+
+    Every grammar weight is analytic wherever it is finite (weights.
+    polynomial_degree's grammar), and Gauss quadrature converges fast on
+    analytic integrands (Trefethen, "Is Gauss quadrature better than
+    Clenshaw-Curtis?", SIAM Rev. 50, 2008)."""
+    ceiling = _SEARCH_CEILING * truncation + _SEARCH_START
+    count = _even(truncation + _SEARCH_START)
+    try:
+        tail, bound = _tail_columns(map_spec, count, truncation)
+        while count <= ceiling and math.isfinite(bound):
+            check = _even(math.ceil(_SEARCH_GROWTH * count))
+            check_tail, check_bound = _tail_columns(map_spec, check, truncation)
+            if math.isfinite(check_bound) and np.abs(tail - check_tail).max() <= GRAM_RESOLUTION * bound:
+                return count
+            count, tail, bound = check, check_tail, check_bound
+    except WeightEvalError:
+        pass
+    return None
+
+
+def _tail_columns(map_spec, count, truncation):
+    """(S[:, N - _TAIL_COLUMNS:] of a weighted dirac summed on hermite_grid(
+    ``count``), B's reading of _searched_node_count), summed as
+    _stage_operator sums S: the rows sqrt(2 W) rho h_n at the nodes x > 0,
+    _NODE_BLOCK at a time, with q scaling the entries that couple an even
+    and an odd index.  A tail or a B past float64 range reads B = inf."""
+    grid, n = hermite_grid(count), truncation
+    start, tail_width = count // 2, min(_TAIL_COLUMNS, n)
+    weight = _row_weight(map_spec, grid.nodes)
+    rho, q, _ = _pair_split(map_spec, grid, n, weight)
+    nodes, sqrt_w = grid.nodes[start:], np.sqrt(2.0 * grid.weights[start:])
+    mixed = (np.arange(n)[:, None] + np.arange(n - tail_width, n)) % 2 == 1
+    tail = np.zeros((n, tail_width))
+    block = np.empty((min(_NODE_BLOCK, start), n), order="F")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, start, _NODE_BLOCK):
+            part = slice(lo, lo + _NODE_BLOCK)
+            rows = block[: len(nodes[part])]
+            _fill_rows(map_spec, nodes[part], rho[part], rows)
+            rows *= sqrt_w[part, None]
+            last = rows[:, n - tail_width :]
+            same = rows.T @ last
+            same[mixed] = 0.0 if q is None else (rows.T @ (q[part, None] * last))[mixed]
+            tail += same
+        bulk = np.abs(grid.nodes) <= bulk_half_width(n)
+        bound = float(np.square(weight[bulk]).max(initial=0.0))
+    return tail, (bound if np.isfinite(tail).all() else math.inf)
 
 
 def _coarse_full_rank(map_spec, truncation, threshold, kernel=None):

@@ -25,7 +25,7 @@ from .errors import InvalidConfigError, NotAFrameError, WeightEvalError, WeightS
 from .hermite import random_test_function
 from .kernels import MapSpec, sample_kernel
 from .moments import _coarse_rf
-from .operators import BUILTIN_GRID, ClassifyThresholds, _exact_node_count, _ladder_grid, classify
+from .operators import BUILTIN_GRID, ClassifyThresholds, _hermite_node_count, _ladder_grid, classify
 from .quadrature import LadderStage, RefinementLadder, default_ladder, default_stage
 from .weights import expr_to_string, parse_weight
 
@@ -258,10 +258,11 @@ def config_to_dict(config):
 
 
 def _grid_section(config):
-    """The rule the ladder is summed on: an exact map's Gauss-Hermite rule
-    (operators._exact_node_count), else the final stage's composite grid."""
+    """The rule the ladder is summed on, read off operators._hermite_node_count
+    as _ladder_grid reads it: a Gauss-Hermite rule and its K, else the final
+    stage's composite grid."""
     final = config.ladder.final_stage
-    count = _exact_node_count(config.map_spec, final.truncation)
+    count = _hermite_node_count(config.map_spec, final.truncation)
     if count is not None:
         return {"rule": "gauss_hermite", "nodes": count}
     return {"rule": "composite", "L": final.half_width, "panels": final.panels, "order": final.order}
@@ -307,11 +308,12 @@ def run(command, config):
     if command not in COMMANDS:
         raise InvalidConfigError(f"unknown command {command!r}; expected one of {COMMANDS}")
     started = time.perf_counter()
-    report = {"config": config_to_dict(config), "grid": _grid_section(config), "stages": [], "labels": None,
+    report = {"config": config_to_dict(config), "grid": None, "stages": [], "labels": None,
               "dual": None, "moment": None}
     # the weight parses for every x, but a grid node of the ladder can still
     # land where it is non-finite (1/x at x = 0)
     try:
+        report["grid"] = _grid_section(config)
         if command in ("classify", "bounds", "sweep"):
             frames = classify(config.map_spec, config.ladder, config.thresholds)
             report["stages"] = _stage_table(frames)

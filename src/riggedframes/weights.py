@@ -255,8 +255,10 @@ def polynomial_degree(node):
     sum; a quotient is a polynomial only over a divisor of degree 0, a
     power only for an exponent >= 0, and sin, cos or exp only of an argument
     of degree 0 (a constant).  Cancellation is not seen, so (x-x)^3 reads
-    3: a bound is all the Gauss-Hermite stage grids need
-    (operators._ladder_grid), since a larger rule is still exact."""
+    3: a bound is all the exact Gauss-Hermite stage grids need
+    (operators._exact_node_count), since a larger rule is still exact.  A
+    weight that is no polynomial is still analytic wherever it is finite,
+    and operators._searched_node_count finds its Gauss-Hermite rule."""
     if isinstance(node, Number):
         return 0
     if isinstance(node, Variable):

@@ -142,11 +142,12 @@ class TestConfig:
         the default ladder.  A built-in map's final stage is echoed with its
         N only, and the report's ``grid`` names the rule it is summed on: the
         Gauss-Hermite rule of N + d nodes, rounded up to even, for an exact
-        map (dirac, fourier, dirac_derivative, 1+x^2), else default_stage(N)'s
+        map (dirac, fourier, dirac_derivative, 1+x^2), the rule of N + 64
+        nodes that the search accepts for 2+sin(x), else default_stage(N)'s
         composite grid."""
         from riggedframes import default_stage
 
-        degrees = {"dirac": 0, "fourier": 0, "dirac_derivative": 1, "1+x^2": 2}
+        degrees = {"dirac": 0, "fourier": 0, "dirac_derivative": 1, "1+x^2": 2, "2+sin(x)": 64}
         exact = degrees.get(map_data.get("weight", map_data["kind"]))
         for ladder in ({"stages": [8, {"N": 16}]}, {"n_max": 16}):
             config = config_from_dict(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -726,11 +728,76 @@ def test_stages_are_leading_blocks_of_one_s_and_interlace(monkeypatch, family, n
 EXACT_GRID_MAPS = EXACT_OPERATORS | {"1-x^2": (weighted_dirac_map("1-x^2"), (1.0, 0.0, -1.0), 0)}
 
 
+def _displacement_moduli(a, n):
+    """g[m, d] with <h_m, e^(iax) h_(m+d)> = i^d g[m, d] for m + d < n: the
+    displacement-operator matrix element e^(-t/2) t^(d/2) sqrt(m!/(m+d)!)
+    L_m^(d)(t), t = a^2/2 (Cahill & Glauber, Phys. Rev. 177, 1857, 1969).
+    The normalized Laguerre recurrence runs in m for every d at once, on a
+    mantissa with a per-d log scale, so neither the start t^(d/2)/sqrt(d!)
+    nor its growth leaves float64 range."""
+    t, d = 0.5 * a * a, np.arange(n)
+    log_scale = -0.5 * t + 0.5 * d * np.log(t) - 0.5 * np.array([math.lgamma(k + 1.0) for k in d])
+    before, current = np.zeros(n), np.ones(n)
+    g = np.empty((n, n))
+    g[0] = np.exp(log_scale)
+    for m in range(n - 1):
+        step = ((2 * m + 1 + d - t) * current - np.sqrt(m * (m + d)) * before) / np.sqrt((m + 1) * (m + 1 + d))
+        before, current = current, step
+        big = np.abs(current) > 1e100
+        current[big] *= 1e-100
+        before[big] *= 1e-100
+        log_scale[big] += 100 * math.log(10.0)
+        g[m + 1] = current * np.exp(log_scale)
+    return g
+
+
+def _trigonometric_frame_operator(constant, waves, n):
+    """The exact S of a weighted dirac with |w|^2 = constant + sum over
+    ``waves`` {a: (c, s)} of c cos(a x) + s sin(a x): cos and sin are the
+    real and imaginary parts of e^(iax), whose elements are symmetric in m
+    and k."""
+    exact = constant * np.eye(n)
+    for a, (c, s) in waves.items():
+        g = _displacement_moduli(a, n)
+        for d in range(n):
+            factor = c * (1, 0, -1, 0)[d % 4] + s * (0, 1, 0, -1)[d % 4]
+            rows = np.arange(n - d)
+            exact[rows, rows + d] += factor * g[: n - d, d]
+            if d:
+                exact[rows + d, rows] += factor * g[: n - d, d]
+    return exact
+
+
+# |w|^2 of trigonometric weights as (constant, {a: (cos coefficient, sin
+# coefficient)}), with sup |w|^2
+TRIGONOMETRIC_WEIGHTS = {
+    "2+sin(x)": ((4.5, {1.0: (0.0, 4.0), 2.0: (-0.5, 0.0)}), 9.0),
+    "sin(5*x)+2": ((4.5, {5.0: (0.0, 4.0), 10.0: (-0.5, 0.0)}), 9.0),
+    "cos(x)^2+1": ((19.0 / 8.0, {2.0: (1.5, 0.0), 4.0: (0.125, 0.0)}), 4.0),
+}
+
+
 class TestLadderGrid:
     """operators._ladder_grid: an exact map (dirac, fourier, dirac_derivative,
     a polynomial weight) on a stage that sets no grid is summed on the
-    Gauss-Hermite rule of N + d nodes rounded up to even, exactly; every
-    other ladder on its final stage's composite grid."""
+    Gauss-Hermite rule of N + d nodes rounded up to even, exactly; any other
+    weight on the Gauss-Hermite rule its search accepts, or past the search's
+    ceiling on the composite grid; bumps and custom kernels on the final
+    stage's composite grid."""
+
+    @pytest.mark.parametrize("truncation", [64, 512, 2048])
+    @pytest.mark.parametrize("weight", list(TRIGONOMETRIC_WEIGHTS))
+    def test_trigonometric_weights_match_the_closed_form_on_their_grid(self, weight, truncation):
+        """S summed on the Gauss-Hermite rule _ladder_grid picks against the
+        displacement-operator closed form, to 1e-13 B (B <= sup |w|^2); the
+        closed form itself carries about 3e-14 B of rounding at N = 2048."""
+        (constant, waves), sup = TRIGONOMETRIC_WEIGHTS[weight]
+        spec = weighted_dirac_map(weight)
+        grid = operators._ladder_grid(spec, default_stage(truncation))
+        assert grid.order == 4 and grid.node_count < stage_grid(default_stage(truncation)).node_count
+        stage_s = operators._stage_operator(spec, grid, truncation).gram
+        exact = _trigonometric_frame_operator(constant, waves, truncation)
+        assert np.abs(stage_s - exact).max() <= 1e-13 * sup
 
     @pytest.mark.parametrize("truncation", [8, 64, 512, 1024])
     @pytest.mark.parametrize("family", list(EXACT_GRID_MAPS))
@@ -769,17 +836,52 @@ class TestLadderGrid:
         sampling the K/2 = 128 at x > 0."""
         assert self._sampled_nodes(monkeypatch, dirac_map(), default_ladder(256)) == 128
 
-    @pytest.mark.parametrize("spec", [
-        weighted_dirac_map("2+sin(x)"),
-        weighted_dirac_map("exp(-x^2)"),
-        weighted_dirac_map("1/(1+x^2)"),
-        bump_dirac_map(-1.0, 1.0),
-    ], ids=["2+sin(x)", "exp(-x^2)", "1/(1+x^2)", "bump[-1,1]"])
-    def test_inexact_maps_sample_the_composite_stage(self, monkeypatch, spec):
-        """A weight that is no polynomial, or a bump, keeps the default
-        composite grid: half its nodes, those at x > 0, are sampled."""
+    @pytest.mark.parametrize("weight, count", [("2+sin(x)", 320), ("exp(-x^2)", 500), ("1/(1+x^2)", 784)])
+    def test_grammar_weights_sample_the_searched_gauss_hermite_rule(self, monkeypatch, weight, count):
+        """A weight that is no polynomial is summed on the Gauss-Hermite rule
+        the search accepts, a fraction of the composite grid's 3840 nodes at
+        N = 256: half its nodes, those at x > 0, are sampled."""
+        from riggedframes import hermite_grid
+
+        spec = weighted_dirac_map(weight)
+        assert operators._ladder_grid(spec, default_stage(256)) is hermite_grid(count)
+        assert self._sampled_nodes(monkeypatch, spec, default_ladder(256)) == count // 2
+
+    @pytest.mark.parametrize("truncation", [512, 2048])
+    @pytest.mark.parametrize("weight", ["2+sin(x)", "exp(-x^2)", "x*exp(-x^2)", "1/(1+x^2)", "1/(1+x^2)^2"])
+    def test_decaying_and_periodic_weights_take_a_gauss_hermite_rule(self, weight, truncation):
+        """The non-polynomial weights of the report bodies and the decaying
+        upper semi-frames are all accepted below the ceiling, at under 3N
+        nodes."""
+        count = operators._hermite_node_count(weighted_dirac_map(weight), truncation)
+        assert count is not None and count < 3 * truncation
+
+    def test_bumps_and_custom_kernels_stay_composite(self, monkeypatch):
+        """A bump is C-infinity but not analytic, and a custom kernel has no
+        map to sample: both are summed on the default composite grid."""
+        from riggedframes.kernels import MapSpec
+
         composite = stage_grid(default_stage(256))
-        assert self._sampled_nodes(monkeypatch, spec, default_ladder(256)) == composite.node_count // 2
+        assert self._sampled_nodes(monkeypatch, bump_dirac_map(-1.0, 1.0), default_ladder(256)) == composite.node_count // 2
+        custom = MapSpec("custom", custom_kernel="kernel.csv")
+        assert np.array_equal(operators._ladder_grid(custom, default_stage(256)).nodes, composite.nodes)
+
+    def test_a_weight_at_the_search_ceiling_keeps_the_composite_s_bit_for_bit(self):
+        """1/(1+x^2) at N = 64 still reads 1.4e-10 B at K = 4N: the search
+        passes its ceiling, and classify's S is the composite grid's."""
+        spec, stage = weighted_dirac_map("1/(1+x^2)"), default_stage(64)
+        assert operators._hermite_node_count(spec, 64) is None
+        whole = classify(spec, default_ladder(64)).stages[-1].operator.gram
+        assert np.array_equal(whole, operators._stage_operator(spec, stage_grid(stage), 64).gram)
+
+    def test_the_search_leaves_an_overflowing_weight_to_the_composite_grid(self):
+        """exp(x^2) at N = 512 overflows at the first rule's outer nodes: the
+        search stops there, and the stage takes the composite grid, which
+        raises the weight's error at one of its own nodes, as without the
+        search (test_cli's map.weight and float64-range cases)."""
+        spec, stage = weighted_dirac_map("exp(x^2)"), default_stage(512)
+        assert operators._hermite_node_count(spec, 512) is None
+        assert np.array_equal(operators._ladder_grid(spec, stage).nodes, stage_grid(stage).nodes)
 
     @pytest.mark.parametrize("family", ["dirac", "2+sin(x)"])
     def test_a_final_stage_grid_is_refused_on_a_built_in_map(self, family):

@@ -17,6 +17,7 @@ from riggedframes import (
     l2x_norm,
     stage_grid,
 )
+from riggedframes.hermite import _hermite_recurrence
 from riggedframes.quadrature import LadderStage, RefinementLadder
 
 
@@ -99,6 +100,42 @@ class TestHermiteGrid:
         grid = hermite_grid(count)
         q = np.sqrt(grid.weights)[:, None] * hermite_table(count, grid.nodes)
         assert np.abs(q.T @ q - np.eye(count)).max() <= 1e-13
+
+    @pytest.mark.parametrize("count", [64, 1024, 4096])
+    def test_nodes_match_mpmath_zeros(self, count):
+        """Zeros of h_K refined by Newton on its polynomial part at 40 digits
+        from each node: the smallest four, the largest four and every
+        (K/32)-th positive zero, against the rule to 2 ulp of max(x, 1).
+        Newton on a float recurrence leaves an absolute error of order eps,
+        so the smallest zeros read up to 10 ulp of x (3e-17) at K = 4096."""
+        mpmath = pytest.importorskip("mpmath")
+        positive = hermite_grid(count).nodes[count // 2 :]
+        picks = sorted({*range(4), *range(0, positive.size, count // 32), *range(positive.size - 4, positive.size)})
+        with mpmath.workdps(40):
+            steps = [(mpmath.sqrt(mpmath.mpf(2) / (n + 1)), mpmath.sqrt(mpmath.mpf(n) / (n + 1))) for n in range(count)]
+            zeros = []
+            for x in (mpmath.mpf(float(positive[j])) for j in picks):
+                for _ in range(2):
+                    before, current = mpmath.mpf(1), mpmath.sqrt(2) * x
+                    for up, down in steps[1:]:
+                        before, current = current, x * up * current - down * before
+                    x -= current / (mpmath.sqrt(2 * count) * before)
+                zeros.append(float(x))
+        error = np.abs(positive[picks] - zeros)
+        assert np.all(error <= 2 * np.spacing(np.maximum(positive[picks], 1.0)))
+
+    @pytest.mark.parametrize("count", [64, 1025, 4096, 8192])
+    def test_first_and_last_columns_are_orthonormal(self, count):
+        """The first and last four columns of sqrt(lambda_j) h_n(x_j), the
+        ones that meet the smallest and the largest zeros hardest, are
+        orthonormal to 1e-13 up to K = 8192 (the last four read off a
+        four-row recurrence buffer)."""
+        grid = hermite_grid(count)
+        last = np.empty((4, count))
+        _hermite_recurrence(count, grid.nodes, last)
+        columns = np.concatenate([hermite_table(4, grid.nodes), last[[(count - 4 + i) % 4 for i in range(4)]].T], axis=1)
+        q = np.sqrt(grid.weights)[:, None] * columns
+        assert np.abs(q.T @ q - np.eye(8)).max() <= 1e-13
 
     def test_cached_and_read_only(self):
         grid = hermite_grid(16)
