@@ -706,8 +706,8 @@ def _even(count):
     return count + count % 2
 
 
-# The Gauss-Hermite search of _searched_node_count.  It starts at K = N + 64:
-# 2+sin(x) is resolved there at every N >= 256 measured.  Each step grows K
+# The Gauss-Hermite search of _searched_node_count.  It starts at K = N + 64,
+# which resolves 2+sin(x) at N = 256 and 512.  Each step grows K
 # by 1.25, so the rule a step checks against is the next step's candidate
 # and each step builds one new rule.  K stops at 4N + 64 (+64 so that small N
 # get a search): 1/(1+x^2) at N = 64 still reads 1.4e-10 B at K = 4N, and a

@@ -129,8 +129,8 @@ def hermite_grid(count):
     h_n(x_j)^2, so that sum_j lambda_j h_m(x_j) h_n(x_j) = delta_mn for
     m, n < K (the matrix sqrt(lambda_j) h_n(x_j) is orthogonal).  Cached per
     K, read-only; numpy's hermgauss is not used, since its nodes come out NaN
-    at K = 1024.  O(K^2) work and O(K) memory, with no eigensolver: 0.11 s
-    at K = 6144.
+    at K = 1024.  O(K^2) work and O(K) memory, with no eigensolver: 0.12 s
+    at K = 6144, against 2.9 s for a dense Jacobi eigensolver.
 
     The positive zeros of h_K are seeded from asymptotic expansions
     (_zero_seeds) and polished by Newton on h_K, with h_K' = sqrt(2K) h_{K-1}
@@ -189,7 +189,8 @@ _PHASE_STEP = 1e-8
 _NEWTON_PASSES = 8
 
 # The ten zeros of the Airy function Ai of least modulus (DLMF Table 9.9.1);
-# past them the asymptotic series of DLMF 9.9.6 is exact to 1e-12.
+# past them the asymptotic series of DLMF 9.9.6 agrees with mpmath's
+# airyaizero to 7e-15 (k = 11 to 30).
 _AIRY_ZEROS = (
     -2.338107410459767, -4.087949444130971, -5.520559828095551, -6.786708090071759,
     -7.944133587120853, -9.022650853340980, -10.04017434155809, -11.00852430373326,
@@ -198,18 +199,19 @@ _AIRY_ZEROS = (
 
 
 def _zero_seeds(count):
-    """The K//2 positive zeros of h_K in ascending order, to about 1e-10
-    relative at K >= 1024 and 4e-7 at K = 64 (measured against the polished
-    zeros).  They are the square roots of the zeros of the Laguerre
-    polynomial L_m^(a), m = K//2, a = -1/2 for even K and +1/2 for odd K
-    (Szego, Orthogonal Polynomials, 5.6), with nu = 4m + 2a + 2.  Every
-    zero but the largest ceil(0.4 sqrt(K)) takes Tricomi's expansion, in
-    which T_k solves T - sin T = (4m - 4k + 3) pi / nu; those take
-    Gatteschi's expansion in the Airy zeros a_k (Gatteschi, "Asymptotics
-    and bounds for the zeros of Laguerre polynomials: a survey", J. Comput.
-    Appl. Math. 144, 2002, (2.1) and (2.8)).  Near the largest zero the
-    Tricomi seed errs by 1e-5 and the Airy seed by 1e-12, and the two cross
-    about 0.37 sqrt(K) zeros from the top at every K from 64 to 8192."""
+    """The K//2 positive zeros of h_K in ascending order, to 1.1e-9
+    relative at K = 1024, 1.7e-11 at 8192 and 7.7e-7 at 64 (measured
+    against the polished zeros).  They are the square roots of the zeros of
+    the Laguerre polynomial L_m^(a), m = K//2, a = -1/2 for even K and +1/2
+    for odd K (Szego, Orthogonal Polynomials, 5.6), with nu = 4m + 2a + 2.
+    Every zero but the largest ceil(0.4 sqrt(K)) takes Tricomi's interior
+    expansion, in which T_k solves T - sin T = (4m - 4k + 3) pi / nu; those
+    take Gatteschi's edge expansion in the Airy zeros a_k (both as surveyed
+    by Gatteschi, "Asymptotics and bounds for the zeros of Laguerre
+    polynomials: a survey", J. Comput. Appl. Math. 144, 2002).  Near the
+    largest zero the Tricomi seed errs by 1e-5 and the Airy seed by 4e-10
+    (K = 1024) to 8e-14 (K = 8192), and the two cross about 0.37 sqrt(K)
+    zeros from the top at every K from 64 to 8192."""
     m, a = count // 2, 0.5 if count % 2 else -0.5
     nu, k = 4.0 * m + 2.0 * a + 2.0, np.arange(1, m + 1)
     t = np.full(m, 0.5 * math.pi)
