@@ -80,6 +80,7 @@ from .operators import (
     _block_diagonal,
     _coarse_full_rank,
     _coarse_kernel,
+    _exact_operator,
     _fold,
     _full_rank,
     _gram_rows,
@@ -186,7 +187,7 @@ def _canonical_dual(op, omega=None):
     theta_gram.setflags(write=False)
     pair = DualPair(omega, None, inverse=inverse)
     object.__setattr__(pair, "omega_bounds", (lam_min, lam_max))
-    object.__setattr__(pair, "theta_operator", FrameOperatorMatrix(theta_gram, phase=op.phase))
+    object.__setattr__(pair, "theta_operator", _exact_operator(theta_gram, op.phase))
     return pair
 
 

@@ -102,13 +102,16 @@ def _hermite_recurrence(truncation, xa, rows):
     if truncation > 1:
         rows[1] = np.sqrt(2.0) * xa * rows[0]
     older = np.empty(xa.size)
+    # entry n - 1 of each: sqrt(2/(n+1)) and sqrt(n/(n+1)), rounded as the scalars
+    lift = np.sqrt(2.0 / np.arange(2.0, truncation))
+    keep = np.sqrt(np.arange(1.0, truncation - 1) / np.arange(2.0, truncation))
     for n in range(1, truncation - 1):
         # (x sqrt(2/(n+1))) h_n - sqrt(n/(n+1)) h_{n-1}, written in place:
         # the same roundings as the expression, with no temporaries
         new = rows[(n + 1) % size]
-        np.multiply(xa, np.sqrt(2.0 / (n + 1)), out=new)
+        np.multiply(xa, lift[n - 1], out=new)
         new *= rows[n % size]
-        new -= np.multiply(np.sqrt(n / (n + 1.0)), rows[(n - 1) % size], out=older)
+        new -= np.multiply(keep[n - 1], rows[(n - 1) % size], out=older)
         if scaled.size and n % every == 0:
             live = rows[[[n % size], [(n + 1) % size]], scaled]
             peak = np.abs(live).max(axis=0)

@@ -406,22 +406,25 @@ def load_custom_kernel(path, grid, truncation):
     The data rows are parsed straight from the file opened binary, with no
     copy of its text, a block of lines at a time into preallocated arrays
     (_parse_entries).  np.loadtxt skips blank lines (and warns on a file of
-    nothing else), so the lines are counted first in a streaming pass: a
-    blank line, or a block that parses to fewer rows or other widths, sends
-    the file to the rescan, which names the offending row.
+    nothing else), so before a parse the lines are counted in a streaming
+    pass: a blank line, or a block that parses to fewer rows or other
+    widths, sends the file to the rescan, which names the offending row.
 
     The rows of the last fast parse in the process are kept for reuse, keyed
     by the SHA-256 of the data bytes (every byte after the header line) and
-    N.  The counting pass takes the digest, so a load of unchanged bytes
-    reuses the same read-only rows without parsing them again, whatever the
-    path or the file's times; the header and node-count checks run on every
-    load.  On a miss the parse pass hashes the lines it parses, and the rows
-    are kept only when that digest is the counting pass's, so bytes
-    rewritten during a load are never kept under another file's key.  Rows
-    from the rescan are never kept.  What is held is one kernel's rows
-    (7.5 MiB at N = 256 on its default stage), and a miss pays the hash
-    twice on top of the parse: about 40 ms on a 0.35-0.5 s load at N = 256
-    (22 MiB of text, one Xeon core), where a hit takes 35-45 ms."""
+    N.  Every load first hashes the data bytes, _DIGEST_BYTES at a time, so
+    that the loop runs in C (hashlib.file_digest, which does the same, needs
+    Python 3.11).  A load of unchanged bytes then reuses the same read-only
+    rows, whatever the path or the file's times, with no pass over the
+    lines; the header and node-count checks run on every load.  Such a hit
+    takes 21-22 ms at N = 256 (22 MiB of text, one Xeon core), 16 ms of it
+    SHA-256.  A miss counts the lines, then parses them, and the parse
+    pass hashes the lines it parses: the rows are kept only when that digest
+    is the first pass's, so bytes rewritten during a load are never kept
+    under another file's key.  Rows from the rescan are never kept.  What
+    is held is one kernel's rows (7.5 MiB at N = 256 on its default stage),
+    and a miss pays two streaming passes and the hash twice on top of the
+    parse: about 50 ms on a 0.35-0.5 s load."""
     import hashlib  # loads OpenSSL: imported only where a kernel file is read
 
     global _last_parse
@@ -438,19 +441,19 @@ def load_custom_kernel(path, grid, truncation):
         start = len(first.encode(fh.encoding))
     with open(path, "rb") as fh:
         fh.seek(start)
-        digest, blank = hashlib.sha256(), []
-        for line in fh:
-            digest.update(line)
-            blank.append(line.isspace())
+        digest = hashlib.sha256()
+        for chunk in iter(lambda: fh.read(_DIGEST_BYTES), b""):
+            digest.update(chunk)
         key = digest.digest(), truncation
         entries = fresh = None
-        if blank and not any(blank):
-            last = _last_parse
-            if last is not None and last[0] == key:
-                entries = last[1]
-            else:
-                # the kept rows go before a parse, so a load never holds two
-                _last_parse = None
+        if _last_parse is not None and _last_parse[0] == key:
+            entries = _last_parse[1]
+        else:
+            # the kept rows go before a parse, so a load never holds two
+            _last_parse = None
+            fh.seek(start)
+            blank = [line.isspace() for line in fh]
+            if blank and not any(blank):
                 fh.seek(start)
                 parsed = hashlib.sha256()
                 try:
@@ -476,6 +479,8 @@ def load_custom_kernel(path, grid, truncation):
 # (key, rows) of load_custom_kernel's last fast parse, or None: the key is
 # the SHA-256 of the data bytes and N, the rows read-only.
 _last_parse = None
+# load_custom_kernel's digest pass reads the data bytes this many at a time.
+_DIGEST_BYTES = 2**20
 
 
 def _hashed(lines, digest):

@@ -237,12 +237,15 @@ class FrameOperatorMatrix:
     blocks, read off gram itself: _PARITY when every entry coupling an even
     and an odd index is exactly 0 (_summed_operator summed the parity
     classes apart and added no cross block), else one class of all the
-    columns.  Every reader of S works per block.
+    columns.  Every reader of S works per block.  An S this package formed
+    comes from _exact_operator, exactly Hermitian by construction, and
+    frame_bounds takes it without a scan; one a caller wraps is scanned.
     """
 
     gram: np.ndarray
     phase: np.ndarray = field(default=None, kw_only=True)
     columns: tuple = field(init=False, repr=False, compare=False)
+    _exact: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # a read-only array of the right dtype is adopted as it is
@@ -270,10 +273,23 @@ class FrameOperatorMatrix:
         return self.gram.shape[0]
 
 
+def _exact_operator(gram, phase=None):
+    """FrameOperatorMatrix of an S formed exactly Hermitian: a sum of class
+    Grams a^T a (numpy's syrk) with cross blocks set from their exact
+    transposes, _from_stacked of such a Gram, or a leading block of either.
+    frame_bounds reads its spectrum with no Hermitian scan."""
+    op = FrameOperatorMatrix(gram, phase=phase)
+    object.__setattr__(op, "_exact", True)
+    return op
+
+
 # The two row sources of _summed_operator keep their own measured block
-# rules.  frame_operator sums rows it already holds in _ROW_BLOCKS blocks:
-# 2-4 MB of working memory at N = 512, against 16 MB for one 4096-row block.
-_ROW_BLOCKS = 8
+# rules.  frame_operator sums rows it already holds in blocks of at most
+# _ROW_BYTES of weighted rows, the top of the 2-4 MB of working memory
+# measured at N = 512 (against 16 MB for one 4096-row block): a held
+# Gauss-Hermite kernel up to N = 512 is one block, and a 3840-row composite
+# one at N = 256 two.
+_ROW_BYTES = 4 * 2**20
 # _stage_operator samples rows held nowhere else at most this many nodes at a
 # time (a split stage up to N = 512 is one block).  ceil(m/8) nodes per block
 # cut classify-ladder's peak RSS from 57.3 to 45.6 MB but its requests per
@@ -282,9 +298,9 @@ _NODE_BLOCK = 4096
 
 
 def _summed_operator(fill, count, step, order, n, columns, *, stacked=False, q=None, phase, where, rows_any):
-    """FrameOperatorMatrix of the Gram A^T A of ``count`` real weighted rows
-    A, summed ``step`` rows at a time: ``fill(block, part)`` writes the rows
-    ``part`` (a slice) into ``block``, the leading rows of one reused buffer
+    """_exact_operator of the Gram A^T A of ``count`` real weighted rows A
+    (S = 0 for none), summed ``step`` rows at a time: ``fill(block, part)``
+    writes the rows ``part`` (a slice) into ``block``, the leading rows of one reused buffer
     in memory ``order``, N = ``n`` columns wide, or 2N for ``stacked`` rows,
     [Re A, Im A] of complex rows, whose real Gram is read as S_rows.  Each
     column class c of ``columns`` adds the Gram of a = block[:, c] through
@@ -313,8 +329,8 @@ def _summed_operator(fill, count, step, order, n, columns, *, stacked=False, q=N
             if q is not None:
                 np.multiply(block[:, 1::2], q[part, None], out=block[:, 1::2])
                 cross += np.matmul(block[:, 0::2].T, block[:, 1::2], out=cross_product)
-        # any view of the buffer left alive keeps it (a grid has nodes: block is bound)
-        del buffer, block, products, cross_product
+        # any view of the buffer left alive keeps it
+        buffer = block = products = cross_product = None
         gram = _from_stacked(grams[0]) if stacked else _block_diagonal(grams, columns)
     if cross is not None:
         gram[_PARITY[0], _PARITY[1]] = cross
@@ -324,20 +340,21 @@ def _summed_operator(fill, count, step, order, n, columns, *, stacked=False, q=N
     if gram.diagonal().real.max() < np.finfo(float).tiny and rows_any():
         raise NumericError(f"{where}: the frame operator is below float64's normal range")
     gram.setflags(write=False)
-    return FrameOperatorMatrix(gram, phase=phase)
+    return _exact_operator(gram, phase)
 
 
 def frame_operator(kernel):
     """S = P^H S_rows P, with S_rows the Gram A^H A of the weighted rows
     A = sqrt(W) rows and P the kernel's column phase (kept apart: S.matrix
     forms P^H S_rows P when read).  The row source of _summed_operator over
-    rows it holds: A is written ceil(m/8) rows at a time in the rows' own
-    memory order, per parity class from the x > 0 rows with 2 W for a split
-    kernel, and for complex rows as [Re A, Im A].  An S out of float64
-    range is a NumericError naming N."""
+    rows it holds: A is written in the rows' own memory order, per parity
+    class from the x > 0 rows with 2 W for a split kernel, and for complex
+    rows as [Re A, Im A], as many rows at a time as fit in _ROW_BYTES.  An S
+    out of float64 range is a NumericError naming N."""
     rows, scale, columns = _gram_rows(kernel)
     (m, n), stacked = rows.shape, np.iscomplexobj(rows)
     sqrt_w = np.sqrt(scale)[:, None]
+    step = max(1, _ROW_BYTES // ((2 * n if stacked else n) * 8))
 
     def fill(block, part):
         for j, values in enumerate((rows[part].real, rows[part].imag) if stacked else (rows[part],)):
@@ -345,7 +362,7 @@ def frame_operator(kernel):
 
     order = "F" if kernel.rows.flags.f_contiguous else "C"
     return _summed_operator(
-        fill, m, max(1, -(-m // _ROW_BLOCKS)), order, n, columns,
+        fill, m, step, order, n, columns,
         stacked=stacked, phase=kernel.phase, where=f"N={n}", rows_any=rows.any,
     )
 
@@ -359,11 +376,18 @@ def _stage_operator(map_spec, grid, truncation):
     (_ladder_grid), and classify refuses N = 1 before it sums S, so
     kernels._pair_split always splits: every built-in map is sampled at the
     nodes x > 0 only, with 2 W and its rho, whatever its weight, and its q
-    (if any) adds the even-odd cross block.  An S out of float64 range is a
-    NumericError naming the ladder's final stage."""
+    (if any) adds the even-odd cross block.  A pair with w(x) = w(-x) = 0
+    (rho = 0) adds exactly nothing to S, so only the nodes with rho != 0 are
+    sampled: most of a bump's grid, and every node of the weight 0, whose S
+    is 0.  An S out of float64 range is a NumericError naming the ladder's
+    final stage."""
     n, start = truncation, grid.node_count // 2
     weight, q, _ = _pair_split(map_spec, grid, n, _row_weight(map_spec, grid.nodes))
     nodes, sqrt_w = grid.nodes[start:], np.sqrt(2.0 * grid.weights[start:])
+    if weight is not None:
+        keep = np.flatnonzero(weight)
+        nodes, sqrt_w, weight = nodes[keep], sqrt_w[keep], weight[keep]
+        q = None if q is None else q[keep]
     peak = 0.0
 
     def fill(block, part):
@@ -422,22 +446,25 @@ def frame_bounds(op):
     """(lower, upper) = extreme eigenvalues of the frame operator, from a
     values-only eigendecomposition; a FrameOperatorMatrix gives them from its
     unphased ``gram``, since a diagonal unitary changes no eigenvalue, one
-    diagonal block at a time (its ``columns``).  Visibly non-Hermitian input
-    is rejected rather than silently symmetrized, and failure to converge
-    surfaces as NumericError.
+    diagonal block at a time (its ``columns``).  A caller's matrix, raw or
+    wrapped, that is visibly non-Hermitian is rejected rather than silently
+    symmetrized; an S this package formed (_exact_operator) is Hermitian by
+    construction and is not scanned.  Failure to converge surfaces as
+    NumericError.
 
     Inner approximations: the lower bound is nonincreasing and the upper
     nondecreasing as the truncation grows over a fixed map.
     """
     if isinstance(op, FrameOperatorMatrix):
-        matrix, columns = op.gram, op.columns
+        matrix, columns, exact = op.gram, op.columns, op._exact
     else:
-        matrix, columns = np.asarray(op), (slice(None),)
-    scale, deviation = _max_abs(matrix), _max_abs(matrix - matrix.conj().T)
-    if scale > 0 and deviation > 1e-12 * scale:
-        raise NumericError(
-            f"matrix is not Hermitian: deviation {deviation:.3e} against scale {scale:.3e}"
-        )
+        matrix, columns, exact = np.asarray(op), (slice(None),), False
+    if not exact:
+        scale, deviation = _max_abs(matrix), _max_abs(matrix - matrix.conj().T)
+        if scale > 0 and deviation > 1e-12 * scale:
+            raise NumericError(
+                f"matrix is not Hermitian: deviation {deviation:.3e} against scale {scale:.3e}"
+            )
     try:
         values = [np.linalg.eigvalsh(matrix[c, c]) for c in columns]
     except np.linalg.LinAlgError as exc:
@@ -946,7 +973,7 @@ def classify(map_spec, ladder, thresholds=ClassifyThresholds()):
     whole = _stage_operator(map_spec, _ladder_grid(map_spec, grid_stage), grid_stage.truncation)
     stages = []
     for n, mu in zip(ladder.truncations, mu_independent):
-        op = FrameOperatorMatrix(whole.gram[:n, :n], phase=None if whole.phase is None else whole.phase[:n])
+        op = _exact_operator(whole.gram[:n, :n], None if whole.phase is None else whole.phase[:n])
         lower, upper = _resolved_bounds(op)
         sigma_min, sigma_max = math.sqrt(lower), math.sqrt(upper)
         stages.append(

@@ -69,6 +69,25 @@ def test_table_columns_equal_scalar_recurrence_bitwise():
         assert np.array_equal(table[:, n], hermite_eval(n, x))
 
 
+@pytest.mark.parametrize("truncation", [1, 2, 3, 64, 513, 2048])
+def test_the_recurrence_is_the_per_step_scalar_one_bit_for_bit(truncation):
+    """The recurrence's coefficient sequences are formed once per call; the
+    table equals the plain recurrence with the scalars sqrt(2/(n+1)) and
+    sqrt(n/(n+1)) formed at each step, bit for bit, at every node where the
+    seed exp(-x^2/2) is a normal float."""
+    from riggedframes import hermite_grid
+
+    x = np.concatenate([np.linspace(-37.5, 37.5, 301), hermite_grid(2048).nodes])
+    x = x[np.abs(x) < 37.5]
+    rows = np.empty((truncation, x.size))
+    rows[0] = np.pi**-0.25 * np.exp(-0.5 * x**2)
+    if truncation > 1:
+        rows[1] = np.sqrt(2.0) * x * rows[0]
+    for n in range(1, truncation - 1):
+        rows[n + 1] = np.multiply(x, np.sqrt(2.0 / (n + 1))) * rows[n] - np.sqrt(n / (n + 1.0)) * rows[n - 1]
+    assert np.array_equal(hermite_table(truncation, x), rows.T)
+
+
 def test_orthonormality_under_default_grid():
     from riggedframes import default_stage, stage_grid
 

@@ -422,6 +422,49 @@ class TestParseReuse:
         assert proc.stdout.strip() == "False"
 
 
+def test_a_hit_reads_the_data_bytes_once_with_no_line_pass(tmp_path, grid, monkeypatch):
+    """A load of unchanged bytes hashes them in large chunks and returns the
+    kept rows: no pass over the data lines, no np.loadtxt and no rescan.
+    The text-mode header read is the only line read."""
+    import builtins
+
+    path = tmp_path / "kernel.csv"
+    save_kernel_csv(sample_kernel(weighted_dirac_map("2+sin(x)"), grid, 5), path)
+    kept = load_custom_kernel(path, grid, 5).rows
+
+    class NoLines:
+        def __init__(self, fh):
+            self._fh = fh
+
+        def __getattr__(self, name):
+            return getattr(self._fh, name)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self._fh.close()
+
+        def __iter__(self):
+            raise AssertionError("a hit read the data bytes line by line")
+
+    def binary_without_lines(file, mode="r", *args, **kwargs):
+        fh = builtins.open(file, mode, *args, **kwargs)
+        return NoLines(fh) if "b" in mode else fh
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a hit parsed the file")
+
+    monkeypatch.setattr(kernels, "open", binary_without_lines, raising=False)
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    monkeypatch.setattr(kernels, "_scan_cells", refuse)
+    assert load_custom_kernel(path, grid, 5).rows is kept
+    # a miss does take the line pass, which the proxy refuses
+    kernels._last_parse = None
+    with pytest.raises(AssertionError, match="line by line"):
+        load_custom_kernel(path, grid, 5)
+
+
 class TestKernelStorage:
     def test_real_whenever_the_entries_are(self, tmp_path, grid):
         for spec in (dirac_map(), dirac_derivative_map(), weighted_dirac_map("2+sin(x)"),

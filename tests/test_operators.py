@@ -134,10 +134,11 @@ class TestFrameOperator:
         with pytest.raises(NumericError, match=r"^N=16: the frame operator is past float64 range$"):
             frame_operator(KernelMatrix(rows, kernel.grid))
 
-    def test_complex_custom_kernel_matches_the_weighted_gram(self, tmp_path):
+    def test_complex_custom_kernel_matches_the_weighted_gram(self, tmp_path, monkeypatch):
         """A complex custom kernel (the 2+sin(x) rows times exp(i x), through
         the CSV interchange) has S = the Gram of weighted_analysis_matrix to
-        1e-13 max|S|, exactly Hermitian, summed over several row blocks."""
+        1e-13 max|S|, exactly Hermitian, summed over several row blocks (the
+        byte budget set to 64 stacked rows of 2N = 64 reals)."""
         from riggedframes import load_custom_kernel, save_kernel_csv
 
         kernel = make_kernel(weighted_dirac_map("2+sin(x)"), 32)
@@ -145,7 +146,8 @@ class TestFrameOperator:
         path = tmp_path / "complex.csv"
         save_kernel_csv(modulated, path)
         custom = load_custom_kernel(path, kernel.grid, 32)
-        assert custom.rows.dtype == complex and custom.node_count > operators._ROW_BLOCKS
+        monkeypatch.setattr(operators, "_ROW_BYTES", 64 * 64 * 8)
+        assert custom.rows.dtype == complex and custom.node_count > 2 * 64
         gram = frame_operator(custom).gram
         weighted = weighted_analysis_matrix(custom)
         reference = weighted.conj().T @ weighted
@@ -831,6 +833,13 @@ class TestLadderGrid:
         classify(spec, ladder)
         return sum(sampled)
 
+    @staticmethod
+    def _live_pairs(spec, grid):
+        """The nodes x > 0 of a mirrored grid where w(x) or w(-x) is not 0:
+        the only ones _stage_operator samples a weighted map at."""
+        weight, start = np.abs(operators._row_weight(spec, grid.nodes)), grid.node_count // 2
+        return np.count_nonzero(weight[start:] + weight[:start][::-1])
+
     def test_dirac_samples_the_positive_gauss_hermite_nodes(self, monkeypatch):
         """dirac at n_max 256 sums its S on K = 256 Gauss-Hermite nodes,
         sampling the K/2 = 128 at x > 0."""
@@ -840,12 +849,16 @@ class TestLadderGrid:
     def test_grammar_weights_sample_the_searched_gauss_hermite_rule(self, monkeypatch, weight, count):
         """A weight that is no polynomial is summed on the Gauss-Hermite rule
         the search accepts, a fraction of the composite grid's 3840 nodes at
-        N = 256: half its nodes, those at x > 0, are sampled."""
+        N = 256: half its nodes, those at x > 0, are sampled, less the pairs
+        where the weight is 0 (exp(-x^2) underflows past |x| ~ 27.3)."""
         from riggedframes import hermite_grid
 
         spec = weighted_dirac_map(weight)
-        assert operators._ladder_grid(spec, default_stage(256)) is hermite_grid(count)
-        assert self._sampled_nodes(monkeypatch, spec, default_ladder(256)) == count // 2
+        grid = operators._ladder_grid(spec, default_stage(256))
+        assert grid is hermite_grid(count)
+        live = self._live_pairs(spec, grid)
+        assert live == (count // 2 - 15 if weight == "exp(-x^2)" else count // 2)
+        assert self._sampled_nodes(monkeypatch, spec, default_ladder(256)) == live
 
     @pytest.mark.parametrize("truncation", [512, 2048])
     @pytest.mark.parametrize("weight", ["2+sin(x)", "exp(-x^2)", "x*exp(-x^2)", "1/(1+x^2)", "1/(1+x^2)^2"])
@@ -858,11 +871,15 @@ class TestLadderGrid:
 
     def test_bumps_and_custom_kernels_stay_composite(self, monkeypatch):
         """A bump is C-infinity but not analytic, and a custom kernel has no
-        map to sample: both are summed on the default composite grid."""
+        map to sample: both are summed on the default composite grid.  The
+        bump is sampled at its 63 nodes x > 0 inside (-1, 1) alone: at the
+        other 1857 of the grid's 1920, w(x) = w(-x) = 0."""
         from riggedframes.kernels import MapSpec
 
-        composite = stage_grid(default_stage(256))
-        assert self._sampled_nodes(monkeypatch, bump_dirac_map(-1.0, 1.0), default_ladder(256)) == composite.node_count // 2
+        composite, bump = stage_grid(default_stage(256)), bump_dirac_map(-1.0, 1.0)
+        assert np.array_equal(operators._ladder_grid(bump, default_stage(256)).nodes, composite.nodes)
+        assert self._live_pairs(bump, composite) == 63
+        assert self._sampled_nodes(monkeypatch, bump, default_ladder(256)) == 63
         custom = MapSpec("custom", custom_kernel="kernel.csv")
         assert np.array_equal(operators._ladder_grid(custom, default_stage(256)).nodes, composite.nodes)
 
@@ -1208,15 +1225,17 @@ def test_classify_scales_with_the_map():
             assert getattr(mine, name) == pytest.approx(expected, rel=1e-12, abs=0.0), name
 
 
-def test_frame_operator_is_the_same_for_either_row_order():
+def test_frame_operator_is_the_same_for_either_row_order(monkeypatch):
     """The row-block buffer follows the rows' memory order; a C-ordered copy
     of the rows gives the same S to rounding, and S is exactly Hermitian for
-    real rows and for complex ones (the 2+sin(x) rows times exp(i x)).  The
-    stage's 1100 nodes leave a short last row block."""
+    real rows and for complex ones (the 2+sin(x) rows times exp(i x)).  With
+    the byte budget set to 128 real rows of N = 64 (64 stacked complex ones),
+    the stage's 1100 nodes leave a short last row block."""
     from riggedframes import KernelMatrix
 
     kernel = make_kernel(weighted_dirac_map("2+sin(x)"), 64)
-    assert kernel.node_count % operators._ROW_BLOCKS
+    monkeypatch.setattr(operators, "_ROW_BYTES", 128 * 64 * 8)
+    assert kernel.node_count % 128 and kernel.node_count % 64
     modulated = np.asfortranarray(kernel.rows * np.exp(1j * kernel.grid.nodes)[:, None])
     modulated.setflags(write=False)
     for omega in (kernel, KernelMatrix(modulated, kernel.grid)):
@@ -1248,3 +1267,79 @@ def test_frame_bounds_takes_eigenvalues_only(monkeypatch):
     skewed[0, 1] += 1e-6 * np.abs(skewed).max()
     with pytest.raises(NumericError):
         frame_bounds(skewed)
+
+
+@pytest.mark.parametrize("family", ["dirac", "fourier", "dirac_derivative", "2+sin(x)", "1+x^2"])
+def test_a_held_gauss_hermite_kernel_is_summed_in_one_block(monkeypatch, family):
+    """Every held Gauss-Hermite kernel up to N = 512 fits the row-block byte
+    budget: frame_operator sums its S in one block."""
+    spec = BUILTIN_FAMILIES[family]
+    kernel = sample_kernel(spec, operators._ladder_grid(spec, default_stage(512)), 512)
+    calls, summed = [], operators._summed_operator
+
+    def recording(fill, count, step, *args, **kwargs):
+        calls.append((count, step))
+        return summed(fill, count, step, *args, **kwargs)
+
+    monkeypatch.setattr(operators, "_summed_operator", recording)
+    frame_operator(kernel)
+    ((count, step),) = calls
+    assert 256 <= count <= step
+
+
+@pytest.mark.parametrize("truncation", [8, 64, 512])
+@pytest.mark.parametrize("family", list(BUILTIN_FAMILIES))
+def test_every_s_the_package_forms_is_exactly_hermitian(family, truncation):
+    """frame_bounds takes the package's own S without a Hermitian scan: the
+    held and the stage S, classify's stage views, the canonical dual's
+    theta Gram and the inverses dual_bessel_check forms are all exactly
+    Hermitian.  The bump's S at N >= 64 is no frame operator: no dual."""
+    from riggedframes.duality import _cholesky_inverse
+
+    spec = BUILTIN_FAMILIES[family]
+    grid = operators._ladder_grid(spec, default_stage(truncation))
+    kernel = sample_kernel(spec, grid, truncation)
+    stage = operators._stage_operator(spec, grid, truncation)
+    held = frame_operator(kernel)
+    formed = [held, stage, *(s.operator for s in classify(spec, default_ladder(truncation)).stages)]
+    inverses = []
+    if family != "bump[-1,1]" or truncation == 8:
+        formed.append(canonical_dual(kernel).theta_operator)
+        inverses = [_cholesky_inverse(op.gram[c, c])[1] for op in (held, stage) for c in op.columns]
+    assert all(op._exact for op in formed)
+    for gram in [op.gram for op in formed] + inverses:
+        assert np.array_equal(gram, gram.conj().T)
+
+
+@pytest.mark.parametrize("complex_rows", [False, True])
+def test_a_callers_non_hermitian_matrix_is_refused_raw_or_wrapped(complex_rows):
+    """The Hermitian scan stays for every matrix a caller hands over: a raw
+    array or a FrameOperatorMatrix of one, writable or read-only, with or
+    without a phase.  The same matrix made Hermitian passes."""
+    kernel = make_kernel(weighted_dirac_map("2+sin(x)"), 32)
+    if complex_rows:
+        kernel = KernelMatrix(kernel.rows * np.exp(1j * kernel.grid.nodes)[:, None], kernel.grid)
+    gram = frame_operator(kernel).gram
+    skewed = np.array(gram)
+    skewed[0, 1] += 1e-6 * np.abs(skewed).max()
+    frozen = skewed.copy()
+    frozen.setflags(write=False)
+    phase = np.exp(1j * np.arange(32))
+    for matrix in (skewed, frozen):
+        for op in (matrix, operators.FrameOperatorMatrix(matrix), operators.FrameOperatorMatrix(matrix, phase=phase)):
+            with pytest.raises(NumericError, match=r"^matrix is not Hermitian: deviation "):
+                frame_bounds(op)
+    assert frame_bounds(operators.FrameOperatorMatrix(np.array(gram))) == frame_bounds(gram)
+
+
+@pytest.mark.parametrize("truncation", [64, 256])
+@pytest.mark.parametrize("support", [(-1.0, 1.0), (-1.0, 2.0)])
+def test_the_stage_s_skips_zero_weight_pairs(support, truncation):
+    """_stage_operator samples a bump only where w(x) or w(-x) is not 0; its
+    S is the held kernel's, summed over every node, within 4 eps B."""
+    spec = bump_dirac_map(*support)
+    grid = stage_grid(default_stage(truncation))
+    stage = operators._stage_operator(spec, grid, truncation).gram
+    every_node = frame_operator(sample_kernel(spec, grid, truncation)).gram
+    upper = np.linalg.eigvalsh(stage)[-1]
+    assert np.abs(stage - every_node).max() <= 4 * np.finfo(float).eps * upper
