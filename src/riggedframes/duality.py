@@ -10,27 +10,29 @@ orders
 recover f up to conditioning.  S is factored once, S = R^H R with R the
 upper Cholesky factor, and inverted through it: X = R^{-1} R^{-H}, with
 R^{-1} from a blocked triangular inverse (_cholesky_inverse and
-_triangular_inverse, shared with moments.dual_bessel_check; Higham,
-Accuracy and Stability of Numerical Algorithms, ch. 10 and 14).  Omega's
-bounds (A, B) come from frame_bounds, values only, as for every other
-bounds reader, and a relative cutoff on them turns a near-singular frame
-operator into NotAFrameError instead of amplified noise.  One builder,
-_canonical_dual, makes every canonical pair from an S and measures
-nothing: the duality identity
+_triangular_inverse; Higham, Accuracy and Stability of Numerical
+Algorithms, ch. 10 and 14).  Omega's bounds (A, B) come from frame_bounds,
+values only, as for every other bounds reader, and a relative cutoff on
+them turns a near-singular frame operator into NotAFrameError instead of
+amplified noise.  One builder,
+_canonical_dual, makes every canonical pair from an S, the ladder
+checks' stage duals included, and measures nothing: the duality identity
 <f, g> = int <f, theta_x><omega_x, g> dmu is measured by verify_duality, on
 whatever pair a caller hands it.
 
 The pair keeps (A, B) for dual_bounds.  Theta's own frame operator is
-formed in N x N arithmetic, with no tall Gram of theta: S_theta = X^H S X =
-G^H G for G = R X, exactly Hermitian, and the pair keeps it.  Its
-eigenvalues measure X against S, so dual_bounds checks them against
-[1/B, 1/A] as the postcondition on the inverse; they are never read off
-1/lambda, which would be a tautology.
+S^{-1} (Christensen, An Introduction to Frames and Riesz Bases, ch. 5), so
+the pair reads it off the inverse it already holds: X, formed exactly
+Hermitian as the Gram of R^{-H}, with no tall Gram of theta and no second
+N x N array.  Its eigenvalues, from their own eigen-solve, measure the
+computed X against S, so dual_bounds checks them against [1/B, 1/A] as the
+postcondition on the inverse; they are never read off 1/lambda, which
+would be a tautology.
 
 When S is block diagonal in the even and odd indices (a mirrored map, by
 the parity rule kernels._pair_split; see FrameOperatorMatrix.columns),
-each step runs per N/2 x N/2 block, placed in the N x N X and S_theta with
-exact zeros between them.  For a kernel sample_kernel split the passes over omega's rows run per parity class on
+each step runs per N/2 x N/2 block, placed in the N x N X with exact zeros
+between them.  For a kernel sample_kernel split the passes over omega's rows run per parity class on
 the x > 0 rows too (operators._gram_rows): with a(x) = u + v and a(-x) =
 s (u - v) for the even and odd parts u, v of an analysis pass,
 verify_duality sums 2 w (u_f conj(u_g) + v_f conj(v_g)) over x > 0, and
@@ -45,7 +47,7 @@ inverse, and keeps omega's phase.
 Theta is never formed as a second kernel.  The pair keeps X, and analysis
 through theta is rows @ (X @ (P block)), synthesis P^H X^H (rows^H W xi):
 N x N work on blocks of at most a few dozen columns besides the passes over
-omega's rows.  X^H, not X: the computed inverse need not be exactly Hermitian.
+omega's rows (X^H is X, which is formed exactly Hermitian).
 ``pair.theta`` forms rows @ X when read (not cached).  Randomized checks
 draw all their trial functions first, in the order a per-trial loop would,
 and apply them as one block of columns.  Since theta shares omega's rows,
@@ -59,7 +61,9 @@ The ladder checks (riesz_check, dual_semiframe_check and
 moments.dual_bessel_check) take only the kernel they check and classify
 the ladder _walkable_ladder derives from it, N = 8, 16, ... up to the
 largest 8 * 2^j <= N, at classify's default thresholds: each stage's
-numbers come from the S classify formed, the kernel's from its own S.
+numbers come from the S classify formed, the kernel's from its own S.  The
+two dual checks build each stage's dual with _canonical_dual from the
+stage's S and the bounds classify read off it, so S is not solved twice.
 gelfand_check reads mu-independence at operators.RANK_CUTOFF.
 """
 
@@ -126,10 +130,9 @@ class DualPair:
     column phase, applied as rows @ (X @ block) and formed only when
     ``theta`` is read (read-only, not cached).  It also carries omega's
     (A, B), frame_bounds of the S it inverted, and ``theta_operator``,
-    theta's frame operator X^H S X = G^H G for G = R X, formed in N x N
-    arithmetic (theta's column phase kept apart as for any kernel), one
-    parity block at a time for a mirrored map; only the builder sets these
-    two.  A pair carries no measurement: verify_duality measures it.
+    theta's frame operator S^{-1}: the same read-only X (theta's column
+    phase kept apart as for any kernel); only the builder sets these two.
+    A pair carries no measurement: verify_duality measures it.
     """
 
     omega: KernelMatrix
@@ -165,42 +168,33 @@ def canonical_dual(kernel):
     return _canonical_dual(frame_operator(kernel), kernel)
 
 
-def _canonical_dual(op, omega=None):
+def _canonical_dual(op, omega=None, *, bounds=None):
     """canonical_dual's pair from omega's frame operator ``op``; a stage's S
-    from classify comes without omega, for dual_bounds only."""
-    lam_min, lam_max = frame_bounds(op)
+    from classify comes without omega, and with the ``bounds`` classify
+    already read off it, which are then not read again."""
+    lam_min, lam_max = frame_bounds(op) if bounds is None else bounds
     _require_frame(lam_min, lam_max)
-    # one factor, inverse and theta Gram per diagonal block of S (its
-    # columns), placed in N x N arrays that are exactly 0 between blocks;
-    # R is freed once R X is formed, and R X once its Gram is
-    inverses, grams = [], []
-    for c in op.columns:
-        factor, inverse = _cholesky_inverse(op.gram[c, c])
-        product = factor @ inverse
-        del factor
-        grams.append(_hermitian_gram(product))
-        del product
-        inverses.append(inverse)
-    inverse = _block_diagonal(inverses, op.columns)
-    theta_gram = _block_diagonal(grams, op.columns)
+    # one factor and inverse per diagonal block of S (its columns), placed in
+    # an N x N array that is exactly 0 between blocks
+    inverse = _block_diagonal([_cholesky_inverse(op.gram[c, c]) for c in op.columns], op.columns)
     inverse.setflags(write=False)
-    theta_gram.setflags(write=False)
     pair = DualPair(omega, None, inverse=inverse)
     object.__setattr__(pair, "omega_bounds", (lam_min, lam_max))
-    object.__setattr__(pair, "theta_operator", _exact_operator(theta_gram, op.phase))
+    object.__setattr__(pair, "theta_operator", _exact_operator(inverse, op.phase))
     return pair
 
 
 def _cholesky_inverse(block):
-    """(R, X = R^-1 R^-H) of one diagonal block of S (one of its
-    ``columns``), R the block's upper Cholesky factor (NumericError when it
-    has none); R^-1 is freed once X is formed."""
+    """X = R^-1 R^-H of one diagonal block of S (one of its ``columns``), R
+    the block's upper Cholesky factor (NumericError when it has none), freed
+    once R^-1 exists.  X is the Gram of R^-H, exactly Hermitian."""
     try:
         factor = np.linalg.cholesky(block).conj().T
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"frame operator has no Cholesky factor: {exc}") from exc
     factor_inverse = _triangular_inverse(factor)
-    return factor, factor_inverse @ factor_inverse.conj().T
+    del factor
+    return _hermitian_gram(factor_inverse.conj().T)
 
 
 def _triangular_inverse(r):
@@ -269,10 +263,11 @@ def verify_duality(pair, trials, seed=DEFAULT_SEED):
 
 def dual_bounds(pair):
     """Frame bounds of a canonical dual, the extreme eigenvalues of the pair's
-    theta_operator (X^H S X for the computed inverse X; a column phase changes
-    no eigenvalue).  They must sit inside [1/B, 1/A] of omega's bounds, which
-    is checked here as the postcondition on the inverse: NumericError when
-    they escape.  Pairs canonical_dual did not build carry neither: rejected."""
+    theta_operator (the computed inverse X; a column phase changes no
+    eigenvalue), from an eigen-solve of their own.  They must sit inside
+    [1/B, 1/A] of omega's bounds, which is checked here as the postcondition
+    on the inverse: NumericError when they escape.  Pairs canonical_dual did
+    not build carry neither: rejected."""
     if pair.omega_bounds is None or pair.theta_operator is None:
         raise InvalidConfigError("dual_bounds needs a pair built by canonical_dual")
     # canonical_dual guarantees 0 < A <= B
@@ -466,6 +461,9 @@ def dual_semiframe_check(kernel):
             f"map is not an upper semi-frame: upper trend {report.upper_trend!r}, "
             f"total={report.has('total')}"
         )
-    margins = [dual_bounds(_canonical_dual(s.operator))[0] - 1.0 / s.upper for s in report.stages]
+    margins = [
+        dual_bounds(_canonical_dual(s.operator, bounds=(s.lower, s.upper)))[0] - 1.0 / s.upper
+        for s in report.stages
+    ]
     holds = all(m >= -1e-8 / s.upper for m, s in zip(margins, report.stages))
     return DualSemiframeResult(holds, tuple(margins))

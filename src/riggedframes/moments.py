@@ -33,16 +33,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duality import _cholesky_inverse, _require_frame, _walkable_ladder
+from .duality import _canonical_dual, _walkable_ladder
 from .errors import InvalidConfigError
 from .hermite import TestFunction
 from .operators import (
     ClassifyThresholds,
-    FrameOperatorMatrix,
     _apply,
     _bessel_constant,
     _bessel_search,
-    _block_diagonal,
     _builtin,
     _CoarseSVD,
     _coarse_values,
@@ -248,12 +246,12 @@ def dual_bessel_check(kernel):
     Precondition (config error if unmet): the kernel's map solves every
     coarse-grid panel probe, rf score 1 (_coarse_rf).  It classifies the
     kernel's ladder (duality._walkable_ladder), the one walk, and reads
-    theta's frame operator S^-1 off the Cholesky factors of the blocks of
-    each stage's S (duality._cholesky_inverse; NotAFrameError for a
-    singular S),
-    certifying the smallest seminorm index up to the classifier's default
-    ``bessel_k_max`` whose constant, sqrt(lambda_max(D_k S^-1 D_k)) over the
-    blocks, is bounded by its trend rule.
+    theta's frame operator S^-1 off each stage's canonical dual, built from
+    the stage's S and the bounds classify read (duality._canonical_dual;
+    NotAFrameError for a singular S), certifying the smallest seminorm
+    index up to the classifier's default ``bessel_k_max`` whose constant,
+    sqrt(lambda_max(D_k S^-1 D_k)) over the blocks, is bounded by its trend
+    rule.
     """
     ladder = _walkable_ladder(kernel, "dual_bessel_check")
     score, worst = _coarse_rf(kernel.map_spec, kernel.truncation)
@@ -262,13 +260,11 @@ def dual_bessel_check(kernel):
             f"moment-solvability precondition unmet: rf score {score:.3f}, "
             f"worst residual {worst:.3e}"
         )
-    inverses = []
-    for stage in classify(kernel.map_spec, ladder).stages:
-        _require_frame(stage.lower, stage.upper)
-        # fourier reads dirac's real inverse: its column phase commutes with D_k
-        op = stage.operator
-        blocks = [_cholesky_inverse(op.gram[c, c])[1] for c in op.columns]
-        inverses.append(FrameOperatorMatrix(_block_diagonal(blocks, op.columns)))
+    # fourier reads dirac's real inverse: its column phase commutes with D_k
+    inverses = [
+        _canonical_dual(stage.operator, bounds=(stage.lower, stage.upper)).theta_operator
+        for stage in classify(kernel.map_spec, ladder).stages
+    ]
     tops = [_bessel_constant(inverse, 0) for inverse in inverses]
     index, constant, _ = _bessel_search(inverses, tops, ClassifyThresholds())
     if index is None:

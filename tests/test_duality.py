@@ -471,6 +471,57 @@ class TestDualSemiframe:
         for margin, (reference, lower) in zip(result.margins, expected):
             assert abs(margin - reference) <= 1e-12 / lower
 
+    @pytest.mark.parametrize("spec", [dirac_map(), weighted_dirac_map("2+sin(x)")], ids=["dirac", "2+sin(x)"])
+    def test_one_eigen_solve_per_stage_block_beyond_classify(self, monkeypatch, spec):
+        """Each stage's dual takes omega's bounds from classify's stage: the
+        only values-only eigen-solves beyond classify's are dual_bounds', one
+        per diagonal block of each stage's S."""
+        kernel = make_kernel(spec, 32)
+        ladder = default_ladder(32)
+        dual_semiframe_check(kernel)
+        calls, eigvalsh = [], np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        report = classify(spec, ladder)
+        walk = len(calls)
+        calls.clear()
+        dual_semiframe_check(kernel)
+        blocks = [len(s.operator.columns) for s in report.stages]
+        assert len(calls) - walk == sum(blocks)
+
+
+@pytest.mark.parametrize("check", [dual_semiframe_check, dual_bessel_check], ids=lambda check: check.__name__)
+def test_a_singular_stage_is_not_a_frame(monkeypatch, check):
+    """A stage whose S is singular at the cutoff is refused with its own
+    lambda_min before any Cholesky factor: dirac's ladder to N = 32 with
+    its first stage's S set to diag(1, ..., 1, 1e-13), the stage read as
+    classify reads one."""
+    from dataclasses import replace
+
+    from riggedframes import moments
+
+    def doctored(map_spec, ladder):
+        report = classify(map_spec, ladder)
+        first = report.stages[0]
+        op = operators._exact_operator(np.diag(np.r_[np.ones(first.truncation - 1), 1e-13]))
+        lower, upper = operators._resolved_bounds(op)
+        stage = replace(first, lower=lower, upper=upper, operator=op)
+        return replace(report, stages=(stage, *report.stages[1:]))
+
+    def refused(*args, **kwargs):
+        raise AssertionError("np.linalg.cholesky was called")
+
+    monkeypatch.setattr(duality, "classify", doctored)
+    monkeypatch.setattr(moments, "classify", doctored)
+    monkeypatch.setattr(np.linalg, "cholesky", refused)
+    with pytest.raises(NotAFrameError, match="^frame operator singular at cutoff") as caught:
+        check(make_kernel(dirac_map(), 32))
+    assert caught.value.lambda_min == 1e-13
+
 
 @pytest.mark.parametrize(
     "check", [riesz_check, dual_semiframe_check, dual_bessel_check], ids=lambda check: check.__name__
@@ -623,8 +674,9 @@ class TestFourierDual:
 
 
 class TestThetaOperator:
-    """canonical_dual forms theta's S = X^H S X in N x N arithmetic (X the
-    computed inverse); dual_bounds reads theta's bounds off it."""
+    """canonical_dual's theta operator is the inverse X the pair holds, S^-1
+    at matrix level (theta's column phase kept apart); dual_bounds reads
+    theta's bounds off it."""
 
     def _modulated(self, truncation):
         """A complex kernel: the 2+sin(x) rows times a unimodular row factor."""
@@ -633,19 +685,32 @@ class TestThetaOperator:
         rows.setflags(write=False)
         return KernelMatrix(rows, kernel.grid)
 
-    @pytest.mark.parametrize("family", ["2+sin(x)", "fourier", "complex"])
-    def test_is_the_gram_of_theta_and_exactly_hermitian(self, family):
+    def _kernel(self, family):
         if family == "complex":
             kernel = self._modulated(64)
             assert np.iscomplexobj(kernel.rows)
-        else:
-            kernel = make_kernel(ORACLE_FAMILIES[family], 64)
-        pair = canonical_dual(kernel)
+            return kernel
+        return make_kernel(ORACLE_FAMILIES[family], 64)
+
+    @pytest.mark.parametrize("family", ["2+sin(x)", "fourier", "complex"])
+    def test_is_the_gram_of_theta_and_exactly_hermitian(self, family):
+        pair = canonical_dual(self._kernel(family))
         mine = pair.theta_operator.matrix
         assert np.array_equal(mine, mine.conj().T)
         tall = frame_operator(pair.theta).matrix
         lower, upper = pair.omega_bounds
         assert np.abs(mine - tall).max() <= (1e-12 + 1e-15 * upper / lower) / lower
+
+    @pytest.mark.parametrize("family", ["2+sin(x)", "fourier", "complex"])
+    def test_is_the_inverse_the_pair_holds(self, family):
+        """No second N x N array: theta's operator adopts the pair's read-only
+        inverse, with omega's column phase."""
+        pair = canonical_dual(self._kernel(family))
+        gram = pair.theta_operator.gram
+        assert np.shares_memory(gram, pair.inverse) and np.array_equal(gram, pair.inverse)
+        assert not gram.flags.writeable
+        assert pair.theta_operator.phase is pair.omega.phase
+        assert (pair.omega.phase is not None) == (family == "fourier")
 
     def test_postcondition_rejects_a_scaled_theta_operator(self):
         """No constructor argument takes a measured field, so the doctored

@@ -276,6 +276,43 @@ class TestDualBessel:
                 tol = 1e-14 + 1e-15 * upper / lower
                 assert abs(result.constant - expected) <= tol * expected
 
+    @pytest.mark.parametrize(
+        "spec",
+        [dirac_map(), weighted_dirac_map("2+sin(x)"), fourier_map(), weighted_dirac_map("1+x^2"),
+         dirac_derivative_map()],
+    )
+    def test_constants_match_the_block_loop_bit_for_bit(self, monkeypatch, spec):
+        """Each stage's theta operator is its canonical dual's inverse X, the
+        same array, bit for bit, as a loop that factors each diagonal block
+        of the stage's S, inverts R and forms R^-1 R^-H, and so is every
+        constant read off it."""
+        from riggedframes import moments, operators
+        from riggedframes.duality import _triangular_inverse
+
+        expected = []
+        for stage in operators.classify(spec, default_ladder(128)).stages:
+            op = stage.operator
+            blocks = []
+            for c in op.columns:
+                inverse = _triangular_inverse(np.linalg.cholesky(op.gram[c, c]).conj().T)
+                blocks.append(inverse @ inverse.conj().T)
+            expected.append(operators.FrameOperatorMatrix(operators._block_diagonal(blocks, op.columns)))
+        tops = [operators._bessel_constant(x, 0) for x in expected]
+        index, constant, _ = operators._bessel_search(expected, tops, ClassifyThresholds())
+        searched, search = [], moments._bessel_search
+
+        def recording(grams, *args):
+            searched.append(grams)
+            return search(grams, *args)
+
+        monkeypatch.setattr(moments, "_bessel_search", recording)
+        result = dual_bessel_check(make_kernel(spec, 128))
+        (grams,) = searched
+        assert len(grams) == len(expected)
+        assert all(np.array_equal(mine.gram, theirs.gram) for mine, theirs in zip(grams, expected))
+        assert result.seminorm_index == (-1 if index is None else index)
+        assert result.constant == (math.inf if constant is None else constant)
+
     def test_reads_the_dual_off_the_walk_factor(self, monkeypatch):
         """The dual is read off each stage's S, not built as a canonical dual:
         no QR, no eigh and no frame_operator of a sampled kernel, and one

@@ -1287,28 +1287,42 @@ def test_a_held_gauss_hermite_kernel_is_summed_in_one_block(monkeypatch, family)
     assert 256 <= count <= step
 
 
-@pytest.mark.parametrize("truncation", [8, 64, 512])
-@pytest.mark.parametrize("family", list(BUILTIN_FAMILIES))
-def test_every_s_the_package_forms_is_exactly_hermitian(family, truncation):
+@pytest.mark.parametrize(
+    ("family", "truncation"),
+    [(family, n) for family in BUILTIN_FAMILIES for n in (8, 64, 512)]
+    + [("complex custom", 64), ("complex custom", 256)],
+)
+def test_every_s_the_package_forms_is_exactly_hermitian(family, truncation, tmp_path):
     """frame_bounds takes the package's own S without a Hermitian scan: the
-    held and the stage S, classify's stage views, the canonical dual's
-    theta Gram and the inverses dual_bessel_check forms are all exactly
-    Hermitian.  The bump's S at N >= 64 is no frame operator: no dual."""
-    from riggedframes.duality import _cholesky_inverse
+    held and the stage S, classify's stage views and the canonical dual's
+    theta operator, its inverse X, are all exactly Hermitian, X of a complex
+    custom kernel (the 2+sin(x) rows times exp(i x), through the CSV
+    interchange) included.  The bump's S at N >= 64 is no frame operator:
+    no dual."""
+    from riggedframes import load_custom_kernel, save_kernel_csv
+    from riggedframes.duality import _canonical_dual
 
-    spec = BUILTIN_FAMILIES[family]
+    spec = weighted_dirac_map("2+sin(x)") if family == "complex custom" else BUILTIN_FAMILIES[family]
     grid = operators._ladder_grid(spec, default_stage(truncation))
     kernel = sample_kernel(spec, grid, truncation)
-    stage = operators._stage_operator(spec, grid, truncation)
-    held = frame_operator(kernel)
-    formed = [held, stage, *(s.operator for s in classify(spec, default_ladder(truncation)).stages)]
-    inverses = []
+    stages = []
+    if family == "complex custom":
+        path = tmp_path / "complex.csv"
+        save_kernel_csv(KernelMatrix(kernel.rows * np.exp(1j * grid.nodes)[:, None], grid), path)
+        kernel = load_custom_kernel(path, grid, truncation)
+        assert kernel.rows.dtype == complex
+    else:
+        stage = operators._stage_operator(spec, grid, truncation)
+        stages = [stage, *(s.operator for s in classify(spec, default_ladder(truncation)).stages)]
+    formed = [frame_operator(kernel), *stages]
     if family != "bump[-1,1]" or truncation == 8:
         formed.append(canonical_dual(kernel).theta_operator)
-        inverses = [_cholesky_inverse(op.gram[c, c])[1] for op in (held, stage) for c in op.columns]
+        if stages:
+            # the stage's dual, as the ladder checks form it
+            formed.append(_canonical_dual(stage).theta_operator)
     assert all(op._exact for op in formed)
-    for gram in [op.gram for op in formed] + inverses:
-        assert np.array_equal(gram, gram.conj().T)
+    for op in formed:
+        assert np.array_equal(op.gram, op.gram.conj().T)
 
 
 @pytest.mark.parametrize("complex_rows", [False, True])
