@@ -58,12 +58,14 @@ synthesis pass.  A hand-built pair takes one full-grid pass per kernel and
 direction.
 
 The ladder checks (riesz_check, dual_semiframe_check and
-moments.dual_bessel_check) take only the kernel they check and classify
-the ladder _walkable_ladder derives from it, N = 8, 16, ... up to the
-largest 8 * 2^j <= N, at classify's default thresholds: each stage's
-numbers come from the S classify formed, the kernel's from its own S.  The
+moments.dual_bessel_check) take only the kernel they check and walk the
+ladder _walkable_ladder derives from it, N = 8, 16, ... up to the largest
+8 * 2^j <= N, at classify's default thresholds: riesz_check and
+dual_semiframe_check classify it, dual_bessel_check, which reads no label,
+runs only classify's walk (operators._ladder_stages).  Each stage's
+numbers come from the S the walk formed, the kernel's from its own S.  The
 two dual checks build each stage's dual with _canonical_dual from the
-stage's S and the bounds classify read off it, so S is not solved twice.
+stage's S and the bounds the walk read off it, so S is not solved twice.
 gelfand_check reads mu-independence at operators.RANK_CUTOFF.
 """
 

@@ -45,9 +45,9 @@ from .operators import (
     _CoarseSVD,
     _coarse_values,
     _full_rank,
+    _ladder_stages,
     _unphase,
     _weighted_rows,
-    classify,
     coarse_synthesis_grid,
 )
 from .quadrature import l2x_norm
@@ -244,14 +244,16 @@ def dual_bessel_check(kernel):
     """A dual of a moment-solvable map is itself norm-bounded by a seminorm.
 
     Precondition (config error if unmet): the kernel's map solves every
-    coarse-grid panel probe, rf score 1 (_coarse_rf).  It classifies the
-    kernel's ladder (duality._walkable_ladder), the one walk, and reads
-    theta's frame operator S^-1 off each stage's canonical dual, built from
-    the stage's S and the bounds classify read (duality._canonical_dual;
+    coarse-grid panel probe, rf score 1 (_coarse_rf).  It walks the
+    kernel's ladder (duality._walkable_ladder) with classify's walk,
+    operators._ladder_stages, at the classifier's default rank cutoff, and
+    runs no label rule and no Bessel search of omega.  It reads theta's
+    frame operator S^-1 off each stage's canonical dual, built from the
+    stage's S and the bounds the walk read (duality._canonical_dual;
     NotAFrameError for a singular S), certifying the smallest seminorm
     index up to the classifier's default ``bessel_k_max`` whose constant,
     sqrt(lambda_max(D_k S^-1 D_k)) over the blocks, is bounded by its trend
-    rule.
+    rule, read per doubling of N.
     """
     ladder = _walkable_ladder(kernel, "dual_bessel_check")
     score, worst = _coarse_rf(kernel.map_spec, kernel.truncation)
@@ -263,7 +265,7 @@ def dual_bessel_check(kernel):
     # fourier reads dirac's real inverse: its column phase commutes with D_k
     inverses = [
         _canonical_dual(stage.operator, bounds=(stage.lower, stage.upper)).theta_operator
-        for stage in classify(kernel.map_spec, ladder).stages
+        for stage in _ladder_stages(kernel.map_spec, ladder, ClassifyThresholds().rank)
     ]
     tops = [_bessel_constant(inverse, 0) for inverse in inverses]
     index, constant, _ = _bessel_search(inverses, tops, ClassifyThresholds())

@@ -9,7 +9,7 @@ weights) and Omega the kernel matrix:
 
 Frame bounds at truncation N are the extreme eigenvalues of S, equivalently
 the squared extreme singular values of the weighted kernel sqrt(W) Omega.
-classify is the one ladder walk.  It sums one Gram S per ladder, on the
+_ladder_stages is the one ladder walk.  It sums one Gram S per ladder, on the
 grid _ladder_grid picks from the map and the final N alone, streamed from
 the rows by _stage_operator.  For an exact map (dirac and fourier,
 dirac_derivative, a weighted dirac whose weight is a polynomial of degree d)
@@ -56,6 +56,10 @@ which mu_independence_test and the moment probes of rf_diagnostic run only
 for rank-deficient rows.
 Continuum statements (bounded versus growing bounds, totality) are read off
 trends along a refinement ladder; a single stage can never decide them.
+Each trend reads its ratios per doubling of N, so stages closer than a
+doubling certify no more than a doubling would.  classify is the walk
+(_ladder_stages), the trends, the Bessel search and then _LABEL_RULES,
+one row per label, which decides every label.
 
 Every operator works on the kernel's rows in their own dtype.  Every
 built-in kind has real rows; fourier's (-i)^n column phase P is kept apart
@@ -69,6 +73,7 @@ their stacked real and imaginary parts.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from dataclasses import dataclass, field
@@ -373,7 +378,7 @@ def _stage_operator(map_spec, grid, truncation):
     samples them _NODE_BLOCK nodes at a time into its Fortran-ordered
     buffer, weighted in place, the negligible floor carrying its peak from
     block to block.  Every ladder grid is mirrored with an even node count
-    (_ladder_grid), and classify refuses N = 1 before it sums S, so
+    (_ladder_grid), and the walk refuses N = 1 before it sums S, so
     kernels._pair_split always splits: every built-in map is sampled at the
     nodes x > 0 only, with 2 W and its rho, whatever its weight, and its q
     (if any) adds the even-odd cross block.  A pair with w(x) = w(-x) = 0
@@ -823,8 +828,9 @@ def _coarse_full_rank(map_spec, truncation, threshold, kernel=None):
 class ClassifyThresholds:
     """Classifier knobs; the defaults match the reporting conventions.
 
-    stability: last-two relative change below which a bound series counts as
-    bounded.  growth: per-stage ratio at or above which it counts as
+    stability: the largest |r - 1| of a series' last ratio r per doubling of
+    N (_consecutive_ratios) at which it counts as bounded.  growth: the
+    ratio per doubling that every step must reach for it to count as
     growing.  rank: relative singular-value cutoff for totality and
     mu-independence.  tight/parseval: relative windows on |A - B| and
     |B - 1|.  bessel_k_max: largest seminorm index tried for the Bessel
@@ -860,27 +866,17 @@ class StageDiagnostics:
     operator: FrameOperatorMatrix = field(repr=False, compare=False)
 
 
-LABEL_ORDER = (
-    "bessel",
-    "bounded_bessel",
-    "total",
-    "mu_independent",
-    "upper_semi_frame",
-    "lower_semi_frame",
-    "frame",
-    "tight",
-    "parseval",
-    "gelfand_basis",
-    "riesz_basis",
-)
-
-
 @dataclass(frozen=True)
 class FrameReport:
     """Per-stage spectra, ladder trends, and the final taxonomy labels.
 
-    ``bessel_constants`` holds the per-stage series of each seminorm index
-    examined: k = 0..bessel_index, or 0..bessel_k_max when none is bounded.
+    ``lower_ratios`` and ``upper_ratios`` hold one ratio per ladder step of
+    A and of B, read per doubling of N: (X' / X) ** (1 / log2(N' / N)) from
+    stage N to N', the plain ratio on a doubling ladder; the trends are
+    read off them.  ``labels`` are those rows of _LABEL_RULES that hold, in
+    LABEL_ORDER.  ``bessel_constants`` holds the per-stage series of each
+    seminorm index examined: k = 0..bessel_index, or 0..bessel_k_max when
+    none is bounded.
     A stage's A (``lower``) and sigma_min read exactly 0 below the Gram's
     resolution, GRAM_RESOLUTION (64 eps) times its B.  The stages hold views
     of one S, the final stage's, and no copy: n_max^2 * 8 bytes, 32 MiB at
@@ -901,35 +897,40 @@ class FrameReport:
         return label in self.labels
 
 
-def _series_trend(values, thresholds, vanish_floor):
-    """Classify a positive series observed along the ladder.
+def _series_trend(values, truncations, thresholds, vanish_floor):
+    """Classify a positive series observed along the ladder at the stages
+    ``truncations``, from its ratios per doubling of N (_consecutive_ratios).
 
-    "growing" needs every consecutive ratio at or above the growth factor;
-    "bounded" needs the last step to move by at most the stability
-    tolerance; "vanishing" is a decreasing series that has dropped below the
-    floor; anything else is still "drifting" at this ladder depth.  A
-    single value has no trend: it is "undetermined".  A series that is 0
-    throughout is bounded, but one that has fallen to exactly 0 from
-    positive values has vanished rather than settled.
+    "growing" needs every ratio at or above the growth factor; "bounded"
+    needs the last one within the stability tolerance of 1; "vanishing" is
+    a decreasing series that has dropped below the floor; anything else is
+    still "drifting" at this ladder depth.  A single value has no trend: it
+    is "undetermined".  A series that is 0 throughout is bounded, but one
+    that has fallen to exactly 0 from positive values has vanished rather
+    than settled.
     """
     if len(values) < 2:
         return "undetermined"
-    ratios = _consecutive_ratios(values)
+    ratios = _consecutive_ratios(values, truncations)
     if all(r >= thresholds.growth for r in ratios):
         return "growing"
-    prev, last = values[-2], values[-1]
-    change = abs(last - prev) / prev if prev > 0 else (0.0 if not any(values) else math.inf)
+    change = abs(ratios[-1] - 1.0) if values[-2] > 0 else (0.0 if not any(values) else math.inf)
     if change <= thresholds.stability:
         return "bounded"
-    if all(r <= 1.0 for r in ratios) and last <= vanish_floor:
+    if all(r <= 1.0 for r in ratios) and values[-1] <= vanish_floor:
         return "vanishing"
     return "drifting"
 
 
-def _consecutive_ratios(values):
+def _consecutive_ratios(values, truncations):
+    """Each step's ratio per doubling of N, (X' / X) ** (1 / log2(N' / N))
+    from stage N to N': the ratio itself on a doubling ladder.  A step from
+    0 reads 1 to 0 and inf to anything else.  The stages are leading blocks
+    of one S, so A never rises and B never falls, and the exponent cannot
+    move a ratio across 1."""
     return tuple(
-        (1.0 if curr == 0.0 else math.inf) if prev == 0.0 else curr / prev
-        for prev, curr in zip(values, values[1:])
+        ((1.0 if curr == 0.0 else math.inf) if prev == 0.0 else curr / prev) ** (1.0 / math.log2(m / n))
+        for prev, curr, n, m in zip(values, values[1:], truncations, truncations[1:])
     )
 
 
@@ -945,22 +946,24 @@ def _bessel_constant(op, k):
 def _bessel_search(grams, tops, thresholds):
     """First k <= bessel_k_max whose Bessel series over the stages' frame
     operators ``grams`` (sigma_max per stage, ``tops``, for k = 0) is
-    bounded: (k, its last constant, {k: series examined}), or (None, None,
-    every series); the series for k is formed only when no smaller k was."""
+    bounded, read per doubling of each operator's N: (k, its last constant,
+    {k: series examined}), or (None, None, every series); the series for k
+    is formed only when no smaller k was."""
+    truncations = [op.truncation for op in grams]
     series = {}
     for k in range(thresholds.bessel_k_max + 1):
         series[k] = tuple(tops) if k == 0 else tuple(_bessel_constant(op, k) for op in grams)
-        if _series_trend(series[k], thresholds, 0.0) == "bounded":
+        if _series_trend(series[k], truncations, thresholds, 0.0) == "bounded":
             return k, series[k][-1], series
     return None, None, series
 
 
-def classify(map_spec, ladder, thresholds=ClassifyThresholds()):
-    """Run the full diagnostic ladder and assemble taxonomy labels.
-
-    Labels follow the sharpest-class convention: the semi-frame labels are
-    reported only when the map is not a frame outright.
-    """
+def _ladder_stages(map_spec, ladder, rank):
+    """The ladder walk: one StageDiagnostics per stage, read off the leading
+    N x N block of one _stage_operator S summed on the final stage's
+    _ladder_grid, with totality and the coarse mu-independence decided at
+    the relative singular-value cutoff ``rank``.  A custom kernel, which has
+    no map to sample, is an InvalidConfigError."""
     if map_spec.kind == "custom":
         raise InvalidConfigError(
             "classification samples the map on its ladder's grid, and a custom kernel "
@@ -968,7 +971,7 @@ def classify(map_spec, ladder, thresholds=ClassifyThresholds()):
             "the stage-level diagnostics directly"
         )
     # the coarse ranks come first: their grid refuses N = 1, which no split S has
-    mu_independent = [_coarse_full_rank(map_spec, n, thresholds.rank) for n in ladder.truncations]
+    mu_independent = [_coarse_full_rank(map_spec, n, rank) for n in ladder.truncations]
     grid_stage = ladder.final_stage
     whole = _stage_operator(map_spec, _ladder_grid(map_spec, grid_stage), grid_stage.truncation)
     stages = []
@@ -983,57 +986,82 @@ def classify(map_spec, ladder, thresholds=ClassifyThresholds()):
                 upper=upper,
                 sigma_min=sigma_min,
                 sigma_max=sigma_max,
-                total=_full_rank(sigma_min, sigma_max, thresholds.rank),
+                total=_full_rank(sigma_min, sigma_max, rank),
                 mu_independent=mu,
                 operator=op,
             )
         )
+    return tuple(stages)
 
+
+# What the label rules read, built once per classify: the final stage, the
+# first bounded Bessel index (None if none), the verdicts on B (its trend
+# bounded) and on A (its trend bounded and the final stage total), and
+# whether the final A and B fall in the tight and Parseval windows.
+_Evidence = collections.namedtuple("_Evidence", "final bessel_index bounded_upper stable_lower tight parseval")
+
+
+def _frame(e):
+    """The frame row's rule, which the rows that refine or exclude a frame
+    read too."""
+    return e.bounded_upper and e.stable_lower
+
+
+# One (label, rule) row per label, in report order; a rule reads the
+# evidence and returns whether the label holds.  The semi-frame rows hold
+# only when the map is not a frame outright (the sharpest-class convention).
+_LABEL_RULES = (
+    ("bessel", lambda e: e.bessel_index is not None),
+    ("bounded_bessel", lambda e: e.bounded_upper),
+    ("total", lambda e: e.final.total),
+    ("mu_independent", lambda e: e.final.mu_independent),
+    ("upper_semi_frame", lambda e: e.bounded_upper and e.final.total and not _frame(e)),
+    ("lower_semi_frame", lambda e: e.stable_lower and not _frame(e)),
+    ("frame", _frame),
+    ("tight", lambda e: _frame(e) and e.tight),
+    ("parseval", lambda e: _frame(e) and e.tight and e.parseval),
+    ("gelfand_basis", lambda e: _frame(e) and e.tight and e.parseval and e.final.mu_independent),
+    ("riesz_basis", lambda e: _frame(e) and e.final.mu_independent),
+)
+LABEL_ORDER = tuple(label for label, _ in _LABEL_RULES)
+
+
+def classify(map_spec, ladder, thresholds=ClassifyThresholds()):
+    """Walk the ladder (_ladder_stages), read the trends of A and B per
+    doubling of N, search for the first bounded Bessel index, and give every
+    label of _LABEL_RULES whose rule holds, in LABEL_ORDER.
+
+    Labels follow the sharpest-class convention: the semi-frame labels are
+    reported only when the map is not a frame outright.
+    """
+    stages = _ladder_stages(map_spec, ladder, thresholds.rank)
+    truncations = ladder.truncations
     lowers = [s.lower for s in stages]
     uppers = [s.upper for s in stages]
     vanish_floor = thresholds.rank**2 * max(uppers[-1], 0.0)
-    lower_trend = _series_trend(lowers, thresholds, vanish_floor)
-    upper_trend = _series_trend(uppers, thresholds, vanish_floor)
+    lower_trend = _series_trend(lowers, truncations, thresholds, vanish_floor)
+    upper_trend = _series_trend(uppers, truncations, thresholds, vanish_floor)
 
     tops = [s.sigma_max for s in stages]
     grams = [s.operator for s in stages]
     bessel_index, bessel_constant, bessel_series = _bessel_search(grams, tops, thresholds)
 
     final = stages[-1]
-    bounded_upper = upper_trend == "bounded"
-    stable_lower = lower_trend == "bounded" and final.total
-    is_frame = bounded_upper and stable_lower
-    labels = []
-    if bessel_index is not None:
-        labels.append("bessel")
-    if bounded_upper:
-        labels.append("bounded_bessel")
-    if final.total:
-        labels.append("total")
-    if final.mu_independent:
-        labels.append("mu_independent")
-    if bounded_upper and final.total and not is_frame:
-        labels.append("upper_semi_frame")
-    if stable_lower and not is_frame:
-        labels.append("lower_semi_frame")
-    if is_frame:
-        labels.append("frame")
-        if abs(final.lower - final.upper) <= thresholds.tight * final.upper:
-            labels.append("tight")
-            if abs(final.upper - 1.0) <= thresholds.parseval:
-                labels.append("parseval")
-                if final.mu_independent:
-                    labels.append("gelfand_basis")
-        if final.mu_independent:
-            labels.append("riesz_basis")
-
+    evidence = _Evidence(
+        final=final,
+        bessel_index=bessel_index,
+        bounded_upper=upper_trend == "bounded",
+        stable_lower=lower_trend == "bounded" and final.total,
+        tight=abs(final.lower - final.upper) <= thresholds.tight * final.upper,
+        parseval=abs(final.upper - 1.0) <= thresholds.parseval,
+    )
     return FrameReport(
-        stages=tuple(stages),
+        stages=stages,
         lower_trend=lower_trend,
         upper_trend=upper_trend,
-        lower_ratios=_consecutive_ratios(lowers),
-        upper_ratios=_consecutive_ratios(uppers),
-        labels=tuple(label for label in LABEL_ORDER if label in labels),
+        lower_ratios=_consecutive_ratios(lowers, truncations),
+        upper_ratios=_consecutive_ratios(uppers, truncations),
+        labels=tuple(label for label, rule in _LABEL_RULES if rule(evidence)),
         bessel_index=bessel_index,
         bessel_constant=bessel_constant,
         bessel_constants=bessel_series,

@@ -776,11 +776,13 @@ def test_report_bodies_tool(tmp_path):
     assert outs[0].read_bytes() == outs[1].read_bytes()
     bodies = json.loads(outs[0].read_text())
     # every report command, plus the bounds report in CSV, plus each demo's
-    # stdout, plus the two refused grids
+    # stdout, plus the two refused grids, plus classify on every built-in
+    # map on each hand-written ladder
     demos = sorted(tool.DEMOS.glob("*.py"))
     assert len(bodies) == (len(tool.BUILTIN_MAPS) + len(tool.ODD_N_MAPS) + len(tool.CUSTOM_KERNELS)) * (
         len(tool.REPORT_COMMANDS) + 1
-    ) + len(demos) + 2
+    ) + len(demos) + 2 + len(tool.BUILTIN_MAPS) * len(tool.HAND_WRITTEN_LADDERS)
+    assert bodies["dirac_derivative/stages=250,256/classify"]["labels"] == ["bessel", "total", "mu_independent"]
     assert bodies["2+sin(x)/middle-stage-grid/classify"].startswith(
         "InvalidConfigError: ladder.stages[1].panels: only the final stage sets the grid"
     )

@@ -499,24 +499,30 @@ def test_a_singular_stage_is_not_a_frame(monkeypatch, check):
     """A stage whose S is singular at the cutoff is refused with its own
     lambda_min before any Cholesky factor: dirac's ladder to N = 32 with
     its first stage's S set to diag(1, ..., 1, 1e-13), the stage read as
-    classify reads one."""
+    classify reads one, hooked into classify for dual_semiframe_check and
+    into the walk, operators._ladder_stages, for dual_bessel_check."""
     from dataclasses import replace
 
     from riggedframes import moments
 
-    def doctored(map_spec, ladder):
-        report = classify(map_spec, ladder)
-        first = report.stages[0]
+    def doctored_stages(stages):
+        first = stages[0]
         op = operators._exact_operator(np.diag(np.r_[np.ones(first.truncation - 1), 1e-13]))
         lower, upper = operators._resolved_bounds(op)
-        stage = replace(first, lower=lower, upper=upper, operator=op)
-        return replace(report, stages=(stage, *report.stages[1:]))
+        return (replace(first, lower=lower, upper=upper, operator=op), *stages[1:])
+
+    def doctored(map_spec, ladder):
+        report = classify(map_spec, ladder)
+        return replace(report, stages=doctored_stages(report.stages))
+
+    def doctored_walk(map_spec, ladder, rank):
+        return doctored_stages(operators._ladder_stages(map_spec, ladder, rank))
 
     def refused(*args, **kwargs):
         raise AssertionError("np.linalg.cholesky was called")
 
     monkeypatch.setattr(duality, "classify", doctored)
-    monkeypatch.setattr(moments, "classify", doctored)
+    monkeypatch.setattr(moments, "_ladder_stages", doctored_walk)
     monkeypatch.setattr(np.linalg, "cholesky", refused)
     with pytest.raises(NotAFrameError, match="^frame operator singular at cutoff") as caught:
         check(make_kernel(dirac_map(), 32))

@@ -267,7 +267,8 @@ class TestDualBessel:
                     damped = weighted * (damping ** (-k / 2.0))[None, :]
                     series[k].append(np.linalg.svd(damped, compute_uv=False)[0])
             lower, upper = pair.omega_bounds
-            bounded = [k for k, v in series.items() if _series_trend(v, thresholds, 0.0) == "bounded"]
+            trends = {k: _series_trend(v, ladder.truncations, thresholds, 0.0) for k, v in series.items()}
+            bounded = [k for k, trend in trends.items() if trend == "bounded"]
             result = dual_bessel_check(make_kernel(spec, n_max))
             # dirac_derivative's dual series are bounded for no k <= bessel_k_max
             assert result.seminorm_index == (bounded[0] if bounded else -1)
@@ -346,8 +347,8 @@ class TestDualBessel:
             assert shapes == [(n // blocks,) * 2 for n in truncations for _ in range(blocks)]
 
     def test_walks_the_ladder_once(self, monkeypatch):
-        """classify is the one walk: one Gram for the ladder, at its final
-        stage."""
+        """classify's walk is the one walk: one Gram for the ladder, at its
+        final stage."""
         from riggedframes import operators
 
         built, stage_operator = [], operators._stage_operator
@@ -361,6 +362,26 @@ class TestDualBessel:
             built.clear()
             assert dual_bessel_check(make_kernel(spec, 64)).bessel
             assert [op.truncation for op in built] == [64]
+
+    def test_runs_no_bessel_search_of_omega(self, monkeypatch):
+        """dual_bessel_check reads no label of omega, so it runs the walk
+        without classify's Bessel search of omega's stages: the one search
+        it runs is theta's, through its own binding."""
+        from riggedframes import moments, operators
+
+        searched, search = [], moments._bessel_search
+
+        def refused(*args):
+            raise AssertionError("omega's Bessel series was searched")
+
+        def recording(grams, *args):
+            searched.append(grams)
+            return search(grams, *args)
+
+        monkeypatch.setattr(operators, "_bessel_search", refused)
+        monkeypatch.setattr(moments, "_bessel_search", recording)
+        assert dual_bessel_check(make_kernel(weighted_dirac_map("1+x^2"), 64)).bessel
+        assert len(searched) == 1
 
     def test_refuses_in_order_before_the_walk(self, monkeypatch):
         """_walkable_ladder refuses first, then the rf precondition, each

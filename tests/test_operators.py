@@ -488,25 +488,6 @@ class TestClassify:
         assert report.stages[-1].lower == 0.0
         assert report.stages[-1].upper == 0.0
 
-    def test_label_implications(self):
-        for spec in (
-            dirac_map(),
-            weighted_dirac_map("2+sin(x)"),
-            weighted_dirac_map("1+x^2"),
-            dirac_derivative_map(),
-            bump_dirac_map(-1.0, 1.0),
-        ):
-            report = classify(spec, default_ladder(32))
-            if report.has("parseval"):
-                assert report.has("tight") and report.has("frame")
-            if report.has("gelfand_basis"):
-                assert report.has("parseval") and report.has("mu_independent")
-            if report.has("riesz_basis"):
-                assert report.has("frame") and report.has("mu_independent")
-            if report.has("frame"):
-                assert not report.has("upper_semi_frame")
-                assert not report.has("lower_semi_frame")
-
     def test_unit_scaling_leaves_labels_invariant(self):
         thresholds = ClassifyThresholds()
         base = classify(weighted_dirac_map("2+sin(x)"), default_ladder(16), thresholds)
@@ -1109,7 +1090,9 @@ def _eager_bessel_search(grams, tops, thresholds):
         k: tuple(tops) if k == 0 else tuple(operators._bessel_constant(op, k) for op in grams)
         for k in range(thresholds.bessel_k_max + 1)
     }
-    bounded = [k for k, v in series.items() if operators._series_trend(v, thresholds, 0.0) == "bounded"]
+    truncations = [op.truncation for op in grams]
+    trends = {k: operators._series_trend(v, truncations, thresholds, 0.0) for k, v in series.items()}
+    bounded = [k for k, trend in trends.items() if trend == "bounded"]
     index = bounded[0] if bounded else None
     return index, series[index][-1] if bounded else None, series
 

@@ -17,7 +17,9 @@ with a 60-panel grid set on the middle stage, as
 ``2+sin(x)/middle-stage-grid/classify`` (only the final stage sets the grid,
 which every stage is summed on), and with a 120-panel grid set on the final
 stage, as ``2+sin(x)/final-stage-grid/classify`` (a built-in map's grid is
-chosen from the map and N).
+chosen from the map and N).  classify alone also runs on each built-in
+family on the hand-written ladders [8, 16, 24] and [250, 256], whose last
+step spans less than a doubling, as ``<family>/stages=8,16,24/classify``.
 OUT is written with sorted keys, so two checkouts give byte-identical files
 exactly when their reports agree apart from timing and their demos print
 the same:
@@ -90,6 +92,8 @@ GRID_REFUSALS = {
     "middle-stage-grid": {"stages": [128, {"N": 256, "panels": 60}, 512]},
     "final-stage-grid": {"stages": [128, 256, {"N": 512, "panels": 120}]},
 }
+# ladders as a user writes them, closer than a doubling at the last step
+HAND_WRITTEN_LADDERS = ((8, 16, 24), (250, 256))
 TMP = "<tmp>"
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
@@ -141,6 +145,11 @@ def report_bodies(n_maxes):
         for name, ladder in GRID_REFUSALS.items():
             data = {"map": BUILTIN_MAPS["2+sin(x)"], "ladder": ladder}
             bodies[f"2+sin(x)/{name}/classify"] = _body(_report("classify", data, tmpdir), tmpdir)
+        for stages in HAND_WRITTEN_LADDERS:
+            for name, spec in BUILTIN_MAPS.items():
+                data = {"map": spec, "ladder": {"stages": list(stages)}}
+                key = f"{name}/stages={','.join(map(str, stages))}/classify"
+                bodies[key] = _body(_report("classify", data, tmpdir), tmpdir)
     for script in sorted(DEMOS.glob("*.py")):
         run_demo = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, check=True)
         bodies[f"demos/{script.stem}"] = run_demo.stdout
