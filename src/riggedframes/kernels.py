@@ -402,6 +402,8 @@ def _csv_header(truncation):
 
 def load_custom_kernel(path, grid, truncation):
     """Load an M x N complex kernel from CSV and validate it against the grid.
+    A file that cannot be opened, or whose header or cells are not UTF-8
+    text, is an InvalidConfigError, as is every malformed header or cell.
 
     The data rows are parsed straight from the file opened binary, with no
     copy of its text, a block of lines at a time into preallocated arrays
@@ -428,44 +430,46 @@ def load_custom_kernel(path, grid, truncation):
     import hashlib  # loads OpenSSL: imported only where a kernel file is read
 
     global _last_parse
-    with open(path, newline="") as fh:
-        first = fh.readline()
-        if not first:
-            raise InvalidConfigError(f"{path}: empty kernel file")
-        header = next(csv.reader([first]), [])
-        if [h.strip() for h in header] != _csv_header(truncation):
-            raise InvalidConfigError(
-                f"{path}: header does not match {truncation} re/im column pairs"
-            )
-        # the header is read as text, whose line ends include a lone \r
-        start = len(first.encode(fh.encoding))
-    with open(path, "rb") as fh:
-        fh.seek(start)
-        digest = hashlib.sha256()
-        for chunk in iter(lambda: fh.read(_DIGEST_BYTES), b""):
-            digest.update(chunk)
-        key = digest.digest(), truncation
-        entries = fresh = None
-        if _last_parse is not None and _last_parse[0] == key:
-            entries = _last_parse[1]
-        else:
-            # the kept rows go before a parse, so a load never holds two
-            _last_parse = None
+    try:
+        with open(path, "rb") as fh:
+            # a line ends at \n, \r\n or a lone \r, as csv reads it
+            first = (fh.readline().splitlines(keepends=True) or [b""])[0]
+            if not first:
+                raise InvalidConfigError(f"{path}: empty kernel file")
+            header = next(csv.reader([first.decode("utf-8")]), [])
+            if [h.strip() for h in header] != _csv_header(truncation):
+                raise InvalidConfigError(
+                    f"{path}: header does not match {truncation} re/im column pairs"
+                )
+            start = len(first)
             fh.seek(start)
-            blank = [line.isspace() for line in fh]
-            if blank and not any(blank):
+            digest = hashlib.sha256()
+            for chunk in iter(lambda: fh.read(_DIGEST_BYTES), b""):
+                digest.update(chunk)
+            key = digest.digest(), truncation
+            entries = fresh = None
+            if _last_parse is not None and _last_parse[0] == key:
+                entries = _last_parse[1]
+            else:
+                # the kept rows go before a parse, so a load never holds two
+                _last_parse = None
                 fh.seek(start)
-                parsed = hashlib.sha256()
-                try:
-                    entries = _parse_entries(_hashed(fh, parsed), len(blank), truncation)
-                except ValueError:
-                    pass
-                if entries is not None and parsed.digest() == key[0]:
-                    fresh = entries
-    if entries is None:
-        # the fast parse failed or skipped lines: rescan cell by cell, which
-        # names the first offending row and column
-        entries = _scan_cells(path, truncation).view(complex)
+                blank = [line.isspace() for line in fh]
+                if blank and not any(blank):
+                    fh.seek(start)
+                    parsed = hashlib.sha256()
+                    try:
+                        entries = _parse_entries(_hashed(fh, parsed), len(blank), truncation)
+                    except ValueError:
+                        pass
+                    if entries is not None and parsed.digest() == key[0]:
+                        fresh = entries
+        if entries is None:
+            # the fast parse failed or skipped lines: rescan cell by cell, which
+            # names the first offending row and column
+            entries = _scan_cells(path, start, truncation).view(complex)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidConfigError(f"{path}: cannot read ({exc})") from exc
     if entries.shape[0] != grid.node_count:
         raise InvalidConfigError(
             f"{path}: {entries.shape[0]} data rows but the grid has {grid.node_count} nodes"
@@ -521,10 +525,13 @@ def _parse_entries(fh, count, truncation):
     return entries
 
 
-def _scan_cells(path, truncation):
-    with open(path, newline="") as fh:
-        fh.readline()
-        lines = fh.read().splitlines()
+def _scan_cells(path, start, truncation):
+    """The cells of the data lines, every byte past ``start``, one row at a
+    time: an InvalidConfigError names the first row and column that are
+    not a number."""
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        lines = fh.read().decode("utf-8").splitlines()
     rows = []
     for i, row in enumerate(csv.reader(lines)):
         if len(row) != 2 * truncation:

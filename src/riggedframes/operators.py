@@ -28,12 +28,14 @@ bounded k.  Each stage keeps its block, which the ladder checks read.  A
 Gram squares the condition number, so A is resolved only down to
 GRAM_RESOLUTION * B (Higham, Accuracy and Stability of Numerical
 Algorithms, ch. 20).
-One block loop, _summed_operator, sums every S from a row source: a held
-kernel's rows (frame_operator) or a ladder's, sampled a block at a time
-(_stage_operator).  The parity rule is kernels._pair_split.  Every ladder
-grid is mirrored with an even node count, so _stage_operator always splits:
-it samples every built-in map at the nodes x > 0 only, with 2 W, and S
-has an even-odd cross block only where the map's rows do not mirror.
+One block loop, _summed_operator, sums every S from the (rows, q) blocks
+of a row source: a held kernel's rows (frame_operator) or a ladder's, from
+the one row sampler, _stage_rows, a block at a time (_stage_operator).  The
+Gauss-Hermite search reads the same blocks (_tail_columns).  The parity
+rule is kernels._pair_split.  Every ladder grid is mirrored with an even
+node count, so _stage_rows always splits: it samples every built-in map at
+the nodes x > 0 only, with 2 W, and S has an even-odd cross block only
+where the map's rows do not mirror.
 A held kernel whose rows mirror (KernelMatrix.signs) runs every
 pass over its rows per class on the x > 0 half (_gram_rows): its S has two
 parity blocks with exact zeros between them (FrameOperatorMatrix reads the
@@ -57,9 +59,10 @@ for rank-deficient rows.
 Continuum statements (bounded versus growing bounds, totality) are read off
 trends along a refinement ladder; a single stage can never decide them.
 Each trend reads its ratios per doubling of N, so stages closer than a
-doubling certify no more than a doubling would.  classify is the walk
-(_ladder_stages), the trends, the Bessel search and then _LABEL_RULES,
-one row per label, which decides every label.
+doubling certify no more than a doubling would, and A's trend skips a step
+that grew no parity block holding A (_moves_lower), which leaves A flat.
+classify is the walk (_ladder_stages), the trends, the Bessel search and
+then _LABEL_RULES, one row per label, which decides every label.
 
 Every operator works on the kernel's rows in their own dtype.  Every
 built-in kind has real rows; fourier's (-i)^n column phase P is kept apart
@@ -295,54 +298,52 @@ def _exact_operator(gram, phase=None):
 # Gauss-Hermite kernel up to N = 512 is one block, and a 3840-row composite
 # one at N = 256 two.
 _ROW_BYTES = 4 * 2**20
-# _stage_operator samples rows held nowhere else at most this many nodes at a
+# _stage_rows samples rows held nowhere else at most this many nodes at a
 # time (a split stage up to N = 512 is one block).  ceil(m/8) nodes per block
 # cut classify-ladder's peak RSS from 57.3 to 45.6 MB but its requests per
 # second from 24.1 to 16.8 (medians of 3 runs): eight calls per small stage.
 _NODE_BLOCK = 4096
 
 
-def _summed_operator(fill, count, step, order, n, columns, *, stacked=False, q=None, phase, where, rows_any):
-    """_exact_operator of the Gram A^T A of ``count`` real weighted rows A
-    (S = 0 for none), summed ``step`` rows at a time: ``fill(block, part)``
-    writes the rows ``part`` (a slice) into ``block``, the leading rows of one reused buffer
-    in memory ``order``, N = ``n`` columns wide, or 2N for ``stacked`` rows,
-    [Re A, Im A] of complex rows, whose real Gram is read as S_rows.  Each
-    column class c of ``columns`` adds the Gram of a = block[:, c] through
-    one product: a class of a Fortran-ordered block is a strided view BLAS
-    takes without a copy, and a^T a is a symmetric rank-k update, so each
-    sum is exactly symmetric.  With ``q`` (one factor per row), the block's
-    odd columns are then scaled by q in place and one product adds the
-    even-odd cross block, set with its exact transpose in S.  The class
-    Grams stay apart until the buffer is freed; then S is assembled.  An S
-    past float64 range, or one whose largest |entry| (on the diagonal, S
-    being PSD) is below the normal range, subnormal or 0, so that A keeps
-    only a few digits or none, while the rows summed are not all zero
-    (``rows_any()``), is a NumericError naming ``where``."""
-    width = 2 * n if stacked else n
-    buffer = np.empty((min(step, count), width), order=order)
+def _summed_operator(blocks, n, columns, *, stacked=False, phase, where):
+    """_exact_operator of the Gram A^T A of the real weighted rows A that
+    ``blocks`` yields as (rows, q) blocks (S = 0 for none), N = ``n``
+    columns wide, or 2N for ``stacked`` rows, [Re A, Im A] of complex rows,
+    whose real Gram is read as S_rows.  Each column class c of ``columns``
+    adds the Gram of a = rows[:, c] through one product: a class of a
+    Fortran-ordered block is a strided view BLAS takes without a copy, and
+    a^T a is a symmetric rank-k update, so each sum is exactly symmetric.
+    With a ``q`` (one factor per row), the block's odd columns are then
+    scaled by q in place and one product adds the even-odd cross block, set
+    with its exact transpose in S.  The class Grams stay apart until the
+    source's buffer is freed; then S is assembled.  An S past float64 range,
+    or one whose largest |entry| (on the diagonal, S being PSD) is below the
+    normal range, subnormal or 0, so that A keeps only a few digits or none,
+    while the rows summed are not all zero, is a NumericError naming
+    ``where``."""
+    width, tiny = 2 * n if stacked else n, np.finfo(float).tiny
     grams = [np.zeros((len(range(width)[c]),) * 2) for c in columns]
     products = [np.empty_like(gram) for gram in grams]
-    cross = None if q is None else np.zeros(((n + 1) // 2, n // 2))
-    cross_product = None if q is None else np.empty_like(cross)
+    # the even-odd cross block, an array once a block has a q
+    cross, nonzero = 0.0, False
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, count, step):
-            block, part = buffer[: min(step, count - lo)], slice(lo, lo + step)
-            fill(block, part)
+        for block, q in blocks:
             for c, gram, product in zip(columns, grams, products):
                 gram += np.matmul(block[:, c].T, block[:, c], out=product)
+                # the rows' zero test runs only until a block's Gram reaches the normal range
+                nonzero = nonzero or product.diagonal().max() >= tiny or block[:, c].any()
             if q is not None:
-                np.multiply(block[:, 1::2], q[part, None], out=block[:, 1::2])
-                cross += np.matmul(block[:, 0::2].T, block[:, 1::2], out=cross_product)
-        # any view of the buffer left alive keeps it
-        buffer = block = products = cross_product = None
+                np.multiply(block[:, 1::2], q[:, None], out=block[:, 1::2])
+                cross = cross + block[:, 0::2].T @ block[:, 1::2]
+        # the last block is a view that keeps the source's buffer alive
+        block = q = products = None
         gram = _from_stacked(grams[0]) if stacked else _block_diagonal(grams, columns)
-    if cross is not None:
+    if np.ndim(cross):
         gram[_PARITY[0], _PARITY[1]] = cross
         gram[_PARITY[1], _PARITY[0]] = cross.T
     if not np.isfinite(gram).all():
         raise NumericError(f"{where}: the frame operator is past float64 range")
-    if gram.diagonal().real.max() < np.finfo(float).tiny and rows_any():
+    if gram.diagonal().real.max() < tiny and nonzero:
         raise NumericError(f"{where}: the frame operator is below float64's normal range")
     gram.setflags(write=False)
     return _exact_operator(gram, phase)
@@ -351,41 +352,46 @@ def _summed_operator(fill, count, step, order, n, columns, *, stacked=False, q=N
 def frame_operator(kernel):
     """S = P^H S_rows P, with S_rows the Gram A^H A of the weighted rows
     A = sqrt(W) rows and P the kernel's column phase (kept apart: S.matrix
-    forms P^H S_rows P when read).  The row source of _summed_operator over
-    rows it holds: A is written in the rows' own memory order, per parity
-    class from the x > 0 rows with 2 W for a split kernel, and for complex
-    rows as [Re A, Im A], as many rows at a time as fit in _ROW_BYTES.  An S
-    out of float64 range is a NumericError naming N."""
+    forms P^H S_rows P when read).  _summed_operator sums the rows it holds,
+    written as A in one reused buffer in the rows' own memory order, per
+    parity class from the x > 0 rows with 2 W for a split kernel, and for
+    complex rows as [Re A, Im A], as many rows at a time as fit in
+    _ROW_BYTES.  An S out of float64 range is a NumericError naming N."""
     rows, scale, columns = _gram_rows(kernel)
     (m, n), stacked = rows.shape, np.iscomplexobj(rows)
-    sqrt_w = np.sqrt(scale)[:, None]
-    step = max(1, _ROW_BYTES // ((2 * n if stacked else n) * 8))
+    sqrt_w, width = np.sqrt(scale)[:, None], 2 * n if stacked else n
+    step = max(1, _ROW_BYTES // (width * 8))
 
-    def fill(block, part):
-        for j, values in enumerate((rows[part].real, rows[part].imag) if stacked else (rows[part],)):
-            np.multiply(sqrt_w[part], values, out=block[:, j * n : (j + 1) * n])
+    def blocks():
+        for block, part in _row_blocks(m, step, width, "F" if kernel.rows.flags.f_contiguous else "C"):
+            for j, values in enumerate((rows[part].real, rows[part].imag) if stacked else (rows[part],)):
+                np.multiply(sqrt_w[part], values, out=block[:, j * n : (j + 1) * n])
+            yield block, None
 
-    order = "F" if kernel.rows.flags.f_contiguous else "C"
-    return _summed_operator(
-        fill, m, step, order, n, columns,
-        stacked=stacked, phase=kernel.phase, where=f"N={n}", rows_any=rows.any,
-    )
+    return _summed_operator(blocks(), n, columns, stacked=stacked, phase=kernel.phase, where=f"N={n}")
 
 
-def _stage_operator(map_spec, grid, truncation):
-    """frame_operator of sample_kernel's kernel on a ladder's grid, to rounding,
-    without holding the rows: the row source of _summed_operator that
-    samples them _NODE_BLOCK nodes at a time into its Fortran-ordered
-    buffer, weighted in place, the negligible floor carrying its peak from
-    block to block.  Every ladder grid is mirrored with an even node count
-    (_ladder_grid), and the walk refuses N = 1 before it sums S, so
-    kernels._pair_split always splits: every built-in map is sampled at the
-    nodes x > 0 only, with 2 W and its rho, whatever its weight, and its q
-    (if any) adds the even-odd cross block.  A pair with w(x) = w(-x) = 0
-    (rho = 0) adds exactly nothing to S, so only the nodes with rho != 0 are
-    sampled: most of a bump's grid, and every node of the weight 0, whose S
-    is 0.  An S out of float64 range is a NumericError naming the ladder's
-    final stage."""
+def _row_blocks(count, step, width, order):
+    """(rows, part) for the row slices ``part`` of ``count`` rows, ``step``
+    at a time: rows are the leading rows of one buffer ``width`` wide in
+    memory ``order``, reused from block to block and freed once the last is
+    taken."""
+    buffer = np.empty((min(step, count), width), order=order)
+    for lo in range(0, count, step):
+        yield buffer[: min(step, count - lo)], slice(lo, lo + step)
+
+
+def _stage_rows(map_spec, grid, truncation):
+    """The one row sampler of a ladder: (rows, q) blocks of the weighted rows
+    sqrt(2 W) rho h_n of a built-in map at the nodes x > 0 of ``grid`` with
+    rho != 0, sampled _NODE_BLOCK nodes at a time by kernels._fill_rows into
+    one reused Fortran-ordered buffer and weighted in place, the negligible
+    floor carrying its peak from block to block; q is the block's slice of
+    _pair_split's q, or None.  Every ladder grid, and every Gauss-Hermite
+    rule the search tries, is mirrored with an even node count, and N > 1,
+    so _pair_split always splits.  A pair with w(x) = w(-x) = 0 (rho = 0)
+    adds exactly nothing to S, so it is not sampled: most of a bump's grid,
+    and every node of the weight 0."""
     n, start = truncation, grid.node_count // 2
     weight, q, _ = _pair_split(map_spec, grid, n, _row_weight(map_spec, grid.nodes))
     nodes, sqrt_w = grid.nodes[start:], np.sqrt(2.0 * grid.weights[start:])
@@ -394,15 +400,21 @@ def _stage_operator(map_spec, grid, truncation):
         nodes, sqrt_w, weight = nodes[keep], sqrt_w[keep], weight[keep]
         q = None if q is None else q[keep]
     peak = 0.0
+    for rows, part in _row_blocks(nodes.size, _NODE_BLOCK, n, "F"):
+        peak = _fill_rows(map_spec, nodes[part], None if weight is None else weight[part], rows, peak)
+        rows *= sqrt_w[part, None]
+        yield rows, None if q is None else q[part]
 
-    def fill(block, part):
-        nonlocal peak
-        peak = _fill_rows(map_spec, nodes[part], None if weight is None else weight[part], block, peak)
-        block *= sqrt_w[part, None]
 
+def _stage_operator(map_spec, grid, truncation):
+    """frame_operator of sample_kernel's kernel on a ladder's grid, to rounding,
+    without holding the rows: _summed_operator of _stage_rows' blocks, whose
+    q (if any) adds the even-odd cross block.  The walk refuses N = 1 before
+    it sums S.  An S out of float64 range is a NumericError naming the
+    ladder's final stage."""
+    n = truncation
     return _summed_operator(
-        fill, nodes.size, _NODE_BLOCK, "F", n, _PARITY,
-        q=q, phase=_column_phase(map_spec, n), where=f"stage N={n}", rows_any=lambda: peak > 0,
+        _stage_rows(map_spec, grid, n), n, _PARITY, phase=_column_phase(map_spec, n), where=f"stage N={n}"
     )
 
 
@@ -757,10 +769,11 @@ _TAIL_COLUMNS = 4
 def _searched_node_count(map_spec, truncation):
     """The K of the first Gauss-Hermite rule, from N + _SEARCH_START up by
     _SEARCH_GROWTH, on which S's last _TAIL_COLUMNS columns agree with the
-    next rule's within GRAM_RESOLUTION B; None once K passes _SEARCH_CEILING
-    N + _SEARCH_START, or where a rule's nodes take the weight or the tail
-    out of float64 range, so that the composite grid decides (and reports
-    any such error as it always has).  B is read as the largest w(x_j)^2
+    next rule's within GRAM_RESOLUTION B, each tail summed by _tail_columns
+    from the rows the stage itself samples on that rule (_stage_rows); None
+    once K passes _SEARCH_CEILING N + _SEARCH_START, or where a rule's nodes
+    take the weight or the tail out of float64 range, so that the composite
+    grid decides (and reports any such error as it always has).  B is read as the largest w(x_j)^2
     at the nodes inside the turning point sqrt(2N + 1): S = Q^T diag(w^2) Q
     with Q's N columns orthonormal, so B <= max w^2, and the top of the
     spectrum fills out to the sup of w^2 over the bulk as N grows.  Cached
@@ -787,30 +800,22 @@ def _searched_node_count(map_spec, truncation):
 
 def _tail_columns(map_spec, count, truncation):
     """(S[:, N - _TAIL_COLUMNS:] of a weighted dirac summed on hermite_grid(
-    ``count``), B's reading of _searched_node_count), summed as
-    _stage_operator sums S: the rows sqrt(2 W) rho h_n at the nodes x > 0,
-    _NODE_BLOCK at a time, with q scaling the entries that couple an even
-    and an odd index.  A tail or a B past float64 range reads B = inf."""
+    ``count``), B's reading of _searched_node_count): the products of
+    _stage_rows' blocks, the stage's own rows, with their last columns, q
+    scaling the entries that couple an even and an odd index.  A tail or a
+    B past float64 range reads B = inf."""
     grid, n = hermite_grid(count), truncation
-    start, tail_width = count // 2, min(_TAIL_COLUMNS, n)
-    weight = _row_weight(map_spec, grid.nodes)
-    rho, q, _ = _pair_split(map_spec, grid, n, weight)
-    nodes, sqrt_w = grid.nodes[start:], np.sqrt(2.0 * grid.weights[start:])
-    mixed = (np.arange(n)[:, None] + np.arange(n - tail_width, n)) % 2 == 1
-    tail = np.zeros((n, tail_width))
-    block = np.empty((min(_NODE_BLOCK, start), n), order="F")
+    width = min(_TAIL_COLUMNS, n)
+    mixed = (np.arange(n)[:, None] + np.arange(n - width, n)) % 2 == 1
+    tail = np.zeros((n, width))
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, start, _NODE_BLOCK):
-            part = slice(lo, lo + _NODE_BLOCK)
-            rows = block[: len(nodes[part])]
-            _fill_rows(map_spec, nodes[part], rho[part], rows)
-            rows *= sqrt_w[part, None]
-            last = rows[:, n - tail_width :]
+        for rows, q in _stage_rows(map_spec, grid, n):
+            last = rows[:, n - width :]
             same = rows.T @ last
-            same[mixed] = 0.0 if q is None else (rows.T @ (q[part, None] * last))[mixed]
+            same[mixed] = 0.0 if q is None else (rows.T @ (q[:, None] * last))[mixed]
             tail += same
-        bulk = np.abs(grid.nodes) <= bulk_half_width(n)
-        bound = float(np.square(weight[bulk]).max(initial=0.0))
+        bulk = grid.nodes[np.abs(grid.nodes) <= bulk_half_width(n)]
+        bound = float(np.square(_row_weight(map_spec, bulk)).max(initial=0.0))
     return tail, (bound if np.isfinite(tail).all() else math.inf)
 
 
@@ -873,7 +878,8 @@ class FrameReport:
     ``lower_ratios`` and ``upper_ratios`` hold one ratio per ladder step of
     A and of B, read per doubling of N: (X' / X) ** (1 / log2(N' / N)) from
     stage N to N', the plain ratio on a doubling ladder; the trends are
-    read off them.  ``labels`` are those rows of _LABEL_RULES that hold, in
+    read off them, A's without each stage whose step grew no parity block
+    holding A (_moves_lower).  ``labels`` are those rows of _LABEL_RULES that hold, in
     LABEL_ORDER.  ``bessel_constants`` holds the per-stage series of each
     seminorm index examined: k = 0..bessel_index, or 0..bessel_k_max when
     none is bounded.
@@ -932,6 +938,18 @@ def _consecutive_ratios(values, truncations):
         ((1.0 if curr == 0.0 else math.inf) if prev == 0.0 else curr / prev) ** (1.0 / math.log2(m / n))
         for prev, curr, n, m in zip(values, values[1:], truncations, truncations[1:])
     )
+
+
+def _moves_lower(prev, stage):
+    """Whether the step from stage ``prev`` to ``stage`` grew a diagonal
+    block of S whose smallest eigenvalue is the stage's A, to the Gram's
+    resolution.  A step of one grows one parity block of a split S, and an
+    A the other block holds stays as it was: that step reads nothing of A's
+    trend."""
+    if stage.operator.columns != _PARITY or stage.truncation > prev.truncation + 1:
+        return True
+    c = _PARITY[prev.truncation % 2]
+    return np.linalg.eigvalsh(stage.operator.gram[c, c])[0] <= stage.lower + GRAM_RESOLUTION * stage.upper
 
 
 def _bessel_constant(op, k):
@@ -1028,8 +1046,9 @@ LABEL_ORDER = tuple(label for label, _ in _LABEL_RULES)
 
 def classify(map_spec, ladder, thresholds=ClassifyThresholds()):
     """Walk the ladder (_ladder_stages), read the trends of A and B per
-    doubling of N, search for the first bounded Bessel index, and give every
-    label of _LABEL_RULES whose rule holds, in LABEL_ORDER.
+    doubling of N (A's over the stages _moves_lower keeps), search for the
+    first bounded Bessel index, and give every label of _LABEL_RULES whose
+    rule holds, in LABEL_ORDER.
 
     Labels follow the sharpest-class convention: the semi-frame labels are
     reported only when the map is not a frame outright.
@@ -1039,7 +1058,8 @@ def classify(map_spec, ladder, thresholds=ClassifyThresholds()):
     lowers = [s.lower for s in stages]
     uppers = [s.upper for s in stages]
     vanish_floor = thresholds.rank**2 * max(uppers[-1], 0.0)
-    lower_trend = _series_trend(lowers, truncations, thresholds, vanish_floor)
+    moved = [stages[0]] + [stage for prev, stage in zip(stages, stages[1:]) if _moves_lower(prev, stage)]
+    lower_trend = _series_trend([s.lower for s in moved], [s.truncation for s in moved], thresholds, vanish_floor)
     upper_trend = _series_trend(uppers, truncations, thresholds, vanish_floor)
 
     tops = [s.sigma_max for s in stages]

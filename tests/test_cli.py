@@ -215,6 +215,25 @@ class TestConfig:
         assert cli.main(["bounds", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: cannot read")
 
+    @pytest.mark.parametrize("case", ["missing", "directory", "not_utf8_header", "not_utf8_row"])
+    def test_unreadable_custom_kernel_is_a_config_error(self, tmp_path, capsys, case):
+        """A custom kernel file that cannot be opened, or holds a byte that
+        is not UTF-8 in its header or in a data row, exits 2 naming the
+        file, like an unreadable config file."""
+        from riggedframes import cli
+
+        path = tmp_path / "kernel.csv"
+        header = ",".join(f"{part}{n}" for n in range(16) for part in ("re", "im"))
+        if case == "directory":
+            path.mkdir()
+        elif case == "not_utf8_header":
+            path.write_bytes(header.replace("re0", "r\xe90").encode("latin-1") + b"\r\n")
+        elif case == "not_utf8_row":
+            path.write_bytes(header.encode() + b"\r\n" + b",".join([b"1\xff"] + [b"0"] * 31) + b"\r\n")
+        data = {"map": {"kind": "custom", "custom_kernel": str(path)}, "ladder": {"stages": [16]}}
+        assert cli.main(["dual", "--config", str(write_config(tmp_path, data))]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: cannot read (")
+
     def test_stages_flag_is_checked_as_the_ladder_field(self, tmp_path, capsys):
         from riggedframes import cli
 

@@ -425,7 +425,7 @@ class TestParseReuse:
 def test_a_hit_reads_the_data_bytes_once_with_no_line_pass(tmp_path, grid, monkeypatch):
     """A load of unchanged bytes hashes them in large chunks and returns the
     kept rows: no pass over the data lines, no np.loadtxt and no rescan.
-    The text-mode header read is the only line read."""
+    The header's readline is the only line read."""
     import builtins
 
     path = tmp_path / "kernel.csv"

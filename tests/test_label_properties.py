@@ -4,7 +4,8 @@ The paper's implications between the labels hold on every built-in family
 of tools/report_bodies.py, on default and hand-written ladders; and no
 ladder whose last step spans less than a doubling of N certifies a bounded
 B or a frame for a map whose B grows (dirac_derivative, x, 1+x^2) or whose
-A decays (1/(1+x^2)).
+A decays (1/(1+x^2)), nor a lower semi-frame for dirac_derivative, whose A
+decays too.
 """
 
 import importlib.util
@@ -84,6 +85,8 @@ def test_a_step_shorter_than_a_doubling_certifies_no_bound(family, stages):
     assert "frame" not in labels
     if family in GROWING_B:
         assert "bounded_bessel" not in labels
+    if family == "dirac_derivative":
+        assert "lower_semi_frame" not in labels
 
 
 @pytest.mark.parametrize(
@@ -94,6 +97,7 @@ def test_a_step_shorter_than_a_doubling_certifies_no_bound(family, stages):
         for stages in ((60, 62, 64), (250, 256), (1000, 1024), (8, 16, 1000, 1024))
     ]
     + [("1+x^2", (1000, 1024)), ("1/(1+x^2)", (250, 256)), ("1/(1+x^2)", (1000, 1024))]
+    + [("dirac_derivative", (n - 1, n)) for n in (128, 256, 512, 1024)]
     + [(family, (1023, 1024)) for family in ("dirac", "fourier", "2+sin(x)")],
     ids=lambda value: value if isinstance(value, str) else ",".join(map(str, value)),
 )
@@ -102,5 +106,7 @@ def test_close_stages_get_the_default_ladders_labels(family, stages):
     the labels of the default ladder to the same N: dirac_derivative and x
     get neither frame nor bounded_bessel, 1+x^2 lower_semi_frame and
     1/(1+x^2) upper_semi_frame where each once got frame, and the frames
-    keep frame on a step of one."""
+    keep frame on a step of one.  A step of one from odd N grows only the
+    odd parity block of a split S: dirac_derivative's A, held in the even
+    block, stays flat there, and the step reads no lower_semi_frame."""
     assert _labels(family, {"stages": list(stages)}) == _labels(family, {"n_max": stages[-1]})

@@ -850,6 +850,40 @@ class TestLadderGrid:
         count = operators._hermite_node_count(weighted_dirac_map(weight), truncation)
         assert count is not None and count < 3 * truncation
 
+    @staticmethod
+    def _assert_the_search_reads_the_stage(spec, count, truncation):
+        """_tail_columns on hermite_grid(count) against the last columns of
+        _stage_operator's S on the same rule, within 4 eps B: one sampler,
+        the class Grams summed by syrk and the tail by a product."""
+        from riggedframes import hermite_grid
+
+        op = operators._stage_operator(spec, hermite_grid(count), truncation)
+        tail, _ = operators._tail_columns(spec, count, truncation)
+        upper = frame_bounds(op)[1]
+        assert np.abs(tail - op.gram[:, truncation - 4 :]).max() <= 4 * np.finfo(float).eps * upper
+
+    @pytest.mark.parametrize("truncation", [64, 256, 512])
+    @pytest.mark.parametrize("weight", ["2+sin(x)", "exp(-x^2)", "1/(1+x^2)"])
+    def test_the_search_reads_the_stages_own_rows(self, weight, truncation):
+        """The search's tail on its first rule, K = N + 64, is the tail of
+        the S the stage sums on that rule."""
+        self._assert_the_search_reads_the_stage(weighted_dirac_map(weight), truncation + 64, truncation)
+
+    def test_the_search_and_the_stage_share_their_node_blocks(self, monkeypatch):
+        """With _NODE_BLOCK below K/2, both read the rule's 160 nodes x > 0
+        in two blocks, the negligible floor carrying its peak across them."""
+        blocks, stage_rows = [], operators._stage_rows
+
+        def recording(*args):
+            for rows, q in stage_rows(*args):
+                blocks.append(rows.shape[0])
+                yield rows, q
+
+        monkeypatch.setattr(operators, "_NODE_BLOCK", 100)
+        monkeypatch.setattr(operators, "_stage_rows", recording)
+        self._assert_the_search_reads_the_stage(weighted_dirac_map("2+sin(x)"), 320, 256)
+        assert blocks == [100, 60, 100, 60]
+
     def test_bumps_and_custom_kernels_stay_composite(self, monkeypatch):
         """A bump is C-infinity but not analytic, and a custom kernel has no
         map to sample: both are summed on the default composite grid.  The
@@ -1258,16 +1292,20 @@ def test_a_held_gauss_hermite_kernel_is_summed_in_one_block(monkeypatch, family)
     budget: frame_operator sums its S in one block."""
     spec = BUILTIN_FAMILIES[family]
     kernel = sample_kernel(spec, operators._ladder_grid(spec, default_stage(512)), 512)
-    calls, summed = [], operators._summed_operator
+    blocks, summed = [], operators._summed_operator
 
-    def recording(fill, count, step, *args, **kwargs):
-        calls.append((count, step))
-        return summed(fill, count, step, *args, **kwargs)
+    def recording(source, *args, **kwargs):
+        def recorded():
+            for rows, q in source:
+                blocks.append(rows.shape[0])
+                yield rows, q
+
+        return summed(recorded(), *args, **kwargs)
 
     monkeypatch.setattr(operators, "_summed_operator", recording)
     frame_operator(kernel)
-    ((count, step),) = calls
-    assert 256 <= count <= step
+    (count,) = blocks
+    assert 256 <= count
 
 
 @pytest.mark.parametrize(
